@@ -24,6 +24,7 @@
 
 #include "src/cli/figures.h"
 #include "src/engine/batch_runner.h"
+#include "src/engine/resumable_sweep.h"
 #include "src/eval/experiment.h"
 #include "src/graph/datasets.h"
 #include "src/obs/trace.h"
@@ -197,7 +198,11 @@ inline void RunFigure(const std::string& title, const std::string& value_name,
   // otherwise pay pool setup/teardown for each); sized by the first call's
   // --threads, which is constant within a bench run.
   static BatchRunner runner(opt.threads);
-  auto series = RunSweep(g, config, metric, runner);
+  // No store, and empty dataset/metric names in the unit seeds: the
+  // streams these benches have always drawn.
+  ResumableSweep sweep(runner, nullptr);
+  std::vector<SweepSeries> series =
+      sweep.RunMulti(g, "", {SweepMetric{"", metric}}, config)[0].series;
   if (opt.csv) {
     PrintSeriesCsv(std::cout, title, series);
   } else {

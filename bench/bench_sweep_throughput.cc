@@ -3,10 +3,11 @@
 //
 // Section 1 — rate axis (score-once). For each selected sparsifier it runs
 // the paper's 9-rate sweep grid twice on the same BatchRunner —
-//   cold:   share_scores(false), the pre-sharing per-cell path (every cell
-//           rescoring from scratch), and
-//   shared: share_scores(true), one PrepareScores per (sparsifier, run)
-//           with the rate axis fanned out as MaskForRate tasks —
+//   cold:   one engine run per cell, so every cell rescores from scratch
+//           (the pre-sharing execution model), and
+//   shared: one engine run over the grid: one PrepareScores per
+//           (sparsifier, run) with the rate axis fanned out as MaskForRate
+//           tasks —
 // and reports cells/sec, the score/subgraph/metric wall-clock split, and
 // the cold/shared speedup per algorithm.
 //
@@ -169,10 +170,11 @@ int SweepThroughputMain(int argc, char** argv) {
 
   // Section 1 metric: cheap and rng-free — this section measures the
   // scoring engine, not a metric implementation.
-  BatchMetricFn metric = [](const Graph& orig, const Graph& sp, Rng&) {
-    return static_cast<double>(sp.NumEdges()) /
-           static_cast<double>(std::max<EdgeId>(1, orig.NumEdges()));
-  };
+  const std::vector<BatchMetric> edge_ratio = {BatchMetric{
+      "", [](const Graph& orig, const Graph& sp, Rng&) {
+        return static_cast<double>(sp.NumEdges()) /
+               static_cast<double>(std::max<EdgeId>(1, orig.NumEdges()));
+      }}};
 
   BatchRunner runner(opt.threads);
   std::vector<AlgoResult> results;
@@ -187,16 +189,17 @@ int SweepThroughputMain(int argc, char** argv) {
     r.name = algo;
     r.cells = tasks.size();
     for (int rep = 0; rep < opt.repeat; ++rep) {
-      runner.set_share_scores(false);
       Timer cold_timer;
-      runner.RunTasks(d.graph, tasks, spec.master_seed, metric);
+      for (const BatchTask& task : tasks) {
+        runner.RunTasksMulti(d.graph, "", {task}, spec.master_seed,
+                             edge_ratio);
+      }
       double cold = cold_timer.Seconds();
 
-      runner.set_share_scores(true);
       BatchRunStats stats;
       Timer shared_timer;
-      runner.RunTasks(d.graph, tasks, spec.master_seed, metric, nullptr,
-                      &stats);
+      runner.RunTasksMulti(d.graph, "", tasks, spec.master_seed, edge_ratio,
+                           nullptr, &stats);
       double shared = shared_timer.Seconds();
 
       if (rep == 0 || cold < r.cold_seconds) r.cold_seconds = cold;
@@ -236,7 +239,6 @@ int SweepThroughputMain(int argc, char** argv) {
 
   MultiMetricResult mm;
   mm.cells = multi_tasks.size();
-  runner.set_share_scores(true);
   for (int rep = 0; rep < opt.repeat; ++rep) {
     // Baseline: per-metric re-sparsification — each metric runs its own
     // engine pass, re-scoring and re-materializing every subgraph (the

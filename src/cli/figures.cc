@@ -380,8 +380,10 @@ int RunFigures(const std::vector<std::string>& ids,
     ResumableSweep sweep(runner, store.get());
     sweep.set_reuse_cached(opt.resume);
     ResumableSweepStats stats;
-    std::vector<SweepSeries> series = sweep.Run(
-        d.graph, dataset_key, spec->metric, config, metric, &stats);
+    std::vector<MetricSweepSeries> out = sweep.RunMulti(
+        d.graph, dataset_key, {SweepMetric{spec->metric, metric}}, config,
+        &stats);
+    const std::vector<SweepSeries>& series = out[0].series;
     if (store != nullptr) {
       os << "# store " << store->Path() << ": total=" << stats.total_cells
          << " cached=" << stats.cached_cells

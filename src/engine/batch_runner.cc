@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -22,22 +24,6 @@
 namespace sparsify {
 namespace {
 
-// Engine stage counters/latencies. Function-local static references so
-// the registry mutex is paid once per process, not per task.
-struct EngineObs {
-  obs::Counter& score_groups = obs::GetCounter("engine.score_groups");
-  obs::Counter& subgraph_builds = obs::GetCounter("engine.subgraph_builds");
-  obs::Counter& metric_units = obs::GetCounter("engine.metric_units");
-  obs::Histogram& score_ns = obs::GetHistogram("engine.score_ns");
-  obs::Histogram& subgraph_ns = obs::GetHistogram("engine.subgraph_ns");
-  obs::Histogram& metric_unit_ns = obs::GetHistogram("engine.metric_unit_ns");
-};
-
-EngineObs& GetEngineObs() {
-  static EngineObs* e = new EngineObs();
-  return *e;
-}
-
 std::string FormatRate(double rate) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", rate);
@@ -53,15 +39,142 @@ std::chrono::milliseconds RetryBackoff(int attempt) {
   return std::chrono::milliseconds(std::min<uint64_t>(ms, 100));
 }
 
+uint64_t SplitMix(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// Adds to a BatchRunStats field that stages on every worker update.
+template <typename T>
+void AtomicAdd(T& field, T delta) {
+  std::atomic_ref<T>(field).fetch_add(delta, std::memory_order_relaxed);
+}
+
+// The engine's three stages, in pipeline order.
+enum Stage { kScoreGroup, kSubgraph, kMetricUnit, kNumStages };
+
+// What a stage reports to: its span/activity name, its failpoint site, its
+// engine.* counter and latency histogram, and the BatchRunStats fields it
+// sums into (metric units have no run count: metric_units is the number
+// scheduled).
+struct StageSite {
+  const char* name;
+  const char* failpoint;
+  obs::Counter& count;
+  obs::Histogram& ns;
+  size_t BatchRunStats::*run_count;
+  double BatchRunStats::*run_seconds;
+};
+
+// Interned once per process, so the registry mutex is off the hot path.
+const StageSite& Site(Stage stage) {
+  static const StageSite* sites = new StageSite[kNumStages]{
+      {"score_group", "engine.score_group",
+       obs::GetCounter("engine.score_groups"),
+       obs::GetHistogram("engine.score_ns"), &BatchRunStats::score_groups,
+       &BatchRunStats::score_seconds},
+      {"subgraph", "engine.subgraph", obs::GetCounter("engine.subgraph_builds"),
+       obs::GetHistogram("engine.subgraph_ns"),
+       &BatchRunStats::subgraph_builds, &BatchRunStats::subgraph_seconds},
+      {"metric_unit", "engine.metric_unit",
+       obs::GetCounter("engine.metric_units"),
+       obs::GetHistogram("engine.metric_unit_ns"), nullptr,
+       &BatchRunStats::metric_seconds}};
+  return sites[stage];
+}
+
+// Everything one stage execution carries, acquired in this order and
+// released in reverse: the trace span with its detail and cell args, the
+// ambient cancel token its kernels poll, the watchdog activity (which may
+// cancel `watch` when the stage stalls), and the timer whose reading feeds
+// the stage's counter, histogram and run stats on exit. Only stages that
+// actually start construct one, so every count equals the stage's spans.
+// Failpoint() fires the stage's scoped failpoint; call it inside the
+// stage's try so an injected fault takes the same path as a real one.
+class StageScope {
+ public:
+  // `detail` must outlive the scope.
+  StageScope(Stage stage, const std::string& detail, const BatchTask& task,
+             const CancelToken* cancel, const CancelToken* watch,
+             BatchRunStats& run)
+      : site_(Site(stage)),
+        detail_(detail),
+        span_(site_.name),
+        cancel_(cancel),
+        activity_(site_.name, detail, watch),
+        run_(run) {
+    if (span_.active()) {
+      span_.Detail(detail);
+      if (stage == kMetricUnit) span_.Arg("sparsifier", task.sparsifier);
+      if (stage != kScoreGroup) {
+        span_.Arg("rate", FormatRate(task.prune_rate));
+      }
+      span_.Arg("run", std::to_string(task.run));
+    }
+  }
+
+  ~StageScope() {
+    double seconds = timer_.Seconds();
+    site_.count.Add();
+    site_.ns.Record(static_cast<uint64_t>(seconds * 1e9));
+    if (site_.run_count != nullptr) {
+      AtomicAdd(run_.*site_.run_count, size_t{1});
+    }
+    AtomicAdd(run_.*site_.run_seconds, seconds);
+  }
+
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  void Failpoint() const {
+    SPARSIFY_FAILPOINT_SCOPED(site_.failpoint, detail_.c_str());
+  }
+
+ private:
+  const StageSite& site_;
+  const std::string& detail_;
+  obs::Span span_;
+  CancelScope cancel_;
+  ActivityScope activity_;
+  Timer timer_;
+  BatchRunStats& run_;
+};
+
+// How a caught failure ends its units. `run_cancelled` marks a
+// cancellation of the run itself: not a failure, nothing is recorded, and
+// a resumed sweep resubmits the units.
+struct Failure {
+  bool run_cancelled = false;
+  std::string error_class;  // see FaultPolicy
+  std::string message;
+};
+
+// The engine's one failure classifier, shared by every stage.
+Failure ClassifyFailure(std::exception_ptr error, bool run_cancelled) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const CancelledError& e) {  // DeadlineExceededError included
+    if (run_cancelled) return {true, "cancelled", e.what()};
+    bool deadline = dynamic_cast<const DeadlineExceededError*>(&e) != nullptr;
+    return {false, deadline ? "deadline" : "cancelled", e.what()};
+  } catch (const TransientError& e) {
+    return {false, "transient", e.what()};
+  } catch (const std::exception& e) {
+    return {false, "permanent", e.what()};
+  } catch (...) {
+    return {false, "permanent", "unknown error"};
+  }
+}
+
 }  // namespace
 
 struct BatchRunner::Impl {
   explicit Impl(int num_threads) : pool(num_threads) {}
-  // Serializes Run: the pool's completion tracking is batch-global, so two
+  // Serializes runs: the pool's completion tracking is batch-global, so two
   // concurrent batches would wait on (and steal errors from) each other.
   std::mutex run_mu;
   mutable ThreadPool pool;
-  bool share_scores = true;
 };
 
 BatchRunner::BatchRunner(int num_threads)
@@ -75,35 +188,11 @@ ThreadPoolStats BatchRunner::PoolStats() const { return impl_->pool.Stats(); }
 
 void BatchRunner::ResetPoolStats() { impl_->pool.ResetStats(); }
 
-void BatchRunner::set_share_scores(bool share) {
-  impl_->share_scores = share;
-}
-
-bool BatchRunner::share_scores() const { return impl_->share_scores; }
-
-namespace {
-
-uint64_t SplitMix(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-uint64_t BatchRunner::TaskSeed(uint64_t master_seed, uint64_t index) {
-  // SplitMix64 over the combined pair. The golden-ratio stride separates
-  // consecutive indices far apart in the seed space; Rng's own seed mixing
-  // then decorrelates the streams.
-  return SplitMix(master_seed + (index + 1) * 0x9e3779b97f4a7c15ULL);
-}
-
 uint64_t BatchRunner::GroupSeed(uint64_t master_seed,
                                 const std::string& sparsifier, int run) {
-  // FNV-1a over the name, folded with the run index, then the same
-  // SplitMix finalizer as TaskSeed. Intentionally independent of grid
-  // shape and cell indices: any subset of a group's rate cells prepares
-  // the same ScoreState.
+  // FNV-1a over the name, folded with the run index, then a SplitMix64
+  // finalizer. Intentionally independent of grid shape and cell indices:
+  // any subset of a group's rate cells prepares the same ScoreState.
   uint64_t h = 1469598103934665603ULL;
   for (char c : sparsifier) {
     h ^= static_cast<unsigned char>(c);
@@ -146,6 +235,22 @@ uint64_t BatchRunner::MetricSeed(uint64_t master_seed,
   return SplitMix(master_seed ^ SplitMix(h));
 }
 
+BatchRunStats& BatchRunStats::operator+=(const BatchRunStats& other) {
+  cells += other.cells;
+  metric_units += other.metric_units;
+  score_groups += other.score_groups;
+  subgraph_builds += other.subgraph_builds;
+  failed_units += other.failed_units;
+  transient_failed_units += other.transient_failed_units;
+  deadline_exceeded_units += other.deadline_exceeded_units;
+  cancelled_units += other.cancelled_units;
+  retried_units += other.retried_units;
+  score_seconds += other.score_seconds;
+  subgraph_seconds += other.subgraph_seconds;
+  metric_seconds += other.metric_seconds;
+  return *this;
+}
+
 std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
   std::vector<std::string> names =
       spec.sparsifiers.empty() ? SparsifierNames() : spec.sparsifiers;
@@ -168,45 +273,6 @@ std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
     }
   }
   return tasks;
-}
-
-std::vector<BatchResult> BatchRunner::Run(const Graph& g,
-                                          const BatchSpec& spec,
-                                          const BatchMetricFn& metric) const {
-  return RunTasks(g, ExpandGrid(spec), spec.master_seed, metric);
-}
-
-std::vector<BatchResult> BatchRunner::RunTasks(
-    const Graph& g, const std::vector<BatchTask>& tasks, uint64_t master_seed,
-    const BatchMetricFn& metric, const ResultCallback& on_result,
-    BatchRunStats* stats) const {
-  // Thin wrapper over the multi-metric path: one anonymous metric, every
-  // task evaluating it (per-task subsets are a multi-metric concept).
-  std::vector<BatchTask> plain = tasks;
-  for (BatchTask& task : plain) task.metrics.clear();
-  std::vector<BatchMetric> metrics;
-  metrics.push_back(BatchMetric{std::string(), metric});
-  MetricResultCallback on_unit = nullptr;
-  if (on_result) {
-    on_unit = [&on_result](const BatchTask& task, double achieved, uint32_t,
-                           double value) {
-      BatchResult r;
-      r.task = task;
-      r.achieved_prune_rate = achieved;
-      r.value = value;
-      on_result(r);
-    };
-  }
-  std::vector<BatchMultiResult> multi =
-      RunTasksMulti(g, std::string(), plain, master_seed, metrics, on_unit,
-                    stats);
-  std::vector<BatchResult> results(multi.size());
-  for (size_t i = 0; i < multi.size(); ++i) {
-    results[i].task = std::move(multi[i].task);
-    results[i].achieved_prune_rate = multi[i].achieved_prune_rate;
-    results[i].value = multi[i].values[0].value;
-  }
-  return results;
 }
 
 std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
@@ -244,7 +310,8 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   std::vector<uint32_t> all_ids(metrics.size());
   for (uint32_t m = 0; m < metrics.size(); ++m) all_ids[m] = m;
   std::vector<const std::vector<uint32_t>*> ids_of(tasks.size());
-  size_t metric_units = 0;
+  BatchRunStats run;
+  run.cells = tasks.size();
   std::vector<BatchMultiResult> results(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     const std::vector<uint32_t>& ids =
@@ -256,7 +323,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
       }
     }
     ids_of[i] = &ids;
-    metric_units += ids.size();
+    run.metric_units += ids.size();
     results[i].task = tasks[i];
     results[i].values.resize(ids.size());
   }
@@ -269,67 +336,141 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     units_left[i].store(ids_of[i]->size(), std::memory_order_relaxed);
   }
 
-  std::atomic<bool> failed{false};
-  std::mutex stats_mu;
-  double score_seconds = 0.0, subgraph_seconds = 0.0, metric_seconds = 0.0;
-  const bool tolerate = faults.tolerate;
-  std::atomic<size_t> failed_units{0};
-  std::atomic<size_t> transient_failed_units{0};
-  std::atomic<size_t> deadline_units{0};
-  std::atomic<size_t> cancelled_units{0};
-  std::atomic<size_t> retried_units{0};
-
-  // Run-level cancellation: once the caller's token trips, tasks still
-  // queued skip their work entirely and in-flight units are interrupted
-  // at their next cooperative check.
-  const CancelToken* run_cancel = faults.cancel;
-  auto run_cancelled = [run_cancel] {
-    return run_cancel != nullptr && run_cancel->Cancelled();
+  // Group the cells by (sparsifier, run): one ScoreState per group, shared
+  // read-only across that group's rate cells. std::map keeps group order
+  // deterministic (not that it matters numerically — every group's RNG
+  // stream derives from its own GroupSeed).
+  struct Group {
+    const BatchTask* first = nullptr;  // names the group: sparsifier, run
+    const Graph* input = nullptr;
+    std::unique_ptr<Sparsifier> instance;
+    std::unique_ptr<ScoreState> state;
+    std::vector<size_t> cells;
+    std::atomic<size_t> cells_left{0};
   };
+  std::deque<Group> groups;  // atomics pin groups in place
+  std::map<std::pair<std::string, int>, size_t> group_index;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    auto key = std::make_pair(tasks[i].sparsifier, tasks[i].run);
+    auto [it, inserted] = group_index.try_emplace(key, groups.size());
+    if (inserted) {
+      Group& group = groups.emplace_back();
+      group.first = &tasks[i];
+      group.input = input_for.at(tasks[i].sparsifier);
+      group.instance = CreateSparsifier(tasks[i].sparsifier);
+    }
+    groups[it->second].cells.push_back(i);
+  }
+  for (Group& group : groups) {
+    group.cells_left.store(group.cells.size(), std::memory_order_relaxed);
+  }
 
-  // Tolerant-mode handling of a failed score-group or subgraph stage:
-  // every dependent unit of cell i is marked failed (no retry — scoring
-  // is re-run wholesale by a resumed sweep, not per unit). Only the
-  // worker owning cell i calls this, so the result slots need no lock.
-  auto fail_cell = [&](size_t i, const std::string& error_class,
-                       const std::string& error_message) {
-    const BatchTask& task = results[i].task;
-    for (size_t slot = 0; slot < ids_of[i]->size(); ++slot) {
-      BatchMetricValue v;
+  // The engine's own run token, parented to the caller's: queued stages
+  // check it before starting, running ones poll it through their
+  // CancelScope. Fail-fast trips it on the first failure and keeps that
+  // exception for the rethrow after Wait(), so both fault modes share one
+  // error path.
+  CancelToken run_token;
+  run_token.set_parent(faults.cancel);
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+  auto classify = [&](std::exception_ptr error) {
+    Failure f = ClassifyFailure(error, run_token.Cancelled());
+    if (!f.run_cancelled && !faults.tolerate) {
+      {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = error;
+      }
+      run_token.Cancel();
+      f.run_cancelled = true;
+    }
+    return f;
+  };
+  const Failure skipped{true, "cancelled", "run cancelled"};
+
+  // Ends slots [begin, end) of cell i without a value. A run cancellation
+  // is counted but never reported (resume resubmits the units); a failure
+  // is counted and handed to on_unit_failure. Only the worker owning the
+  // slots calls this, so they need no lock.
+  auto end_units = [&](size_t i, size_t begin, size_t end, const Failure& f,
+                       int attempts) {
+    for (size_t slot = begin; slot < end; ++slot) {
+      BatchMetricValue& v = results[i].values[slot];
       v.metric = (*ids_of[i])[slot];
       v.failed = true;
-      v.error_class = error_class;
-      v.error_message = error_message;
-      v.attempts = 1;
-      results[i].values[slot] = std::move(v);
-      failed_units.fetch_add(1, std::memory_order_relaxed);
-      if (error_class == "transient") {
-        transient_failed_units.fetch_add(1, std::memory_order_relaxed);
+      v.error_class = f.run_cancelled ? "cancelled" : f.error_class;
+      v.error_message = f.message;
+      v.attempts = attempts;
+      if (f.run_cancelled) {
+        AtomicAdd(run.cancelled_units, size_t{1});
+        continue;
       }
-      if (error_class == "deadline") {
-        deadline_units.fetch_add(1, std::memory_order_relaxed);
+      AtomicAdd(run.failed_units, size_t{1});
+      if (f.error_class == "transient") {
+        AtomicAdd(run.transient_failed_units, size_t{1});
+      }
+      if (f.error_class == "deadline") {
+        AtomicAdd(run.deadline_exceeded_units, size_t{1});
       }
       if (faults.on_unit_failure) {
-        faults.on_unit_failure(task, (*ids_of[i])[slot], error_class,
-                               error_message, 1);
+        faults.on_unit_failure(results[i].task, v.metric, f.error_class,
+                               f.message, attempts);
       }
     }
   };
+  auto end_cell = [&](size_t i, const Failure& f, int attempts) {
+    end_units(i, 0, ids_of[i]->size(), f, attempts);
+  };
 
-  // Run-level cancellation of cell i's units. The slots are still marked
-  // failed (a default slot would fold as metric-0 value 0.0) but this is
-  // NOT a failure: on_unit_failure is not invoked and nothing is
-  // recorded, so a resumed sweep resubmits exactly these units. Only the
-  // worker owning cell i calls this.
-  auto cancel_cell = [&](size_t i) {
-    for (size_t slot = 0; slot < ids_of[i]->size(); ++slot) {
-      BatchMetricValue v;
-      v.metric = (*ids_of[i])[slot];
-      v.failed = true;
-      v.error_class = "cancelled";
-      v.error_message = "run cancelled";
-      results[i].values[slot] = std::move(v);
-      cancelled_units.fetch_add(1, std::memory_order_relaxed);
+  // One (cell, metric) evaluation unit, retrying transient failures.
+  static const std::string kAnonymousMetric = "metric";
+  auto run_metric_unit = [&](size_t i, size_t slot) {
+    if (run_token.Cancelled()) return end_units(i, slot, slot + 1, skipped, 0);
+    const BatchTask& task = results[i].task;
+    const uint32_t m = (*ids_of[i])[slot];
+    const BatchMetric& metric = metrics[m];
+    // The unit's own token: parented under the run token so a run-level
+    // cancel interrupts it, re-armed with a fresh --unit-timeout deadline
+    // every attempt. Declared before the stage scope so the watchdog
+    // (which cancels a stuck activity's token under its slot lock) can
+    // never observe a destroyed token.
+    CancelToken unit_token;
+    unit_token.set_parent(&run_token);
+    StageScope stage(kMetricUnit,
+                     metric.name.empty() ? kAnonymousMetric : metric.name,
+                     task, &unit_token, &unit_token, run);
+    for (int attempts = 1;; ++attempts) {
+      if (faults.unit_timeout_seconds > 0) {
+        unit_token.SetDeadlineAfter(faults.unit_timeout_seconds);
+      }
+      try {
+        stage.Failpoint();
+        // Re-created from MetricSeed on every attempt, so a retried
+        // success draws the exact samples a first-try success would.
+        // (Cancellation checks never touch this stream either: an
+        // interrupted-then-resumed unit is bit-identical.)
+        Rng metric_rng(MetricSeed(master_seed, dataset, task.sparsifier,
+                                  task.prune_rate, task.run, metric.name));
+        // Expose the pool for the metric's own BFS-batch fan-out.
+        SubtaskPoolScope subtasks(&impl_->pool);
+        double value = metric.fn(*input_for.at(task.sparsifier),
+                                 *cell_graph[i], metric_rng);
+        results[i].values[slot].metric = m;
+        results[i].values[slot].value = value;
+        if (on_result) {
+          on_result(task, results[i].achieved_prune_rate, m, value);
+        }
+        return;
+      } catch (...) {
+        Failure f = classify(std::current_exception());
+        if (!f.run_cancelled && f.error_class == "transient" &&
+            attempts <= faults.max_unit_retries) {
+          AtomicAdd(run.retried_units, size_t{1});
+          std::this_thread::sleep_for(RetryBackoff(attempts));
+          continue;
+        }
+        return end_units(i, slot, slot + 1, f, attempts);
+      }
     }
   };
 
@@ -340,165 +481,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   auto submit_metric_units = [&](size_t i) {
     for (size_t slot = 0; slot < ids_of[i]->size(); ++slot) {
       impl_->pool.SubmitUrgent([&, i, slot] {
-        if (failed.load(std::memory_order_relaxed)) return;
-        const BatchTask& task = results[i].task;
-        uint32_t m = (*ids_of[i])[slot];
-        if (run_cancelled()) {
-          // Skipped before starting. Still release the subgraph chain.
-          BatchMetricValue v;
-          v.metric = m;
-          v.failed = true;
-          v.error_class = "cancelled";
-          v.error_message = "run cancelled";
-          results[i].values[slot] = std::move(v);
-          cancelled_units.fetch_add(1, std::memory_order_relaxed);
-          if (units_left[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            cell_graph[i].reset();
-          }
-          return;
-        }
-        // One span per (cell x metric) evaluation unit — the unit CI
-        // counts against the sweep banner. The detail key is the metric
-        // registry name; the cell identity rides in the args.
-        TRACE_SPAN(span, "metric_unit");
-        if (span.active()) {
-          span.Detail(metrics[m].name.empty() ? "metric" : metrics[m].name);
-          span.Arg("sparsifier", task.sparsifier);
-          span.Arg("rate", FormatRate(task.prune_rate));
-          span.Arg("run", std::to_string(task.run));
-        }
-        Timer unit_timer;
-        bool ok = false;
-        bool cancelled = false;  // run-level: skip, don't fail
-        std::string error_class, error_message;
-        int attempts = 0;
-        const bool cancellable =
-            run_cancel != nullptr || faults.unit_timeout_seconds > 0;
-        while (true) {
-          ++attempts;
-          // Per-attempt unit token: parented under the run token so a
-          // run-level cancel interrupts the unit at its next check, with
-          // a fresh --unit-timeout deadline each attempt. Declared
-          // before the activity scope so the watchdog (which cancels the
-          // token of a stuck activity while holding its slot lock) can
-          // never observe a destroyed token.
-          CancelToken unit_token;
-          unit_token.set_parent(run_cancel);
-          if (faults.unit_timeout_seconds > 0) {
-            unit_token.SetDeadlineAfter(faults.unit_timeout_seconds);
-          }
-          CancelScope cancel_scope(cancellable ? &unit_token : nullptr);
-          ActivityScope activity(
-              "metric_unit",
-              metrics[m].name.empty() ? "metric" : metrics[m].name,
-              cancellable ? &unit_token : nullptr);
-          try {
-            // The Rng is re-created from MetricSeed on every attempt, so
-            // a retried success draws the exact samples a first-try
-            // success would — retries are invisible in the numbers.
-            // (Cancellation checks never touch this stream either: an
-            // interrupted-then-resumed unit is bit-identical.)
-            Rng metric_rng(MetricSeed(master_seed, dataset, task.sparsifier,
-                                      task.prune_rate, task.run,
-                                      metrics[m].name));
-            SPARSIFY_FAILPOINT_SCOPED("engine.metric_unit",
-                                      metrics[m].name.c_str());
-            // Expose the pool for the metric's own BFS-batch fan-out.
-            SubtaskPoolScope subtasks(&impl_->pool);
-            double value = metrics[m].fn(*input_for.at(task.sparsifier),
-                                         *cell_graph[i], metric_rng);
-            results[i].values[slot] = BatchMetricValue{m, value};
-            ok = true;
-            if (on_result) {
-              on_result(task, results[i].achieved_prune_rate, m, value);
-            }
-            break;
-          } catch (const DeadlineExceededError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;  // recorded as the pool's first error, rethrown by Wait
-            }
-            if (run_cancelled()) {
-              cancelled = true;  // the whole run is going down, not just us
-            } else {
-              error_class = "deadline";  // no retry: it would time out again
-            }
-            error_message = e.what();
-            break;
-          } catch (const CancelledError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            if (run_cancelled()) {
-              cancelled = true;
-            } else {
-              error_class = "cancelled";
-            }
-            error_message = e.what();
-            break;
-          } catch (const TransientError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;  // recorded as the pool's first error, rethrown by Wait
-            }
-            error_class = "transient";
-            error_message = e.what();
-            if (attempts > faults.max_unit_retries) break;
-            retried_units.fetch_add(1, std::memory_order_relaxed);
-            std::this_thread::sleep_for(RetryBackoff(attempts));
-          } catch (const std::exception& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            error_class = "permanent";
-            error_message = e.what();
-            break;
-          } catch (...) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            error_class = "permanent";
-            error_message = "unknown error";
-            break;
-          }
-        }
-        if (!ok) {
-          BatchMetricValue v;
-          v.metric = m;
-          v.failed = true;
-          v.error_class = cancelled ? "cancelled" : error_class;
-          v.error_message = error_message;
-          v.attempts = attempts;
-          results[i].values[slot] = std::move(v);
-          if (cancelled) {
-            // Not a failure: nothing recorded, resume resubmits the unit.
-            cancelled_units.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            failed_units.fetch_add(1, std::memory_order_relaxed);
-            if (error_class == "transient") {
-              transient_failed_units.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (error_class == "deadline") {
-              deadline_units.fetch_add(1, std::memory_order_relaxed);
-            }
-            if (faults.on_unit_failure) {
-              faults.on_unit_failure(task, m, error_class, error_message,
-                                     attempts);
-            }
-          }
-        }
-        double unit_seconds = unit_timer.Seconds();
-        EngineObs& eobs = GetEngineObs();
-        eobs.metric_units.Add();
-        eobs.metric_unit_ns.Record(
-            static_cast<uint64_t>(unit_seconds * 1e9));
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          metric_seconds += unit_seconds;
-        }
+        run_metric_unit(i, slot);
         if (units_left[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
           cell_graph[i].reset();  // last metric frees the subgraph
         }
@@ -506,136 +489,29 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     }
   };
 
-  if (!impl_->share_scores) {
-    // Legacy per-cell scoring: every cell re-sparsifies from scratch with
-    // its own (master_seed, index)-derived stream. Kept as the throughput
-    // benchmark's baseline and for A/B debugging; the metric fan-out (and
-    // its MetricSeed streams) is identical to the shared path, so
-    // deterministic sparsifiers stay bit-identical across modes.
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      impl_->pool.Submit([&, i] {
-        if (failed.load(std::memory_order_relaxed)) return;
-        if (run_cancelled()) {
-          cancel_cell(i);
-          return;
-        }
-        TRACE_SPAN(span, "subgraph");
-        if (span.active()) {
-          span.Detail(results[i].task.sparsifier);
-          span.Arg("rate", FormatRate(results[i].task.prune_rate));
-        }
-        CancelScope cancel_scope(run_cancel);
-        ActivityScope activity("subgraph", results[i].task.sparsifier,
-                               run_cancel);
-        Timer build_timer;
-        bool built = false;
-        try {
-          const BatchTask& task = results[i].task;
-          const Graph& input = *input_for.at(task.sparsifier);
-          SPARSIFY_FAILPOINT_SCOPED("engine.subgraph",
-                                    task.sparsifier.c_str());
-          Rng task_rng(TaskSeed(master_seed, task.index));
-          Rng sparsify_rng = task_rng.Fork();
-          std::unique_ptr<Sparsifier> sparsifier =
-              CreateSparsifier(task.sparsifier);
-          Graph sparsified =
-              sparsifier->Sparsify(input, task.prune_rate, sparsify_rng);
-          results[i].achieved_prune_rate =
-              Sparsifier::AchievedPruneRate(input, sparsified);
-          cell_graph[i].emplace(std::move(sparsified));
-          built = true;
-        } catch (const CancelledError& e) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          if (run_cancelled()) {
-            cancel_cell(i);
-          } else {
-            fail_cell(i, "cancelled", e.what());
-          }
-        } catch (const TransientError& e) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          fail_cell(i, "transient", e.what());
-        } catch (const std::exception& e) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          fail_cell(i, "permanent", e.what());
-        } catch (...) {
-          if (!tolerate) {
-            failed.store(true, std::memory_order_relaxed);
-            throw;
-          }
-          fail_cell(i, "permanent", "unknown error");
-        }
-        double build_seconds = build_timer.Seconds();
-        EngineObs& eobs = GetEngineObs();
-        eobs.subgraph_builds.Add();
-        eobs.subgraph_ns.Record(static_cast<uint64_t>(build_seconds * 1e9));
-        {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          subgraph_seconds += build_seconds;
-        }
-        if (built) submit_metric_units(i);
-      });
+  // Score and subgraph stages poll the run token; the watchdog escalates a
+  // stalled one by cancelling the caller's token, which stops the whole
+  // run the way a signal or --deadline does.
+  auto build_subgraph = [&](Group& group, size_t i) {
+    if (run_token.Cancelled()) return end_cell(i, skipped, 0);
+    const BatchTask& task = results[i].task;
+    {
+      StageScope stage(kSubgraph, task.sparsifier, task, &run_token,
+                       faults.cancel, run);
+      try {
+        stage.Failpoint();
+        RateMask mask = group.instance->MaskForRate(*group.state,
+                                                    task.prune_rate);
+        Graph sparsified = Sparsifier::Apply(*group.input, mask);
+        results[i].achieved_prune_rate =
+            Sparsifier::AchievedPruneRate(*group.input, sparsified);
+        cell_graph[i].emplace(std::move(sparsified));
+      } catch (...) {
+        return end_cell(i, classify(std::current_exception()), 1);
+      }
     }
-    impl_->pool.Wait();
-    if (stats != nullptr) {
-      *stats = BatchRunStats{};
-      stats->cells = tasks.size();
-      stats->metric_units = metric_units;
-      stats->score_groups = tasks.size();  // every cell rescored
-      stats->subgraph_builds = tasks.size();
-      stats->failed_units = failed_units.load(std::memory_order_relaxed);
-      stats->transient_failed_units =
-          transient_failed_units.load(std::memory_order_relaxed);
-      stats->deadline_exceeded_units =
-          deadline_units.load(std::memory_order_relaxed);
-      stats->cancelled_units =
-          cancelled_units.load(std::memory_order_relaxed);
-      stats->retried_units = retried_units.load(std::memory_order_relaxed);
-      stats->subgraph_seconds = subgraph_seconds;
-      stats->metric_seconds = metric_seconds;
-    }
-    return results;
-  }
-
-  // Group the cells by (sparsifier, run): one ScoreState per group, shared
-  // read-only across that group's rate cells. std::map keeps group order
-  // deterministic (not that it matters numerically — every group's RNG
-  // stream derives from its own GroupSeed).
-  struct Group {
-    std::string sparsifier;
-    int run = 0;
-    const Graph* input = nullptr;
-    std::unique_ptr<Sparsifier> instance;
-    std::unique_ptr<ScoreState> state;
+    submit_metric_units(i);
   };
-  std::vector<Group> groups;
-  std::vector<size_t> group_of(tasks.size());
-  std::map<std::pair<std::string, int>, size_t> group_index;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    auto key = std::make_pair(tasks[i].sparsifier, tasks[i].run);
-    auto [it, inserted] = group_index.try_emplace(key, groups.size());
-    if (inserted) {
-      Group group;
-      group.sparsifier = tasks[i].sparsifier;
-      group.run = tasks[i].run;
-      group.input = input_for.at(tasks[i].sparsifier);
-      group.instance = CreateSparsifier(tasks[i].sparsifier);
-      groups.push_back(std::move(group));
-    }
-    group_of[i] = it->second;
-  }
-  std::vector<std::vector<size_t>> cells_of(groups.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    cells_of[group_of[i]].push_back(i);
-  }
 
   // Pipelined execution — no barrier between the three stages. Every
   // group's scoring task is queued up front; the moment a group's state is
@@ -653,155 +529,38 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   //     metrics (and their BFS-batch subtasks) across all workers.
   // Determinism is untouched by any of this scheduling: group scoring
   // streams derive from (master_seed, sparsifier, run) — deterministic
-  // sparsifiers ignore them entirely, keeping their cells bit-identical
-  // to the per-cell path — and each (cell, metric) unit's stream derives
-  // from MetricSeed. MaskForRate is const and re-entrant, so one group's
-  // cells can threshold the shared state concurrently; the subgraph is
-  // immutable once built, so one cell's metrics can read it concurrently.
-  std::vector<std::atomic<size_t>> cells_left(groups.size());
-  for (size_t gi = 0; gi < groups.size(); ++gi) {
-    cells_left[gi].store(cells_of[gi].size(), std::memory_order_relaxed);
-  }
-
+  // sparsifiers ignore them entirely — and each (cell, metric) unit's
+  // stream derives from MetricSeed. MaskForRate is const and re-entrant,
+  // so one group's cells can threshold the shared state concurrently; the
+  // subgraph is immutable once built, so one cell's metrics can read it
+  // concurrently.
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     impl_->pool.Submit([&, gi] {
-      if (failed.load(std::memory_order_relaxed)) return;
-      if (run_cancelled()) {
-        for (size_t i : cells_of[gi]) cancel_cell(i);
+      Group& group = groups[gi];
+      if (run_token.Cancelled()) {
+        for (size_t i : group.cells) end_cell(i, skipped, 0);
         return;
       }
-      Group& group = groups[gi];
-      TRACE_SPAN(span, "score_group");
-      if (span.active()) {
-        span.Detail(group.sparsifier);
-        span.Arg("run", std::to_string(group.run));
-      }
-      // The run token is ambient while scoring so PrepareScores' own
-      // checks (ER's CG iterations, JL dimensions) observe cancellation.
-      CancelScope cancel_scope(run_cancel);
-      ActivityScope activity("score_group", group.sparsifier, run_cancel);
-      Timer score_timer;
-      bool scored = false;
-      try {
-        SPARSIFY_FAILPOINT_SCOPED("engine.score_group",
-                                  group.sparsifier.c_str());
-        Rng group_rng(GroupSeed(master_seed, group.sparsifier, group.run));
-        group.state = group.instance->PrepareScores(*group.input, group_rng);
-        scored = true;
-      } catch (const CancelledError& e) {
-        if (!tolerate) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;
-        }
-        if (run_cancelled()) {
-          for (size_t i : cells_of[gi]) cancel_cell(i);
-        } else {
-          for (size_t i : cells_of[gi]) fail_cell(i, "cancelled", e.what());
-        }
-      } catch (const TransientError& e) {
-        if (!tolerate) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;  // recorded as the pool's first error, rethrown by Wait
-        }
-        for (size_t i : cells_of[gi]) fail_cell(i, "transient", e.what());
-      } catch (const std::exception& e) {
-        if (!tolerate) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;
-        }
-        for (size_t i : cells_of[gi]) fail_cell(i, "permanent", e.what());
-      } catch (...) {
-        if (!tolerate) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;
-        }
-        for (size_t i : cells_of[gi]) {
-          fail_cell(i, "permanent", "unknown error");
-        }
-      }
-      double group_seconds = score_timer.Seconds();
-      EngineObs& eobs = GetEngineObs();
-      eobs.score_groups.Add();
-      eobs.score_ns.Record(static_cast<uint64_t>(group_seconds * 1e9));
       {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        score_seconds += group_seconds;
+        const BatchTask& first = *group.first;
+        StageScope stage(kScoreGroup, first.sparsifier, first, &run_token,
+                         faults.cancel, run);
+        try {
+          stage.Failpoint();
+          Rng group_rng(GroupSeed(master_seed, first.sparsifier, first.run));
+          group.state = group.instance->PrepareScores(*group.input, group_rng);
+        } catch (...) {
+          Failure f = classify(std::current_exception());
+          for (size_t i : group.cells) end_cell(i, f, 1);
+          return;
+        }
       }
-      if (!scored) return;  // tolerant mode: the group's cells are failed
-      for (size_t i : cells_of[gi]) {
+      for (size_t i : group.cells) {
         impl_->pool.SubmitUrgent([&, gi, i] {
           Group& cell_group = groups[gi];
-          if (failed.load(std::memory_order_relaxed)) return;
-          if (run_cancelled()) {
-            cancel_cell(i);
-            if (cells_left[gi].fetch_sub(1, std::memory_order_acq_rel) ==
-                1) {
-              cell_group.state.reset();
-            }
-            return;
-          }
-          TRACE_SPAN(span, "subgraph");
-          if (span.active()) {
-            span.Detail(results[i].task.sparsifier);
-            span.Arg("rate", FormatRate(results[i].task.prune_rate));
-            span.Arg("run", std::to_string(results[i].task.run));
-          }
-          CancelScope cancel_scope(run_cancel);
-          ActivityScope activity("subgraph", results[i].task.sparsifier,
-                                 run_cancel);
-          Timer build_timer;
-          bool built = false;
-          try {
-            const BatchTask& task = results[i].task;
-            SPARSIFY_FAILPOINT_SCOPED("engine.subgraph",
-                                      task.sparsifier.c_str());
-            RateMask mask = cell_group.instance->MaskForRate(
-                *cell_group.state, task.prune_rate);
-            Graph sparsified = Sparsifier::Apply(*cell_group.input, mask);
-            results[i].achieved_prune_rate =
-                Sparsifier::AchievedPruneRate(*cell_group.input, sparsified);
-            cell_graph[i].emplace(std::move(sparsified));
-            built = true;
-          } catch (const CancelledError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            if (run_cancelled()) {
-              cancel_cell(i);
-            } else {
-              fail_cell(i, "cancelled", e.what());
-            }
-          } catch (const TransientError& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            fail_cell(i, "transient", e.what());
-          } catch (const std::exception& e) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            fail_cell(i, "permanent", e.what());
-          } catch (...) {
-            if (!tolerate) {
-              failed.store(true, std::memory_order_relaxed);
-              throw;
-            }
-            fail_cell(i, "permanent", "unknown error");
-          }
-          double build_seconds = build_timer.Seconds();
-          EngineObs& eobs = GetEngineObs();
-          eobs.subgraph_builds.Add();
-          eobs.subgraph_ns.Record(
-              static_cast<uint64_t>(build_seconds * 1e9));
-          {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            subgraph_seconds += build_seconds;
-          }
-          if (built) submit_metric_units(i);
-          if (cells_left[gi].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          build_subgraph(cell_group, i);
+          if (cell_group.cells_left.fetch_sub(1, std::memory_order_acq_rel) ==
+              1) {
             cell_group.state.reset();  // last cell frees the score state
           }
         });
@@ -809,24 +568,8 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     });
   }
   impl_->pool.Wait();
-
-  if (stats != nullptr) {
-    *stats = BatchRunStats{};
-    stats->cells = tasks.size();
-    stats->metric_units = metric_units;
-    stats->score_groups = groups.size();
-    stats->subgraph_builds = tasks.size();
-    stats->failed_units = failed_units.load(std::memory_order_relaxed);
-    stats->transient_failed_units =
-        transient_failed_units.load(std::memory_order_relaxed);
-    stats->deadline_exceeded_units =
-        deadline_units.load(std::memory_order_relaxed);
-    stats->cancelled_units = cancelled_units.load(std::memory_order_relaxed);
-    stats->retried_units = retried_units.load(std::memory_order_relaxed);
-    stats->score_seconds = score_seconds;
-    stats->subgraph_seconds = subgraph_seconds;
-    stats->metric_seconds = metric_seconds;
-  }
+  if (first_error) std::rethrow_exception(first_error);
+  if (stats != nullptr) *stats = run;
   return results;
 }
 

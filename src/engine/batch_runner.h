@@ -50,20 +50,18 @@ struct BatchMetric {
 
 /// One expanded cell of the grid.
 struct BatchTask {
-  uint64_t index = 0;        // position in the expanded grid; legacy
-                             // per-cell seeds derive from this, never from
-                             // execution order
+  uint64_t index = 0;        // position in the expanded grid
   std::string sparsifier;    // short name (see SparsifierNames)
   double prune_rate = 0.0;   // requested rate passed to MaskForRate
   int run = 0;               // 0-based repeat index for this cell
-  // RunTasksMulti only: indices into its metric list to evaluate on this
-  // cell; empty means every metric. The resumable sweep submits the
-  // per-cell subset missing from its store. Ignored by single-metric
-  // RunTasks. Ids must be distinct and in range.
+  // Indices into RunTasksMulti's metric list to evaluate on this cell;
+  // empty means every metric. The resumable sweep submits the per-cell
+  // subset missing from its store. Ids must be distinct and in range.
   std::vector<uint32_t> metrics;
 };
 
-/// Result of one task, in the same grid position.
+/// One metric's value on one grid cell: the input FoldSweepResults folds
+/// into series.
 struct BatchResult {
   BatchTask task;
   double achieved_prune_rate = 0.0;
@@ -77,7 +75,7 @@ struct BatchMetricValue {
   uint32_t metric = 0;  // index into RunTasksMulti's metric list
   double value = 0.0;
   bool failed = false;
-  std::string error_class;    // "transient" | "permanent" (failed only)
+  std::string error_class;    // see FaultPolicy (failed only)
   std::string error_message;  // what() of the final attempt's failure
   int attempts = 0;           // tries consumed (failed only)
 };
@@ -101,22 +99,19 @@ struct BatchSpec {
   uint64_t master_seed = 42;
 };
 
-/// Scheduling counters of one RunTasks/RunTasksMulti call: how much work
-/// the rate-axis (scoring) and metric-axis (subgraph) sharing saved, and
-/// where the time went. The CI perf smoke asserts score_groups < cells on
-/// a multi-rate grid and subgraph_builds < metric_units on a multi-metric
-/// one. The timings are summed task durations across workers
-/// (single-threaded they equal wall clock). With share_scores(false)
-/// every cell re-runs scoring fused into its Sparsify call: score_groups
-/// reports one group per cell and score_seconds stays zero (the fused
-/// time lands in subgraph_seconds).
+/// Scheduling counters of one RunTasksMulti call: how much work the
+/// rate-axis (scoring) and metric-axis (subgraph) sharing saved, and where
+/// the time went. score_groups and subgraph_builds count the stages that
+/// actually ran (one per score_group/subgraph span and engine.* counter
+/// tick), so a cancelled or failed run reports only work it did. The
+/// timings are summed stage durations across workers (single-threaded
+/// they equal wall clock).
 struct BatchRunStats {
-  size_t cells = 0;            // tasks executed
+  size_t cells = 0;            // tasks submitted
   size_t metric_units = 0;     // (cell, metric) evaluations scheduled
-  size_t score_groups = 0;     // PrepareScores computations scheduled
-  size_t subgraph_builds = 0;  // sparsified Subgraphs materialized (== cells;
-                               // the banner/bench contrast it with
-                               // metric_units)
+  size_t score_groups = 0;     // PrepareScores computations run
+  size_t subgraph_builds = 0;  // sparsified subgraphs built (at most cells;
+                               // the banner contrasts it with metric_units)
   size_t failed_units = 0;     // units that ended in failure (tolerant mode)
   size_t transient_failed_units = 0;  // failed_units whose final class was
                                       // "transient" (retries exhausted)
@@ -127,34 +122,38 @@ struct BatchRunStats {
                                // cancellation: NOT failures, nothing is
                                // recorded, a resume resubmits them
   size_t retried_units = 0;    // transient-failure retries performed
-  double score_seconds = 0;     // summed duration of group scoring tasks
-  double subgraph_seconds = 0;  // summed mask + Apply (or fused Sparsify)
-                                // durations
+  double score_seconds = 0;     // summed PrepareScores durations
+  double subgraph_seconds = 0;  // summed mask + Apply durations
   double metric_seconds = 0;    // summed metric evaluation durations
+
+  /// Adds another run's counters and timings (a sweep spanning runs).
+  BatchRunStats& operator+=(const BatchRunStats& other);
 };
 
-/// How RunTasksMulti treats failures inside units of work. The default is
-/// the legacy contract: the first exception anywhere poisons the batch and
-/// propagates out of the run (fail-fast). With `tolerate` set, a failing
-/// metric unit no longer sinks its siblings: TransientError-classed
-/// failures are retried up to `max_unit_retries` extra attempts with
-/// capped exponential backoff (the unit's Rng is re-created from
-/// MetricSeed each attempt, so a retried success is bit-identical to a
-/// first-try success); anything else — and transient failures that
-/// exhaust their retries — is reported through `on_unit_failure` and in
-/// the result slot, and the rest of the batch runs to completion. A
-/// score-group or subgraph failure fails that cell's (or group's cells')
-/// units without retry, since re-running scoring wholesale is what a
-/// resumed sweep is for.
+/// How RunTasksMulti treats failures inside units of work. Every stage
+/// (score group, subgraph, metric unit) classifies what it caught the same
+/// way: "transient" (TransientError), "deadline" (the unit's own deadline),
+/// "cancelled" (a CancelledError while the run is NOT cancelled) or
+/// "permanent" (anything else); a cancellation of the run itself is no
+/// failure at all. With `tolerate` set, a failing metric unit no longer
+/// sinks its siblings: transient failures are retried up to
+/// `max_unit_retries` extra attempts with capped exponential backoff (the
+/// unit's Rng is re-created from MetricSeed each attempt, so a retried
+/// success is bit-identical to a first-try success); anything else — and
+/// transient failures that exhaust their retries — is reported through
+/// `on_unit_failure` and in the result slot, and the rest of the batch
+/// runs to completion. A score-group or subgraph failure fails that
+/// cell's (or group's cells') units without retry, since re-running
+/// scoring wholesale is what a resumed sweep is for. Without `tolerate`
+/// (fail-fast) the first failure cancels the run: every other unit ends
+/// as cancelled, nothing is reported, and the failure's original
+/// exception propagates out of RunTasksMulti.
 struct FaultPolicy {
   bool tolerate = false;
   int max_unit_retries = 2;
-  /// Invoked once per permanently-failed unit, from the worker thread
+  /// Invoked once per failed unit (tolerant mode), from the worker thread
   /// (concurrently across workers — must synchronize like the result
-  /// callback). error_class is "transient" (retries exhausted),
-  /// "permanent", "deadline" (unit timeout / watchdog escalation), or
-  /// "cancelled" (a CancelledError thrown while the run itself was NOT
-  /// cancelled).
+  /// callback), with one of the classes above.
   std::function<void(const BatchTask& task, uint32_t metric,
                      const std::string& error_class,
                      const std::string& error_message, int attempts)>
@@ -197,25 +196,9 @@ class BatchRunner {
   /// Zeroes the pool counters so a profile run measures only itself.
   void ResetPoolStats();
 
-  /// When false, every cell recomputes its scores with the legacy
-  /// per-cell RNG scheme (seed = (master_seed, cell index)) instead of
-  /// sharing one ScoreState per (sparsifier, run). This is the pre-sharing
-  /// execution model, kept for the throughput benchmark's baseline and for
-  /// A/B debugging; note randomized sparsifiers produce different (equally
-  /// valid) samples in the two modes. Default true.
-  void set_share_scores(bool share);
-  bool share_scores() const;
-
   /// Expands `spec` into the task grid. Deterministic and thread-free;
   /// exposed so callers can inspect or shard the grid.
   static std::vector<BatchTask> ExpandGrid(const BatchSpec& spec);
-
-  /// Seed of task `index` under `master_seed` (SplitMix64 of the pair).
-  /// Independent of thread count and execution order by construction.
-  /// Since the r3 pipeline revision this only feeds the per-cell sparsify
-  /// streams of the share_scores(false) baseline; metric streams come from
-  /// MetricSeed.
-  static uint64_t TaskSeed(uint64_t master_seed, uint64_t index);
 
   /// Seed of the shared scoring stream of group (sparsifier, run) under
   /// `master_seed`. Depends only on these three values — not on the grid
@@ -232,39 +215,6 @@ class BatchRunner {
   static uint64_t MetricSeed(uint64_t master_seed, const std::string& dataset,
                              const std::string& sparsifier, double prune_rate,
                              int run, const std::string& metric);
-
-  /// Invoked as each task finishes, from the worker thread that ran it
-  /// (concurrently across workers — the callback must synchronize its own
-  /// state; ResultStore::Append already does).
-  using ResultCallback = std::function<void(const BatchResult&)>;
-
-  /// Runs every task of `spec` on `g`, returning results in grid order.
-  ///
-  /// When `g` is directed, sparsifiers whose SparsifierInfo does not
-  /// support directed input receive the symmetrized graph (computed once,
-  /// shared), and the metric's `original` is then also the symmetrized
-  /// graph — the same routing the sequential sweep performs (paper
-  /// sections 3.1, 4.5). Exceptions from any task propagate.
-  ///
-  /// Thread-safe: concurrent Run calls on one runner serialize against
-  /// each other (the pool's completion tracking is batch-global).
-  std::vector<BatchResult> Run(const Graph& g, const BatchSpec& spec,
-                               const BatchMetricFn& metric) const;
-
-  /// Runs an explicit task list — typically a subset of ExpandGrid's
-  /// output. A thin wrapper over RunTasksMulti with one anonymous metric
-  /// (dataset "" and metric name "" in MetricSeed), kept for callers that
-  /// sweep a single unnamed metric (RunSweep, benches, tests); any
-  /// task.metrics subsets are ignored. Group scoring streams derive from
-  /// (master_seed, sparsifier, run) and metric streams from MetricSeed, so
-  /// a subset run computes bit-identical values to the full grid. Results
-  /// are returned in `tasks` order; `on_result` (optional) fires per
-  /// completed cell; `stats` (optional) receives the scheduling counters.
-  std::vector<BatchResult> RunTasks(
-      const Graph& g, const std::vector<BatchTask>& tasks,
-      uint64_t master_seed, const BatchMetricFn& metric,
-      const ResultCallback& on_result = nullptr,
-      BatchRunStats* stats = nullptr) const;
 
   /// Invoked as each (cell, metric) unit finishes, from the worker thread
   /// that ran it (concurrently across workers — the callback must
@@ -289,6 +239,12 @@ class BatchRunner {
   /// values. During each evaluation the engine's pool is exposed as
   /// CurrentSubtaskPool(), so sampled metrics fan their BFS batches out as
   /// subtasks (see eval::MetricFn's thread-safety contract).
+  ///
+  /// When `g` is directed, sparsifiers whose SparsifierInfo does not
+  /// support directed input receive the symmetrized graph (computed once,
+  /// shared), and their metrics' `original` is then also the symmetrized
+  /// graph (paper sections 3.1, 4.5). Concurrent calls on one runner
+  /// serialize (the pool's completion tracking is batch-global).
   ///
   /// Results are returned in `tasks` order with one value per requested
   /// metric id (task.metrics; empty = all) in that order. Throws

@@ -1,6 +1,5 @@
 #include "src/engine/resumable_sweep.h"
 
-#include <atomic>
 #include <utility>
 
 namespace sparsify {
@@ -9,155 +8,43 @@ ResumableSweep::ResumableSweep(BatchRunner& runner, ResultStore* store,
                                std::string code_rev)
     : runner_(runner), store_(store), code_rev_(std::move(code_rev)) {}
 
-std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
-    const Graph& g, const std::string& dataset,
-    const std::vector<SweepMetric>& metrics, const SweepConfig& config,
-    ResumableSweepStats* stats) {
-  if (shard_.total > 1) {
-    return RunShardedMulti(g, dataset, metrics, config, stats);
-  }
-  BatchSpec spec = ToBatchSpec(config);
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+ResumableSweep::Grid::Grid(const Graph& g, const std::string& dataset,
+                           const std::vector<SweepMetric>& metrics,
+                           const SweepConfig& config,
+                           const std::string& code_rev)
+    : g(g),
+      dataset(dataset),
+      metrics(metrics),
+      config(config),
+      code_rev(code_rev),
+      spec(ToBatchSpec(config)),
+      tasks(BatchRunner::ExpandGrid(spec)),
+      results(metrics.size(), std::vector<BatchResult>(tasks.size())) {}
 
-  auto key_of = [&](const BatchTask& task, const std::string& metric_name) {
-    CellKey key;
-    key.dataset = dataset;
-    key.sparsifier = task.sparsifier;
-    key.prune_rate = task.prune_rate;
-    key.run = task.run;
-    key.master_seed = spec.master_seed;
-    key.metric = metric_name;
-    key.code_rev = code_rev_;
-    return key;
-  };
+CellKey ResumableSweep::Grid::Key(size_t cell, size_t metric) const {
+  CellKey key;
+  key.dataset = dataset;
+  key.sparsifier = tasks[cell].sparsifier;
+  key.prune_rate = tasks[cell].prune_rate;
+  key.run = tasks[cell].run;
+  key.master_seed = spec.master_seed;
+  key.metric = metrics[metric].name;
+  key.code_rev = code_rev;
+  return key;
+}
 
-  // Partition the (cell × metric) product: units already in the store
-  // become results directly; each cell with at least one missing metric is
-  // submitted ONCE, carrying exactly its missing metric ids, so the engine
-  // materializes its subgraph once for all of them. Submitted tasks keep
-  // their original grid indices, and every RNG stream derives from
-  // grid-shape-independent identities, so the values match a cold run's.
-  std::vector<std::vector<BatchResult>> results(metrics.size());
-  for (auto& per_metric : results) per_metric.resize(tasks.size());
-  size_t cached_units = 0;
-  std::vector<BatchTask> missing;
-  std::vector<size_t> missing_pos;  // grid position of each missing task
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    std::vector<uint32_t> missing_ids;
-    for (uint32_t m = 0; m < metrics.size(); ++m) {
-      std::optional<StoredCell> cached;
-      if (store_ != nullptr && reuse_cached_) {
-        cached = store_->Lookup(key_of(tasks[i], metrics[m].name));
-        // An error record is a unit that FAILED, not one that completed:
-        // it reads back as missing so this resume resubmits it.
-        if (cached.has_value() && cached->is_error) cached.reset();
-      }
-      if (cached.has_value()) {
-        ++cached_units;
-        results[m][i].task = tasks[i];
-        results[m][i].achieved_prune_rate = cached->achieved_prune_rate;
-        results[m][i].value = cached->value;
-      } else {
-        missing_ids.push_back(m);
-      }
-    }
-    if (!missing_ids.empty()) {
-      BatchTask task = tasks[i];
-      task.metrics = std::move(missing_ids);
-      missing.push_back(std::move(task));
-      missing_pos.push_back(i);
-    }
-  }
+void ResumableSweep::Grid::Set(size_t cell, size_t metric, double achieved,
+                               double value) {
+  BatchResult& r = results[metric][cell];
+  r.task = tasks[cell];
+  r.achieved_prune_rate = achieved;
+  r.value = value;
+}
 
-  size_t total_units = tasks.size() * metrics.size();
-  if (stats != nullptr) {
-    *stats = ResumableSweepStats{};
-    stats->total_cells = total_units;
-    stats->cached_cells = cached_units;
-    stats->submitted_cells = total_units - cached_units;
-  }
-
-  if (!missing.empty()) {
-    // Append as each unit completes: the store flushes per record, so a
-    // crash loses at most the in-flight line (see store/README.md). The
-    // callback runs on worker threads; Append serializes internally.
-    std::vector<BatchMetric> engine_metrics;
-    engine_metrics.reserve(metrics.size());
-    for (const SweepMetric& m : metrics) {
-      engine_metrics.push_back(BatchMetric{m.name, m.fn});
-    }
-    BatchRunner::MetricResultCallback on_unit = nullptr;
-    std::atomic<size_t> completed_units{0};
-    size_t submitted_units = total_units - cached_units;
-    if (store_ != nullptr || progress_) {
-      on_unit = [&](const BatchTask& task, double achieved, uint32_t m,
-                    double value) {
-        if (store_ != nullptr) {
-          store_->Append(key_of(task, metrics[m].name), achieved, value);
-        }
-        if (progress_) {
-          size_t done =
-              completed_units.fetch_add(1, std::memory_order_relaxed) + 1;
-          progress_(done, submitted_units);
-        }
-      };
-    }
-    // Fault policy: in tolerant mode a permanently-failed unit lands in
-    // the store as a typed error record (same CellKey — the next resume
-    // sees it as missing and resubmits it) and counts as completed for
-    // progress purposes; everything else runs to the end.
-    FaultPolicy faults;
-    faults.tolerate = fault_tolerant_;
-    faults.max_unit_retries = max_unit_retries_;
-    faults.cancel = cancel_;
-    faults.unit_timeout_seconds = unit_timeout_seconds_;
-    if (fault_tolerant_ && (store_ != nullptr || progress_)) {
-      faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
-                                   const std::string& error_class,
-                                   const std::string& error_message,
-                                   int attempts) {
-        if (store_ != nullptr) {
-          store_->AppendError(key_of(task, metrics[m].name), error_class,
-                              error_message, attempts);
-        }
-        if (progress_) {
-          size_t done =
-              completed_units.fetch_add(1, std::memory_order_relaxed) + 1;
-          progress_(done, submitted_units);
-        }
-      };
-    }
-    BatchRunStats run_stats;
-    std::vector<BatchMultiResult> fresh = runner_.RunTasksMulti(
-        g, dataset, missing, spec.master_seed, engine_metrics, on_unit,
-        &run_stats, faults);
-    for (size_t j = 0; j < fresh.size(); ++j) {
-      size_t i = missing_pos[j];
-      for (size_t slot = 0; slot < fresh[j].values.size(); ++slot) {
-        // Failed units (tolerant mode) keep the default-constructed slot:
-        // the returned series are complete minus the failures, and the
-        // store carries the error records for the next resume.
-        if (fresh[j].values[slot].failed) continue;
-        uint32_t m = fresh[j].values[slot].metric;
-        results[m][i].task = tasks[i];
-        results[m][i].achieved_prune_rate = fresh[j].achieved_prune_rate;
-        results[m][i].value = fresh[j].values[slot].value;
-      }
-    }
-    if (stats != nullptr) {
-      stats->score_groups = run_stats.score_groups;
-      stats->subgraph_builds = run_stats.subgraph_builds;
-      stats->failed_units = run_stats.failed_units;
-      stats->transient_failed_units = run_stats.transient_failed_units;
-      stats->retried_units = run_stats.retried_units;
-      stats->deadline_exceeded_units = run_stats.deadline_exceeded_units;
-      stats->cancelled_units = run_stats.cancelled_units;
-      stats->score_seconds = run_stats.score_seconds;
-      stats->subgraph_seconds = run_stats.subgraph_seconds;
-      stats->metric_seconds = run_stats.metric_seconds;
-    }
-  }
-
+std::vector<MetricSweepSeries> ResumableSweep::Grid::Fold() const {
+  // Units without a result (failed, or cancelled mid-run) keep the default
+  // slot: the series are complete minus those units, and the store carries
+  // their error records (or nothing) for the next resume.
   std::vector<MetricSweepSeries> out(metrics.size());
   for (size_t m = 0; m < metrics.size(); ++m) {
     out[m].metric = metrics[m].name;
@@ -166,17 +53,101 @@ std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
   return out;
 }
 
-std::vector<SweepSeries> ResumableSweep::Run(const Graph& g,
-                                             const std::string& dataset,
-                                             const std::string& metric_name,
-                                             const SweepConfig& config,
-                                             const MetricFn& metric,
-                                             ResumableSweepStats* stats) {
-  std::vector<SweepMetric> metrics;
-  metrics.push_back(SweepMetric{metric_name, metric});
-  std::vector<MetricSweepSeries> out =
-      RunMulti(g, dataset, metrics, config, stats);
-  return std::move(out[0].series);
+void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
+                              size_t progress_total,
+                              ResumableSweepStats& stats) {
+  if (missing.empty()) return;
+  for (const BatchTask& task : missing) {
+    stats.submitted_cells += task.metrics.size();
+  }
+  auto report = [&] {
+    if (progress_) {
+      progress_(grid.completed.fetch_add(1, std::memory_order_relaxed) + 1,
+                progress_total);
+    }
+  };
+  // Append as each unit completes: the store flushes per record, so a
+  // crash loses at most the in-flight line (see store/README.md). The
+  // callbacks run on worker threads; Append serializes internally, and
+  // each unit writes its own result slot. Submitted tasks keep their grid
+  // indices, which is where their results land.
+  BatchRunner::MetricResultCallback on_unit =
+      [&](const BatchTask& task, double achieved, uint32_t m, double value) {
+        grid.Set(task.index, m, achieved, value);
+        if (store_ != nullptr) {
+          store_->Append(grid.Key(task.index, m), achieved, value);
+        }
+        report();
+      };
+  // In tolerant mode a failed unit lands in the store as a typed error
+  // record (same CellKey — the next resume sees it as missing and
+  // resubmits it) and counts as completed for progress purposes.
+  FaultPolicy faults;
+  faults.tolerate = fault_tolerant_;
+  faults.max_unit_retries = max_unit_retries_;
+  faults.cancel = cancel_;
+  faults.unit_timeout_seconds = unit_timeout_seconds_;
+  faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
+                               const std::string& error_class,
+                               const std::string& error_message,
+                               int attempts) {
+    if (store_ != nullptr) {
+      store_->AppendError(grid.Key(task.index, m), error_class, error_message,
+                          attempts);
+    }
+    report();
+  };
+  BatchRunStats run;
+  runner_.RunTasksMulti(grid.g, grid.dataset, missing, grid.spec.master_seed,
+                        grid.metrics, on_unit, &run, faults);
+  stats += run;
+}
+
+std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
+    const Graph& g, const std::string& dataset,
+    const std::vector<SweepMetric>& metrics, const SweepConfig& config,
+    ResumableSweepStats* stats) {
+  Grid grid(g, dataset, metrics, config, code_rev_);
+  ResumableSweepStats local;
+  ResumableSweepStats& st = stats != nullptr ? *stats : local;
+  st = ResumableSweepStats{};
+  st.total_cells = grid.tasks.size() * metrics.size();
+  if (shard_.total > 1) {
+    RunShardedMulti(grid, st);
+    return grid.Fold();
+  }
+
+  // Partition the (cell × metric) product: units already in the store
+  // become results directly; each cell with at least one missing metric is
+  // submitted ONCE, carrying exactly its missing metric ids, so the engine
+  // materializes its subgraph once for all of them. Every RNG stream
+  // derives from grid-shape-independent identities, so the values match a
+  // cold run's.
+  std::vector<BatchTask> missing;
+  for (size_t i = 0; i < grid.tasks.size(); ++i) {
+    std::vector<uint32_t> missing_ids;
+    for (uint32_t m = 0; m < metrics.size(); ++m) {
+      std::optional<StoredCell> cached;
+      if (store_ != nullptr && reuse_cached_) {
+        cached = store_->Lookup(grid.Key(i, m));
+      }
+      // An error record is a unit that FAILED, not one that completed: it
+      // reads back as missing so this resume resubmits it.
+      if (cached.has_value() && !cached->is_error) {
+        grid.Set(i, m, cached->achieved_prune_rate, cached->value);
+        ++st.cached_cells;
+      } else {
+        missing_ids.push_back(m);
+      }
+    }
+    if (!missing_ids.empty()) {
+      BatchTask task = grid.tasks[i];
+      task.metrics = std::move(missing_ids);
+      missing.push_back(std::move(task));
+    }
+  }
+  RunUnits(grid, missing, st.total_cells - st.cached_cells, st);
+  return grid.Fold();
 }
 
 }  // namespace sparsify

@@ -12,6 +12,7 @@
 #ifndef SPARSIFY_ENGINE_RESUMABLE_SWEEP_H_
 #define SPARSIFY_ENGINE_RESUMABLE_SWEEP_H_
 
+#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -24,10 +25,7 @@ namespace sparsify {
 
 /// One named metric of a resumable sweep; the name is the store's (and
 /// MetricSeed's) identity for the computation — see cli::NamedMetrics.
-struct SweepMetric {
-  std::string name;
-  MetricFn fn;
-};
+using SweepMetric = BatchMetric;
 
 /// One metric's folded sweep output.
 struct MetricSweepSeries {
@@ -53,37 +51,14 @@ struct ShardSpec {
 /// Scheduling counters of one resumable run — the test/CI hook asserting
 /// that a warm store leads to zero submitted units. A "unit" is one
 /// (cell, metric) evaluation; for a single-metric sweep units == cells.
-struct ResumableSweepStats {
+/// The inherited BatchRunStats sum what the engine did for the submitted
+/// units over all of its runs (failed_units count error records written
+/// when a store is attached; cancelled_units were skipped by a SIGINT/
+/// SIGTERM or --deadline and are resubmitted by the next --resume).
+struct ResumableSweepStats : BatchRunStats {
   size_t total_cells = 0;      // full (cell × metric) product size
   size_t cached_cells = 0;     // units served from the store
   size_t submitted_cells = 0;  // units scheduled on the BatchRunner
-  // Work the engine actually scheduled for the submitted units, counting
-  // the two sharing axes: one PrepareScores per (sparsifier, run) group
-  // (strictly fewer than submitted cells on a multi-rate grid) and one
-  // materialized subgraph per cell with any missing metric (strictly
-  // fewer than submitted units on a multi-metric grid).
-  size_t score_groups = 0;
-  size_t subgraph_builds = 0;
-  // Fault-tolerant mode only: units that ended in failure (recorded as
-  // error records when a store is attached), the subset whose final
-  // failure was transient (retries exhausted — a re-run may succeed),
-  // and transient retries spent.
-  size_t failed_units = 0;
-  size_t transient_failed_units = 0;
-  size_t retried_units = 0;
-  // Units that hit their --unit-timeout (or were watchdog-escalated):
-  // a subset of failed_units, recorded as "deadline" error records.
-  size_t deadline_exceeded_units = 0;
-  // Units skipped or interrupted by run-level cancellation (SIGINT/
-  // SIGTERM or --deadline): not failures, nothing recorded, the next
-  // --resume resubmits them.
-  size_t cancelled_units = 0;
-  // Summed task durations from BatchRunStats: where the submitted units'
-  // time went (score = PrepareScores groups, subgraph = mask + Apply,
-  // metric = evaluations).
-  double score_seconds = 0;
-  double subgraph_seconds = 0;
-  double metric_seconds = 0;
   // Sharded scheduling only (set_shard): chunks in the partition, chunks
   // this worker claimed as preferred owner, chunks it stole from dead
   // workers, and units whose results came from peer workers' records.
@@ -93,9 +68,9 @@ struct ResumableSweepStats {
   size_t peer_units = 0;
 };
 
-/// One sweep of one (dataset graph, metric) pair against a store.
+/// Sweeps of one dataset graph against a store.
 ///
-/// The store may be null, in which case every cell is computed (a cold,
+/// The store may be null, in which case every unit is computed (a cold,
 /// non-persistent run — identical output, nothing written).
 class ResumableSweep {
  public:
@@ -155,31 +130,48 @@ class ResumableSweep {
   /// (cell, metric) RNG streams — callers must pick names that uniquely
   /// identify the graph (include the scale) and the metric functions.
   /// Fresh units are appended to the store as they complete; the returned
-  /// per-metric series (in `metrics` order) are folded exactly like
-  /// RunSweep's.
+  /// per-metric series (in `metrics` order) fold the cached and fresh
+  /// units with FoldSweepResults. Under fail-fast (the default) the first
+  /// failing unit's exception propagates once the engine drains.
   std::vector<MetricSweepSeries> RunMulti(const Graph& g,
                                           const std::string& dataset,
                                           const std::vector<SweepMetric>& metrics,
                                           const SweepConfig& config,
                                           ResumableSweepStats* stats = nullptr);
 
-  /// Single-metric convenience wrapper over RunMulti. A single-metric
-  /// sweep is cache-compatible with any multi-metric sweep that includes
-  /// `metric_name`: both key and seed the unit by (dataset, sparsifier,
-  /// rate, run, metric_name), never by the metric-set composition.
-  std::vector<SweepSeries> Run(const Graph& g, const std::string& dataset,
-                               const std::string& metric_name,
-                               const SweepConfig& config,
-                               const MetricFn& metric,
-                               ResumableSweepStats* stats = nullptr);
-
  private:
+  // One RunMulti call's grid: the cells, each (cell, metric) unit's store
+  // key, and the unit results the output series fold.
+  struct Grid {
+    Grid(const Graph& g, const std::string& dataset,
+         const std::vector<SweepMetric>& metrics, const SweepConfig& config,
+         const std::string& code_rev);
+    CellKey Key(size_t cell, size_t metric) const;
+    void Set(size_t cell, size_t metric, double achieved, double value);
+    std::vector<MetricSweepSeries> Fold() const;
+
+    const Graph& g;
+    const std::string& dataset;
+    const std::vector<SweepMetric>& metrics;
+    const SweepConfig& config;
+    const std::string& code_rev;
+    BatchSpec spec;
+    std::vector<BatchTask> tasks;                   // ExpandGrid(spec)
+    std::vector<std::vector<BatchResult>> results;  // [metric][cell]
+    std::atomic<size_t> completed{0};  // units reported to progress_
+  };
+
+  // Runs `missing` (cells carrying their missing metric ids) on the
+  // engine under this sweep's fault policy. Each finished unit lands in
+  // `grid` and the store; a failed one (tolerant mode) becomes an error
+  // record. Both report progress against `progress_total`. The engine's
+  // counters add into `stats`.
+  void RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
+                size_t progress_total, ResumableSweepStats& stats);
+
   // The multi-process claim/steal scheduler (shard_scheduler.cc); RunMulti
   // delegates here when shard_.total > 1.
-  std::vector<MetricSweepSeries> RunShardedMulti(
-      const Graph& g, const std::string& dataset,
-      const std::vector<SweepMetric>& metrics, const SweepConfig& config,
-      ResumableSweepStats* stats);
+  void RunShardedMulti(Grid& grid, ResumableSweepStats& stats);
 
   BatchRunner& runner_;
   ResultStore* store_;  // not owned; may be null

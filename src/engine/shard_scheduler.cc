@@ -22,7 +22,6 @@
 // steal only fires for provably-dead writers. --deadline / SIGINT are
 // the escape hatch, exactly as for a wedged single-process sweep.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -50,10 +49,7 @@ uint64_t Fnv1a(const std::string& s) {
 
 }  // namespace
 
-std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
-    const Graph& g, const std::string& dataset,
-    const std::vector<SweepMetric>& metrics, const SweepConfig& config,
-    ResumableSweepStats* stats) {
+void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
   TRACE_SPAN(span, "shard_sweep");
   if (store_ == nullptr) {
     throw std::invalid_argument(
@@ -62,21 +58,8 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   }
   static obs::Counter& claim_count = obs::GetCounter("engine.shard_claims");
   static obs::Counter& steal_count = obs::GetCounter("engine.shard_steals");
-
-  BatchSpec spec = ToBatchSpec(config);
-  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-
-  auto key_of = [&](const BatchTask& task, const std::string& metric_name) {
-    CellKey key;
-    key.dataset = dataset;
-    key.sparsifier = task.sparsifier;
-    key.prune_rate = task.prune_rate;
-    key.run = task.run;
-    key.master_seed = spec.master_seed;
-    key.metric = metric_name;
-    key.code_rev = code_rev_;
-    return key;
-  };
+  const std::vector<BatchTask>& tasks = grid.tasks;
+  const std::vector<SweepMetric>& metrics = grid.metrics;
 
   // ~8 chunks per worker: coarse enough that claim records stay few,
   // fine enough that a dead worker's unfinished work spreads over the
@@ -89,9 +72,9 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   // their chunk ids to mean the same units. Replayed claims from an
   // older grid (different rates list, different shard count, ...) hash
   // differently and are ignored.
-  std::string scope_src = dataset;
+  std::string scope_src = grid.dataset;
   scope_src.push_back('\x1f');
-  scope_src += std::to_string(spec.master_seed);
+  scope_src += std::to_string(grid.spec.master_seed);
   scope_src.push_back('\x1f');
   scope_src += code_rev_;
   scope_src.push_back('\x1f');
@@ -117,16 +100,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
                 static_cast<unsigned long long>(Fnv1a(scope_src)));
   const std::string scope = scope_hex;
 
-  const size_t total_units = tasks.size() * metrics.size();
-  ResumableSweepStats accum;
-  accum.total_cells = total_units;
-  accum.shard_chunks = num_chunks;
-
-  std::vector<BatchMetric> engine_metrics;
-  engine_metrics.reserve(metrics.size());
-  for (const SweepMetric& m : metrics) {
-    engine_metrics.push_back(BatchMetric{m.name, m.fn});
-  }
+  stats.shard_chunks = num_chunks;
 
   auto cancelled = [&] { return cancel_ != nullptr && cancel_->Cancelled(); };
 
@@ -135,8 +109,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   // retried; phase B completeness says yes, or two survivors would
   // ping-pong a deterministically failing unit forever.
   auto unit_present = [&](size_t i, size_t m, bool errors_count) {
-    std::optional<StoredCell> cached =
-        store_->Lookup(key_of(tasks[i], metrics[m].name));
+    std::optional<StoredCell> cached = store_->Lookup(grid.Key(i, m));
     if (!cached.has_value()) return false;
     return errors_count || !cached->is_error;
   };
@@ -170,77 +143,31 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
     return false;
   };
 
-  std::atomic<size_t> completed_units{0};
-  auto run_units = [&](std::vector<BatchTask> missing) {
-    if (missing.empty() || cancelled()) return;
-    size_t submitted = 0;
-    for (const BatchTask& task : missing) submitted += task.metrics.size();
-    accum.submitted_cells += submitted;
-    BatchRunner::MetricResultCallback on_unit =
-        [&](const BatchTask& task, double achieved, uint32_t m,
-            double value) {
-          store_->Append(key_of(task, metrics[m].name), achieved, value);
-          if (progress_) {
-            size_t done =
-                completed_units.fetch_add(1, std::memory_order_relaxed) + 1;
-            // Denominator = the full grid: a shard worker cannot know
-            // its final share up front (it grows with every steal).
-            progress_(done, total_units);
-          }
-        };
-    FaultPolicy faults;
-    faults.tolerate = fault_tolerant_;
-    faults.max_unit_retries = max_unit_retries_;
-    faults.cancel = cancel_;
-    faults.unit_timeout_seconds = unit_timeout_seconds_;
-    if (fault_tolerant_) {
-      faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
-                                   const std::string& error_class,
-                                   const std::string& error_message,
-                                   int attempts) {
-        store_->AppendError(key_of(task, metrics[m].name), error_class,
-                            error_message, attempts);
-        if (progress_) {
-          size_t done =
-              completed_units.fetch_add(1, std::memory_order_relaxed) + 1;
-          progress_(done, total_units);
-        }
-      };
-    }
-    BatchRunStats run_stats;
-    runner_.RunTasksMulti(g, dataset, missing, spec.master_seed,
-                          engine_metrics, on_unit, &run_stats, faults);
-    accum.score_groups += run_stats.score_groups;
-    accum.subgraph_builds += run_stats.subgraph_builds;
-    accum.failed_units += run_stats.failed_units;
-    accum.transient_failed_units += run_stats.transient_failed_units;
-    accum.retried_units += run_stats.retried_units;
-    accum.deadline_exceeded_units += run_stats.deadline_exceeded_units;
-    accum.cancelled_units += run_stats.cancelled_units;
-    accum.score_seconds += run_stats.score_seconds;
-    accum.subgraph_seconds += run_stats.subgraph_seconds;
-    accum.metric_seconds += run_stats.metric_seconds;
+  // Progress denominator = the full grid: a shard worker cannot know its
+  // final share up front (it grows with every steal).
+  auto run_units = [&](const std::vector<BatchTask>& missing) {
+    if (!cancelled()) RunUnits(grid, missing, stats.total_cells, stats);
   };
 
   // --- Phase A: this worker's preferred chunks -------------------------
   for (size_t c = shard_.index % shard_.total; c < num_chunks;
        c += shard_.total) {
     if (cancelled()) break;
-    accum.peer_units += store_->RefreshPeers();
+    stats.peer_units += store_->RefreshPeers();
     std::vector<BatchTask> missing =
         chunk_missing(c, /*errors_count=*/false);
     if (missing.empty()) continue;  // chunk already complete
     if (claimed_by_live_other(c)) continue;  // a stealer beat us to it
     store_->AppendClaim(scope, c);
-    ++accum.shard_claimed;
+    ++stats.shard_claimed;
     claim_count.Add();
-    run_units(std::move(missing));
+    run_units(missing);
   }
 
   // --- Phase B: steal dead workers's incomplete chunks -----------------
   if (shard_.steal) {
     while (!cancelled()) {
-      accum.peer_units += store_->RefreshPeers();
+      stats.peer_units += store_->RefreshPeers();
       bool all_complete = true;
       size_t stealable = num_chunks;  // sentinel: none
       for (size_t c = 0; c < num_chunks; ++c) {
@@ -265,7 +192,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
       if (stealable != num_chunks) {
         SPARSIFY_FAILPOINT("engine.claim.steal");
         store_->AppendClaim(scope, stealable);
-        ++accum.shard_stolen;
+        ++stats.shard_stolen;
         steal_count.Add();
         run_units(chunk_missing(stealable, /*errors_count=*/true));
       } else {
@@ -278,31 +205,18 @@ std::vector<MetricSweepSeries> ResumableSweep::RunShardedMulti(
   }
 
   // --- Reassembly: fold own + peer records into the output series -----
-  accum.peer_units += store_->RefreshPeers();
-  std::vector<std::vector<BatchResult>> results(metrics.size());
-  for (auto& per_metric : results) per_metric.resize(tasks.size());
+  stats.peer_units += store_->RefreshPeers();
   for (size_t i = 0; i < tasks.size(); ++i) {
     for (size_t m = 0; m < metrics.size(); ++m) {
-      std::optional<StoredCell> cell =
-          store_->Lookup(key_of(tasks[i], metrics[m].name));
+      std::optional<StoredCell> cell = store_->Lookup(grid.Key(i, m));
       // Unresolved units (cancelled mid-run, or a failed unit's error
       // record) keep the default slot, exactly like the unsharded
       // fault-tolerant path.
       if (!cell.has_value() || cell->is_error) continue;
-      results[m][i].task = tasks[i];
-      results[m][i].achieved_prune_rate = cell->achieved_prune_rate;
-      results[m][i].value = cell->value;
+      grid.Set(i, m, cell->achieved_prune_rate, cell->value);
     }
   }
-  accum.cached_cells = total_units - accum.submitted_cells;
-  if (stats != nullptr) *stats = accum;
-
-  std::vector<MetricSweepSeries> out(metrics.size());
-  for (size_t m = 0; m < metrics.size(); ++m) {
-    out[m].metric = metrics[m].name;
-    out[m].series = FoldSweepResults(config, results[m]);
-  }
-  return out;
+  stats.cached_cells = stats.total_cells - stats.submitted_cells;
 }
 
 }  // namespace sparsify

@@ -9,12 +9,6 @@
 
 namespace sparsify {
 
-std::vector<SweepSeries> RunSweep(const Graph& g, const SweepConfig& config,
-                                  const MetricFn& metric) {
-  BatchRunner runner(config.num_threads);
-  return RunSweep(g, config, metric, runner);
-}
-
 BatchSpec ToBatchSpec(const SweepConfig& config) {
   BatchSpec spec;
   spec.sparsifiers = config.sparsifiers;
@@ -22,13 +16,6 @@ BatchSpec ToBatchSpec(const SweepConfig& config) {
   spec.runs = config.runs_nondeterministic;
   spec.master_seed = config.seed;
   return spec;
-}
-
-std::vector<SweepSeries> RunSweep(const Graph& g, const SweepConfig& config,
-                                  const MetricFn& metric,
-                                  BatchRunner& runner) {
-  return FoldSweepResults(config,
-                          runner.Run(g, ToBatchSpec(config), metric));
 }
 
 std::vector<SweepSeries> FoldSweepResults(

@@ -29,8 +29,8 @@ namespace sparsify {
 /// concurrently across cells AND, in a multi-metric sweep, concurrently
 /// with the cell's other metrics on the same shared subgraph. It must not
 /// mutate state shared between invocations without synchronization
-/// (capture by value, use thread_local scratch, or set
-/// SweepConfig::num_threads = 1). During an engine-run evaluation
+/// (capture by value, use thread_local scratch, or run on a one-thread
+/// BatchRunner). During an engine-run evaluation
 /// CurrentSubtaskPool() exposes the worker pool, so a metric may fan its
 /// independent per-source work out via NestedParallelFor — such subtasks
 /// must write disjoint slots and fold in a FIXED order (never by thread
@@ -62,44 +62,20 @@ struct SweepConfig {
                                      0.6, 0.7, 0.8, 0.9};
   int runs_nondeterministic = 5;  // paper uses 10
   uint64_t seed = 42;
-  // Worker threads for the batch engine; <= 0 selects the hardware
-  // concurrency. Results are bit-identical at any thread count (every
-  // cell's RNG stream derives from the cell's grid index).
-  int num_threads = 0;
 };
 
 /// Builds the engine grid spec equivalent to `config` (threads excluded —
-/// that is a runner property). The resumable sweep uses this to key store
-/// cells against exactly the grid RunSweep would run.
+/// that is a runner property). The resumable sweep expands and keys its
+/// grid from this.
 BatchSpec ToBatchSpec(const SweepConfig& config);
 
 /// Folds full-grid engine results (grid order, one entry per ExpandGrid
 /// task) into per-sparsifier series: mean/stddev across runs per rate,
 /// requested rate replaced by the achieved mean for fixed-output
-/// algorithms. Shared by RunSweep and the resumable sweep so stored and
-/// fresh cells reassemble identically.
+/// algorithms. The resumable sweep folds stored and fresh cells through
+/// this one function, so both reassemble identically.
 std::vector<SweepSeries> FoldSweepResults(const SweepConfig& config,
                                           const std::vector<BatchResult>& results);
-
-/// Runs the sweep of `metric` for every sparsifier in `config` on `g`,
-/// evaluating the {sparsifier x prune rate x run} grid in parallel on
-/// `config.num_threads` workers (engine/batch_runner.h); output is
-/// bit-identical at any thread count.
-///
-/// Sparsifiers that require undirected input (SF, SP-t, ER) receive the
-/// symmetrized graph when `g` is directed, mirroring the paper's
-/// preprocessing (sections 3.1 and 4.5); the metric then also compares
-/// against the symmetrized original. Sparsifiers without prune-rate control
-/// (SF, SP-t) contribute a single point at their natural prune rate.
-std::vector<SweepSeries> RunSweep(const Graph& g, const SweepConfig& config,
-                                  const MetricFn& metric);
-
-/// As above, but reuses `runner`'s thread pool (config.num_threads is
-/// ignored). Callers sweeping many (dataset, metric) pairs — the full
-/// N-to-N matrix — share one runner to avoid per-sweep pool churn.
-std::vector<SweepSeries> RunSweep(const Graph& g, const SweepConfig& config,
-                                  const MetricFn& metric,
-                                  BatchRunner& runner);
 
 /// Prints `series` as CSV rows:
 /// sparsifier,prune_rate,achieved_prune_rate,value,stddev,runs.

@@ -129,11 +129,14 @@ struct NullSpan {
   void Arg(const std::string&, const std::string&) {}
 };
 
+/// The span type TRACE_SPAN declares, for spans held as class members.
 #ifdef SPARSIFY_DISABLE_TRACING
-#define TRACE_SPAN(var, name) ::sparsify::obs::NullSpan var(name)
+using Span = NullSpan;
 #else
-#define TRACE_SPAN(var, name) ::sparsify::obs::ScopedSpan var(name)
+using Span = ScopedSpan;
 #endif
+
+#define TRACE_SPAN(var, name) ::sparsify::obs::Span var(name)
 
 /// Writes events as Chrome trace_event JSON ({"traceEvents": [...]}).
 /// Each span becomes a balanced B/E pair; `name` is the span name

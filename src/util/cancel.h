@@ -10,7 +10,7 @@
 // Tokens form a parent chain (unit token -> run token): cancelling the
 // run cancels every unit, while a unit's own deadline fires alone. A
 // tripped check throws CancelledError or DeadlineExceededError
-// (src/util/errors.h); the engine's per-unit catch ladder turns a unit
+// (src/util/errors.h); the engine's failure classifier turns a unit
 // deadline into a typed "deadline" error record (resume resubmits it)
 // and a run-level cancellation into a skipped unit with no record at
 // all. Cancellation never consumes engine RNG, so a cancelled-then-

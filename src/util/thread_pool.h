@@ -128,7 +128,7 @@ class ThreadPool {
 /// new indices (remaining indices are skipped).
 /// Concurrent ParallelFor calls on the same pool are not supported (Wait
 /// tracks completion pool-globally); callers must serialize — see
-/// BatchRunner::Run.
+/// BatchRunner::RunTasksMulti.
 void ParallelFor(ThreadPool& pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

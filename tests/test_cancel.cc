@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -25,15 +24,16 @@
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
 #include "src/metrics/basic.h"
+#include "src/obs/counters.h"
+#include "src/obs/trace.h"
 #include "src/sparsifiers/effective_resistance.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
 
 void SleepMs(int ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
@@ -326,10 +326,6 @@ TEST(SignalCancelTest, FirstSignalCancelsTheToken) {
 // Engine contracts: unit deadlines and run-level cancellation
 // ---------------------------------------------------------------------------
 
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
-
 MetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
@@ -374,8 +370,7 @@ class EngineCancelTest : public ::testing::Test {
 };
 
 TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
-  std::string dir = TempPath("deadline_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("deadline_store");
   SweepConfig config = TestConfig();
 
   // Cold reference, no store, no faults.
@@ -425,8 +420,7 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
 }
 
 TEST_F(EngineCancelTest, RunCancellationLeavesStoreResumableBitIdentically) {
-  std::string dir = TempPath("cancel_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("cancel_store");
   SweepConfig config = TestConfig();
 
   ResumableSweep cold(runner_, nullptr, "test-rev");
@@ -468,6 +462,43 @@ TEST_F(EngineCancelTest, RunCancellationLeavesStoreResumableBitIdentically) {
   EXPECT_EQ(resume_stats.failed_units, 0u);
   ExpectSeriesBitIdentical(healed[0].series, reference[0].series);
   ExpectSeriesBitIdentical(healed[1].series, reference[1].series);
+}
+
+TEST_F(EngineCancelTest, StageCountsReportOnlyStagesThatRan) {
+  // A run cancelled mid-grid must not report builds that never happened:
+  // the stats' stage counts equal the run's spans and engine.* counters.
+  BatchRunner serial(1);
+  CancelToken run_token;
+  ResumableSweep sweep(serial, nullptr, "test-rev");
+  sweep.set_fault_tolerant(true);
+  sweep.set_cancel_token(&run_token);
+  sweep.set_progress([&](size_t done, size_t) {
+    if (done >= 2) run_token.Cancel();
+  });
+  obs::ResetAllStats();
+  obs::StartTracing();
+  ResumableSweepStats stats;
+  sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), TestConfig(), &stats);
+  obs::StopTracing();
+
+  size_t score_spans = 0, subgraph_spans = 0;
+  for (const obs::TraceEvent& ev : obs::DrainTrace()) {
+    if (std::string(ev.name) == "score_group") ++score_spans;
+    if (std::string(ev.name) == "subgraph") ++subgraph_spans;
+  }
+  uint64_t score_counter = 0, subgraph_counter = 0;
+  for (const obs::CounterValue& cv : obs::SnapshotCounters()) {
+    if (cv.name == "engine.score_groups") score_counter = cv.value;
+    if (cv.name == "engine.subgraph_builds") subgraph_counter = cv.value;
+  }
+  EXPECT_GE(stats.cancelled_units, 1u);
+  EXPECT_GE(stats.subgraph_builds, 1u);
+  EXPECT_LT(stats.subgraph_builds,
+            BatchRunner::ExpandGrid(ToBatchSpec(TestConfig())).size());
+  EXPECT_EQ(stats.subgraph_builds, subgraph_spans);
+  EXPECT_EQ(stats.subgraph_builds, subgraph_counter);
+  EXPECT_EQ(stats.score_groups, score_spans);
+  EXPECT_EQ(stats.score_groups, score_counter);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "src/store/result_store.h"
 #include "src/util/failpoint.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
@@ -27,9 +28,7 @@ int RunCli(std::vector<std::string> args) {
   return cli::RunSparsifyCli(static_cast<int>(argv.size()), argv.data());
 }
 
-std::string StoreDir() {
-  return (fs::path(::testing::TempDir()) / "cli_store").string();
-}
+std::string StoreDir() { return TestPath("cli_store"); }
 
 TEST(CliTest, UnknownFlagIsAnErrorNotANoop) {
   // The classic typo: --thread instead of --threads must abort.
@@ -81,9 +80,7 @@ TEST(CliTest, BooleanFlagDoesNotSwallowPositionalArg) {
 }
 
 TEST(CliTest, SeedAboveIntMaxIsPreserved) {
-  std::string dir =
-      (fs::path(::testing::TempDir()) / "bigseed_store").string();
-  fs::remove_all(dir);
+  std::string dir = TestPath("bigseed_store");
   ASSERT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metric=degree",
                     "--algos=SF", "--runs=1", "--scale=0.1",
                     "--seed=5000000000", "--store=" + dir}),
@@ -207,12 +204,6 @@ class CliExitCodeTest : public ::testing::Test {
     fail::DisarmAll();
   }
 
-  std::string FreshDir(const std::string& name) {
-    std::string dir = (fs::path(::testing::TempDir()) / name).string();
-    fs::remove_all(dir);
-    return dir;
-  }
-
   std::vector<std::string> SweepArgs(const std::string& dir) {
     return {"sweep",      "--dataset=ego-Facebook",
             "--metrics=degree,kcore", "--algos=RN",
@@ -226,7 +217,7 @@ TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
   // Appending is cooperative since the lease protocol, so `ls` (and a
   // second sweep) proceed alongside a live writer; only exclusive
   // whole-store rewrites — compact — refuse with the busy exit code.
-  std::string dir = FreshDir("exit_lock_store");
+  std::string dir = TestPath("exit_lock_store");
   ResultStore holder(ResultStore::PathInDir(dir));
   holder.Append(
       CellKey{"ego-Facebook@0.1", "RN", 0.5, 0, 1234567u, "degree", "x"},
@@ -236,7 +227,7 @@ TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
 }
 
 TEST_F(CliExitCodeTest, CorruptStoreExitsWithCorruptCode) {
-  std::string dir = FreshDir("exit_corrupt_store");
+  std::string dir = TestPath("exit_corrupt_store");
   ASSERT_EQ(RunCli(SweepArgs(dir)), cli::kExitOk);
   // Flip a digit inside the first record; the line stays terminated, so
   // replay must classify it as corruption, not a torn tail.
@@ -252,7 +243,7 @@ TEST_F(CliExitCodeTest, CorruptStoreExitsWithCorruptCode) {
 }
 
 TEST_F(CliExitCodeTest, PermanentUnitFailuresExitWithUnitFailureCode) {
-  std::string dir = FreshDir("exit_perm_store");
+  std::string dir = TestPath("exit_perm_store");
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit/degree=throw", 1),
             0);
@@ -274,7 +265,7 @@ TEST_F(CliExitCodeTest, PermanentUnitFailuresExitWithUnitFailureCode) {
 }
 
 TEST_F(CliExitCodeTest, AllTransientFailuresExitWithTransientCode) {
-  std::string dir = FreshDir("exit_trans_store");
+  std::string dir = TestPath("exit_trans_store");
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit=throw-transient", 1),
             0);
@@ -282,7 +273,7 @@ TEST_F(CliExitCodeTest, AllTransientFailuresExitWithTransientCode) {
 }
 
 TEST_F(CliExitCodeTest, CompactSubcommandShrinksAndKeepsExport) {
-  std::string dir = FreshDir("exit_compact_store");
+  std::string dir = TestPath("exit_compact_store");
   // Two passes without --resume: every cell recomputed and re-appended,
   // so the log carries superseded records for compact to drop.
   std::vector<std::string> args = SweepArgs(dir);
@@ -311,7 +302,7 @@ TEST_F(CliExitCodeTest, CompactSubcommandShrinksAndKeepsExport) {
 TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   // Two disjoint half-sweeps (different rates) into separate stores,
   // merged, must export exactly like one store that ran the full grid.
-  std::string full = FreshDir("merge_full");
+  std::string full = TestPath("merge_full");
   ASSERT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metrics=degree",
                     "--algos=RN", "--rates=0.3,0.6", "--runs=1",
                     "--scale=0.1", "--store=" + full}),
@@ -320,8 +311,8 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   ASSERT_EQ(RunCli({"export", "--store=" + full}), cli::kExitOk);
   const std::string want = ::testing::internal::GetCapturedStdout();
 
-  std::string a = FreshDir("merge_a");
-  std::string b = FreshDir("merge_b");
+  std::string a = TestPath("merge_a");
+  std::string b = TestPath("merge_b");
   ASSERT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metrics=degree",
                     "--algos=RN", "--rates=0.3", "--runs=1", "--scale=0.1",
                     "--store=" + a}),
@@ -331,7 +322,7 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
                     "--store=" + b}),
             cli::kExitOk);
 
-  std::string out = FreshDir("merge_out");
+  std::string out = TestPath("merge_out");
   ::testing::internal::CaptureStdout();
   ASSERT_EQ(RunCli({"merge", a, b, "-o", out}), cli::kExitOk);
   std::string merge_out = ::testing::internal::GetCapturedStdout();
@@ -359,7 +350,7 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
 TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {
   // Store A holds an error record for a unit that store B completed:
   // the merged store must carry B's success no matter the input order.
-  std::string a = FreshDir("merge_err_a");
+  std::string a = TestPath("merge_err_a");
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit/degree=throw", 1),
             0);
@@ -369,12 +360,12 @@ TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {
   ::unsetenv("SPARSIFY_FAILPOINTS");
   fail::DisarmAll();
 
-  std::string b = FreshDir("merge_err_b");
+  std::string b = TestPath("merge_err_b");
   ASSERT_EQ(RunCli(SweepArgs(b)), cli::kExitOk);
 
   for (const std::vector<std::string>& order :
        {std::vector<std::string>{a, b}, std::vector<std::string>{b, a}}) {
-    std::string out = FreshDir("merge_err_out");
+    std::string out = TestPath("merge_err_out");
     ::testing::internal::CaptureStdout();
     ASSERT_EQ(RunCli({"merge", order[0], order[1], "-o", out}),
               cli::kExitOk);

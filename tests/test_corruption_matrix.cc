@@ -16,15 +16,12 @@
 #include "src/store/result_store.h"
 #include "src/util/errors.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -51,8 +48,7 @@ CellKey MakeKey(const std::string& sparsifier, double rate, int run) {
 }
 
 std::string FreshStore(const std::string& name, int records) {
-  std::string path = TempPath(name);
-  fs::remove(path);
+  std::string path = TestPath(name);
   ResultStore store(path);
   for (int i = 0; i < records; ++i) {
     store.Append(MakeKey("RN", 0.1 * (i + 1), i), 0.1, 1.5 + i);
@@ -168,8 +164,7 @@ TEST(CorruptionMatrixTest, FutureVersionIsRejected) {
 }
 
 TEST(CorruptionMatrixTest, ErrorRecordsRoundTripAndReadBackAsErrors) {
-  std::string path = TempPath("error_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("error_store.jsonl");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 2.5);
@@ -199,8 +194,7 @@ TEST(CorruptionMatrixTest, ErrorRecordsRoundTripAndReadBackAsErrors) {
 }
 
 TEST(CorruptionMatrixTest, CompactDropsSupersededRecordsAndPreservesReplay) {
-  std::string path = TempPath("compact_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("compact_store.jsonl");
   {
     ResultStore store(path);
     for (int pass = 0; pass < 5; ++pass) {
@@ -234,8 +228,7 @@ TEST(CorruptionMatrixTest, CompactDropsSupersededRecordsAndPreservesReplay) {
 }
 
 TEST(CorruptionMatrixTest, StaleCompactTmpFilesAreSweptOnOpen) {
-  std::string path = TempPath("tmpsweep_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("tmpsweep_store.jsonl");
   { ResultStore store(path); }
   std::string orphan = path + ".compact.tmp.12345";
   WriteFile(orphan, "half-written compaction\n");
@@ -245,8 +238,7 @@ TEST(CorruptionMatrixTest, StaleCompactTmpFilesAreSweptOnOpen) {
 
 TEST(CorruptionMatrixTest, InvalidFsyncPolicyEnvAborts) {
   ASSERT_EQ(::setenv("SPARSIFY_STORE_FSYNC", "sometimes", 1), 0);
-  std::string path = TempPath("fsync_env_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("fsync_env_store.jsonl");
   EXPECT_THROW(ResultStore store(path), std::invalid_argument);
   ASSERT_EQ(::setenv("SPARSIFY_STORE_FSYNC", "always", 1), 0);
   {
@@ -260,8 +252,7 @@ TEST(CorruptionMatrixTest, InvalidFsyncPolicyEnvAborts) {
 TEST(CorruptionMatrixTest, BitFlippedGraphCacheIsRejectedByContentHash) {
   Rng rng(123);
   Graph g = ErdosRenyi(200, 800, /*directed=*/false, rng);
-  std::string path = TempPath("flip_cache.spgc");
-  fs::remove(path);
+  std::string path = TestPath("flip_cache.spgc");
   WriteGraphCache(g, path);
   Graph back = ReadGraphCache(path);
   EXPECT_EQ(GraphContentHash(back), GraphContentHash(g));

@@ -14,7 +14,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,11 +21,10 @@
 #include "src/cli/sparsify_cli.h"
 #include "src/store/result_store.h"
 #include "src/util/failpoint.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
 
 int RunCli(std::vector<std::string> args) {
   args.insert(args.begin(), "sparsify_cli");
@@ -90,17 +88,11 @@ class CrashTortureTest : public ::testing::Test {
     EXPECT_EQ(WEXITSTATUS(status), cli::kExitOk) << "spec " << spec;
     return false;
   }
-
-  std::string FreshDir(const std::string& name) {
-    std::string dir = (fs::path(::testing::TempDir()) / name).string();
-    fs::remove_all(dir);
-    return dir;
-  }
 };
 
 TEST_F(CrashTortureTest, KillAnywhereThenResumeExportsIdentically) {
   // Cold reference: the same sweep, never crashed.
-  std::string cold_dir = FreshDir("torture_cold");
+  std::string cold_dir = TestPath("torture_cold");
   ASSERT_EQ(RunCli(SweepArgs(cold_dir)), cli::kExitOk);
   const std::string want = CaptureExport(cold_dir);
   ASSERT_FALSE(want.empty());
@@ -116,7 +108,7 @@ TEST_F(CrashTortureTest, KillAnywhereThenResumeExportsIdentically) {
       "engine.metric_unit=kill@3",
   };
   for (const std::string& spec : kill_specs) {
-    std::string dir = FreshDir("torture_" + std::to_string(&spec - kill_specs.data()));
+    std::string dir = TestPath("torture_" + std::to_string(&spec - kill_specs.data()));
     bool killed = RunKilledSweep(dir, spec);
     EXPECT_TRUE(killed) << "kill point never reached: " << spec;
 
@@ -133,11 +125,11 @@ TEST_F(CrashTortureTest, RepeatedKillsOnOneStoreStillConverge) {
   // One store, crashed again and again at moving kill points with fsync
   // forced on every append, then resumed: the log must stay replayable
   // through every generation and finish byte-identical.
-  std::string cold_dir = FreshDir("torture_conv_cold");
+  std::string cold_dir = TestPath("torture_conv_cold");
   ASSERT_EQ(RunCli(SweepArgs(cold_dir)), cli::kExitOk);
   const std::string want = CaptureExport(cold_dir);
 
-  std::string dir = FreshDir("torture_conv");
+  std::string dir = TestPath("torture_conv");
   ::setenv("SPARSIFY_STORE_FSYNC", "always", 1);
   for (int n = 1; n <= 3; ++n) {
     RunKilledSweep(dir, "store.append=kill@" + std::to_string(n));
@@ -151,11 +143,11 @@ TEST_F(CrashTortureTest, RepeatedKillsOnOneStoreStillConverge) {
 TEST_F(CrashTortureTest, AbortActionAlsoRecovers) {
   // abort() takes the streams down without flushing, a different tear
   // shape than SIGKILL (stdio buffers lost, no atexit).
-  std::string cold_dir = FreshDir("torture_abort_cold");
+  std::string cold_dir = TestPath("torture_abort_cold");
   ASSERT_EQ(RunCli(SweepArgs(cold_dir)), cli::kExitOk);
   const std::string want = CaptureExport(cold_dir);
 
-  std::string dir = FreshDir("torture_abort");
+  std::string dir = TestPath("torture_abort");
   const pid_t pid = ::fork();
   if (pid == 0) {
     std::freopen("/dev/null", "w", stdout);
@@ -198,11 +190,11 @@ TEST_F(CrashTortureTest, SigtermMidSweepDrainsAndResumesIdentically) {
   // process gets to drain in-flight units and exit with a documented code,
   // but the store contract is the same — resume must reproduce the cold
   // run byte-identically.
-  std::string cold_dir = FreshDir("torture_term_cold");
+  std::string cold_dir = TestPath("torture_term_cold");
   ASSERT_EQ(RunCli(SweepArgs(cold_dir)), cli::kExitOk);
   const std::string want = CaptureExport(cold_dir);
 
-  std::string dir = FreshDir("torture_term");
+  std::string dir = TestPath("torture_term");
   // Every metric unit sleeps 2s, so the run is guaranteed to still be in
   // flight when the signal lands ~300ms in, at any thread count.
   const pid_t pid = ForkSweep(dir, "engine.metric_unit=delay:2000");
@@ -225,7 +217,7 @@ TEST_F(CrashTortureTest, SigtermMidSweepDrainsAndResumesIdentically) {
 }
 
 TEST_F(CrashTortureTest, SecondSigtermAbortsImmediately) {
-  std::string dir = FreshDir("torture_term2");
+  std::string dir = TestPath("torture_term2");
   // 10s per unit: at 1s the workers are deep inside the delay, so the
   // first signal cannot finish draining before the second arrives.
   const pid_t pid = ForkSweep(dir, "engine.metric_unit=delay:10000");

@@ -94,20 +94,31 @@ TEST(BatchRunnerTest, ExpandGridRespectsDeterminismAndControl) {
   EXPECT_EQ(tasks[10].prune_rate, 0.0);
 }
 
-TEST(BatchRunnerTest, TaskSeedsAreDistinctAcrossIndicesAndSeeds) {
+TEST(BatchRunnerTest, MetricSeedsAreDistinctAcrossCellsAndSeeds) {
   std::set<uint64_t> seeds;
   for (uint64_t master : {0ull, 1ull, 42ull}) {
-    for (uint64_t index = 0; index < 1000; ++index) {
-      seeds.insert(BatchRunner::TaskSeed(master, index));
+    for (int run = 0; run < 100; ++run) {
+      for (double rate : {0.1, 0.5, 0.9}) {
+        seeds.insert(
+            BatchRunner::MetricSeed(master, "ds", "RN", rate, run, "degree"));
+      }
     }
   }
-  EXPECT_EQ(seeds.size(), 3000u);
+  EXPECT_EQ(seeds.size(), 900u);
 }
 
 // ---------------------------------------------------------------------------
 // Determinism of the full engine.
 
-std::vector<BatchResult> RunGrid(int num_threads, uint64_t seed) {
+// Every cell of `spec`, one anonymous metric.
+std::vector<BatchMultiResult> RunSpec(BatchRunner& runner, const Graph& g,
+                                      const BatchSpec& spec,
+                                      BatchMetricFn metric) {
+  return runner.RunTasksMulti(g, "", BatchRunner::ExpandGrid(spec),
+                              spec.master_seed, {BatchMetric{"", metric}});
+}
+
+std::vector<BatchMultiResult> RunGrid(int num_threads, uint64_t seed) {
   Rng gen(71);
   Graph g = BarabasiAlbert(150, 3, gen);
   BatchSpec spec;
@@ -116,16 +127,18 @@ std::vector<BatchResult> RunGrid(int num_threads, uint64_t seed) {
   spec.runs = 3;
   spec.master_seed = seed;
   BatchRunner runner(num_threads);
-  return runner.Run(g, spec, [](const Graph& orig, const Graph& sp, Rng& rng) {
-    // Exercise the metric rng so stream misuse would show up as drift.
-    return static_cast<double>(sp.NumEdges()) /
-               static_cast<double>(orig.NumEdges()) +
-           1e-12 * rng.NextDouble();
-  });
+  return RunSpec(runner, g, spec,
+                 [](const Graph& orig, const Graph& sp, Rng& rng) {
+                   // Exercise the metric rng so stream misuse would show up
+                   // as drift.
+                   return static_cast<double>(sp.NumEdges()) /
+                              static_cast<double>(orig.NumEdges()) +
+                          1e-12 * rng.NextDouble();
+                 });
 }
 
-void ExpectIdentical(const std::vector<BatchResult>& a,
-                     const std::vector<BatchResult>& b) {
+void ExpectIdentical(const std::vector<BatchMultiResult>& a,
+                     const std::vector<BatchMultiResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].task.index, b[i].task.index);
@@ -135,7 +148,7 @@ void ExpectIdentical(const std::vector<BatchResult>& a,
     // Bit-identical, not approximately equal (EXPECT_EQ on doubles is
     // exact; EXPECT_DOUBLE_EQ would tolerate 4 ULPs of drift).
     EXPECT_EQ(a[i].achieved_prune_rate, b[i].achieved_prune_rate);
-    EXPECT_EQ(a[i].value, b[i].value);
+    EXPECT_EQ(a[i].values[0].value, b[i].values[0].value);
   }
 }
 
@@ -161,7 +174,7 @@ TEST(BatchRunnerTest, DifferentMasterSeedsDiffer) {
   // seed; at least one metric value must move.
   bool any_differ = false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].value != b[i].value) any_differ = true;
+    if (a[i].values[0].value != b[i].values[0].value) any_differ = true;
   }
   EXPECT_TRUE(any_differ);
 }
@@ -173,15 +186,15 @@ TEST(BatchRunnerTest, DirectedInputRoutedThroughSymmetrization) {
   spec.sparsifiers = {"SF", "ER-uw", "RN"};  // SF/ER undirected-only
   spec.prune_rates = {0.5};
   BatchRunner runner(4);
-  auto results = runner.Run(
-      g, spec, [](const Graph& orig, const Graph& sp, Rng&) {
+  auto results =
+      RunSpec(runner, g, spec, [](const Graph& orig, const Graph& sp, Rng&) {
         // Undirected-only cells must see the symmetrized pair.
         EXPECT_EQ(orig.IsDirected(), sp.IsDirected());
         return static_cast<double>(sp.NumEdges()) /
                static_cast<double>(orig.NumEdges());
       });
   ASSERT_EQ(results.size(), 3u);
-  for (const BatchResult& r : results) EXPECT_GT(r.value, 0.0);
+  for (const BatchMultiResult& r : results) EXPECT_GT(r.values[0].value, 0.0);
 }
 
 TEST(BatchRunnerTest, TaskExceptionPropagatesFromRun) {
@@ -191,12 +204,11 @@ TEST(BatchRunnerTest, TaskExceptionPropagatesFromRun) {
   spec.sparsifiers = {"RN"};
   spec.prune_rates = {0.5};
   BatchRunner runner(2);
-  EXPECT_THROW(
-      runner.Run(g, spec,
-                 [](const Graph&, const Graph&, Rng&) -> double {
-                   throw std::runtime_error("metric failed");
-                 }),
-      std::runtime_error);
+  EXPECT_THROW(RunSpec(runner, g, spec,
+                       [](const Graph&, const Graph&, Rng&) -> double {
+                         throw std::runtime_error("metric failed");
+                       }),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -6,12 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include "src/engine/resumable_sweep.h"
 #include "src/graph/generators.h"
 #include "src/metrics/components.h"
 #include "src/util/rng.h"
 
 namespace sparsify {
 namespace {
+
+// A cold, non-persistent sweep of one anonymous metric.
+std::vector<SweepSeries> Sweep(const Graph& g, const SweepConfig& config,
+                               const MetricFn& metric) {
+  BatchRunner runner;
+  ResumableSweep sweep(runner, nullptr);
+  return sweep.RunMulti(g, "", {SweepMetric{"", metric}}, config)[0].series;
+}
 
 MetricFn KeptFractionMetric() {
   return [](const Graph& original, const Graph& sparsified, Rng&) {
@@ -27,7 +36,7 @@ TEST(SweepTest, EndToEndSmall) {
   config.sparsifiers = {"RN", "LD", "SF"};
   config.prune_rates = {0.2, 0.5, 0.8};
   config.runs_nondeterministic = 3;
-  auto series = RunSweep(g, config, KeptFractionMetric());
+  auto series = Sweep(g, config, KeptFractionMetric());
   ASSERT_EQ(series.size(), 3u);
   EXPECT_EQ(series[0].sparsifier, "RN");
   ASSERT_EQ(series[0].points.size(), 3u);
@@ -50,8 +59,8 @@ TEST(SweepTest, DeterministicAcrossCalls) {
   config.prune_rates = {0.5};
   config.runs_nondeterministic = 2;
   config.seed = 1234;
-  auto a = RunSweep(g, config, KeptFractionMetric());
-  auto b = RunSweep(g, config, KeptFractionMetric());
+  auto a = Sweep(g, config, KeptFractionMetric());
+  auto b = Sweep(g, config, KeptFractionMetric());
   for (size_t s = 0; s < a.size(); ++s) {
     for (size_t p = 0; p < a[s].points.size(); ++p) {
       EXPECT_DOUBLE_EQ(a[s].points[p].mean, b[s].points[p].mean);
@@ -67,7 +76,7 @@ TEST(SweepTest, DuplicateSparsifierEntriesYieldSeparateSeries) {
   config.sparsifiers = {"RN", "RN"};
   config.prune_rates = {0.3, 0.7};
   config.runs_nondeterministic = 2;
-  auto series = RunSweep(g, config, KeptFractionMetric());
+  auto series = Sweep(g, config, KeptFractionMetric());
   ASSERT_EQ(series.size(), 2u);
   for (const auto& s : series) {
     EXPECT_EQ(s.sparsifier, "RN");
@@ -83,7 +92,7 @@ TEST(SweepTest, DirectedGraphRoutedThroughSymmetrization) {
   config.prune_rates = {0.5};
   config.runs_nondeterministic = 1;
   // Must not throw: harness symmetrizes for undirected-only sparsifiers.
-  auto series = RunSweep(g, config, KeptFractionMetric());
+  auto series = Sweep(g, config, KeptFractionMetric());
   EXPECT_EQ(series.size(), 3u);
   for (const auto& s : series) {
     for (const auto& p : s.points) EXPECT_GT(p.mean, 0.0);
@@ -96,7 +105,7 @@ TEST(SweepTest, AchievedPruneRateTracked) {
   SweepConfig config;
   config.sparsifiers = {"GS"};
   config.prune_rates = {0.3, 0.6};
-  auto series = RunSweep(g, config, KeptFractionMetric());
+  auto series = Sweep(g, config, KeptFractionMetric());
   EXPECT_NEAR(series[0].points[0].achieved_prune_rate, 0.3, 0.02);
   EXPECT_NEAR(series[0].points[1].achieved_prune_rate, 0.6, 0.02);
 }
@@ -108,7 +117,7 @@ TEST(SweepTest, CsvOutputWellFormed) {
   config.sparsifiers = {"RN"};
   config.prune_rates = {0.5};
   config.runs_nondeterministic = 2;
-  auto series = RunSweep(g, config, KeptFractionMetric());
+  auto series = Sweep(g, config, KeptFractionMetric());
   std::ostringstream os;
   PrintSeriesCsv(os, "test title", series);
   std::string out = os.str();
@@ -123,7 +132,7 @@ TEST(SweepTest, TableOutputContainsAllSparsifiers) {
   SweepConfig config;
   config.sparsifiers = {"RN", "LD"};
   config.prune_rates = {0.3, 0.7};
-  auto series = RunSweep(g, config, KeptFractionMetric());
+  auto series = Sweep(g, config, KeptFractionMetric());
   std::ostringstream os;
   PrintSeriesTable(os, "Fig X", "val", series, 0.42);
   std::string out = os.str();
@@ -141,7 +150,7 @@ TEST(SweepTest, MetricReceivesMatchingOriginal) {
   Graph g = RMat(7, 400, 0.57, 0.19, 0.19, true, gen);
   SweepConfig config;
   config.sparsifiers = {"SP-3"};
-  auto series = RunSweep(
+  auto series = Sweep(
       g, config,
       [](const Graph& original, const Graph& sparsified, Rng& rng) {
         EXPECT_FALSE(original.IsDirected());

@@ -4,24 +4,25 @@
 // and the healed sweep is bit-identical to a cold run that never failed.
 // Faults are injected through the failpoint subsystem, so the engine code
 // under test is the shipped code, not a test double.
-#include <filesystem>
+#include <cctype>
+#include <chrono>
+#include <exception>
+#include <ostream>
 #include <string>
+#include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/engine/resumable_sweep.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
+#include "src/util/errors.h"
 #include "src/util/failpoint.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
 
 // Consumes the per-unit RNG stream: any seed drift between a cold run, a
 // retried run, and a resumed run changes the value.
@@ -29,6 +30,11 @@ MetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
   };
+}
+
+std::vector<SweepMetric> TwoMetrics() {
+  return {SweepMetric{"m_good", SampledMetric()},
+          SweepMetric{"m_bad", SampledMetric()}};
 }
 
 SweepConfig TestConfig() {
@@ -59,11 +65,6 @@ class FaultTolerantSweepTest : public ::testing::Test {
       : graph_(LoadDatasetScaled("ego-Facebook", 0.1).graph), runner_(2) {}
   void TearDown() override { fail::DisarmAll(); }
 
-  std::vector<SweepMetric> TwoMetrics() {
-    return {SweepMetric{"m_good", SampledMetric()},
-            SweepMetric{"m_bad", SampledMetric()}};
-  }
-
   Graph graph_;
   BatchRunner runner_;
 };
@@ -85,8 +86,7 @@ TEST_F(FaultTolerantSweepTest, FailFastModeStillThrows) {
 }
 
 TEST_F(FaultTolerantSweepTest, FailedMetricIsRecordedAndOthersComplete) {
-  std::string dir = TempPath("ft_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("ft_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = TestConfig();
 
@@ -154,8 +154,7 @@ TEST_F(FaultTolerantSweepTest, TransientFailureRetriesToBitIdenticalValue) {
 }
 
 TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
-  std::string dir = TempPath("ft_transient_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("ft_transient_store");
   ResultStore store(ResultStore::PathInDir(dir));
   fail::ArmFromSpec("engine.metric_unit/m_bad=throw-transient");
   ResumableSweep sweep(runner_, &store, "test-rev");
@@ -175,8 +174,7 @@ TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
 }
 
 TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
-  std::string dir = TempPath("ft_score_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("ft_score_store");
   ResultStore store(ResultStore::PathInDir(dir));
   // Score-group faults hit everything downstream of one sparsifier; they
   // are structural (not per-unit), so no retry — the cells just fail.
@@ -204,6 +202,171 @@ TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
     EXPECT_TRUE(saw_ld);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Failure-classification matrix: every stage site x every failure kind,
+// tolerant and fail-fast. Every site feeds one classifier, so a fault
+// injected at score_group, subgraph or metric_unit must end its units the
+// same way: the class, the attempts and the store records below.
+
+struct FaultCase {
+  const char* site;    // failpoint site/scope
+  const char* action;  // throw | throw-transient | cancel | hang
+  bool tolerant;
+};
+
+void PrintTo(const FaultCase& c, std::ostream* os) {
+  *os << c.site << " " << c.action << (c.tolerant ? " tolerant" : " fail-fast");
+}
+
+std::string FaultCaseName(const ::testing::TestParamInfo<FaultCase>& info) {
+  std::string name = std::string(info.param.site) + "_" + info.param.action +
+                     (info.param.tolerant ? "_tolerant" : "_failfast");
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+class FailureMatrixTest : public ::testing::TestWithParam<FaultCase> {
+ protected:
+  // One worker: under fail-fast nothing else runs once the first failure
+  // trips the run, so the site fires exactly once.
+  FailureMatrixTest()
+      : graph_(LoadDatasetScaled("ego-Facebook", 0.1).graph), runner_(1) {}
+  void TearDown() override { fail::DisarmAll(); }
+
+  Graph graph_;
+  BatchRunner runner_;
+};
+
+TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
+  const FaultCase& c = GetParam();
+  const std::string site = c.site;
+  const std::string action = c.action;
+  const bool metric_site = site.rfind("engine.metric_unit", 0) == 0;
+
+  // RN: 2 rates x 2 runs, LD: 2 rates; two metrics -> 12 units. Stage
+  // faults target RN (its 4 cells, 8 units); unit faults target m_bad
+  // (6 units).
+  SweepConfig config = TestConfig();
+  config.prune_rates = {0.3, 0.6};
+  const size_t units = 12;
+  const size_t hit_units = metric_site ? 6 : 8;
+
+  ResultStore store(ResultStore::PathInDir(TestPath("store")));
+  CancelToken run_token;
+  ResumableSweep sweep(runner_, &store, "test-rev");
+  sweep.set_fault_tolerant(c.tolerant);
+  sweep.set_max_unit_retries(2);
+  sweep.set_cancel_token(&run_token);
+  std::thread canceller;
+  if (action == "cancel") {
+    // The first stage to reach the site parks there until the run token
+    // trips; the canceller trips it once the park has begun.
+    fail::ArmFromSpec(site + "=hang@1");
+    canceller = std::thread([&] {
+      while (fail::FiredCount(site) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      run_token.Cancel();
+    });
+  } else if (action == "hang") {
+    fail::ArmFromSpec(site + "=hang");
+    sweep.set_unit_timeout(0.05);
+  } else {
+    fail::ArmFromSpec(site + "=" + action);
+  }
+
+  ResumableSweepStats stats;
+  std::exception_ptr thrown;
+  try {
+    sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &stats);
+  } catch (...) {
+    thrown = std::current_exception();
+  }
+  if (canceller.joinable()) canceller.join();
+
+  size_t results = 0;
+  for (const StoredCell& cell : store.Cells()) {
+    if (!cell.is_error) ++results;
+  }
+
+  if (action == "cancel") {
+    // A cancelled run is no failure in either mode: nothing thrown,
+    // nothing recorded, every unit either completed or was cancelled.
+    EXPECT_FALSE(thrown);
+    EXPECT_EQ(stats.failed_units, 0u);
+    EXPECT_EQ(stats.retried_units, 0u);
+    EXPECT_GE(stats.cancelled_units, 1u);
+    EXPECT_EQ(store.ErrorCount(), 0u);
+    EXPECT_EQ(results + stats.cancelled_units, units);
+    return;
+  }
+
+  if (!c.tolerant) {
+    // Fail-fast: the original typed exception propagates, the site fired
+    // once (no retry), and no error record is written.
+    ASSERT_TRUE(thrown);
+    try {
+      std::rethrow_exception(thrown);
+    } catch (const DeadlineExceededError&) {
+      EXPECT_EQ(action, "hang");
+    } catch (const TransientError&) {
+      EXPECT_EQ(action, "throw-transient");
+    } catch (const fail::InjectedFault&) {
+      EXPECT_EQ(action, "throw");
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unexpected " << typeid(e).name() << ": " << e.what();
+    }
+    EXPECT_EQ(fail::FiredCount(site), 1u);
+    EXPECT_EQ(store.ErrorCount(), 0u);
+    return;
+  }
+
+  ASSERT_FALSE(thrown);
+  std::string want_class = "permanent";
+  int want_attempts = 1;
+  if (action == "throw-transient") {
+    want_class = "transient";
+    if (metric_site) want_attempts = 3;  // stage faults never retry
+  }
+  if (action == "hang") want_class = "deadline";
+  EXPECT_EQ(stats.failed_units, hit_units);
+  EXPECT_EQ(stats.cancelled_units, 0u);
+  EXPECT_EQ(stats.transient_failed_units,
+            want_class == "transient" ? hit_units : 0u);
+  EXPECT_EQ(stats.deadline_exceeded_units,
+            want_class == "deadline" ? hit_units : 0u);
+  EXPECT_EQ(stats.retried_units, hit_units * (want_attempts - 1));
+  EXPECT_EQ(store.ErrorCount(), hit_units);
+  EXPECT_EQ(results, units - hit_units);
+  for (const StoredCell& cell : store.Cells()) {
+    const bool hit = metric_site ? cell.key.metric == "m_bad"
+                                 : cell.key.sparsifier == "RN";
+    EXPECT_EQ(cell.is_error, hit) << cell.key.Canonical();
+    if (!cell.is_error) continue;
+    EXPECT_EQ(cell.error_class, want_class);
+    EXPECT_EQ(cell.attempts, want_attempts);
+  }
+}
+
+std::vector<FaultCase> FaultCases() {
+  std::vector<FaultCase> cases;
+  for (bool tolerant : {true, false}) {
+    for (const char* site : {"engine.score_group/RN", "engine.subgraph/RN",
+                             "engine.metric_unit/m_bad"}) {
+      for (const char* action : {"throw", "throw-transient", "cancel"}) {
+        cases.push_back({site, action, tolerant});
+      }
+    }
+    cases.push_back({"engine.metric_unit/m_bad", "hang", tolerant});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sites, FailureMatrixTest,
+                         ::testing::ValuesIn(FaultCases()), FaultCaseName);
 
 }  // namespace
 }  // namespace sparsify

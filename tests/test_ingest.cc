@@ -22,23 +22,12 @@
 #include "src/graph/io.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
-
-// Fresh directory per test so cache hits never leak across tests.
-std::string FreshDir(const std::string& name) {
-  std::string dir = TempPath(name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 // Byte-level graph equality: the binary serialization captures flags,
 // counts, every canonical edge, and every weight bit.
@@ -60,7 +49,7 @@ TEST(IngestTest, TextRoundTripIsByteIdenticalAndSecondLoadHitsCache) {
   Graph original =
       WithRandomWeights(ErdosRenyi(60, 180, /*directed=*/true, rng), 5.0,
                         rng);
-  std::string dir = FreshDir("ingest_roundtrip");
+  std::string dir = TestDir();
   std::string text = (fs::path(dir) / "graph.txt").string();
   WriteEdgeList(original, text);
 
@@ -91,7 +80,7 @@ TEST(IngestTest, TextRoundTripIsByteIdenticalAndSecondLoadHitsCache) {
 TEST(IngestTest, ParseMatchesReadEdgeListOnMessyInput) {
   // Comments, blank lines, CR line ends, duplicate and self edges: the
   // bulk parser must agree with the iostream reference reader bitwise.
-  std::string dir = FreshDir("ingest_messy");
+  std::string dir = TestDir();
   std::string text = (fs::path(dir) / "messy.txt").string();
   {
     std::ofstream out(text);
@@ -132,7 +121,7 @@ TEST(IngestTest, ContentHashStableUnderEdgeOrderAndCacheRoundTrip) {
   EXPECT_EQ(IngestDatasetKey(permuted), "ingest-" + expected_hash);
 
   // Cache round trip preserves the hash (and therefore the store key).
-  std::string dir = FreshDir("ingest_hash");
+  std::string dir = TestDir();
   std::string cache = (fs::path(dir) / "g.spgc").string();
   WriteGraphCache(g, cache);
   EXPECT_EQ(GraphContentHash(ReadGraphCache(cache)), expected_hash);
@@ -145,7 +134,7 @@ TEST(IngestTest, ContentHashStableUnderEdgeOrderAndCacheRoundTrip) {
 TEST(IngestTest, EveryTornCachePrefixIsRejected) {
   Rng rng(5);
   Graph g = WithRandomWeights(BarabasiAlbert(30, 2, rng), 3.0, rng);
-  std::string dir = FreshDir("ingest_torn");
+  std::string dir = TestDir();
   std::string cache = (fs::path(dir) / "g.spgc").string();
   WriteGraphCache(g, cache);
   std::string bytes = ReadFileBytes(cache);
@@ -173,7 +162,7 @@ TEST(IngestTest, EveryTornCachePrefixIsRejected) {
 TEST(IngestTest, TornCacheEntrySelfHealsOnIngest) {
   Rng rng(7);
   Graph original = ErdosRenyi(50, 140, /*directed=*/true, rng);
-  std::string dir = FreshDir("ingest_heal");
+  std::string dir = TestDir();
   std::string text = (fs::path(dir) / "graph.txt").string();
   WriteEdgeList(original, text);
   IngestOptions opt;
@@ -198,7 +187,7 @@ TEST(IngestTest, TornCacheEntrySelfHealsOnIngest) {
 }
 
 TEST(IngestTest, EditedInputFileKeysADifferentCacheEntry) {
-  std::string dir = FreshDir("ingest_rekey");
+  std::string dir = TestDir();
   std::string text = (fs::path(dir) / "graph.txt").string();
   {
     std::ofstream out(text);
@@ -252,7 +241,7 @@ TEST(IngestTest, FromEdgesParallelMatchesSerialAtEveryThreadCount) {
 }
 
 TEST(IngestTest, LoadDatasetScaledCachedMatchesUncachedAndSelfHeals) {
-  std::string dir = FreshDir("ingest_dataset");
+  std::string dir = TestDir();
   Graph direct = LoadDatasetScaledCached("ego-Facebook", 0.05, "");
   Graph cold = LoadDatasetScaledCached("ego-Facebook", 0.05, dir);
   Graph warm = LoadDatasetScaledCached("ego-Facebook", 0.05, dir);

@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <thread>
@@ -16,18 +15,10 @@
 #include "gtest/gtest.h"
 #include "src/store/result_store.h"
 #include "src/util/errors.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string FreshDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
 
 TEST(LeaseTest, WriterIdsAreUniqueAndDotFree) {
   // Segment names are `log.<writer>.<n>.jsonl` and split on dots, so a
@@ -43,7 +34,7 @@ TEST(LeaseTest, WriterIdsAreUniqueAndDotFree) {
 }
 
 TEST(LeaseTest, WriteListRemoveRoundTrip) {
-  std::string dir = FreshDir("lease_roundtrip");
+  std::string dir = TestDir();
   lease::LeaseInfo info;
   info.writer = lease::NewWriterId();
   info.pid = static_cast<long>(::getpid());
@@ -68,9 +59,7 @@ TEST(LeaseTest, WriteListRemoveRoundTrip) {
 }
 
 TEST(LeaseTest, MissingDirListsNoLeases) {
-  std::string dir =
-      (fs::path(::testing::TempDir()) / "lease_no_such_dir").string();
-  fs::remove_all(dir);
+  std::string dir = TestPath("lease_no_such_dir");
   EXPECT_TRUE(lease::ListLeases(dir).empty());
 }
 
@@ -78,7 +67,7 @@ TEST(LeaseTest, TornLeaseFileParsesAsReapable) {
   // A writer killed mid-rename can leave a truncated lease file. It must
   // parse (pid 0 = provably-not-live) rather than throw, so the next
   // acquirer reaps it instead of wedging.
-  std::string dir = FreshDir("lease_torn");
+  std::string dir = TestDir();
   std::ofstream(lease::LeasePathFor(dir, "wtorn"))
       << "{\"writer\":\"wtorn\",\"pi";
   std::vector<lease::LeaseInfo> listed = lease::ListLeases(dir);
@@ -126,7 +115,7 @@ TEST(LeaseTest, ProberJudgesStalledHeartbeatStaleAfterTtl) {
 TEST(LeaseTest, StoreReapsDeadWritersLeaseOnOpen) {
   // A lease whose pid is provably dead must be reaped by the next open —
   // this is what keeps a kill -9'd worker from wedging the store.
-  std::string dir = FreshDir("lease_reap_store");
+  std::string dir = TestDir();
   {
     ResultStore store(ResultStore::PathInDir(dir));
     CellKey key;

@@ -8,7 +8,6 @@
 // NestedParallelFor (the within-metric BFS-batch fan-out primitive) and
 // the MetricFn thread-safety audit regression.
 #include <atomic>
-#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
@@ -21,15 +20,10 @@
 #include "src/metrics/distance.h"
 #include "src/sparsifiers/sparsifier.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
 
 // ---------------------------------------------------------------------------
 // NestedParallelFor — the primitive metrics use to fan BFS batches out.
@@ -408,7 +402,7 @@ TEST_F(MultiMetricSweepTest, MultiSweepEqualsUnionOfSingleMetricSweeps) {
   ASSERT_EQ(multi.size(), 2u);
   for (const SweepMetric& m : metrics) {
     std::vector<SweepSeries> single =
-        sweep.Run(graph_, "fb@0.1", m.name, config, m.fn);
+        sweep.RunMulti(graph_, "fb@0.1", {m}, config)[0].series;
     const MetricSweepSeries* found = nullptr;
     for (const MetricSweepSeries& ms : multi) {
       if (ms.metric == m.name) found = &ms;
@@ -419,16 +413,15 @@ TEST_F(MultiMetricSweepTest, MultiSweepEqualsUnionOfSingleMetricSweeps) {
 }
 
 TEST_F(MultiMetricSweepTest, ResumingWithMoreMetricsSubmitsOnlyNewUnits) {
-  std::string dir = TempPath("more_metrics_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("more_metrics_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = Config();
   std::vector<SweepMetric> metrics = TwoMetrics();
   size_t cells = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
 
-  // First sweep: metric "degree" alone, through the single-metric API.
+  // First sweep: metric "degree" alone.
   ResumableSweep sweep(runner_, &store, "test-rev");
-  sweep.Run(graph_, "fb@0.1", metrics[0].name, config, metrics[0].fn);
+  sweep.RunMulti(graph_, "fb@0.1", {metrics[0]}, config);
   EXPECT_EQ(store.Size(), cells);
 
   // Resumed with BOTH metrics: the degree units are served from the
@@ -477,11 +470,10 @@ TEST_F(MultiMetricSweepTest, ColdAndResumedBitIdenticalAcrossThreadCounts) {
       ExpectSeriesBitIdentical(reference[m].series, out[m].series);
     }
     // Interrupted-at-one-metric + resumed at this thread count.
-    std::string dir = TempPath("threads_store_" + std::to_string(threads));
-    fs::remove_all(dir);
+    std::string dir = TestPath("threads_store_" + std::to_string(threads));
     ResultStore store(ResultStore::PathInDir(dir));
     ResumableSweep resumed(runner, &store, "test-rev");
-    resumed.Run(graph_, "fb@0.1", metrics[1].name, config, metrics[1].fn);
+    resumed.RunMulti(graph_, "fb@0.1", {metrics[1]}, config);
     std::vector<MetricSweepSeries> after =
         resumed.RunMulti(graph_, "fb@0.1", metrics, config);
     for (size_t m = 0; m < metrics.size(); ++m) {

@@ -5,7 +5,6 @@
 // byte-identical CSV with tracing on vs off).
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,15 +20,10 @@
 #include "src/obs/profile.h"
 #include "src/obs/trace.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
 
 // ---------------------------------------------------------------------
 // Minimal JSON validator — enough of RFC 8259 to certify the trace
@@ -255,7 +249,8 @@ TEST(ObsCounters, EngineCounterTotalsAreThreadCountIndependent) {
     obs::ResetAllStats();
     BatchRunner runner(threads);
     ResumableSweep sweep(runner, nullptr, "test-rev");
-    sweep.Run(graph, "fb@0.1", "edge_ratio", config, metric);
+    sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"edge_ratio", metric}},
+                   config);
     std::vector<std::pair<std::string, uint64_t>> out;
     for (const obs::CounterValue& cv : obs::SnapshotCounters()) {
       if (cv.name.rfind("engine.", 0) == 0) out.emplace_back(cv.name, cv.value);
@@ -399,15 +394,15 @@ TEST(ObsTrace, SweepCsvIsByteIdenticalWithTracingOn) {
   };
 
   auto run_to_csv = [&](const std::string& dir_name, bool tracing) {
-    std::string dir = TempPath(dir_name);
-    fs::remove_all(dir);
+    std::string dir = TestPath(dir_name);
     if (tracing) obs::StartTracing();
     std::string csv;
     {
       ResultStore store(ResultStore::PathInDir(dir));
       BatchRunner runner(4);
       ResumableSweep sweep(runner, &store, "test-rev");
-      sweep.Run(graph, "fb@0.1", "quad5", config, metric);
+      sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"quad5", metric}},
+                     config);
       std::ostringstream out;
       cli::ExportStore(store, out, /*csv=*/true);
       csv = out.str();
@@ -518,8 +513,7 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
     return static_cast<double>(h.NumEdges()) /
            static_cast<double>(std::max<EdgeId>(1, g.NumEdges()));
   };
-  std::string dir = TempPath("obs_progress_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("obs_progress_store");
   ResultStore store(ResultStore::PathInDir(dir));
   BatchRunner runner(2);
   ResumableSweep sweep(runner, &store, "test-rev");
@@ -537,7 +531,8 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
   });
 
   ResumableSweepStats stats;
-  sweep.Run(graph, "fb@0.1", "edge_ratio", config, metric, &stats);
+  sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"edge_ratio", metric}}, config,
+                 &stats);
   EXPECT_EQ(calls.load(), stats.submitted_cells);
   EXPECT_EQ(max_completed.load(), stats.submitted_cells);
   EXPECT_EQ(reported_submitted.load(), stats.submitted_cells);
@@ -546,7 +541,8 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
   // (cached units were never work).
   calls.store(0);
   ResumableSweepStats warm;
-  sweep.Run(graph, "fb@0.1", "edge_ratio", config, metric, &warm);
+  sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"edge_ratio", metric}}, config,
+                 &warm);
   EXPECT_EQ(warm.submitted_cells, 0u);
   EXPECT_EQ(calls.load(), 0u);
 }

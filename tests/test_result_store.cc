@@ -9,15 +9,12 @@
 
 #include "gtest/gtest.h"
 #include "src/util/errors.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -44,16 +41,14 @@ CellKey MakeKey(const std::string& sparsifier, double rate, int run) {
 }
 
 TEST(ResultStoreTest, MissingFileIsEmptyStore) {
-  std::string path = TempPath("missing_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("missing_store.jsonl");
   ResultStore store(path);
   EXPECT_EQ(store.Size(), 0u);
   EXPECT_FALSE(store.Contains(MakeKey("RN", 0.1, 0)));
 }
 
 TEST(ResultStoreTest, AppendLookupRoundTrip) {
-  std::string path = TempPath("roundtrip_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("roundtrip_store.jsonl");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1002, 0.123456789012345678);
@@ -76,8 +71,7 @@ TEST(ResultStoreTest, AppendLookupRoundTrip) {
 }
 
 TEST(ResultStoreTest, NonFiniteValuesRoundTrip) {
-  std::string path = TempPath("nonfinite_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("nonfinite_store.jsonl");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1,
@@ -90,8 +84,7 @@ TEST(ResultStoreTest, NonFiniteValuesRoundTrip) {
 }
 
 TEST(ResultStoreTest, DuplicateKeyLastWriteWins) {
-  std::string path = TempPath("dup_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("dup_store.jsonl");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
@@ -106,8 +99,7 @@ TEST(ResultStoreTest, DuplicateKeyLastWriteWins) {
 }
 
 TEST(ResultStoreTest, EscapedStringsRoundTrip) {
-  std::string path = TempPath("escape_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("escape_store.jsonl");
   CellKey key = MakeKey("RN", 0.5, 0);
   key.dataset = "odd \"name\"\twith\\escapes\n";
   {
@@ -120,7 +112,7 @@ TEST(ResultStoreTest, EscapedStringsRoundTrip) {
 }
 
 TEST(ResultStoreTest, BadHeaderIsFatal) {
-  std::string path = TempPath("badheader_store.jsonl");
+  std::string path = TestPath("badheader_store.jsonl");
   WriteFile(path, "{\"format\":\"something-else\",\"version\":1}\n");
   EXPECT_THROW(ResultStore{path}, std::runtime_error);
   WriteFile(path, "not json at all\n");
@@ -128,14 +120,13 @@ TEST(ResultStoreTest, BadHeaderIsFatal) {
 }
 
 TEST(ResultStoreTest, UnsupportedVersionIsFatal) {
-  std::string path = TempPath("version_store.jsonl");
+  std::string path = TestPath("version_store.jsonl");
   WriteFile(path, "{\"format\":\"sparsify-result-store\",\"version\":99}\n");
   EXPECT_THROW(ResultStore{path}, std::runtime_error);
 }
 
 TEST(ResultStoreTest, MidFileCorruptionIsFatal) {
-  std::string path = TempPath("corrupt_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("corrupt_store.jsonl");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
@@ -154,8 +145,7 @@ TEST(ResultStoreTest, MidFileCorruptionIsFatal) {
 // of the last record must (a) never throw, (b) recover exactly the
 // fully-written records, and (c) leave the store appendable.
 TEST(ResultStoreTest, TruncationAtEveryByteOfLastRecordRecovers) {
-  std::string path = TempPath("crash_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("crash_store.jsonl");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.5);
@@ -170,7 +160,7 @@ TEST(ResultStoreTest, TruncationAtEveryByteOfLastRecordRecovers) {
 
   for (size_t cut = last_start; cut <= content.size(); ++cut) {
     std::string prefix = content.substr(0, cut);
-    std::string trial = TempPath("crash_trial.jsonl");
+    std::string trial = TestPath("crash_trial.jsonl");
     WriteFile(trial, prefix);
 
     // (a) replay never throws, (b) exact prefix of records recovered. A
@@ -207,7 +197,7 @@ TEST(ResultStoreTest, TruncationAtEveryByteOfLastRecordRecovers) {
 // A crash can also tear the header of a brand-new store; that must behave
 // like an empty store and be repaired by the first append.
 TEST(ResultStoreTest, TornHeaderOnlyFileRecoversEmpty) {
-  std::string path = TempPath("tornheader_store.jsonl");
+  std::string path = TestPath("tornheader_store.jsonl");
   WriteFile(path, "{\"format\":\"sparsify-re");  // no newline: torn tail
   {
     ResultStore store(path);
@@ -221,8 +211,7 @@ TEST(ResultStoreTest, TornHeaderOnlyFileRecoversEmpty) {
 }
 
 TEST(ResultStoreTest, OpenInDirCreatesDirectory) {
-  std::string dir = TempPath("store_dir/nested");
-  fs::remove_all(TempPath("store_dir"));
+  std::string dir = TestPath("store_dir/nested");
   {
     ResultStore store(ResultStore::PathInDir(dir));
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
@@ -239,10 +228,7 @@ TEST(ResultStoreTest, SecondWriterCoexistsAndRecordsMerge) {
   // own segment file instead of failing with "locked by another
   // process". Each writer sees its peer's records (after RefreshPeers or
   // a fresh replay), and neither disturbs the other.
-  fs::path dir = fs::path(::testing::TempDir()) / "coop_store_dir";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  std::string path = ResultStore::PathInDir(dir.string());
+  std::string path = ResultStore::PathInDir(TestPath("coop_store_dir"));
   ResultStore store(path);
   store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
 
@@ -274,8 +260,7 @@ TEST(ResultStoreTest, SecondWriterCoexistsAndRecordsMerge) {
 }
 
 TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
-  std::string path = TempPath("relock_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("relock_store.jsonl");
   {
     ResultStore store(path);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
@@ -285,7 +270,7 @@ TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
 
   // A constructor that throws during replay (corrupt mid-file) must also
   // release the lock, or the path would wedge for the whole process.
-  std::string bad = TempPath("relock_corrupt.jsonl");
+  std::string bad = TestPath("relock_corrupt.jsonl");
   std::string content = ReadFile(path);
   size_t header_end = content.find('\n') + 1;
   WriteFile(bad, content.substr(0, header_end) + "not json\n" +
@@ -303,8 +288,7 @@ TEST(ResultStoreTest, CodeRevBumpNeverReusesOldCells) {
   // cells computed by the r1 pipeline must be cache misses for this
   // binary, never silently mixed with r2 values.
   ASSERT_STRNE(kResultCodeRev, "r1");
-  std::string path = TempPath("code_rev_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("code_rev_store.jsonl");
   ResultStore store(path);
 
   CellKey old_rev = MakeKey("RN", 0.1, 0);
@@ -333,8 +317,7 @@ TEST(ResultStoreTest, StaleRevCellsNeverSatisfyCurrentLookups) {
   // of them to the current pipeline (not even for rng-free metrics —
   // revisions are keyed wholesale, not per metric).
   ASSERT_STREQ(kResultCodeRev, "r4");
-  std::string path = TempPath("r2_r3_store.jsonl");
-  fs::remove(path);
+  std::string path = TestPath("r2_r3_store.jsonl");
   ResultStore store(path);
 
   for (double rate : {0.1, 0.5, 0.9}) {

@@ -3,7 +3,6 @@
 // engine (scheduling-count hook), and export byte-identical CSV.
 #include "src/engine/resumable_sweep.h"
 
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -11,15 +10,10 @@
 #include "src/cli/store_export.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& name) {
-  return (fs::path(::testing::TempDir()) / name).string();
-}
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -68,6 +62,16 @@ void ExpectSeriesBitIdentical(const std::vector<SweepSeries>& a,
   }
 }
 
+// The "quad5" series of a one-metric sweep over "fb@0.1".
+std::vector<SweepSeries> RunQuad5(ResumableSweep& sweep, const Graph& g,
+                                  const SweepConfig& config,
+                                  ResumableSweepStats* stats = nullptr) {
+  return sweep
+      .RunMulti(g, "fb@0.1", {SweepMetric{"quad5", SampledMetric()}}, config,
+                stats)[0]
+      .series;
+}
+
 class ResumableSweepTest : public ::testing::Test {
  protected:
   ResumableSweepTest()
@@ -81,41 +85,38 @@ TEST_F(ResumableSweepTest, SubsetRunMatchesFullGridSeeds) {
   // Engine-level guarantee the resume path relies on: running a subset of
   // the grid (odd indices) computes the same values as the full run.
   BatchSpec spec = ToBatchSpec(TestConfig());
-  MetricFn metric = SampledMetric();
-  std::vector<BatchResult> full = runner_.Run(graph_, spec, metric);
+  std::vector<BatchMetric> metric = {BatchMetric{"quad5", SampledMetric()}};
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  std::vector<BatchMultiResult> full = runner_.RunTasksMulti(
+      graph_, "fb@0.1", tasks, spec.master_seed, metric);
   std::vector<BatchTask> odd;
   for (size_t i = 1; i < tasks.size(); i += 2) odd.push_back(tasks[i]);
-  std::vector<BatchResult> subset =
-      runner_.RunTasks(graph_, odd, spec.master_seed, metric);
+  std::vector<BatchMultiResult> subset = runner_.RunTasksMulti(
+      graph_, "fb@0.1", odd, spec.master_seed, metric);
   ASSERT_EQ(subset.size(), odd.size());
   for (size_t j = 0; j < subset.size(); ++j) {
     EXPECT_EQ(subset[j].task.index, odd[j].index);
-    EXPECT_EQ(subset[j].value, full[odd[j].index].value);
+    EXPECT_EQ(subset[j].values[0].value, full[odd[j].index].values[0].value);
     EXPECT_EQ(subset[j].achieved_prune_rate,
               full[odd[j].index].achieved_prune_rate);
   }
 }
 
 TEST_F(ResumableSweepTest, WarmStoreSubmitsZeroCells) {
-  std::string dir = TempPath("warm_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("warm_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = TestConfig();
-  MetricFn metric = SampledMetric();
 
   ResumableSweep sweep(runner_, &store, "test-rev");
   ResumableSweepStats first_stats;
-  auto first = sweep.Run(graph_, "fb@0.1", "quad5", config, metric,
-                         &first_stats);
+  auto first = RunQuad5(sweep, graph_, config, &first_stats);
   size_t total = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
   EXPECT_EQ(first_stats.total_cells, total);
   EXPECT_EQ(first_stats.cached_cells, 0u);
   EXPECT_EQ(first_stats.submitted_cells, total);
 
   ResumableSweepStats second_stats;
-  auto second = sweep.Run(graph_, "fb@0.1", "quad5", config, metric,
-                          &second_stats);
+  auto second = RunQuad5(sweep, graph_, config, &second_stats);
   EXPECT_EQ(second_stats.cached_cells, total);
   EXPECT_EQ(second_stats.submitted_cells, 0u);
   ExpectSeriesBitIdentical(first, second);
@@ -124,29 +125,24 @@ TEST_F(ResumableSweepTest, WarmStoreSubmitsZeroCells) {
   SweepConfig other_seed = config;
   other_seed.seed = 999;
   ResumableSweepStats other_stats;
-  sweep.Run(graph_, "fb@0.1", "quad5", other_seed, metric, &other_stats);
+  RunQuad5(sweep, graph_, other_seed, &other_stats);
   EXPECT_EQ(other_stats.cached_cells, 0u);
 }
 
 TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
   SweepConfig config = TestConfig();
-  MetricFn metric = SampledMetric();
 
-  // Cold baseline: the same sweep with no store involved at all. (RunSweep
-  // is not comparable since r3 — its metric streams seed from the
-  // anonymous ""/"" MetricSeed identity, while a named sweep seeds from
-  // its dataset and metric names.)
+  // Cold baseline: the same sweep with no store involved at all.
   ResumableSweep cold_sweep(runner_, nullptr, "test-rev");
   std::vector<SweepSeries> cold =
-      cold_sweep.Run(graph_, "fb@0.1", "quad5", config, metric);
+      RunQuad5(cold_sweep, graph_, config);
 
   // Uninterrupted store-backed run -> store A.
-  std::string dir_a = TempPath("cold_store");
-  fs::remove_all(dir_a);
+  std::string dir_a = TestPath("cold_store");
   ResultStore store_a(ResultStore::PathInDir(dir_a));
   {
     ResumableSweep sweep(runner_, &store_a, "test-rev");
-    auto series = sweep.Run(graph_, "fb@0.1", "quad5", config, metric);
+    auto series = RunQuad5(sweep, graph_, config);
     ExpectSeriesBitIdentical(cold, series);
   }
 
@@ -165,8 +161,7 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
   std::string torn = content.substr(0, keep_end + 25);  // mid-next-record
   ASSERT_LT(keep_end + 25, content.size());
 
-  std::string dir_b = TempPath("resume_store");
-  fs::remove_all(dir_b);
+  std::string dir_b = TestPath("resume_store");
   std::string path_b = ResultStore::PathInDir(dir_b);
   WriteFile(path_b, torn);
 
@@ -178,7 +173,7 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
   ResumableSweep sweep(runner_, &store_b, "test-rev");
   ResumableSweepStats stats;
   std::vector<SweepSeries> resumed =
-      sweep.Run(graph_, "fb@0.1", "quad5", config, metric, &stats);
+      RunQuad5(sweep, graph_, config, &stats);
   EXPECT_EQ(stats.total_cells, total);
   EXPECT_EQ(stats.cached_cells, keep_records);
   EXPECT_EQ(stats.submitted_cells, total - keep_records);
@@ -194,7 +189,7 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
 
   // And a second resume schedules nothing.
   ResumableSweepStats again;
-  sweep.Run(graph_, "fb@0.1", "quad5", config, metric, &again);
+  RunQuad5(sweep, graph_, config, &again);
   EXPECT_EQ(again.submitted_cells, 0u);
 }
 
@@ -205,31 +200,29 @@ TEST_F(ResumableSweepTest, DifferentGridShapeReusesCells) {
   // (GroupSeed + MetricSeed) since r3, and it is load-bearing for
   // sharding — shard workers partition different task subsets but must
   // agree on every unit's identity. This test pins the reuse contract.
-  std::string dir = TempPath("gridshape_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("gridshape_store");
   ResultStore store(ResultStore::PathInDir(dir));
-  MetricFn metric = SampledMetric();
 
   SweepConfig two_algos = TestConfig();
   two_algos.sparsifiers = {"LD", "RN"};
   ResumableSweep sweep(runner_, &store, "test-rev");
-  sweep.Run(graph_, "fb@0.1", "quad5", two_algos, metric);
+  RunQuad5(sweep, graph_, two_algos);
 
   SweepConfig rn_only = TestConfig();
   rn_only.sparsifiers = {"RN"};  // subset grid: every RN cell is cached
   ResumableSweepStats stats;
   std::vector<SweepSeries> resumed =
-      sweep.Run(graph_, "fb@0.1", "quad5", rn_only, metric, &stats);
+      RunQuad5(sweep, graph_, rn_only, &stats);
   EXPECT_EQ(stats.submitted_cells, 0u);
   EXPECT_EQ(stats.cached_cells, stats.total_cells);
   // The cached fold matches a cold RN-only sweep bit-for-bit — the
   // grid-shape-independent streams are what make the reuse sound.
   ResumableSweep cold_sweep(runner_, nullptr, "test-rev");
   ExpectSeriesBitIdentical(
-      cold_sweep.Run(graph_, "fb@0.1", "quad5", rn_only, metric), resumed);
+      RunQuad5(cold_sweep, graph_, rn_only), resumed);
 
   // Re-running the superset grid is also fully cached.
-  sweep.Run(graph_, "fb@0.1", "quad5", two_algos, metric, &stats);
+  RunQuad5(sweep, graph_, two_algos, &stats);
   EXPECT_EQ(stats.submitted_cells, 0u);
 
   // One store cell per (sparsifier, rate, run): the export's RN series
@@ -248,19 +241,17 @@ TEST_F(ResumableSweepTest, DifferentGridShapeReusesCells) {
 }
 
 TEST_F(ResumableSweepTest, WriteOnlyModeRecomputesButPersists) {
-  std::string dir = TempPath("writeonly_store");
-  fs::remove_all(dir);
+  std::string dir = TestPath("writeonly_store");
   ResultStore store(ResultStore::PathInDir(dir));
   SweepConfig config = TestConfig();
-  MetricFn metric = SampledMetric();
   size_t total = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
 
   ResumableSweep sweep(runner_, &store, "test-rev");
   sweep.set_reuse_cached(false);
   ResumableSweepStats stats;
-  sweep.Run(graph_, "fb@0.1", "quad5", config, metric, &stats);
+  RunQuad5(sweep, graph_, config, &stats);
   EXPECT_EQ(stats.submitted_cells, total);
-  sweep.Run(graph_, "fb@0.1", "quad5", config, metric, &stats);
+  RunQuad5(sweep, graph_, config, &stats);
   EXPECT_EQ(stats.submitted_cells, total);  // never consults the store
   EXPECT_EQ(store.Size(), total);           // but everything is persisted
 }
@@ -270,17 +261,15 @@ TEST_F(ResumableSweepTest, NullStoreRunsCold) {
   // is bit-identical to a store-backed cold run of the same named sweep.
   ResumableSweep sweep(runner_, nullptr, "test-rev");
   SweepConfig config = TestConfig();
-  MetricFn metric = SampledMetric();
   ResumableSweepStats stats;
-  auto series = sweep.Run(graph_, "fb@0.1", "quad5", config, metric, &stats);
+  auto series = RunQuad5(sweep, graph_, config, &stats);
   EXPECT_EQ(stats.cached_cells, 0u);
 
-  std::string dir = TempPath("nullstore_ref");
-  fs::remove_all(dir);
+  std::string dir = TestPath("nullstore_ref");
   ResultStore store(ResultStore::PathInDir(dir));
   ResumableSweep backed(runner_, &store, "test-rev");
   ExpectSeriesBitIdentical(
-      backed.Run(graph_, "fb@0.1", "quad5", config, metric), series);
+      RunQuad5(backed, graph_, config), series);
 }
 
 }  // namespace

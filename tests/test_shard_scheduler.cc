@@ -3,23 +3,15 @@
 // handles on one directory must partition, claim, steal, and fold to
 // output bit-identical to the unsharded sweep. The multi-process /
 // kill -9 half of the contract lives in test_shard_torture.cc.
-#include <filesystem>
 
 #include "gtest/gtest.h"
 #include "src/engine/resumable_sweep.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string FreshDir(const std::string& name) {
-  std::string dir = (fs::path(::testing::TempDir()) / name).string();
-  fs::remove_all(dir);
-  return dir;
-}
 
 MetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
@@ -91,7 +83,7 @@ TEST_F(ShardSchedulerTest, LoneWorkerStealsAbsentPeersChunksAndCompletes) {
   // Worker 0 of 3 launched alone: phase A covers its preferred chunks,
   // phase B finds the never-started peers' chunks unclaimed and steals
   // them all. The fold must equal the unsharded sweep bit-for-bit.
-  std::string dir = FreshDir("shard_lone");
+  std::string dir = TestPath("shard_lone");
   ResultStore store(ResultStore::PathInDir(dir));
   ResumableSweep sweep(runner_, &store, "test-rev");
   ShardSpec spec;
@@ -115,7 +107,7 @@ TEST_F(ShardSchedulerTest, SequentialWorkersPartitionWithoutOverlap) {
   // handles: each computes only its own chunks (no unit is computed
   // twice) and the second worker's fold — which replays the first
   // worker's records at open — matches the unsharded sweep.
-  std::string dir = FreshDir("shard_seq");
+  std::string dir = TestPath("shard_seq");
   size_t first_submitted = 0;
   {
     ResultStore store(ResultStore::PathInDir(dir));
@@ -151,7 +143,7 @@ TEST_F(ShardSchedulerTest, SequentialWorkersPartitionWithoutOverlap) {
 }
 
 TEST_F(ShardSchedulerTest, RerunOverCompleteStoreSubmitsNothing) {
-  std::string dir = FreshDir("shard_rerun");
+  std::string dir = TestPath("shard_rerun");
   ShardSpec spec;
   spec.index = 0;
   spec.total = 2;

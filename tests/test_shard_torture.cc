@@ -22,6 +22,7 @@
 #include "src/cli/sparsify_cli.h"
 #include "src/store/result_store.h"
 #include "src/util/failpoint.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
@@ -89,12 +90,6 @@ class ShardTortureTest : public ::testing::Test {
     fail::DisarmAll();
   }
 
-  std::string FreshDir(const std::string& name) {
-    std::string dir = (fs::path(::testing::TempDir()) / name).string();
-    fs::remove_all(dir);
-    return dir;
-  }
-
   struct WorkerSpec {
     size_t index = 0;
     std::string failpoints;     // SPARSIFY_FAILPOINTS, empty = none
@@ -146,12 +141,12 @@ class ShardTortureTest : public ::testing::Test {
 };
 
 TEST_F(ShardTortureTest, ThreeCleanWorkersConvergeToColdExport) {
-  std::string cold_dir = FreshDir("shardt_cold_ref");
+  std::string cold_dir = TestPath("shardt_cold_ref");
   ASSERT_EQ(RunCli(ColdArgs(cold_dir)), cli::kExitOk);
   const std::string want = CaptureExport(cold_dir);
   ASSERT_FALSE(want.empty());
 
-  std::string dir = FreshDir("shardt_clean");
+  std::string dir = TestPath("shardt_clean");
   fs::create_directories(dir);
   std::vector<pid_t> pids;
   for (size_t i = 0; i < 3; ++i) {
@@ -168,7 +163,7 @@ TEST_F(ShardTortureTest, ThreeCleanWorkersConvergeToColdExport) {
 
 TEST_F(ShardTortureTest, KilledWorkersAreStolenFromAndExportConverges) {
   // Cold single-process reference: never sharded, never crashed.
-  std::string cold_dir = FreshDir("shardt_cold");
+  std::string cold_dir = TestPath("shardt_cold");
   ASSERT_EQ(RunCli(ColdArgs(cold_dir)), cli::kExitOk);
   const std::string want = CaptureExport(cold_dir);
   ASSERT_FALSE(want.empty());
@@ -180,7 +175,7 @@ TEST_F(ShardTortureTest, KilledWorkersAreStolenFromAndExportConverges) {
   //   worker 1: segment rotation (segments capped at 512 bytes, so the
   //             second-ish append rotates) — dies between segment files;
   //   worker 2: lease renewal — dies when the heartbeat thread renews.
-  std::string dir = FreshDir("shardt_kill");
+  std::string dir = TestPath("shardt_kill");
   fs::create_directories(dir);
   const std::vector<WorkerSpec> specs = {
       {0, "store.append=kill@4", ""},
@@ -235,11 +230,11 @@ TEST_F(ShardTortureTest, RestartedWorkerStealsDeadWorkersClaim) {
   // durable claim with zero units done. A restart under a DIFFERENT
   // shard id does not prefer that chunk; completing it (and the rest of
   // the dead worker's share) can only happen through phase-B steals.
-  std::string cold_dir = FreshDir("shardt_steal_cold");
+  std::string cold_dir = TestPath("shardt_steal_cold");
   ASSERT_EQ(RunCli(ColdArgs(cold_dir)), cli::kExitOk);
   const std::string want = CaptureExport(cold_dir);
 
-  std::string dir = FreshDir("shardt_steal");
+  std::string dir = TestPath("shardt_steal");
   fs::create_directories(dir);
   WorkerSpec spec;
   spec.index = 0;

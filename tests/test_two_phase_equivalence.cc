@@ -175,7 +175,24 @@ TEST(TwoPhaseEdgeCases, ZeroTargetKeepsNothing) {
 // --------------------------------------------------------------------------
 // Grouped scheduler.
 
-std::vector<BatchResult> RunGroupedGrid(int num_threads, bool share) {
+double EdgeRatioPlusNoise(const Graph& orig, const Graph& sp, Rng& rng) {
+  return static_cast<double>(sp.NumEdges()) /
+             static_cast<double>(orig.NumEdges()) +
+         1e-12 * rng.NextDouble();
+}
+
+// `tasks` of `spec` (default: the full grid), one anonymous metric.
+std::vector<BatchMultiResult> RunCells(BatchRunner& runner, const Graph& g,
+                                       const BatchSpec& spec,
+                                       const BatchMetricFn& metric,
+                                       std::vector<BatchTask> tasks = {},
+                                       BatchRunStats* stats = nullptr) {
+  if (tasks.empty()) tasks = BatchRunner::ExpandGrid(spec);
+  return runner.RunTasksMulti(g, "", tasks, spec.master_seed,
+                              {BatchMetric{"", metric}}, nullptr, stats);
+}
+
+std::vector<BatchMultiResult> RunGroupedGrid(int num_threads) {
   Rng gen(88);
   Graph g = BarabasiAlbert(120, 3, gen);
   BatchSpec spec;
@@ -184,38 +201,32 @@ std::vector<BatchResult> RunGroupedGrid(int num_threads, bool share) {
   spec.runs = 2;
   spec.master_seed = 31;
   BatchRunner runner(num_threads);
-  runner.set_share_scores(share);
-  return runner.Run(g, spec,
-                    [](const Graph& orig, const Graph& sp, Rng& rng) {
-                      return static_cast<double>(sp.NumEdges()) /
-                                 static_cast<double>(orig.NumEdges()) +
-                             1e-12 * rng.NextDouble();
-                    });
+  return RunCells(runner, g, spec, EdgeRatioPlusNoise);
 }
 
-void ExpectIdentical(const std::vector<BatchResult>& a,
-                     const std::vector<BatchResult>& b) {
+void ExpectIdentical(const std::vector<BatchMultiResult>& a,
+                     const std::vector<BatchMultiResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].task.index, b[i].task.index);
     // EXPECT_EQ on doubles is exact: the contract is bit-identical.
     EXPECT_EQ(a[i].achieved_prune_rate, b[i].achieved_prune_rate);
-    EXPECT_EQ(a[i].value, b[i].value);
+    EXPECT_EQ(a[i].values[0].value, b[i].values[0].value);
   }
 }
 
 TEST(GroupedSchedulerTest, BitIdenticalAcrossThreadCounts) {
-  auto one = RunGroupedGrid(1, /*share=*/true);
-  auto two = RunGroupedGrid(2, /*share=*/true);
-  auto eight = RunGroupedGrid(8, /*share=*/true);
+  auto one = RunGroupedGrid(1);
+  auto two = RunGroupedGrid(2);
+  auto eight = RunGroupedGrid(8);
   ExpectIdentical(one, two);
   ExpectIdentical(one, eight);
 }
 
 TEST(GroupedSchedulerTest, DeterministicSparsifiersUnchangedBySharing) {
   // Sharing the scoring phase must not move a single bit for deterministic
-  // algorithms: their cells' masks are rng-free and the metric stream still
-  // derives from (master_seed, cell index).
+  // algorithms: each cell equals a one-shot Sparsify of the input, and
+  // the metric stream still derives from the cell's MetricSeed.
   Rng gen(89);
   Graph g = BarabasiAlbert(120, 3, gen);
   BatchSpec spec;
@@ -223,23 +234,22 @@ TEST(GroupedSchedulerTest, DeterministicSparsifiersUnchangedBySharing) {
   spec.prune_rates = SweepRates();
   spec.master_seed = 77;
   BatchRunner runner(2);
-  runner.set_share_scores(true);
-  auto shared = runner.Run(g, spec,
-                           [](const Graph& orig, const Graph& sp, Rng& rng) {
-                             return static_cast<double>(sp.NumEdges()) /
-                                        static_cast<double>(orig.NumEdges()) +
-                                    1e-12 * rng.NextDouble();
-                           });
-  runner.set_share_scores(false);
-  auto per_cell = runner.Run(g, spec,
-                             [](const Graph& orig, const Graph& sp,
-                                Rng& rng) {
-                               return static_cast<double>(sp.NumEdges()) /
-                                          static_cast<double>(
-                                              orig.NumEdges()) +
-                                      1e-12 * rng.NextDouble();
-                             });
-  ExpectIdentical(shared, per_cell);
+  auto shared = RunCells(runner, g, spec, EdgeRatioPlusNoise);
+  ASSERT_FALSE(shared.empty());
+  for (const BatchMultiResult& r : shared) {
+    const BatchTask& task = r.task;
+    Rng unused(1);
+    Graph sparsified = CreateSparsifier(task.sparsifier)
+                           ->Sparsify(g, task.prune_rate, unused);
+    Rng metric_rng(BatchRunner::MetricSeed(spec.master_seed, "",
+                                           task.sparsifier, task.prune_rate,
+                                           task.run, ""));
+    EXPECT_EQ(r.achieved_prune_rate,
+              Sparsifier::AchievedPruneRate(g, sparsified))
+        << task.sparsifier << "@" << task.prune_rate;
+    EXPECT_EQ(r.values[0].value, EdgeRatioPlusNoise(g, sparsified, metric_rng))
+        << task.sparsifier << "@" << task.prune_rate;
+  }
 }
 
 TEST(GroupedSchedulerTest, SubsetRunMatchesFullGrid) {
@@ -254,19 +264,15 @@ TEST(GroupedSchedulerTest, SubsetRunMatchesFullGrid) {
   spec.runs = 2;
   spec.master_seed = 5;
   BatchRunner runner(2);
-  auto metric = [](const Graph& orig, const Graph& sp, Rng& rng) {
-    return static_cast<double>(sp.NumEdges()) /
-               static_cast<double>(orig.NumEdges()) +
-           1e-12 * rng.NextDouble();
-  };
-  auto full = runner.Run(g, spec, metric);
+  auto full = RunCells(runner, g, spec, EdgeRatioPlusNoise);
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   std::vector<BatchTask> subset;
   for (size_t i = 0; i < tasks.size(); i += 3) subset.push_back(tasks[i]);
-  auto partial = runner.RunTasks(g, subset, spec.master_seed, metric);
+  auto partial = RunCells(runner, g, spec, EdgeRatioPlusNoise, subset);
   ASSERT_EQ(partial.size(), subset.size());
   for (size_t j = 0; j < partial.size(); ++j) {
-    EXPECT_EQ(partial[j].value, full[subset[j].index].value);
+    EXPECT_EQ(partial[j].values[0].value,
+              full[subset[j].index].values[0].value);
     EXPECT_EQ(partial[j].achieved_prune_rate,
               full[subset[j].index].achieved_prune_rate);
   }
@@ -287,13 +293,19 @@ TEST(GroupedSchedulerTest, SharingSchedulesOneScorePassPerGroup) {
   // LD deterministic: 9 rates x 1 run; RN: 9 rates x 2 runs.
   ASSERT_EQ(tasks.size(), 9u + 18u);
   BatchRunStats stats;
-  runner.RunTasks(g, tasks, spec.master_seed, metric, nullptr, &stats);
+  RunCells(runner, g, spec, metric, tasks, &stats);
   EXPECT_EQ(stats.cells, 27u);
   EXPECT_EQ(stats.score_groups, 3u);  // (LD,0), (RN,0), (RN,1)
+  EXPECT_EQ(stats.subgraph_builds, 27u);
 
-  runner.set_share_scores(false);
-  runner.RunTasks(g, tasks, spec.master_seed, metric, nullptr, &stats);
-  EXPECT_EQ(stats.score_groups, 27u);  // legacy: every cell rescored
+  // One run per cell (the throughput bench's cold baseline) rescores
+  // every cell.
+  size_t score_groups = 0;
+  for (const BatchTask& task : tasks) {
+    RunCells(runner, g, spec, metric, {task}, &stats);
+    score_groups += stats.score_groups;
+  }
+  EXPECT_EQ(score_groups, 27u);
 }
 
 TEST(GroupedSchedulerTest, GroupSeedIndependentOfGridShape) {
