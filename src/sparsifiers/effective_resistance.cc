@@ -24,14 +24,14 @@ std::vector<double> ApproxEffectiveResistances(const Graph& g, Rng& rng,
   for (int i = 0; i < k; ++i) {
     SPARSIFY_CHECK_CANCELLED();  // once per JL dimension (one CG solve)
     // b = B^T W^{1/2} q_i where q_i has +-1/sqrt(k) entries: each edge e
-    // contributes q_i[e] * sqrt(w_e) * (e_u - e_v).
+    // contributes q_i[e] * sqrt(w_e) * (e_u - e_v). Each q_i[e] is used
+    // once, so it is drawn inline (in edge order) rather than stored.
     std::fill(b.begin(), b.end(), 0.0);
-    std::vector<double> q(m);
     double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
     for (EdgeId e = 0; e < m; ++e) {
-      q[e] = rng.NextBernoulli(0.5) ? inv_sqrt_k : -inv_sqrt_k;
+      const double q = rng.NextBernoulli(0.5) ? inv_sqrt_k : -inv_sqrt_k;
       const Edge& ed = g.CanonicalEdge(e);
-      double c = q[e] * std::sqrt(ed.w);
+      double c = q * std::sqrt(ed.w);
       b[ed.u] += c;
       b[ed.v] -= c;
     }
@@ -96,13 +96,13 @@ std::unique_ptr<ScoreState> EffectiveResistanceSparsifier::PrepareScores(
                                            std::vector<double>{});
   }
 
-  std::vector<double> resistance = ApproxEffectiveResistances(g, rng);
   // Sampling probabilities p_e proportional to w_e * R_e (Spielman &
-  // Srivastava). For a connected graph sum_e w_e R_e = n - 1.
-  std::vector<double> p(m);
+  // Srivastava), computed in place over the resistances. For a connected
+  // graph sum_e w_e R_e = n - 1.
+  std::vector<double> p = ApproxEffectiveResistances(g, rng);
   double total = 0.0;
   for (EdgeId e = 0; e < m; ++e) {
-    p[e] = std::max(1e-300, g.EdgeWeight(e) * resistance[e]);
+    p[e] = std::max(1e-300, g.EdgeWeight(e) * p[e]);
     total += p[e];
   }
   for (double& pe : p) pe /= total;
@@ -122,7 +122,8 @@ std::unique_ptr<ScoreState> EffectiveResistanceSparsifier::PrepareScores(
   std::vector<EdgeId> hit_order;
   std::vector<uint64_t> draws_at;
   hit_order.reserve(m);
-  draws_at.reserve(m);
+  // Only ER-w's Horvitz-Thompson weights read draws_at and p.
+  if (reweight_) draws_at.reserve(m);
   EdgeId distinct = 0;
   uint64_t draws = 0;
   const uint64_t max_draws = 400ULL * m + 1000000ULL;
@@ -138,7 +139,7 @@ std::unique_ptr<ScoreState> EffectiveResistanceSparsifier::PrepareScores(
     if (!hit[e]) {
       hit[e] = 1;
       hit_order.push_back(e);
-      draws_at.push_back(draws);
+      if (reweight_) draws_at.push_back(draws);
       ++distinct;
     }
   }
@@ -155,11 +156,12 @@ std::unique_ptr<ScoreState> EffectiveResistanceSparsifier::PrepareScores(
     for (EdgeId e : rest) {
       ++draws;
       hit_order.push_back(e);
-      draws_at.push_back(draws);
+      if (reweight_) draws_at.push_back(draws);
     }
   }
-  return std::make_unique<ErSampleState>(&g, std::move(hit_order),
-                                         std::move(draws_at), std::move(p));
+  return std::make_unique<ErSampleState>(
+      &g, std::move(hit_order), std::move(draws_at),
+      reweight_ ? std::move(p) : std::vector<double>{});
 }
 
 RateMask EffectiveResistanceSparsifier::MaskForRate(const ScoreState& state,

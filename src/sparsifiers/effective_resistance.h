@@ -53,9 +53,11 @@ class ErSampleState : public ScoreState {
   /// never hit before the draw cap are appended by descending p).
   const std::vector<EdgeId>& hit_order() const { return hit_order_; }
   /// draws_at()[t] = total with-replacement draws made when the (t+1)-th
-  /// distinct edge was hit.
+  /// distinct edge was hit. Empty for ER-uw, whose MaskForRate keeps a
+  /// prefix of hit_order() and never reads it.
   const std::vector<uint64_t>& draws_at() const { return draws_at_; }
-  /// Normalized sampling probabilities p_e ~ w_e R_e.
+  /// Normalized sampling probabilities p_e ~ w_e R_e. Empty for ER-uw,
+  /// like draws_at().
   const std::vector<double>& p() const { return p_; }
 
  private:

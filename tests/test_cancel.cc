@@ -1,11 +1,12 @@
 // Cancellation, deadlines, watchdog, and graceful-shutdown plumbing:
 // token semantics (flag, deadline latch, parent chain), the one-load-
 // when-unarmed check macro, cooperative checks inside the traversal /
-// CG / ER kernels, ThreadPool Stop(drain|abandon), the hang failpoint,
-// the watchdog's dump-then-cancel escalation, the signal bridge, and
-// the engine-level contracts: a timed-out unit fails ALONE as a typed
-// "deadline" error record, and a run-level cancellation leaves the
-// store consistent so --resume reproduces the cold run bit-identically.
+// CG / ER / t-spanner kernels, ThreadPool Stop(drain|abandon), the hang
+// failpoint, the watchdog's dump-then-cancel escalation, the signal
+// bridge, and the engine-level contracts: a timed-out unit fails ALONE as
+// a typed "deadline" error record, and a run-level cancellation leaves
+// the store consistent so --resume reproduces the cold run
+// bit-identically.
 #include "src/util/cancel.h"
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/sparsifiers/effective_resistance.h"
+#include "src/sparsifiers/t_spanner.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
 #include "src/util/thread_pool.h"
@@ -139,7 +141,8 @@ TEST(CancelScopeTest, NullScopeIsANoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel checks: BFS rounds, Dijkstra buckets, CG-backed ER scoring
+// Kernel checks: BFS rounds, Dijkstra buckets, CG-backed ER scoring,
+// the t-spanner's greedy edge scan
 // ---------------------------------------------------------------------------
 
 class KernelCancelTest : public ::testing::Test {
@@ -175,6 +178,17 @@ TEST_F(KernelCancelTest, ErScoringObservesDeadlineBeforeAnyCgSolve) {
   EffectiveResistanceSparsifier er(/*reweight=*/false);
   Rng rng(42);
   EXPECT_THROW(er.PrepareScores(g, rng), DeadlineExceededError);
+}
+
+TEST_F(KernelCancelTest, SpannerScoringObservesDeadline) {
+  Rng gen(12);
+  Graph g = BarabasiAlbert(4000, 5, gen);  // ~20k edges
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  TSpannerSparsifier sp(3.0);
+  Rng rng(43);
+  EXPECT_THROW(sp.PrepareScores(g, rng), DeadlineExceededError);
 }
 
 TEST_F(KernelCancelTest, NestedParallelForPropagatesTheCallerToken) {

@@ -4,6 +4,13 @@
 // quadratic-form preservation, similarity orderings, etc.).
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <queue>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +25,7 @@
 #include "src/sparsifiers/spanning_forest.h"
 #include "src/sparsifiers/t_spanner.h"
 #include "src/util/rng.h"
+#include "tests/test_graphs.h"
 
 namespace sparsify {
 namespace {
@@ -238,6 +246,144 @@ TEST(TSpannerTest, PreservesConnectivity) {
 TEST(TSpannerTest, InvalidStretchThrows) {
   EXPECT_THROW(TSpannerSparsifier(1.0), std::invalid_argument);
 }
+
+// The greedy spanner as first written: edges in stable ascending-weight
+// order, each tested with a fresh std::priority_queue Dijkstra over
+// per-vertex adjacency vectors. The production scan (flat adjacency,
+// bidirectional hop-bounded BFS on unit weights) must match it bit for bit.
+std::vector<uint8_t> ReferenceSpannerMask(const Graph& g, double t) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<EdgeId> order(g.NumEdges());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+    return g.EdgeWeight(a) < g.EdgeWeight(b);
+  });
+  std::vector<std::vector<std::pair<NodeId, double>>> adj(g.NumVertices());
+  std::vector<uint8_t> keep(g.NumEdges(), 0);
+  std::vector<double> dist(g.NumVertices(), inf);
+  std::vector<NodeId> touched;
+  for (EdgeId e : order) {
+    const Edge& ed = g.CanonicalEdge(e);
+    const double bound = t * ed.w;
+    using Item = std::pair<double, NodeId>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist[ed.u] = 0.0;
+    touched.push_back(ed.u);
+    pq.emplace(0.0, ed.u);
+    double d_uv = inf;
+    while (!pq.empty()) {
+      auto [d, v] = pq.top();
+      pq.pop();
+      if (d > dist[v]) continue;
+      if (v == ed.v) {
+        d_uv = d;
+        break;
+      }
+      if (d > bound) break;
+      for (auto [w, ew] : adj[v]) {
+        const double nd = d + ew;
+        if (nd < dist[w] && nd <= bound) {
+          dist[w] = nd;
+          touched.push_back(w);
+          pq.emplace(nd, w);
+        }
+      }
+    }
+    for (NodeId v : touched) dist[v] = inf;
+    touched.clear();
+    if (d_uv > bound) {
+      keep[e] = 1;
+      adj[ed.u].emplace_back(ed.v, ed.w);
+      adj[ed.v].emplace_back(ed.u, ed.w);
+    }
+  }
+  return keep;
+}
+
+Graph MakeHubHeavy() {
+  Rng rng(501);
+  return BarabasiAlbert(1000, 5, rng);
+}
+
+// Weights from {1, 2, 3}: many equal keys, so the stable greedy order and
+// the heap's (distance, vertex) tie-breaking both matter.
+Graph MakeTiedWeights() {
+  Rng rng(502);
+  std::vector<Edge> edges = ErdosRenyi(200, 900, false, rng).Edges();
+  for (size_t i = 0; i < edges.size(); ++i) edges[i].w = 1.0 + (i % 3);
+  return Graph::FromEdges(200, edges, false, /*weighted=*/true);
+}
+
+// Flagged weighted but every weight is 1: takes the unit-weight BFS path.
+Graph MakeUnitWeighted() {
+  Rng rng(503);
+  std::vector<Edge> edges = ErdosRenyi(300, 1200, false, rng).Edges();
+  return Graph::FromEdges(300, edges, false, /*weighted=*/true);
+}
+
+const std::vector<GraphCase>& SpannerCases() {
+  static const std::vector<GraphCase> cases = [] {
+    std::vector<GraphCase> all = UndirectedCases();
+    all.push_back({"hub_ba", MakeHubHeavy});
+    all.push_back({"tied_weights", MakeTiedWeights});
+    all.push_back({"unit_weighted", MakeUnitWeighted});
+    return all;
+  }();
+  return cases;
+}
+
+class TSpannerGreedyTest
+    : public ::testing::TestWithParam<std::tuple<size_t, double>> {
+ protected:
+  const GraphCase& Case() const {
+    return SpannerCases()[std::get<0>(GetParam())];
+  }
+  double Stretch() const { return std::get<1>(GetParam()); }
+  std::vector<uint8_t> Mask(const Graph& g) const {
+    TSpannerSparsifier sp(Stretch());
+    Rng rng(16);
+    return sp.MaskForRate(*sp.PrepareScores(g, rng), 0.0).keep;
+  }
+};
+
+// t = 2.5 pins the floor(t) hop rule: on unit weights a 3-hop detour is
+// 3 > 2.5, so the edge stays.
+TEST_P(TSpannerGreedyTest, MatchesReferenceGreedyBitForBit) {
+  Graph g = Case().make();
+  EXPECT_EQ(Mask(g), ReferenceSpannerMask(g, Stretch()))
+      << Case().name << " t=" << Stretch();
+}
+
+// Stretch oracle: every dropped edge (u, v) has a path of length at most
+// t * w(u, v) among the kept edges.
+TEST_P(TSpannerGreedyTest, DroppedEdgesHaveStretchPaths) {
+  Graph g = Case().make();
+  std::vector<uint8_t> keep = Mask(g);
+  Graph h = g.Subgraph(keep);
+  NodeId source = kInvalidNode;
+  std::vector<double> dist;
+  // Canonical edges are sorted by u, so one SSSP serves each source.
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if (keep[e]) continue;
+    const Edge& ed = g.CanonicalEdge(e);
+    if (ed.u != source) {
+      source = ed.u;
+      dist = ShortestPathDistances(h, source);
+    }
+    EXPECT_LE(dist[ed.v], Stretch() * ed.w * (1.0 + 1e-12))
+        << Case().name << " t=" << Stretch() << " dropped " << ed.u << "-"
+        << ed.v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TSpannerGreedyTest,
+    ::testing::Combine(::testing::Range<size_t>(0, SpannerCases().size()),
+                       ::testing::Values(2.5, 3.0, 5.0, 7.0)),
+    [](const ::testing::TestParamInfo<std::tuple<size_t, double>>& i) {
+      return SpannerCases()[std::get<0>(i.param)].name + "_t" +
+             std::to_string(static_cast<int>(std::get<1>(i.param) * 10));
+    });
 
 // --------------------------------------------------------------------------
 // Similarity scores
