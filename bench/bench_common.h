@@ -8,7 +8,7 @@
 //                 concurrency; output is identical at any thread count)
 //   --seed=<n>    master seed of the sweep grid (default 42)
 //   --csv         emit CSV rows instead of pivot tables
-//   --store=<dir> persist every completed cell to dir/results.jsonl
+//   --store=<dir> persist every completed cell to store directory <dir>
 //   --resume      consult the store first; schedule only missing cells
 //
 // Unknown --flags are an error, not a silent no-op: a typo like

@@ -349,8 +349,7 @@ int RunFigures(const std::vector<std::string>& ids,
   BatchRunner runner(opt.threads);
   std::unique_ptr<ResultStore> store;
   if (!opt.store_dir.empty()) {
-    store =
-        std::make_unique<ResultStore>(ResultStore::PathInDir(opt.store_dir));
+    store = std::make_unique<ResultStore>(opt.store_dir);
   }
 
   // Datasets are cached across figures (1a/1b, 4a/4b share one).
@@ -385,7 +384,7 @@ int RunFigures(const std::vector<std::string>& ids,
         &stats);
     const std::vector<SweepSeries>& series = out[0].series;
     if (store != nullptr) {
-      os << "# store " << store->Path() << ": total=" << stats.total_cells
+      os << "# store " << store->Dir() << ": total=" << stats.total_cells
          << " cached=" << stats.cached_cells
          << " submitted=" << stats.submitted_cells << "\n";
     }

@@ -247,17 +247,18 @@ int Usage() {
          "metrics, runs=10); explicit flags override it, and --scale\n"
          "accepts per-dataset overrides (--scale=0.5,web-Google=0.2).\n"
          "A sweep with --store appends every completed (cell, metric)\n"
-         "unit to DIR/results.jsonl (one flushed JSONL record each); with\n"
-         "--resume it first replays the store and schedules only the\n"
-         "missing units — resuming with MORE metrics schedules only the\n"
-         "new metrics' cells — reproducing the uninterrupted output\n"
-         "bit-identically. `ingest` parses a SNAP edge list once, builds\n"
-         "the CSR in parallel, and (with --cache=DIR) writes a\n"
-         "content-addressed binary cache that later runs load in one bulk\n"
-         "read; its dataset key is ingest-<hash>. --trace=FILE exports the\n"
-         "run's spans as Chrome trace_event JSON (chrome://tracing /\n"
-         "ui.perfetto.dev); --progress prints a ~1s heartbeat to stderr\n"
-         "(completed/total units, ETA). Run `sparsify_cli list` for names.\n"
+         "unit to its own log segment in the store directory DIR (one\n"
+         "flushed JSONL record each); with --resume it first replays the\n"
+         "store and schedules only the missing units — resuming with MORE\n"
+         "metrics schedules only the new metrics' cells — reproducing the\n"
+         "uninterrupted output bit-identically. `ingest` parses a SNAP\n"
+         "edge list once, builds the CSR in parallel, and (with\n"
+         "--cache=DIR) writes a content-addressed binary cache that later\n"
+         "runs load in one bulk read; its dataset key is ingest-<hash>.\n"
+         "--trace=FILE exports the run's spans as Chrome trace_event JSON\n"
+         "(chrome://tracing / ui.perfetto.dev); --progress prints a ~1s\n"
+         "heartbeat to stderr (completed/total units, ETA). Run\n"
+         "`sparsify_cli list` for names.\n"
          "\n"
          "Sweeps are error-tolerant: a failing (cell, metric) unit is\n"
          "retried (transient failures, --max-unit-retries extra attempts)\n"
@@ -556,8 +557,7 @@ int CmdSweep(const Args& args, bool profile_mode) {
   if (args.Has("store")) {
     ResultStoreOptions store_options;
     store_options.lease_ttl_seconds = lease_ttl;
-    store = std::make_unique<ResultStore>(
-        ResultStore::PathInDir(args.Get("store")), store_options);
+    store = std::make_unique<ResultStore>(args.Get("store"), store_options);
   }
 
   std::string joined_metrics;
@@ -771,7 +771,7 @@ int CmdExport(const Args& args) {
   // can be exported mid-run.
   ResultStoreOptions snapshot;
   snapshot.read_only = true;
-  ResultStore store(ResultStore::PathInDir(args.Get("store")), snapshot);
+  ResultStore store(args.Get("store"), snapshot);
   ExportStore(store, std::cout, format == "csv", args.Get("dataset"),
               args.Get("metric"));
   return 0;
@@ -784,7 +784,7 @@ int CmdLs(const Args& args) {
   }
   ResultStoreOptions snapshot;
   snapshot.read_only = true;
-  ResultStore store(ResultStore::PathInDir(args.Get("store")), snapshot);
+  ResultStore store(args.Get("store"), snapshot);
   SummarizeStore(store, std::cout);
   return 0;
 }
@@ -794,9 +794,9 @@ int CmdCompact(const Args& args) {
     std::cerr << "compact requires --store=DIR\n";
     return 1;
   }
-  ResultStore store(ResultStore::PathInDir(args.Get("store")));
+  ResultStore store(args.Get("store"));
   CompactStats stats = store.Compact();
-  std::cout << "compacted " << store.Path() << ": " << stats.records_before
+  std::cout << "compacted " << store.Dir() << ": " << stats.records_before
             << " -> " << stats.records_after << " records, "
             << stats.bytes_before << " -> " << stats.bytes_after
             << " bytes\n";
@@ -839,7 +839,7 @@ int CmdMerge(const Args& args) {
   // The output opens WRITABLE first (a cooperative lease like any
   // writer); the commit itself demands sole-writer exclusivity and
   // throws StoreLockHeldError -> exit 3 while a sweep is running there.
-  ResultStore out(ResultStore::PathInDir(out_dir));
+  ResultStore out(out_dir);
 
   // Fold order: OUT's own cells first, then each input in argv order, so
   // later inputs win ties. Cross-store, a success always beats an error
@@ -867,7 +867,7 @@ int CmdMerge(const Args& args) {
   for (const std::string& dir : inputs) {
     ResultStoreOptions snapshot;
     snapshot.read_only = true;
-    ResultStore in(ResultStore::PathInDir(dir), snapshot);
+    ResultStore in(dir, snapshot);
     for (const StoredCell& cell : in.Cells()) {
       fold(cell);
       ++input_records;
@@ -876,7 +876,7 @@ int CmdMerge(const Args& args) {
   out.ReplaceWithMerged(std::move(merged));
 
   std::cout << "merged " << inputs.size() << " store(s), " << input_records
-            << " cell(s) -> " << out.Path() << ": " << out.Size()
+            << " cell(s) -> " << out.Dir() << ": " << out.Size()
             << " cell(s)";
   if (out.ErrorCount() > 0) {
     std::cout << " (" << out.ErrorCount()

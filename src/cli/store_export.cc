@@ -124,7 +124,7 @@ void ExportStore(const ResultStore& store, std::ostream& os, bool csv,
 }
 
 void SummarizeStore(const ResultStore& store, std::ostream& os) {
-  os << "store: " << store.Path() << "\n";
+  os << "store: " << store.Dir() << "\n";
   os << "cells: " << store.Size();
   if (store.ErrorCount() > 0) {
     os << " (" << store.ErrorCount()

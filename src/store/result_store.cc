@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "src/obs/counters.h"
@@ -19,7 +21,6 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <signal.h>
-#include <sys/file.h>
 #include <unistd.h>
 #define SPARSIFY_STORE_HAS_POSIX 1
 #endif
@@ -221,10 +222,11 @@ constexpr char kCrcSuffix[] = ",\"crc32c\":\"";
 constexpr size_t kCrcSuffixLen = sizeof(kCrcSuffix) - 1;
 constexpr size_t kCrcHexLen = 8;
 
-std::string SerializeHeader(int version) {
+std::string SerializeHeader() {
   std::string line = "{\"format\":\"";
   line += kFormatName;
-  line += "\",\"version\":" + std::to_string(version) + "}\n";
+  line += "\",\"version\":" +
+          std::to_string(ResultStore::kFormatVersion) + "}\n";
   return line;
 }
 
@@ -242,19 +244,15 @@ std::string WithCrc(std::string record) {
   return record;
 }
 
-enum class CrcStatus {
-  kOk,      // checksum present and correct
-  kLegacy,  // no checksum field (version-1 record): accepted
-  kBad,     // checksum present but wrong, or malformed
-};
-
-CrcStatus CheckLineCrc(const std::string& line) {
+// True when `line` ends in a well-formed, matching checksum field. A
+// record without one is as corrupt as one whose checksum fails.
+bool CrcOk(const std::string& line) {
   const size_t p = line.rfind(kCrcSuffix);
-  if (p == std::string::npos) return CrcStatus::kLegacy;
   // The suffix must be exactly the final field: ,"crc32c":"XXXXXXXX"}
-  if (p + kCrcSuffixLen + kCrcHexLen + 2 != line.size() ||
+  if (p == std::string::npos ||
+      p + kCrcSuffixLen + kCrcHexLen + 2 != line.size() ||
       line.compare(line.size() - 2, 2, "\"}") != 0) {
-    return CrcStatus::kBad;
+    return false;
   }
   uint32_t want = 0;
   for (size_t i = 0; i < kCrcHexLen; ++i) {
@@ -265,14 +263,14 @@ CrcStatus CheckLineCrc(const std::string& line) {
     } else if (c >= 'a' && c <= 'f') {
       digit = static_cast<uint32_t>(c - 'a' + 10);
     } else {
-      return CrcStatus::kBad;  // writer emits lowercase hex only
+      return false;  // writer emits lowercase hex only
     }
     want = (want << 4) | digit;
   }
   // Covered bytes: everything before the suffix, re-closed.
   std::string covered = line.substr(0, p);
   covered += '}';
-  return Crc32c(covered) == want ? CrcStatus::kOk : CrcStatus::kBad;
+  return Crc32c(covered) == want;
 }
 
 // Record body without checksum or newline; WithCrc finishes the line.
@@ -363,6 +361,7 @@ LineKind ParseLine(const std::string& line, StoredCell* cell,
              : LineKind::kBad;
 }
 
+
 bool ParseHeader(const std::string& line) {
   FieldMap fields;
   if (!ParseFlatObject(line, &fields)) return false;
@@ -373,9 +372,7 @@ bool ParseHeader(const std::string& line) {
     return false;
   }
   if (format != kFormatName) return false;
-  // Version 1 (no record CRCs) is read- and append-compatible; anything
-  // newer than this binary writes is not.
-  if (version < 1 || version > ResultStore::kFormatVersion) {
+  if (version != ResultStore::kFormatVersion) {
     throw StoreCorruptError("result store: unsupported version " +
                             std::to_string(version));
   }
@@ -407,6 +404,13 @@ uint64_t SegmentBytesFromEnv(uint64_t fallback) {
   return v;
 }
 
+// The compaction/merge output inside a store directory.
+constexpr char kBaseName[] = "results.jsonl";
+
+// A writer rotates to its next segment once the current one reaches this
+// size; SPARSIFY_STORE_SEGMENT_BYTES overrides it.
+constexpr uint64_t kSegmentBytes = 64ull << 20;
+
 // Appends between fsyncs under FsyncPolicy::kBatch. Small enough that a
 // power loss costs at most one batch of ~200-byte records, large enough
 // that fsync latency amortizes out of the append path.
@@ -432,10 +436,19 @@ bool PidProvablyDead(long pid) {
 #endif
 }
 
-// Segment file name pattern: log.<writer>.<n>.jsonl. Returns false for
-// anything else in the directory.
-bool ParseSegmentName(const std::string& name, std::string* writer,
-                      uint64_t* n) {
+// One segment file, `log.<writer>.<seq>.jsonl`.
+struct Segment {
+  uint64_t seq = 0;
+  std::string writer;
+  std::string path;
+  bool operator<(const Segment& o) const {
+    return std::tie(seq, writer) < std::tie(o.seq, o.writer);
+  }
+};
+
+// Parses a segment file name. Returns false for anything else in the
+// directory.
+bool ParseSegmentName(const std::string& name, Segment* seg) {
   if (name.rfind("log.", 0) != 0) return false;
   if (name.size() < 11 || name.compare(name.size() - 6, 6, ".jsonl") != 0) {
     return false;
@@ -449,22 +462,24 @@ bool ParseSegmentName(const std::string& name, std::string* writer,
   char* end = nullptr;
   const unsigned long long v = std::strtoull(num.c_str(), &end, 10);
   if (end != num.c_str() + num.size()) return false;
-  *writer = middle.substr(0, dot);
-  *n = v;
+  seg->writer = middle.substr(0, dot);
+  seg->seq = v;
   return true;
 }
 
-// All segment files in `dir`, sorted by (writer, n) for deterministic
-// replay order.
-std::vector<std::pair<std::pair<std::string, uint64_t>, std::string>>
-ListSegments(const std::string& dir) {
-  std::vector<std::pair<std::pair<std::string, uint64_t>, std::string>> segs;
+// All segment files in `dir`, in acquisition order. A writer numbers its
+// chain from one past every segment present when it opened (read under
+// the lease-dir flock), so a later session's records replay after an
+// earlier one's. Equal numbers belong to concurrent writers, whose values
+// for equal keys are bit-identical; the writer id only fixes the order.
+std::vector<Segment> ListSegments(const std::string& dir) {
+  std::vector<Segment> segs;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::string writer;
-    uint64_t n = 0;
-    if (ParseSegmentName(entry.path().filename().string(), &writer, &n)) {
-      segs.push_back({{writer, n}, entry.path().string()});
+    Segment seg;
+    if (ParseSegmentName(entry.path().filename().string(), &seg)) {
+      seg.path = entry.path().string();
+      segs.push_back(std::move(seg));
     }
   }
   std::sort(segs.begin(), segs.end());
@@ -482,64 +497,10 @@ long PidSuffixOf(const std::string& name) {
   return v;
 }
 
-// Truncates the torn (unterminated or checksum-torn) tail of a dead
-// writer's segment so the file returns to whole-line form — the "sealed"
-// state. Interior corruption is left alone: sealing must never mask bit
-// rot that replay is supposed to report.
-void SealSegmentFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return;
+std::string ReadWholeFile(std::ifstream& in) {
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string content = buf.str();
-  size_t pos = 0;
-  size_t line_no = 0;
-  size_t valid = 0;
-  while (pos < content.size()) {
-    const size_t nl = content.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail: cut at `valid`
-    const std::string line = content.substr(pos, nl - pos);
-    bool ok;
-    if (line_no == 0) {
-      try {
-        ok = ParseHeader(line);
-      } catch (const StoreCorruptError&) {
-        ok = false;
-      }
-    } else {
-      StoredCell cell;
-      StoredClaim claim;
-      ok = ParseLine(line, &cell, &claim) != LineKind::kBad &&
-           CheckLineCrc(line) != CrcStatus::kBad;
-    }
-    if (!ok) return;  // terminated bad line: not a torn tail, leave it
-    pos = nl + 1;
-    valid = pos;
-    ++line_no;
-  }
-  if (valid < content.size()) {
-    std::error_code ec;
-    fs::resize_file(path, valid, ec);
-  }
-}
-
-// True when `path` holds nothing but (at most) a header line — the
-// leftover of a writer killed right after segment rotation.
-bool SegmentIsEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  if (content.empty()) return true;
-  const size_t nl = content.find('\n');
-  if (nl == std::string::npos) return true;  // torn header only
-  if (nl + 1 != content.size()) return false;
-  try {
-    return ParseHeader(content.substr(0, nl));
-  } catch (const StoreCorruptError&) {
-    return false;
-  }
+  return buf.str();
 }
 
 }  // namespace
@@ -566,31 +527,32 @@ std::string CellKey::Canonical() const {
   return s;
 }
 
-ResultStore::ResultStore(std::string path, ResultStoreOptions options)
-    : path_(std::move(path)), options_(options) {
-  const fs::path p(path_);
-  dir_ = p.has_parent_path() ? p.parent_path().string() : std::string(".");
+ResultStore::ResultStore(std::string dir, ResultStoreOptions options)
+    : dir_(std::move(dir)), options_(options) {
   fsync_policy_ = FsyncPolicyFromEnv(FsyncPolicy::kBatch);
   options_.lease_ttl_seconds =
       lease::TtlFromEnv(options_.lease_ttl_seconds);
-  options_.segment_bytes = SegmentBytesFromEnv(options_.segment_bytes);
+  segment_bytes_ = SegmentBytesFromEnv(kSegmentBytes);
   SPARSIFY_FAILPOINT("store.lock");
-  if (!options_.read_only) {
-    writer_id_ = lease::NewWriterId();
-    AcquireLease();
-  }
-  try {
+  if (options_.read_only) {
     Replay();
-    if (!options_.read_only) StartHeartbeat();
+    return;
+  }
+  writer_id_ = lease::NewWriterId();
+  try {
+    // One critical section (the flock also creates the directory): no
+    // other opener can settle the same gone writer's tail concurrently.
+    lease::LeaseDirLock dir_lock(dir_);
+    AcquireLeaseLocked();
+    Replay();
   } catch (...) {
     // The destructor never runs when the constructor throws: drop the
     // lease here or a failed open would leave a ghost writer for the
     // lease TTL.
-    if (!options_.read_only) {
-      lease::RemoveLease(dir_, writer_id_);
-    }
+    lease::RemoveLease(dir_, writer_id_);
     throw;
   }
+  StartHeartbeat();
 }
 
 ResultStore::~ResultStore() {
@@ -610,83 +572,46 @@ ResultStore::~ResultStore() {
     }
 #endif
   }
-  if (!options_.read_only && !writer_id_.empty()) {
+  if (!writer_id_.empty()) {
     // Release the lease so peers see this writer as dead immediately
     // (a leaked lease file is reaped as stale by the next acquirer).
     lease::RemoveLease(dir_, writer_id_);
   }
 }
 
-std::string ResultStore::PathInDir(const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  return (std::filesystem::path(dir) / DefaultFileName()).string();
+std::string ResultStore::BasePath() const {
+  return (fs::path(dir_) / kBaseName).string();
 }
 
-ResultStore ResultStore::OpenInDir(const std::string& dir,
-                                   ResultStoreOptions options) {
-  return ResultStore(PathInDir(dir), options);
-}
-
-void ResultStore::AcquireLease() {
+void ResultStore::AcquireLeaseLocked() {
   SPARSIFY_FAILPOINT("store.lease.acquire");
-  lease::LeaseDirLock dir_lock(dir_);
   ReapStaleWritersLocked();
-  // Base-file ownership: exactly one live writer appends to the base
-  // `results.jsonl` (so a single-process store looks exactly like it
-  // always did); everyone else appends to their own segment chain. First
-  // live acquirer without a competing owner takes it.
-  owns_base_ = true;
-  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
-    if (info.writer != writer_id_ && info.owns_base) {
-      owns_base_ = false;
-      break;
-    }
-  }
   lease::LeaseInfo mine;
   mine.writer = writer_id_;
   mine.pid = OwnPid();
   mine.heartbeat = 0;
   mine.ttl_seconds = options_.lease_ttl_seconds;
-  mine.owns_base = owns_base_;
   lease::WriteLease(dir_, mine);
 }
 
 void ResultStore::ReapStaleWritersLocked() {
   static obs::Counter& reaped = obs::GetCounter("store.reaped_leases");
-  const std::string base_name = fs::path(path_).filename().string();
-  // Dead writers first: seal their newest segment (truncate a torn tail),
-  // drop segments that never got past their header, drop the lease.
+  // Dead writers lose their lease. Their segments stay: replay settles a
+  // gone writer's torn tail and removes its header-only leftovers.
   for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
-    if (info.writer == writer_id_) continue;
-    if (!PidProvablyDead(info.pid)) continue;
-    std::vector<std::pair<uint64_t, std::string>> own_segs;
-    for (const auto& [key, seg_path] : ListSegments(dir_)) {
-      if (key.first == info.writer) own_segs.push_back({key.second, seg_path});
-    }
-    if (!own_segs.empty()) {
-      SealSegmentFile(own_segs.back().second);
-    }
-    for (const auto& [n, seg_path] : own_segs) {
-      if (SegmentIsEmpty(seg_path)) {
-        std::error_code ec;
-        fs::remove(seg_path, ec);
-      }
-    }
-    // A dead base owner's torn base tail stays: the next base owner
-    // repairs it in EnsureWritable, exactly like the single-writer store
-    // always has.
+    if (info.writer == writer_id_ || !PidProvablyDead(info.pid)) continue;
     lease::RemoveLease(dir_, info.writer);
     reaped.Add();
   }
   // Orphan temp files from killed Compact()/merge commits: the rename
   // never happened, the log itself is intact, the temp is garbage. Only
   // provably-dead owners are swept — a live process may be mid-commit.
+  const std::string base = kBaseName;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    const bool is_tmp =
-        name.rfind(base_name + ".compact.tmp", 0) == 0 ||
-        name.rfind(base_name + ".merge.tmp", 0) == 0;
+    const bool is_tmp = name.rfind(base + ".compact.tmp", 0) == 0 ||
+                        name.rfind(base + ".merge.tmp", 0) == 0;
     if (!is_tmp) continue;
     const long pid = PidSuffixOf(name);
     if (pid == OwnPid()) continue;
@@ -704,7 +629,7 @@ void ResultStore::RequireSoleWriter(const char* op) {
   for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
     if (info.writer == writer_id_) continue;
     if (prober_.Alive(info)) {
-      throw StoreLockHeldError(std::string("result store: ") + path_ +
+      throw StoreLockHeldError(std::string("result store: ") + dir_ +
                                " has other live writers (" + op +
                                " needs exclusive access)");
     }
@@ -729,7 +654,6 @@ void ResultStore::StartHeartbeat() {
       info.pid = OwnPid();
       info.heartbeat = ++heartbeat_;
       info.ttl_seconds = options_.lease_ttl_seconds;
-      info.owns_base = owns_base_;
       try {
         // Recreates the lease file if a peer reaped it while this
         // process was wedged; worst case our claims were stolen and the
@@ -754,7 +678,7 @@ void ResultStore::StopHeartbeat() {
 
 void ResultStore::Replay() {
   TRACE_SPAN(span, "store_replay");
-  if (span.active()) span.Detail(path_);
+  if (span.active()) span.Detail(dir_);
   SPARSIFY_FAILPOINT("store.replay");
   // Records on every exit path (multiple returns, throws on corruption).
   struct ReplayObs {
@@ -766,185 +690,130 @@ void ResultStore::Replay() {
     }
   } replay_obs;
 
-  // Base first (it holds the oldest records — compaction folds into it),
-  // then every segment in (writer, n) order. Cross-writer ambiguity is
-  // harmless: concurrent writers compute bit-identical values for equal
-  // keys, and the peer insert rule never lets an error shadow a success.
-  ReplayFile(path_, /*own_base=*/options_.read_only || owns_base_,
-             /*peer=*/!options_.read_only && !owns_base_);
-  for (const auto& [key, seg_path] : ListSegments(dir_)) {
-    if (!writer_id_.empty() && key.first == writer_id_) continue;
-    ReplayFile(seg_path, /*own_base=*/false, /*peer=*/true);
+  // A writer without a live lease never appends again: its files are
+  // final, so their tails are settled now.
+  std::set<std::string> live;
+  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
+    if (info.writer != writer_id_ && !PidProvablyDead(info.pid)) {
+      live.insert(info.writer);
+    }
+  }
+  // The base (compaction output) holds the oldest records; segments
+  // follow in acquisition order.
+  ReplayFile(BasePath(), /*settle=*/true);
+  for (const Segment& seg : ListSegments(dir_)) {
+    next_segment_ = std::max(next_segment_, seg.seq + 1);
+    ReplayFile(seg.path, /*settle=*/!live.contains(seg.writer));
   }
 }
 
-void ResultStore::ReplayFile(const std::string& file, bool own_base,
-                             bool peer) {
+void ResultStore::ReplayFile(const std::string& file, bool settle) {
   std::ifstream in(file, std::ios::binary);
-  const bool is_base = file == path_;
-  if (!in) {
-    if (is_base) file_exists_ = false;
-    return;  // missing file = empty store; header written on first Append
-  }
-  ++replayed_files_;
-  if (is_base) file_exists_ = true;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string content = buf.str();
-
-  if (peer || !own_base) {
-    // Peer-owned file (a live writer may still be appending): absorb the
-    // terminated prefix, leave any partial tail pending for
-    // RefreshPeers. Strict about interior corruption — a live writer
-    // never produces a terminated-but-garbled line, so one is bit rot.
-    PeerFile& state = peers_[file];
-    AbsorbPeerLines(file, state, content, /*strict=*/true);
-    return;
-  }
-
-  if (content.empty()) return;  // empty file: treat like a fresh store
-  size_t pos = 0;
-  size_t line_no = 0;
-  while (pos < content.size()) {
-    size_t nl = content.find('\n', pos);
-    bool terminated = nl != std::string::npos;
-    size_t end = terminated ? nl : content.size();
-    std::string line = content.substr(pos, end - pos);
-    bool is_tail = !terminated;
-
-    bool ok;
-    StoredCell cell;
-    StoredClaim claim;
-    LineKind kind = LineKind::kBad;
-    if (line_no == 0) {
-      ok = ParseHeader(line);
-      if (!ok && !is_tail) {
-        throw StoreCorruptError("result store: " + file +
-                                " is not a result-store log (bad header)");
-      }
-    } else {
-      kind = ParseLine(line, &cell, &claim);
-      ok = kind != LineKind::kBad;
-      if (ok) {
-        switch (CheckLineCrc(line)) {
-          case CrcStatus::kOk:
-          case CrcStatus::kLegacy:  // version-1 record: no checksum to check
-            break;
-          case CrcStatus::kBad:
-            // A parseable line whose checksum fails is bit rot, not a torn
-            // append — unless it is the unterminated tail, where a torn
-            // checksum field itself is expected and droppable.
-            if (!is_tail) {
-              throw StoreCorruptError(
-                  "result store: checksum mismatch at line " +
-                  std::to_string(line_no + 1) + " of " + file);
-            }
-            ok = false;
-        }
-      }
-      if (!ok && !is_tail) {
-        throw StoreCorruptError("result store: corrupt record at line " +
-                                std::to_string(line_no + 1) + " of " + file);
-      }
-      if (ok) {
-        if (kind == LineKind::kClaim) {
-          claims_.push_back(std::move(claim));
-        } else {
-          InsertLocked(std::move(cell), /*peer=*/false);
-        }
-        ++log_records_;
-      }
-    }
-    if (!ok) {
-      // Unterminated and unparseable: the torn tail of a crashed append.
-      // Everything before it is intact; the tail is cut off before the
-      // next append.
-      dropped_tail_bytes_ = content.size() - pos;
-      ends_with_newline_ = true;
-      return;
-    }
-    valid_bytes_ = terminated ? end + 1 : end;
-    ends_with_newline_ = terminated;
-    pos = end + (terminated ? 1 : 0);
-    ++line_no;
+  if (!in) return;
+  const std::string content = ReadWholeFile(in);
+  in.close();
+  LogFile& state = files_[file];
+  state.closed = settle;
+  AbsorbLines(file, state, content, /*strict=*/true, settle);
+  if (!settle || options_.read_only) return;
+  // Leave a gone writer's file in whole-line form, or remove it when no
+  // record survives. Failures are harmless: the next open decides the
+  // same way.
+  std::error_code ec;
+  if (state.line_no <= 1) {
+    fs::remove(file, ec);
+  } else if (state.consumed < content.size()) {
+    fs::resize_file(file, state.consumed, ec);
+  } else if (content.back() != '\n') {
+    std::ofstream(file, std::ios::binary | std::ios::app) << '\n';
   }
 }
 
-size_t ResultStore::AbsorbPeerLines(const std::string& file, PeerFile& state,
-                                    const std::string& view, bool strict) {
+size_t ResultStore::AbsorbLines(const std::string& file, LogFile& state,
+                                const std::string& view, bool strict,
+                                bool settle) {
   static obs::Counter& poisoned_files =
       obs::GetCounter("store.poisoned_peer_files");
-  if (state.poisoned) return 0;
   size_t absorbed = 0;
   size_t pos = 0;  // offset into `view`, i.e. file offset - state.consumed
   while (pos < view.size()) {
     const size_t nl = view.find('\n', pos);
-    if (nl == std::string::npos) break;  // partial line: peer mid-append
-    const std::string line = view.substr(pos, nl - pos);
+    const bool terminated = nl != std::string::npos;
+    if (!terminated && !settle) break;  // partial line: writer mid-append
+    const size_t end = terminated ? nl : view.size();
+    const std::string line = view.substr(pos, end - pos);
+    const char* bad = nullptr;  // what is wrong with the line, if anything
     if (state.line_no == 0) {
-      if (!ParseHeader(line)) {
-        throw StoreCorruptError("result store: " + file +
-                                " is not a result-store log (bad header)");
-      }
+      if (!ParseHeader(line)) bad = "bad header (not a result-store log)";
     } else {
       StoredCell cell;
       StoredClaim claim;
       const LineKind kind = ParseLine(line, &cell, &claim);
-      const bool ok =
-          kind != LineKind::kBad && CheckLineCrc(line) != CrcStatus::kBad;
-      if (!ok) {
-        // At open the whole prefix is settled history: corruption is
-        // fatal exactly like in the base file. Mid-run (RefreshPeers)
-        // the sweep must survive a peer's bit rot: poison the file —
-        // everything already absorbed stays, the rest is ignored and
-        // recomputed by this worker if the scheduler needs it.
-        if (strict) {
-          throw StoreCorruptError("result store: corrupt record at line " +
-                                  std::to_string(state.line_no + 1) + " of " +
-                                  file);
-        }
-        state.poisoned = true;
-        poisoned_files.Add();
-        return absorbed;
-      }
-      if (kind == LineKind::kClaim) {
-        claims_.push_back(std::move(claim));
+      if (kind == LineKind::kBad) {
+        bad = "corrupt record";
+      } else if (!CrcOk(line)) {
+        bad = "checksum mismatch";
       } else {
-        InsertLocked(std::move(cell), /*peer=*/true);
-        ++absorbed;
+        if (kind == LineKind::kClaim) {
+          claims_.push_back(std::move(claim));
+        } else {
+          InsertLocked(std::move(cell), /*from_file=*/true);
+          ++absorbed;
+        }
+        ++log_records_;
       }
-      ++log_records_;
+    }
+    if (bad != nullptr) {
+      if (!terminated) {
+        // The torn tail of a gone writer's crashed append, not corruption.
+        dropped_tail_bytes_ += end - pos;
+        break;
+      }
+      // A writer never leaves a terminated-but-garbled line: this is bit
+      // rot. At open it is fatal — skipping it would fabricate results.
+      // Mid-run the sweep must survive a peer's bit rot: the file is
+      // poisoned, what it already gave stays, the rest is recomputed if
+      // the scheduler needs it.
+      if (strict) {
+        throw StoreCorruptError("result store: " + std::string(bad) +
+                                " at line " +
+                                std::to_string(state.line_no + 1) + " of " +
+                                file);
+      }
+      state.closed = true;
+      poisoned_files.Add();
+      return absorbed;
     }
     ++state.line_no;
-    state.consumed += (nl + 1) - pos;
-    pos = nl + 1;
+    state.consumed += end - pos + (terminated ? 1 : 0);
+    pos = end + 1;
   }
   return absorbed;
 }
 
 size_t ResultStore::RefreshPeers() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return RefreshPeersLocked();
+}
+
+size_t ResultStore::RefreshPeersLocked() {
   static obs::Counter& refreshed =
       obs::GetCounter("store.peer_refresh_records");
-  std::lock_guard<std::mutex> lock(mu_);
+  // The base never grows while this store is open: only a sole writer
+  // rewrites it.
   size_t absorbed = 0;
-  auto refresh_file = [&](const std::string& file) {
-    PeerFile& state = peers_[file];
-    if (state.poisoned) return;
-    std::ifstream in(file, std::ios::binary);
-    if (!in) return;
+  for (const Segment& seg : ListSegments(dir_)) {
+    if (seg.writer == writer_id_) continue;
+    LogFile& state = files_[seg.path];
+    if (state.closed) continue;
+    std::ifstream in(seg.path, std::ios::binary);
+    if (!in) continue;
     in.seekg(static_cast<std::streamoff>(state.consumed));
-    if (!in) return;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string tail = buf.str();
-    if (tail.empty()) return;
-    // Mid-run: peer bit rot poisons the file, never throws.
-    absorbed += AbsorbPeerLines(file, state, tail, /*strict=*/false);
-  };
-  if (!owns_base_ && !options_.read_only) refresh_file(path_);
-  for (const auto& [key, seg_path] : ListSegments(dir_)) {
-    if (!writer_id_.empty() && key.first == writer_id_) continue;
-    refresh_file(seg_path);
+    if (!in) continue;
+    const std::string tail = ReadWholeFile(in);
+    if (tail.empty()) continue;
+    absorbed += AbsorbLines(seg.path, state, tail, /*strict=*/false,
+                            /*settle=*/false);
   }
   refreshed.Add(absorbed);
   return absorbed;
@@ -992,15 +861,15 @@ std::vector<StoredClaim> ResultStore::Claims() const {
   return claims_;
 }
 
-void ResultStore::InsertLocked(StoredCell cell, bool peer) {
+void ResultStore::InsertLocked(StoredCell cell, bool from_file) {
   std::string canonical = cell.key.Canonical();
   auto it = index_.find(canonical);
   if (it != index_.end()) {
     StoredCell& slot = cells_[it->second];
-    // A peer's error never shadows a completed result: equal keys carry
+    // A replayed error never shadows a completed result: equal keys carry
     // bit-identical values across writers, so any success IS the value;
-    // the error just means some other worker's attempt failed.
-    if (peer && cell.is_error && !slot.is_error) return;
+    // the error just means some attempt failed.
+    if (from_file && cell.is_error && !slot.is_error) return;
     if (slot.is_error && !cell.is_error) --error_cells_;
     if (!slot.is_error && cell.is_error) ++error_cells_;
     slot = std::move(cell);  // last write wins, keeps position
@@ -1011,99 +880,37 @@ void ResultStore::InsertLocked(StoredCell cell, bool peer) {
   }
 }
 
-std::string ResultStore::SegmentPath(uint64_t n) const {
-  return (fs::path(dir_) /
-          ("log." + writer_id_ + "." + std::to_string(n) + ".jsonl"))
-      .string();
-}
-
-void ResultStore::EnsureWritable() {
-  if (options_.read_only) {
-    throw IoError("result store: " + path_ +
-                  " was opened read-only (snapshot)");
-  }
-  if (out_.is_open()) return;
-  if (append_path_.empty()) {
-    if (owns_base_) {
-      append_path_ = path_;
-      if (file_exists_ && dropped_tail_bytes_ > 0) {
-        // Cut the torn tail so the file returns to whole-line form.
-        std::filesystem::resize_file(path_, valid_bytes_);
-        dropped_tail_bytes_ = 0;
-      }
-      out_.open(append_path_, std::ios::binary | std::ios::app);
-      if (!out_) {
-        throw IoError("result store: cannot open " + append_path_ +
-                      " for append");
-      }
-      if (!file_exists_ || valid_bytes_ == 0) {
-        const std::string header = SerializeHeader(kFormatVersion);
-        out_ << header;
-        append_path_bytes_ = header.size();
-      } else {
-        if (!ends_with_newline_) {
-          // Valid final record that lost only its newline in a crash.
-          out_ << '\n';
-        }
-        append_path_bytes_ = valid_bytes_ + (ends_with_newline_ ? 0 : 1);
-      }
-      ends_with_newline_ = true;
-      file_exists_ = true;
-    } else {
-      // Not the base owner: this writer's records live in its own
-      // segment chain, so concurrent processes never share an append fd.
-      append_path_ = SegmentPath(next_segment_++);
-      out_.open(append_path_, std::ios::binary | std::ios::trunc);
-      if (!out_) {
-        throw IoError("result store: cannot open " + append_path_ +
-                      " for append");
-      }
-      const std::string header = SerializeHeader(kFormatVersion);
-      out_ << header;
-      append_path_bytes_ = header.size();
-    }
-  } else {
-    out_.open(append_path_, std::ios::binary | std::ios::app);
-    if (!out_) {
-      throw IoError("result store: cannot open " + append_path_ +
-                    " for append");
-    }
-  }
-#ifdef SPARSIFY_STORE_HAS_POSIX
-  if (sync_fd_ < 0) {
-    // ofstream gives no access to its descriptor, and fsync needs one;
-    // a second descriptor on the same file syncs the same data.
-    sync_fd_ = ::open(append_path_.c_str(), O_WRONLY | O_CLOEXEC);
-    if (sync_fd_ < 0 && fsync_policy_ != FsyncPolicy::kNone) {
-      throw IoError("result store: cannot open " + append_path_ +
-                    " for fsync");
-    }
-  }
-#endif
-}
-
-void ResultStore::RotateLocked() {
+void ResultStore::OpenSegmentLocked() {
   static obs::Counter& rotations =
       obs::GetCounter("store.segment_rotations");
-  SPARSIFY_FAILPOINT("store.rotate");
-  CloseWriterLocked();
-  append_path_ = SegmentPath(next_segment_++);
+  if (out_.is_open()) {
+    SPARSIFY_FAILPOINT("store.rotate");
+    CloseWriterLocked();
+    rotations.Add();
+  }
+  char seq[24];
+  std::snprintf(seq, sizeof(seq), "%06llu",
+                static_cast<unsigned long long>(next_segment_++));
+  append_path_ = (fs::path(dir_) /
+                  ("log." + writer_id_ + "." + seq + ".jsonl"))
+                     .string();
   out_.open(append_path_, std::ios::binary | std::ios::trunc);
   if (!out_) {
     throw IoError("result store: cannot open " + append_path_ +
                   " for append");
   }
-  const std::string header = SerializeHeader(kFormatVersion);
+  const std::string header = SerializeHeader();
   out_ << header;
   append_path_bytes_ = header.size();
 #ifdef SPARSIFY_STORE_HAS_POSIX
+  // ofstream gives no access to its descriptor, and fsync needs one; a
+  // second descriptor on the same file syncs the same data.
   sync_fd_ = ::open(append_path_.c_str(), O_WRONLY | O_CLOEXEC);
   if (sync_fd_ < 0 && fsync_policy_ != FsyncPolicy::kNone) {
     throw IoError("result store: cannot open " + append_path_ +
                   " for fsync");
   }
 #endif
-  rotations.Add();
 }
 
 void ResultStore::SyncLocked(bool closing) {
@@ -1142,7 +949,13 @@ void ResultStore::CloseWriterLocked() {
 }
 
 void ResultStore::AppendRecordLocked(const std::string& line) {
-  EnsureWritable();
+  if (options_.read_only) {
+    throw IoError("result store: " + dir_ +
+                  " was opened read-only (snapshot)");
+  }
+  if (!out_.is_open() || append_path_bytes_ >= segment_bytes_) {
+    OpenSegmentLocked();
+  }
   SPARSIFY_FAILPOINT("store.append");
   out_ << line;
   out_.flush();
@@ -1153,14 +966,11 @@ void ResultStore::AppendRecordLocked(const std::string& line) {
   ++appends_since_sync_;
   SyncLocked(/*closing=*/false);
   append_path_bytes_ += line.size();
-  if (append_path_bytes_ >= options_.segment_bytes) {
-    RotateLocked();
-  }
 }
 
 void ResultStore::AppendLocked(StoredCell cell) {
   AppendRecordLocked(SerializeRecord(cell));
-  InsertLocked(std::move(cell), /*peer=*/false);
+  InsertLocked(std::move(cell), /*from_file=*/false);
 }
 
 void ResultStore::Append(const CellKey& key, double achieved_prune_rate,
@@ -1224,14 +1034,14 @@ void ResultStore::RewriteLogLocked(const std::vector<StoredCell>& cells,
     if (!out) {
       throw IoError("result store: cannot open " + tmp + " for rewrite");
     }
-    out << SerializeHeader(kFormatVersion);  // upgrades version-1 logs
+    out << SerializeHeader();
     for (const StoredCell& cell : cells) {
       out << SerializeRecord(cell);
     }
     out.flush();
     if (!out) {
       std::error_code ec;
-      std::filesystem::remove(tmp, ec);
+      fs::remove(tmp, ec);
       throw IoError("result store: write failure on " + tmp);
     }
   }
@@ -1241,92 +1051,62 @@ void ResultStore::RewriteLogLocked(const std::vector<StoredCell>& cells,
     if (fd < 0 || ::fsync(fd) != 0) {
       if (fd >= 0) ::close(fd);
       std::error_code ec;
-      std::filesystem::remove(tmp, ec);
+      fs::remove(tmp, ec);
       throw IoError("result store: fsync failed on " + tmp);
     }
     ::close(fd);
   }
 #endif
   SPARSIFY_FAILPOINT(fp_rename);
-  std::filesystem::rename(tmp, path_);
+  fs::rename(tmp, BasePath());
   // The folded segments are garbage now; every writer is dead (sole-
   // writer precondition) except us, and ours were folded too.
-  for (const auto& [key, seg_path] : ListSegments(dir_)) {
+  for (const Segment& seg : ListSegments(dir_)) {
     std::error_code ec;
-    fs::remove(seg_path, ec);
+    fs::remove(seg.path, ec);
   }
-
-  {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path_, ec);
-    valid_bytes_ = ec ? 0 : static_cast<size_t>(size);
-  }
-  dropped_tail_bytes_ = 0;
-  ends_with_newline_ = true;
-  file_exists_ = true;
   log_records_ = cells.size();
   claims_.clear();
-  peers_.clear();
+  files_.clear();
   append_path_.clear();
   append_path_bytes_ = 0;
-  // Sole writer: the rewritten base is ours now, whoever owned it before.
-  // If ownership actually changed hands, publish it in the lease
-  // immediately (still under the caller's lease-dir flock) — a window
-  // where the base looks unowned would let a fresh acquirer claim it and
-  // interleave appends with ours.
-  if (!owns_base_.exchange(true)) {
-    std::lock_guard<std::mutex> hb(heartbeat_mu_);
-    lease::LeaseInfo info;
-    info.writer = writer_id_;
-    info.pid = OwnPid();
-    info.heartbeat = heartbeat_;
-    info.ttl_seconds = options_.lease_ttl_seconds;
-    info.owns_base = true;
-    try {
-      lease::WriteLease(dir_, info);
-    } catch (...) {
-      // Renewal recreates it within ttl/4; until then no acquirer can
-      // run anyway — the caller still holds the lease-dir flock.
-    }
-  }
 }
 
 CompactStats ResultStore::Compact() {
   TRACE_SPAN(span, "store_compact");
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.read_only) {
-    throw IoError("result store: " + path_ +
+    throw IoError("result store: " + dir_ +
                   " was opened read-only (snapshot)");
   }
-  CompactStats stats;
-  stats.records_before = log_records_;
-  stats.records_after = cells_.size();
-  {
-    std::error_code ec;
-    if (file_exists_) {
-      const auto size = std::filesystem::file_size(path_, ec);
-      if (!ec) stats.bytes_before = size;
-    }
-    for (const auto& [key, seg_path] : ListSegments(dir_)) {
-      const auto size = std::filesystem::file_size(seg_path, ec);
-      if (!ec) stats.bytes_before += size;
-    }
-  }
-
   // The whole commit happens under the lease-dir flock: acquisition of a
   // new writer serializes against the sole-writer check AND the rewrite,
   // so a worker can neither slip in mid-rewrite nor replay a half-
   // committed view.
   lease::LeaseDirLock dir_lock(dir_);
   RequireSoleWriter("compact");
-  CloseWriterLocked();
-  RewriteLogLocked(cells_,
-                   path_ + ".compact.tmp." + std::to_string(OwnPid()),
-                   "store.compact.write", "store.compact.rename");
-
+  // Every peer is gone: fold in what they appended since we last looked,
+  // or the rewrite would delete it with their segments.
+  RefreshPeersLocked();
+  CompactStats stats;
+  stats.records_before = log_records_;
+  stats.records_after = cells_.size();
   {
     std::error_code ec;
-    const auto size = std::filesystem::file_size(path_, ec);
+    const auto size = fs::file_size(BasePath(), ec);
+    if (!ec) stats.bytes_before = size;
+    for (const Segment& seg : ListSegments(dir_)) {
+      const auto seg_size = fs::file_size(seg.path, ec);
+      if (!ec) stats.bytes_before += seg_size;
+    }
+  }
+  CloseWriterLocked();
+  RewriteLogLocked(cells_, BasePath() + ".compact.tmp." +
+                               std::to_string(OwnPid()),
+                   "store.compact.write", "store.compact.rename");
+  {
+    std::error_code ec;
+    const auto size = fs::file_size(BasePath(), ec);
     if (!ec) stats.bytes_after = size;
   }
 
@@ -1339,7 +1119,7 @@ void ResultStore::ReplaceWithMerged(std::vector<StoredCell> cells) {
   TRACE_SPAN(span, "store_merge_commit");
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.read_only) {
-    throw IoError("result store: " + path_ +
+    throw IoError("result store: " + dir_ +
                   " was opened read-only (snapshot)");
   }
   lease::LeaseDirLock dir_lock(dir_);
@@ -1355,16 +1135,12 @@ void ResultStore::ReplaceWithMerged(std::vector<StoredCell> cells) {
     index_.emplace(cells_[i].key.Canonical(), i);
     if (cells_[i].is_error) ++error_cells_;
   }
-  RewriteLogLocked(cells_, path_ + ".merge.tmp." + std::to_string(OwnPid()),
+  RewriteLogLocked(cells_,
+                   BasePath() + ".merge.tmp." + std::to_string(OwnPid()),
                    "store.merge.write", "store.merge.rename");
 
   static obs::Counter& merges = obs::GetCounter("store.merge_commits");
   merges.Add();
-}
-
-void ResultStore::SetFsyncPolicy(FsyncPolicy policy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  fsync_policy_ = policy;
 }
 
 FsyncPolicy ResultStore::fsync_policy() const {

@@ -1,33 +1,28 @@
 // Append-only persistent store of completed experiment cells, shared by
 // cooperating writer processes.
 //
-// The log is a base file (`results.jsonl`) plus zero or more per-writer
-// segments (`log.<writer-id>.<n>.jsonl`), every file a self-describing
-// header line followed by one flat JSON object per record. Records are
-// appended and flushed one at a time, so after a crash each file is a
-// valid prefix plus at most one truncated tail line; replay detects and
-// drops that tail (it is not fatal), while corruption anywhere before the
-// tail is. Format version 2 adds a CRC-32C to every record (interior
-// bit-rot is detected, not silently replayed) and an error-record kind (a
-// unit that failed is recorded under its CellKey so a resumed sweep knows
-// to resubmit it). Version-1 logs are still replayed (their records carry
-// no CRC).
+// A store is a directory. Every writer, a lone one included, appends only
+// to its own segment chain (`log.<writer>.<n>.jsonl`); `results.jsonl`
+// exists only as the atomic output of Compact()/ReplaceWithMerged(). Every
+// file is a self-describing version-2 header line followed by one flat
+// JSON object per record, each carrying a CRC-32C, and an error-record
+// kind lets a resumed sweep resubmit the units that failed.
 //
-// Multi-writer coordination is lease-based, not lock-based: each open
-// writable store holds a heartbeat-renewed lease file (see util/lease.h)
-// and appends only to its OWN segment chain, so concurrent processes
-// never interleave writes in one file. Stale leases (dead pid or stopped
-// heartbeat) are reaped at open: their torn segment tails are sealed and
-// empty leftovers removed. Replay folds every file last-write-wins by
-// CellKey; records from OTHER writers additionally never downgrade a
-// success to an error (concurrent workers compute bit-identical values,
-// so any surviving success is THE value). See README.md in this directory
-// for the format, the lease state machine, and the crash-recovery
-// contract.
+// Records are appended and flushed one at a time, so a writer that dies
+// leaves a valid prefix plus at most one torn tail line. Replay is one
+// pass over every file: terminated lines are absorbed (a corrupt one is
+// fatal at open), and the unterminated tail of a writer that holds no
+// live lease is settled in the same pass — a whole record that lost only
+// its newline is re-terminated, anything else is cut and counted in
+// DroppedTailBytes(). Multi-writer coordination is lease-based (see
+// util/lease.h). Replay folds files in acquisition order, last write wins
+// by CellKey, except that a record read from a file never downgrades a
+// success to an error (equal keys carry bit-identical values, so any
+// surviving success is THE value). See README.md in this directory for
+// the layout, the lease state machine, and the crash-recovery contract.
 #ifndef SPARSIFY_STORE_RESULT_STORE_H_
 #define SPARSIFY_STORE_RESULT_STORE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +33,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/store/cell_key.h"
@@ -88,16 +82,12 @@ enum class FsyncPolicy {
   kAlways,  // fsync every append (torture-harness mode)
 };
 
-/// Open-time knobs. Environment overrides are applied on top at open:
-/// SPARSIFY_LEASE_TTL (seconds) and SPARSIFY_STORE_SEGMENT_BYTES.
+/// Open-time knobs. SPARSIFY_LEASE_TTL (seconds) overrides the TTL at open.
 struct ResultStoreOptions {
   /// Heartbeat staleness horizon: a writer whose lease counter has not
   /// advanced for longer than this (or whose pid is dead) is stale, and
   /// its claims become stealable. Renewals happen every ttl/4.
   double lease_ttl_seconds = 30.0;
-  /// Segment rotation threshold: the writer rotates to a fresh segment
-  /// once the current file grows past this many bytes.
-  uint64_t segment_bytes = 64ull << 20;
   /// Snapshot open for `export` / `ls` / `merge` inputs: no lease is
   /// taken, nothing in the directory is mutated, a live sweep's store can
   /// be inspected mid-run. Append/Compact throw on a read-only store.
@@ -114,39 +104,25 @@ struct ResultStoreOptions {
 /// exclusivity and throw StoreLockHeldError while other writers are live.
 class ResultStore {
  public:
-  /// Current write version. Version 2 = CRC'd records + error kind;
-  /// version 1 logs (no CRCs) are read-compatible.
+  /// The only format version read or written: CRC'd records + error kind.
   static constexpr int kFormatVersion = 2;
 
-  /// Conventional file name inside a store directory.
-  static std::string DefaultFileName() { return "results.jsonl"; }
-
-  /// Opens (and replays) the log at `path` (the BASE file; its directory
-  /// is scanned for peer segments). A missing file is an empty store; the
-  /// header is written on the first Append. Throws StoreCorruptError when
-  /// a log file exists but is not a result-store log (bad header), has a
-  /// corrupt or checksum-failing record before the final line, or has an
-  /// unsupported version; IoError on filesystem failures. (All derive
-  /// from std::runtime_error.)
-  explicit ResultStore(std::string path, ResultStoreOptions options = {});
+  /// Opens (and replays) the store in directory `dir`. A writable open
+  /// creates the directory; a missing directory is an empty store. Throws
+  /// StoreCorruptError when a log file is not a result-store log (bad
+  /// header), has a corrupt or checksum-failing record before its final
+  /// line, or has an unsupported version; IoError on filesystem failures.
+  /// (All derive from std::runtime_error.)
+  explicit ResultStore(std::string dir, ResultStoreOptions options = {});
 
   /// Flushes (per the fsync policy, best-effort), stops the heartbeat,
   /// and releases the lease.
   ~ResultStore();
 
-  /// Creates `dir` if needed and returns the conventional log path inside
-  /// it (for callers that heap-allocate the store themselves).
-  static std::string PathInDir(const std::string& dir);
-
-  /// Creates `dir` if needed and opens `dir`/results.jsonl.
-  static ResultStore OpenInDir(const std::string& dir,
-                               ResultStoreOptions options = {});
-
-  // Not movable (internal mutex); OpenInDir relies on guaranteed elision.
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
-  const std::string& Path() const { return path_; }
+  const std::string& Dir() const { return dir_; }
 
   /// This instance's unique writer id (empty on a read-only open).
   const std::string& WriterId() const { return writer_id_; }
@@ -175,18 +151,15 @@ class ResultStore {
   /// scheduler judges liveness per claimant.
   std::vector<StoredClaim> Claims() const;
 
-  /// Bytes of truncated tail dropped during replay (0 for a clean log).
+  /// Bytes of torn tails of gone writers seen at open (0 for clean logs).
+  /// A writable open cuts them; a read-only open only counts them.
   size_t DroppedTailBytes() const { return dropped_tail_bytes_; }
 
-  /// Log files replayed at open (base + segments present).
-  size_t SegmentCount() const { return replayed_files_; }
-
-  /// Durably appends one record: the line is written and flushed before
-  /// returning, and the in-memory index is updated. On the first append
-  /// after replaying a crashed log, the truncated tail is cut off first so
-  /// the file stays a sequence of whole lines. Throws IoError when the
-  /// write, flush, or (policy-dependent) fsync fails — a result the caller
-  /// believes persisted MUST actually be on its way to disk.
+  /// Durably appends one record to this writer's own segment: the line is
+  /// written and flushed before returning, and the in-memory index is
+  /// updated. Throws IoError when the write, flush, or (policy-dependent)
+  /// fsync fails — a result the caller believes persisted MUST actually be
+  /// on its way to disk.
   void Append(const CellKey& key, double achieved_prune_rate, double value);
 
   /// Appends an error record for `key`: the unit failed with
@@ -200,13 +173,12 @@ class ResultStore {
   /// this writer's own segment, durably like Append.
   void AppendClaim(const std::string& scope, uint64_t chunk);
 
-  /// Incrementally absorbs newly TERMINATED lines from peers' log files
-  /// (other writers' segments, and the base file when this writer does
-  /// not own it). A partially flushed final line stays pending — the peer
-  /// may still be writing it. Corruption inside a peer file poisons that
-  /// file (its remaining lines are ignored, a counter records it) instead
-  /// of failing the live sweep. Returns the number of cell records
-  /// absorbed.
+  /// Incrementally absorbs newly TERMINATED lines from peers' segments
+  /// (every segment but this writer's own). A partially flushed final
+  /// line stays pending — the peer may still be writing it. Corruption
+  /// inside a peer file poisons that file (its remaining lines are
+  /// ignored, a counter records it) instead of failing the live sweep.
+  /// Returns the number of cell records absorbed.
   size_t RefreshPeers();
 
   /// True when `writer` should be treated as alive: it is this writer, or
@@ -216,13 +188,14 @@ class ResultStore {
 
   /// Rewrites the store to one record per live key (dropping superseded
   /// duplicates and all claim records; keys whose latest record is still
-  /// an error are kept as error records), folding every segment back into
-  /// the base file. Requires this to be the ONLY live writer — throws
+  /// an error are kept as error records) in `results.jsonl`, folding every
+  /// segment into it. Peers' unabsorbed records are absorbed first.
+  /// Requires this to be the ONLY live writer — throws
   /// StoreLockHeldError otherwise, so a running sweep can never have the
   /// log rewritten under it. Atomic: writes a temp file beside the log,
   /// fsyncs it, renames over the base, then unlinks the folded segments —
-  /// a crash at any point replays to the same contents. Also upgrades
-  /// version-1 logs to the current format. Returns what was reclaimed.
+  /// a crash at any point replays to the same contents. Returns what was
+  /// reclaimed.
   CompactStats Compact();
 
   /// Atomically replaces the whole store with `cells` (the `merge`
@@ -232,45 +205,48 @@ class ResultStore {
   /// recognizable orphan for the open-time sweep.
   void ReplaceWithMerged(std::vector<StoredCell> cells);
 
-  /// Overrides the fsync policy (normally from SPARSIFY_STORE_FSYNC).
-  void SetFsyncPolicy(FsyncPolicy policy);
+  /// The fsync policy in force (from SPARSIFY_STORE_FSYNC at open).
   FsyncPolicy fsync_policy() const;
 
  private:
-  // Per peer-file incremental replay state (RefreshPeers).
-  struct PeerFile {
-    size_t consumed = 0;   // offset one past the last absorbed line
-    size_t line_no = 0;    // lines absorbed (0 = header not yet seen)
-    bool poisoned = false; // corrupt record seen: file ignored from here
+  // Per log-file replay state: the file's bytes before `consumed` are
+  // absorbed. A closed file is never read again: its writer is gone (its
+  // tail was settled at open) or it is poisoned.
+  struct LogFile {
+    size_t consumed = 0;  // offset one past the last absorbed line
+    size_t line_no = 0;   // lines absorbed (0 = header not yet seen)
+    bool closed = false;
   };
 
-  void AcquireLease();            // + reap stale writers (under dir flock)
+  void AcquireLeaseLocked();      // caller holds the lease-dir flock
   void ReapStaleWritersLocked();  // caller holds the lease-dir flock
   void RequireSoleWriter(const char* op);
   void StartHeartbeat();
   void StopHeartbeat();
 
+  // Replays every log file in acquisition order. A writable open runs it
+  // under the lease-dir flock, so settling a gone writer's tail never
+  // races another opener.
   void Replay();
-  // Replays one whole file. `own_base` = the base file this writer owns
-  // (tail is recorded for repair); otherwise the tail stays pending in
-  // `peers_`. Peer records obey the success-beats-error rule.
-  void ReplayFile(const std::string& file, bool own_base, bool peer);
-  // Parses `view` — the peer file's bytes from state.consumed on —
-  // absorbing terminated lines only. `strict` (open-time) makes a corrupt
-  // line fatal; otherwise (mid-run refresh) it poisons the file. Returns
-  // cell records absorbed.
-  size_t AbsorbPeerLines(const std::string& file, PeerFile& state,
-                         const std::string& view, bool strict);
+  void ReplayFile(const std::string& file, bool settle);
+  // The one line absorber. `view` holds the file's bytes from
+  // state.consumed on. Terminated lines are absorbed; a corrupt one throws
+  // when `strict` (at open), else poisons the file (mid-run refresh).
+  // With `settle` (the writer is gone) the unterminated tail is final: a
+  // whole valid line is absorbed, anything else is counted as dropped.
+  // Returns cell records absorbed.
+  size_t AbsorbLines(const std::string& file, LogFile& state,
+                     const std::string& view, bool strict, bool settle);
+  size_t RefreshPeersLocked();
 
-  void EnsureWritable();  // opens out_, repairing the tail if needed
-  void RotateLocked();    // seals the current segment, opens the next
-  std::string SegmentPath(uint64_t n) const;
+  std::string BasePath() const;
+  void OpenSegmentLocked();  // closes the current segment, opens the next
   void AppendRecordLocked(const std::string& line);
   void AppendLocked(StoredCell cell);
   void SyncLocked(bool closing);  // fsync per policy; throws IoError
   void CloseWriterLocked();       // flush + final sync + close fds
 
-  void InsertLocked(StoredCell cell, bool peer);
+  void InsertLocked(StoredCell cell, bool from_file);
   // Shared commit step of Compact/ReplaceWithMerged: writes header +
   // `cells` to `tmp`, fsyncs, renames over the base, unlinks segments.
   void RewriteLogLocked(const std::vector<StoredCell>& cells,
@@ -278,28 +254,21 @@ class ResultStore {
                         const char* fp_rename);
 
   mutable std::mutex mu_;
-  std::string path_;  // base log file; segments live beside it
-  std::string dir_;   // parent directory of path_
+  std::string dir_;
   ResultStoreOptions options_;
-  std::string writer_id_;  // empty on read-only opens
-  // Atomic: the heartbeat thread copies it into renewals while Compact()
-  // may be taking ownership under mu_.
-  std::atomic<bool> owns_base_{false};
+  uint64_t segment_bytes_ = 0;  // rotation threshold
+  std::string writer_id_;       // empty on read-only opens
   std::ofstream out_;
-  std::string append_path_;         // file out_ appends to (base or segment)
+  std::string append_path_;         // this writer's current segment
   uint64_t append_path_bytes_ = 0;  // its size (rotation threshold check)
-  uint64_t next_segment_ = 0;       // suffix of this writer's next segment
+  uint64_t next_segment_ = 0;       // sequence of this writer's next segment
   std::vector<StoredCell> cells_;
   std::unordered_map<std::string, size_t> index_;  // Canonical() -> cells_ idx
   std::vector<StoredClaim> claims_;
-  std::map<std::string, PeerFile> peers_;  // peer log path -> replay state
-  size_t replayed_files_ = 0;
-  size_t valid_bytes_ = 0;         // replayed base prefix incl. header
-  size_t dropped_tail_bytes_ = 0;  // garbage after a valid prefix
-  size_t log_records_ = 0;         // record lines in the log (incl. dupes)
-  size_t error_cells_ = 0;         // keys whose latest record is an error
-  bool file_exists_ = false;       // base file existed at open
-  bool ends_with_newline_ = true;  // base valid prefix ends in '\n'
+  std::map<std::string, LogFile> files_;  // log path -> replay state
+  size_t dropped_tail_bytes_ = 0;
+  size_t log_records_ = 0;  // record lines in the log (incl. dupes)
+  size_t error_cells_ = 0;  // keys whose latest record is an error
   int sync_fd_ = -1;  // fsync descriptor for the log (ofstream hides its fd)
   FsyncPolicy fsync_policy_ = FsyncPolicy::kBatch;
   uint64_t appends_since_sync_ = 0;

@@ -106,7 +106,7 @@ std::vector<LeaseInfo> ListLeases(const std::string& dir) {
     std::ifstream in(entry.path(), std::ios::binary);
     std::string line;
     if (in && std::getline(in, line)) {
-      double pid = 0, heartbeat = 0, ttl = 0, owns_base = 0;
+      double pid = 0, heartbeat = 0, ttl = 0;
       std::string writer;
       if (FindString(line, "writer", &writer) && writer == info.writer &&
           FindNumber(line, "pid", &pid) &&
@@ -115,9 +115,6 @@ std::vector<LeaseInfo> ListLeases(const std::string& dir) {
         info.pid = static_cast<long>(pid);
         info.heartbeat = static_cast<uint64_t>(heartbeat);
         info.ttl_seconds = ttl > 0 ? ttl : 30;
-        if (FindNumber(line, "owns_base", &owns_base)) {
-          info.owns_base = owns_base != 0;
-        }
       }
       // A torn or mismatched lease file keeps pid 0: provably not live,
       // so the next acquirer reaps it.
@@ -136,7 +133,7 @@ void WriteLease(const std::string& dir, const LeaseInfo& info) {
        << ",\"heartbeat\":" << info.heartbeat << ",\"ttl\":";
   char ttl[32];
   std::snprintf(ttl, sizeof(ttl), "%.17g", info.ttl_seconds);
-  line << ttl << ",\"owns_base\":" << (info.owns_base ? 1 : 0) << "}\n";
+  line << ttl << "}\n";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw IoError("lease: cannot open " + tmp);

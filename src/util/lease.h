@@ -1,15 +1,14 @@
 // Cooperative writer leases for multi-process result stores.
 //
-// A lease is one small JSON file (`lease.<writer-id>.json`) beside the
-// store log, holding the writer's pid, a monotonically increasing
+// A lease is one small JSON file (`lease.<writer-id>.json`) in the store
+// directory, holding the writer's pid, a monotonically increasing
 // heartbeat counter, and its TTL. Writers renew the heartbeat by
 // atomically rewriting the file (tmp + rename); readers judge liveness
 // without any shared clock:
 //
 //   acquire ── heartbeat ──> live ── pid dies / counter stops ──> stale
 //                                         │
-//                                         └──> reaped (lease removed,
-//                                              torn segment tail sealed)
+//                                         └──> reaped (lease removed)
 //
 // A writer is STALE when its pid is provably dead on this host
 // (kill(pid,0) == ESRCH) or when its heartbeat counter has not advanced
@@ -18,9 +17,15 @@
 // conservative: a live writer renews every ttl/4, so a counter that
 // sits still for a full TTL means the writer cannot make progress.
 //
-// All lease-file mutation that must be mutually exclusive (acquisition,
-// reaping a stale peer's files) happens under a short flock on a shared
-// `leases.lock` sidecar; renewals and probes never take the flock.
+// A lease says only that its writer may still be appending to its own
+// segment chain; no file in the directory is owned through a lease. Once
+// the lease is gone the writer's segments are final, and the next store
+// open settles their torn tails.
+//
+// All mutation that must be mutually exclusive (acquisition, reaping a
+// dead peer's lease, the store's replay that settles gone writers' tails)
+// happens under a flock on a shared `leases.lock` sidecar; renewals and
+// probes never take the flock.
 #ifndef SPARSIFY_UTIL_LEASE_H_
 #define SPARSIFY_UTIL_LEASE_H_
 
@@ -38,7 +43,6 @@ struct LeaseInfo {
   long pid = 0;             // writer's process id on its host
   uint64_t heartbeat = 0;   // monotonic renewal counter
   double ttl_seconds = 30;  // staleness horizon the writer promised
-  bool owns_base = false;   // this writer appends to the base log file
   std::string path;         // lease file path (filled by ListLeases)
 };
 

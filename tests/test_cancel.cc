@@ -395,7 +395,7 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
   // Every m_bad unit wedges until its own deadline fires; m_good units
   // on the SAME cells must complete untouched.
   fail::ArmFromSpec("engine.metric_unit/m_bad=hang");
-  auto store = std::make_unique<ResultStore>(ResultStore::PathInDir(dir));
+  auto store = std::make_unique<ResultStore>(dir);
   ResumableSweep sweep(runner_, store.get(), "test-rev");
   sweep.set_fault_tolerant(true);
   sweep.set_unit_timeout(0.05);
@@ -445,7 +445,7 @@ TEST_F(EngineCancelTest, RunCancellationLeavesStoreResumableBitIdentically) {
   // after two units, so the remaining units are deterministically still
   // queued and must be skipped with NO store record.
   BatchRunner serial(1);
-  auto store = std::make_unique<ResultStore>(ResultStore::PathInDir(dir));
+  auto store = std::make_unique<ResultStore>(dir);
   CancelToken run_token;
   ResumableSweep sweep(serial, store.get(), "test-rev");
   sweep.set_fault_tolerant(true);

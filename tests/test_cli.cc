@@ -218,7 +218,7 @@ TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
   // second sweep) proceed alongside a live writer; only exclusive
   // whole-store rewrites — compact — refuse with the busy exit code.
   std::string dir = TestPath("exit_lock_store");
-  ResultStore holder(ResultStore::PathInDir(dir));
+  ResultStore holder(dir);
   holder.Append(
       CellKey{"ego-Facebook@0.1", "RN", 0.5, 0, 1234567u, "degree", "x"},
       0.5, 1.0);
@@ -229,9 +229,10 @@ TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
 TEST_F(CliExitCodeTest, CorruptStoreExitsWithCorruptCode) {
   std::string dir = TestPath("exit_corrupt_store");
   ASSERT_EQ(RunCli(SweepArgs(dir)), cli::kExitOk);
-  // Flip a digit inside the first record; the line stays terminated, so
-  // replay must classify it as corruption, not a torn tail.
-  std::string path = ResultStore::PathInDir(dir);
+  // Flip a digit inside the first record of the sweep's segment; the line
+  // stays terminated, so replay must classify it as corruption, not a torn
+  // tail.
+  std::string path = OnlySegment(dir);
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
@@ -285,12 +286,12 @@ TEST_F(CliExitCodeTest, CompactSubcommandShrinksAndKeepsExport) {
   ASSERT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
   std::string before = ::testing::internal::GetCapturedStdout();
 
-  const auto bytes_before = fs::file_size(ResultStore::PathInDir(dir));
+  const auto bytes_before = StoreBytes(dir);
   ::testing::internal::CaptureStdout();
   ASSERT_EQ(RunCli({"compact", "--store=" + dir}), cli::kExitOk);
   std::string compact_out = ::testing::internal::GetCapturedStdout();
   EXPECT_NE(compact_out.find("compacted"), std::string::npos);
-  EXPECT_LT(fs::file_size(ResultStore::PathInDir(dir)), bytes_before);
+  EXPECT_LT(StoreBytes(dir), bytes_before);
 
   ::testing::internal::CaptureStdout();
   ASSERT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
@@ -374,7 +375,7 @@ TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {
         << merge_out;
     ResultStoreOptions snapshot;
     snapshot.read_only = true;
-    ResultStore merged(ResultStore::PathInDir(out), snapshot);
+    ResultStore merged(out, snapshot);
     EXPECT_EQ(merged.ErrorCount(), 0u);
     EXPECT_EQ(merged.Size(), 2u);  // degree + kcore cells, errors resolved
   }

@@ -87,7 +87,7 @@ TEST_F(FaultTolerantSweepTest, FailFastModeStillThrows) {
 
 TEST_F(FaultTolerantSweepTest, FailedMetricIsRecordedAndOthersComplete) {
   std::string dir = TestPath("ft_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   SweepConfig config = TestConfig();
 
   // Cold reference for the surviving metric, no store, no faults.
@@ -155,7 +155,7 @@ TEST_F(FaultTolerantSweepTest, TransientFailureRetriesToBitIdenticalValue) {
 
 TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
   std::string dir = TestPath("ft_transient_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   fail::ArmFromSpec("engine.metric_unit/m_bad=throw-transient");
   ResumableSweep sweep(runner_, &store, "test-rev");
   sweep.set_fault_tolerant(true);
@@ -175,7 +175,7 @@ TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
 
 TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
   std::string dir = TestPath("ft_score_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   // Score-group faults hit everything downstream of one sparsifier; they
   // are structural (not per-unit), so no retry — the cells just fail.
   fail::ArmFromSpec("engine.score_group/RN=throw");
@@ -254,7 +254,7 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
   const size_t units = 12;
   const size_t hit_units = metric_site ? 6 : 8;
 
-  ResultStore store(ResultStore::PathInDir(TestPath("store")));
+  ResultStore store(TestPath("store"));
   CancelToken run_token;
   ResumableSweep sweep(runner_, &store, "test-rev");
   sweep.set_fault_tolerant(c.tolerant);

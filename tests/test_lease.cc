@@ -40,7 +40,6 @@ TEST(LeaseTest, WriteListRemoveRoundTrip) {
   info.pid = static_cast<long>(::getpid());
   info.heartbeat = 7;
   info.ttl_seconds = 2.5;
-  info.owns_base = true;
   lease::WriteLease(dir, info);
 
   std::vector<lease::LeaseInfo> listed = lease::ListLeases(dir);
@@ -49,7 +48,6 @@ TEST(LeaseTest, WriteListRemoveRoundTrip) {
   EXPECT_EQ(listed[0].pid, info.pid);
   EXPECT_EQ(listed[0].heartbeat, 7u);
   EXPECT_EQ(listed[0].ttl_seconds, 2.5);
-  EXPECT_TRUE(listed[0].owns_base);
   EXPECT_FALSE(listed[0].path.empty());
 
   lease::RemoveLease(dir, info.writer);
@@ -117,7 +115,7 @@ TEST(LeaseTest, StoreReapsDeadWritersLeaseOnOpen) {
   // this is what keeps a kill -9'd worker from wedging the store.
   std::string dir = TestDir();
   {
-    ResultStore store(ResultStore::PathInDir(dir));
+    ResultStore store(dir);
     CellKey key;
     key.dataset = "d";
     key.sparsifier = "RN";
@@ -131,7 +129,7 @@ TEST(LeaseTest, StoreReapsDeadWritersLeaseOnOpen) {
   lease::WriteLease(dir, dead);
   ASSERT_EQ(lease::ListLeases(dir).size(), 1u);
 
-  ResultStore reopened(ResultStore::PathInDir(dir));
+  ResultStore reopened(dir);
   std::vector<lease::LeaseInfo> remaining = lease::ListLeases(dir);
   ASSERT_EQ(remaining.size(), 1u);  // only the live reopener's lease
   EXPECT_EQ(remaining[0].writer, reopened.WriterId());

@@ -414,7 +414,7 @@ TEST_F(MultiMetricSweepTest, MultiSweepEqualsUnionOfSingleMetricSweeps) {
 
 TEST_F(MultiMetricSweepTest, ResumingWithMoreMetricsSubmitsOnlyNewUnits) {
   std::string dir = TestPath("more_metrics_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   SweepConfig config = Config();
   std::vector<SweepMetric> metrics = TwoMetrics();
   size_t cells = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
@@ -471,7 +471,7 @@ TEST_F(MultiMetricSweepTest, ColdAndResumedBitIdenticalAcrossThreadCounts) {
     }
     // Interrupted-at-one-metric + resumed at this thread count.
     std::string dir = TestPath("threads_store_" + std::to_string(threads));
-    ResultStore store(ResultStore::PathInDir(dir));
+    ResultStore store(dir);
     ResumableSweep resumed(runner, &store, "test-rev");
     resumed.RunMulti(graph_, "fb@0.1", {metrics[1]}, config);
     std::vector<MetricSweepSeries> after =

@@ -398,7 +398,7 @@ TEST(ObsTrace, SweepCsvIsByteIdenticalWithTracingOn) {
     if (tracing) obs::StartTracing();
     std::string csv;
     {
-      ResultStore store(ResultStore::PathInDir(dir));
+      ResultStore store(dir);
       BatchRunner runner(4);
       ResumableSweep sweep(runner, &store, "test-rev");
       sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"quad5", metric}},
@@ -514,7 +514,7 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
            static_cast<double>(std::max<EdgeId>(1, g.NumEdges()));
   };
   std::string dir = TestPath("obs_progress_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   BatchRunner runner(2);
   ResumableSweep sweep(runner, &store, "test-rev");
 

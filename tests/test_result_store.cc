@@ -1,7 +1,10 @@
 // ResultStore: JSONL round-trip, replay semantics, and the crash-recovery
-// contract — a log truncated anywhere inside its last record must replay
-// to exactly the fully-written cells, never throw, and stay appendable.
+// contract — a writer's segment truncated anywhere inside its last record
+// must replay to exactly the fully-written cells, never throw, and leave
+// the store appendable.
 #include "src/store/result_store.h"
+
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -9,6 +12,7 @@
 
 #include "gtest/gtest.h"
 #include "src/util/errors.h"
+#include "src/util/lease.h"
 #include "tests/test_util.h"
 
 namespace sparsify {
@@ -40,24 +44,45 @@ CellKey MakeKey(const std::string& sparsifier, double rate, int run) {
   return key;
 }
 
+// A segment name for a writer that holds no lease in `dir`: its writer is
+// gone, so replay settles the file's tail.
+std::string GoneWriterSegment(const std::string& dir) {
+  fs::create_directories(dir);
+  return (fs::path(dir) / "log.w1x00000000000000aa.000000.jsonl").string();
+}
+
+ResultStoreOptions ReadOnly() {
+  ResultStoreOptions options;
+  options.read_only = true;
+  return options;
+}
+
 TEST(ResultStoreTest, MissingFileIsEmptyStore) {
-  std::string path = TestPath("missing_store.jsonl");
-  ResultStore store(path);
+  ResultStore store(TestPath("missing_store"));
   EXPECT_EQ(store.Size(), 0u);
   EXPECT_FALSE(store.Contains(MakeKey("RN", 0.1, 0)));
+  // A read-only open of a missing directory is empty and creates nothing.
+  std::string absent = TestPath("absent_store");
+  ResultStore snapshot(absent, ReadOnly());
+  EXPECT_EQ(snapshot.Size(), 0u);
+  EXPECT_FALSE(fs::exists(absent));
 }
 
 TEST(ResultStoreTest, AppendLookupRoundTrip) {
-  std::string path = TestPath("roundtrip_store.jsonl");
+  std::string dir = TestPath("roundtrip_store");
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     store.Append(MakeKey("RN", 0.1, 0), 0.1002, 0.123456789012345678);
     store.Append(MakeKey("RN", 0.1, 1), 0.1002, -3.5e-12);
     store.Append(MakeKey("LD", 0.9, 0), 0.9, 17.0);
     EXPECT_EQ(store.Size(), 3u);
   }
+  // A lone writer appends to its own segment; the base is compaction
+  // output only.
+  EXPECT_EQ(SegmentFiles(dir).size(), 1u);
+  EXPECT_FALSE(fs::exists(fs::path(dir) / "results.jsonl"));
   // Replay from disk: exact double round-trip and key identity.
-  ResultStore replayed(path);
+  ResultStore replayed(dir);
   EXPECT_EQ(replayed.Size(), 3u);
   auto cell = replayed.Lookup(MakeKey("RN", 0.1, 0));
   ASSERT_TRUE(cell.has_value());
@@ -71,103 +96,176 @@ TEST(ResultStoreTest, AppendLookupRoundTrip) {
 }
 
 TEST(ResultStoreTest, NonFiniteValuesRoundTrip) {
-  std::string path = TestPath("nonfinite_store.jsonl");
+  std::string dir = TestPath("nonfinite_store");
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     store.Append(MakeKey("RN", 0.1, 0), 0.1,
                  std::numeric_limits<double>::infinity());
   }
-  ResultStore replayed(path);
+  ResultStore replayed(dir);
   auto cell = replayed.Lookup(MakeKey("RN", 0.1, 0));
   ASSERT_TRUE(cell.has_value());
   EXPECT_EQ(cell->value, std::numeric_limits<double>::infinity());
 }
 
 TEST(ResultStoreTest, DuplicateKeyLastWriteWins) {
-  std::string path = TestPath("dup_store.jsonl");
+  std::string dir = TestPath("dup_store");
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 2.0);
     EXPECT_EQ(store.Size(), 1u);
     EXPECT_EQ(store.Lookup(MakeKey("RN", 0.1, 0))->value, 2.0);
   }
-  ResultStore replayed(path);
+  ResultStore replayed(dir);
   EXPECT_EQ(replayed.Size(), 1u);
   EXPECT_EQ(replayed.Lookup(MakeKey("RN", 0.1, 0))->value, 2.0);
   EXPECT_EQ(replayed.Cells().size(), 1u);
 }
 
+TEST(ResultStoreTest, CrossSessionLastWriteWins) {
+  // Each session is a new writer with a fresh random id, appending to its
+  // own segment. Segment names sort in acquisition order, so the latest
+  // session's value wins on replay exactly as in one shared log — also
+  // past ten sessions, where a textual sort of the numbers would not.
+  std::string dir = TestPath("sessions_store");
+  const CellKey key = MakeKey("RN", 0.1, 0);
+  for (int session = 1; session <= 12; ++session) {
+    ResultStore store(dir);
+    if (session > 1) {
+      EXPECT_EQ(store.Lookup(key)->value, session - 1.0) << session;
+    }
+    store.Append(key, 0.1, static_cast<double>(session));
+  }
+  EXPECT_EQ(SegmentFiles(dir).size(), 12u);
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.Lookup(key)->value, 12.0);
+  EXPECT_EQ(reopened.Size(), 1u);
+}
+
+TEST(ResultStoreTest, ReplayedErrorNeverShadowsASuccess) {
+  // Equal keys compute bit-identical values, so a success in any file is
+  // THE value; an error record from another writer (or a later session)
+  // only documents a failed attempt. A later success beats an error.
+  std::string dir = TestPath("shadow_store");
+  const CellKey ok = MakeKey("RN", 0.1, 0);
+  const CellKey healed = MakeKey("RN", 0.2, 0);
+  {
+    ResultStore first(dir);
+    first.Append(ok, 0.1, 1.5);
+    first.AppendError(healed, "transient", "boom", 2);
+  }
+  {
+    ResultStore second(dir);
+    second.AppendError(ok, "permanent", "boom", 1);
+    second.Append(healed, 0.2, 2.5);
+  }
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.ErrorCount(), 0u);
+  EXPECT_EQ(reopened.Lookup(ok)->value, 1.5);
+  EXPECT_EQ(reopened.Lookup(healed)->value, 2.5);
+}
+
+TEST(ResultStoreTest, SiblingDirectoriesNeverSeeEachOther) {
+  // A store is its directory: two stores under one parent share neither
+  // leases nor segments.
+  std::string a = TestPath("parent/a");
+  std::string b = TestPath("parent/b");
+  {
+    ResultStore store_a(a);
+    ResultStore store_b(b);
+    store_a.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
+    store_b.Append(MakeKey("LD", 0.1, 0), 0.1, 2.0);
+    EXPECT_EQ(store_a.RefreshPeers(), 0u);
+    EXPECT_EQ(store_a.Size(), 1u);
+  }
+  ResultStore reopened_a(a);
+  ResultStore reopened_b(b);
+  EXPECT_EQ(reopened_a.Size(), 1u);
+  EXPECT_TRUE(reopened_a.Contains(MakeKey("RN", 0.1, 0)));
+  EXPECT_EQ(reopened_b.Size(), 1u);
+  EXPECT_TRUE(reopened_b.Contains(MakeKey("LD", 0.1, 0)));
+}
+
 TEST(ResultStoreTest, EscapedStringsRoundTrip) {
-  std::string path = TestPath("escape_store.jsonl");
+  std::string dir = TestPath("escape_store");
   CellKey key = MakeKey("RN", 0.5, 0);
   key.dataset = "odd \"name\"\twith\\escapes\n";
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     store.Append(key, 0.5, 1.0);
   }
-  ResultStore replayed(path);
+  ResultStore replayed(dir);
   EXPECT_TRUE(replayed.Contains(key));
   EXPECT_EQ(replayed.Cells()[0].key.dataset, key.dataset);
 }
 
 TEST(ResultStoreTest, BadHeaderIsFatal) {
-  std::string path = TestPath("badheader_store.jsonl");
-  WriteFile(path, "{\"format\":\"something-else\",\"version\":1}\n");
-  EXPECT_THROW(ResultStore{path}, std::runtime_error);
-  WriteFile(path, "not json at all\n");
-  EXPECT_THROW(ResultStore{path}, std::runtime_error);
+  std::string dir = TestPath("badheader_store");
+  std::string seg = GoneWriterSegment(dir);
+  WriteFile(seg, "{\"format\":\"something-else\",\"version\":2}\n");
+  EXPECT_THROW(ResultStore{dir}, std::runtime_error);
+  WriteFile(seg, "not json at all\n");
+  EXPECT_THROW(ResultStore{dir}, std::runtime_error);
+  // The compaction output is held to the same header rule.
+  fs::remove(seg);
+  WriteFile((fs::path(dir) / "results.jsonl").string(), "not json at all\n");
+  EXPECT_THROW(ResultStore{dir}, std::runtime_error);
 }
 
 TEST(ResultStoreTest, UnsupportedVersionIsFatal) {
-  std::string path = TestPath("version_store.jsonl");
-  WriteFile(path, "{\"format\":\"sparsify-result-store\",\"version\":99}\n");
-  EXPECT_THROW(ResultStore{path}, std::runtime_error);
+  std::string dir = TestPath("version_store");
+  WriteFile(GoneWriterSegment(dir),
+            "{\"format\":\"sparsify-result-store\",\"version\":99}\n");
+  EXPECT_THROW(ResultStore{dir}, std::runtime_error);
 }
 
 TEST(ResultStoreTest, MidFileCorruptionIsFatal) {
-  std::string path = TestPath("corrupt_store.jsonl");
+  std::string dir = TestPath("corrupt_store");
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
     store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
   }
-  std::string content = ReadFile(path);
+  std::string seg = OnlySegment(dir);
+  std::string content = ReadFile(seg);
   // Corrupt the FIRST record (a complete, newline-terminated line): that is
   // not a crash artifact, and replay must refuse rather than guess.
   size_t first_record = content.find('\n') + 1;
   content[first_record + 5] = '\x01';
-  WriteFile(path, content);
-  EXPECT_THROW(ResultStore{path}, std::runtime_error);
+  WriteFile(seg, content);
+  EXPECT_THROW(ResultStore{dir}, std::runtime_error);
+  EXPECT_THROW(ResultStore(dir, ReadOnly()), std::runtime_error);
 }
 
-// The crash-simulation contract: truncating the log at EVERY byte boundary
-// of the last record must (a) never throw, (b) recover exactly the
-// fully-written records, and (c) leave the store appendable.
+// The crash-simulation contract: truncating the writer's segment at EVERY
+// byte boundary of its last record must (a) never throw, (b) recover
+// exactly the fully-written records, and (c) leave the store appendable.
 TEST(ResultStoreTest, TruncationAtEveryByteOfLastRecordRecovers) {
-  std::string path = TestPath("crash_store.jsonl");
+  std::string dir = TestPath("crash_store");
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.5);
     store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.5);
     store.Append(MakeKey("LD", 0.3, 0), 0.3, 3.5);
   }
-  std::string content = ReadFile(path);
+  const std::string seg = OnlySegment(dir);
+  std::string content = ReadFile(seg);
   ASSERT_EQ(content.back(), '\n');
   // Start of the last record line.
   size_t last_start = content.rfind('\n', content.size() - 2) + 1;
   size_t last_json_end = content.size() - 1;  // position of closing newline
 
   for (size_t cut = last_start; cut <= content.size(); ++cut) {
-    std::string prefix = content.substr(0, cut);
-    std::string trial = TestPath("crash_trial.jsonl");
-    WriteFile(trial, prefix);
+    // The segment as the crashed writer left it, in a fresh store.
+    std::string trial = TestPath("crash_trial_" + std::to_string(cut));
+    fs::create_directories(trial);
+    WriteFile((fs::path(trial) / fs::path(seg).filename()).string(),
+              content.substr(0, cut));
 
     // (a) replay never throws, (b) exact prefix of records recovered. A
     // cut at or past the final '}' leaves a complete record that merely
-    // lost its newline; it must be recovered too. The first store must
-    // close before the reopen below: open stores hold an exclusive
-    // inter-process lock.
+    // lost its newline; it must be recovered too.
     size_t expected = cut >= last_json_end ? 3u : 2u;
     {
       ResultStore store(trial);
@@ -181,9 +279,9 @@ TEST(ResultStoreTest, TruncationAtEveryByteOfLastRecordRecovers) {
             << "cut=" << cut;
       }
 
-      // (c) appending after the crash repairs the file: a fresh replay
-      // sees the recovered records plus the new one, and no torn bytes
-      // remain.
+      // (c) the open settled the gone writer's tail, so appending goes on
+      // cleanly: a fresh replay sees the recovered records plus the new
+      // one, and no torn bytes remain.
       store.Append(MakeKey("GS", 0.4, 0), 0.4, 4.5);
     }
     ResultStore reopened(trial);
@@ -194,48 +292,110 @@ TEST(ResultStoreTest, TruncationAtEveryByteOfLastRecordRecovers) {
   }
 }
 
-// A crash can also tear the header of a brand-new store; that must behave
-// like an empty store and be repaired by the first append.
+// A crash can also tear the header of a brand-new segment; that must
+// behave like an empty store, and the leftover is removed.
 TEST(ResultStoreTest, TornHeaderOnlyFileRecoversEmpty) {
-  std::string path = TestPath("tornheader_store.jsonl");
-  WriteFile(path, "{\"format\":\"sparsify-re");  // no newline: torn tail
+  std::string dir = TestPath("tornheader_store");
+  std::string seg = GoneWriterSegment(dir);
+  WriteFile(seg, "{\"format\":\"sparsify-re");  // no newline: torn tail
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     EXPECT_EQ(store.Size(), 0u);
     EXPECT_GT(store.DroppedTailBytes(), 0u);
+    EXPECT_FALSE(fs::exists(seg));
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
   }
-  ResultStore reopened(path);
+  ResultStore reopened(dir);
   EXPECT_EQ(reopened.Size(), 1u);
   EXPECT_EQ(reopened.DroppedTailBytes(), 0u);
 }
 
-TEST(ResultStoreTest, OpenInDirCreatesDirectory) {
+TEST(ResultStoreTest, ReadOnlyOpenCountsATornTailButNeverRepairs) {
+  std::string dir = TestPath("readonly_store");
+  {
+    ResultStore store(dir);
+    store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
+    store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
+  }
+  const std::string seg = OnlySegment(dir);
+  const std::string whole = ReadFile(seg);
+  // Header plus the first record survive; the second is torn mid-line.
+  const size_t kept = whole.find('\n', whole.find('\n') + 1) + 1;
+  const std::string torn = whole.substr(0, whole.size() - 9);
+  WriteFile(seg, torn);
+  {
+    ResultStore snapshot(dir, ReadOnly());
+    EXPECT_EQ(snapshot.Size(), 1u);
+    EXPECT_EQ(snapshot.DroppedTailBytes(), torn.size() - kept);
+  }
+  EXPECT_EQ(ReadFile(seg), torn);
+  {
+    ResultStore writer(dir);
+    EXPECT_EQ(writer.DroppedTailBytes(), torn.size() - kept);
+  }
+  EXPECT_EQ(ReadFile(seg), whole.substr(0, kept));
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST(ResultStoreTest, LiveWritersTailStaysPendingUntilTerminated) {
+  // A writer that holds a live lease may be mid-append: its unterminated
+  // tail is neither absorbed, nor counted, nor cut — only its peers'
+  // refresh picks the line up once the newline lands.
+  std::string source = TestPath("live_source");
+  {
+    ResultStore store(source);
+    store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
+    store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
+  }
+  const std::string whole = ReadFile(OnlySegment(source));
+  const std::string torn = whole.substr(0, whole.size() - 9);
+
+  std::string dir = TestPath("live_store");
+  fs::create_directories(dir);
+  lease::LeaseInfo live;
+  live.writer = "w1x00000000000000bb";
+  live.pid = static_cast<long>(::getpid());
+  lease::WriteLease(dir, live);
+  const std::string seg =
+      (fs::path(dir) / ("log." + live.writer + ".000000.jsonl")).string();
+  WriteFile(seg, torn);
+
+  ResultStore store(dir);
+  EXPECT_EQ(store.Size(), 1u);
+  EXPECT_EQ(store.DroppedTailBytes(), 0u);
+  EXPECT_EQ(ReadFile(seg), torn);
+  WriteFile(seg, whole);  // the peer finishes its append
+  EXPECT_EQ(store.RefreshPeers(), 1u);
+  EXPECT_EQ(store.Lookup(MakeKey("RN", 0.2, 0))->value, 2.0);
+}
+#endif
+
+TEST(ResultStoreTest, ConstructorCreatesDirectory) {
   std::string dir = TestPath("store_dir/nested");
   {
-    ResultStore store(ResultStore::PathInDir(dir));
+    ResultStore store(dir);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
   }
-  ResultStore reopened = ResultStore::OpenInDir(dir);
+  EXPECT_TRUE(fs::is_directory(dir));
+  ResultStore reopened(dir);
   EXPECT_EQ(reopened.Size(), 1u);
-  EXPECT_EQ(reopened.Path(),
-            (fs::path(dir) / ResultStore::DefaultFileName()).string());
+  EXPECT_EQ(reopened.Dir(), dir);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
 TEST(ResultStoreTest, SecondWriterCoexistsAndRecordsMerge) {
-  // Locking went cooperative: a second open takes its own lease and its
+  // Locking is cooperative: a second open takes its own lease and its
   // own segment file instead of failing with "locked by another
   // process". Each writer sees its peer's records (after RefreshPeers or
   // a fresh replay), and neither disturbs the other.
-  std::string path = ResultStore::PathInDir(TestPath("coop_store_dir"));
-  ResultStore store(path);
+  std::string dir = TestPath("coop_store_dir");
+  ResultStore store(dir);
   store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
 
   {
-    ResultStore second(path);
+    ResultStore second(dir);
     EXPECT_NE(second.WriterId(), store.WriterId());
-    // The peer's base record replayed into the second writer's view.
+    // The first writer's record replayed into the second writer's view.
     EXPECT_EQ(second.Size(), 1u);
     second.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
     EXPECT_EQ(second.Size(), 2u);
@@ -248,35 +408,44 @@ TEST(ResultStoreTest, SecondWriterCoexistsAndRecordsMerge) {
 
     // Exclusive operations refuse while the other writer is live.
     EXPECT_THROW(store.Compact(), StoreLockHeldError);
+    second.Append(MakeKey("RN", 0.3, 0), 0.3, 3.0);
   }
-  // Second writer closed cleanly: exclusivity is available again and the
-  // compacted base folds both writers' records together.
+  // Second writer closed cleanly: exclusivity is available again, and the
+  // compaction output folds both writers' records together — including
+  // the one this writer never polled for.
   CompactStats stats = store.Compact();
-  EXPECT_EQ(stats.records_after, 2u);
-  ResultStore replayed(path);
-  EXPECT_EQ(replayed.Size(), 2u);
+  EXPECT_EQ(stats.records_after, 3u);
+  EXPECT_TRUE(SegmentFiles(dir).empty());
+  ResultStore replayed(dir);
+  EXPECT_EQ(replayed.Size(), 3u);
   EXPECT_EQ(replayed.Lookup(MakeKey("RN", 0.1, 0))->value, 1.0);
   EXPECT_EQ(replayed.Lookup(MakeKey("RN", 0.2, 0))->value, 2.0);
+  EXPECT_EQ(replayed.Lookup(MakeKey("RN", 0.3, 0))->value, 3.0);
 }
 
 TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
-  std::string path = TestPath("relock_store.jsonl");
+  std::string dir = TestPath("relock_store");
   {
-    ResultStore store(path);
+    ResultStore store(dir);
     store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
   }
   // Closed cleanly: reopening succeeds.
-  { ResultStore reopened(path); EXPECT_EQ(reopened.Size(), 1u); }
+  { ResultStore reopened(dir); EXPECT_EQ(reopened.Size(), 1u); }
 
   // A constructor that throws during replay (corrupt mid-file) must also
-  // release the lock, or the path would wedge for the whole process.
-  std::string bad = TestPath("relock_corrupt.jsonl");
-  std::string content = ReadFile(path);
+  // release its lease, or the store would see a ghost writer.
+  std::string bad = TestPath("relock_corrupt");
+  fs::create_directories(bad);
+  const std::string seg = OnlySegment(dir);
+  const std::string bad_seg =
+      (fs::path(bad) / fs::path(seg).filename()).string();
+  std::string content = ReadFile(seg);
   size_t header_end = content.find('\n') + 1;
-  WriteFile(bad, content.substr(0, header_end) + "not json\n" +
-                     content.substr(header_end));
+  WriteFile(bad_seg, content.substr(0, header_end) + "not json\n" +
+                         content.substr(header_end));
   EXPECT_THROW(ResultStore{bad}, std::runtime_error);
-  WriteFile(bad, content);  // repair the file; the lock must be free
+  EXPECT_TRUE(lease::ListLeases(bad).empty());
+  WriteFile(bad_seg, content);  // repair the file
   ResultStore recovered(bad);
   EXPECT_EQ(recovered.Size(), 1u);
 }
@@ -288,8 +457,7 @@ TEST(ResultStoreTest, CodeRevBumpNeverReusesOldCells) {
   // cells computed by the r1 pipeline must be cache misses for this
   // binary, never silently mixed with r2 values.
   ASSERT_STRNE(kResultCodeRev, "r1");
-  std::string path = TestPath("code_rev_store.jsonl");
-  ResultStore store(path);
+  ResultStore store(TestPath("code_rev_store"));
 
   CellKey old_rev = MakeKey("RN", 0.1, 0);
   old_rev.code_rev = "r1";
@@ -317,8 +485,7 @@ TEST(ResultStoreTest, StaleRevCellsNeverSatisfyCurrentLookups) {
   // of them to the current pipeline (not even for rng-free metrics —
   // revisions are keyed wholesale, not per metric).
   ASSERT_STREQ(kResultCodeRev, "r4");
-  std::string path = TestPath("r2_r3_store.jsonl");
-  ResultStore store(path);
+  ResultStore store(TestPath("r2_r3_store"));
 
   for (double rate : {0.1, 0.5, 0.9}) {
     CellKey r2 = MakeKey("LD", rate, 0);

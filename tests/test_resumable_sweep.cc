@@ -3,6 +3,7 @@
 // engine (scheduling-count hook), and export byte-identical CSV.
 #include "src/engine/resumable_sweep.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -14,6 +15,8 @@
 
 namespace sparsify {
 namespace {
+
+namespace fs = std::filesystem;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -104,7 +107,7 @@ TEST_F(ResumableSweepTest, SubsetRunMatchesFullGridSeeds) {
 
 TEST_F(ResumableSweepTest, WarmStoreSubmitsZeroCells) {
   std::string dir = TestPath("warm_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   SweepConfig config = TestConfig();
 
   ResumableSweep sweep(runner_, &store, "test-rev");
@@ -139,16 +142,18 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
 
   // Uninterrupted store-backed run -> store A.
   std::string dir_a = TestPath("cold_store");
-  ResultStore store_a(ResultStore::PathInDir(dir_a));
+  ResultStore store_a(dir_a);
   {
     ResumableSweep sweep(runner_, &store_a, "test-rev");
     auto series = RunQuad5(sweep, graph_, config);
     ExpectSeriesBitIdentical(cold, series);
   }
 
-  // Simulate a crash after roughly half the cells: store B's log is store
-  // A's header + first half of its records + a torn fragment of the next.
-  std::string content = ReadFile(store_a.Path());
+  // Simulate a crash after roughly half the cells: store B holds one gone
+  // writer's segment with store A's header + first half of its records +
+  // a torn fragment of the next.
+  const fs::path segment_a = OnlySegment(dir_a);
+  std::string content = ReadFile(segment_a.string());
   std::vector<size_t> line_starts;
   for (size_t pos = 0; pos < content.size();) {
     line_starts.push_back(pos);
@@ -162,12 +167,12 @@ TEST_F(ResumableSweepTest, InterruptedThenResumedIsBitIdenticalToColdRun) {
   ASSERT_LT(keep_end + 25, content.size());
 
   std::string dir_b = TestPath("resume_store");
-  std::string path_b = ResultStore::PathInDir(dir_b);
-  WriteFile(path_b, torn);
+  fs::create_directories(dir_b);
+  WriteFile((fs::path(dir_b) / segment_a.filename()).string(), torn);
 
   // Resume: replay must drop the torn record, schedule exactly the missing
   // cells, and reassemble the cold-run series bit-identically.
-  ResultStore store_b(path_b);
+  ResultStore store_b(dir_b);
   EXPECT_EQ(store_b.Size(), keep_records);
   size_t total = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
   ResumableSweep sweep(runner_, &store_b, "test-rev");
@@ -201,7 +206,7 @@ TEST_F(ResumableSweepTest, DifferentGridShapeReusesCells) {
   // sharding — shard workers partition different task subsets but must
   // agree on every unit's identity. This test pins the reuse contract.
   std::string dir = TestPath("gridshape_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
 
   SweepConfig two_algos = TestConfig();
   two_algos.sparsifiers = {"LD", "RN"};
@@ -242,7 +247,7 @@ TEST_F(ResumableSweepTest, DifferentGridShapeReusesCells) {
 
 TEST_F(ResumableSweepTest, WriteOnlyModeRecomputesButPersists) {
   std::string dir = TestPath("writeonly_store");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   SweepConfig config = TestConfig();
   size_t total = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
 
@@ -266,7 +271,7 @@ TEST_F(ResumableSweepTest, NullStoreRunsCold) {
   EXPECT_EQ(stats.cached_cells, 0u);
 
   std::string dir = TestPath("nullstore_ref");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   ResumableSweep backed(runner_, &store, "test-rev");
   ExpectSeriesBitIdentical(
       RunQuad5(backed, graph_, config), series);

@@ -84,7 +84,7 @@ TEST_F(ShardSchedulerTest, LoneWorkerStealsAbsentPeersChunksAndCompletes) {
   // phase B finds the never-started peers' chunks unclaimed and steals
   // them all. The fold must equal the unsharded sweep bit-for-bit.
   std::string dir = TestPath("shard_lone");
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   ResumableSweep sweep(runner_, &store, "test-rev");
   ShardSpec spec;
   spec.index = 0;
@@ -110,7 +110,7 @@ TEST_F(ShardSchedulerTest, SequentialWorkersPartitionWithoutOverlap) {
   std::string dir = TestPath("shard_seq");
   size_t first_submitted = 0;
   {
-    ResultStore store(ResultStore::PathInDir(dir));
+    ResultStore store(dir);
     ResumableSweep sweep(runner_, &store, "test-rev");
     ShardSpec spec;
     spec.index = 0;
@@ -124,7 +124,7 @@ TEST_F(ShardSchedulerTest, SequentialWorkersPartitionWithoutOverlap) {
     EXPECT_LT(first_submitted, stats.total_cells);  // a strict subset
     EXPECT_EQ(stats.shard_stolen, 0u);
   }
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   ResumableSweep sweep(runner_, &store, "test-rev");
   ShardSpec spec;
   spec.index = 1;
@@ -149,12 +149,12 @@ TEST_F(ShardSchedulerTest, RerunOverCompleteStoreSubmitsNothing) {
   spec.total = 2;
   spec.poll_seconds = 0.01;
   {
-    ResultStore store(ResultStore::PathInDir(dir));
+    ResultStore store(dir);
     ResumableSweep sweep(runner_, &store, "test-rev");
     sweep.set_shard(spec);
     sweep.RunMulti(graph_, "fb@0.1", Metrics(), TestConfig(), nullptr);
   }
-  ResultStore store(ResultStore::PathInDir(dir));
+  ResultStore store(dir);
   ResumableSweep sweep(runner_, &store, "test-rev");
   sweep.set_shard(spec);
   ResumableSweepStats stats;

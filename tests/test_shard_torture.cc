@@ -246,7 +246,7 @@ TEST_F(ShardTortureTest, RestartedWorkerStealsDeadWorkersClaim) {
   {
     ResultStoreOptions snapshot;
     snapshot.read_only = true;
-    ResultStore peek(ResultStore::PathInDir(dir), snapshot);
+    ResultStore peek(dir, snapshot);
     ASSERT_EQ(peek.Claims().size(), 1u);
     EXPECT_EQ(peek.Size(), 0u);  // ...with zero units done
   }

@@ -1,7 +1,10 @@
 // Property-based tests applied uniformly to ALL registered sparsifiers via
 // parameterized gtest: vertex-set preservation, edge-subset property,
 // prune-rate accuracy (per each algorithm's control granularity, Table 2),
-// determinism flags, and weight-change flags.
+// determinism flags, weight-change flags, and two oracles on one scoring
+// state: fine-control algorithms keep exactly TargetKeepCount edges, and
+// kept sets are nested across rates.
+#include <algorithm>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -11,6 +14,7 @@
 #include "src/graph/generators.h"
 #include "src/sparsifiers/sparsifier.h"
 #include "src/util/rng.h"
+#include "tests/test_graphs.h"
 
 namespace sparsify {
 namespace {
@@ -220,6 +224,62 @@ TEST_P(SparsifierTest, InfoIsConsistent) {
   EXPECT_FALSE(info.name.empty());
   EXPECT_EQ(info.short_name, GetParam());
   EXPECT_FALSE(info.complexity.empty());
+}
+
+// The oracle graphs: every shared test shape plus a hub-heavy BA graph.
+std::vector<std::pair<std::string, Graph>> OracleGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const GraphCase& c : UndirectedCases()) {
+    graphs.emplace_back(c.name, c.make());
+  }
+  graphs.emplace_back("ba_hub", TestGraphUndirected());
+  return graphs;
+}
+
+constexpr double kOracleRates[] = {0.1, 0.3, 0.5, 0.7, 0.9};
+
+TEST_P(SparsifierTest, FineControlKeepsExactlyTargetKeepCount) {
+  auto sparsifier = CreateSparsifier(GetParam());
+  if (sparsifier->Info().prune_rate_control != PruneRateControl::kFine) {
+    GTEST_SKIP() << "not a fine-control algorithm";
+  }
+  for (const auto& [name, g] : OracleGraphs()) {
+    Rng rng(19);
+    auto state = sparsifier->PrepareScores(g, rng);
+    for (double rate : kOracleRates) {
+      const RateMask mask = sparsifier->MaskForRate(*state, rate);
+      const EdgeId kept = static_cast<EdgeId>(
+          std::count_if(mask.keep.begin(), mask.keep.end(),
+                        [](uint8_t k) { return k != 0; }));
+      EXPECT_EQ(kept, TargetKeepCount(g.NumEdges(), rate))
+          << GetParam() << " on " << name << " at rate " << rate;
+    }
+  }
+}
+
+TEST_P(SparsifierTest, KeptSetsAreNestedAcrossRates) {
+  // rho1 > rho2 => keep(rho1) is a subset of keep(rho2), on one state.
+  auto sparsifier = CreateSparsifier(GetParam());
+  for (const auto& [name, g] : OracleGraphs()) {
+    Rng rng(20);
+    auto state = sparsifier->PrepareScores(g, rng);
+    std::vector<uint8_t> looser =
+        sparsifier->MaskForRate(*state, kOracleRates[0]).keep;
+    for (size_t i = 1; i < std::size(kOracleRates); ++i) {
+      std::vector<uint8_t> tighter =
+          sparsifier->MaskForRate(*state, kOracleRates[i]).keep;
+      ASSERT_EQ(tighter.size(), looser.size());
+      for (size_t e = 0; e < tighter.size(); ++e) {
+        if (tighter[e] != 0 && looser[e] == 0) {
+          ADD_FAILURE() << GetParam() << " on " << name << ": edge " << e
+                        << " kept at rate " << kOracleRates[i]
+                        << " but not at " << kOracleRates[i - 1];
+          break;
+        }
+      }
+      looser = std::move(tighter);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSparsifiers, SparsifierTest,

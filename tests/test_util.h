@@ -1,16 +1,19 @@
 // Shared test helpers.
 //
-// A result store's namespace is its directory: leases, per-writer log
-// segments and the lock sidecar all live beside the base file. Tests run
-// as concurrent processes under `ctest -j`, so every store a test opens
-// must sit in a directory no other test process can see.
+// A result store is a directory: leases, per-writer log segments, the
+// lock sidecar and the compaction output all live in it. Tests run as
+// concurrent processes under `ctest -j`, so every store a test opens must
+// sit in a directory no other test process can see.
 #ifndef SPARSIFY_TESTS_TEST_UTIL_H_
 #define SPARSIFY_TESTS_TEST_UTIL_H_
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -41,6 +44,42 @@ inline std::string TestDir() {
 /// `name` inside TestDir(): a file path, or a subdirectory for a store.
 inline std::string TestPath(const std::string& name) {
   return (std::filesystem::path(TestDir()) / name).string();
+}
+
+/// The writer segments (`log.<writer>.<seq>.jsonl`) in store directory
+/// `dir`, sorted by name.
+inline std::vector<std::string> SegmentFiles(const std::string& dir) {
+  std::vector<std::string> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("log.", 0) == 0 && name.ends_with(".jsonl")) {
+      files.push_back(entry.path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// The one segment a single writer session left in store directory
+/// `dir`; a test failure (and an empty path) when there is not exactly one.
+inline std::string OnlySegment(const std::string& dir) {
+  std::vector<std::string> segs = SegmentFiles(dir);
+  EXPECT_EQ(segs.size(), 1u) << dir;
+  return segs.size() == 1 ? segs[0] : std::string();
+}
+
+/// Total bytes of the log files in store directory `dir`: the compaction
+/// output `results.jsonl` (if any) plus every writer segment.
+inline uintmax_t StoreBytes(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  uintmax_t bytes = fs::file_size(fs::path(dir) / "results.jsonl", ec);
+  if (ec) bytes = 0;
+  for (const std::string& file : SegmentFiles(dir)) {
+    bytes += fs::file_size(file);
+  }
+  return bytes;
 }
 
 }  // namespace sparsify
