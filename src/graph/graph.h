@@ -204,8 +204,8 @@ class Graph {
 
 /// Intersection size |A n B| of two sorted neighbor-id spans by linear
 /// merge — the shared-neighbor primitive of the similarity sparsifiers
-/// (Jaccard / SCAN / triangle) and the clustering metrics. Spans come
-/// from OutNeighborNodes, whose sortedness BuildCsr guarantees.
+/// (Jaccard / SCAN / triangle). Spans come from OutNeighborNodes, whose
+/// sortedness BuildCsr guarantees.
 inline size_t SortedIntersectionSize(std::span<const NodeId> a,
                                      std::span<const NodeId> b) {
   size_t i = 0, j = 0, count = 0;

@@ -2,30 +2,119 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <unordered_map>
+
+#include "src/util/cancel.h"
 
 namespace sparsify {
 
-std::vector<double> LocalClusteringCoefficients(const Graph& g) {
-  Graph sym_holder;
-  const Graph* ug = &g;
-  if (g.IsDirected()) {
-    sym_holder = g.Symmetrized();
-    ug = &sym_holder;
+namespace {
+
+// Calls fn(u) once for every neighbour u of v in the undirected view of g,
+// in ascending id order. For directed graphs that is the sorted union of
+// v's out- and in-lists: exactly v's list in the symmetrized graph, which
+// is never built.
+template <typename Fn>
+void ForEachUndirectedNeighbor(const Graph& g, NodeId v, Fn&& fn) {
+  std::span<const NodeId> out = g.OutNeighborNodes(v);
+  if (!g.IsDirected()) {
+    for (NodeId u : out) fn(u);
+    return;
   }
-  const NodeId n = ug->NumVertices();
-  std::vector<double> lcc(n, 0.0);
-  for (NodeId v = 0; v < n; ++v) {
-    auto nbrs = ug->OutNeighborNodes(v);
-    size_t deg = nbrs.size();
-    if (deg < 2) continue;
-    // Count edges among neighbors: for each neighbor u, count shared
-    // neighbors of u and v (each triangle at v counted twice).
-    size_t links2 = 0;
-    for (NodeId u : nbrs) {
-      links2 += SortedIntersectionSize(nbrs, ug->OutNeighborNodes(u));
+  std::span<const NodeId> in = g.InNeighborNodes(v);
+  size_t i = 0, j = 0;
+  while (i < out.size() && j < in.size()) {
+    if (out[i] < in[j]) {
+      fn(out[i++]);
+    } else if (in[j] < out[i]) {
+      fn(in[j++]);
+    } else {
+      fn(out[i++]);
+      ++j;
     }
-    lcc[v] = static_cast<double>(links2) /
+  }
+  for (; i < out.size(); ++i) fn(out[i]);
+  for (; j < in.size(); ++j) fn(in[j]);
+}
+
+// Undirected degree d(v) and triangle count t(v) of every vertex.
+struct TriangleCounts {
+  std::vector<NodeId> degree;
+  std::vector<uint64_t> triangles;
+
+  // Each triangle is counted at its three vertices.
+  uint64_t Total() const {
+    uint64_t sum = 0;
+    for (uint64_t tv : triangles) sum += tv;
+    return sum / 3;
+  }
+};
+
+// The one triangle pass (compact-forward; Schank & Wagner 2005, Latapy
+// 2008). Every undirected edge is oriented toward the endpoint with the
+// higher (degree, id), so each vertex keeps only its forward neighbours
+// and forward degrees stay O(sqrt(m)). A triangle whose vertices rank
+// a < b < c is then found exactly once: at a, by scanning b's forward list
+// for c in a's epoch-marked forward set.
+TriangleCounts CountTrianglesPerVertex(const Graph& g) {
+  const NodeId n = g.NumVertices();
+  TriangleCounts tc;
+  tc.degree.assign(n, 0);
+  tc.triangles.assign(n, 0);
+  std::vector<NodeId>& deg = tc.degree;
+  uint64_t degree_sum = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (g.IsDirected()) {
+      ForEachUndirectedNeighbor(g, v, [&](NodeId) { ++deg[v]; });
+    } else {
+      deg[v] = g.OutDegree(v);
+    }
+    degree_sum += deg[v];
+  }
+
+  std::vector<uint64_t> fwd_begin(static_cast<size_t>(n) + 1, 0);
+  std::vector<NodeId> fwd;
+  fwd.reserve(degree_sum / 2);
+  for (NodeId v = 0; v < n; ++v) {
+    ForEachUndirectedNeighbor(g, v, [&](NodeId u) {
+      if (deg[u] > deg[v] || (deg[u] == deg[v] && u > v)) fwd.push_back(u);
+    });
+    fwd_begin[v + 1] = fwd.size();
+  }
+
+  std::vector<uint64_t>& t = tc.triangles;
+  std::vector<NodeId> mark(n, kInvalidNode);
+  for (NodeId v = 0; v < n; ++v) {
+    if ((v & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
+    const uint64_t vb = fwd_begin[v], ve = fwd_begin[v + 1];
+    if (ve - vb < 2) continue;
+    for (uint64_t i = vb; i < ve; ++i) mark[fwd[i]] = v;
+    for (uint64_t i = vb; i < ve; ++i) {
+      const NodeId u = fwd[i];
+      for (uint64_t k = fwd_begin[u]; k < fwd_begin[u + 1]; ++k) {
+        const NodeId w = fwd[k];
+        if (mark[w] == v) {
+          ++t[v];
+          ++t[u];
+          ++t[w];
+        }
+      }
+    }
+  }
+  return tc;
+}
+
+}  // namespace
+
+std::vector<double> LocalClusteringCoefficients(const Graph& g) {
+  const TriangleCounts tc = CountTrianglesPerVertex(g);
+  std::vector<double> lcc(g.NumVertices(), 0.0);
+  for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    const uint64_t deg = tc.degree[v];
+    if (deg < 2) continue;
+    // 2 t(v) ordered pairs of linked neighbours over deg (deg - 1) pairs.
+    lcc[v] = static_cast<double>(2 * tc.triangles[v]) /
              (static_cast<double>(deg) * (deg - 1));
   }
   return lcc;
@@ -40,37 +129,18 @@ double MeanClusteringCoefficient(const Graph& g) {
 }
 
 uint64_t CountTriangles(const Graph& g) {
-  Graph sym_holder;
-  const Graph* ug = &g;
-  if (g.IsDirected()) {
-    sym_holder = g.Symmetrized();
-    ug = &sym_holder;
-  }
-  // Each triangle {u,v,w} is counted once per edge with u < v via common
-  // neighbors; dividing by 3 corrects the triple count.
-  uint64_t count = 0;
-  for (const Edge& e : ug->Edges()) {
-    count += SortedIntersectionSize(ug->OutNeighborNodes(e.u),
-                                    ug->OutNeighborNodes(e.v));
-  }
-  return count / 3;
+  return CountTrianglesPerVertex(g).Total();
 }
 
 double GlobalClusteringCoefficient(const Graph& g) {
-  Graph sym_holder;
-  const Graph* ug = &g;
-  if (g.IsDirected()) {
-    sym_holder = g.Symmetrized();
-    ug = &sym_holder;
-  }
-  uint64_t triangles = CountTriangles(*ug);
+  const TriangleCounts tc = CountTrianglesPerVertex(g);
   double triplets = 0.0;
-  for (NodeId v = 0; v < ug->NumVertices(); ++v) {
-    double d = static_cast<double>(ug->OutDegree(v));
+  for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    double d = static_cast<double>(tc.degree[v]);
     triplets += d * (d - 1.0) / 2.0;
   }
   if (triplets <= 0.0) return 0.0;
-  return 3.0 * static_cast<double>(triangles) / triplets;
+  return 3.0 * static_cast<double>(tc.Total()) / triplets;
 }
 
 double ClusteringF1(const std::vector<int>& clusters,

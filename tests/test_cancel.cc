@@ -1,12 +1,12 @@
 // Cancellation, deadlines, watchdog, and graceful-shutdown plumbing:
 // token semantics (flag, deadline latch, parent chain), the one-load-
 // when-unarmed check macro, cooperative checks inside the traversal /
-// CG / ER / t-spanner kernels, ThreadPool Stop(drain|abandon), the hang
-// failpoint, the watchdog's dump-then-cancel escalation, the signal
-// bridge, and the engine-level contracts: a timed-out unit fails ALONE as
-// a typed "deadline" error record, and a run-level cancellation leaves
-// the store consistent so --resume reproduces the cold run
-// bit-identically.
+// CG / ER / t-spanner / clustering kernels, ThreadPool
+// Stop(drain|abandon), the hang failpoint, the watchdog's
+// dump-then-cancel escalation, the signal bridge, and the engine-level
+// contracts: a timed-out unit fails ALONE as a typed "deadline" error
+// record, and a run-level cancellation leaves the store consistent so
+// --resume reproduces the cold run bit-identically.
 #include "src/util/cancel.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
 #include "src/metrics/basic.h"
+#include "src/metrics/clustering.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/sparsifiers/effective_resistance.h"
@@ -142,7 +143,7 @@ TEST(CancelScopeTest, NullScopeIsANoop) {
 
 // ---------------------------------------------------------------------------
 // Kernel checks: BFS rounds, Dijkstra buckets, CG-backed ER scoring,
-// the t-spanner's greedy edge scan
+// the t-spanner's greedy edge scan, the clustering triangle pass
 // ---------------------------------------------------------------------------
 
 class KernelCancelTest : public ::testing::Test {
@@ -189,6 +190,16 @@ TEST_F(KernelCancelTest, SpannerScoringObservesDeadline) {
   TSpannerSparsifier sp(3.0);
   Rng rng(43);
   EXPECT_THROW(sp.PrepareScores(g, rng), DeadlineExceededError);
+}
+
+TEST_F(KernelCancelTest, ClusteringObservesDeadline) {
+  Rng gen(13);
+  Graph g = BarabasiAlbert(4000, 5, gen);
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  EXPECT_THROW(MeanClusteringCoefficient(g), DeadlineExceededError);
+  EXPECT_THROW(GlobalClusteringCoefficient(g), DeadlineExceededError);
 }
 
 TEST_F(KernelCancelTest, NestedParallelForPropagatesTheCallerToken) {

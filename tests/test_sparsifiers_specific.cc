@@ -481,6 +481,29 @@ TEST(EffectiveResistanceTest, SumRule) {
               0.15 * g.NumVertices());
 }
 
+TEST(EffectiveResistanceTest, FosterTheoremOnEveryShape) {
+  // Foster: sum_e w_e R_e = rank(L) = n - #components exactly. The JL sum
+  // is trace(Q P Q^T) for the projection P onto L's edge space, so it is
+  // exact on trees (P = I) and within a few percent at k = 400 elsewhere.
+  for (const GraphCase& gc : UndirectedCases()) {
+    SCOPED_TRACE(gc.name);
+    Graph g = gc.make();
+    const double rank = static_cast<double>(
+        g.NumVertices() - ConnectedComponents(g).num_components);
+    const bool tree = gc.name == "path" || gc.name == "star";
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng rng(seed);
+      std::vector<double> r = ApproxEffectiveResistances(g, rng, 400);
+      double sum = 0.0;
+      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+        sum += g.EdgeWeight(e) * r[e];
+      }
+      EXPECT_LE(std::abs(sum - rank), (tree ? 1e-6 : 0.06) * rank)
+          << "seed " << seed;
+    }
+  }
+}
+
 TEST(EffectiveResistanceTest, BridgeHasHighestResistance) {
   // Two K4 cliques joined by one bridge: the bridge has R ~ 1, clique
   // edges far less.
