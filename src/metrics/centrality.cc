@@ -154,6 +154,7 @@ std::vector<double> EigenvectorCentrality(const Graph& g, int iters) {
   std::vector<double> x(n, 1.0 / std::sqrt(static_cast<double>(std::max<NodeId>(n, 1))));
   std::vector<double> next(n, 0.0);
   for (int it = 0; it < iters; ++it) {
+    SPARSIFY_CHECK_CANCELLED();  // once per O(|E|) power step
     // Iterate (A + I) x: the identity shift keeps the dominant eigenvector
     // of A while breaking the +-lambda oscillation of bipartite graphs.
     next = x;
@@ -180,6 +181,7 @@ std::vector<double> KatzCentrality(const Graph& g, double alpha, int iters) {
   }
   std::vector<double> x(n, 0.0), next(n, 0.0);
   for (int it = 0; it < iters; ++it) {
+    SPARSIFY_CHECK_CANCELLED();
     for (NodeId v = 0; v < n; ++v) {
       double acc = 0.0;
       for (NodeId u : g.InNeighborNodes(v)) {
@@ -198,6 +200,7 @@ std::vector<double> PageRank(const Graph& g, double d, int iters,
   if (n == 0) return {};
   std::vector<double> x(n, 1.0 / n), next(n, 0.0);
   for (int it = 0; it < iters; ++it) {
+    SPARSIFY_CHECK_CANCELLED();
     double dangling = 0.0;
     for (NodeId v = 0; v < n; ++v) {
       if (g.OutDegree(v) == 0) dangling += x[v];

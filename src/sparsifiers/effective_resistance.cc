@@ -20,28 +20,43 @@ std::vector<double> ApproxEffectiveResistances(const Graph& g, Rng& rng,
               : std::max(8, static_cast<int>(std::ceil(
                                 8.0 * std::log(std::max<size_t>(2, n)))));
   std::vector<double> resistance(m, 0.0);
-  Vec b(n), z(n);
-  for (int i = 0; i < k; ++i) {
-    SPARSIFY_CHECK_CANCELLED();  // once per JL dimension (one CG solve)
-    // b = B^T W^{1/2} q_i where q_i has +-1/sqrt(k) entries: each edge e
-    // contributes q_i[e] * sqrt(w_e) * (e_u - e_v). Each q_i[e] is used
-    // once, so it is drawn inline (in edge order) rather than stored.
-    std::fill(b.begin(), b.end(), 0.0);
-    double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
-    for (EdgeId e = 0; e < m; ++e) {
-      const double q = rng.NextBernoulli(0.5) ? inv_sqrt_k : -inv_sqrt_k;
-      const Edge& ed = g.CanonicalEdge(e);
-      double c = q * std::sqrt(ed.w);
-      b[ed.u] += c;
-      b[ed.v] -= c;
+  const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
+  // The k solves run kCgBlockWidth columns at a time; the preconditioner
+  // and the solver's scratch are set up once for all of them. b and z
+  // share one allocation, like the solver's scratch (see cg.h).
+  LaplacianSolver solver(g);
+  Vec bz(2 * n * kCgBlockWidth);
+  double* b = bz.data();
+  double* z = b + n * kCgBlockWidth;
+  CgResult results[kCgBlockWidth];
+  for (int first = 0; first < k; first += kCgBlockWidth) {
+    const int cols = std::min(kCgBlockWidth, k - first);
+    const size_t len = n * cols;
+    std::fill_n(b, len, 0.0);
+    for (int c = 0; c < cols; ++c) {
+      SPARSIFY_CHECK_CANCELLED();  // once per JL dimension
+      // Column c of b is B^T W^{1/2} q_i (i = first + c) where q_i has
+      // +-1/sqrt(k) entries: each edge e contributes q_i[e] * sqrt(w_e) *
+      // (e_u - e_v). Each q_i[e] is used once, so it is drawn inline (q_i
+      // after q_{i-1}, in edge order) rather than stored.
+      for (EdgeId e = 0; e < m; ++e) {
+        const double q = rng.NextBernoulli(0.5) ? inv_sqrt_k : -inv_sqrt_k;
+        const Edge& ed = g.CanonicalEdge(e);
+        double bc = q * std::sqrt(ed.w);
+        b[size_t{ed.u} * cols + c] += bc;
+        b[size_t{ed.v} * cols + c] -= bc;
+      }
     }
-    z.assign(n, 0.0);
-    SolveLaplacian(g, b, &z, tol);
-    // Row i of Z evaluated at the edge endpoints.
+    std::fill_n(z, len, 0.0);
+    solver.Solve({b, len}, {z, len},
+                 {results, static_cast<size_t>(cols)}, tol);
+    // Rows i of Z evaluated at the edge endpoints, summed in row order.
     for (EdgeId e = 0; e < m; ++e) {
       const Edge& ed = g.CanonicalEdge(e);
-      double diff = z[ed.u] - z[ed.v];
-      resistance[e] += diff * diff;
+      for (int c = 0; c < cols; ++c) {
+        double diff = z[size_t{ed.u} * cols + c] - z[size_t{ed.v} * cols + c];
+        resistance[e] += diff * diff;
+      }
     }
   }
   return resistance;
@@ -118,7 +133,26 @@ std::unique_ptr<ScoreState> EffectiveResistanceSparsifier::PrepareScores(
     acc += p[e];
     cum[e] = acc;
   }
-  std::vector<uint8_t> hit(m, 0);
+  // Chen-Asau guide table: guide[j] = lower_bound(cum, threshold(j)) for
+  // K = m equal-width buckets of [0, acc). A draw r starts at its bucket,
+  // steps down while the bucket's threshold exceeds r (rounding can put it
+  // too high), then scans forward while cum[i] < r. Every entry below
+  // guide[j] has cum < threshold(j) <= r, so the scan lands exactly where
+  // std::lower_bound(cum, r) would, in O(1) expected steps. Thresholds are
+  // recomputed from the same expression rather than stored.
+  const EdgeId buckets = m;
+  const auto threshold = [&](EdgeId j) {
+    return acc * static_cast<double>(j) / static_cast<double>(buckets);
+  };
+  std::vector<EdgeId> guide(buckets);
+  for (EdgeId j = 0, i = 0; j < buckets; ++j) {
+    const double t = threshold(j);
+    while (i < m && cum[i] < t) ++i;
+    guide[j] = i;
+  }
+  const double bucket_scale = static_cast<double>(buckets) / acc;
+
+  std::vector<bool> hit(m, false);  // one bit per edge
   std::vector<EdgeId> hit_order;
   std::vector<uint64_t> draws_at;
   hit_order.reserve(m);
@@ -129,15 +163,18 @@ std::unique_ptr<ScoreState> EffectiveResistanceSparsifier::PrepareScores(
   const uint64_t max_draws = 400ULL * m + 1000000ULL;
   while (distinct < m && draws < max_draws) {
     // Poll rarely: the check must not perturb the RNG stream, and the
-    // draw loop is hot (one binary search per draw).
+    // draw loop is hot.
     if ((draws & 0xFFFFu) == 0) SPARSIFY_CHECK_CANCELLED();
     double r = rng.NextDouble() * acc;
-    auto it = std::lower_bound(cum.begin(), cum.end(), r);
-    EdgeId e = static_cast<EdgeId>(it - cum.begin());
+    EdgeId j = static_cast<EdgeId>(
+        std::min(r * bucket_scale, static_cast<double>(buckets - 1)));
+    while (threshold(j) > r) --j;
+    EdgeId e = guide[j];
+    while (e < m && cum[e] < r) ++e;
     if (e >= m) e = m - 1;
     ++draws;
     if (!hit[e]) {
-      hit[e] = 1;
+      hit[e] = true;
       hit_order.push_back(e);
       if (reweight_) draws_at.push_back(draws);
       ++distinct;

@@ -25,6 +25,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
 #include "src/metrics/basic.h"
+#include "src/metrics/centrality.h"
 #include "src/metrics/clustering.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
@@ -143,7 +144,8 @@ TEST(CancelScopeTest, NullScopeIsANoop) {
 
 // ---------------------------------------------------------------------------
 // Kernel checks: BFS rounds, Dijkstra buckets, CG-backed ER scoring,
-// the t-spanner's greedy edge scan, the clustering triangle pass
+// the t-spanner's greedy edge scan, the clustering triangle pass, the
+// centrality power iterations
 // ---------------------------------------------------------------------------
 
 class KernelCancelTest : public ::testing::Test {
@@ -200,6 +202,30 @@ TEST_F(KernelCancelTest, ClusteringObservesDeadline) {
   CancelScope scope(&token);
   EXPECT_THROW(MeanClusteringCoefficient(g), DeadlineExceededError);
   EXPECT_THROW(GlobalClusteringCoefficient(g), DeadlineExceededError);
+}
+
+// PageRank, eigenvector and Katz centrality poll once per power step.
+TEST_F(KernelCancelTest, PowerIterationsObserveDeadline) {
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  EXPECT_THROW(PageRank(graph_), DeadlineExceededError);
+  EXPECT_THROW(EigenvectorCentrality(graph_), DeadlineExceededError);
+  EXPECT_THROW(KatzCentrality(graph_), DeadlineExceededError);
+}
+
+// The polls read no state: without a token the results equal a run under
+// a token that never fires.
+TEST_F(KernelCancelTest, PowerIterationPollsLeaveResultsUnchanged) {
+  const std::vector<double> pr = PageRank(graph_);
+  const std::vector<double> ev = EigenvectorCentrality(graph_);
+  const std::vector<double> katz = KatzCentrality(graph_);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  EXPECT_EQ(PageRank(graph_), pr);
+  EXPECT_EQ(EigenvectorCentrality(graph_), ev);
+  EXPECT_EQ(KatzCentrality(graph_), katz);
 }
 
 TEST_F(KernelCancelTest, NestedParallelForPropagatesTheCallerToken) {

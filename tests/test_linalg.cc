@@ -1,6 +1,8 @@
 // Tests for the linear-algebra substrate: vector kernels, Laplacian
 // operators, and the CG Laplacian solver.
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -142,6 +144,82 @@ TEST(CgTest, WeightedLaplacian) {
   Vec lx;
   LaplacianMultiply(g, x, &lx);
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(lx[i], b[i], 1e-8);
+}
+
+// Every column of a block solve must equal its one-column solve bit for
+// bit. The graph is a K6, a 400-vertex path and a random blob, plus an
+// isolated vertex: a dipole in the K6 converges in a couple of iterations,
+// one in the blob in a few dozen, the path's end-to-end dipole is cut off
+// by max_iters (after two deflations), and one column is zero.
+TEST(CgTest, BlockColumnsMatchSingleColumnSolves) {
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u < 6; ++u) {
+    for (NodeId v = u + 1; v < 6; ++v) edges.push_back({u, v, 1.0 + u + v});
+  }
+  const NodeId path0 = 6, path_len = 400;
+  for (NodeId i = 0; i + 1 < path_len; ++i) {
+    edges.push_back({path0 + i, path0 + i + 1, 1.0});
+  }
+  const NodeId blob0 = path0 + path_len;
+  Rng rng(31);
+  Graph blob = WithRandomWeights(ErdosRenyi(60, 240, false, rng), 5.0, rng);
+  for (const Edge& e : blob.Edges()) {
+    edges.push_back({blob0 + e.u, blob0 + e.v, e.w});
+  }
+  const NodeId n = blob0 + 60 + 1;
+  Graph g = Graph::FromEdges(n, edges, false, /*weighted=*/true);
+
+  std::vector<Vec> cols(4, Vec(n, 0.0));
+  cols[0][1] = 1.0;  // K6 dipole
+  cols[0][4] = -1.0;
+  cols[1][path0] = 1.0;  // path ends
+  cols[1][path0 + path_len - 1] = -1.0;
+  // cols[2] stays zero.
+  for (NodeId v = blob0; v < blob0 + 60; ++v) cols[3][v] = rng.NextGaussian();
+  double mean = 0.0;
+  for (NodeId v = blob0; v < blob0 + 60; ++v) mean += cols[3][v] / 60.0;
+  for (NodeId v = blob0; v < blob0 + 60; ++v) cols[3][v] -= mean;
+
+  const double tol = 1e-10;
+  const int max_iters = 150;
+  for (int width = 2; width <= kCgBlockWidth; ++width) {
+    SCOPED_TRACE(width);
+    Vec b(size_t{n} * width), x(size_t{n} * width, 0.0);
+    for (NodeId v = 0; v < n; ++v) {
+      for (int c = 0; c < width; ++c) b[size_t{v} * width + c] = cols[c][v];
+    }
+    std::vector<CgResult> block(width);
+    LaplacianSolver solver(g);
+    solver.Solve(b, x, block, tol, max_iters);
+    for (int c = 0; c < width; ++c) {
+      SCOPED_TRACE(c);
+      Vec xc(n, 0.0);
+      CgResult one = SolveLaplacian(g, cols[c], &xc, tol, max_iters);
+      Vec got(n);
+      for (NodeId v = 0; v < n; ++v) got[v] = x[size_t{v} * width + c];
+      EXPECT_EQ(std::memcmp(got.data(), xc.data(), n * sizeof(double)), 0);
+      EXPECT_EQ(block[c].iterations, one.iterations);
+      EXPECT_EQ(std::memcmp(&block[c].residual_norm, &one.residual_norm,
+                            sizeof(double)),
+                0);
+      EXPECT_EQ(block[c].converged, one.converged);
+    }
+  }
+
+  // The cases the test means to cover really occur.
+  std::vector<CgResult> single(4);
+  for (int c = 0; c < 4; ++c) {
+    Vec xc(n, 0.0);
+    single[c] = SolveLaplacian(g, cols[c], &xc, tol, max_iters);
+  }
+  EXPECT_TRUE(single[0].converged);
+  EXPECT_FALSE(single[1].converged);
+  EXPECT_EQ(single[1].iterations, max_iters);
+  EXPECT_TRUE(single[2].converged);
+  EXPECT_EQ(single[2].iterations, 0);
+  EXPECT_TRUE(single[3].converged);
+  EXPECT_LT(single[0].iterations, single[3].iterations);
+  EXPECT_LT(single[3].iterations, max_iters);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // quadratic-form preservation, similarity orderings, etc.).
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <queue>
 #include <string>
@@ -15,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/generators.h"
+#include "src/linalg/cg.h"
 #include "src/linalg/laplacian.h"
+#include "src/linalg/vector_ops.h"
 #include "src/metrics/components.h"
 #include "src/metrics/distance.h"
 #include "src/sparsifiers/effective_resistance.h"
@@ -567,6 +571,239 @@ TEST(EffectiveResistanceTest, UnweightedVariantDoesNotPreserveQuadraticForm) {
   }
   // Without reweighting, the form shrinks roughly with the kept fraction.
   EXPECT_LT(ratio_sum / count, 0.6);
+}
+
+// Bit-identity oracle. The scalar CG, the one-solve-per-row JL loop and the
+// std::lower_bound sampling race as first written are kept below as the
+// reference; the production block CG and guide-table race must reproduce
+// hit_order, draws_at and p bit for bit and leave the RNG in the same state.
+
+CgResult ReferenceSolveLaplacian(const Graph& g, const Vec& b, Vec* x,
+                                 double tol, int max_iters = 2000) {
+  const size_t n = g.NumVertices();
+  CgResult result;
+  Vec deg = WeightedDegrees(g);
+  Vec minv(n);
+  for (size_t i = 0; i < n; ++i) minv[i] = deg[i] > 0.0 ? 1.0 / deg[i] : 1.0;
+  Vec r(n), z(n), p(n), lp(n);
+  LaplacianMultiply(g, *x, &lp);
+  for (size_t i = 0; i < n; ++i) r[i] = b[i] - lp[i];
+  double bnorm = Norm2(b);
+  if (bnorm == 0.0) {
+    x->assign(n, 0.0);
+    result.converged = true;
+    return result;
+  }
+  for (size_t i = 0; i < n; ++i) z[i] = minv[i] * r[i];
+  p = z;
+  double rz = Dot(r, z);
+  for (int it = 0; it < max_iters; ++it) {
+    result.iterations = it + 1;
+    LaplacianMultiply(g, p, &lp);
+    double plp = Dot(p, lp);
+    if (plp <= 0.0) break;
+    double alpha = rz / plp;
+    Axpy(alpha, p, x);
+    Axpy(-alpha, lp, &r);
+    double rnorm = Norm2(r);
+    result.residual_norm = rnorm;
+    if (rnorm <= tol * bnorm) {
+      result.converged = true;
+      break;
+    }
+    for (size_t i = 0; i < n; ++i) z[i] = minv[i] * r[i];
+    double rz_next = Dot(r, z);
+    double beta = rz_next / rz;
+    rz = rz_next;
+    for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    if ((it & 63) == 63) RemoveMean(x);
+  }
+  return result;
+}
+
+std::vector<double> ReferenceResistances(const Graph& g, Rng& rng, int k,
+                                         double tol = 1e-6) {
+  const size_t n = g.NumVertices();
+  const EdgeId m = g.NumEdges();
+  if (k <= 0) {
+    k = std::max(8, static_cast<int>(std::ceil(
+                        8.0 * std::log(std::max<size_t>(2, n)))));
+  }
+  std::vector<double> resistance(m, 0.0);
+  Vec b(n), z(n);
+  for (int i = 0; i < k; ++i) {
+    std::fill(b.begin(), b.end(), 0.0);
+    double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
+    for (EdgeId e = 0; e < m; ++e) {
+      const double q = rng.NextBernoulli(0.5) ? inv_sqrt_k : -inv_sqrt_k;
+      const Edge& ed = g.CanonicalEdge(e);
+      double c = q * std::sqrt(ed.w);
+      b[ed.u] += c;
+      b[ed.v] -= c;
+    }
+    z.assign(n, 0.0);
+    ReferenceSolveLaplacian(g, b, &z, tol);
+    for (EdgeId e = 0; e < m; ++e) {
+      const Edge& ed = g.CanonicalEdge(e);
+      double diff = z[ed.u] - z[ed.v];
+      resistance[e] += diff * diff;
+    }
+  }
+  return resistance;
+}
+
+struct ReferenceRace {
+  std::vector<EdgeId> hit_order;
+  std::vector<uint64_t> draws_at;
+  std::vector<double> p;
+  bool topped_up = false;  // the draw cap stopped the race early
+};
+
+ReferenceRace ReferenceErScores(const Graph& g, Rng& rng, bool reweight) {
+  ReferenceRace out;
+  const EdgeId m = g.NumEdges();
+  if (m == 0) return out;
+  std::vector<double> p = ReferenceResistances(g, rng, 0);
+  double total = 0.0;
+  for (EdgeId e = 0; e < m; ++e) {
+    p[e] = std::max(1e-300, g.EdgeWeight(e) * p[e]);
+    total += p[e];
+  }
+  for (double& pe : p) pe /= total;
+  std::vector<double> cum(m);
+  double acc = 0.0;
+  for (EdgeId e = 0; e < m; ++e) {
+    acc += p[e];
+    cum[e] = acc;
+  }
+  std::vector<uint8_t> hit(m, 0);
+  EdgeId distinct = 0;
+  uint64_t draws = 0;
+  const uint64_t max_draws = 400ULL * m + 1000000ULL;
+  while (distinct < m && draws < max_draws) {
+    double r = rng.NextDouble() * acc;
+    auto it = std::lower_bound(cum.begin(), cum.end(), r);
+    EdgeId e = static_cast<EdgeId>(it - cum.begin());
+    if (e >= m) e = m - 1;
+    ++draws;
+    if (!hit[e]) {
+      hit[e] = 1;
+      out.hit_order.push_back(e);
+      if (reweight) out.draws_at.push_back(draws);
+      ++distinct;
+    }
+  }
+  if (distinct < m) {
+    out.topped_up = true;
+    std::vector<EdgeId> rest;
+    for (EdgeId e = 0; e < m; ++e) {
+      if (!hit[e]) rest.push_back(e);
+    }
+    std::sort(rest.begin(), rest.end(), [&](EdgeId a, EdgeId b) {
+      return p[a] != p[b] ? p[a] > p[b] : a < b;
+    });
+    for (EdgeId e : rest) {
+      ++draws;
+      out.hit_order.push_back(e);
+      if (reweight) out.draws_at.push_back(draws);
+    }
+  }
+  if (reweight) out.p = std::move(p);
+  return out;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Runs both variants on `g` with `seed` against the reference; returns
+// whether the reference race hit the draw cap.
+bool ExpectErMatchesReference(const Graph& g, uint64_t seed) {
+  bool topped_up = false;
+  for (bool reweight : {false, true}) {
+    SCOPED_TRACE(reweight ? "ER-w" : "ER-uw");
+    Rng ref_rng(seed), rng(seed);
+    ReferenceRace ref = ReferenceErScores(g, ref_rng, reweight);
+    EffectiveResistanceSparsifier er(reweight);
+    std::unique_ptr<ScoreState> state = er.PrepareScores(g, rng);
+    const auto& got = dynamic_cast<const ErSampleState&>(*state);
+    EXPECT_EQ(got.hit_order(), ref.hit_order);
+    EXPECT_EQ(got.draws_at(), ref.draws_at);
+    EXPECT_TRUE(SameBits(got.p(), ref.p));
+    EXPECT_EQ(rng(), ref_rng()) << "RNG streams diverged";
+    topped_up = ref.topped_up;
+  }
+  return topped_up;
+}
+
+// Log-uniform weights over 1e-12 .. 1e6: the lightest edges get p ~ 1e-20,
+// so the race hits its draw cap and tops up, and the CG columns of one
+// block stop at different iterations.
+Graph MakeWeightSkewed() {
+  Rng rng(504);
+  std::vector<Edge> edges = ErdosRenyi(40, 120, false, rng).Edges();
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const double f = static_cast<double>((i * 37) % edges.size()) /
+                     static_cast<double>(edges.size() - 1);
+    edges[i].w = std::pow(10.0, -12.0 + 18.0 * f);
+  }
+  return Graph::FromEdges(40, edges, false, /*weighted=*/true);
+}
+
+TEST(EffectiveResistanceTest, RaceMatchesReferenceBitForBitOnEveryShape) {
+  for (const GraphCase& gc : UndirectedCases()) {
+    SCOPED_TRACE(gc.name);
+    Graph g = gc.make();
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(seed);
+      ExpectErMatchesReference(g, seed);
+    }
+  }
+}
+
+TEST(EffectiveResistanceTest, RaceMatchesReferenceThroughDrawCapAndTopUp) {
+  Graph g = MakeWeightSkewed();
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(seed);
+    EXPECT_TRUE(ExpectErMatchesReference(g, seed))
+        << "the skewed graph no longer reaches the top-up path";
+  }
+}
+
+TEST(EffectiveResistanceTest, RaceMatchesReferenceOnTinyAndIsolatedGraphs) {
+  const Graph single = Graph::FromEdges(2, {{0, 1}}, false, false);
+  // m = 1 among isolated vertices.
+  const Graph lone_edge = Graph::FromEdges(6, {{1, 4, 2.5}}, false, true);
+  // A triangle, a separate edge and three isolated vertices.
+  const Graph split = Graph::FromEdges(
+      8, {{0, 1}, {1, 2}, {0, 2}, {4, 6}}, false, false);
+  for (const Graph* g : {&single, &lone_edge, &split}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(seed);
+      ExpectErMatchesReference(*g, seed);
+    }
+  }
+}
+
+// k = 1 and 5 leave a last block of one column; 61 (15 full blocks + 1)
+// is the ~8 ln n default on ego-Facebook-sized graphs.
+TEST(EffectiveResistanceTest, BlockedResistancesMatchScalarReference) {
+  std::vector<GraphCase> cases = UndirectedCases();
+  cases.push_back({"weight_skewed", MakeWeightSkewed});
+  for (const GraphCase& gc : cases) {
+    SCOPED_TRACE(gc.name);
+    Graph g = gc.make();
+    for (int k : {1, 5, 61}) {
+      SCOPED_TRACE(k);
+      Rng ref_rng(k), rng(k);
+      std::vector<double> ref = ReferenceResistances(g, ref_rng, k);
+      std::vector<double> got = ApproxEffectiveResistances(g, rng, k);
+      EXPECT_TRUE(SameBits(got, ref));
+      EXPECT_EQ(rng(), ref_rng());
+    }
+  }
 }
 
 TEST(EffectiveResistanceTest, DirectedThrows) {
