@@ -3,10 +3,11 @@
 // bench mains so that one driver (RunFigures) serves both the bench
 // binaries (now thin wrappers) and `sparsify_cli figure`.
 //
-// Figures whose metric needs a full-graph reference (centrality top-100
-// precision, clustering F1) precompute it once per dataset via
-// `make_metric`, exactly as the original benches did — including their
-// fixed reference seeds, so converted benches reproduce the same numbers.
+// Figures score with registry metrics or with figure-private ones (see
+// FigureMetric in the .cc) that keep the original benches' sample counts
+// and fixed reference seeds, so converted benches reproduce the same
+// numbers. Either way a full-graph reference is prepared by the engine's
+// reference stage, only when some cell needs it.
 #ifndef SPARSIFY_CLI_FIGURES_H_
 #define SPARSIFY_CLI_FIGURES_H_
 
@@ -29,10 +30,7 @@ struct FigureSpec {
   std::string dataset;     // dataset name (datasets.h)
   double default_scale = 0.5;  // the original bench's default --scale
   std::vector<std::string> sparsifiers;
-  std::string metric;  // NamedMetrics name, or the label of a custom metric
-  // Builds the metric on the loaded dataset; null means look `metric` up in
-  // NamedMetrics(). Used by figures that precompute a reference ranking.
-  std::function<MetricFn(const Dataset&)> make_metric;
+  std::string metric;  // NamedMetrics name, or a figure-private metric
   // Full-graph reference value (the figures' green dashed line); null for
   // figures without one.
   std::function<double(const Dataset&)> reference;

@@ -10,22 +10,45 @@
 #include "src/metrics/kcore.h"
 #include "src/metrics/louvain.h"
 #include "src/metrics/maxflow.h"
+#include "src/util/stats.h"
 
 namespace sparsify::cli {
 namespace {
 
+constexpr int kTopK = 100;
+
 NamedMetric Deterministic(MetricFn fn, std::string description) {
-  return NamedMetric{std::move(fn), std::move(description), /*sampled=*/false};
+  return NamedMetric{{"", std::move(fn), nullptr}, std::move(description),
+                     /*sampled=*/false};
 }
 
 NamedMetric Sampled(MetricFn fn, std::string description) {
-  return NamedMetric{std::move(fn), std::move(description), /*sampled=*/true};
+  return NamedMetric{{"", std::move(fn), nullptr}, std::move(description),
+                     /*sampled=*/true};
 }
 
-}  // namespace
+NamedMetric TwoPhase(MetricPrepareFn prepare, std::string description,
+                     bool sampled) {
+  return NamedMetric{{"", nullptr, std::move(prepare)},
+                     std::move(description), sampled};
+}
 
-const std::map<std::string, NamedMetric>& NamedMetrics() {
-  static const std::map<std::string, NamedMetric> registry = {
+// Top-100 precision of a deterministic centrality against its full-graph
+// ranking.
+template <typename Centrality>
+NamedMetric TopKPrecisionMetric(Centrality centrality,
+                                std::string description) {
+  return TwoPhase(
+      [centrality](const Graph& g, Rng&) -> MetricEvaluator {
+        return [centrality, ref = centrality(g)](const Graph& h, Rng&) {
+          return TopKPrecision(ref, centrality(h), kTopK);
+        };
+      },
+      std::move(description), /*sampled=*/false);
+}
+
+std::map<std::string, NamedMetric> BuildRegistry() {
+  std::map<std::string, NamedMetric> registry = {
       // Connectivity damage (paper fig 1).
       {"connectivity",
        Deterministic(
@@ -37,13 +60,17 @@ const std::map<std::string, NamedMetric>& NamedMetrics() {
        Deterministic(
            [](const Graph&, const Graph& h, Rng&) { return IsolatedRatio(h); },
            "isolated-vertex ratio of the sparsified graph (fig 1b)")},
-      // Degree-distribution Bhattacharyya distance (fig 2).
+      // Degree-distribution Bhattacharyya distance (fig 2) against the
+      // original's degree shape.
       {"degree",
-       Deterministic(
-           [](const Graph& g, const Graph& h, Rng&) {
-             return DegreeDistributionDistance(g, h);
+       TwoPhase(
+           [](const Graph& g, Rng&) -> MetricEvaluator {
+             return [p = DegreeShape(g)](const Graph& h, Rng&) {
+               return BhattacharyyaDistance(p, DegreeShape(h));
+             };
            },
-           "degree-distribution Bhattacharyya distance vs original (fig 2)")},
+           "degree-distribution Bhattacharyya distance vs original (fig 2)",
+           /*sampled=*/false)},
       // Laplacian quadratic-form similarity, 50 probe vectors (fig 3).
       {"quadratic",
        Sampled(
@@ -78,45 +105,35 @@ const std::map<std::string, NamedMetric>& NamedMetrics() {
              return ApproxDiameter(h, 4, rng);
            },
            "4-sweep approximate diameter of the sparsified graph (fig 4c)")},
-      // Centrality top-100 precisions (figs 5-7, 11). The reference is
-      // recomputed on `original` per cell; the figure registry precomputes
-      // it instead where the paper's protocol allows.
+      // Centrality top-100 precisions (figs 5-7, 11) against the full-graph
+      // ranking, prepared once per input graph. Betweenness draws its
+      // reference pivots from the reference stream, its subgraph pivots
+      // from the unit's.
       {"betweenness",
-       Sampled(
-           [](const Graph& g, const Graph& h, Rng& rng) {
-             Rng ref_rng = rng.Fork();
-             auto ref = ApproxBetweennessCentrality(g, 300, ref_rng);
-             return TopKPrecision(ref,
-                                  ApproxBetweennessCentrality(h, 300, rng),
-                                  100);
+       TwoPhase(
+           [](const Graph& g, Rng& ref_rng) -> MetricEvaluator {
+             return [ref = ApproxBetweennessCentrality(g, 300, ref_rng)](
+                        const Graph& h, Rng& rng) {
+               return TopKPrecision(
+                   ref, ApproxBetweennessCentrality(h, 300, rng), kTopK);
+             };
            },
-           "top-100 betweenness precision, 300 sampled pivots (fig 5a)")},
+           "top-100 betweenness precision, 300 sampled pivots (fig 5a)",
+           /*sampled=*/true)},
       {"closeness",
-       Deterministic(
-           [](const Graph& g, const Graph& h, Rng&) {
-             return TopKPrecision(ClosenessCentrality(g),
-                                  ClosenessCentrality(h), 100);
-           },
+       TopKPrecisionMetric(
+           [](const Graph& g) { return ClosenessCentrality(g); },
            "top-100 closeness-centrality precision (fig 5b)")},
       {"eigenvector",
-       Deterministic(
-           [](const Graph& g, const Graph& h, Rng&) {
-             return TopKPrecision(EigenvectorCentrality(g),
-                                  EigenvectorCentrality(h), 100);
-           },
+       TopKPrecisionMetric(
+           [](const Graph& g) { return EigenvectorCentrality(g); },
            "top-100 eigenvector-centrality precision (fig 6)")},
       {"katz",
-       Deterministic(
-           [](const Graph& g, const Graph& h, Rng&) {
-             return TopKPrecision(KatzCentrality(g), KatzCentrality(h), 100);
-           },
-           "top-100 Katz-centrality precision (fig 7)")},
+       TopKPrecisionMetric([](const Graph& g) { return KatzCentrality(g); },
+                           "top-100 Katz-centrality precision (fig 7)")},
       {"pagerank",
-       Deterministic(
-           [](const Graph& g, const Graph& h, Rng&) {
-             return TopKPrecision(PageRank(g), PageRank(h), 100);
-           },
-           "top-100 PageRank precision (fig 11)")},
+       TopKPrecisionMetric([](const Graph& g) { return PageRank(g); },
+                           "top-100 PageRank precision (fig 11)")},
       // Community structure (figs 8, 10).
       {"communities",
        Sampled(
@@ -126,13 +143,15 @@ const std::map<std::string, NamedMetric>& NamedMetrics() {
            },
            "Louvain community count, randomized visit order (fig 8)")},
       {"f1",
-       Sampled(
-           [](const Graph& g, const Graph& h, Rng& rng) {
-             Rng ref_rng = rng.Fork();
-             Clustering ref = LouvainCommunities(g, ref_rng);
-             return ClusteringF1(LouvainCommunities(h, rng).label, ref.label);
+       TwoPhase(
+           [](const Graph& g, Rng& ref_rng) -> MetricEvaluator {
+             return [ref = LouvainCommunities(g, ref_rng).label](
+                        const Graph& h, Rng& rng) {
+               return ClusteringF1(LouvainCommunities(h, rng).label, ref);
+             };
            },
-           "Louvain clustering F1 vs full-graph reference (fig 10)")},
+           "Louvain clustering F1 vs full-graph reference (fig 10)",
+           /*sampled=*/true)},
       // Structural robustness (extension — kcore.h was written for the
       // registry; linear-time bucket peeling, so it is also the
       // representative "cheap structural metric" of the multi-metric
@@ -165,6 +184,14 @@ const std::map<std::string, NamedMetric>& NamedMetrics() {
            },
            "mean max-flow stretch over 50 sampled s-t pairs (fig 12)")},
   };
+  for (auto& [name, named] : registry) named.metric.name = name;
+  return registry;
+}
+
+}  // namespace
+
+const std::map<std::string, NamedMetric>& NamedMetrics() {
+  static const std::map<std::string, NamedMetric> registry = BuildRegistry();
   return registry;
 }
 
@@ -174,7 +201,7 @@ std::vector<std::string> MetricNames() {
   return names;
 }
 
-const MetricFn& FindMetric(const std::string& name) {
+const BatchMetric& FindMetric(const std::string& name) {
   auto it = NamedMetrics().find(name);
   if (it == NamedMetrics().end()) {
     std::string known;
@@ -184,7 +211,7 @@ const MetricFn& FindMetric(const std::string& name) {
     throw std::invalid_argument("unknown metric '" + name + "' (known: " +
                                 known + ")");
   }
-  return it->second.fn;
+  return it->second.metric;
 }
 
 }  // namespace sparsify::cli

@@ -302,8 +302,8 @@ int CmdMetrics() {
                 metric.description.c_str());
   }
   std::cout << "\nsampled = consumes the per-cell metric RNG stream "
-               "(MetricSeed);\ndeterministic = rng-free, unchanged across "
-               "RNG revisions.\n";
+               "(MetricSeed) or the\nreference stream (ReferenceSeed);\n"
+               "deterministic = rng-free, unchanged across RNG revisions.\n";
   return 0;
 }
 
@@ -361,11 +361,12 @@ int CmdEvaluate(const Args& args) {
     std::cerr << "evaluate requires --metric, --input, --sparsified\n";
     return 1;
   }
-  const MetricFn& metric = FindMetric(args.Get("metric"));
+  const BatchMetric& metric = FindMetric(args.Get("metric"));
   Graph g = LoadInput(args, "input");
   Graph h = LoadInput(args, "sparsified");
   Rng rng(args.GetUint64("seed", 42));
-  std::cout << args.Get("metric") << " = " << metric(g, h, rng) << "\n";
+  std::cout << args.Get("metric") << " = " << EvaluateMetric(metric, g, h, rng)
+            << "\n";
   return 0;
 }
 
@@ -439,7 +440,7 @@ int CmdSweep(const Args& args, bool profile_mode) {
   // registry listed before any work is scheduled.
   std::vector<SweepMetric> metrics;
   for (const std::string& name : metric_names) {
-    metrics.push_back(SweepMetric{name, FindMetric(name)});
+    metrics.push_back(FindMetric(name));
   }
 
   ScaleSpec scales = ParseScaleSpec(args.Get("scale", "0.5"));
@@ -638,15 +639,17 @@ int CmdSweep(const Args& args, bool profile_mode) {
     // resumed sweep reports "all cached" instead of a meaningless rate.
     // Formatted into a buffer so the stream's float formatting state
     // stays untouched.
-    char timing[112];
+    char timing[144];
     if (stats.submitted_cells > 0) {
-      std::snprintf(
-          timing, sizeof(timing),
-          "%.1fs, %.1f units/s (score %.1fs, subgraph %.1fs, metric %.1fs)",
-          seconds,
-          seconds > 0 ? static_cast<double>(stats.submitted_cells) / seconds
-                      : 0.0,
-          stats.score_seconds, stats.subgraph_seconds, stats.metric_seconds);
+      std::snprintf(timing, sizeof(timing),
+                    "%.1fs, %.1f units/s (score %.1fs, reference %.1fs, "
+                    "subgraph %.1fs, metric %.1fs)",
+                    seconds,
+                    seconds > 0
+                        ? static_cast<double>(stats.submitted_cells) / seconds
+                        : 0.0,
+                    stats.score_seconds, stats.reference_seconds,
+                    stats.subgraph_seconds, stats.metric_seconds);
     } else {
       std::snprintf(timing, sizeof(timing), "%.1fs, all units cached",
                     seconds);
@@ -656,7 +659,8 @@ int CmdSweep(const Args& args, bool profile_mode) {
               << " cached=" << stats.cached_cells
               << " submitted=" << stats.submitted_cells
               << " subgraph_builds=" << stats.subgraph_builds
-              << " score_groups=" << stats.score_groups;
+              << " score_groups=" << stats.score_groups
+              << " reference_stages=" << stats.reference_stages;
     if (shard.total > 1) {
       // Shard accounting: how much of the grid this worker claimed as
       // its own share and how much it took over from dead workers.

@@ -45,14 +45,28 @@ uint64_t SplitMix(uint64_t z) {
   return z ^ (z >> 31);
 }
 
+// FNV-1a step over one identity string, closed with a fold of its LENGTH —
+// a boundary no byte content can forge, so ("ab", "c") never collides with
+// ("a", "bc") even for names holding arbitrary bytes.
+void FoldString(uint64_t& h, const std::string& s) {
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  h ^= s.size() + 0x9e3779b97f4a7c15ULL;
+  h *= 1099511628211ULL;
+}
+
 // Adds to a BatchRunStats field that stages on every worker update.
 template <typename T>
 void AtomicAdd(T& field, T delta) {
   std::atomic_ref<T>(field).fetch_add(delta, std::memory_order_relaxed);
 }
 
-// The engine's three stages, in pipeline order.
-enum Stage { kScoreGroup, kSubgraph, kMetricUnit, kNumStages };
+// The engine's four stages. References and score groups are queued up
+// front; subgraphs follow their group, metric units their subgraph and, for
+// two-phase metrics, their reference.
+enum Stage { kReference, kScoreGroup, kSubgraph, kMetricUnit, kNumStages };
 
 // What a stage reports to: its span/activity name, its failpoint site, its
 // engine.* counter and latency histogram, and the BatchRunStats fields it
@@ -70,6 +84,9 @@ struct StageSite {
 // Interned once per process, so the registry mutex is off the hot path.
 const StageSite& Site(Stage stage) {
   static const StageSite* sites = new StageSite[kNumStages]{
+      {"reference", "engine.reference", obs::GetCounter("engine.references"),
+       obs::GetHistogram("engine.reference_ns"),
+       &BatchRunStats::reference_stages, &BatchRunStats::reference_seconds},
       {"score_group", "engine.score_group",
        obs::GetCounter("engine.score_groups"),
        obs::GetHistogram("engine.score_ns"), &BatchRunStats::score_groups,
@@ -88,14 +105,15 @@ const StageSite& Site(Stage stage) {
 // released in reverse: the trace span with its detail and cell args, the
 // ambient cancel token its kernels poll, the watchdog activity (which may
 // cancel `watch` when the stage stalls), and the timer whose reading feeds
-// the stage's counter, histogram and run stats on exit. Only stages that
+// the stage's counter, histogram and run stats on exit. A reference stage
+// names no cell, so its span carries no cell args. Only stages that
 // actually start construct one, so every count equals the stage's spans.
 // Failpoint() fires the stage's scoped failpoint; call it inside the
 // stage's try so an injected fault takes the same path as a real one.
 class StageScope {
  public:
   // `detail` must outlive the scope.
-  StageScope(Stage stage, const std::string& detail, const BatchTask& task,
+  StageScope(Stage stage, const std::string& detail, const BatchTask* task,
              const CancelToken* cancel, const CancelToken* watch,
              BatchRunStats& run)
       : site_(Site(stage)),
@@ -106,11 +124,13 @@ class StageScope {
         run_(run) {
     if (span_.active()) {
       span_.Detail(detail);
-      if (stage == kMetricUnit) span_.Arg("sparsifier", task.sparsifier);
-      if (stage != kScoreGroup) {
-        span_.Arg("rate", FormatRate(task.prune_rate));
+      if (task != nullptr) {
+        if (stage == kMetricUnit) span_.Arg("sparsifier", task->sparsifier);
+        if (stage != kScoreGroup) {
+          span_.Arg("rate", FormatRate(task->prune_rate));
+        }
+        span_.Arg("run", std::to_string(task->run));
       }
-      span_.Arg("run", std::to_string(task.run));
     }
   }
 
@@ -207,25 +227,15 @@ uint64_t BatchRunner::MetricSeed(uint64_t master_seed,
                                  const std::string& sparsifier,
                                  double prune_rate, int run,
                                  const std::string& metric) {
-  // FNV-1a over every identity component. Each string is closed with a
-  // fold of its LENGTH — a boundary no byte content can forge, so
-  // ("ab", "c") never collides with ("a", "bc") even for names holding
-  // arbitrary bytes; the rate enters via its IEEE-754 bits (grid rates
-  // are exact values, so bitwise identity is the right equality). Like
-  // GroupSeed, this is intentionally independent of grid shape, of the
-  // submitted subset, and of the metric-set composition.
+  // FNV-1a over every identity component; the rate enters via its
+  // IEEE-754 bits (grid rates are exact values, so bitwise identity is the
+  // right equality). Like GroupSeed, this is intentionally independent of
+  // grid shape, of the submitted subset, and of the metric-set
+  // composition.
   uint64_t h = 1469598103934665603ULL;
-  auto fold_string = [&h](const std::string& s) {
-    for (char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= s.size() + 0x9e3779b97f4a7c15ULL;
-    h *= 1099511628211ULL;
-  };
-  fold_string(dataset);
-  fold_string(sparsifier);
-  fold_string(metric);
+  FoldString(h, dataset);
+  FoldString(h, sparsifier);
+  FoldString(h, metric);
   uint64_t rate_bits = 0;
   static_assert(sizeof(rate_bits) == sizeof(prune_rate));
   std::memcpy(&rate_bits, &prune_rate, sizeof(rate_bits));
@@ -235,10 +245,31 @@ uint64_t BatchRunner::MetricSeed(uint64_t master_seed,
   return SplitMix(master_seed ^ SplitMix(h));
 }
 
+uint64_t BatchRunner::ReferenceSeed(uint64_t master_seed,
+                                    const std::string& dataset,
+                                    const std::string& metric) {
+  // Two strings and a domain constant: no MetricSeed input folds to the
+  // same sequence, since MetricSeed folds three strings and a rate.
+  uint64_t h = 1469598103934665603ULL;
+  FoldString(h, dataset);
+  FoldString(h, metric);
+  h ^= 0x726566657265ULL;  // "refere"
+  h *= 1099511628211ULL;
+  return SplitMix(master_seed ^ SplitMix(h));
+}
+
+double EvaluateMetric(const BatchMetric& metric, const Graph& original,
+                      const Graph& sparsified, Rng& rng) {
+  if (!metric.prepare) return metric.fn(original, sparsified, rng);
+  Rng ref_rng = rng.Fork();
+  return metric.prepare(original, ref_rng)(sparsified, rng);
+}
+
 BatchRunStats& BatchRunStats::operator+=(const BatchRunStats& other) {
   cells += other.cells;
   metric_units += other.metric_units;
   score_groups += other.score_groups;
+  reference_stages += other.reference_stages;
   subgraph_builds += other.subgraph_builds;
   failed_units += other.failed_units;
   transient_failed_units += other.transient_failed_units;
@@ -246,6 +277,7 @@ BatchRunStats& BatchRunStats::operator+=(const BatchRunStats& other) {
   cancelled_units += other.cancelled_units;
   retried_units += other.retried_units;
   score_seconds += other.score_seconds;
+  reference_seconds += other.reference_seconds;
   subgraph_seconds += other.subgraph_seconds;
   metric_seconds += other.metric_seconds;
   return *this;
@@ -286,23 +318,21 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   }
   std::lock_guard<std::mutex> run_lock(impl_->run_mu);
 
-  // Symmetrize once if any selected sparsifier will need it; the copy is
-  // shared read-only across workers like the original.
-  Graph sym_holder;
-  const Graph* symmetrized = nullptr;
+  // Each cell's input graph: g, or the symmetrized copy for sparsifiers
+  // without directed support. Symmetrize once if any selected sparsifier
+  // needs it; the copy is shared read-only across workers like the
+  // original.
+  std::optional<Graph> symmetrized;
   std::unordered_map<std::string, const Graph*> input_for;
-  for (const BatchTask& task : tasks) {
-    if (input_for.contains(task.sparsifier)) continue;
-    SparsifierInfo info = CreateSparsifier(task.sparsifier)->Info();
-    if (g.IsDirected() && !info.supports_directed) {
-      if (symmetrized == nullptr) {
-        sym_holder = g.Symmetrized();
-        symmetrized = &sym_holder;
-      }
-      input_for[task.sparsifier] = symmetrized;
-    } else {
-      input_for[task.sparsifier] = &g;
+  std::vector<const Graph*> input_of(tasks.size());
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    auto [it, inserted] = input_for.try_emplace(tasks[i].sparsifier, &g);
+    if (inserted && g.IsDirected() &&
+        !CreateSparsifier(tasks[i].sparsifier)->Info().supports_directed) {
+      if (!symmetrized) symmetrized.emplace(g.Symmetrized());
+      it->second = &*symmetrized;
     }
+    input_of[i] = it->second;
   }
 
   // Resolve each task's metric-id list (empty = every metric) and size the
@@ -356,13 +386,43 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     if (inserted) {
       Group& group = groups.emplace_back();
       group.first = &tasks[i];
-      group.input = input_for.at(tasks[i].sparsifier);
+      group.input = input_of[i];
       group.instance = CreateSparsifier(tasks[i].sparsifier);
     }
     groups[it->second].cells.push_back(i);
   }
   for (Group& group : groups) {
     group.cells_left.store(group.cells.size(), std::memory_order_relaxed);
+  }
+
+  // One reference per (two-phase metric, input graph) that some submitted
+  // unit needs. It holds the evaluator its units call, or the failure that
+  // ends them, and the units parked until it lands. `landed` flips once,
+  // under `mu`, after which the other fields are read-only.
+  struct Reference {
+    uint32_t metric = 0;
+    const Graph* input = nullptr;
+    MetricEvaluator evaluate;
+    std::optional<Failure> failure;
+    std::mutex mu;
+    bool landed = false;
+    std::vector<std::pair<size_t, size_t>> parked;  // (cell, slot)
+  };
+  std::deque<Reference> references;  // mutexes pin references in place
+  // Slot 2m holds metric m's reference on g, 2m+1 on the symmetrized copy.
+  std::vector<Reference*> reference_at(2 * metrics.size(), nullptr);
+  auto reference_of = [&](size_t i, size_t slot) -> Reference*& {
+    return reference_at[2 * (*ids_of[i])[slot] + (input_of[i] != &g)];
+  };
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    for (size_t slot = 0; slot < ids_of[i]->size(); ++slot) {
+      const uint32_t m = (*ids_of[i])[slot];
+      Reference*& ref = reference_of(i, slot);
+      if (!metrics[m].prepare || ref != nullptr) continue;
+      ref = &references.emplace_back();
+      ref->metric = m;
+      ref->input = input_of[i];
+    }
   }
 
   // The engine's own run token, parented to the caller's: queued stages
@@ -422,10 +482,19 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     end_units(i, 0, ids_of[i]->size(), f, attempts);
   };
 
-  // One (cell, metric) evaluation unit, retrying transient failures.
+  // One (cell, metric) evaluation unit, retrying transient failures. A
+  // two-phase metric's unit runs only after its reference landed; a failed
+  // reference ends it the way a failed score group ends its cells.
   static const std::string kAnonymousMetric = "metric";
+  auto stage_name = [](const BatchMetric& metric) -> const std::string& {
+    return metric.name.empty() ? kAnonymousMetric : metric.name;
+  };
   auto run_metric_unit = [&](size_t i, size_t slot) {
     if (run_token.Cancelled()) return end_units(i, slot, slot + 1, skipped, 0);
+    const Reference* ref = reference_of(i, slot);
+    if (ref != nullptr && ref->failure) {
+      return end_units(i, slot, slot + 1, *ref->failure, 1);
+    }
     const BatchTask& task = results[i].task;
     const uint32_t m = (*ids_of[i])[slot];
     const BatchMetric& metric = metrics[m];
@@ -436,9 +505,8 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     // never observe a destroyed token.
     CancelToken unit_token;
     unit_token.set_parent(&run_token);
-    StageScope stage(kMetricUnit,
-                     metric.name.empty() ? kAnonymousMetric : metric.name,
-                     task, &unit_token, &unit_token, run);
+    StageScope stage(kMetricUnit, stage_name(metric), &task, &unit_token,
+                     &unit_token, run);
     for (int attempts = 1;; ++attempts) {
       if (faults.unit_timeout_seconds > 0) {
         unit_token.SetDeadlineAfter(faults.unit_timeout_seconds);
@@ -453,8 +521,10 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
                                   task.prune_rate, task.run, metric.name));
         // Expose the pool for the metric's own BFS-batch fan-out.
         SubtaskPoolScope subtasks(&impl_->pool);
-        double value = metric.fn(*input_for.at(task.sparsifier),
-                                 *cell_graph[i], metric_rng);
+        double value =
+            ref != nullptr
+                ? ref->evaluate(*cell_graph[i], metric_rng)
+                : metric.fn(*input_of[i], *cell_graph[i], metric_rng);
         results[i].values[slot].metric = m;
         results[i].values[slot].value = value;
         if (on_result) {
@@ -474,19 +544,60 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     }
   };
 
+  // SubmitUrgent puts a unit ahead of every queued subgraph build and
+  // scoring task, so the subgraph is consumed and freed before more
+  // subgraphs pile up.
+  auto submit_metric_unit = [&](size_t i, size_t slot) {
+    impl_->pool.SubmitUrgent([&, i, slot] {
+      run_metric_unit(i, slot);
+      if (units_left[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        cell_graph[i].reset();  // last metric frees the subgraph
+      }
+    });
+  };
+
   // Fans cell i's metrics out as independent evaluation units. Called from
-  // the task that materialized the cell's subgraph; SubmitUrgent puts the
-  // units ahead of every queued subgraph build and scoring task, so the
-  // subgraph is consumed and freed before more subgraphs pile up.
+  // the task that materialized the cell's subgraph. A unit whose reference
+  // has not landed parks on it instead; the reference stage submits it.
   auto submit_metric_units = [&](size_t i) {
     for (size_t slot = 0; slot < ids_of[i]->size(); ++slot) {
-      impl_->pool.SubmitUrgent([&, i, slot] {
-        run_metric_unit(i, slot);
-        if (units_left[i].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          cell_graph[i].reset();  // last metric frees the subgraph
+      if (Reference* ref = reference_of(i, slot)) {
+        std::lock_guard<std::mutex> lock(ref->mu);
+        if (!ref->landed) {
+          ref->parked.emplace_back(i, slot);
+          continue;
         }
-      });
+      }
+      submit_metric_unit(i, slot);
     }
+  };
+
+  // Prepares one reference, then releases the units parked on it. It polls
+  // the run token like a score group; its failure is recorded for its
+  // units to end with, not thrown at them.
+  auto run_reference = [&](Reference& ref) {
+    const BatchMetric& metric = metrics[ref.metric];
+    if (run_token.Cancelled()) {
+      ref.failure = skipped;
+    } else {
+      StageScope stage(kReference, stage_name(metric), nullptr, &run_token,
+                       faults.cancel, run);
+      try {
+        stage.Failpoint();
+        Rng ref_rng(ReferenceSeed(master_seed, dataset, metric.name));
+        SubtaskPoolScope subtasks(&impl_->pool);
+        ref.evaluate = metric.prepare(*ref.input, ref_rng);
+      } catch (...) {
+        ref.failure = classify(std::current_exception());
+      }
+    }
+    std::vector<std::pair<size_t, size_t>> parked;
+    {
+      std::lock_guard<std::mutex> lock(ref.mu);
+      ref.landed = true;
+      parked.swap(ref.parked);
+    }
+    for (auto [i, slot] : parked) submit_metric_unit(i, slot);
   };
 
   // Score and subgraph stages poll the run token; the watchdog escalates a
@@ -496,7 +607,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     if (run_token.Cancelled()) return end_cell(i, skipped, 0);
     const BatchTask& task = results[i].task;
     {
-      StageScope stage(kSubgraph, task.sparsifier, task, &run_token,
+      StageScope stage(kSubgraph, task.sparsifier, &task, &run_token,
                        faults.cancel, run);
       try {
         stage.Failpoint();
@@ -513,11 +624,12 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     submit_metric_units(i);
   };
 
-  // Pipelined execution — no barrier between the three stages. Every
-  // group's scoring task is queued up front; the moment a group's state is
-  // ready, its cells' subgraph builds jump the queue (SubmitUrgent), and
-  // the moment a subgraph lands its metric units jump the queue in turn.
-  // Consequences:
+  // Pipelined execution — no barrier between the stages. Every reference
+  // and then every group's scoring task is queued up front; the moment a
+  // group's state is ready, its cells' subgraph builds jump the queue
+  // (SubmitUrgent), and the moment a subgraph lands its metric units jump
+  // the queue in turn, except those whose reference is still being
+  // prepared: they park on it until it lands. Consequences:
   //   - peak ScoreState residency is bounded by the groups actually in
   //     flight (~thread count), not the whole grid (ER's state alone is
   //     three |E|-length arrays per run), and peak Subgraph residency by
@@ -529,11 +641,15 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   //     metrics (and their BFS-batch subtasks) across all workers.
   // Determinism is untouched by any of this scheduling: group scoring
   // streams derive from (master_seed, sparsifier, run) — deterministic
-  // sparsifiers ignore them entirely — and each (cell, metric) unit's
-  // stream derives from MetricSeed. MaskForRate is const and re-entrant,
-  // so one group's cells can threshold the shared state concurrently; the
-  // subgraph is immutable once built, so one cell's metrics can read it
-  // concurrently.
+  // sparsifiers ignore them entirely — each reference stream from
+  // ReferenceSeed, and each (cell, metric) unit's stream from MetricSeed.
+  // MaskForRate is const and re-entrant, so one group's cells can
+  // threshold the shared state concurrently; the subgraph is immutable
+  // once built, so one cell's metrics can read it concurrently, and so is
+  // a landed reference.
+  for (Reference& ref : references) {
+    impl_->pool.Submit([&, r = &ref] { run_reference(*r); });
+  }
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     impl_->pool.Submit([&, gi] {
       Group& group = groups[gi];
@@ -543,7 +659,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
       }
       {
         const BatchTask& first = *group.first;
-        StageScope stage(kScoreGroup, first.sparsifier, first, &run_token,
+        StageScope stage(kScoreGroup, first.sparsifier, &first, &run_token,
                          faults.cancel, run);
         try {
           stage.Failpoint();

@@ -9,9 +9,13 @@
 //     near-free MaskForRate tasks;
 //   - the METRIC axis: each cell's sparsified Subgraph is materialized
 //     ONCE, and the cell's metrics fan out as independent evaluation units
-//     over the shared read-only subgraph (RunTasksMulti).
+//     over the shared read-only subgraph (RunTasksMulti);
+//   - the REFERENCE axis: a two-phase metric's full-graph reference
+//     (ranking, clustering, histogram) is prepared ONCE per input graph
+//     and shared read-only by every unit of that metric.
 // Every RNG stream derives from a stable identity — group scoring from
-// (master_seed, sparsifier, run) and each (cell, metric) unit from
+// (master_seed, sparsifier, run), each reference from (master_seed,
+// dataset, metric) and each (cell, metric) unit from
 // (master_seed, dataset, sparsifier, rate, run, metric) — so the numeric
 // output is bit-identical at any thread count, for any submitted subset of
 // the grid, and for any metric-set composition. See README.md in this
@@ -33,20 +37,47 @@
 
 namespace sparsify {
 
-/// Metric evaluated on (original, sparsified); identical shape to
+/// One-call metric evaluated on (original, sparsified); identical shape to
 /// eval::MetricFn so sweep metrics pass through unchanged.
 using BatchMetricFn =
     std::function<double(const Graph& original, const Graph& sparsified,
                          Rng& rng)>;
 
+/// The per-unit half of a two-phase metric: scores one sparsified graph
+/// against the reference its prepare phase captured. Units call it
+/// concurrently, so it must not mutate what it captured.
+using MetricEvaluator =
+    std::function<double(const Graph& sparsified, Rng& rng)>;
+
+/// The reference half of a two-phase metric: reads `original` once and
+/// returns the evaluator every unit over that input calls. `ref_rng` is the
+/// metric's reference stream (BatchRunner::ReferenceSeed).
+using MetricPrepareFn =
+    std::function<MetricEvaluator(const Graph& original, Rng& ref_rng)>;
+
 /// One named metric of a multi-metric run. The name participates in each
 /// (cell, metric) unit's RNG stream (MetricSeed) and is what a result
 /// store keys cells by, so it must be the stable registry name of the
 /// computation — not a display label.
+///
+/// A metric sets exactly one of two forms. A one-call metric sets `fn`,
+/// which every unit calls on (original, sparsified). A metric that reads
+/// `original` only to build a reference (a full-graph ranking, clustering
+/// or histogram) sets `prepare` instead: the engine runs it once per
+/// (metric, input graph) as a `reference` stage, and every unit calls the
+/// evaluator it returned.
 struct BatchMetric {
   std::string name;
   BatchMetricFn fn;
+  MetricPrepareFn prepare;
 };
+
+/// Evaluates `metric` on one (original, sparsified) pair outside the
+/// engine. A two-phase metric prepares its reference from `rng.Fork()`,
+/// then evaluates with `rng`, which is what the per-cell form of the
+/// sampled references did.
+double EvaluateMetric(const BatchMetric& metric, const Graph& original,
+                      const Graph& sparsified, Rng& rng);
 
 /// One expanded cell of the grid.
 struct BatchTask {
@@ -100,16 +131,17 @@ struct BatchSpec {
 };
 
 /// Scheduling counters of one RunTasksMulti call: how much work the
-/// rate-axis (scoring) and metric-axis (subgraph) sharing saved, and where
-/// the time went. score_groups and subgraph_builds count the stages that
-/// actually ran (one per score_group/subgraph span and engine.* counter
-/// tick), so a cancelled or failed run reports only work it did. The
+/// rate-axis (scoring), reference and metric-axis (subgraph) sharing saved,
+/// and where the time went. score_groups, reference_stages and
+/// subgraph_builds count the stages that actually ran (one per
+/// score_group/reference/subgraph span and engine.* counter tick), so a cancelled or failed run reports only work it did. The
 /// timings are summed stage durations across workers (single-threaded
 /// they equal wall clock).
 struct BatchRunStats {
   size_t cells = 0;            // tasks submitted
   size_t metric_units = 0;     // (cell, metric) evaluations scheduled
   size_t score_groups = 0;     // PrepareScores computations run
+  size_t reference_stages = 0;  // two-phase metric references prepared
   size_t subgraph_builds = 0;  // sparsified subgraphs built (at most cells;
                                // the banner contrasts it with metric_units)
   size_t failed_units = 0;     // units that ended in failure (tolerant mode)
@@ -123,6 +155,7 @@ struct BatchRunStats {
                                // recorded, a resume resubmits them
   size_t retried_units = 0;    // transient-failure retries performed
   double score_seconds = 0;     // summed PrepareScores durations
+  double reference_seconds = 0;  // summed reference-stage durations
   double subgraph_seconds = 0;  // summed mask + Apply durations
   double metric_seconds = 0;    // summed metric evaluation durations
 
@@ -131,7 +164,7 @@ struct BatchRunStats {
 };
 
 /// How RunTasksMulti treats failures inside units of work. Every stage
-/// (score group, subgraph, metric unit) classifies what it caught the same
+/// (score group, reference, subgraph, metric unit) classifies what it caught the same
 /// way: "transient" (TransientError), "deadline" (the unit's own deadline),
 /// "cancelled" (a CancelledError while the run is NOT cancelled) or
 /// "permanent" (anything else); a cancellation of the run itself is no
@@ -143,7 +176,8 @@ struct BatchRunStats {
 /// transient failures that exhaust their retries — is reported through
 /// `on_unit_failure` and in the result slot, and the rest of the batch
 /// runs to completion. A score-group or subgraph failure fails that
-/// cell's (or group's cells') units without retry, since re-running
+/// cell's (or group's cells') units without retry, and a reference
+/// failure fails its metric's units on that input the same way, since re-running
 /// scoring wholesale is what a resumed sweep is for. Without `tolerate`
 /// (fail-fast) the first failure cancels the run: every other unit ends
 /// as cancelled, nothing is reported, and the failure's original
@@ -216,6 +250,14 @@ class BatchRunner {
                              const std::string& sparsifier, double prune_rate,
                              int run, const std::string& metric);
 
+  /// Seed of the reference stream of two-phase metric `metric` on
+  /// `dataset`. It names no cell, so every unit of the metric scores
+  /// against one reference, and a subset run, another thread count, shard
+  /// layout or metric set prepares the same one.
+  static uint64_t ReferenceSeed(uint64_t master_seed,
+                                const std::string& dataset,
+                                const std::string& metric);
+
   /// Invoked as each (cell, metric) unit finishes, from the worker thread
   /// that ran it (concurrently across workers — the callback must
   /// synchronize its own state). `metric` indexes the metric list.
@@ -230,8 +272,15 @@ class BatchRunner {
   /// (SubmitUrgent) and the last unit frees the subgraph, so peak subgraph
   /// residency stays bounded by the cells in flight, not the grid.
   ///
+  /// Two-phase metrics add a `reference` stage per (metric, input graph)
+  /// that some submitted unit needs, so a fully cached resume runs none.
+  /// Reference stages are queued ahead of the score groups; a unit whose
+  /// reference has not landed yet parks on it (no worker waits) and is
+  /// submitted the moment it lands.
+  ///
   /// `dataset` is the caller's stable graph identity (the store's dataset
-  /// key, e.g. "ego-Facebook@0.5"); it only feeds MetricSeed. Each unit's
+  /// key, e.g. "ego-Facebook@0.5"); it only feeds MetricSeed and
+  /// ReferenceSeed. Each unit's
   /// metric RNG stream derives from MetricSeed(master_seed, dataset,
   /// sparsifier, rate, run, metric-name), so values are bit-identical at
   /// any thread count, for any submitted subset, and for any metric-set
@@ -242,7 +291,8 @@ class BatchRunner {
   ///
   /// When `g` is directed, sparsifiers whose SparsifierInfo does not
   /// support directed input receive the symmetrized graph (computed once,
-  /// shared), and their metrics' `original` is then also the symmetrized
+  /// shared), and their metrics' `original` — and so the reference a
+  /// two-phase metric prepares for them — is then also the symmetrized
   /// graph (paper sections 3.1, 4.5). Concurrent calls on one runner
   /// serialize (the pool's completion tracking is batch-global).
   ///

@@ -20,18 +20,19 @@ std::vector<double> DegreeHistogram(const Graph& g, int bins,
   return hist;
 }
 
-double DegreeDistributionDistance(const Graph& original,
-                                  const Graph& sparsified, int bins) {
+std::vector<double> DegreeShape(const Graph& g, int bins) {
   // Each histogram is binned over its OWN degree range: pruning scales all
   // degrees down, and the metric should compare the distributions' SHAPE
   // (e.g. the power-law profile), not the absolute scale — otherwise every
   // sparsifier at prune rate rho trivially scores ~-ln(overlap of
   // [0, (1-rho) d_max] with [0, d_max]) and Random could never win Fig. 2.
-  std::vector<double> p =
-      DegreeHistogram(original, bins, original.MaxDegree());
-  std::vector<double> q =
-      DegreeHistogram(sparsified, bins, sparsified.MaxDegree());
-  return BhattacharyyaDistance(p, q);
+  return DegreeHistogram(g, bins, g.MaxDegree());
+}
+
+double DegreeDistributionDistance(const Graph& original,
+                                  const Graph& sparsified, int bins) {
+  return BhattacharyyaDistance(DegreeShape(original, bins),
+                               DegreeShape(sparsified, bins));
 }
 
 double QuadraticFormSimilarity(const Graph& original, const Graph& sparsified,

@@ -17,6 +17,10 @@ namespace sparsify {
 std::vector<double> DegreeHistogram(const Graph& g, int bins,
                                     NodeId max_degree);
 
+/// The degree distribution's shape as DegreeDistributionDistance compares
+/// it: DegreeHistogram over g's OWN degree range [0, g.MaxDegree()].
+std::vector<double> DegreeShape(const Graph& g, int bins = 100);
+
 /// Bhattacharyya distance between the degree distributions of `original`
 /// and `sparsified` using `bins` shared bins (paper uses 100). Lower is
 /// better; 0 means identical distributions.

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 namespace {
@@ -41,6 +43,8 @@ Level OneLevel(const std::vector<std::vector<std::pair<int, double>>>& adj,
   std::unordered_map<int, double> weight_to;  // community -> edge weight
   bool any_move = false;
   for (int pass = 0; pass < 32; ++pass) {
+    // One poll per local-moving sweep: a sweep visits every node once.
+    SPARSIFY_CHECK_CANCELLED();
     bool moved = false;
     for (int v : order) {
       int cur = lvl.label[v];

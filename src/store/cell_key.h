@@ -51,7 +51,22 @@ namespace sparsify {
 ///       are numerically identical to r3 values; the bump is conservative
 ///       identity retirement, because an r3 record cannot prove which
 ///       (possibly pre-r3-keyed) grid shape produced it.
-inline constexpr char kResultCodeRev[] = "r4";
+///   r5  two-phase metrics: a metric that reads the original graph only to
+///       build a reference (closeness, betweenness, eigenvector, katz,
+///       pagerank, f1, degree) prepares it once per (dataset, metric,
+///       input graph) in the engine's reference stage instead of once per
+///       unit. The sampled references change stream: betweenness's 300
+///       reference pivots and f1's reference Louvain run draw from
+///       ReferenceSeed(master_seed, dataset, metric) instead of a fork of
+///       the unit's MetricSeed stream, so every unit of the metric scores
+///       against ONE reference (before, each unit drew its own). The
+///       subgraph side still draws from MetricSeed, now without the fork.
+///       Deterministic references (closeness, eigenvector, katz,
+///       pagerank, degree) and every other metric are numerically
+///       identical to r4. ER-uw and ER-w still draw independent resistance
+///       estimates; sharing one state between them was left out of this
+///       bump.
+inline constexpr char kResultCodeRev[] = "r5";
 
 /// Key of one completed grid cell. Field semantics:
 ///   dataset      caller-chosen graph identity; the CLI encodes the scale

@@ -27,6 +27,7 @@
 #include "src/metrics/basic.h"
 #include "src/metrics/centrality.h"
 #include "src/metrics/clustering.h"
+#include "src/metrics/louvain.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/sparsifiers/effective_resistance.h"
@@ -226,6 +227,31 @@ TEST_F(KernelCancelTest, PowerIterationPollsLeaveResultsUnchanged) {
   EXPECT_EQ(PageRank(graph_), pr);
   EXPECT_EQ(EigenvectorCentrality(graph_), ev);
   EXPECT_EQ(KatzCentrality(graph_), katz);
+}
+
+// Louvain polls once per local-moving sweep, so an expired deadline stops
+// it before the first sweep.
+TEST_F(KernelCancelTest, LouvainObservesDeadline) {
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  Rng rng(3);
+  EXPECT_THROW(LouvainCommunities(graph_, rng), DeadlineExceededError);
+}
+
+// The poll draws nothing from the visit-order stream: labels under a token
+// that never fires equal the labels without one.
+TEST_F(KernelCancelTest, LouvainPollsLeaveLabelsUnchanged) {
+  Rng plain_rng(3);
+  const Clustering plain = LouvainCommunities(graph_, plain_rng);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  Rng polled_rng(3);
+  const Clustering polled = LouvainCommunities(graph_, polled_rng);
+  EXPECT_EQ(polled.label, plain.label);
+  EXPECT_EQ(polled.num_clusters, plain.num_clusters);
+  EXPECT_EQ(polled.modularity, plain.modularity);
 }
 
 TEST_F(KernelCancelTest, NestedParallelForPropagatesTheCallerToken) {

@@ -133,6 +133,35 @@ TEST(CliTest, MultiMetricSweepSharesSubgraphs) {
             0);
 }
 
+TEST(CliTest, ReferenceStageShowsInBannerProfileAndTrace) {
+  // closeness is two-phase, kcore one-call: one reference stage, reported
+  // by the banner counter, the profile table and the trace's spans.
+  const std::vector<std::string> grid = {
+      "--dataset=ego-Facebook", "--metrics=closeness,kcore", "--algos=RN,LD",
+      "--rates=0.5", "--runs=1", "--scale=0.1"};
+  std::vector<std::string> profile = {"profile"};
+  profile.insert(profile.end(), grid.begin(), grid.end());
+  ::testing::internal::CaptureStdout();
+  int rc = RunCli(profile);
+  std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("reference_stages=1"), std::string::npos) << out;
+  EXPECT_NE(out.find("\nreference    closeness "), std::string::npos) << out;
+
+  std::string trace = TestPath("trace.json");
+  std::vector<std::string> sweep = {"sweep", "--trace=" + trace};
+  sweep.insert(sweep.end(), grid.begin(), grid.end());
+  ::testing::internal::CaptureStdout();
+  rc = RunCli(sweep);
+  out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("reference_stages=1"), std::string::npos) << out;
+  std::ifstream in(trace);
+  std::string json((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"name\":\"reference\""), std::string::npos);
+}
+
 TEST(CliTest, PaperPresetPinsRunsAndPerDatasetScaleOverrides) {
   // --paper defaults runs to 10 (RN alone: 9 rates x 10 runs = 90 cells);
   // the dataset/metric lists stay overridable, and --scale accepts

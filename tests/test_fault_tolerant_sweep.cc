@@ -32,9 +32,16 @@ MetricFn SampledMetric() {
   };
 }
 
+// m_bad is the same computation in two-phase form (its "reference" is the
+// original graph itself), so a fault can also hit its reference stage.
 std::vector<SweepMetric> TwoMetrics() {
-  return {SweepMetric{"m_good", SampledMetric()},
-          SweepMetric{"m_bad", SampledMetric()}};
+  MetricPrepareFn prepare = [](const Graph& g, Rng&) -> MetricEvaluator {
+    return [g = &g](const Graph& h, Rng& rng) {
+      return QuadraticFormSimilarity(*g, h, 5, rng);
+    };
+  };
+  return {SweepMetric{"m_good", SampledMetric(), nullptr},
+          SweepMetric{"m_bad", nullptr, prepare}};
 }
 
 SweepConfig TestConfig() {
@@ -73,8 +80,9 @@ TEST_F(FaultTolerantSweepTest, ResultCodeRevCurrent) {
   // Error records share CellKey identity with results. Fault tolerance
   // itself never bumps the revision (same computation, same streams);
   // the r3 -> r4 bump came from the key-schema change that dropped
-  // grid_index (see cell_key.h history).
-  EXPECT_STREQ(kResultCodeRev, "r4");
+  // grid_index, r4 -> r5 from the two-phase metrics' reference streams
+  // (see cell_key.h history).
+  EXPECT_STREQ(kResultCodeRev, "r5");
 }
 
 TEST_F(FaultTolerantSweepTest, FailFastModeStillThrows) {
@@ -206,8 +214,8 @@ TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
 // ---------------------------------------------------------------------------
 // Failure-classification matrix: every stage site x every failure kind,
 // tolerant and fail-fast. Every site feeds one classifier, so a fault
-// injected at score_group, subgraph or metric_unit must end its units the
-// same way: the class, the attempts and the store records below.
+// injected at score_group, reference, subgraph or metric_unit must end its
+// units the same way: the class, the attempts and the store records below.
 
 struct FaultCase {
   const char* site;    // failpoint site/scope
@@ -244,11 +252,13 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
   const FaultCase& c = GetParam();
   const std::string site = c.site;
   const std::string action = c.action;
-  const bool metric_site = site.rfind("engine.metric_unit", 0) == 0;
+  const bool unit_site = site.rfind("engine.metric_unit", 0) == 0;
+  const bool metric_site =
+      unit_site || site.rfind("engine.reference", 0) == 0;
 
-  // RN: 2 rates x 2 runs, LD: 2 rates; two metrics -> 12 units. Stage
-  // faults target RN (its 4 cells, 8 units); unit faults target m_bad
-  // (6 units).
+  // RN: 2 rates x 2 runs, LD: 2 rates; two metrics -> 12 units. Score
+  // group and subgraph faults target RN (its 4 cells, 8 units); unit and
+  // reference faults target m_bad (6 units).
   SweepConfig config = TestConfig();
   config.prune_rates = {0.3, 0.6};
   const size_t units = 12;
@@ -329,7 +339,7 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
   int want_attempts = 1;
   if (action == "throw-transient") {
     want_class = "transient";
-    if (metric_site) want_attempts = 3;  // stage faults never retry
+    if (unit_site) want_attempts = 3;  // stage faults never retry
   }
   if (action == "hang") want_class = "deadline";
   EXPECT_EQ(stats.failed_units, hit_units);
@@ -355,7 +365,8 @@ std::vector<FaultCase> FaultCases() {
   std::vector<FaultCase> cases;
   for (bool tolerant : {true, false}) {
     for (const char* site : {"engine.score_group/RN", "engine.subgraph/RN",
-                             "engine.metric_unit/m_bad"}) {
+                             "engine.metric_unit/m_bad",
+                             "engine.reference/m_bad"}) {
       for (const char* action : {"throw", "throw-transient", "cancel"}) {
         cases.push_back({site, action, tolerant});
       }

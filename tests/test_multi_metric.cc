@@ -201,10 +201,10 @@ class MultiMetricEngineTest : public ::testing::Test {
   // two deterministic structural metrics (degree, kcore).
   static std::vector<BatchMetric> Metrics() {
     return {
-        {"degree", cli::FindMetric("degree")},
-        {"spsp", cli::FindMetric("spsp")},
-        {"communities", cli::FindMetric("communities")},
-        {"kcore", cli::FindMetric("kcore")},
+        cli::FindMetric("degree"),
+        cli::FindMetric("spsp"),
+        cli::FindMetric("communities"),
+        cli::FindMetric("kcore"),
     };
   }
 
@@ -314,7 +314,7 @@ TEST_F(MultiMetricEngineTest, InvalidMetricConfigurationsThrow) {
   std::vector<BatchTask> bad = tasks;
   bad[0].metrics = {7};  // out of range for a 1-metric list
   EXPECT_THROW(runner.RunTasksMulti(graph_, "fb@0.1", bad, spec.master_seed,
-                                    {{"degree", cli::FindMetric("degree")}}),
+                                    {cli::FindMetric("degree")}),
                std::invalid_argument);
 }
 
@@ -331,10 +331,10 @@ TEST_F(MultiMetricEngineTest, MetricThreadSafetyAuditRegression) {
   spec.master_seed = 7;
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   std::vector<BatchMetric> metrics = {
-      {"communities", cli::FindMetric("communities")},
-      {"maxflow", cli::FindMetric("maxflow")},
-      {"betweenness", cli::FindMetric("betweenness")},
-      {"closeness", cli::FindMetric("closeness")},
+      cli::FindMetric("communities"),
+      cli::FindMetric("maxflow"),
+      cli::FindMetric("betweenness"),
+      cli::FindMetric("closeness"),
   };
   BatchRunner one(1);
   BatchRunner eight(8);
@@ -369,8 +369,8 @@ class MultiMetricSweepTest : public ::testing::Test {
   }
 
   static std::vector<SweepMetric> TwoMetrics() {
-    return {{"degree", cli::FindMetric("degree")},
-            {"quadratic", cli::FindMetric("quadratic")}};
+    return {cli::FindMetric("degree"),
+            cli::FindMetric("quadratic")};
   }
 
   static void ExpectSeriesBitIdentical(const std::vector<SweepSeries>& a,

@@ -480,19 +480,22 @@ TEST(ResultStoreTest, CodeRevBumpNeverReusesOldCells) {
 TEST(ResultStoreTest, StaleRevCellsNeverSatisfyCurrentLookups) {
   // PR 4 moved sampled-metric RNG from (master_seed, cell index) to the
   // MetricSeed identity stream (r2 -> r3); the multi-process store PR
-  // then dropped grid_index from the key entirely (r3 -> r4). Either
-  // way, a store full of old-revision cells must not serve a single one
-  // of them to the current pipeline (not even for rng-free metrics —
-  // revisions are keyed wholesale, not per metric).
-  ASSERT_STREQ(kResultCodeRev, "r4");
+  // then dropped grid_index from the key entirely (r3 -> r4), and the
+  // two-phase metrics moved their sampled references onto ReferenceSeed
+  // (r4 -> r5). Either way, a store full of old-revision cells must not
+  // serve a single one of them to the current pipeline (not even for
+  // rng-free metrics — revisions are keyed wholesale, not per metric).
+  ASSERT_STREQ(kResultCodeRev, "r5");
   ResultStore store(TestPath("r2_r3_store"));
 
-  for (double rate : {0.1, 0.5, 0.9}) {
-    CellKey r2 = MakeKey("LD", rate, 0);
-    r2.code_rev = "r2";
-    store.Append(r2, rate, 1.0);
+  for (const char* old_rev : {"r2", "r4"}) {
+    for (double rate : {0.1, 0.5, 0.9}) {
+      CellKey old = MakeKey("LD", rate, 0);
+      old.code_rev = old_rev;
+      store.Append(old, rate, 1.0);
+    }
   }
-  EXPECT_EQ(store.Size(), 3u);
+  EXPECT_EQ(store.Size(), 6u);
   for (double rate : {0.1, 0.5, 0.9}) {
     CellKey current = MakeKey("LD", rate, 0);
     current.code_rev = kResultCodeRev;
