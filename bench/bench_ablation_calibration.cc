@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "src/cli/args.h"
 #include "src/graph/datasets.h"
 #include "src/sparsifiers/sparsifier.h"
 #include "src/util/rng.h"
@@ -55,11 +56,11 @@ void Run(double scale) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  double scale = 0.4;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) scale = std::atof(arg.c_str() + 8);
-  }
-  sparsify::Run(scale);
-  return 0;
+  return sparsify::cli::MainWithArgs(
+      argc, argv, {"scale"}, "usage: bench_ablation_calibration [--scale=f]\n",
+      [](const sparsify::cli::Args& args) {
+        double scale = args.GetDouble("scale", 0.4);
+        sparsify::Run(scale);
+        return 0;
+      });
 }

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "src/cli/args.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/clustering.h"
 #include "src/metrics/louvain.h"
@@ -74,11 +75,11 @@ void Run(double scale) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  double scale = 0.5;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) scale = std::atof(arg.c_str() + 8);
-  }
-  sparsify::Run(scale);
-  return 0;
+  return sparsify::cli::MainWithArgs(
+      argc, argv, {"scale"}, "usage: bench_ablation_similarity [--scale=f]\n",
+      [](const sparsify::cli::Args& args) {
+        double scale = args.GetDouble("scale", 0.5);
+        sparsify::Run(scale);
+        return 0;
+      });
 }

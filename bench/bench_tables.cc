@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <iostream>
 
+#include "src/cli/args.h"
 #include "src/eval/metric_info.h"
 #include "src/graph/datasets.h"
 #include "src/sparsifiers/sparsifier.h"
@@ -98,13 +99,13 @@ void PrintTable3(double scale) {
 }  // namespace sparsify
 
 int main(int argc, char** argv) {
-  double scale = 0.5;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) scale = std::atof(arg.c_str() + 8);
-  }
-  sparsify::PrintTable1();
-  sparsify::PrintTable2();
-  sparsify::PrintTable3(scale);
-  return 0;
+  return sparsify::cli::MainWithArgs(
+      argc, argv, {"scale"}, "usage: bench_tables [--scale=f]\n",
+      [](const sparsify::cli::Args& args) {
+        double scale = args.GetDouble("scale", 0.5);
+        sparsify::PrintTable1();
+        sparsify::PrintTable2();
+        sparsify::PrintTable3(scale);
+        return 0;
+      });
 }

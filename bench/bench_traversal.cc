@@ -29,23 +29,24 @@
 //
 // Usage: bench_traversal [--datasets=ego-Facebook@0.5,web-Google@25]
 //          [--sources=64] [--repeat=3] [--seed=42] [--cache=DIR]
-//          [--out=BENCH_traversal.json]
+//          [--out=BENCH_traversal.json] [--trace=FILE]
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <new>
 #include <queue>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "src/cli/args.h"
 #include "src/graph/datasets.h"
 #include "src/graph/ingest.h"
 #include "src/graph/traversal.h"
+#include "src/obs/trace.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 
@@ -73,7 +74,7 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
-namespace sparsify::bench {
+namespace sparsify {
 namespace {
 
 struct TraversalBenchOptions {
@@ -85,40 +86,61 @@ struct TraversalBenchOptions {
   uint64_t seed = 42;
   std::string cache_dir;  // "" regenerates synthetics on every run
   std::string out = "BENCH_traversal.json";
-  std::string trace;  // "" = spans stay disabled
 };
 
-bool ParseTraversalArgs(int argc, char** argv, TraversalBenchOptions* opt) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--datasets=", 11) == 0) {
-      opt->datasets = SplitCsvFlag(arg + 11);
-    } else if (std::strncmp(arg, "--sources=", 10) == 0) {
-      opt->sources = static_cast<int>(ParseIntFlag(arg + 10, "--sources"));
-    } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      opt->repeat = static_cast<int>(ParseIntFlag(arg + 9, "--repeat"));
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt->seed = ParseUint64Flag(arg + 7, "--seed");
-    } else if (std::strncmp(arg, "--cache=", 8) == 0) {
-      opt->cache_dir = arg + 8;
-    } else if (std::strncmp(arg, "--out=", 6) == 0) {
-      opt->out = arg + 6;
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      opt->trace = arg + 8;
+constexpr char kUsage[] =
+    "usage: bench_traversal [--datasets=NAME@SCALE,..] [--sources=n] "
+    "[--repeat=n] [--seed=n] [--cache=DIR] [--out=FILE] [--trace=FILE]\n";
+
+/// Attribution `meta` object for the emitted JSON, so the perf trajectory
+/// is attributable run-to-run. Environment-passed fields (CI sets
+/// SPARSIFY_GIT_REV to the commit sha and SPARSIFY_BENCH_TIMESTAMP to an
+/// ISO-8601 UTC stamp) stay empty locally — the bench itself never reads a
+/// clock or shells out to git, keeping its output a pure function of
+/// inputs + environment.
+std::string BenchMetaJson(int threads, const std::string& datasets) {
+  auto escape = [](const char* s) {
+    std::string out;
+    for (; s != nullptr && *s != '\0'; ++s) {
+      if (*s == '"' || *s == '\\') out.push_back('\\');
+      if (static_cast<unsigned char>(*s) >= 0x20) out.push_back(*s);
+    }
+    return out;
+  };
+  std::ostringstream meta;
+  meta << "{\"threads\": " << threads << ", \"git_rev\": \""
+       << escape(std::getenv("SPARSIFY_GIT_REV")) << "\", \"timestamp\": \""
+       << escape(std::getenv("SPARSIFY_BENCH_TIMESTAMP"))
+       << "\", \"datasets\": \"" << escape(datasets.c_str()) << "\"}";
+  return meta.str();
+}
+
+/// --trace=FILE handling: arms the span tracer for the bench run and
+/// writes the drained spans as Chrome trace JSON on destruction. Inert
+/// (one relaxed load per span site) when the path is empty.
+class BenchTraceScope {
+ public:
+  explicit BenchTraceScope(std::string path) : path_(std::move(path)) {
+    if (!path_.empty()) obs::StartTracing();
+  }
+  ~BenchTraceScope() {
+    if (path_.empty()) return;
+    obs::StopTracing();
+    std::vector<obs::TraceEvent> events = obs::DrainTrace();
+    if (obs::WriteChromeTraceFile(events, path_)) {
+      std::cout << "# trace: " << events.size() << " spans -> " << path_
+                << "\n";
     } else {
-      std::cerr << "error: unknown option '" << arg << "'\n"
-                << "usage: bench_traversal [--datasets=NAME@SCALE,..] "
-                   "[--sources=n] [--repeat=n] [--seed=n] [--cache=DIR] "
-                   "[--out=FILE] [--trace=FILE]\n";
-      return false;
+      std::cerr << "error: cannot write trace file " << path_ << "\n";
     }
   }
-  if (opt->datasets.empty() || opt->sources < 1 || opt->repeat < 1) {
-    std::cerr << "error: need >= 1 dataset, --sources >= 1, --repeat >= 1\n";
-    return false;
-  }
-  return true;
-}
+
+  BenchTraceScope(const BenchTraceScope&) = delete;
+  BenchTraceScope& operator=(const BenchTraceScope&) = delete;
+
+ private:
+  std::string path_;
+};
 
 // The seed-era ShortestPathDistances, verbatim: fresh allocations and a
 // std::queue per call. This is the baseline the kernel replaced.
@@ -167,26 +189,40 @@ std::string Json(double v) {
   return buf;
 }
 
-}  // namespace
-
-int TraversalBenchMain(int argc, char** argv) {
+// A malformed flag value throws std::invalid_argument before anything is
+// measured.
+int TraversalBenchMain(const cli::Args& args) {
   TraversalBenchOptions opt;
-  if (!ParseTraversalArgs(argc, argv, &opt)) return 2;
-  BenchTraceScope trace_scope(opt.trace);
+  if (args.Has("datasets")) opt.datasets = cli::SplitCsv(args.Get("datasets"));
+  opt.sources = args.GetInt("sources", opt.sources);
+  opt.repeat = args.GetInt("repeat", opt.repeat);
+  opt.seed = args.GetUint64("seed", opt.seed);
+  opt.cache_dir = args.Get("cache");
+  opt.out = args.Get("out", opt.out);
+  if (opt.datasets.empty() || opt.sources < 1 || opt.repeat < 1) {
+    throw std::invalid_argument(
+        "need >= 1 dataset, --sources >= 1, --repeat >= 1");
+  }
+  std::vector<std::pair<std::string, double>> graphs;  // (name, scale)
+  for (const std::string& spec : opt.datasets) {
+    size_t at = spec.find('@');
+    graphs.emplace_back(
+        spec.substr(0, at),
+        at == std::string::npos
+            ? 0.3
+            : cli::ParseDoubleValue("datasets", spec.substr(at + 1)));
+  }
+  BenchTraceScope trace_scope(args.Get("trace"));
 
   std::vector<GraphResult> results;
-  for (const std::string& spec : opt.datasets) {
+  for (size_t gi = 0; gi < opt.datasets.size(); ++gi) {
+    const std::string& spec = opt.datasets[gi];
+    const auto& [name, scale] = graphs[gi];
     // One span per dataset: the kernel itself records counters, not
     // spans (its hot loops are the thing being measured), so the trace's
     // granularity here is the per-graph measurement section.
     TRACE_SPAN(graph_span, "bench_graph");
     if (graph_span.active()) graph_span.Detail(spec);
-    std::string name = spec;
-    double scale = 0.3;
-    if (size_t at = spec.find('@'); at != std::string::npos) {
-      name = spec.substr(0, at);
-      scale = ParseDoubleFlag(spec.c_str() + at + 1, "--datasets scale");
-    }
     Graph loaded = LoadDatasetScaledCached(name, scale, opt.cache_dir);
     // The kernel's direction optimization targets the unweighted BFS
     // path; weighted datasets bench their unweighted view for BFS and
@@ -381,8 +417,12 @@ int TraversalBenchMain(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace sparsify::bench
+}  // namespace
+}  // namespace sparsify
 
 int main(int argc, char** argv) {
-  return sparsify::bench::TraversalBenchMain(argc, argv);
+  return sparsify::cli::MainWithArgs(
+      argc, argv, {"datasets", "sources", "repeat", "seed", "cache", "out",
+                   "trace"},
+      sparsify::kUsage, sparsify::TraversalBenchMain);
 }

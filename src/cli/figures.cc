@@ -9,6 +9,8 @@
 
 #include "src/cli/metrics.h"
 #include "src/engine/resumable_sweep.h"
+#include "src/gnn/data.h"
+#include "src/gnn/models.h"
 #include "src/metrics/basic.h"
 #include "src/metrics/centrality.h"
 #include "src/metrics/clustering.h"
@@ -29,6 +31,51 @@ const std::vector<std::string> kAll14 = {
 
 constexpr int kTopK = 100;
 
+// Figure 13's protocol per model: the node-classification task drawn from
+// the dataset's planted communities (8 classes, 16-dim features with
+// Gaussian `noise`, half the vertices for training, from Rng(data_seed)),
+// the train-and-score function, and the fixed seeds of the full-graph
+// (green) and empty-graph (red) lines.
+struct GnnProtocol {
+  const char* metric;
+  uint64_t data_seed;
+  double noise;
+  double (*train)(const Graph& train_graph, const Graph& full_graph,
+                  const NodeClassificationData& data, Rng& rng);
+  uint64_t full_seed;
+  uint64_t empty_seed;
+};
+
+// Reddit's stand-in communities are dense enough that the task saturates
+// at 13a's noise level, hence the higher noise for 13b.
+const GnnProtocol kGnnProtocols[] = {
+    {"graphsage_auroc", 41, 1.4, TrainSageAuroc, 42, 43},
+    {"clustergcn_acc", 44, 2.2, TrainClusterGcnAccuracy, 45, 46},
+};
+
+NodeClassificationData GnnTask(const GnnProtocol& p, const Dataset& d) {
+  Rng rng(p.data_seed);
+  return MakeNodeClassificationData(d.communities, 8, 16, p.noise, 0.5, rng);
+}
+
+// Trains on `train_graph` (the full graph or its edgeless copy) with the
+// line's fixed seed and scores on the same graph.
+double GnnLine(const GnnProtocol& p, const Dataset& d, bool empty) {
+  Graph train_graph =
+      empty ? Graph::FromEdges(d.graph.NumVertices(), {}, false, false)
+            : d.graph;
+  Rng rng(empty ? p.empty_seed : p.full_seed);
+  return p.train(train_graph, train_graph, GnnTask(p, d), rng);
+}
+
+// Figure 13's five rates and its green and red lines.
+FigureSpec WithGnnLines(FigureSpec f, const GnnProtocol& p) {
+  f.rates = {0.1, 0.3, 0.5, 0.7, 0.9};
+  f.reference = [&p](const Dataset& d) { return GnnLine(p, d, false); };
+  f.baseline = [&p](const Dataset& d) { return GnnLine(p, d, true); };
+  return f;
+}
+
 FigureSpec Fig(std::string id, std::string title, std::string value_name,
                std::string dataset, double default_scale,
                std::vector<std::string> sparsifiers, std::string metric) {
@@ -46,7 +93,10 @@ FigureSpec Fig(std::string id, std::string title, std::string value_name,
 std::vector<FigureSpec> BuildFigures() {
   std::vector<FigureSpec> figures;
 
-  // Figure 1: connectivity damage on ca-AstroPh.
+  // Figure 1: connectivity damage on ca-AstroPh. Expected shape (paper
+  // section 4.1): KN / LD / LSim / ER keep both ratios low; SF and SP-t
+  // preserve connectivity exactly; RN degrades steadily; GS and SCAN are
+  // the worst because they keep intra-community edges.
   {
     FigureSpec f = Fig("1a", "Figure 1a: Pair Unreachable Ratio on ca-AstroPh",
                        "unreach", "ca-AstroPh", 0.5, kAll14, "connectivity");
@@ -59,7 +109,10 @@ std::vector<FigureSpec> BuildFigures() {
     figures.push_back(std::move(f));
   }
 
-  // Figure 2: degree-distribution distance on ogbn-proteins.
+  // Figure 2: degree-distribution distance on ogbn-proteins (lower is
+  // better). Expected shape (section 4.1): Random is the best (unbiased
+  // edge sampling keeps the distribution's shape); LD, RD, KN and FF
+  // under-perform because their selection is biased by degree.
   {
     FigureSpec f = Fig("2",
                        "Figure 2: Degree Distribution Bhattacharyya Distance "
@@ -70,7 +123,10 @@ std::vector<FigureSpec> BuildFigures() {
     figures.push_back(std::move(f));
   }
 
-  // Figure 3: Laplacian quadratic-form similarity on com-Amazon.
+  // Figure 3: Laplacian quadratic-form similarity on com-Amazon. Expected
+  // shape (section 4.1): ER-w stays near 1 at every prune rate — it is the
+  // only sparsifier designed to preserve the quadratic form; the rest
+  // decay like the kept-edge fraction.
   {
     FigureSpec f = Fig("3",
                        "Figure 3: Laplacian Quadratic Form Similarity on "
@@ -81,7 +137,13 @@ std::vector<FigureSpec> BuildFigures() {
     figures.push_back(std::move(f));
   }
 
-  // Figure 4: distance preservation on ca-AstroPh / ego-Facebook.
+  // Figure 4: distance preservation on ca-AstroPh / ego-Facebook. The
+  // stretch points are meaningful only while the connectivity damage stays
+  // under the paper's 20% threshold; 4a-unreach reports it so the reader
+  // can apply the same cut. Expected shape (section 4.2): LD and RD track
+  // stretch ~1 the longest (they keep hub edges that lie on many shortest
+  // paths); SP-t obeys its stretch bound but is coarser; GS and SCAN blow
+  // up early.
   {
     FigureSpec f = Fig("4a",
                        "Figure 4a: SPSP Mean Stretch Factor on ca-AstroPh",
@@ -110,7 +172,11 @@ std::vector<FigureSpec> BuildFigures() {
   }
 
   // Figures 5-7: centrality top-100 precision against a full-graph
-  // reference ranking.
+  // reference ranking. Expected shape (section 4.3): LD / RD / RN lead
+  // betweenness and closeness (hub edges preserve hub rankings); RD leads
+  // eigenvector; RN leads Katz (unbiased sampling keeps the hop
+  // structure); GS / SCAN trail everywhere; FF and KN under-perform on
+  // eigenvector.
   {
     FigureSpec f = Fig("5a",
                        "Figure 5a: Betweenness Centrality Top-100 Precision "
@@ -144,7 +210,10 @@ std::vector<FigureSpec> BuildFigures() {
     figures.push_back(std::move(f));
   }
 
-  // Figure 8: Louvain community count on com-DBLP.
+  // Figure 8: Louvain community count on com-DBLP. Expected shape
+  // (section 4.4): LD and KN stay near the ground truth by preserving
+  // connectivity; SF / SP-t do even better; RD and GS inflate the count
+  // as the graph shatters; RN drifts upward steadily.
   {
     FigureSpec f = Fig("8",
                        "Figure 8: Number of Communities (Louvain) on "
@@ -162,6 +231,9 @@ std::vector<FigureSpec> BuildFigures() {
   }
 
   // Figure 9: clustering coefficients on com-Amazon / human_gene2.
+  // Expected shape (section 4.4): no sparsifier preserves them — they all
+  // decay roughly linearly with the prune rate; LSim / GS / SCAN may bump
+  // MCC slightly at low rates; SF and SP-t pin MCC near 0.
   {
     FigureSpec f = Fig("9a",
                        "Figure 9a: Mean Clustering Coefficient on com-Amazon",
@@ -185,7 +257,9 @@ std::vector<FigureSpec> BuildFigures() {
   }
 
   // Figure 10: clustering F1 against a fixed full-graph Louvain reference;
-  // the green line is the F1 of two independent full-graph runs.
+  // the green line is the F1 of two independent full-graph runs (not 1.0:
+  // Louvain is randomized). Expected shape (section 4.4): KN best overall;
+  // LSim / LD / LS and the ER variants strong; GS and SCAN weakest.
   {
     FigureSpec f = Fig("10", "Figure 10: Clustering F1 Similarity on ca-HepPh",
                        "F1", "ca-HepPh", 0.5,
@@ -203,6 +277,10 @@ std::vector<FigureSpec> BuildFigures() {
   }
 
   // Figure 11: PageRank top-100 precision, directed and undirected.
+  // Expected shape (section 4.5): on the directed web graph ER's precision
+  // is nearly constant across prune rates; KN and RN are strong at low
+  // rates; LD under-performs on directed graphs but not on undirected
+  // ones; GS and SCAN under-perform everywhere.
   for (const auto& [id, dataset, variant] :
        {std::tuple{"11a", "web-Google", " (directed)"},
         std::tuple{"11b", "ego-Facebook", " (undirected)"}}) {
@@ -218,7 +296,10 @@ std::vector<FigureSpec> BuildFigures() {
     figures.push_back(std::move(f));
   }
 
-  // Figure 12: min-cut/max-flow stretch on ca-HepPh.
+  // Figure 12: min-cut/max-flow stretch on ca-HepPh. Expected shape
+  // (section 4.5): ER-w is the clear winner (min-cuts are spectral
+  // objects); KN and FF are decent; ER-uw loses to ER-w because removed
+  // capacity is not compensated.
   {
     FigureSpec f = Fig("12",
                        "Figure 12: Min-cut/Max-flow Mean Stretch Factor on "
@@ -229,19 +310,45 @@ std::vector<FigureSpec> BuildFigures() {
     figures.push_back(std::move(f));
   }
 
+  // Figure 13: GNN accuracy when training on the sparsified graph and
+  // testing on the full one. The green line trains on the full graph, the
+  // red line on the empty graph (features only). Expected shape (section
+  // 4.5): RN and LSim lead GraphSAGE; GS and SCAN do well on ClusterGCN;
+  // LD and RD under-perform on both (hub edges are not what message
+  // passing needs).
+  {
+    figures.push_back(WithGnnLines(
+        Fig("13a",
+            "Figure 13a: GraphSAGE AUROC on ogbn-proteins (train "
+            "sparsified, test full)",
+            "AUROC", "ogbn-proteins", 0.35,
+            {"RN", "LD", "RD", "GS", "LSim", "SCAN"},
+            kGnnProtocols[0].metric),
+        kGnnProtocols[0]));
+    figures.push_back(WithGnnLines(
+        Fig("13b",
+            "Figure 13b: ClusterGCN Accuracy on Reddit (train sparsified, "
+            "test full)",
+            "acc", "Reddit", 0.35, {"RN", "LD", "RD", "FF", "GS", "SCAN"},
+            kGnnProtocols[1].metric),
+        kGnnProtocols[1]));
+  }
+
   return figures;
 }
 
-// The figure-private metrics keep the original benches' sample counts
-// (60 eccentricity pivots and max-flow pairs, 500 betweenness pivots where
-// the registry uses 50, 50 and 300) and fixed reference seeds (11, 31).
-// Their references read `dataset`, the figure's own graph, never the
-// engine's symmetrized copy: figures 7 and 11a score every sparsifier
-// against the directed graph, as the benches did. On such a graph the
-// engine may prepare the reference once per input; both copies are equal.
-// Every other name is looked up in the registry.
-BatchMetric FigureMetric(const std::string& name, const Graph& dataset) {
-  const Graph* d = &dataset;
+}  // namespace
+
+// The figure-private metrics keep the original figure protocols' sample
+// counts (60 eccentricity pivots and max-flow pairs, 500 betweenness
+// pivots where the registry uses 50, 50 and 300) and fixed reference seeds
+// (11, 31). Their references read `dataset`, the figure's own graph, never
+// the engine's symmetrized copy: figures 7 and 11a score every sparsifier
+// against the directed graph. On such a graph the engine may prepare the
+// reference once per input; both copies are equal. The GNN metrics build
+// their task in the reference stage and train one model per unit.
+BatchMetric FigureMetric(const std::string& name, const Dataset& dataset) {
+  const Dataset* d = &dataset;
   // Registry metric `base` with its reference prepared on `dataset` from
   // Rng(seed).
   auto pinned = [&](const std::string& base, uint64_t seed) {
@@ -249,9 +356,17 @@ BatchMetric FigureMetric(const std::string& name, const Graph& dataset) {
         name, nullptr,
         [prepare = FindMetric(base).prepare, d, seed](const Graph&, Rng&) {
           Rng ref_rng(seed);
-          return prepare(*d, ref_rng);
+          return prepare(d->graph, ref_rng);
         }};
   };
+  for (const GnnProtocol& p : kGnnProtocols) {
+    if (name != p.metric) continue;
+    return {name, nullptr, [p, d](const Graph&, Rng&) -> MetricEvaluator {
+              return [p, d, data = GnnTask(p, *d)](const Graph& h, Rng& rng) {
+                return p.train(h, d->graph, data, rng);
+              };
+            }};
+  }
   if (name == "eccentricity60") {
     return {name, [](const Graph& g, const Graph& h, Rng& rng) {
               return EccentricityStretch(g, h, 60, rng).mean_stretch;
@@ -265,7 +380,8 @@ BatchMetric FigureMetric(const std::string& name, const Graph& dataset) {
   if (name == "betweenness500_ref") {
     return {name, nullptr, [d](const Graph&, Rng&) -> MetricEvaluator {
               Rng ref_rng(11);
-              return [ref = ApproxBetweennessCentrality(*d, 500, ref_rng)](
+              return [ref = ApproxBetweennessCentrality(d->graph, 500,
+                                                        ref_rng)](
                          const Graph& h, Rng& rng) {
                 return TopKPrecision(
                     ref, ApproxBetweennessCentrality(h, 500, rng), kTopK);
@@ -278,8 +394,6 @@ BatchMetric FigureMetric(const std::string& name, const Graph& dataset) {
   if (name == "f1_ref") return pinned("f1", 31);
   return FindMetric(name);
 }
-
-}  // namespace
 
 std::string DatasetCellName(const std::string& dataset, double scale) {
   // Shortest round-trip formatting: distinct scales are different graphs
@@ -326,7 +440,7 @@ int RunFigures(const std::vector<std::string>& ids,
   std::map<std::string, Dataset> datasets;
   std::string last_announced;
   for (const FigureSpec* spec : specs) {
-    double scale = opt.scale > 0.0 ? opt.scale : spec->default_scale;
+    double scale = opt.scale.value_or(spec->default_scale);
     std::string dataset_key = DatasetCellName(spec->dataset, scale);
     auto [it, inserted] = datasets.try_emplace(dataset_key);
     if (inserted) it->second = LoadDatasetScaled(spec->dataset, scale);
@@ -339,6 +453,7 @@ int RunFigures(const std::vector<std::string>& ids,
 
     SweepConfig config;
     config.sparsifiers = spec->sparsifiers;
+    if (!spec->rates.empty()) config.prune_rates = spec->rates;
     config.runs_nondeterministic = opt.runs;
     config.seed = opt.seed;
 
@@ -346,7 +461,7 @@ int RunFigures(const std::vector<std::string>& ids,
     sweep.set_reuse_cached(opt.resume);
     ResumableSweepStats stats;
     std::vector<MetricSweepSeries> out = sweep.RunMulti(
-        d.graph, dataset_key, {FigureMetric(spec->metric, d.graph)}, config,
+        d.graph, dataset_key, {FigureMetric(spec->metric, d)}, config,
         &stats);
     const std::vector<SweepSeries>& series = out[0].series;
     if (store != nullptr) {
@@ -358,9 +473,11 @@ int RunFigures(const std::vector<std::string>& ids,
     if (opt.csv) {
       PrintSeriesCsv(os, spec->title, series);
     } else {
-      std::optional<double> reference;
+      std::optional<double> reference, baseline;
       if (spec->reference) reference = spec->reference(d);
-      PrintSeriesTable(os, spec->title, spec->value_name, series, reference);
+      if (spec->baseline) baseline = spec->baseline(d);
+      PrintSeriesTable(os, spec->title, spec->value_name, series, reference,
+                       baseline);
     }
   }
   return 0;

@@ -1,13 +1,12 @@
-// Registry of the paper's sweep-shaped figures: dataset, sparsifier list,
-// metric, and reference line for each, extracted from the former per-figure
-// bench mains so that one driver (RunFigures) serves both the bench
-// binaries (now thin wrappers) and `sparsify_cli figure`.
+// Registry of the paper's figures: dataset, sparsifier list, prune rates,
+// metric and reference lines for each. RunFigures is the one driver that
+// regenerates them; `sparsify_cli figure <id ...>` calls it.
 //
 // Figures score with registry metrics or with figure-private ones (see
-// FigureMetric in the .cc) that keep the original benches' sample counts
-// and fixed reference seeds, so converted benches reproduce the same
-// numbers. Either way a full-graph reference is prepared by the engine's
-// reference stage, only when some cell needs it.
+// FigureMetric) that keep the original figure protocols' sample counts,
+// fixed reference seeds and, for Figure 13, the GNN training task. Either
+// way a full-graph reference is prepared by the engine's reference stage,
+// only when some cell needs it.
 #ifndef SPARSIFY_CLI_FIGURES_H_
 #define SPARSIFY_CLI_FIGURES_H_
 
@@ -31,9 +30,13 @@ struct FigureSpec {
   double default_scale = 0.5;  // the original bench's default --scale
   std::vector<std::string> sparsifiers;
   std::string metric;  // NamedMetrics name, or a figure-private metric
+  std::vector<double> rates;  // prune rates; empty = SweepConfig's nine
   // Full-graph reference value (the figures' green dashed line); null for
   // figures without one.
   std::function<double(const Dataset&)> reference;
+  // Empty-graph baseline (Figure 13's red line), printed under the
+  // reference line; null for figures without one.
+  std::function<double(const Dataset&)> baseline;
 };
 
 /// The store's dataset identity for a scaled stand-in: "name@scale". The
@@ -46,9 +49,14 @@ const std::vector<FigureSpec>& AllFigures();
 /// Looks a figure up by id; nullptr when absent.
 const FigureSpec* FindFigure(const std::string& id);
 
-/// Options for RunFigures, mirroring the bench flags.
+/// Resolves a figure's metric name on `dataset`, the figure's own graph:
+/// a figure-private metric (whose closures point into `dataset`, so it
+/// must outlive the metric) or else the registry's FindMetric(name).
+BatchMetric FigureMetric(const std::string& name, const Dataset& dataset);
+
+/// Options for RunFigures, mirroring `sparsify_cli figure`'s flags.
 struct FigureRunOptions {
-  double scale = 0.0;  // <= 0 selects each figure's default_scale
+  std::optional<double> scale;  // absent selects each figure's default_scale
   int runs = 3;
   int threads = 0;
   uint64_t seed = 42;

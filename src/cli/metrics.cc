@@ -17,12 +17,12 @@ namespace {
 
 constexpr int kTopK = 100;
 
-NamedMetric Deterministic(MetricFn fn, std::string description) {
+NamedMetric Deterministic(BatchMetricFn fn, std::string description) {
   return NamedMetric{{"", std::move(fn), nullptr}, std::move(description),
                      /*sampled=*/false};
 }
 
-NamedMetric Sampled(MetricFn fn, std::string description) {
+NamedMetric Sampled(BatchMetricFn fn, std::string description) {
   return NamedMetric{{"", std::move(fn), nullptr}, std::move(description),
                      /*sampled=*/true};
 }

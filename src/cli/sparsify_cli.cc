@@ -3,19 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "src/cli/args.h"
 #include "src/cli/figures.h"
 #include "src/cli/metrics.h"
 #include "src/cli/store_export.h"
@@ -36,132 +35,6 @@
 
 namespace sparsify::cli {
 namespace {
-
-// Strict numeric parsing: a malformed value must abort the run, not
-// silently become 0 (the same discipline as unknown flag names). Each
-// throws std::invalid_argument, which RunSparsifyCli reports as an error.
-double ParseDoubleValue(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("invalid number for --" + key + ": '" +
-                                value + "'");
-  }
-  return v;
-}
-
-long ParseIntValue(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  long v = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("invalid integer for --" + key + ": '" +
-                                value + "'");
-  }
-  return v;
-}
-
-uint64_t ParseUint64Value(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  if (value.empty() || value[0] == '-') {
-    throw std::invalid_argument("invalid seed for --" + key + ": '" + value +
-                                "'");
-  }
-  uint64_t v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("invalid integer for --" + key + ": '" +
-                                value + "'");
-  }
-  return v;
-}
-
-struct Args {
-  std::map<std::string, std::string> named;
-  std::vector<std::string> positional;
-
-  bool Has(const std::string& key) const { return named.contains(key); }
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    auto it = named.find(key);
-    return it == named.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = named.find(key);
-    return it == named.end() ? fallback : ParseDoubleValue(key, it->second);
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = named.find(key);
-    return it == named.end()
-               ? fallback
-               : static_cast<int>(ParseIntValue(key, it->second));
-  }
-  uint64_t GetUint64(const std::string& key, uint64_t fallback) const {
-    auto it = named.find(key);
-    return it == named.end() ? fallback : ParseUint64Value(key, it->second);
-  }
-};
-
-// Flags that never take a value. They must not consume a following token
-// (`figure --resume 1a` would otherwise silently swallow the figure id).
-const std::set<std::string>& BooleanKeys() {
-  static const std::set<std::string> keys = {
-      "csv",   "resume",   "directed", "weighted",
-      "paper", "progress", "no-steal"};
-  return keys;
-}
-
-/// Parses `--key=value`, `--key value`, and bare `--flag` forms. Any key
-/// not in `allowed` is an error (typos must not silently change a run).
-bool ParseArgs(int argc, char** argv, int first,
-               const std::set<std::string>& allowed, Args* args,
-               std::string* error) {
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      args->positional.push_back(arg);
-      continue;
-    }
-    std::string key = arg.substr(2);
-    std::string value;
-    bool has_value = false;
-    auto eq = key.find('=');
-    if (eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-      has_value = true;
-    }
-    if (!allowed.contains(key)) {
-      *error = "unknown option '--" + key + "' (allowed:";
-      for (const std::string& k : allowed) *error += " --" + k;
-      *error += ")";
-      return false;
-    }
-    if (!has_value) {
-      if (BooleanKeys().contains(key)) {
-        value = "true";
-      } else if (i + 1 < argc &&
-                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        value = argv[++i];
-      } else {
-        // `--store` with the value forgotten must not silently become the
-        // string "true" (and, say, write a store directory named true/).
-        *error = "option '--" + key + "' requires a value";
-        return false;
-      }
-    }
-    args->named[key] = value;
-  }
-  return true;
-}
-
-std::vector<std::string> SplitCsv(const std::string& s) {
-  std::vector<std::string> parts;
-  std::istringstream ss(s);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
-}
 
 std::vector<double> SplitCsvDoubles(const std::string& s) {
   std::vector<double> parts;
@@ -438,7 +311,7 @@ int CmdSweep(const Args& args, bool profile_mode) {
   }
   // Resolve every metric up front: an unknown name aborts with the
   // registry listed before any work is scheduled.
-  std::vector<SweepMetric> metrics;
+  std::vector<BatchMetric> metrics;
   for (const std::string& name : metric_names) {
     metrics.push_back(FindMetric(name));
   }
@@ -519,6 +392,10 @@ int CmdSweep(const Args& args, bool profile_mode) {
     config.prune_rates = SplitCsvDoubles(args.Get("rates"));
   }
   config.runs_nondeterministic = args.GetInt("runs", paper ? 10 : 3);
+  if (config.runs_nondeterministic < 1) {
+    std::cerr << "error: --runs must be >= 1\n";
+    return 1;
+  }
   config.seed = args.GetUint64("seed", 42);
 
   BatchRunner runner(args.GetInt("threads", 0));
@@ -562,7 +439,7 @@ int CmdSweep(const Args& args, bool profile_mode) {
   }
 
   std::string joined_metrics;
-  for (const SweepMetric& m : metrics) {
+  for (const BatchMetric& m : metrics) {
     joined_metrics += joined_metrics.empty() ? m.name : "," + m.name;
   }
 
@@ -898,8 +775,12 @@ int CmdFigure(const Args& args) {
     return 1;
   }
   FigureRunOptions opt;
-  opt.scale = args.GetDouble("scale", 0.0);
+  if (args.Has("scale")) opt.scale = args.GetDouble("scale", 0.0);
   opt.runs = args.GetInt("runs", 3);
+  if (opt.runs < 1) {
+    std::cerr << "error: --runs must be >= 1\n";
+    return 1;
+  }
   opt.threads = args.GetInt("threads", 0);
   opt.seed = args.GetUint64("seed", 42);
   opt.csv = args.Has("csv");

@@ -37,8 +37,8 @@
 
 namespace sparsify {
 
-/// One-call metric evaluated on (original, sparsified); identical shape to
-/// eval::MetricFn so sweep metrics pass through unchanged.
+/// One-call metric evaluated on (original, sparsified). Each evaluation
+/// receives its own seeded rng stream so sampled metrics are reproducible.
 using BatchMetricFn =
     std::function<double(const Graph& original, const Graph& sparsified,
                          Rng& rng)>;
@@ -66,6 +66,19 @@ using MetricPrepareFn =
 /// or histogram) sets `prepare` instead: the engine runs it once per
 /// (metric, input graph) as a `reference` stage, and every unit calls the
 /// evaluator it returned.
+///
+/// Thread-safety contract (audited in tests/test_multi_metric.cc): the
+/// engine invokes `fn` and the evaluators from multiple worker threads at
+/// once — concurrently across cells AND, in a multi-metric sweep,
+/// concurrently with the cell's other metrics on the same shared subgraph.
+/// They must not mutate state shared between invocations without
+/// synchronization (capture by value, use thread_local scratch, or run on
+/// a one-thread BatchRunner). During an engine-run evaluation
+/// CurrentSubtaskPool() exposes the worker pool, so a metric may fan its
+/// independent per-source work out via NestedParallelFor — such subtasks
+/// must write disjoint slots and fold in a FIXED order (never by thread
+/// count) to keep results bit-identical at any parallelism; see
+/// ApproxBetweennessCentrality's fixed-batch partials for the pattern.
 struct BatchMetric {
   std::string name;
   BatchMetricFn fn;
@@ -91,12 +104,14 @@ struct BatchTask {
   std::vector<uint32_t> metrics;
 };
 
-/// One metric's value on one grid cell: the input FoldSweepResults folds
-/// into series.
+/// One metric's slot on one grid cell: the input FoldSweepResults folds
+/// into series. A unit that failed or was cancelled keeps its task but no
+/// value, and its point leaves it out.
 struct BatchResult {
   BatchTask task;
-  double achieved_prune_rate = 0.0;
-  double value = 0.0;  // metric output
+  bool has_value = false;
+  double achieved_prune_rate = 0.0;  // valid only with has_value
+  double value = 0.0;                // metric output; valid only with has_value
 };
 
 /// One metric's output on one cell of a multi-metric run. Under a
@@ -287,7 +302,7 @@ class BatchRunner {
   /// composition — a {a,b} run computes exactly the {a}-run and {b}-run
   /// values. During each evaluation the engine's pool is exposed as
   /// CurrentSubtaskPool(), so sampled metrics fan their BFS batches out as
-  /// subtasks (see eval::MetricFn's thread-safety contract).
+  /// subtasks (see BatchMetric's thread-safety contract).
   ///
   /// When `g` is directed, sparsifiers whose SparsifierInfo does not
   /// support directed input receive the symmetrized graph (computed once,

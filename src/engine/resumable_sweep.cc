@@ -9,7 +9,7 @@ ResumableSweep::ResumableSweep(BatchRunner& runner, ResultStore* store,
     : runner_(runner), store_(store), code_rev_(std::move(code_rev)) {}
 
 ResumableSweep::Grid::Grid(const Graph& g, const std::string& dataset,
-                           const std::vector<SweepMetric>& metrics,
+                           const std::vector<BatchMetric>& metrics,
                            const SweepConfig& config,
                            const std::string& code_rev)
     : g(g),
@@ -19,7 +19,11 @@ ResumableSweep::Grid::Grid(const Graph& g, const std::string& dataset,
       code_rev(code_rev),
       spec(ToBatchSpec(config)),
       tasks(BatchRunner::ExpandGrid(spec)),
-      results(metrics.size(), std::vector<BatchResult>(tasks.size())) {}
+      results(metrics.size(), std::vector<BatchResult>(tasks.size())) {
+  for (std::vector<BatchResult>& slots : results) {
+    for (size_t i = 0; i < tasks.size(); ++i) slots[i].task = tasks[i];
+  }
+}
 
 CellKey ResumableSweep::Grid::Key(size_t cell, size_t metric) const {
   CellKey key;
@@ -36,13 +40,13 @@ CellKey ResumableSweep::Grid::Key(size_t cell, size_t metric) const {
 void ResumableSweep::Grid::Set(size_t cell, size_t metric, double achieved,
                                double value) {
   BatchResult& r = results[metric][cell];
-  r.task = tasks[cell];
+  r.has_value = true;
   r.achieved_prune_rate = achieved;
   r.value = value;
 }
 
 std::vector<MetricSweepSeries> ResumableSweep::Grid::Fold() const {
-  // Units without a result (failed, or cancelled mid-run) keep the default
+  // Units without a result (failed, or cancelled mid-run) keep an empty
   // slot: the series are complete minus those units, and the store carries
   // their error records (or nothing) for the next resume.
   std::vector<MetricSweepSeries> out(metrics.size());
@@ -105,7 +109,7 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
 
 std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
     const Graph& g, const std::string& dataset,
-    const std::vector<SweepMetric>& metrics, const SweepConfig& config,
+    const std::vector<BatchMetric>& metrics, const SweepConfig& config,
     ResumableSweepStats* stats) {
   Grid grid(g, dataset, metrics, config, code_rev_);
   ResumableSweepStats local;

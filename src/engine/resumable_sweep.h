@@ -23,10 +23,6 @@
 
 namespace sparsify {
 
-/// One named metric of a resumable sweep; the name is the store's (and
-/// MetricSeed's) identity for the computation — see cli::NamedMetrics.
-using SweepMetric = BatchMetric;
-
 /// One metric's folded sweep output.
 struct MetricSweepSeries {
   std::string metric;
@@ -133,18 +129,17 @@ class ResumableSweep {
   /// per-metric series (in `metrics` order) fold the cached and fresh
   /// units with FoldSweepResults. Under fail-fast (the default) the first
   /// failing unit's exception propagates once the engine drains.
-  std::vector<MetricSweepSeries> RunMulti(const Graph& g,
-                                          const std::string& dataset,
-                                          const std::vector<SweepMetric>& metrics,
-                                          const SweepConfig& config,
-                                          ResumableSweepStats* stats = nullptr);
+  std::vector<MetricSweepSeries> RunMulti(
+      const Graph& g, const std::string& dataset,
+      const std::vector<BatchMetric>& metrics, const SweepConfig& config,
+      ResumableSweepStats* stats = nullptr);
 
  private:
   // One RunMulti call's grid: the cells, each (cell, metric) unit's store
   // key, and the unit results the output series fold.
   struct Grid {
     Grid(const Graph& g, const std::string& dataset,
-         const std::vector<SweepMetric>& metrics, const SweepConfig& config,
+         const std::vector<BatchMetric>& metrics, const SweepConfig& config,
          const std::string& code_rev);
     CellKey Key(size_t cell, size_t metric) const;
     void Set(size_t cell, size_t metric, double achieved, double value);
@@ -152,7 +147,7 @@ class ResumableSweep {
 
     const Graph& g;
     const std::string& dataset;
-    const std::vector<SweepMetric>& metrics;
+    const std::vector<BatchMetric>& metrics;
     const SweepConfig& config;
     const std::string& code_rev;
     BatchSpec spec;

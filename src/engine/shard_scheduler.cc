@@ -59,7 +59,7 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
   static obs::Counter& claim_count = obs::GetCounter("engine.shard_claims");
   static obs::Counter& steal_count = obs::GetCounter("engine.shard_steals");
   const std::vector<BatchTask>& tasks = grid.tasks;
-  const std::vector<SweepMetric>& metrics = grid.metrics;
+  const std::vector<BatchMetric>& metrics = grid.metrics;
 
   // ~8 chunks per worker: coarse enough that claim records stay few,
   // fine enough that a dead worker's unfinished work spreads over the
@@ -91,7 +91,7 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
     scope_src.push_back(':');
     scope_src += std::to_string(task.run);
   }
-  for (const SweepMetric& m : metrics) {
+  for (const BatchMetric& m : metrics) {
     scope_src.push_back('\x1f');
     scope_src += m.name;
   }

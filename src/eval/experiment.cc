@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 
 #include "src/engine/batch_runner.h"
@@ -42,21 +43,32 @@ std::vector<SweepSeries> FoldSweepResults(
       // run == 0 marks the start of each (name, rate) block in ExpandGrid's
       // ordering; grouping on it (rather than rate equality) keeps duplicate
       // or NaN rates as separate points.
+      // Only units with a value count; a point whose every unit failed
+      // keeps its requested rate, reports runs 0 and NaN statistics.
       double rate = results[i].task.prune_rate;
       std::vector<double> values;
       std::vector<double> achieved;
       do {
-        values.push_back(results[i].value);
-        achieved.push_back(results[i].achieved_prune_rate);
+        if (results[i].has_value) {
+          values.push_back(results[i].value);
+          achieved.push_back(results[i].achieved_prune_rate);
+        }
         ++i;
       } while (i < end && results[i].task.run != 0);
       SweepPoint point;
       point.requested_prune_rate = rate;
-      point.mean = Mean(values);
-      point.stddev = StdDev(values);
-      point.achieved_prune_rate = Mean(achieved);
       point.runs = static_cast<int>(values.size());
-      if (fixed_output) point.requested_prune_rate = point.achieved_prune_rate;
+      if (values.empty()) {
+        point.mean = point.stddev = point.achieved_prune_rate =
+            std::numeric_limits<double>::quiet_NaN();
+      } else {
+        point.mean = Mean(values);
+        point.stddev = StdDev(values);
+        point.achieved_prune_rate = Mean(achieved);
+        if (fixed_output) {
+          point.requested_prune_rate = point.achieved_prune_rate;
+        }
+      }
       series.points.push_back(point);
     }
     all_series.push_back(std::move(series));
@@ -80,10 +92,14 @@ void PrintSeriesCsv(std::ostream& os, const std::string& title,
 void PrintSeriesTable(std::ostream& os, const std::string& title,
                       const std::string& value_name,
                       const std::vector<SweepSeries>& series,
-                      std::optional<double> reference) {
+                      std::optional<double> reference,
+                      std::optional<double> baseline) {
   os << "== " << title << " ==\n";
   if (reference.has_value()) {
     os << "(reference on full graph: " << *reference << ")\n";
+  }
+  if (baseline.has_value()) {
+    os << "(baseline on empty graph: " << *baseline << ")\n";
   }
   // Column header from the union of requested rates.
   std::vector<double> rates;

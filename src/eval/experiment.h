@@ -8,7 +8,6 @@
 #ifndef SPARSIFY_EVAL_EXPERIMENT_H_
 #define SPARSIFY_EVAL_EXPERIMENT_H_
 
-#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -17,28 +16,8 @@
 #include "src/engine/batch_runner.h"
 #include "src/graph/graph.h"
 #include "src/sparsifiers/sparsifier.h"
-#include "src/util/rng.h"
 
 namespace sparsify {
-
-/// Metric evaluated on (original, sparsified). Each evaluation receives
-/// its own seeded rng stream so sampled metrics are reproducible.
-///
-/// Thread-safety contract (audited in tests/test_multi_metric.cc): the
-/// engine invokes the callable from multiple worker threads at once —
-/// concurrently across cells AND, in a multi-metric sweep, concurrently
-/// with the cell's other metrics on the same shared subgraph. It must not
-/// mutate state shared between invocations without synchronization
-/// (capture by value, use thread_local scratch, or run on a one-thread
-/// BatchRunner). During an engine-run evaluation
-/// CurrentSubtaskPool() exposes the worker pool, so a metric may fan its
-/// independent per-source work out via NestedParallelFor — such subtasks
-/// must write disjoint slots and fold in a FIXED order (never by thread
-/// count) to keep results bit-identical at any parallelism; see
-/// ApproxBetweennessCentrality's fixed-batch partials for the pattern.
-using MetricFn =
-    std::function<double(const Graph& original, const Graph& sparsified,
-                         Rng& rng)>;
 
 /// One (sparsifier, prune rate) cell of a sweep.
 struct SweepPoint {
@@ -83,12 +62,14 @@ void PrintSeriesCsv(std::ostream& os, const std::string& title,
                     const std::vector<SweepSeries>& series);
 
 /// Prints `series` as a pivot table (rows = sparsifiers, columns = prune
-/// rates) with an optional reference value line (the figures' green
-/// "ground truth on the full graph" dashed line).
+/// rates) with optional reference value lines: the figures' green "ground
+/// truth on the full graph" dashed line and, under it, Figure 13's red
+/// empty-graph baseline.
 void PrintSeriesTable(std::ostream& os, const std::string& title,
                       const std::string& value_name,
                       const std::vector<SweepSeries>& series,
-                      std::optional<double> reference = std::nullopt);
+                      std::optional<double> reference = std::nullopt,
+                      std::optional<double> baseline = std::nullopt);
 
 }  // namespace sparsify
 

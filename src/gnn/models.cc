@@ -4,9 +4,15 @@
 #include <cassert>
 #include <unordered_map>
 
+#include "src/metrics/louvain.h"
+
 namespace sparsify {
 
 namespace {
+
+constexpr int kProtocolHiddenDim = 16;
+constexpr int kProtocolEpochs = 60;
+constexpr double kProtocolLearningRate = 5e-2;
 
 Matrix ColSum(const Matrix& m) {
   Matrix out(1, m.cols);
@@ -222,6 +228,35 @@ InducedBatch InduceBatch(const Graph& g, const Matrix& x,
     }
   }
   return ib;
+}
+
+double TrainSageAuroc(const Graph& train_graph, const Graph& full_graph,
+                      const NodeClassificationData& data, Rng& rng) {
+  GraphSage model(data.features.cols, kProtocolHiddenDim, data.num_classes,
+                  rng, kProtocolLearningRate);
+  for (int epoch = 0; epoch < kProtocolEpochs; ++epoch) {
+    model.TrainEpoch(train_graph, data.features, data.labels,
+                     data.train_rows);
+  }
+  Matrix logits = model.Forward(full_graph, data.features);
+  return MacroAuroc(logits, data.labels, data.test_rows);
+}
+
+double TrainClusterGcnAccuracy(const Graph& train_graph,
+                               const Graph& full_graph,
+                               const NodeClassificationData& data, Rng& rng) {
+  Rng louvain_rng = rng.Fork();
+  Clustering clusters = LouvainCommunities(train_graph, louvain_rng);
+  auto batches = MakeClusterBatches(
+      clusters.label, std::max<size_t>(64, train_graph.NumVertices() / 8));
+  ClusterGcn model(data.features.cols, kProtocolHiddenDim, data.num_classes,
+                   rng, kProtocolLearningRate);
+  for (int epoch = 0; epoch < kProtocolEpochs; ++epoch) {
+    model.TrainEpoch(train_graph, data.features, data.labels,
+                     data.train_rows, batches);
+  }
+  Matrix logits = model.Forward(full_graph, data.features);
+  return Accuracy(ArgmaxRows(logits), data.labels, data.test_rows);
 }
 
 }  // namespace sparsify

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/gnn/aggregate.h"
+#include "src/gnn/data.h"
 #include "src/gnn/nn.h"
 #include "src/graph/graph.h"
 
@@ -82,6 +83,21 @@ InducedBatch InduceBatch(const Graph& g, const Matrix& x,
                          const std::vector<int>& labels,
                          const std::vector<uint8_t>& is_train,
                          const std::vector<NodeId>& vertices);
+
+/// Figure 13's protocol for both models: a fresh model (hidden width 16,
+/// Adam at lr 5e-2) trains for 60 epochs on `train_graph` and is scored on
+/// `full_graph` over data.test_rows. `rng` seeds the weights (and, for
+/// ClusterGCN, the Louvain clustering); equal inputs give equal scores.
+///
+/// GraphSAGE, full-batch; returns the macro AUROC.
+double TrainSageAuroc(const Graph& train_graph, const Graph& full_graph,
+                      const NodeClassificationData& data, Rng& rng);
+
+/// ClusterGCN over the Louvain clusters of `train_graph`, batched to at
+/// least max(64, |V|/8) vertices; returns the accuracy.
+double TrainClusterGcnAccuracy(const Graph& train_graph,
+                               const Graph& full_graph,
+                               const NodeClassificationData& data, Rng& rng);
 
 }  // namespace sparsify
 

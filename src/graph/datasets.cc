@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "src/graph/generators.h"
@@ -200,6 +201,15 @@ std::vector<DatasetInfo> AllDatasetInfos() {
 }
 
 Dataset LoadDatasetScaled(const std::string& name, double scale) {
+  // The scale sizes every recipe (Scaled() casts n * scale to a vertex
+  // count) and names the dataset in store keys: NaN, infinity or a
+  // non-positive scale is a caller mistake, not a graph.
+  if (!std::isfinite(scale) || scale <= 0.0) {
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", scale);
+    throw std::invalid_argument(
+        std::string("dataset scale must be finite and > 0, got ") + got);
+  }
   const Recipe& r = FindRecipe(name);
   Dataset d = r.build(scale);
   d.info = r.info;

@@ -44,8 +44,9 @@ std::vector<DatasetInfo> AllDatasetInfos();
 /// Deterministic: repeated calls return identical graphs.
 Dataset LoadDataset(const std::string& name);
 
-/// Loads a size-reduced variant for fast tests: same generator family and
-/// flags, roughly `scale` times fewer vertices (scale in (0, 1]).
+/// Loads a resized variant: same generator family and flags, roughly
+/// `scale` times the vertices (at least 64). Throws std::invalid_argument
+/// for an unknown name or a scale that is not finite and > 0.
 Dataset LoadDatasetScaled(const std::string& name, double scale);
 
 }  // namespace sparsify

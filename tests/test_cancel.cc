@@ -403,7 +403,7 @@ TEST(SignalCancelTest, FirstSignalCancelsTheToken) {
 // Engine contracts: unit deadlines and run-level cancellation
 // ---------------------------------------------------------------------------
 
-MetricFn SampledMetric() {
+BatchMetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
   };
@@ -437,9 +437,9 @@ class EngineCancelTest : public ::testing::Test {
       : graph_(LoadDatasetScaled("ego-Facebook", 0.1).graph), runner_(2) {}
   void TearDown() override { fail::DisarmAll(); }
 
-  std::vector<SweepMetric> TwoMetrics() {
-    return {SweepMetric{"m_good", SampledMetric()},
-            SweepMetric{"m_bad", SampledMetric()}};
+  std::vector<BatchMetric> TwoMetrics() {
+    return {BatchMetric{"m_good", SampledMetric()},
+            BatchMetric{"m_bad", SampledMetric()}};
   }
 
   Graph graph_;

@@ -52,6 +52,39 @@ TEST(CliTest, MalformedNumericValueIsAnError) {
             0);
 }
 
+TEST(CliTest, ScaleAndRunsThatCannotBeRightAreErrors) {
+  // A zero, negative or NaN scale is rejected where the dataset loads, so
+  // nothing is stored under a key like "ego-Facebook@0".
+  const std::string dir = TestPath("bad_scale_store");
+  for (const char* scale : {"--scale=0", "--scale=-1", "--scale=nan"}) {
+    EXPECT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metric=degree",
+                      "--algos=SF", scale, "--store=" + dir}),
+              cli::kExitUsage)
+        << scale;
+  }
+  {
+    ResultStore store(dir);
+    EXPECT_EQ(store.Size(), 0u);
+  }
+  // `figure` falls back to a figure's default scale only when --scale is
+  // absent; an explicit bad one is an error.
+  EXPECT_EQ(RunCli({"figure", "2", "--scale=-1", "--runs=1"}),
+            cli::kExitUsage);
+  EXPECT_EQ(RunCli({"figure", "2", "--scale=0", "--runs=1"}),
+            cli::kExitUsage);
+  // --runs below 1 is not quietly one run.
+  for (const char* cmd : {"sweep", "profile"}) {
+    EXPECT_EQ(RunCli({cmd, "--dataset=ego-Facebook", "--metric=degree",
+                      "--scale=0.1", "--runs=0"}),
+              cli::kExitUsage)
+        << cmd;
+  }
+  EXPECT_EQ(RunCli({"figure", "2", "--scale=0.1", "--runs=0"}),
+            cli::kExitUsage);
+  EXPECT_EQ(RunCli({"figure", "2", "--scale=0.1", "--runs=-3"}),
+            cli::kExitUsage);
+}
+
 TEST(CliTest, ValueFlagWithoutValueIsAnError) {
   // `--store` with the value forgotten must not become a directory named
   // "true".

@@ -16,13 +16,13 @@ namespace {
 
 // A cold, non-persistent sweep of one anonymous metric.
 std::vector<SweepSeries> Sweep(const Graph& g, const SweepConfig& config,
-                               const MetricFn& metric) {
+                               const BatchMetricFn& metric) {
   BatchRunner runner;
   ResumableSweep sweep(runner, nullptr);
-  return sweep.RunMulti(g, "", {SweepMetric{"", metric}}, config)[0].series;
+  return sweep.RunMulti(g, "", {BatchMetric{"", metric}}, config)[0].series;
 }
 
-MetricFn KeptFractionMetric() {
+BatchMetricFn KeptFractionMetric() {
   return [](const Graph& original, const Graph& sparsified, Rng&) {
     return static_cast<double>(sparsified.NumEdges()) /
            static_cast<double>(original.NumEdges());

@@ -26,7 +26,7 @@ namespace {
 
 // Consumes the per-unit RNG stream: any seed drift between a cold run, a
 // retried run, and a resumed run changes the value.
-MetricFn SampledMetric() {
+BatchMetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
   };
@@ -34,14 +34,14 @@ MetricFn SampledMetric() {
 
 // m_bad is the same computation in two-phase form (its "reference" is the
 // original graph itself), so a fault can also hit its reference stage.
-std::vector<SweepMetric> TwoMetrics() {
+std::vector<BatchMetric> TwoMetrics() {
   MetricPrepareFn prepare = [](const Graph& g, Rng&) -> MetricEvaluator {
     return [g = &g](const Graph& h, Rng& rng) {
       return QuadraticFormSimilarity(*g, h, 5, rng);
     };
   };
-  return {SweepMetric{"m_good", SampledMetric(), nullptr},
-          SweepMetric{"m_bad", nullptr, prepare}};
+  return {BatchMetric{"m_good", SampledMetric(), nullptr},
+          BatchMetric{"m_bad", nullptr, prepare}};
 }
 
 SweepConfig TestConfig() {

@@ -2,6 +2,9 @@
 // stands in for the paper's Table 3.
 #include "src/graph/generators.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/graph/datasets.h"
@@ -130,6 +133,18 @@ TEST(DatasetsTest, FourteenDatasets) {
 
 TEST(DatasetsTest, UnknownNameThrows) {
   EXPECT_THROW(LoadDataset("no-such-graph"), std::invalid_argument);
+}
+
+TEST(DatasetsTest, ScaleMustBeFiniteAndPositive) {
+  // The scale sizes the recipe (n * scale vertices) and names the dataset
+  // in store keys; a NaN would reach an undefined float-to-int cast.
+  for (double scale : {0.0, -1.0, std::nan(""),
+                       std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(LoadDatasetScaled("ego-Facebook", scale),
+                 std::invalid_argument)
+        << scale;
+  }
+  EXPECT_GT(LoadDatasetScaled("ego-Facebook", 1e-9).graph.NumVertices(), 0u);
 }
 
 TEST(DatasetsTest, LoadIsDeterministic) {

@@ -32,8 +32,8 @@ namespace {
 
 // The per-cell form of the deterministic two-phase metrics: the reference
 // recomputed on `original` inside every unit.
-const std::map<std::string, MetricFn>& PerCellReferenceMetrics() {
-  static const std::map<std::string, MetricFn> metrics = {
+const std::map<std::string, BatchMetricFn>& PerCellReferenceMetrics() {
+  static const std::map<std::string, BatchMetricFn> metrics = {
       {"degree",
        [](const Graph& g, const Graph& h, Rng&) {
          return BhattacharyyaDistance(DegreeHistogram(g, 100, g.MaxDegree()),
@@ -196,7 +196,7 @@ TEST(MetricReferenceTest, StagesRunOnlyForReferencesSubmittedUnitsNeed) {
   config.prune_rates = {0.3, 0.6};
   config.runs_nondeterministic = 2;
   config.seed = 5;
-  std::vector<SweepMetric> metrics = {cli::FindMetric("closeness"),
+  std::vector<BatchMetric> metrics = {cli::FindMetric("closeness"),
                                       cli::FindMetric("f1"),
                                       cli::FindMetric("kcore")};
   ResultStore store(TestPath("store"));

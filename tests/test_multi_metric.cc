@@ -6,7 +6,7 @@
 // the thread count — and the (cell × metric) scheduler materializes each
 // subgraph once and submits only missing units on resume. Also covers
 // NestedParallelFor (the within-metric BFS-batch fan-out primitive) and
-// the MetricFn thread-safety audit regression.
+// the BatchMetric thread-safety audit regression.
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -368,7 +368,7 @@ class MultiMetricSweepTest : public ::testing::Test {
     return config;
   }
 
-  static std::vector<SweepMetric> TwoMetrics() {
+  static std::vector<BatchMetric> TwoMetrics() {
     return {cli::FindMetric("degree"),
             cli::FindMetric("quadratic")};
   }
@@ -395,12 +395,12 @@ class MultiMetricSweepTest : public ::testing::Test {
 
 TEST_F(MultiMetricSweepTest, MultiSweepEqualsUnionOfSingleMetricSweeps) {
   SweepConfig config = Config();
-  std::vector<SweepMetric> metrics = TwoMetrics();
+  std::vector<BatchMetric> metrics = TwoMetrics();
   ResumableSweep sweep(runner_, nullptr, "test-rev");
   std::vector<MetricSweepSeries> multi =
       sweep.RunMulti(graph_, "fb@0.1", metrics, config);
   ASSERT_EQ(multi.size(), 2u);
-  for (const SweepMetric& m : metrics) {
+  for (const BatchMetric& m : metrics) {
     std::vector<SweepSeries> single =
         sweep.RunMulti(graph_, "fb@0.1", {m}, config)[0].series;
     const MetricSweepSeries* found = nullptr;
@@ -416,7 +416,7 @@ TEST_F(MultiMetricSweepTest, ResumingWithMoreMetricsSubmitsOnlyNewUnits) {
   std::string dir = TestPath("more_metrics_store");
   ResultStore store(dir);
   SweepConfig config = Config();
-  std::vector<SweepMetric> metrics = TwoMetrics();
+  std::vector<BatchMetric> metrics = TwoMetrics();
   size_t cells = BatchRunner::ExpandGrid(ToBatchSpec(config)).size();
 
   // First sweep: metric "degree" alone.
@@ -452,7 +452,7 @@ TEST_F(MultiMetricSweepTest, ResumingWithMoreMetricsSubmitsOnlyNewUnits) {
 
 TEST_F(MultiMetricSweepTest, ColdAndResumedBitIdenticalAcrossThreadCounts) {
   SweepConfig config = Config();
-  std::vector<SweepMetric> metrics = TwoMetrics();
+  std::vector<BatchMetric> metrics = TwoMetrics();
 
   // Cold reference on 1 thread.
   BatchRunner one(1);

@@ -240,7 +240,7 @@ TEST(ObsCounters, EngineCounterTotalsAreThreadCountIndependent) {
   config.sparsifiers = {"RN", "LD"};
   config.runs_nondeterministic = 2;
   config.seed = 7;
-  MetricFn metric = [](const Graph& g, const Graph& h, Rng&) {
+  BatchMetricFn metric = [](const Graph& g, const Graph& h, Rng&) {
     return static_cast<double>(h.NumEdges()) /
            static_cast<double>(std::max<EdgeId>(1, g.NumEdges()));
   };
@@ -249,7 +249,7 @@ TEST(ObsCounters, EngineCounterTotalsAreThreadCountIndependent) {
     obs::ResetAllStats();
     BatchRunner runner(threads);
     ResumableSweep sweep(runner, nullptr, "test-rev");
-    sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"edge_ratio", metric}},
+    sweep.RunMulti(graph, "fb@0.1", {BatchMetric{"edge_ratio", metric}},
                    config);
     std::vector<std::pair<std::string, uint64_t>> out;
     for (const obs::CounterValue& cv : obs::SnapshotCounters()) {
@@ -389,7 +389,7 @@ TEST(ObsTrace, SweepCsvIsByteIdenticalWithTracingOn) {
   config.seed = 11;
   // A metric that consumes the per-cell RNG stream, so any perturbation
   // of seeding or scheduling by the tracer would change the values.
-  MetricFn metric = [](const Graph& g, const Graph& h, Rng& rng) {
+  BatchMetricFn metric = [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
   };
 
@@ -401,7 +401,7 @@ TEST(ObsTrace, SweepCsvIsByteIdenticalWithTracingOn) {
       ResultStore store(dir);
       BatchRunner runner(4);
       ResumableSweep sweep(runner, &store, "test-rev");
-      sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"quad5", metric}},
+      sweep.RunMulti(graph, "fb@0.1", {BatchMetric{"quad5", metric}},
                      config);
       std::ostringstream out;
       cli::ExportStore(store, out, /*csv=*/true);
@@ -509,7 +509,7 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
   config.sparsifiers = {"RN"};
   config.runs_nondeterministic = 2;
   config.seed = 3;
-  MetricFn metric = [](const Graph& g, const Graph& h, Rng&) {
+  BatchMetricFn metric = [](const Graph& g, const Graph& h, Rng&) {
     return static_cast<double>(h.NumEdges()) /
            static_cast<double>(std::max<EdgeId>(1, g.NumEdges()));
   };
@@ -531,7 +531,7 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
   });
 
   ResumableSweepStats stats;
-  sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"edge_ratio", metric}}, config,
+  sweep.RunMulti(graph, "fb@0.1", {BatchMetric{"edge_ratio", metric}}, config,
                  &stats);
   EXPECT_EQ(calls.load(), stats.submitted_cells);
   EXPECT_EQ(max_completed.load(), stats.submitted_cells);
@@ -541,7 +541,7 @@ TEST(ObsProgress, CallbackFiresPerSubmittedUnitAndSkipsCachedRuns) {
   // (cached units were never work).
   calls.store(0);
   ResumableSweepStats warm;
-  sweep.RunMulti(graph, "fb@0.1", {SweepMetric{"edge_ratio", metric}}, config,
+  sweep.RunMulti(graph, "fb@0.1", {BatchMetric{"edge_ratio", metric}}, config,
                  &warm);
   EXPECT_EQ(warm.submitted_cells, 0u);
   EXPECT_EQ(calls.load(), 0u);

@@ -1,8 +1,9 @@
 // Shape-fidelity regression tests: the paper's section 4.7 summary claims,
-// encoded as assertions at test scale. These are the contract the figure
-// benches must keep satisfying — if a refactor breaks "ER-weighted
-// preserves the quadratic form" or "Local Degree beats Random on distance",
-// these tests catch it in seconds without running the benches.
+// encoded as assertions at test scale. These are the contract the
+// regenerated figures (`sparsify_cli figure`) must keep satisfying — if a
+// refactor breaks "ER-weighted preserves the quadratic form" or "Local
+// Degree beats Random on distance", these tests catch it in seconds
+// without regenerating the figures.
 #include <gtest/gtest.h>
 
 #include "src/graph/datasets.h"
@@ -29,7 +30,7 @@ Graph Sparsify(const Graph& g, const std::string& algo, double rate,
 // distribution under Random stays closer than under Local Degree.
 TEST(PaperInsights, RandomPreservesDegreeDistributionBetterThanLocalDegree) {
   // Scale 0.5 / prune 0.5: the operating point verified against Fig. 2
-  // (bench_degree_distribution); smaller graphs make the 100-bin
+  // (`sparsify_cli figure 2`); smaller graphs make the 100-bin
   // histograms too sparse for a stable comparison.
   Graph g = LoadDatasetScaled("ogbn-proteins", 0.5).graph;
   Graph rn = Sparsify(g, "RN", 0.5, 1);

@@ -3,14 +3,18 @@
 // engine (scheduling-count hook), and export byte-identical CSV.
 #include "src/engine/resumable_sweep.h"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "gtest/gtest.h"
 #include "src/cli/store_export.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
+#include "src/util/failpoint.h"
 #include "tests/test_util.h"
 
 namespace sparsify {
@@ -32,7 +36,7 @@ void WriteFile(const std::string& path, const std::string& content) {
 
 // A metric that consumes the per-cell RNG stream, so any drift in cell
 // seeding between cold and resumed runs changes the value.
-MetricFn SampledMetric() {
+BatchMetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
   };
@@ -70,7 +74,7 @@ std::vector<SweepSeries> RunQuad5(ResumableSweep& sweep, const Graph& g,
                                   const SweepConfig& config,
                                   ResumableSweepStats* stats = nullptr) {
   return sweep
-      .RunMulti(g, "fb@0.1", {SweepMetric{"quad5", SampledMetric()}}, config,
+      .RunMulti(g, "fb@0.1", {BatchMetric{"quad5", SampledMetric()}}, config,
                 stats)[0]
       .series;
 }
@@ -275,6 +279,87 @@ TEST_F(ResumableSweepTest, NullStoreRunsCold) {
   ResumableSweep backed(runner_, &store, "test-rev");
   ExpectSeriesBitIdentical(
       RunQuad5(backed, graph_, config), series);
+}
+
+TEST_F(ResumableSweepTest, FailedUnitIsLeftOutOfItsPoint) {
+  // A unit that fails in a tolerant sweep has no value: its point keeps
+  // its rate, and mean, achieved rate and runs come from the surviving
+  // unit alone. Each k fails the k-th unit to run on one thread, so k = 1..4
+  // fails every unit of the 2-rate x 2-run grid once, run 0 and run 1 alike;
+  // the store's error record says which unit it was.
+  SweepConfig config;
+  config.sparsifiers = {"RN"};
+  config.prune_rates = {0.3, 0.6};
+  config.runs_nondeterministic = 2;
+  config.seed = 123;
+  struct DisarmGuard {
+    ~DisarmGuard() { fail::DisarmAll(); }
+  } disarm;
+  BatchRunner runner(1);
+  ResumableSweep clean_sweep(runner, nullptr, "test-rev");
+  const std::vector<SweepSeries> clean = RunQuad5(clean_sweep, graph_, config);
+  // The clean value and achieved rate of every (rate, run) unit.
+  std::map<std::pair<double, int>, std::pair<double, double>> unit;
+  for (const BatchMultiResult& r : runner.RunTasksMulti(
+           graph_, "fb@0.1", BatchRunner::ExpandGrid(ToBatchSpec(config)),
+           config.seed, {BatchMetric{"quad5", SampledMetric()}})) {
+    unit[{r.task.prune_rate, r.task.run}] = {r.values[0].value,
+                                             r.achieved_prune_rate};
+  }
+  ASSERT_EQ(unit.size(), 4u);
+
+  std::set<std::pair<double, int>> failed_units;
+  for (int k = 1; k <= 4; ++k) {
+    SCOPED_TRACE("failing hit " + std::to_string(k));
+    ResultStore store(TestPath("failed_unit_" + std::to_string(k)));
+    ResumableSweep sweep(runner, &store, "test-rev");
+    sweep.set_fault_tolerant(true);
+    fail::ArmFromSpec("engine.metric_unit/quad5=throw@" + std::to_string(k));
+    std::vector<SweepSeries> series = RunQuad5(sweep, graph_, config);
+    fail::DisarmAll();
+
+    std::vector<StoredCell> errors;
+    for (const StoredCell& cell : store.Cells()) {
+      if (cell.is_error) errors.push_back(cell);
+    }
+    ASSERT_EQ(errors.size(), 1u);
+    const std::pair<double, int> failed = {errors[0].key.prune_rate,
+                                           errors[0].key.run};
+    failed_units.insert(failed);
+
+    ASSERT_EQ(series.size(), 1u);
+    ASSERT_EQ(series[0].points.size(), clean[0].points.size());
+    for (size_t p = 0; p < series[0].points.size(); ++p) {
+      const SweepPoint& got = series[0].points[p];
+      const SweepPoint& want = clean[0].points[p];
+      EXPECT_EQ(got.requested_prune_rate, want.requested_prune_rate);
+      if (got.requested_prune_rate != failed.first) {
+        EXPECT_EQ(got.mean, want.mean);
+        EXPECT_EQ(got.runs, 2);
+        continue;
+      }
+      const auto& [value, achieved] =
+          unit.at({failed.first, 1 - failed.second});
+      EXPECT_EQ(got.runs, 1);
+      EXPECT_EQ(got.mean, value);
+      EXPECT_EQ(got.stddev, 0.0);
+      EXPECT_EQ(got.achieved_prune_rate, achieved);
+    }
+  }
+  EXPECT_EQ(failed_units.size(), 4u);  // run 0 and run 1 at both rates
+
+  // With every unit failed, each point keeps its rate and reports runs 0.
+  ResumableSweep sweep(runner, nullptr, "test-rev");
+  sweep.set_fault_tolerant(true);
+  fail::ArmFromSpec("engine.metric_unit/quad5=throw");
+  std::vector<SweepSeries> none = RunQuad5(sweep, graph_, config);
+  ASSERT_EQ(none[0].points.size(), clean[0].points.size());
+  for (size_t p = 0; p < none[0].points.size(); ++p) {
+    EXPECT_EQ(none[0].points[p].requested_prune_rate,
+              clean[0].points[p].requested_prune_rate);
+    EXPECT_EQ(none[0].points[p].runs, 0);
+    EXPECT_TRUE(std::isnan(none[0].points[p].mean));
+  }
 }
 
 }  // namespace

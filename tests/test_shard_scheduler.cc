@@ -13,7 +13,7 @@
 namespace sparsify {
 namespace {
 
-MetricFn SampledMetric() {
+BatchMetricFn SampledMetric() {
   return [](const Graph& g, const Graph& h, Rng& rng) {
     return QuadraticFormSimilarity(g, h, 5, rng);
   };
@@ -55,8 +55,8 @@ class ShardSchedulerTest : public ::testing::Test {
   ShardSchedulerTest()
       : graph_(LoadDatasetScaled("ego-Facebook", 0.1).graph), runner_(2) {}
 
-  std::vector<SweepMetric> Metrics() {
-    return {SweepMetric{"quad5", SampledMetric()}};
+  std::vector<BatchMetric> Metrics() {
+    return {BatchMetric{"quad5", SampledMetric()}};
   }
 
   std::vector<MetricSweepSeries> Unsharded() {
