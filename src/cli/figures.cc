@@ -1,14 +1,8 @@
 #include "src/cli/figures.h"
 
 #include <charconv>
-#include <iostream>
-#include <map>
-#include <memory>
-#include <ostream>
-#include <sstream>
 
 #include "src/cli/metrics.h"
-#include "src/engine/resumable_sweep.h"
 #include "src/gnn/data.h"
 #include "src/gnn/models.h"
 #include "src/metrics/basic.h"
@@ -368,14 +362,18 @@ BatchMetric FigureMetric(const std::string& name, const Dataset& dataset) {
             }};
   }
   if (name == "eccentricity60") {
-    return {name, [](const Graph& g, const Graph& h, Rng& rng) {
+    return {name,
+            [](const Graph& g, const Graph& h, Rng& rng) {
               return EccentricityStretch(g, h, 60, rng).mean_stretch;
-            }};
+            },
+            nullptr};
   }
   if (name == "maxflow60") {
-    return {name, [](const Graph& g, const Graph& h, Rng& rng) {
+    return {name,
+            [](const Graph& g, const Graph& h, Rng& rng) {
               return MaxFlowStretch(g, h, 60, rng).mean_ratio;
-            }};
+            },
+            nullptr};
   }
   if (name == "betweenness500_ref") {
     return {name, nullptr, [d](const Graph&, Rng&) -> MetricEvaluator {
@@ -414,73 +412,6 @@ const FigureSpec* FindFigure(const std::string& id) {
     if (f.id == id) return &f;
   }
   return nullptr;
-}
-
-int RunFigures(const std::vector<std::string>& ids,
-               const FigureRunOptions& opt, std::ostream& os) {
-  std::vector<const FigureSpec*> specs;
-  for (const std::string& id : ids) {
-    const FigureSpec* spec = FindFigure(id);
-    if (spec == nullptr) {
-      std::cerr << "unknown figure '" << id << "' (known:";
-      for (const FigureSpec& f : AllFigures()) std::cerr << " " << f.id;
-      std::cerr << ")\n";
-      return 1;
-    }
-    specs.push_back(spec);
-  }
-
-  BatchRunner runner(opt.threads);
-  std::unique_ptr<ResultStore> store;
-  if (!opt.store_dir.empty()) {
-    store = std::make_unique<ResultStore>(opt.store_dir);
-  }
-
-  // Datasets are cached across figures (1a/1b, 4a/4b share one).
-  std::map<std::string, Dataset> datasets;
-  std::string last_announced;
-  for (const FigureSpec* spec : specs) {
-    double scale = opt.scale.value_or(spec->default_scale);
-    std::string dataset_key = DatasetCellName(spec->dataset, scale);
-    auto [it, inserted] = datasets.try_emplace(dataset_key);
-    if (inserted) it->second = LoadDatasetScaled(spec->dataset, scale);
-    const Dataset& d = it->second;
-    if (dataset_key != last_announced) {
-      os << "Dataset: " << d.info.name << " (" << d.graph.Summary()
-         << ")\n\n";
-      last_announced = dataset_key;
-    }
-
-    SweepConfig config;
-    config.sparsifiers = spec->sparsifiers;
-    if (!spec->rates.empty()) config.prune_rates = spec->rates;
-    config.runs_nondeterministic = opt.runs;
-    config.seed = opt.seed;
-
-    ResumableSweep sweep(runner, store.get());
-    sweep.set_reuse_cached(opt.resume);
-    ResumableSweepStats stats;
-    std::vector<MetricSweepSeries> out = sweep.RunMulti(
-        d.graph, dataset_key, {FigureMetric(spec->metric, d)}, config,
-        &stats);
-    const std::vector<SweepSeries>& series = out[0].series;
-    if (store != nullptr) {
-      os << "# store " << store->Dir() << ": total=" << stats.total_cells
-         << " cached=" << stats.cached_cells
-         << " submitted=" << stats.submitted_cells << "\n";
-    }
-
-    if (opt.csv) {
-      PrintSeriesCsv(os, spec->title, series);
-    } else {
-      std::optional<double> reference, baseline;
-      if (spec->reference) reference = spec->reference(d);
-      if (spec->baseline) baseline = spec->baseline(d);
-      PrintSeriesTable(os, spec->title, spec->value_name, series, reference,
-                       baseline);
-    }
-  }
-  return 0;
 }
 
 }  // namespace sparsify::cli

@@ -1,6 +1,8 @@
 // Registry of the paper's figures: dataset, sparsifier list, prune rates,
-// metric and reference lines for each. RunFigures is the one driver that
-// regenerates them; `sparsify_cli figure <id ...>` calls it.
+// metric and reference lines for each. This file holds data only:
+// `sparsify_cli figure <id ...>` expands each id into one job of the same
+// driver `sweep` runs (same engine, store, fault policy and exit codes)
+// and prints it as the figure's table or CSV.
 //
 // Figures score with registry metrics or with figure-private ones (see
 // FigureMetric) that keep the original figure protocols' sample counts,
@@ -11,8 +13,6 @@
 #define SPARSIFY_CLI_FIGURES_H_
 
 #include <functional>
-#include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,23 +53,6 @@ const FigureSpec* FindFigure(const std::string& id);
 /// a figure-private metric (whose closures point into `dataset`, so it
 /// must outlive the metric) or else the registry's FindMetric(name).
 BatchMetric FigureMetric(const std::string& name, const Dataset& dataset);
-
-/// Options for RunFigures, mirroring `sparsify_cli figure`'s flags.
-struct FigureRunOptions {
-  std::optional<double> scale;  // absent selects each figure's default_scale
-  int runs = 3;
-  int threads = 0;
-  uint64_t seed = 42;
-  bool csv = false;
-  std::string store_dir;  // non-empty: persist cells under this directory
-  bool resume = false;    // consult the store before scheduling
-};
-
-/// Runs the listed figures through the (resumable) sweep engine and prints
-/// each as a pivot table or CSV. Returns a process exit code; unknown ids
-/// report an error listing the known ones.
-int RunFigures(const std::vector<std::string>& ids,
-               const FigureRunOptions& opt, std::ostream& os);
 
 }  // namespace sparsify::cli
 

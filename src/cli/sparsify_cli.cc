@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -95,9 +97,8 @@ int Usage() {
          "             [--runs=3] [--scale=0.5[,web-Google=0.2,..]]\n"
          "             [--seed=42] [--threads=0] [--csv] [--store=DIR]\n"
          "             [--resume] [--trace=FILE] [--progress]\n"
-         "             [--max-unit-retries=2] [--deadline=SECS]\n"
-         "             [--unit-timeout=SECS] [--watchdog-stall=SECS]\n"
-         "             [--shard=i/N] [--no-steal] [--lease-ttl=SECS]\n"
+         "             [--deadline=SECS] [--unit-timeout=SECS]\n"
+         "             [--watchdog-stall=SECS] [--shard=i/N] [--no-steal]\n"
          "  profile    (same flags as sweep) run a sweep and print the\n"
          "             per-stage/per-metric breakdown (p50/p95/max,\n"
          "             units/s, pool utilization)\n"
@@ -113,6 +114,8 @@ int Usage() {
          "             into OUT, last-write-wins per cell (atomic)\n"
          "  figure     <id ...> [--scale=f] [--runs=3] [--threads=0]\n"
          "             [--seed=42] [--csv] [--store=DIR] [--resume]\n"
+         "             a sweep preset per figure id: same engine, store,\n"
+         "             fault policy and exit codes as sweep\n"
          "\n"
          "A multi-metric sweep sparsifies each (sparsifier, rate, run)\n"
          "cell ONCE and evaluates every listed metric on that subgraph.\n"
@@ -134,17 +137,18 @@ int Usage() {
          "`sparsify_cli list` for names.\n"
          "\n"
          "Sweeps are error-tolerant: a failing (cell, metric) unit is\n"
-         "retried (transient failures, --max-unit-retries extra attempts)\n"
-         "or recorded as a typed error record in the store; the rest of\n"
-         "the sweep completes, and --resume resubmits exactly the failed\n"
-         "units. --deadline cancels the whole run after SECS (like a\n"
-         "signal: in-flight units drain, completed units persist);\n"
-         "--unit-timeout fails any single (cell, metric) unit exceeding\n"
-         "SECS (recorded as a 'deadline' error record, the rest of the\n"
-         "sweep unaffected); --watchdog-stall dumps in-flight activities\n"
-         "and counters to stderr when a unit makes no progress for SECS\n"
-         "(default 300) and then cancels it. SIGINT/SIGTERM cancel the\n"
-         "run cooperatively: queued units are skipped, in-flight units\n"
+         "retried (transient failures, up to 2 extra attempts) or\n"
+         "recorded as a typed error record in the store; the rest of the\n"
+         "sweep completes, and --resume resubmits exactly the failed\n"
+         "units (`figure` runs the same way). --deadline cancels the\n"
+         "whole run after SECS (like a signal: in-flight units drain,\n"
+         "completed units persist); --unit-timeout fails any single\n"
+         "(cell, metric) unit exceeding SECS (recorded as a 'deadline'\n"
+         "error record, the rest of the sweep unaffected);\n"
+         "--watchdog-stall dumps in-flight activities and counters to\n"
+         "stderr when a unit makes no progress for SECS (default 300)\n"
+         "and then cancels it. SIGINT/SIGTERM cancel the run\n"
+         "cooperatively: queued units are skipped, in-flight units\n"
          "drain, and --resume continues bit-identically; a second signal\n"
          "aborts immediately.\n"
          "\n"
@@ -156,11 +160,11 @@ int Usage() {
          "worker and the survivors converge to the complete store,\n"
          "bit-identical to a cold run). --no-steal exits after the own\n"
          "share instead — use it for disjoint stores on separate\n"
-         "machines, then fold them with `merge`. --lease-ttl tunes how\n"
-         "fast a dead worker is declared stale (default 30s). Exit\n"
-         "codes: 0 ok, 1 usage/unclassified error, 2 I/O failure,\n"
-         "3 store has other live writers (compact/merge need\n"
-         "exclusivity), 4 corrupt store, 5 permanent unit failures,\n"
+         "machines, then fold them with `merge`. SPARSIFY_LEASE_TTL\n"
+         "(seconds) tunes how fast a dead worker is declared stale\n"
+         "(default 30). Exit codes: 0 ok, 1 usage/unclassified error, 2\n"
+         "I/O failure, 3 store has other live writers (compact/merge\n"
+         "need exclusivity), 4 corrupt store, 5 permanent unit failures,\n"
          "6 transient/deadline unit failures only, 7 interrupted by\n"
          "signal, 8 --deadline expired.\n";
   return 1;
@@ -272,131 +276,122 @@ int CmdIngest(const Args& args) {
   return 0;
 }
 
-// Shared body of `sweep` and `profile`. The profile mode runs the exact
-// same sweep (same seeds, same store behaviour — output values are
-// byte-identical) with span tracing forced on, suppresses the per-metric
-// series tables, and prints the per-stage breakdown instead.
-int CmdSweep(const Args& args, bool profile_mode) {
-  const char* cmd_name = profile_mode ? "profile" : "sweep";
-  bool paper = args.Has("paper");
-  if (args.Has("metric") && args.Has("metrics")) {
-    std::cerr << cmd_name << " takes either --metric or --metrics, not both\n";
-    return 1;
-  }
-
-  // --paper presets the paper's full protocol; explicit flags override it.
-  std::vector<std::string> datasets;
-  if (args.Has("dataset")) {
-    datasets = SplitCsv(args.Get("dataset"));
-  } else if (paper) {
-    datasets = DatasetNames();
-  } else {
-    std::cerr << cmd_name
-              << " requires --dataset (or --paper; comma-separated "
-                 "lists accepted)\n";
-    return 1;
-  }
-  std::string metric_arg =
-      args.Has("metrics") ? args.Get("metrics") : args.Get("metric");
-  std::vector<std::string> metric_names;
-  if (metric_arg == "all" || (metric_arg.empty() && paper)) {
-    metric_names = MetricNames();
-  } else if (!metric_arg.empty()) {
-    metric_names = SplitCsv(metric_arg);
-  } else {
-    std::cerr << cmd_name
-              << " requires --metrics (or --paper; comma-separated "
-                 "lists accepted, or --metrics=all)\n";
-    return 1;
-  }
-  // Resolve every metric up front: an unknown name aborts with the
-  // registry listed before any work is scheduled.
-  std::vector<BatchMetric> metrics;
-  for (const std::string& name : metric_names) {
-    metrics.push_back(FindMetric(name));
-  }
-
-  ScaleSpec scales = ParseScaleSpec(args.Get("scale", "0.5"));
-  for (const auto& [name, scale] : scales.overrides) {
-    if (std::find(datasets.begin(), datasets.end(), name) ==
-        datasets.end()) {
-      std::cerr << "error: --scale override for '" << name
-                << "', which is not in this sweep's dataset list\n";
-      return 1;
-    }
-  }
-  bool csv = args.Has("csv");
-  bool resume = args.Has("resume");
-  bool progress = args.Has("progress");
-  std::string trace_path = args.Get("trace");
-  // Spans are recorded whenever the profile table needs them or a trace
-  // file was requested; otherwise the span sites stay one relaxed load.
-  bool tracing = profile_mode || !trace_path.empty();
-  // Robustness knobs. Strictly positive: zero or negative is a config
-  // mistake, not "off" (omit the flag for off).
-  double run_deadline = args.GetDouble("deadline", 0);
-  double unit_timeout = args.GetDouble("unit-timeout", 0);
-  double watchdog_stall = args.GetDouble("watchdog-stall", 0);
-  if (args.Has("deadline") && run_deadline <= 0) {
-    std::cerr << "error: --deadline must be > 0 seconds\n";
-    return 1;
-  }
-  if (args.Has("unit-timeout") && unit_timeout <= 0) {
-    std::cerr << "error: --unit-timeout must be > 0 seconds\n";
-    return 1;
-  }
-  if (args.Has("watchdog-stall") && watchdog_stall <= 0) {
-    std::cerr << "error: --watchdog-stall must be > 0 seconds\n";
-    return 1;
-  }
-  double lease_ttl = args.GetDouble("lease-ttl", 30.0);
-  if (args.Has("lease-ttl") && lease_ttl <= 0) {
-    std::cerr << "error: --lease-ttl must be > 0 seconds\n";
-    return 1;
-  }
-  // --shard=i/N: run as worker i of N cooperating processes sharing the
-  // store directory (see ShardSpec). Without a store there is nothing to
-  // coordinate through.
-  ShardSpec shard;
-  if (args.Has("shard")) {
-    const std::string spec = args.Get("shard");
-    const size_t slash = spec.find('/');
-    bool ok = slash != std::string::npos && slash > 0 &&
-              slash + 1 < spec.size();
-    if (ok) {
-      try {
-        shard.index = static_cast<size_t>(
-            ParseUint64Value("shard", spec.substr(0, slash)));
-        shard.total = static_cast<size_t>(
-            ParseUint64Value("shard", spec.substr(slash + 1)));
-      } catch (const std::invalid_argument&) {
-        ok = false;
-      }
-    }
-    if (!ok || shard.total == 0 || shard.index >= shard.total) {
-      std::cerr << "error: --shard expects i/N with 0 <= i < N, got '"
-                << spec << "'\n";
-      return 1;
-    }
-    if (!args.Has("store")) {
-      std::cerr << "error: --shard requires --store (workers coordinate "
-                   "through the store directory)\n";
-      return 1;
-    }
-  }
-  shard.steal = !args.Has("no-steal");
-
+// --runs and --seed, the grid flags every sweep command reads.
+SweepConfig GridFlags(const Args& args, int default_runs) {
   SweepConfig config;
-  if (args.Has("algos")) config.sparsifiers = SplitCsv(args.Get("algos"));
-  if (args.Has("rates")) {
-    config.prune_rates = SplitCsvDoubles(args.Get("rates"));
-  }
-  config.runs_nondeterministic = args.GetInt("runs", paper ? 10 : 3);
+  config.runs_nondeterministic = args.GetInt("runs", default_runs);
   if (config.runs_nondeterministic < 1) {
-    std::cerr << "error: --runs must be >= 1\n";
-    return 1;
+    throw std::invalid_argument("--runs must be >= 1");
   }
   config.seed = args.GetUint64("seed", 42);
+  return config;
+}
+
+// A robustness knob in seconds, 0 when absent. Strictly positive: zero or
+// negative is a config mistake, not "off" (omit the flag for off).
+double SecondsFlag(const Args& args, const std::string& key) {
+  double seconds = args.GetDouble(key, 0);
+  if (args.Has(key) && seconds <= 0) {
+    throw std::invalid_argument("--" + key + " must be > 0 seconds");
+  }
+  return seconds;
+}
+
+// --shard=i/N: run as worker i of N cooperating processes sharing the
+// store directory (see ShardSpec). Without a store there is nothing to
+// coordinate through.
+ShardSpec ShardFlag(const Args& args) {
+  ShardSpec shard;
+  shard.steal = !args.Has("no-steal");
+  if (!args.Has("shard")) return shard;
+  const std::string spec = args.Get("shard");
+  const size_t slash = spec.find('/');
+  bool ok = slash != std::string::npos && slash > 0 && slash + 1 < spec.size();
+  if (ok) {
+    try {
+      shard.index = static_cast<size_t>(
+          ParseUint64Value("shard", spec.substr(0, slash)));
+      shard.total = static_cast<size_t>(
+          ParseUint64Value("shard", spec.substr(slash + 1)));
+    } catch (const std::invalid_argument&) {
+      ok = false;
+    }
+  }
+  if (!ok || shard.total == 0 || shard.index >= shard.total) {
+    throw std::invalid_argument(
+        "--shard expects i/N with 0 <= i < N, got '" + spec + "'");
+  }
+  if (!args.Has("store")) {
+    throw std::invalid_argument("--shard requires --store (workers "
+                                "coordinate through the store directory)");
+  }
+  return shard;
+}
+
+// The --progress heartbeat of one dataset's sweep: a line on stderr about
+// once a second. Fires on worker threads; the CAS on the last-print time
+// elects one printer per interval. The final unit always prints, so a
+// finished sweep never ends mid-heartbeat.
+ResumableSweep::ProgressFn Heartbeat(const std::string& dataset_key) {
+  auto started = Timer::Now();
+  auto last_print = std::make_shared<std::atomic<int64_t>>(0);
+  return [started, last_print, dataset_key](size_t done, size_t submitted) {
+    int64_t now_ns = Timer::NowNanos();
+    if (done < submitted) {
+      int64_t prev = last_print->load(std::memory_order_relaxed);
+      if (now_ns - prev < 1'000'000'000) return;
+      if (!last_print->compare_exchange_strong(prev, now_ns)) return;
+    }
+    double elapsed = Timer::SecondsBetween(started, Timer::Now());
+    double rate = elapsed > 0 ? static_cast<double>(done) / elapsed : 0;
+    double eta = rate > 0 ? static_cast<double>(submitted - done) / rate : 0;
+    char line[192];
+    std::snprintf(line, sizeof(line),
+                  "# progress %s: %zu/%zu units (%.1f units/s, ETA %.1fs)\n",
+                  dataset_key.c_str(), done, submitted, rate, eta);
+    std::cerr << line;
+  };
+}
+
+// One job of the sweep driver: a dataset at a scale, the grid, and the
+// metrics to sweep on it. `sweep` and `profile` make one job per dataset,
+// `figure` one per figure id.
+struct SweepJob {
+  std::string dataset;  // datasets.h name
+  double scale = 0.5;
+  SweepConfig config;
+  std::vector<std::string> metrics;  // names FigureMetric resolves
+};
+
+// What one job's sweep produced, handed to the command's printer.
+struct SweepOutcome {
+  const Dataset& dataset;
+  const std::string& dataset_key;  // DatasetCellName(dataset, scale)
+  const ResumableSweepStats& stats;
+  double seconds;  // the job's wall time
+  const ShardSpec& shard;
+  const std::vector<MetricSweepSeries>& series;  // in the job's order
+};
+using SweepPrinter = std::function<void(size_t job, const SweepOutcome&)>;
+
+// The one driver behind `sweep`, `profile` and `figure`. It owns the
+// engine, the store, the run's cancel token (signals, --deadline), the
+// watchdog, the tolerant fault policy, tracing, progress and the exit
+// code ladder; the command only chooses the jobs and prints each one's
+// outcome. `profile_mode` forces span tracing on and prints the
+// per-stage breakdown after the last job.
+int RunSweepJobs(const Args& args, const std::string& cmd_name,
+                 bool profile_mode, const std::vector<SweepJob>& jobs,
+                 const SweepPrinter& print) {
+  const bool resume = args.Has("resume");
+  const std::string trace_path = args.Get("trace");
+  // Spans are recorded whenever the profile table needs them or a trace
+  // file was requested; otherwise the span sites stay one relaxed load.
+  const bool tracing = profile_mode || !trace_path.empty();
+  const double run_deadline = SecondsFlag(args, "deadline");
+  const double unit_timeout = SecondsFlag(args, "unit-timeout");
+  const double watchdog_stall = SecondsFlag(args, "watchdog-stall");
+  const ShardSpec shard = ShardFlag(args);
 
   BatchRunner runner(args.GetInt("threads", 0));
   if (profile_mode) {
@@ -433,144 +428,55 @@ int CmdSweep(const Args& args, bool profile_mode) {
   if (tracing) obs::StartTracing();
   std::unique_ptr<ResultStore> store;
   if (args.Has("store")) {
-    ResultStoreOptions store_options;
-    store_options.lease_ttl_seconds = lease_ttl;
-    store = std::make_unique<ResultStore>(args.Get("store"), store_options);
+    store = std::make_unique<ResultStore>(args.Get("store"));
   }
 
-  std::string joined_metrics;
-  for (const BatchMetric& m : metrics) {
-    joined_metrics += joined_metrics.empty() ? m.name : "," + m.name;
+  // Each dataset loads once, however many jobs sweep it, and is freed
+  // after the last of them.
+  std::map<std::string, size_t> last_use;  // dataset key -> job index
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    last_use[DatasetCellName(jobs[j].dataset, jobs[j].scale)] = j;
   }
+  std::map<std::string, Dataset> loaded;
 
   size_t total_submitted_units = 0;
-  size_t total_failed_units = 0;
-  size_t total_transient_failed = 0;
-  size_t total_deadline_units = 0;
-  size_t total_cancelled_units = 0;
+  BatchRunStats totals;
   Timer run_timer;
-  for (const std::string& dataset_name : datasets) {
+  for (size_t j = 0; j < jobs.size(); ++j) {
     // A tripped run token (signal or --deadline) skips every remaining
-    // dataset; the one in flight already drained inside RunMulti.
+    // job; the one in flight already drained inside RunMulti.
     if (run_token.Cancelled()) break;
-    auto override_it = scales.overrides.find(dataset_name);
-    double scale = override_it != scales.overrides.end()
-                       ? override_it->second
-                       : scales.default_scale;
-    Dataset d = LoadDatasetScaled(dataset_name, scale);
-    std::string dataset_key = DatasetCellName(dataset_name, scale);
-    // One multi-metric sweep per dataset: each (sparsifier, rate, run)
-    // cell is sparsified once and every missing metric evaluates on that
-    // one subgraph.
+    const SweepJob& job = jobs[j];
+    const std::string dataset_key = DatasetCellName(job.dataset, job.scale);
+    auto [it, inserted] = loaded.try_emplace(dataset_key);
+    if (inserted) it->second = LoadDatasetScaled(job.dataset, job.scale);
+    const Dataset& d = it->second;
+    std::vector<BatchMetric> metrics;
+    for (const std::string& name : job.metrics) {
+      metrics.push_back(FigureMetric(name, d));
+    }
+    // One multi-metric sweep per job: each (sparsifier, rate, run) cell is
+    // sparsified once and every missing metric evaluates on that one
+    // subgraph.
     ResumableSweep sweep(runner, store.get());
     sweep.set_reuse_cached(resume);
     // Error-tolerant: a failing (cell, metric) unit is recorded as a typed
     // error record (transient failures retry first) instead of sinking the
-    // whole sweep; the exit code reports the failure class and a later
+    // whole run; the exit code reports the failure class and a later
     // --resume resubmits exactly the failed units.
     sweep.set_fault_tolerant(true);
-    sweep.set_max_unit_retries(args.GetInt("max-unit-retries", 2));
     sweep.set_cancel_token(&run_token);
     sweep.set_unit_timeout(unit_timeout);
     sweep.set_shard(shard);
-    if (progress) {
-      // ~1s heartbeat on stderr. Fires on worker threads; the CAS on the
-      // last-print time elects one printer per interval. The final unit
-      // always prints, so a finished sweep never ends mid-heartbeat.
-      auto started = Timer::Now();
-      auto last_print = std::make_shared<std::atomic<int64_t>>(0);
-      sweep.set_progress([started, last_print,
-                          dataset_key](size_t done, size_t submitted) {
-        int64_t now_ns = Timer::NowNanos();
-        if (done < submitted) {
-          int64_t prev = last_print->load(std::memory_order_relaxed);
-          if (now_ns - prev < 1'000'000'000) return;
-          if (!last_print->compare_exchange_strong(prev, now_ns)) return;
-        }
-        double elapsed = Timer::SecondsBetween(started, Timer::Now());
-        double rate = elapsed > 0 ? static_cast<double>(done) / elapsed : 0;
-        double eta =
-            rate > 0 ? static_cast<double>(submitted - done) / rate : 0;
-        char line[192];
-        std::snprintf(line, sizeof(line),
-                      "# progress %s: %zu/%zu units (%.1f units/s, ETA "
-                      "%.1fs)\n",
-                      dataset_key.c_str(), done, submitted, rate, eta);
-        std::cerr << line;
-      });
-    }
+    if (args.Has("progress")) sweep.set_progress(Heartbeat(dataset_key));
     ResumableSweepStats stats;
     Timer sweep_timer;
-    std::vector<MetricSweepSeries> per_metric =
-        sweep.RunMulti(d.graph, dataset_key, metrics, config, &stats);
-    double seconds = sweep_timer.Seconds();
+    std::vector<MetricSweepSeries> series =
+        sweep.RunMulti(d.graph, dataset_key, metrics, job.config, &stats);
     total_submitted_units += stats.submitted_cells;
-    total_failed_units += stats.failed_units;
-    total_transient_failed += stats.transient_failed_units;
-    total_deadline_units += stats.deadline_exceeded_units;
-    total_cancelled_units += stats.cancelled_units;
-    // Wall clock, throughput, and the score/subgraph/metric time split in
-    // the banner make resumed-vs-cold and shared-vs-rebuilt speedups
-    // visible without a profiler. The rate counts only SUBMITTED units:
-    // cells served from the store are lookups, not work, and a fully
-    // resumed sweep reports "all cached" instead of a meaningless rate.
-    // Formatted into a buffer so the stream's float formatting state
-    // stays untouched.
-    char timing[144];
-    if (stats.submitted_cells > 0) {
-      std::snprintf(timing, sizeof(timing),
-                    "%.1fs, %.1f units/s (score %.1fs, reference %.1fs, "
-                    "subgraph %.1fs, metric %.1fs)",
-                    seconds,
-                    seconds > 0
-                        ? static_cast<double>(stats.submitted_cells) / seconds
-                        : 0.0,
-                    stats.score_seconds, stats.reference_seconds,
-                    stats.subgraph_seconds, stats.metric_seconds);
-    } else {
-      std::snprintf(timing, sizeof(timing), "%.1fs, all units cached",
-                    seconds);
-    }
-    std::cout << "# sweep " << dataset_key << " metrics=" << joined_metrics
-              << ": total=" << stats.total_cells
-              << " cached=" << stats.cached_cells
-              << " submitted=" << stats.submitted_cells
-              << " subgraph_builds=" << stats.subgraph_builds
-              << " score_groups=" << stats.score_groups
-              << " reference_stages=" << stats.reference_stages;
-    if (shard.total > 1) {
-      // Shard accounting: how much of the grid this worker claimed as
-      // its own share and how much it took over from dead workers.
-      std::cout << " shard=" << shard.index << "/" << shard.total
-                << " claimed=" << stats.shard_claimed
-                << " stolen=" << stats.shard_stolen;
-    }
-    if (stats.failed_units > 0 || stats.retried_units > 0 ||
-        stats.cancelled_units > 0) {
-      // ok / failed / retried accounting, only when there is anything to
-      // report (the usual all-green banner stays byte-stable).
-      std::cout << " ok="
-                << (stats.submitted_cells - stats.failed_units -
-                    stats.cancelled_units)
-                << " failed=" << stats.failed_units
-                << " retried=" << stats.retried_units;
-      if (stats.deadline_exceeded_units > 0) {
-        std::cout << " deadline_exceeded=" << stats.deadline_exceeded_units;
-      }
-      if (stats.cancelled_units > 0) {
-        std::cout << " cancelled=" << stats.cancelled_units;
-      }
-    }
-    std::cout << ", " << timing << "\n";
-    if (profile_mode) continue;  // breakdown table instead of series
-    for (const MetricSweepSeries& m : per_metric) {
-      std::string title = m.metric + " on " + dataset_key;
-      if (csv) {
-        PrintSeriesCsv(std::cout, title, m.series);
-      } else {
-        PrintSeriesTable(std::cout, title, m.metric, m.series);
-      }
-    }
+    totals += stats;
+    print(j, {d, dataset_key, stats, sweep_timer.Seconds(), shard, series});
+    if (last_use[dataset_key] == j) loaded.erase(it);
   }
   double run_seconds = run_timer.Seconds();
 
@@ -614,29 +520,170 @@ int CmdSweep(const Args& args, bool profile_mode) {
     std::cerr << "# " << cmd_name
               << (signalled ? " interrupted by signal"
                             : " stopped at --deadline")
-              << ": " << total_cancelled_units
+              << ": " << totals.cancelled_units
               << " unit(s) cancelled; completed units"
               << (store ? " are persisted -- re-run with --resume to continue"
                         : " were printed (no --store: nothing persisted)")
               << "\n";
     return signalled ? kExitInterrupted : kExitDeadline;
   }
-  if (total_failed_units > 0) {
-    std::cerr << "# " << cmd_name << " finished with " << total_failed_units
-              << " failed unit(s) (" << total_transient_failed
-              << " transient, " << total_deadline_units
+  if (totals.failed_units > 0) {
+    std::cerr << "# " << cmd_name << " finished with " << totals.failed_units
+              << " failed unit(s) (" << totals.transient_failed_units
+              << " transient, " << totals.deadline_exceeded_units
               << " deadline); recorded as error records"
               << (store ? "" : " (no --store: failures not persisted)")
               << " -- re-run with --store/--resume to retry just those\n";
     // Permanent failures dominate the exit code: they will not clear on
     // their own, while a transient or deadline-exceeded unit may succeed
     // if simply re-run (the latter with a larger --unit-timeout).
-    return total_failed_units > total_transient_failed + total_deadline_units
+    return totals.failed_units > totals.transient_failed_units +
+                                     totals.deadline_exceeded_units
                ? kExitUnitFailures
                : kExitTransientFailures;
   }
   return 0;
 }
+
+// `sweep` and `profile`: one job per dataset, all on the same grid and
+// metrics. The profile mode runs the exact same sweep (same seeds, same
+// store behaviour — output values are byte-identical) with span tracing
+// forced on, suppresses the per-metric series tables, and prints the
+// per-stage breakdown instead.
+int CmdSweep(const Args& args, bool profile_mode) {
+  const char* cmd_name = profile_mode ? "profile" : "sweep";
+  bool paper = args.Has("paper");
+  if (args.Has("metric") && args.Has("metrics")) {
+    std::cerr << cmd_name << " takes either --metric or --metrics, not both\n";
+    return 1;
+  }
+
+  // --paper presets the paper's full protocol; explicit flags override it.
+  std::vector<std::string> datasets;
+  if (args.Has("dataset")) {
+    datasets = SplitCsv(args.Get("dataset"));
+  } else if (paper) {
+    datasets = DatasetNames();
+  } else {
+    std::cerr << cmd_name
+              << " requires --dataset (or --paper; comma-separated "
+                 "lists accepted)\n";
+    return 1;
+  }
+  std::string metric_arg =
+      args.Has("metrics") ? args.Get("metrics") : args.Get("metric");
+  std::vector<std::string> metric_names;
+  if (metric_arg == "all" || (metric_arg.empty() && paper)) {
+    metric_names = MetricNames();
+  } else if (!metric_arg.empty()) {
+    metric_names = SplitCsv(metric_arg);
+  } else {
+    std::cerr << cmd_name
+              << " requires --metrics (or --paper; comma-separated "
+                 "lists accepted, or --metrics=all)\n";
+    return 1;
+  }
+  // Resolve every metric up front: an unknown name aborts with the
+  // registry listed before any work is scheduled.
+  std::string joined_metrics;
+  for (const std::string& name : metric_names) {
+    FindMetric(name);
+    joined_metrics += joined_metrics.empty() ? name : "," + name;
+  }
+
+  ScaleSpec scales = ParseScaleSpec(args.Get("scale", "0.5"));
+  for (const auto& [name, scale] : scales.overrides) {
+    if (std::find(datasets.begin(), datasets.end(), name) ==
+        datasets.end()) {
+      std::cerr << "error: --scale override for '" << name
+                << "', which is not in this sweep's dataset list\n";
+      return 1;
+    }
+  }
+  SweepConfig config = GridFlags(args, paper ? 10 : 3);
+  if (args.Has("algos")) config.sparsifiers = SplitCsv(args.Get("algos"));
+  if (args.Has("rates")) {
+    config.prune_rates = SplitCsvDoubles(args.Get("rates"));
+  }
+  std::vector<SweepJob> jobs;
+  for (const std::string& name : datasets) {
+    auto it = scales.overrides.find(name);
+    jobs.push_back({name,
+                    it != scales.overrides.end() ? it->second
+                                                 : scales.default_scale,
+                    config, metric_names});
+  }
+
+  const bool csv = args.Has("csv");
+  return RunSweepJobs(args, cmd_name, profile_mode, jobs,
+                      [&](size_t, const SweepOutcome& o) {
+    const ResumableSweepStats& stats = o.stats;
+    // Wall clock, throughput, and the score/subgraph/metric time split in
+    // the banner make resumed-vs-cold and shared-vs-rebuilt speedups
+    // visible without a profiler. The rate counts only SUBMITTED units:
+    // cells served from the store are lookups, not work, and a fully
+    // resumed sweep reports "all cached" instead of a meaningless rate.
+    // Formatted into a buffer so the stream's float formatting state
+    // stays untouched.
+    char timing[144];
+    if (stats.submitted_cells > 0) {
+      std::snprintf(timing, sizeof(timing),
+                    "%.1fs, %.1f units/s (score %.1fs, reference %.1fs, "
+                    "subgraph %.1fs, metric %.1fs)",
+                    o.seconds,
+                    o.seconds > 0
+                        ? static_cast<double>(stats.submitted_cells) /
+                              o.seconds
+                        : 0.0,
+                    stats.score_seconds, stats.reference_seconds,
+                    stats.subgraph_seconds, stats.metric_seconds);
+    } else {
+      std::snprintf(timing, sizeof(timing), "%.1fs, all units cached",
+                    o.seconds);
+    }
+    std::cout << "# sweep " << o.dataset_key << " metrics=" << joined_metrics
+              << ": total=" << stats.total_cells
+              << " cached=" << stats.cached_cells
+              << " submitted=" << stats.submitted_cells
+              << " subgraph_builds=" << stats.subgraph_builds
+              << " score_groups=" << stats.score_groups
+              << " reference_stages=" << stats.reference_stages;
+    if (o.shard.total > 1) {
+      // Shard accounting: how much of the grid this worker claimed as
+      // its own share and how much it took over from dead workers.
+      std::cout << " shard=" << o.shard.index << "/" << o.shard.total
+                << " claimed=" << stats.shard_claimed
+                << " stolen=" << stats.shard_stolen;
+    }
+    if (stats.failed_units > 0 || stats.retried_units > 0 ||
+        stats.cancelled_units > 0) {
+      // ok / failed / retried accounting, only when there is anything to
+      // report (the usual all-green banner stays byte-stable).
+      std::cout << " ok="
+                << (stats.submitted_cells - stats.failed_units -
+                    stats.cancelled_units)
+                << " failed=" << stats.failed_units
+                << " retried=" << stats.retried_units;
+      if (stats.deadline_exceeded_units > 0) {
+        std::cout << " deadline_exceeded=" << stats.deadline_exceeded_units;
+      }
+      if (stats.cancelled_units > 0) {
+        std::cout << " cancelled=" << stats.cancelled_units;
+      }
+    }
+    std::cout << ", " << timing << "\n";
+    if (profile_mode) return;  // breakdown table instead of series
+    for (const MetricSweepSeries& m : o.series) {
+      std::string title = m.metric + " on " + o.dataset_key;
+      if (csv) {
+        PrintSeriesCsv(std::cout, title, m.series);
+      } else {
+        PrintSeriesTable(std::cout, title, m.metric, m.series);
+      }
+    }
+  });
+}
+
 
 int CmdExport(const Args& args) {
   if (!args.Has("store")) {
@@ -768,25 +815,63 @@ int CmdMerge(const Args& args) {
   return 0;
 }
 
+// `figure <id ...>`: a preset of the sweep driver. Each id is one job (the
+// figure's dataset at --scale or else its default scale, its sparsifiers,
+// rates and metric), printed as the figure's table or CSV.
 int CmdFigure(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "figure requires at least one figure id (see "
                  "`sparsify_cli list`)\n";
     return 1;
   }
-  FigureRunOptions opt;
-  if (args.Has("scale")) opt.scale = args.GetDouble("scale", 0.0);
-  opt.runs = args.GetInt("runs", 3);
-  if (opt.runs < 1) {
-    std::cerr << "error: --runs must be >= 1\n";
-    return 1;
+  std::vector<const FigureSpec*> specs;
+  for (const std::string& id : args.positional) {
+    const FigureSpec* spec = FindFigure(id);
+    if (spec == nullptr) {
+      std::cerr << "unknown figure '" << id << "' (known:";
+      for (const FigureSpec& f : AllFigures()) std::cerr << " " << f.id;
+      std::cerr << ")\n";
+      return 1;
+    }
+    specs.push_back(spec);
   }
-  opt.threads = args.GetInt("threads", 0);
-  opt.seed = args.GetUint64("seed", 42);
-  opt.csv = args.Has("csv");
-  opt.store_dir = args.Get("store");
-  opt.resume = args.Has("resume");
-  return RunFigures(args.positional, opt, std::cout);
+  const SweepConfig grid = GridFlags(args, 3);
+  std::vector<SweepJob> jobs;
+  for (const FigureSpec* spec : specs) {
+    SweepJob job{spec->dataset, args.GetDouble("scale", spec->default_scale),
+                 grid, {spec->metric}};
+    job.config.sparsifiers = spec->sparsifiers;
+    if (!spec->rates.empty()) job.config.prune_rates = spec->rates;
+    jobs.push_back(std::move(job));
+  }
+
+  const bool csv = args.Has("csv");
+  std::string last_announced;  // figures sharing a dataset announce it once
+  return RunSweepJobs(args, "figure", /*profile_mode=*/false, jobs,
+                      [&](size_t j, const SweepOutcome& o) {
+    const FigureSpec& spec = *specs[j];
+    if (o.dataset_key != last_announced) {
+      std::cout << "Dataset: " << o.dataset.info.name << " ("
+                << o.dataset.graph.Summary() << ")\n\n";
+      last_announced = o.dataset_key;
+    }
+    if (args.Has("store")) {
+      std::cout << "# store " << args.Get("store")
+                << ": total=" << o.stats.total_cells
+                << " cached=" << o.stats.cached_cells
+                << " submitted=" << o.stats.submitted_cells << "\n";
+    }
+    const std::vector<SweepSeries>& series = o.series[0].series;
+    if (csv) {
+      PrintSeriesCsv(std::cout, spec.title, series);
+      return;
+    }
+    std::optional<double> reference, baseline;
+    if (spec.reference) reference = spec.reference(o.dataset);
+    if (spec.baseline) baseline = spec.baseline(o.dataset);
+    PrintSeriesTable(std::cout, spec.title, spec.value_name, series,
+                     reference, baseline);
+  });
 }
 
 const std::map<std::string, std::set<std::string>>& AllowedKeys() {
@@ -800,13 +885,13 @@ const std::map<std::string, std::set<std::string>>& AllowedKeys() {
       {"sweep",
        {"dataset", "metric", "metrics", "paper", "algos", "rates", "runs",
         "scale", "seed", "threads", "csv", "store", "resume", "trace",
-        "progress", "max-unit-retries", "deadline", "unit-timeout",
-        "watchdog-stall", "shard", "no-steal", "lease-ttl"}},
+        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard",
+        "no-steal"}},
       {"profile",
        {"dataset", "metric", "metrics", "paper", "algos", "rates", "runs",
         "scale", "seed", "threads", "csv", "store", "resume", "trace",
-        "progress", "max-unit-retries", "deadline", "unit-timeout",
-        "watchdog-stall", "shard", "no-steal", "lease-ttl"}},
+        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard",
+        "no-steal"}},
       {"ingest", {"input", "directed", "weighted", "cache", "threads"}},
       {"export", {"store", "format", "dataset", "metric"}},
       {"ls", {"store"}},
@@ -863,8 +948,8 @@ int RunSparsifyCli(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitCorruptStore;
   } catch (const DeadlineExceededError& e) {
-    // Safety net for cancellation escaping a non-tolerant path (e.g. a
-    // figure run); sweeps normally classify and exit via CmdSweep.
+    // Safety net for cancellation escaping the engine; sweeps normally
+    // classify and exit via RunSweepJobs.
     std::cerr << "error: " << e.what() << "\n";
     return kExitDeadline;
   } catch (const CancelledError& e) {

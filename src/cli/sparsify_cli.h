@@ -8,7 +8,9 @@
 //             to a result store (--store=DIR) and resumable (--resume)
 //   export    result store -> CSV or pivot tables
 //   ls        summarize a result store
-//   figure    regenerate paper figures by id (same engine, same store flags)
+//   figure    regenerate paper figures by id: each id is a preset of the
+//             driver `sweep` and `profile` run (same engine, store,
+//             fault policy and exit codes), printed as the figure
 //
 // Kept as a library entry point so tests can drive the exact CLI paths.
 #ifndef SPARSIFY_CLI_SPARSIFY_CLI_H_

@@ -534,7 +534,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
       } catch (...) {
         Failure f = classify(std::current_exception());
         if (!f.run_cancelled && f.error_class == "transient" &&
-            attempts <= faults.max_unit_retries) {
+            attempts <= kMaxUnitRetries) {
           AtomicAdd(run.retried_units, size_t{1});
           std::this_thread::sleep_for(RetryBackoff(attempts));
           continue;

@@ -178,6 +178,9 @@ struct BatchRunStats {
   BatchRunStats& operator+=(const BatchRunStats& other);
 };
 
+/// Extra attempts a transiently failing metric unit gets (FaultPolicy).
+inline constexpr int kMaxUnitRetries = 2;
+
 /// How RunTasksMulti treats failures inside units of work. Every stage
 /// (score group, reference, subgraph, metric unit) classifies what it caught the same
 /// way: "transient" (TransientError), "deadline" (the unit's own deadline),
@@ -185,7 +188,7 @@ struct BatchRunStats {
 /// "permanent" (anything else); a cancellation of the run itself is no
 /// failure at all. With `tolerate` set, a failing metric unit no longer
 /// sinks its siblings: transient failures are retried up to
-/// `max_unit_retries` extra attempts with capped exponential backoff (the
+/// kMaxUnitRetries extra attempts with capped exponential backoff (the
 /// unit's Rng is re-created from MetricSeed each attempt, so a retried
 /// success is bit-identical to a first-try success); anything else — and
 /// transient failures that exhaust their retries — is reported through
@@ -199,7 +202,6 @@ struct BatchRunStats {
 /// exception propagates out of RunTasksMulti.
 struct FaultPolicy {
   bool tolerate = false;
-  int max_unit_retries = 2;
   /// Invoked once per failed unit (tolerant mode), from the worker thread
   /// (concurrently across workers — must synchronize like the result
   /// callback), with one of the classes above.

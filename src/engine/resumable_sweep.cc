@@ -88,7 +88,6 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
   // resubmits it) and counts as completed for progress purposes.
   FaultPolicy faults;
   faults.tolerate = fault_tolerant_;
-  faults.max_unit_retries = max_unit_retries_;
   faults.cancel = cancel_;
   faults.unit_timeout_seconds = unit_timeout_seconds_;
   faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,

@@ -90,14 +90,13 @@ class ResumableSweep {
 
   /// Error-tolerant execution (default off = legacy fail-fast). When on,
   /// a unit that throws no longer aborts the sweep: TransientError-classed
-  /// failures retry up to max_unit_retries extra attempts (bit-identical
+  /// failures retry up to kMaxUnitRetries extra attempts (bit-identical
   /// on success — the unit's RNG re-derives from MetricSeed), and a unit
   /// that still fails is recorded in the store as a typed ERROR record
   /// under its CellKey. Error records read back as missing, so the next
   /// --resume resubmits exactly the failed units; a later success
   /// overwrites the error (last write wins).
   void set_fault_tolerant(bool on) { fault_tolerant_ = on; }
-  void set_max_unit_retries(int retries) { max_unit_retries_ = retries; }
 
   /// Whole-run cooperative cancellation token (see FaultPolicy::cancel).
   /// When it trips — SIGINT/SIGTERM via the CLI's signal bridge, or a
@@ -173,7 +172,6 @@ class ResumableSweep {
   std::string code_rev_;
   bool reuse_cached_ = true;
   bool fault_tolerant_ = false;
-  int max_unit_retries_ = 2;
   const CancelToken* cancel_ = nullptr;  // not owned; may be null
   double unit_timeout_seconds_ = 0;
   ProgressFn progress_;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "src/metrics/louvain.h"
+#include "src/util/cancel.h"
 
 namespace sparsify {
 
@@ -56,6 +57,7 @@ Matrix GraphSage::Forward(const Graph& g, const Matrix& x) const {
 double GraphSage::TrainEpoch(const Graph& g, const Matrix& x,
                              const std::vector<int>& labels,
                              const std::vector<int>& train_rows) {
+  SPARSIFY_CHECK_CANCELLED();  // once per epoch
   // Forward with caches.
   Matrix c0 = HConcat(x, MeanAggregate(g, x));
   Matrix h1 = MatMul(c0, w1_);
@@ -121,6 +123,7 @@ double ClusterGcn::TrainEpoch(const Graph& g, const Matrix& x,
                               const std::vector<int>& labels,
                               const std::vector<int>& train_rows,
                               const std::vector<std::vector<NodeId>>& batches) {
+  SPARSIFY_CHECK_CANCELLED();  // once per epoch
   std::vector<uint8_t> is_train(g.NumVertices(), 0);
   for (int r : train_rows) is_train[r] = 1;
   double total_loss = 0.0;

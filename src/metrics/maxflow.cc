@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/metrics/components.h"
+#include "src/util/cancel.h"
 
 namespace sparsify {
 
@@ -45,6 +46,7 @@ class Dinic {
   // pop order (so identical level assignment), reused across the O(V)
   // phases of a single Run with zero per-phase allocation.
   bool Bfs(NodeId s, NodeId t) {
+    SPARSIFY_CHECK_CANCELLED();  // once per phase
     std::fill(level_.begin(), level_.end(), -1);
     frontier_.clear();
     level_[s] = 0;

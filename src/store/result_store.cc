@@ -530,8 +530,7 @@ std::string CellKey::Canonical() const {
 ResultStore::ResultStore(std::string dir, ResultStoreOptions options)
     : dir_(std::move(dir)), options_(options) {
   fsync_policy_ = FsyncPolicyFromEnv(FsyncPolicy::kBatch);
-  options_.lease_ttl_seconds =
-      lease::TtlFromEnv(options_.lease_ttl_seconds);
+  lease_ttl_seconds_ = lease::TtlFromEnv(lease::kDefaultTtlSeconds);
   segment_bytes_ = SegmentBytesFromEnv(kSegmentBytes);
   SPARSIFY_FAILPOINT("store.lock");
   if (options_.read_only) {
@@ -590,7 +589,7 @@ void ResultStore::AcquireLeaseLocked() {
   mine.writer = writer_id_;
   mine.pid = OwnPid();
   mine.heartbeat = 0;
-  mine.ttl_seconds = options_.lease_ttl_seconds;
+  mine.ttl_seconds = lease_ttl_seconds_;
   lease::WriteLease(dir_, mine);
 }
 
@@ -642,7 +641,7 @@ void ResultStore::StartHeartbeat() {
     static obs::Counter& renew_failures =
         obs::GetCounter("store.lease_renew_failures");
     const auto interval = std::chrono::duration<double>(
-        std::max(0.05, options_.lease_ttl_seconds / 4.0));
+        std::max(0.05, lease_ttl_seconds_ / 4.0));
     std::unique_lock<std::mutex> lk(heartbeat_mu_);
     while (!heartbeat_stop_) {
       if (heartbeat_cv_.wait_for(lk, interval,
@@ -653,7 +652,7 @@ void ResultStore::StartHeartbeat() {
       info.writer = writer_id_;
       info.pid = OwnPid();
       info.heartbeat = ++heartbeat_;
-      info.ttl_seconds = options_.lease_ttl_seconds;
+      info.ttl_seconds = lease_ttl_seconds_;
       try {
         // Recreates the lease file if a peer reaped it while this
         // process was wedged; worst case our claims were stolen and the

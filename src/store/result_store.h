@@ -82,12 +82,11 @@ enum class FsyncPolicy {
   kAlways,  // fsync every append (torture-harness mode)
 };
 
-/// Open-time knobs. SPARSIFY_LEASE_TTL (seconds) overrides the TTL at open.
+/// Open-time knobs. The lease TTL is not one: a writer whose heartbeat
+/// has not advanced for longer than SPARSIFY_LEASE_TTL seconds (default
+/// 30; see lease.h), or whose pid is dead, is stale, and its claims become
+/// stealable. Renewals happen every ttl/4.
 struct ResultStoreOptions {
-  /// Heartbeat staleness horizon: a writer whose lease counter has not
-  /// advanced for longer than this (or whose pid is dead) is stale, and
-  /// its claims become stealable. Renewals happen every ttl/4.
-  double lease_ttl_seconds = 30.0;
   /// Snapshot open for `export` / `ls` / `merge` inputs: no lease is
   /// taken, nothing in the directory is mutated, a live sweep's store can
   /// be inspected mid-run. Append/Compact throw on a read-only store.
@@ -128,9 +127,6 @@ class ResultStore {
   const std::string& WriterId() const { return writer_id_; }
 
   bool read_only() const { return options_.read_only; }
-
-  /// Effective lease TTL (after the env override).
-  double lease_ttl_seconds() const { return options_.lease_ttl_seconds; }
 
   /// Number of distinct keys currently stored (results AND error records).
   size_t Size() const;
@@ -256,6 +252,7 @@ class ResultStore {
   mutable std::mutex mu_;
   std::string dir_;
   ResultStoreOptions options_;
+  double lease_ttl_seconds_ = 0;  // SPARSIFY_LEASE_TTL or the default
   uint64_t segment_bytes_ = 0;  // rotation threshold
   std::string writer_id_;       // empty on read-only opens
   std::ofstream out_;

@@ -208,7 +208,6 @@ void DumpStuck(const WatchdogOptions& options, const char* stage,
                  name.c_str(), static_cast<unsigned long long>(snap.count),
                  snap.Mean(), static_cast<double>(snap.max));
   }
-  if (options.extra_dump) options.extra_dump(out);
   std::fflush(out);
 }
 

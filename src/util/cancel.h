@@ -26,8 +26,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -201,9 +199,6 @@ struct WatchdogOptions {
   /// After dumping, cancel the stuck activity's token with
   /// Reason::kDeadline so only that unit fails under FaultPolicy.
   bool cancel_stuck = true;
-  /// Extra diagnostics appended to the dump (e.g. the CLI wires the
-  /// ThreadPool's per-worker task/busy counters here). May be null.
-  std::function<void(std::FILE*)> extra_dump;
 };
 
 /// Starts the singleton watchdog thread. On a stuck activity it dumps

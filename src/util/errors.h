@@ -53,8 +53,9 @@ class StoreCorruptError : public SparsifyError {
 };
 
 /// Retryable failure class: the same computation, retried, may succeed.
-/// The engine retries these with capped exponential backoff (bounded by
-/// --max-unit-retries); every other exception type is permanent.
+/// The engine retries these with capped exponential backoff (at most
+/// kMaxUnitRetries extra attempts); every other exception type is
+/// permanent.
 class TransientError : public SparsifyError {
  public:
   explicit TransientError(const std::string& what) : SparsifyError(what) {}

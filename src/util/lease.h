@@ -46,7 +46,10 @@ struct LeaseInfo {
   std::string path;         // lease file path (filled by ListLeases)
 };
 
-/// Default lease TTL; `SPARSIFY_LEASE_TTL` (seconds, > 0) overrides it.
+/// The lease TTL a store uses unless `SPARSIFY_LEASE_TTL` overrides it.
+inline constexpr double kDefaultTtlSeconds = 30.0;
+
+/// `SPARSIFY_LEASE_TTL` (seconds, > 0) if set, else `fallback`.
 double TtlFromEnv(double fallback);
 
 /// A freshly generated writer id: "w<pid>x<nonce>". Filename-safe and

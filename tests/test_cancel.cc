@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "src/engine/resumable_sweep.h"
+#include "src/gnn/data.h"
+#include "src/gnn/models.h"
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/graph/traversal.h"
@@ -28,6 +30,7 @@
 #include "src/metrics/centrality.h"
 #include "src/metrics/clustering.h"
 #include "src/metrics/louvain.h"
+#include "src/metrics/maxflow.h"
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/sparsifiers/effective_resistance.h"
@@ -252,6 +255,85 @@ TEST_F(KernelCancelTest, LouvainPollsLeaveLabelsUnchanged) {
   EXPECT_EQ(polled.label, plain.label);
   EXPECT_EQ(polled.num_clusters, plain.num_clusters);
   EXPECT_EQ(polled.modularity, plain.modularity);
+}
+
+// Dinic max-flow polls once per BFS phase.
+TEST_F(KernelCancelTest, MaxFlowObservesDeadline) {
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  EXPECT_THROW(MaxFlow(graph_, 0, 1000), DeadlineExceededError);
+}
+
+// The phase polls read no state: under a token that never fires, the
+// stretch over half the edges equals the unpolled one.
+TEST_F(KernelCancelTest, MaxFlowPollsLeaveResultsUnchanged) {
+  std::vector<uint8_t> keep(graph_.NumEdges());
+  for (size_t e = 0; e < keep.size(); e += 2) keep[e] = 1;
+  const Graph half = graph_.Subgraph(keep);
+  Rng plain_rng(5);
+  const FlowStretchResult plain = MaxFlowStretch(graph_, half, 20, plain_rng);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  Rng polled_rng(5);
+  const FlowStretchResult polled =
+      MaxFlowStretch(graph_, half, 20, polled_rng);
+  EXPECT_EQ(polled.mean_ratio, plain.mean_ratio);
+  EXPECT_EQ(polled.pairs_evaluated, plain.pairs_evaluated);
+  EXPECT_EQ(polled.zero_flow_fraction, plain.zero_flow_fraction);
+}
+
+// GNN training polls once per epoch: GraphSAGE through the Figure 13a
+// protocol, ClusterGCN on its epoch directly (its protocol runs Louvain
+// first, which polls on its own).
+struct GnnCase {
+  Graph graph;
+  NodeClassificationData data;
+};
+
+// A 240-vertex, 4-community graph and its node-classification task.
+GnnCase MakeGnnCase() {
+  Rng gen(6);
+  std::vector<int> communities;
+  GnnCase c;
+  c.graph = PlantedPartition(240, 4, 0.35, 0.01, gen, &communities);
+  Rng data_rng(7);
+  c.data = MakeNodeClassificationData(communities, 4, 12, 0.8, 0.5, data_rng);
+  return c;
+}
+
+TEST_F(KernelCancelTest, GnnTrainingObservesDeadline) {
+  const GnnCase c = MakeGnnCase();
+  const Graph& g = c.graph;
+  const NodeClassificationData& data = c.data;
+  std::vector<NodeId> all(g.NumVertices());
+  for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  Rng sage_rng(8);
+  EXPECT_THROW(TrainSageAuroc(g, g, data, sage_rng), DeadlineExceededError);
+  Rng gcn_rng(9);
+  ClusterGcn model(12, 16, 4, gcn_rng, 5e-2);
+  EXPECT_THROW(
+      model.TrainEpoch(g, data.features, data.labels, data.train_rows, {all}),
+      DeadlineExceededError);
+}
+
+TEST_F(KernelCancelTest, GnnEpochPollsLeaveScoresUnchanged) {
+  const GnnCase c = MakeGnnCase();
+  const Graph& g = c.graph;
+  const NodeClassificationData& data = c.data;
+  Rng sage_rng(8), gcn_rng(9);
+  const double sage = TrainSageAuroc(g, g, data, sage_rng);
+  const double gcn = TrainClusterGcnAccuracy(g, g, data, gcn_rng);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  Rng polled_sage_rng(8), polled_gcn_rng(9);
+  EXPECT_EQ(TrainSageAuroc(g, g, data, polled_sage_rng), sage);
+  EXPECT_EQ(TrainClusterGcnAccuracy(g, g, data, polled_gcn_rng), gcn);
 }
 
 TEST_F(KernelCancelTest, NestedParallelForPropagatesTheCallerToken) {

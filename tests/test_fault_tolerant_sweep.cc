@@ -167,7 +167,6 @@ TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
   fail::ArmFromSpec("engine.metric_unit/m_bad=throw-transient");
   ResumableSweep sweep(runner_, &store, "test-rev");
   sweep.set_fault_tolerant(true);
-  sweep.set_max_unit_retries(2);
   ResumableSweepStats stats;
   sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), TestConfig(), &stats);
   const size_t cells = stats.total_cells / 2;
@@ -177,7 +176,7 @@ TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
   for (const StoredCell& cell : store.Cells()) {
     if (!cell.is_error) continue;
     EXPECT_EQ(cell.error_class, "transient");
-    EXPECT_EQ(cell.attempts, 3);  // 1 initial + max_unit_retries
+    EXPECT_EQ(cell.attempts, 3);  // 1 initial + kMaxUnitRetries
   }
 }
 
@@ -268,7 +267,6 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
   CancelToken run_token;
   ResumableSweep sweep(runner_, &store, "test-rev");
   sweep.set_fault_tolerant(c.tolerant);
-  sweep.set_max_unit_retries(2);
   sweep.set_cancel_token(&run_token);
   std::thread canceller;
   if (action == "cancel") {

@@ -1,37 +1,50 @@
 // The figure registry (src/cli/figures.h): every entry names real
 // datasets, sparsifiers, metrics and rates, and every figure, 1a to 13b,
-// regenerates end to end through RunFigures — the one figure path.
+// regenerates end to end through `sparsify_cli figure`, a preset of the
+// sweep driver with its store, resume and fault policy.
 #include "src/cli/figures.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/cli/sparsify_cli.h"
 #include "src/graph/datasets.h"
 #include "src/sparsifiers/sparsifier.h"
+#include "src/store/result_store.h"
+#include "src/util/failpoint.h"
 #include "tests/test_util.h"
 
 namespace sparsify::cli {
 namespace {
 
-// The smoke-test operating point: every figure together takes about a
-// second on a 4-core host.
-FigureRunOptions SmokeOptions() {
-  FigureRunOptions opt;
-  opt.scale = 0.05;
-  opt.runs = 1;
-  opt.csv = true;
-  return opt;
+// Runs `sparsify_cli figure <args>` at the smoke-test operating point
+// (every figure together takes about a second on a 4-core host); returns
+// stdout and sets `*rc`.
+std::string RunFigure(std::vector<std::string> args, int* rc) {
+  args.insert(args.begin(), {"sparsify_cli", "figure"});
+  args.push_back("--scale=0.05");
+  args.push_back("--runs=1");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  ::testing::internal::CaptureStdout();
+  *rc = RunSparsifyCli(static_cast<int>(argv.size()), argv.data());
+  return ::testing::internal::GetCapturedStdout();
 }
 
-std::string RunIds(const std::vector<std::string>& ids,
-                const FigureRunOptions& opt, int* rc) {
-  std::ostringstream os;
-  *rc = RunFigures(ids, opt, os);
-  return os.str();
+// `out` without its `# store` banner lines, which only a --store run
+// prints.
+std::string WithoutStoreBanner(const std::string& out) {
+  std::istringstream in(out);
+  std::string kept, line;
+  while (std::getline(in, line)) {
+    if (line.rfind("# store ", 0) != 0) kept += line + "\n";
+  }
+  return kept;
 }
 
 std::vector<double> Rates(const FigureSpec& f) {
@@ -79,7 +92,7 @@ TEST(FiguresTest, EveryFigureRegeneratesOneRowPerSparsifierAndRate) {
   for (const FigureSpec& f : AllFigures()) {
     SCOPED_TRACE(f.id);
     int rc = -1;
-    std::istringstream out(RunIds({f.id}, SmokeOptions(), &rc));
+    std::istringstream out(RunFigure({f.id, "--csv"}, &rc));
     EXPECT_EQ(rc, 0);
     // Sparsifiers without prune-rate control have one point, not one per
     // rate; with --runs=1 every point averages exactly one unit.
@@ -105,26 +118,22 @@ TEST(FiguresTest, EveryFigureRegeneratesOneRowPerSparsifierAndRate) {
 }
 
 TEST(FiguresTest, GnnFiguresAreIdenticalAtAnyThreadCount) {
-  FigureRunOptions opt = SmokeOptions();
-  opt.threads = 1;
   int rc1 = -1, rc4 = -1;
-  std::string one = RunIds({"13a", "13b"}, opt, &rc1);
-  opt.threads = 4;
-  std::string four = RunIds({"13a", "13b"}, opt, &rc4);
+  std::string one = RunFigure({"13a", "13b", "--csv", "--threads=1"}, &rc1);
+  std::string four = RunFigure({"13a", "13b", "--csv", "--threads=4"}, &rc4);
   EXPECT_EQ(rc1, 0);
   EXPECT_EQ(rc4, 0);
   EXPECT_EQ(one, four);
 }
 
 TEST(FiguresTest, GnnFigureResumesFromItsStore) {
-  FigureRunOptions opt = SmokeOptions();
-  opt.store_dir = TestPath("fig13a_store");
-  opt.resume = true;
+  const std::vector<std::string> args = {
+      "13a", "--csv", "--store=" + TestPath("fig13a_store"), "--resume"};
   int rc = -1;
-  std::string cold = RunIds({"13a"}, opt, &rc);
+  std::string cold = RunFigure(args, &rc);
   ASSERT_EQ(rc, 0);
   EXPECT_EQ(cold.find("submitted=0"), std::string::npos);
-  std::string warm = RunIds({"13a"}, opt, &rc);
+  std::string warm = RunFigure(args, &rc);
   ASSERT_EQ(rc, 0);
   EXPECT_NE(warm.find("submitted=0"), std::string::npos);
   // Below the store banner the output is the cold run's.
@@ -133,16 +142,51 @@ TEST(FiguresTest, GnnFigureResumesFromItsStore) {
 }
 
 TEST(FiguresTest, TableShowsGnnReferenceAndBaselineLines) {
-  FigureRunOptions opt = SmokeOptions();
-  opt.csv = false;
   int rc = -1;
-  std::string out = RunIds({"13b"}, opt, &rc);
+  std::string out = RunFigure({"13b"}, &rc);
   EXPECT_EQ(rc, 0);
   size_t reference = out.find("(reference on full graph: ");
   size_t baseline = out.find("(baseline on empty graph: ");
   ASSERT_NE(reference, std::string::npos);
   ASSERT_NE(baseline, std::string::npos);
   EXPECT_LT(reference, baseline);
+}
+
+// `figure` runs under the sweep driver's fault policy: a failing unit is
+// recorded as an error record while every other unit completes, the run
+// exits with the unit-failure code, and --resume retries just that unit
+// and prints what a cold run prints.
+TEST(FiguresTest, FailedUnitIsRecordedAndResumeHealsIt) {
+  const std::string dir = TestPath("fig1a_fault_store");
+  const std::vector<std::string> args = {"1a", "--csv", "--store=" + dir};
+  ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
+                     "engine.metric_unit/connectivity=throw@3", 1),
+            0);
+  int rc = -1;
+  std::string failed = RunFigure(args, &rc);
+  ::unsetenv("SPARSIFY_FAILPOINTS");
+  fail::DisarmAll();
+  EXPECT_EQ(rc, kExitUnitFailures);
+  const size_t total_at = failed.find("total=");
+  ASSERT_NE(total_at, std::string::npos) << failed;
+  const size_t total = std::strtoull(failed.c_str() + total_at + 6, nullptr,
+                                     10);
+  {
+    ResultStoreOptions snapshot;
+    snapshot.read_only = true;
+    ResultStore store(dir, snapshot);
+    EXPECT_EQ(store.Size(), total);
+    EXPECT_EQ(store.ErrorCount(), 1u);
+  }
+
+  std::vector<std::string> resume_args = args;
+  resume_args.push_back("--resume");
+  std::string resumed = RunFigure(resume_args, &rc);
+  EXPECT_EQ(rc, kExitOk);
+  EXPECT_NE(resumed.find("submitted=1"), std::string::npos) << resumed;
+  std::string cold = RunFigure({"1a", "--csv"}, &rc);
+  EXPECT_EQ(rc, kExitOk);
+  EXPECT_EQ(WithoutStoreBanner(resumed), cold);
 }
 
 }  // namespace

@@ -182,21 +182,25 @@ TEST_F(ShardTortureTest, KilledWorkersAreStolenFromAndExportConverges) {
       {1, "store.rotate=kill@1", "512"},
       {2, "store.lease.renew=kill@3", ""},
   };
+  // Worker 0 runs alone to its kill point before the others start: with
+  // no peer to take its chunks first, it always reaches its second claim,
+  // so at least one kill is certain. Once reaped, its pid turns ESRCH and
+  // the survivors judge it dead immediately (no TTL wait).
   std::vector<pid_t> pids;
+  size_t killed = 0;
   for (const WorkerSpec& spec : specs) {
     pids.push_back(SpawnWorker(dir, 3, spec,
                                dir + "/worker" + std::to_string(spec.index)));
+    if (spec.index == 0 && WaitWorker(pids[0], "torture worker 0")) {
+      ++killed;
+    }
   }
-  // Reap in spawn order: once a killed worker is waited on, its pid turns
-  // ESRCH and survivors judge it dead immediately (no TTL wait).
-  size_t killed = 0;
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 1; i < 3; ++i) {
     if (WaitWorker(pids[i], "torture worker " + std::to_string(i))) {
       ++killed;
     }
   }
-  // kill@4 on worker 0's appends is deterministic as long as it reached
-  // a second claim; the rotate/renew kills depend on scheduling. The
+  // The rotate/renew kills of workers 1 and 2 depend on scheduling. The
   // convergence contract below must hold for every interleaving.
   EXPECT_GT(killed, 0u);
 
