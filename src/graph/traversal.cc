@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 
 #include "src/obs/counters.h"
 #include "src/util/cancel.h"
@@ -28,6 +29,9 @@ struct TraversalObs {
       obs::GetCounter("traversal.sssp_delta_calls");
   obs::Counter& sssp_bucket_advances =
       obs::GetCounter("traversal.sssp_bucket_advances");
+  obs::Counter& msbfs_calls = obs::GetCounter("traversal.msbfs_calls");
+  obs::Counter& msbfs_pull_rounds =
+      obs::GetCounter("traversal.msbfs_pull_rounds");
 };
 
 TraversalObs& GetTraversalObs() {
@@ -59,6 +63,48 @@ inline bool TestBit(const std::vector<uint64_t>& bits, NodeId v) {
 inline void SetBit(std::vector<uint64_t>& bits, NodeId v) {
   bits[v >> 6] |= uint64_t{1} << (v & 63);
 }
+
+// MS-BFS direction switch: a level pulls when kMsAlpha times the
+// frontier's out-arcs exceeds what a pull round scans at most — all n
+// seen words plus the in-arcs of every vertex some source has not reached
+// yet. Early exits are rarer than in single-source pull (a vertex stops
+// only once it holds every missing bit, and never when some source cannot
+// reach it), hence the small ratio. Of 1, 2, 4 and 8, 2 was the fastest
+// overall on ca-AstroPh@0.6 and @2 subgraphs keeping 10-100% of the edges.
+constexpr uint64_t kMsAlpha = 2;
+
+// 64 bit-sliced counters: lane i counts the added words that had bit i
+// set. slice_[j] holds bit j of every lane's count, so adding a word is a
+// ripple carry through the slices (about two steps amortized) rather than
+// a loop over its set bits. Counts stay below 2^32 (at most one per
+// vertex), so 32 slices suffice.
+class LaneCounter {
+ public:
+  void Add(uint64_t x) {
+    int j = 0;
+    for (; x != 0; ++j) {
+      const uint64_t carry = slice_[j] & x;
+      slice_[j] ^= x;
+      x = carry;
+    }
+    top_ = std::max(top_, j);
+  }
+  uint32_t Count(size_t lane) const {
+    uint32_t c = 0;
+    for (int j = 0; j < top_; ++j) {
+      c |= static_cast<uint32_t>((slice_[j] >> lane) & 1) << j;
+    }
+    return c;
+  }
+  void Clear() {
+    std::fill_n(slice_, top_, 0);
+    top_ = 0;
+  }
+
+ private:
+  uint64_t slice_[32] = {};
+  int top_ = 0;
+};
 
 }  // namespace
 
@@ -256,6 +302,114 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
   tobs.pull_rounds.Add(sum.pull_rounds);
   tobs.frontier_peak.Record(peak_frontier);
   return sum;
+}
+
+void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
+                    TraversalScratch& s, std::span<MultiBfsStats> out) {
+  const size_t k = sources.size();
+  if (k > kMaxMultiBfsSources || out.size() != k) {
+    throw std::invalid_argument(
+        "MultiSourceBfs: at most 64 sources, one output slot each");
+  }
+  if (k == 0) return;
+  const NodeId n = g.NumVertices();
+  if (s.ms_seen_.size() < static_cast<size_t>(n)) {
+    s.ms_seen_.resize(n);
+    s.ms_frontier_.resize(n);
+    s.ms_next_.resize(n);
+  }
+  std::fill_n(s.ms_seen_.begin(), n, 0);
+  std::fill_n(s.ms_frontier_.begin(), n, 0);
+  std::fill_n(s.ms_next_.begin(), n, 0);
+  uint64_t* seen = s.ms_seen_.data();
+  uint64_t* frontier = s.ms_frontier_.data();
+  uint64_t* next = s.ms_next_.data();
+  // Vertices whose frontier word is non-zero, and those of the level being
+  // built: each round touches only these words, so `next` is all-zero
+  // again when the round ends.
+  std::vector<NodeId>& list = s.frontier_;
+  std::vector<NodeId>& next_list = s.next_;
+  list.clear();
+  next_list.clear();
+  const uint64_t full = k == 64 ? ~uint64_t{0} : (uint64_t{1} << k) - 1;
+  for (size_t i = 0; i < k; ++i) {
+    const NodeId v = sources[i];
+    if (frontier[v] == 0) list.push_back(v);
+    frontier[v] |= uint64_t{1} << i;
+    seen[v] = frontier[v];
+    out[i] = {1, 0, 0};
+  }
+  // Push cost: out-arcs of the frontier. Pull cost: n plus the in-arcs of
+  // vertices not yet reached by every source; a vertex's in-arcs leave
+  // the sum once, when its seen word fills.
+  uint64_t scout = 0;
+  uint64_t pull_arcs = g.IsDirected() ? g.NumEdges() : 2ull * g.NumEdges();
+  for (NodeId v : list) {
+    scout += g.OutDegree(v);
+    if (seen[v] == full) pull_arcs -= g.InDegree(v);
+  }
+  LaneCounter discovered;
+  uint32_t depth = 0;
+  uint64_t pull_rounds = 0;
+  while (!list.empty()) {
+    SPARSIFY_CHECK_CANCELLED();
+    if (scout * kMsAlpha > n + pull_arcs) {
+      // Pull: every vertex some source still misses ORs its in-neighbors'
+      // frontier words and stops once it holds every missing bit. Writes
+      // go to `next`, so no vertex sees a bit from its own level.
+      ++pull_rounds;
+      for (NodeId u = 0; u < n; ++u) {
+        const uint64_t want = full & ~seen[u];
+        if (want == 0) continue;
+        uint64_t hit = 0;
+        for (NodeId v : g.InNeighborNodes(u)) {
+          hit |= frontier[v];
+          if ((hit & want) == want) break;
+        }
+        hit &= want;
+        if (hit != 0) {
+          next[u] = hit;
+          seen[u] |= hit;
+          next_list.push_back(u);
+        }
+      }
+    } else {
+      // Push: each frontier vertex hands its word to its out-neighbors,
+      // minus the bits they have seen.
+      for (NodeId v : list) {
+        const uint64_t f = frontier[v];
+        for (NodeId u : g.OutNeighborNodes(v)) {
+          const uint64_t hit = f & ~seen[u];
+          if (hit == 0) continue;
+          if (next[u] == 0) next_list.push_back(u);
+          next[u] |= hit;
+          seen[u] |= hit;
+        }
+      }
+    }
+    for (NodeId v : list) frontier[v] = 0;
+    std::swap(frontier, next);
+    std::swap(list, next_list);
+    next_list.clear();
+    ++depth;
+    scout = 0;
+    for (NodeId u : list) {
+      discovered.Add(frontier[u]);
+      scout += g.OutDegree(u);
+      if (seen[u] == full) pull_arcs -= g.InDegree(u);
+    }
+    for (size_t i = 0; i < k; ++i) {
+      const uint32_t c = discovered.Count(i);
+      if (c == 0) continue;
+      out[i].reached += c;
+      out[i].level_sum += uint64_t{depth} * c;
+      out[i].max_level = depth;
+    }
+    discovered.Clear();
+  }
+  TraversalObs& tobs = GetTraversalObs();
+  tobs.msbfs_calls.Add();
+  tobs.msbfs_pull_rounds.Add(pull_rounds);
 }
 
 namespace {

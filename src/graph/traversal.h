@@ -33,6 +33,13 @@
 //    (binary-heap fallback when the weight distribution defeats
 //    bucketing), with bit-identical distances either way.
 //
+//  * MultiSourceBfs runs up to 64 BFS sources in one pass (MS-BFS, Then
+//    et al., "The More the Merrier", PVLDB 8(4), 2014): one bit per source
+//    in a uint64_t seen/frontier/next word per vertex, so one edge visit
+//    serves every source whose frontier crosses it. It returns per-source
+//    (reached, level sum, max level) only — exactly what closeness and
+//    eccentricity fold — and chooses push or pull per level.
+//
 // Determinism: BFS hop counts and Dijkstra distances are the unique fixed
 // point of their recurrences — they do not depend on the order vertices
 // are processed in, so push-only, hybrid, and the legacy queue BFS produce
@@ -49,6 +56,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -113,6 +121,11 @@ class TraversalScratch {
   std::vector<double> sigma_;
   std::vector<double> delta_;
   std::vector<NodeId> order_;  // BFS/settle order of the last accumulation
+  // MultiSourceBfs state: one bit per source per vertex (zeroed per call;
+  // the vertex lists reuse frontier_/next_).
+  std::vector<uint64_t> ms_seen_;
+  std::vector<uint64_t> ms_frontier_;
+  std::vector<uint64_t> ms_next_;
 
   void MarkReached(NodeId v) { stamp_[v] = epoch_; }
 };
@@ -161,6 +174,26 @@ TraversalSummary DijkstraDistances(const Graph& g, NodeId src,
 TraversalSummary Traverse(const Graph& g, NodeId src,
                           TraversalScratch& scratch,
                           BfsMode mode = BfsMode::kHybrid);
+
+/// Per-source result of MultiSourceBfs. Every field equals what BfsLevels
+/// from that source yields: reached counts the source itself, level_sum is
+/// the sum of LevelOf over reached vertices, max_level is max_dist.
+struct MultiBfsStats {
+  NodeId reached = 0;
+  uint64_t level_sum = 0;
+  uint32_t max_level = 0;
+};
+
+/// Sources per MultiSourceBfs call: one bit each in a uint64_t word.
+constexpr size_t kMaxMultiBfsSources = 64;
+
+/// Hop-count BFS from every vertex of `sources` (at most
+/// kMaxMultiBfsSources; repeats allowed) at once, along out-edges and
+/// ignoring weights. out[i] receives the stats of sources[i]. Throws
+/// std::invalid_argument on more sources or a differently sized `out`.
+/// Polls cancellation once per level; a warm scratch allocates nothing.
+void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
+                    TraversalScratch& scratch, std::span<MultiBfsStats> out);
 
 /// Drop-in scratch-reusing replacement for the legacy per-call API:
 /// returns the exact std::vector<double> the seed implementation produced

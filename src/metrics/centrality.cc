@@ -1,8 +1,10 @@
 #include "src/metrics/centrality.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <unordered_set>
 
 #include "src/graph/traversal.h"
@@ -124,26 +126,48 @@ std::vector<double> ApproxBetweennessCentrality(const Graph& g,
 std::vector<double> ClosenessCentrality(const Graph& g) {
   const NodeId n = g.NumVertices();
   std::vector<double> closeness(n, 0.0);
-  // Each vertex's BFS writes only its own slot, so the sources fan out as
-  // engine subtasks with bit-identical output at any thread count. The
-  // distance fold scans the scratch in ascending vertex order — the same
-  // summation order as the legacy materialized-vector loop — without
-  // ever allocating the vector.
-  NestedParallelFor(CurrentSubtaskPool(), n, [&](size_t src) {
-    NodeId v = static_cast<NodeId>(src);
-    TraversalScratch& scratch = LocalTraversalScratch();
-    Traverse(g, v, scratch);
-    double sum = 0.0;
-    double reachable = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      if (u != v && scratch.Reached(u)) {
-        sum += scratch.DistanceOf(u);
-        reachable += 1.0;
-      }
-    }
+  // Wasserman-Faust: (r / (n-1)) * (r / sum) where r = #reachable.
+  auto set = [&](NodeId v, double reachable, double sum) {
     if (sum > 0.0 && n > 1) {
-      // Wasserman-Faust: (r / (n-1)) * (r / sum) where r = #reachable.
       closeness[v] = (reachable / (n - 1.0)) * (reachable / sum);
+    }
+  };
+  // Every task writes only its own vertices' slots, so the tasks fan out
+  // as engine subtasks with bit-identical output at any thread count.
+  if (g.IsWeighted()) {
+    // One Dijkstra per vertex; the distance fold scans the scratch in
+    // ascending vertex order, the legacy summation order.
+    NestedParallelFor(CurrentSubtaskPool(), n, [&](size_t src) {
+      const NodeId v = static_cast<NodeId>(src);
+      TraversalScratch& scratch = LocalTraversalScratch();
+      DijkstraDistances(g, v, scratch);
+      double sum = 0.0;
+      double reachable = 0.0;
+      for (NodeId u = 0; u < n; ++u) {
+        if (u != v && scratch.Reached(u)) {
+          sum += scratch.DistanceOf(u);
+          reachable += 1.0;
+        }
+      }
+      set(v, reachable, sum);
+    });
+    return closeness;
+  }
+  // Hop counts: one multi-source BFS per 64 consecutive vertices. A hop
+  // sum is an integer below 2^53, so converting it once equals the
+  // ascending-order double fold of the same levels exactly.
+  const size_t batches = (n + kMaxMultiBfsSources - 1) / kMaxMultiBfsSources;
+  NestedParallelFor(CurrentSubtaskPool(), batches, [&](size_t b) {
+    const NodeId first = static_cast<NodeId>(b * kMaxMultiBfsSources);
+    const size_t k = std::min<size_t>(kMaxMultiBfsSources, n - first);
+    std::array<NodeId, kMaxMultiBfsSources> sources;
+    std::iota(sources.begin(), sources.begin() + k, first);
+    std::array<MultiBfsStats, kMaxMultiBfsSources> stats;
+    MultiSourceBfs(g, std::span(sources.data(), k), LocalTraversalScratch(),
+                   std::span(stats.data(), k));
+    for (size_t i = 0; i < k; ++i) {
+      set(sources[i], static_cast<double>(stats[i].reached - 1),
+          static_cast<double>(stats[i].level_sum));
     }
   });
   return closeness;

@@ -5,7 +5,9 @@
 //     `num_samples` pivots (Geisberger-style scaled contributions).
 //   Closeness:   1 / sum of distances to reachable vertices, scaled by the
 //     reachable fraction (the standard Wasserman-Faust correction for
-//     disconnected graphs).
+//     disconnected graphs). Exact: unweighted graphs run one 64-source
+//     bit-parallel BFS (MultiSourceBfs) per 64 vertices and fold integer
+//     hop sums, weighted graphs one Dijkstra per vertex.
 //   Eigenvector: power iteration on A (left eigenvector / in-edges for
 //     directed graphs, per Table 1 note *).
 //   Katz:        iterative x = alpha A^T x + 1 with
@@ -30,7 +32,9 @@ std::vector<double> BetweennessCentrality(const Graph& g);
 std::vector<double> ApproxBetweennessCentrality(const Graph& g,
                                                 int num_samples, Rng& rng);
 
-/// Closeness centrality of every vertex.
+/// Closeness centrality of every vertex. Bit-identical at any subtask
+/// thread count, and to one traversal per vertex folded in ascending
+/// vertex order.
 std::vector<double> ClosenessCentrality(const Graph& g);
 
 /// Eigenvector centrality by power iteration (`iters` steps, L2 normalized).

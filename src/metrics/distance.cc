@@ -1,6 +1,8 @@
 #include "src/metrics/distance.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "src/util/stats.h"
 #include "src/util/thread_pool.h"
@@ -88,49 +90,71 @@ double Eccentricity(const Graph& g, NodeId v) {
   return sum.reached <= 1 ? kInfDistance : sum.max_dist;
 }
 
+namespace {
+
+// Eccentricity (in Eccentricity's semantics) of every vertex of `sources`.
+// Hop counts come from one MultiSourceBfs per 64 sources; weighted graphs
+// run one Dijkstra per source. Either way the tasks fan out as engine
+// subtasks and each writes only its own slots.
+std::vector<double> Eccentricities(const Graph& g,
+                                   const std::vector<NodeId>& sources) {
+  std::vector<double> ecc(sources.size());
+  if (g.IsWeighted()) {
+    NestedParallelFor(CurrentSubtaskPool(), sources.size(), [&](size_t s) {
+      ecc[s] = Eccentricity(g, sources[s]);
+    });
+    return ecc;
+  }
+  const size_t batches =
+      (sources.size() + kMaxMultiBfsSources - 1) / kMaxMultiBfsSources;
+  NestedParallelFor(CurrentSubtaskPool(), batches, [&](size_t b) {
+    const size_t first = b * kMaxMultiBfsSources;
+    const size_t k = std::min(kMaxMultiBfsSources, sources.size() - first);
+    std::array<MultiBfsStats, kMaxMultiBfsSources> stats;
+    MultiSourceBfs(g, std::span(sources.data() + first, k),
+                   LocalTraversalScratch(), std::span(stats.data(), k));
+    for (size_t i = 0; i < k; ++i) {
+      ecc[first + i] = stats[i].reached <= 1
+                           ? kInfDistance
+                           : static_cast<double>(stats[i].max_level);
+    }
+  });
+  return ecc;
+}
+
+}  // namespace
+
 StretchResult EccentricityStretch(const Graph& original,
                                   const Graph& sparsified, int num_sources,
                                   Rng& rng) {
   StretchResult result;
   const NodeId n = original.NumVertices();
   if (n == 0 || num_sources <= 0) return result;
-  // Sources are drawn once; each source's eccentricity pair is pure, so
-  // the sources fan out as engine subtasks and fold in sample order —
-  // bit-identical to the sequential loop at any subtask thread count.
+  // Sources are drawn once. A source with an infinite or zero original
+  // eccentricity is not counted, and is not traversed on the sparsified
+  // graph. The records fold in sample order, so the result does not
+  // depend on how the traversals were batched or scheduled.
   std::vector<uint64_t> samples =
       rng.SampleWithoutReplacement(n, std::min<uint64_t>(n, num_sources));
-  struct SourceRecord {
-    double stretch = -1.0;  // < 0: no finite stretch recorded
-    bool counted = false;
-    bool broken = false;
-  };
-  std::vector<SourceRecord> records(samples.size());
-  NestedParallelFor(
-      CurrentSubtaskPool(), samples.size(), [&](size_t s) {
-        NodeId v = static_cast<NodeId>(samples[s]);
-        // The original-graph sweep folds its own max, so an infinite/zero
-        // eccentricity skips the sparsified traversal outright — the
-        // legacy code paid for a full distance vector before finding out.
-        double eo = Eccentricity(original, v);
-        if (eo == kInfDistance || eo == 0.0) return;
-        SourceRecord& rec = records[s];
-        rec.counted = true;
-        double es = Eccentricity(sparsified, v);
-        if (es == kInfDistance) {
-          rec.broken = true;
-        } else {
-          rec.stretch = es / eo;
-        }
-      });
+  const std::vector<double> eo =
+      Eccentricities(original, std::vector<NodeId>(samples.begin(),
+                                                   samples.end()));
+  std::vector<NodeId> counted;
+  std::vector<double> counted_eo;
+  for (size_t s = 0; s < samples.size(); ++s) {
+    if (eo[s] == kInfDistance || eo[s] == 0.0) continue;
+    counted.push_back(static_cast<NodeId>(samples[s]));
+    counted_eo.push_back(eo[s]);
+  }
+  const std::vector<double> es = Eccentricities(sparsified, counted);
   std::vector<double> stretches;
-  int broken = 0, total = 0;
-  for (const SourceRecord& rec : records) {
-    if (!rec.counted) continue;
-    ++total;
-    if (rec.broken) {
+  int broken = 0;
+  const int total = static_cast<int>(counted.size());
+  for (size_t i = 0; i < counted.size(); ++i) {
+    if (es[i] == kInfDistance) {
       ++broken;
     } else {
-      stretches.push_back(rec.stretch);
+      stretches.push_back(es[i] / counted_eo[i]);
     }
   }
   result.mean_stretch = Mean(stretches);

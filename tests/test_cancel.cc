@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -149,7 +150,7 @@ TEST(CancelScopeTest, NullScopeIsANoop) {
 // ---------------------------------------------------------------------------
 // Kernel checks: BFS rounds, Dijkstra buckets, CG-backed ER scoring,
 // the t-spanner's greedy edge scan, the clustering triangle pass, the
-// centrality power iterations
+// centrality power iterations, the closeness multi-source BFS levels
 // ---------------------------------------------------------------------------
 
 class KernelCancelTest : public ::testing::Test {
@@ -230,6 +231,25 @@ TEST_F(KernelCancelTest, PowerIterationPollsLeaveResultsUnchanged) {
   EXPECT_EQ(PageRank(graph_), pr);
   EXPECT_EQ(EigenvectorCentrality(graph_), ev);
   EXPECT_EQ(KatzCentrality(graph_), katz);
+}
+
+// Closeness polls once per level of each multi-source BFS.
+TEST_F(KernelCancelTest, ClosenessObservesDeadline) {
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  EXPECT_THROW(ClosenessCentrality(graph_), DeadlineExceededError);
+}
+
+TEST_F(KernelCancelTest, ClosenessPollsLeaveResultsUnchanged) {
+  const std::vector<double> want = ClosenessCentrality(graph_);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  const std::vector<double> got = ClosenessCentrality(graph_);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
 }
 
 // Louvain polls once per local-moving sweep, so an expired deadline stops

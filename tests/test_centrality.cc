@@ -1,14 +1,20 @@
 // Tests for centrality metrics against analytically known values on small
 // graphs, plus sampled-vs-exact cross-validation mirroring the paper's
-// section 3.3.3.
+// section 3.3.3, and closeness against the per-source loop it replaced.
 #include "src/metrics/centrality.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
+#include "src/graph/traversal.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
+#include "tests/test_graphs.h"
 
 namespace sparsify {
 namespace {
@@ -79,6 +85,84 @@ TEST(ClosenessTest, DisconnectedScaledByReachability) {
                              false, false);
   std::vector<double> c = ClosenessCentrality(g);
   EXPECT_GT(c[0], c[5]);
+}
+
+// The closeness loop that ran one traversal per vertex before the
+// multi-source BFS, kept as the reference: distances folded as doubles in
+// ascending vertex order.
+std::vector<double> PerSourceCloseness(const Graph& g) {
+  const NodeId n = g.NumVertices();
+  std::vector<double> closeness(n, 0.0);
+  TraversalScratch scratch;
+  for (NodeId v = 0; v < n; ++v) {
+    Traverse(g, v, scratch);
+    double sum = 0.0;
+    double reachable = 0.0;
+    for (NodeId u = 0; u < n; ++u) {
+      if (u != v && scratch.Reached(u)) {
+        sum += scratch.DistanceOf(u);
+        reachable += 1.0;
+      }
+    }
+    if (sum > 0.0 && n > 1) {
+      closeness[v] = (reachable / (n - 1.0)) * (reachable / sum);
+    }
+  }
+  return closeness;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& want, const std::string& name) {
+  ASSERT_EQ(got.size(), want.size()) << name;
+  if (got.empty()) return;  // memcmp must not see empty vectors' null data
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0)
+      << name;
+}
+
+// Every UndirectedCases() shape with and without weights (the weighted
+// one runs per-source Dijkstra), directed RMat and forest-fire graphs,
+// and n = 0 and n = 1.
+std::vector<std::pair<std::string, Graph>> ClosenessGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const GraphCase& c : UndirectedCases()) {
+    Graph g = c.make();
+    graphs.emplace_back(c.name + "_unweighted", g.Unweighted());
+    graphs.emplace_back(c.name, std::move(g));
+  }
+  Rng rng(51);
+  graphs.emplace_back("rmat_directed",
+                      RMat(8, 900, 0.57, 0.19, 0.19, true, rng));
+  graphs.emplace_back("forest_fire_directed",
+                      ForestFireModel(300, 0.35, true, rng));
+  graphs.emplace_back("n0", Graph::FromEdges(0, {}, false, false));
+  graphs.emplace_back("n1", Graph::FromEdges(1, {}, false, false));
+  return graphs;
+}
+
+TEST(ClosenessTest, BitIdenticalToPerSourceLoop) {
+  ThreadPool pool(4);
+  for (const auto& [name, g] : ClosenessGraphs()) {
+    const std::vector<double> want = PerSourceCloseness(g);
+    ExpectSameBits(ClosenessCentrality(g), want, name);
+    SubtaskPoolScope scope(&pool);
+    ExpectSameBits(ClosenessCentrality(g), want, name + " (pool)");
+  }
+}
+
+// The centrality workload's graph: ca-AstroPh@0.6 subgraphs that keep
+// 100%, 50% and 10% of the edges.
+TEST(ClosenessTest, BitIdenticalToPerSourceLoopOnAstroPhSubgraphs) {
+  const Graph g = LoadDatasetScaled("ca-AstroPh", 0.6).graph;
+  for (double keep : {1.0, 0.5, 0.1}) {
+    Rng rng(53);
+    std::vector<uint8_t> mask(g.NumEdges());
+    for (uint8_t& m : mask) m = rng.NextBernoulli(keep) ? 1 : 0;
+    const Graph h = g.Subgraph(mask);
+    ASSERT_FALSE(h.IsWeighted());
+    ExpectSameBits(ClosenessCentrality(h), PerSourceCloseness(h),
+                   "keep=" + std::to_string(keep));
+  }
 }
 
 TEST(EigenvectorTest, UniformOnCycle) {

@@ -1,13 +1,20 @@
 // Tests for distance metrics: SSSP correctness against brute force,
 // eccentricity, approximate diameter, and the SPSP/eccentricity stretch
-// evaluators.
+// evaluators (eccentricity stretch also against the per-source loop it
+// replaced).
 #include "src/metrics/distance.h"
+
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/metrics/components.h"
 #include "src/util/rng.h"
+#include "src/util/stats.h"
+#include "tests/test_graphs.h"
 
 namespace sparsify {
 namespace {
@@ -137,6 +144,79 @@ TEST(EccentricityStretchTest, IdenticalGraphUnitStretch) {
   StretchResult r = EccentricityStretch(g, g, 30, rng);
   EXPECT_DOUBLE_EQ(r.mean_stretch, 1.0);
   EXPECT_DOUBLE_EQ(r.unreachable, 0.0);
+}
+
+// EccentricityStretch as it was before the multi-source BFS, kept as the
+// reference: one Eccentricity call per source on each graph, in sample
+// order.
+StretchResult PerSourceEccentricityStretch(const Graph& original,
+                                           const Graph& sparsified,
+                                           int num_sources, Rng& rng) {
+  StretchResult result;
+  const NodeId n = original.NumVertices();
+  if (n == 0 || num_sources <= 0) return result;
+  std::vector<uint64_t> samples =
+      rng.SampleWithoutReplacement(n, std::min<uint64_t>(n, num_sources));
+  std::vector<double> stretches;
+  int broken = 0, total = 0;
+  for (uint64_t s : samples) {
+    const NodeId v = static_cast<NodeId>(s);
+    const double eo = Eccentricity(original, v);
+    if (eo == kInfDistance || eo == 0.0) continue;
+    ++total;
+    const double es = Eccentricity(sparsified, v);
+    if (es == kInfDistance) {
+      ++broken;
+    } else {
+      stretches.push_back(es / eo);
+    }
+  }
+  result.mean_stretch = Mean(stretches);
+  result.unreachable = total > 0 ? static_cast<double>(broken) / total : 0.0;
+  result.pairs_evaluated = static_cast<int>(stretches.size());
+  return result;
+}
+
+// About half of the edges of `g`, one seeded coin flip per edge.
+Graph HalfOf(const Graph& g, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> keep(g.NumEdges());
+  for (uint8_t& k : keep) k = rng.NextBernoulli(0.5) ? 1 : 0;
+  return g.Subgraph(keep);
+}
+
+TEST(EccentricityStretchTest, BitIdenticalToPerSourceLoop) {
+  std::vector<std::pair<std::string, std::pair<Graph, Graph>>> cases;
+  for (const GraphCase& c : UndirectedCases()) {
+    Graph g = c.make();
+    Graph h = HalfOf(g, 61);
+    cases.push_back({c.name, {std::move(g), std::move(h)}});
+  }
+  Rng rng(62);
+  Graph rmat = RMat(8, 900, 0.57, 0.19, 0.19, true, rng);
+  Graph rmat_half = HalfOf(rmat, 63);
+  cases.push_back({"rmat_directed", {rmat, rmat_half}});
+  // An unweighted input with a weighted subgraph, as ER-w produces.
+  Graph astro = LoadDatasetScaled("ca-AstroPh", 0.6).graph;
+  Graph astro_half = HalfOf(astro, 64);
+  cases.push_back({"astro_half", {astro, astro_half}});
+  cases.push_back(
+      {"astro_half_weighted",
+       {astro, WithRandomWeights(astro_half, 10.0, rng)}});
+  for (const auto& [name, graphs] : cases) {
+    const auto& [g, h] = graphs;
+    for (int sources : {1, 50, 64, 130}) {
+      Rng a(65), b(65);
+      const StretchResult got = EccentricityStretch(g, h, sources, a);
+      const StretchResult want = PerSourceEccentricityStretch(g, h, sources, b);
+      EXPECT_EQ(got.mean_stretch, want.mean_stretch)
+          << name << " sources=" << sources;
+      EXPECT_EQ(got.unreachable, want.unreachable)
+          << name << " sources=" << sources;
+      EXPECT_EQ(got.pairs_evaluated, want.pairs_evaluated)
+          << name << " sources=" << sources;
+    }
+  }
 }
 
 TEST(ConnectivityTest, UnreachableRatioExact) {

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/linalg/cg.h"
 #include "src/linalg/laplacian.h"
@@ -174,6 +175,30 @@ TEST(SpanningForestTest, MinimumWeightOnWeightedGraph) {
   Graph h = SpanningForestSparsifier().Sparsify(g, 0.0, rng);
   EXPECT_EQ(h.NumEdges(), 2u);
   EXPECT_FALSE(h.HasEdge(0, 2));
+}
+
+// The forest oracle: SF keeps exactly n - c edges, and its subgraph has
+// the input's c components.
+void ExpectSpanningForest(const Graph& g, const std::string& name) {
+  Rng rng(9);
+  const Graph h = SpanningForestSparsifier().Sparsify(g, 0.0, rng);
+  const NodeId c = ConnectedComponents(g).num_components;
+  EXPECT_EQ(h.NumEdges(), g.NumVertices() - c) << name;
+  EXPECT_EQ(ConnectedComponents(h).num_components, c) << name;
+}
+
+TEST(SpanningForestTest, ForestOracleOnEveryShape) {
+  for (const GraphCase& c : UndirectedCases()) {
+    ExpectSpanningForest(c.make(), c.name);
+  }
+}
+
+// Symmetrized, as the engine hands directed datasets to SF.
+TEST(SpanningForestTest, ForestOracleOnEveryDatasetAtTenthScale) {
+  for (const std::string& name : DatasetNames()) {
+    ExpectSpanningForest(LoadDatasetScaled(name, 0.1).graph.Symmetrized(),
+                         name + "@0.1");
+  }
 }
 
 TEST(SpanningForestTest, DirectedThrows) {

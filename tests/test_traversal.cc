@@ -1,7 +1,8 @@
 // Tests for the shared traversal kernel (src/graph/traversal.h): push-only
 // == hybrid == legacy queue BFS on every graph shape, Dijkstra parity,
 // scratch reuse across graph sizes and threads, the SoA CSR spans, the
-// TraversalSummary folds, the cached MaxDegree, and full-metric
+// TraversalSummary folds, the cached MaxDegree, the multi-source BFS
+// against BfsLevels from each of its sources, and full-metric
 // bit-identity of a distance-heavy multi-metric run at 1/2/8 threads.
 #include "src/graph/traversal.h"
 
@@ -9,12 +10,16 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
+#include <stdexcept>
 
 #include "src/engine/batch_runner.h"
 #include "src/graph/generators.h"
 #include "src/metrics/distance.h"
+#include "src/obs/counters.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_graphs.h"
 
 namespace sparsify {
 namespace {
@@ -297,6 +302,112 @@ TEST(TraversalKernelTest, EccentricityMatchesVectorFold) {
       EXPECT_EQ(Eccentricity(g, v), want) << ng.name << " v=" << v;
     }
   }
+}
+
+// Graphs the multi-source BFS oracle sweeps: every UndirectedCases() shape
+// without its weights (the disconnected one has isolated vertices),
+// directed RMat and forest-fire graphs, and n = 0 and n = 1. Apart from
+// n = 0, only the RMat graph has a multiple of 64 vertices.
+std::vector<NamedGraph> MultiSourceGraphs() {
+  std::vector<NamedGraph> graphs;
+  for (const GraphCase& c : UndirectedCases()) {
+    graphs.push_back({c.name, c.make().Unweighted()});
+  }
+  Rng rng(41);
+  graphs.push_back(
+      {"rmat_directed", RMat(7, 500, 0.57, 0.19, 0.19, true, rng)});
+  graphs.push_back(
+      {"forest_fire_directed", ForestFireModel(150, 0.35, true, rng)});
+  graphs.push_back({"n0", Graph::FromEdges(0, {}, false, false)});
+  graphs.push_back({"n1", Graph::FromEdges(1, {}, false, false)});
+  return graphs;
+}
+
+// What MultiSourceBfs must report for `src`, read off BfsLevels.
+MultiBfsStats OneSourceStats(const Graph& g, NodeId src,
+                             TraversalScratch& scratch) {
+  const TraversalSummary sum = BfsLevels(g, src, scratch);
+  MultiBfsStats stats;
+  stats.reached = sum.reached;
+  for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    if (scratch.Reached(v)) stats.level_sum += scratch.LevelOf(v);
+  }
+  stats.max_level = static_cast<uint32_t>(sum.max_dist);
+  return stats;
+}
+
+TEST(MultiSourceBfsTest, MatchesBfsLevelsForEverySource) {
+  TraversalScratch multi;  // shared across graphs and batch sizes
+  TraversalScratch single;
+  for (const NamedGraph& ng : MultiSourceGraphs()) {
+    const Graph& g = ng.graph;
+    const NodeId n = g.NumVertices();
+    if (n == 0) {
+      MultiSourceBfs(g, {}, multi, {});  // no sources: nothing to do
+      continue;
+    }
+    for (size_t count : {1, 63, 64, 65}) {
+      // Sources stride through the vertices, so the small graphs repeat
+      // some; 65 sources take a second call of one.
+      std::vector<NodeId> sources(count);
+      for (size_t i = 0; i < count; ++i) {
+        sources[i] = static_cast<NodeId>((i * 7) % n);
+      }
+      std::vector<MultiBfsStats> got(count);
+      for (size_t first = 0; first < count; first += kMaxMultiBfsSources) {
+        const size_t k = std::min(kMaxMultiBfsSources, count - first);
+        MultiSourceBfs(g, std::span(sources).subspan(first, k), multi,
+                       std::span(got).subspan(first, k));
+      }
+      for (size_t i = 0; i < count; ++i) {
+        const MultiBfsStats want = OneSourceStats(g, sources[i], single);
+        EXPECT_EQ(got[i].reached, want.reached)
+            << ng.name << " count=" << count << " src=" << sources[i];
+        EXPECT_EQ(got[i].level_sum, want.level_sum)
+            << ng.name << " count=" << count << " src=" << sources[i];
+        EXPECT_EQ(got[i].max_level, want.max_level)
+            << ng.name << " count=" << count << " src=" << sources[i];
+      }
+    }
+  }
+}
+
+// The oracle above must cover both directions: 64 sources on a dense
+// graph pull, and one source on a path only pushes.
+TEST(MultiSourceBfsTest, TakesBothDirections) {
+  obs::Counter& pulls = obs::GetCounter("traversal.msbfs_pull_rounds");
+  TraversalScratch scratch;
+  Rng rng(43);
+  Graph dense = ErdosRenyi(200, 2000, false, rng);
+  std::vector<NodeId> sources(kMaxMultiBfsSources);
+  for (size_t i = 0; i < sources.size(); ++i) sources[i] = 3 * i;
+  std::vector<MultiBfsStats> out(sources.size());
+  uint64_t before = pulls.Value();
+  MultiSourceBfs(dense, sources, scratch, out);
+  EXPECT_GT(pulls.Value(), before);
+
+  Graph path = PathGraph(100);
+  const NodeId src = 0;
+  MultiBfsStats one;
+  before = pulls.Value();
+  MultiSourceBfs(path, std::span(&src, 1), scratch, std::span(&one, 1));
+  EXPECT_EQ(pulls.Value(), before);
+  EXPECT_EQ(one.reached, 100u);
+  EXPECT_EQ(one.max_level, 99u);
+  EXPECT_EQ(one.level_sum, 99u * 100u / 2);
+}
+
+TEST(MultiSourceBfsTest, RejectsMoreThan64SourcesOrAMismatchedOutput) {
+  Graph g = PathGraph(80);
+  TraversalScratch scratch;
+  std::vector<NodeId> sources(65);
+  for (size_t i = 0; i < sources.size(); ++i) sources[i] = i;
+  std::vector<MultiBfsStats> out(65);
+  EXPECT_THROW(MultiSourceBfs(g, sources, scratch, out),
+               std::invalid_argument);
+  EXPECT_THROW(MultiSourceBfs(g, std::span(sources).first(3), scratch,
+                              std::span(out).first(2)),
+               std::invalid_argument);
 }
 
 // Distance-heavy multi-metric run must stay bit-identical at every thread
