@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cli/args.h"
@@ -770,38 +769,21 @@ int CmdMerge(const Args& args) {
   ResultStore out(out_dir);
 
   // Fold order: OUT's own cells first, then each input in argv order, so
-  // later inputs win ties. Cross-store, a success always beats an error
-  // record for the same key — equal keys compute bit-identical values,
-  // so any success IS the value and the error just records a worker's
-  // failed attempt elsewhere.
-  std::vector<StoredCell> merged = out.Cells();
-  std::unordered_map<std::string, size_t> index;
-  for (size_t i = 0; i < merged.size(); ++i) {
-    index.emplace(merged[i].key.Canonical(), i);
-  }
-  auto fold = [&](const StoredCell& cell) {
-    std::string canonical = cell.key.Canonical();
-    auto it = index.find(canonical);
-    if (it == index.end()) {
-      index.emplace(std::move(canonical), merged.size());
-      merged.push_back(cell);
-      return;
-    }
-    StoredCell& slot = merged[it->second];
-    if (cell.is_error && !slot.is_error) return;
-    slot = cell;
-  };
+  // later inputs win ties — the store's replay rule, under which a success
+  // always beats an error record for the same key: equal keys compute
+  // bit-identical values, so any success IS the value and the error just
+  // records a worker's failed attempt elsewhere.
+  std::vector<std::unique_ptr<ResultStore>> snapshots;
+  std::vector<const ResultStore*> stores;
   size_t input_records = 0;
   for (const std::string& dir : inputs) {
     ResultStoreOptions snapshot;
     snapshot.read_only = true;
-    ResultStore in(dir, snapshot);
-    for (const StoredCell& cell : in.Cells()) {
-      fold(cell);
-      ++input_records;
-    }
+    snapshots.push_back(std::make_unique<ResultStore>(dir, snapshot));
+    stores.push_back(snapshots.back().get());
+    input_records += snapshots.back()->Size();
   }
-  out.ReplaceWithMerged(std::move(merged));
+  out.Merge(stores);
 
   std::cout << "merged " << inputs.size() << " store(s), " << input_records
             << " cell(s) -> " << out.Dir() << ": " << out.Size()

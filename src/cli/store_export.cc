@@ -4,6 +4,7 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <string_view>
 #include <tuple>
 
 #include "src/sparsifiers/sparsifier.h"
@@ -13,33 +14,49 @@ namespace sparsify::cli {
 
 namespace {
 
-// Registry rank for deterministic series order; unknown names (from a
-// different code revision) sort after all known ones, alphabetically.
-size_t SparsifierRank(const std::string& short_name) {
+// Where a sparsifier's series goes and how its rates read. Resolved once
+// per name: the sort compares each cell about log2(n) times.
+struct SeriesOrder {
+  // Registry rank for deterministic series order; unknown names (from a
+  // different code revision) sort after all known ones, alphabetically.
+  size_t rank = 0;
+  // Fixed-output algorithms report the achieved mean as their rate.
+  bool fixed_output = false;
+};
+
+SeriesOrder OrderOf(const std::string& short_name) {
   static const std::vector<std::string> names = SparsifierNames();
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == short_name) return i;
+  SeriesOrder order;
+  order.rank = static_cast<size_t>(
+      std::find(names.begin(), names.end(), short_name) - names.begin());
+  try {
+    order.fixed_output =
+        CreateSparsifier(short_name)->Info().prune_rate_control ==
+        PruneRateControl::kNone;
+  } catch (const std::invalid_argument&) {
+    // unknown sparsifier: leave stored rates untouched
   }
-  return names.size();
+  return order;
 }
 
-bool IsFixedOutput(const std::string& short_name) {
-  try {
-    return CreateSparsifier(short_name)->Info().prune_rate_control ==
-           PruneRateControl::kNone;
-  } catch (const std::invalid_argument&) {
-    return false;  // unknown sparsifier: leave stored rates untouched
-  }
-}
+// One result cell of a group, with its series order resolved.
+struct RankedCell {
+  const StoredCell* cell;
+  const SeriesOrder* order;
+};
 
 }  // namespace
 
 std::vector<StoreGroup> RebuildSeries(const ResultStore& store,
                                       const std::string& dataset_filter,
                                       const std::string& metric_filter) {
-  using GroupKey = std::tuple<std::string, std::string, uint64_t, std::string>;
-  std::map<GroupKey, std::vector<StoredCell>> groups;
-  for (const StoredCell& cell : store.Cells()) {
+  const std::vector<StoredCell> cells = store.Cells();
+  // Views into `cells`, which outlives both maps.
+  std::map<std::string_view, SeriesOrder> orders;
+  using GroupKey = std::tuple<std::string_view, std::string_view, uint64_t,
+                              std::string_view>;
+  std::map<GroupKey, std::vector<RankedCell>> groups;
+  for (const StoredCell& cell : cells) {
     // Error records are failed units, not results: exporting them would
     // fold zeros into the series means. `ls` reports their count.
     if (cell.is_error) continue;
@@ -47,13 +64,18 @@ std::vector<StoreGroup> RebuildSeries(const ResultStore& store,
       continue;
     }
     if (!metric_filter.empty() && cell.key.metric != metric_filter) continue;
+    auto order = orders.find(cell.key.sparsifier);
+    if (order == orders.end()) {
+      order = orders.emplace(cell.key.sparsifier, OrderOf(cell.key.sparsifier))
+                  .first;
+    }
     groups[{cell.key.dataset, cell.key.metric, cell.key.master_seed,
             cell.key.code_rev}]
-        .push_back(cell);
+        .push_back({&cell, &order->second});
   }
 
   std::vector<StoreGroup> out;
-  for (auto& [key, cells] : groups) {
+  for (auto& [key, ranked] : groups) {
     StoreGroup group;
     std::tie(group.dataset, group.metric, group.master_seed, group.code_rev) =
         key;
@@ -61,32 +83,32 @@ std::vector<StoreGroup> RebuildSeries(const ResultStore& store,
     // Since r4 a (sparsifier, rate, run) triple IS the cell's identity
     // within a group — grid position is no longer part of the key — so
     // the sort is a total order over distinct cells; nothing to dedup.
-    std::sort(cells.begin(), cells.end(),
-              [](const StoredCell& a, const StoredCell& b) {
-                size_t ra = SparsifierRank(a.key.sparsifier);
-                size_t rb = SparsifierRank(b.key.sparsifier);
-                return std::tie(ra, a.key.sparsifier, a.key.prune_rate,
-                                a.key.run) <
-                       std::tie(rb, b.key.sparsifier, b.key.prune_rate,
-                                b.key.run);
+    std::sort(ranked.begin(), ranked.end(),
+              [](const RankedCell& a, const RankedCell& b) {
+                const CellKey& ka = a.cell->key;
+                const CellKey& kb = b.cell->key;
+                return std::tie(a.order->rank, ka.sparsifier, ka.prune_rate,
+                                ka.run) < std::tie(b.order->rank,
+                                                   kb.sparsifier,
+                                                   kb.prune_rate, kb.run);
               });
-    group.cells = cells.size();
+    group.cells = ranked.size();
 
     size_t i = 0;
-    while (i < cells.size()) {
+    while (i < ranked.size()) {
       SweepSeries series;
-      series.sparsifier = cells[i].key.sparsifier;
-      bool fixed_output = IsFixedOutput(series.sparsifier);
-      while (i < cells.size() &&
-             cells[i].key.sparsifier == series.sparsifier) {
-        double rate = cells[i].key.prune_rate;
+      series.sparsifier = ranked[i].cell->key.sparsifier;
+      const bool fixed_output = ranked[i].order->fixed_output;
+      while (i < ranked.size() &&
+             ranked[i].cell->key.sparsifier == series.sparsifier) {
+        double rate = ranked[i].cell->key.prune_rate;
         std::vector<double> values;
         std::vector<double> achieved;
-        while (i < cells.size() &&
-               cells[i].key.sparsifier == series.sparsifier &&
-               cells[i].key.prune_rate == rate) {
-          values.push_back(cells[i].value);
-          achieved.push_back(cells[i].achieved_prune_rate);
+        while (i < ranked.size() &&
+               ranked[i].cell->key.sparsifier == series.sparsifier &&
+               ranked[i].cell->key.prune_rate == rate) {
+          values.push_back(ranked[i].cell->value);
+          achieved.push_back(ranked[i].cell->achieved_prune_rate);
           ++i;
         }
         SweepPoint point;

@@ -130,7 +130,7 @@ std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
   for (size_t i = 0; i < grid.tasks.size(); ++i) {
     std::vector<uint32_t> missing_ids;
     for (uint32_t m = 0; m < metrics.size(); ++m) {
-      std::optional<StoredCell> cached;
+      std::optional<StoredOutcome> cached;
       if (store_ != nullptr && reuse_cached_) {
         cached = store_->Lookup(grid.Key(i, m));
       }

@@ -109,7 +109,7 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
   // retried; phase B completeness says yes, or two survivors would
   // ping-pong a deterministically failing unit forever.
   auto unit_present = [&](size_t i, size_t m, bool errors_count) {
-    std::optional<StoredCell> cached = store_->Lookup(grid.Key(i, m));
+    std::optional<StoredOutcome> cached = store_->Lookup(grid.Key(i, m));
     if (!cached.has_value()) return false;
     return errors_count || !cached->is_error;
   };
@@ -208,7 +208,7 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
   stats.peer_units += store_->RefreshPeers();
   for (size_t i = 0; i < tasks.size(); ++i) {
     for (size_t m = 0; m < metrics.size(); ++m) {
-      std::optional<StoredCell> cell = store_->Lookup(grid.Key(i, m));
+      std::optional<StoredOutcome> cell = store_->Lookup(grid.Key(i, m));
       // Unresolved units (cancelled mid-run, or a failed unit's error
       // record) keep the default slot, exactly like the unsharded
       // fault-tolerant path.

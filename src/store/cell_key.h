@@ -88,8 +88,9 @@ struct CellKey {
   std::string metric;
   std::string code_rev = kResultCodeRev;
 
-  /// Canonical string form used as the store's index key. Doubles are
+  /// Canonical, human-readable string form of the key. Doubles are
   /// rendered with round-trip precision so equal keys stringify equally.
+  /// The store's index uses a packed form with the same identity.
   std::string Canonical() const;
 
   bool operator==(const CellKey& other) const {

@@ -1,19 +1,22 @@
 #include "src/store/result_store.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
+#include <memory>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
-#include "src/util/crc32c.h"
+#include "src/store/record_codec.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
 #include "src/util/timer.h"
@@ -30,354 +33,7 @@ namespace sparsify {
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON line codec. The store both writes and reads every line,
-// so only the subset it emits must round-trip: one object per line, string
-// keys, values that are strings or numbers. Doubles use %.17g, which
-// round-trips every finite IEEE double (nan/inf are emitted bare and
-// accepted back).
-// ---------------------------------------------------------------------------
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-struct Field {
-  bool is_string = false;
-  std::string text;  // unescaped string, or the raw number token
-};
-
-using FieldMap = std::map<std::string, Field>;
-
-// Parses one flat JSON object. Returns false on any syntax error (the
-// caller decides whether that is a droppable tail or fatal corruption).
-bool ParseFlatObject(const std::string& line, FieldMap* out) {
-  size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  auto parse_string = [&](std::string* s) -> bool {
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    while (i < line.size()) {
-      char c = line[i];
-      if (c == '"') {
-        ++i;
-        return true;
-      }
-      if (c == '\\') {
-        if (i + 1 >= line.size()) return false;
-        char esc = line[i + 1];
-        i += 2;
-        switch (esc) {
-          case '"': s->push_back('"'); break;
-          case '\\': s->push_back('\\'); break;
-          case '/': s->push_back('/'); break;
-          case 'n': s->push_back('\n'); break;
-          case 't': s->push_back('\t'); break;
-          case 'r': s->push_back('\r'); break;
-          case 'b': s->push_back('\b'); break;
-          case 'f': s->push_back('\f'); break;
-          case 'u': {
-            if (i + 4 > line.size()) return false;
-            char* end = nullptr;
-            std::string hex = line.substr(i, 4);
-            long code = std::strtol(hex.c_str(), &end, 16);
-            if (end != hex.c_str() + 4 || code > 0xff) return false;
-            s->push_back(static_cast<char>(code));
-            i += 4;
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        s->push_back(c);
-        ++i;
-      }
-    }
-    return false;  // unterminated string
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') {
-    ++i;
-  } else {
-    while (true) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(&key)) return false;
-      skip_ws();
-      if (i >= line.size() || line[i] != ':') return false;
-      ++i;
-      skip_ws();
-      Field field;
-      if (i < line.size() && line[i] == '"') {
-        field.is_string = true;
-        if (!parse_string(&field.text)) return false;
-      } else {
-        // Number (or nan/inf/true/false/null): take the bare token.
-        size_t start = i;
-        while (i < line.size() && line[i] != ',' && line[i] != '}' &&
-               line[i] != ' ' && line[i] != '\t') {
-          ++i;
-        }
-        field.text = line.substr(start, i - start);
-        if (field.text.empty()) return false;
-      }
-      (*out)[key] = std::move(field);
-      skip_ws();
-      if (i < line.size() && line[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < line.size() && line[i] == '}') {
-        ++i;
-        break;
-      }
-      return false;
-    }
-  }
-  skip_ws();
-  return i == line.size();  // trailing garbage is a parse failure
-}
-
-bool GetString(const FieldMap& f, const std::string& key, std::string* out) {
-  auto it = f.find(key);
-  if (it == f.end() || !it->second.is_string) return false;
-  *out = it->second.text;
-  return true;
-}
-
-bool GetDouble(const FieldMap& f, const std::string& key, double* out) {
-  auto it = f.find(key);
-  if (it == f.end() || it->second.is_string) return false;
-  char* end = nullptr;
-  *out = std::strtod(it->second.text.c_str(), &end);
-  return end == it->second.text.c_str() + it->second.text.size();
-}
-
-bool GetUint64(const FieldMap& f, const std::string& key, uint64_t* out) {
-  auto it = f.find(key);
-  if (it == f.end() || it->second.is_string) return false;
-  char* end = nullptr;
-  *out = std::strtoull(it->second.text.c_str(), &end, 10);
-  return end == it->second.text.c_str() + it->second.text.size();
-}
-
-bool GetInt(const FieldMap& f, const std::string& key, int* out) {
-  auto it = f.find(key);
-  if (it == f.end() || it->second.is_string) return false;
-  char* end = nullptr;
-  long v = std::strtol(it->second.text.c_str(), &end, 10);
-  if (end != it->second.text.c_str() + it->second.text.size()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-constexpr char kFormatName[] = "sparsify-result-store";
-
-// The record-final checksum field. The CRC covers the serialized record
-// WITHOUT this suffix (i.e. the bytes up to the suffix, plus the closing
-// brace), so writer and reader agree without re-serializing.
-constexpr char kCrcSuffix[] = ",\"crc32c\":\"";
-constexpr size_t kCrcSuffixLen = sizeof(kCrcSuffix) - 1;
-constexpr size_t kCrcHexLen = 8;
-
-std::string SerializeHeader() {
-  std::string line = "{\"format\":\"";
-  line += kFormatName;
-  line += "\",\"version\":" +
-          std::to_string(ResultStore::kFormatVersion) + "}\n";
-  return line;
-}
-
-// Takes a serialized record "{...}" (no newline), returns it with the
-// checksum spliced in before the closing brace and a trailing newline:
-// {...,"crc32c":"xxxxxxxx"}\n
-std::string WithCrc(std::string record) {
-  const uint32_t crc = Crc32c(record);
-  char hex[kCrcHexLen + 1];
-  std::snprintf(hex, sizeof(hex), "%08x", crc);
-  record.pop_back();  // the '}' the CRC nonetheless covers
-  record += kCrcSuffix;
-  record += hex;
-  record += "\"}\n";
-  return record;
-}
-
-// True when `line` ends in a well-formed, matching checksum field. A
-// record without one is as corrupt as one whose checksum fails.
-bool CrcOk(const std::string& line) {
-  const size_t p = line.rfind(kCrcSuffix);
-  // The suffix must be exactly the final field: ,"crc32c":"XXXXXXXX"}
-  if (p == std::string::npos ||
-      p + kCrcSuffixLen + kCrcHexLen + 2 != line.size() ||
-      line.compare(line.size() - 2, 2, "\"}") != 0) {
-    return false;
-  }
-  uint32_t want = 0;
-  for (size_t i = 0; i < kCrcHexLen; ++i) {
-    const char c = line[p + kCrcSuffixLen + i];
-    uint32_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint32_t>(c - 'a' + 10);
-    } else {
-      return false;  // writer emits lowercase hex only
-    }
-    want = (want << 4) | digit;
-  }
-  // Covered bytes: everything before the suffix, re-closed.
-  std::string covered = line.substr(0, p);
-  covered += '}';
-  return Crc32c(covered) == want;
-}
-
-// Record body without checksum or newline; WithCrc finishes the line.
-std::string SerializeRecordBody(const StoredCell& cell) {
-  std::string line = "{\"dataset\":";
-  AppendEscaped(&line, cell.key.dataset);
-  line += ",\"sparsifier\":";
-  AppendEscaped(&line, cell.key.sparsifier);
-  line += ",\"prune_rate\":" + FormatDouble(cell.key.prune_rate);
-  line += ",\"run\":" + std::to_string(cell.key.run);
-  line += ",\"master_seed\":" + std::to_string(cell.key.master_seed);
-  line += ",\"metric\":";
-  AppendEscaped(&line, cell.key.metric);
-  line += ",\"code_rev\":";
-  AppendEscaped(&line, cell.key.code_rev);
-  if (cell.is_error) {
-    line += ",\"kind\":\"error\",\"error_class\":";
-    AppendEscaped(&line, cell.error_class);
-    line += ",\"error\":";
-    AppendEscaped(&line, cell.error_message);
-    line += ",\"attempts\":" + std::to_string(cell.attempts);
-  } else {
-    line +=
-        ",\"achieved_prune_rate\":" + FormatDouble(cell.achieved_prune_rate);
-    line += ",\"value\":" + FormatDouble(cell.value);
-  }
-  line += "}";
-  return line;
-}
-
-std::string SerializeRecord(const StoredCell& cell) {
-  return WithCrc(SerializeRecordBody(cell));
-}
-
-std::string SerializeClaim(const StoredClaim& claim) {
-  std::string line = "{\"kind\":\"claim\",\"writer\":";
-  AppendEscaped(&line, claim.writer);
-  line += ",\"scope\":";
-  AppendEscaped(&line, claim.scope);
-  line += ",\"chunk\":" + std::to_string(claim.chunk);
-  line += "}";
-  return WithCrc(line);
-}
-
-enum class LineKind { kCell, kClaim, kBad };
-
-// Parses a record line into either a cell or a claim. grid_index, an r3
-// key component dropped in r4, parses as an ignored extra field, so
-// pre-r4 logs still replay (their records simply never match r4 keys).
-LineKind ParseLine(const std::string& line, StoredCell* cell,
-                   StoredClaim* claim) {
-  FieldMap fields;
-  if (!ParseFlatObject(line, &fields)) return LineKind::kBad;
-  std::string kind;
-  const bool has_kind = GetString(fields, "kind", &kind);
-  if (has_kind && kind == "claim") {
-    if (!GetString(fields, "writer", &claim->writer) ||
-        !GetString(fields, "scope", &claim->scope) ||
-        !GetUint64(fields, "chunk", &claim->chunk)) {
-      return LineKind::kBad;
-    }
-    return LineKind::kClaim;
-  }
-  if (!GetString(fields, "dataset", &cell->key.dataset) ||
-      !GetString(fields, "sparsifier", &cell->key.sparsifier) ||
-      !GetDouble(fields, "prune_rate", &cell->key.prune_rate) ||
-      !GetInt(fields, "run", &cell->key.run) ||
-      !GetUint64(fields, "master_seed", &cell->key.master_seed) ||
-      !GetString(fields, "metric", &cell->key.metric) ||
-      !GetString(fields, "code_rev", &cell->key.code_rev)) {
-    return LineKind::kBad;
-  }
-  if (has_kind) {
-    if (kind != "error") return LineKind::kBad;  // unknown record kind
-    cell->is_error = true;
-    if (!GetString(fields, "error_class", &cell->error_class) ||
-        !GetString(fields, "error", &cell->error_message)) {
-      return LineKind::kBad;
-    }
-    GetInt(fields, "attempts", &cell->attempts);  // optional
-    return LineKind::kCell;
-  }
-  cell->is_error = false;
-  return GetDouble(fields, "achieved_prune_rate",
-                   &cell->achieved_prune_rate) &&
-                 GetDouble(fields, "value", &cell->value)
-             ? LineKind::kCell
-             : LineKind::kBad;
-}
-
-
-bool ParseHeader(const std::string& line) {
-  FieldMap fields;
-  if (!ParseFlatObject(line, &fields)) return false;
-  std::string format;
-  int version = 0;
-  if (!GetString(fields, "format", &format) ||
-      !GetInt(fields, "version", &version)) {
-    return false;
-  }
-  if (format != kFormatName) return false;
-  if (version != ResultStore::kFormatVersion) {
-    throw StoreCorruptError("result store: unsupported version " +
-                            std::to_string(version));
-  }
-  return true;
-}
+using store_codec::CellKeyView;
 
 FsyncPolicy FsyncPolicyFromEnv(FsyncPolicy fallback) {
   const char* env = std::getenv("SPARSIFY_STORE_FSYNC");
@@ -497,10 +153,34 @@ long PidSuffixOf(const std::string& name) {
   return v;
 }
 
-std::string ReadWholeFile(std::ifstream& in) {
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+// Reads `path` from byte `offset` to its end at the time of the call into
+// `out`. False when the file cannot be opened.
+bool ReadFileFrom(const std::string& path, uint64_t offset,
+                  std::string* out) {
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (f == nullptr) return false;
+  out->clear();
+  if (std::fseek(f.get(), 0, SEEK_END) != 0) return true;
+  const long size = std::ftell(f.get());
+  if (size < 0 || static_cast<uint64_t>(size) <= offset ||
+      std::fseek(f.get(), static_cast<long>(offset), SEEK_SET) != 0) {
+    return true;
+  }
+  out->resize(static_cast<size_t>(size) - offset);
+  out->resize(std::fread(out->data(), 1, out->size(), f.get()));
+  return true;
+}
+
+// The rate's bits as an index key component. %.17g prints every NaN of
+// one sign alike, so every NaN of one sign gets one key.
+uint64_t RateBits(double rate) {
+  if (std::isnan(rate)) {
+    rate = std::copysign(std::numeric_limits<double>::quiet_NaN(), rate);
+  }
+  uint64_t bits = 0;
+  std::memcpy(&bits, &rate, sizeof(bits));
+  return bits;
 }
 
 }  // namespace
@@ -515,7 +195,7 @@ std::string CellKey::Canonical() const {
   s.push_back('\x1f');
   s += sparsifier;
   s.push_back('\x1f');
-  s += FormatDouble(prune_rate);
+  s += store_codec::FormatDouble(prune_rate);
   s.push_back('\x1f');
   s += std::to_string(run);
   s.push_back('\x1f');
@@ -707,10 +387,8 @@ void ResultStore::Replay() {
 }
 
 void ResultStore::ReplayFile(const std::string& file, bool settle) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in) return;
-  const std::string content = ReadWholeFile(in);
-  in.close();
+  std::string content;
+  if (!ReadFileFrom(file, 0, &content)) return;
   LogFile& state = files_[file];
   state.closed = settle;
   AbsorbLines(file, state, content, /*strict=*/true, settle);
@@ -729,34 +407,33 @@ void ResultStore::ReplayFile(const std::string& file, bool settle) {
 }
 
 size_t ResultStore::AbsorbLines(const std::string& file, LogFile& state,
-                                const std::string& view, bool strict,
+                                std::string_view view, bool strict,
                                 bool settle) {
   static obs::Counter& poisoned_files =
       obs::GetCounter("store.poisoned_peer_files");
   size_t absorbed = 0;
+  store_codec::DecodedLine decoded;  // reused: the fast path allocates nothing
   size_t pos = 0;  // offset into `view`, i.e. file offset - state.consumed
   while (pos < view.size()) {
     const size_t nl = view.find('\n', pos);
-    const bool terminated = nl != std::string::npos;
+    const bool terminated = nl != std::string_view::npos;
     if (!terminated && !settle) break;  // partial line: writer mid-append
     const size_t end = terminated ? nl : view.size();
-    const std::string line = view.substr(pos, end - pos);
+    const std::string_view line = view.substr(pos, end - pos);
     const char* bad = nullptr;  // what is wrong with the line, if anything
     if (state.line_no == 0) {
-      if (!ParseHeader(line)) bad = "bad header (not a result-store log)";
+      if (!store_codec::ParseHeader(line)) {
+        bad = "bad header (not a result-store log)";
+      }
     } else {
-      StoredCell cell;
-      StoredClaim claim;
-      const LineKind kind = ParseLine(line, &cell, &claim);
-      if (kind == LineKind::kBad) {
-        bad = "corrupt record";
-      } else if (!CrcOk(line)) {
-        bad = "checksum mismatch";
-      } else {
-        if (kind == LineKind::kClaim) {
-          claims_.push_back(std::move(claim));
+      store_codec::DecodeRecordLine(line, /*fast=*/true, &decoded);
+      bad = decoded.bad;
+      if (bad == nullptr) {
+        if (decoded.kind == store_codec::LineKind::kClaim) {
+          claims_.push_back(decoded.claim);
         } else {
-          InsertLocked(std::move(cell), /*from_file=*/true);
+          InsertLocked(PackLocked(decoded.key), decoded.outcome,
+                       /*from_file=*/true);
           ++absorbed;
         }
         ++log_records_;
@@ -805,12 +482,10 @@ size_t ResultStore::RefreshPeersLocked() {
     if (seg.writer == writer_id_) continue;
     LogFile& state = files_[seg.path];
     if (state.closed) continue;
-    std::ifstream in(seg.path, std::ios::binary);
-    if (!in) continue;
-    in.seekg(static_cast<std::streamoff>(state.consumed));
-    if (!in) continue;
-    const std::string tail = ReadWholeFile(in);
-    if (tail.empty()) continue;
+    std::string tail;
+    if (!ReadFileFrom(seg.path, state.consumed, &tail) || tail.empty()) {
+      continue;
+    }
     absorbed += AbsorbLines(seg.path, state, tail, /*strict=*/false,
                             /*settle=*/false);
   }
@@ -835,24 +510,37 @@ size_t ResultStore::Size() const {
 
 size_t ResultStore::ErrorCount() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return error_cells_;
+  return errors_.size();
 }
 
 bool ResultStore::Contains(const CellKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index_.contains(key.Canonical());
+  return FindLocked(key) != nullptr;
 }
 
-std::optional<StoredCell> ResultStore::Lookup(const CellKey& key) const {
+std::optional<StoredOutcome> ResultStore::Lookup(const CellKey& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key.Canonical());
-  if (it == index_.end()) return std::nullopt;
-  return cells_[it->second];
+  const uint32_t* entry = FindLocked(key);
+  if (entry == nullptr) return std::nullopt;
+  return OutcomeLocked(*entry);
 }
 
 std::vector<StoredCell> ResultStore::Cells() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return cells_;
+  std::vector<StoredCell> cells(entries_.size());
+  for (uint32_t i = 0; i < entries_.size(); ++i) {
+    StoredCell& cell = cells[i];
+    static_cast<StoredOutcome&>(cell) = OutcomeLocked(i);
+    const CellKeyView key = KeyViewLocked(entries_[i].key);
+    cell.key.dataset = key.dataset;
+    cell.key.sparsifier = key.sparsifier;
+    cell.key.prune_rate = key.prune_rate;
+    cell.key.run = key.run;
+    cell.key.master_seed = key.master_seed;
+    cell.key.metric = key.metric;
+    cell.key.code_rev = key.code_rev;
+  }
+  return cells;
 }
 
 std::vector<StoredClaim> ResultStore::Claims() const {
@@ -860,22 +548,104 @@ std::vector<StoredClaim> ResultStore::Claims() const {
   return claims_;
 }
 
-void ResultStore::InsertLocked(StoredCell cell, bool from_file) {
-  std::string canonical = cell.key.Canonical();
-  auto it = index_.find(canonical);
-  if (it != index_.end()) {
-    StoredCell& slot = cells_[it->second];
+size_t ResultStore::PackedKeyHash::operator()(const PackedKey& k) const {
+  // Multiply-xorshift over the key's five 64-bit words.
+  const uint64_t words[] = {
+      k.dataset | static_cast<uint64_t>(k.sparsifier) << 32,
+      k.metric | static_cast<uint64_t>(k.code_rev) << 32,
+      static_cast<uint32_t>(k.run), k.rate_bits, k.master_seed};
+  uint64_t h = 0;
+  for (uint64_t w : words) {
+    h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 32;
+  }
+  return static_cast<size_t>(h);
+}
+
+uint32_t ResultStore::InternLocked(std::string_view name) {
+  auto it = name_ids_.find(name);
+  if (it != name_ids_.end()) return it->second;
+  const auto id = static_cast<uint32_t>(names_.size());
+  names_.emplace_back(name);
+  name_ids_.emplace(names_.back(), id);
+  return id;
+}
+
+ResultStore::PackedKey ResultStore::PackLocked(const CellKeyView& key) {
+  PackedKey packed;
+  packed.dataset = InternLocked(key.dataset);
+  packed.sparsifier = InternLocked(key.sparsifier);
+  packed.metric = InternLocked(key.metric);
+  packed.code_rev = InternLocked(key.code_rev);
+  packed.run = key.run;
+  packed.rate_bits = RateBits(key.prune_rate);
+  packed.master_seed = key.master_seed;
+  return packed;
+}
+
+const uint32_t* ResultStore::FindLocked(const CellKey& key) const {
+  auto id = [&](const std::string& name, uint32_t* out) {
+    auto it = name_ids_.find(name);
+    if (it == name_ids_.end()) return false;  // never stored
+    *out = it->second;
+    return true;
+  };
+  PackedKey packed;
+  if (!id(key.dataset, &packed.dataset) ||
+      !id(key.sparsifier, &packed.sparsifier) ||
+      !id(key.metric, &packed.metric) || !id(key.code_rev, &packed.code_rev)) {
+    return nullptr;
+  }
+  packed.run = key.run;
+  packed.rate_bits = RateBits(key.prune_rate);
+  packed.master_seed = key.master_seed;
+  auto it = index_.find(packed);
+  return it == index_.end() ? nullptr : &it->second;
+}
+
+CellKeyView ResultStore::KeyViewLocked(const PackedKey& key) const {
+  CellKeyView view;
+  view.dataset = names_[key.dataset];
+  view.sparsifier = names_[key.sparsifier];
+  std::memcpy(&view.prune_rate, &key.rate_bits, sizeof(view.prune_rate));
+  view.run = key.run;
+  view.master_seed = key.master_seed;
+  view.metric = names_[key.metric];
+  view.code_rev = names_[key.code_rev];
+  return view;
+}
+
+StoredOutcome ResultStore::OutcomeLocked(uint32_t entry) const {
+  const Entry& e = entries_[entry];
+  if (e.is_error) return errors_.at(entry);
+  StoredOutcome outcome;
+  outcome.achieved_prune_rate = e.achieved_prune_rate;
+  outcome.value = e.value;
+  return outcome;
+}
+
+void ResultStore::InsertLocked(const PackedKey& key,
+                               const StoredOutcome& outcome, bool from_file) {
+  const auto [it, inserted] =
+      index_.try_emplace(key, static_cast<uint32_t>(entries_.size()));
+  const uint32_t i = it->second;
+  if (inserted) {
+    entries_.push_back(Entry{key});
+  } else if (from_file && outcome.is_error && !entries_[i].is_error) {
     // A replayed error never shadows a completed result: equal keys carry
     // bit-identical values across writers, so any success IS the value;
     // the error just means some attempt failed.
-    if (from_file && cell.is_error && !slot.is_error) return;
-    if (slot.is_error && !cell.is_error) --error_cells_;
-    if (!slot.is_error && cell.is_error) ++error_cells_;
-    slot = std::move(cell);  // last write wins, keeps position
-  } else {
-    if (cell.is_error) ++error_cells_;
-    index_.emplace(std::move(canonical), cells_.size());
-    cells_.push_back(std::move(cell));
+    return;
+  }
+  // Last write wins and keeps the key's first-seen position.
+  Entry& slot = entries_[i];
+  slot.achieved_prune_rate = outcome.achieved_prune_rate;
+  slot.value = outcome.value;
+  slot.is_error = outcome.is_error;
+  if (outcome.is_error) {
+    errors_[i] = outcome;
+  } else if (!inserted) {
+    errors_.erase(i);
   }
 }
 
@@ -898,7 +668,7 @@ void ResultStore::OpenSegmentLocked() {
     throw IoError("result store: cannot open " + append_path_ +
                   " for append");
   }
-  const std::string header = SerializeHeader();
+  const std::string header = store_codec::SerializeHeader();
   out_ << header;
   append_path_bytes_ = header.size();
 #ifdef SPARSIFY_STORE_HAS_POSIX
@@ -967,11 +737,6 @@ void ResultStore::AppendRecordLocked(const std::string& line) {
   append_path_bytes_ += line.size();
 }
 
-void ResultStore::AppendLocked(StoredCell cell) {
-  AppendRecordLocked(SerializeRecord(cell));
-  InsertLocked(std::move(cell), /*from_file=*/false);
-}
-
 void ResultStore::Append(const CellKey& key, double achieved_prune_rate,
                          double value) {
   // Append latency includes the lock wait: contention from many workers
@@ -979,12 +744,16 @@ void ResultStore::Append(const CellKey& key, double achieved_prune_rate,
   static obs::Counter& appends = obs::GetCounter("store.appends");
   static obs::Histogram& append_ns = obs::GetHistogram("store.append_ns");
   Timer append_timer;
+  // The line and its checksum are built before the lock: workers wait
+  // only for each other's writes, not for each other's formatting.
+  const CellKeyView view(key);
+  StoredOutcome outcome;
+  outcome.achieved_prune_rate = achieved_prune_rate;
+  outcome.value = value;
+  const std::string line = store_codec::SerializeRecord(view, outcome);
   std::lock_guard<std::mutex> lock(mu_);
-  StoredCell cell;
-  cell.key = key;
-  cell.achieved_prune_rate = achieved_prune_rate;
-  cell.value = value;
-  AppendLocked(std::move(cell));
+  AppendRecordLocked(line);
+  InsertLocked(PackLocked(view), outcome, /*from_file=*/false);
   appends.Add();
   append_ns.Record(static_cast<uint64_t>(append_timer.Seconds() * 1e9));
 }
@@ -994,14 +763,16 @@ void ResultStore::AppendError(const CellKey& key,
                               const std::string& error_message,
                               int attempts) {
   static obs::Counter& errors = obs::GetCounter("store.error_appends");
+  const CellKeyView view(key);
+  StoredOutcome outcome;
+  outcome.is_error = true;
+  outcome.error_class = error_class;
+  outcome.error_message = error_message;
+  outcome.attempts = attempts;
+  const std::string line = store_codec::SerializeRecord(view, outcome);
   std::lock_guard<std::mutex> lock(mu_);
-  StoredCell cell;
-  cell.key = key;
-  cell.is_error = true;
-  cell.error_class = error_class;
-  cell.error_message = error_message;
-  cell.attempts = attempts;
-  AppendLocked(std::move(cell));
+  AppendRecordLocked(line);
+  InsertLocked(PackLocked(view), outcome, /*from_file=*/false);
   errors.Add();
 }
 
@@ -1012,13 +783,12 @@ void ResultStore::AppendClaim(const std::string& scope, uint64_t chunk) {
   claim.writer = writer_id_;
   claim.scope = scope;
   claim.chunk = chunk;
-  AppendRecordLocked(SerializeClaim(claim));
+  AppendRecordLocked(store_codec::SerializeClaim(claim));
   claims_.push_back(std::move(claim));
   claims.Add();
 }
 
-void ResultStore::RewriteLogLocked(const std::vector<StoredCell>& cells,
-                                   const std::string& tmp,
+void ResultStore::RewriteLogLocked(const std::string& tmp,
                                    const char* fp_write,
                                    const char* fp_rename) {
   // Write the replacement log beside the original, then rename over it.
@@ -1033,9 +803,10 @@ void ResultStore::RewriteLogLocked(const std::vector<StoredCell>& cells,
     if (!out) {
       throw IoError("result store: cannot open " + tmp + " for rewrite");
     }
-    out << SerializeHeader();
-    for (const StoredCell& cell : cells) {
-      out << SerializeRecord(cell);
+    out << store_codec::SerializeHeader();
+    for (uint32_t i = 0; i < entries_.size(); ++i) {
+      out << store_codec::SerializeRecord(KeyViewLocked(entries_[i].key),
+                                          OutcomeLocked(i));
     }
     out.flush();
     if (!out) {
@@ -1064,7 +835,7 @@ void ResultStore::RewriteLogLocked(const std::vector<StoredCell>& cells,
     std::error_code ec;
     fs::remove(seg.path, ec);
   }
-  log_records_ = cells.size();
+  log_records_ = entries_.size();
   claims_.clear();
   files_.clear();
   append_path_.clear();
@@ -1089,7 +860,7 @@ CompactStats ResultStore::Compact() {
   RefreshPeersLocked();
   CompactStats stats;
   stats.records_before = log_records_;
-  stats.records_after = cells_.size();
+  stats.records_after = entries_.size();
   {
     std::error_code ec;
     const auto size = fs::file_size(BasePath(), ec);
@@ -1100,8 +871,7 @@ CompactStats ResultStore::Compact() {
     }
   }
   CloseWriterLocked();
-  RewriteLogLocked(cells_, BasePath() + ".compact.tmp." +
-                               std::to_string(OwnPid()),
+  RewriteLogLocked(BasePath() + ".compact.tmp." + std::to_string(OwnPid()),
                    "store.compact.write", "store.compact.rename");
   {
     std::error_code ec;
@@ -1114,7 +884,7 @@ CompactStats ResultStore::Compact() {
   return stats;
 }
 
-void ResultStore::ReplaceWithMerged(std::vector<StoredCell> cells) {
+void ResultStore::Merge(const std::vector<const ResultStore*>& inputs) {
   TRACE_SPAN(span, "store_merge_commit");
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.read_only) {
@@ -1125,17 +895,23 @@ void ResultStore::ReplaceWithMerged(std::vector<StoredCell> cells) {
   RequireSoleWriter("merge");
   CloseWriterLocked();
 
-  // Swap in the merged view first so the rewrite and the in-memory index
-  // can never disagree.
-  cells_ = std::move(cells);
-  index_.clear();
-  error_cells_ = 0;
-  for (size_t i = 0; i < cells_.size(); ++i) {
-    index_.emplace(cells_[i].key.Canonical(), i);
-    if (cells_[i].is_error) ++error_cells_;
+  for (const ResultStore* in : inputs) {
+    std::lock_guard<std::mutex> in_lock(in->mu_);
+    std::vector<uint32_t> ids;  // the input's name ids -> this store's
+    ids.reserve(in->names_.size());
+    for (const std::string& name : in->names_) {
+      ids.push_back(InternLocked(name));
+    }
+    for (uint32_t i = 0; i < in->entries_.size(); ++i) {
+      PackedKey key = in->entries_[i].key;
+      key.dataset = ids[key.dataset];
+      key.sparsifier = ids[key.sparsifier];
+      key.metric = ids[key.metric];
+      key.code_rev = ids[key.code_rev];
+      InsertLocked(key, in->OutcomeLocked(i), /*from_file=*/true);
+    }
   }
-  RewriteLogLocked(cells_,
-                   BasePath() + ".merge.tmp." + std::to_string(OwnPid()),
+  RewriteLogLocked(BasePath() + ".merge.tmp." + std::to_string(OwnPid()),
                    "store.merge.write", "store.merge.rename");
 
   static obs::Counter& merges = obs::GetCounter("store.merge_commits");

@@ -3,7 +3,7 @@
 //
 // A store is a directory. Every writer, a lone one included, appends only
 // to its own segment chain (`log.<writer>.<n>.jsonl`); `results.jsonl`
-// exists only as the atomic output of Compact()/ReplaceWithMerged(). Every
+// exists only as the atomic output of Compact()/Merge(). Every
 // file is a self-describing version-2 header line followed by one flat
 // JSON object per record, each carrying a CRC-32C, and an error-record
 // kind lets a resumed sweep resubmit the units that failed.
@@ -26,11 +26,13 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -40,18 +42,26 @@
 
 namespace sparsify {
 
-/// One replayed or appended record: the key plus the cell's results, or —
-/// when `is_error` — the failure that kept the cell from completing.
-/// Error records occupy the same key space as results, so a later success
+namespace store_codec {
+struct CellKeyView;
+}  // namespace store_codec
+
+/// What the store holds for one key: the cell's results, or — when
+/// `is_error` — the failure that kept the cell from completing. Error
+/// records occupy the same key space as results, so a later success
 /// simply overwrites the error (last write wins).
-struct StoredCell {
-  CellKey key;
+struct StoredOutcome {
   double achieved_prune_rate = 0.0;
   double value = 0.0;
   bool is_error = false;
   std::string error_class;    // "transient" | "permanent" (empty for results)
   std::string error_message;  // sanitized what() of the failure
   int attempts = 0;           // tries consumed before giving up (errors only)
+};
+
+/// One replayed or appended record: the key plus its outcome.
+struct StoredCell : StoredOutcome {
+  CellKey key;
 };
 
 /// One shard-scheduler claim record: `writer` announced it is computing
@@ -99,7 +109,7 @@ struct ResultStoreOptions {
 /// to call from engine worker threads. Cross-process coordination is
 /// COOPERATIVE: any number of writers may hold the same store directory
 /// open, each appending to its own segment under a heartbeat lease.
-/// Whole-store rewrites (Compact, ReplaceWithMerged) still demand
+/// Whole-store rewrites (Compact, Merge) still demand
 /// exclusivity and throw StoreLockHeldError while other writers are live.
 class ResultStore {
  public:
@@ -136,7 +146,9 @@ class ResultStore {
 
   bool Contains(const CellKey& key) const;
 
-  std::optional<StoredCell> Lookup(const CellKey& key) const;
+  /// The key's outcome. A result copies no string; an error record
+  /// carries its class and message.
+  std::optional<StoredOutcome> Lookup(const CellKey& key) const;
 
   /// All cells in first-seen order. A key appended twice keeps its original
   /// position with the latest values (last write wins on replay too).
@@ -194,12 +206,14 @@ class ResultStore {
   /// reclaimed.
   CompactStats Compact();
 
-  /// Atomically replaces the whole store with `cells` (the `merge`
-  /// subcommand's commit step). Same exclusivity, atomicity, and
-  /// segment-folding rules as Compact(); the temp file is
-  /// `results.jsonl.merge.tmp.<pid>` so a killed merge leaves a
-  /// recognizable orphan for the open-time sweep.
-  void ReplaceWithMerged(std::vector<StoredCell> cells);
+  /// The `merge` subcommand's commit step: folds every record of
+  /// `inputs` (other stores, typically read-only snapshots) into this one
+  /// in order, by the replay rule — a later record wins, except that an
+  /// error never replaces a success — then atomically rewrites the store
+  /// as one file. Same exclusivity, atomicity, and segment-folding rules
+  /// as Compact(); the temp file is `results.jsonl.merge.tmp.<pid>` so a
+  /// killed merge leaves a recognizable orphan for the open-time sweep.
+  void Merge(const std::vector<const ResultStore*>& inputs);
 
   /// The fsync policy in force (from SPARSIFY_STORE_FSYNC at open).
   FsyncPolicy fsync_policy() const;
@@ -232,21 +246,57 @@ class ResultStore {
   // whole valid line is absorbed, anything else is counted as dropped.
   // Returns cell records absorbed.
   size_t AbsorbLines(const std::string& file, LogFile& state,
-                     const std::string& view, bool strict, bool settle);
+                     std::string_view view, bool strict, bool settle);
   size_t RefreshPeersLocked();
 
   std::string BasePath() const;
   void OpenSegmentLocked();  // closes the current segment, opens the next
   void AppendRecordLocked(const std::string& line);
-  void AppendLocked(StoredCell cell);
   void SyncLocked(bool closing);  // fsync per policy; throws IoError
   void CloseWriterLocked();       // flush + final sync + close fds
 
-  void InsertLocked(StoredCell cell, bool from_file);
-  // Shared commit step of Compact/ReplaceWithMerged: writes header +
-  // `cells` to `tmp`, fsyncs, renames over the base, unlinks segments.
-  void RewriteLogLocked(const std::vector<StoredCell>& cells,
-                        const std::string& tmp, const char* fp_write,
+  // The index key: interned ids of the key's names, the rate's bit
+  // pattern (NaNs folded to one per sign, as %.17g prints them), run and
+  // seed. Equal exactly when CellKey::Canonical() strings are.
+  struct PackedKey {
+    uint32_t dataset = 0;
+    uint32_t sparsifier = 0;
+    uint32_t metric = 0;
+    uint32_t code_rev = 0;
+    int32_t run = 0;
+    uint64_t rate_bits = 0;
+    uint64_t master_seed = 0;
+    bool operator==(const PackedKey&) const = default;
+  };
+  struct PackedKeyHash {
+    size_t operator()(const PackedKey& k) const;
+  };
+  // Heterogeneous hash, so names are looked up by string_view.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  // One key's latest record; an error record's details live in errors_.
+  struct Entry {
+    PackedKey key;
+    double achieved_prune_rate = 0.0;
+    double value = 0.0;
+    bool is_error = false;
+  };
+
+  uint32_t InternLocked(std::string_view name);
+  PackedKey PackLocked(const store_codec::CellKeyView& key);
+  // Null when the key was never stored (no interning, no allocation).
+  const uint32_t* FindLocked(const CellKey& key) const;
+  store_codec::CellKeyView KeyViewLocked(const PackedKey& key) const;
+  StoredOutcome OutcomeLocked(uint32_t entry) const;
+  void InsertLocked(const PackedKey& key, const StoredOutcome& outcome,
+                    bool from_file);
+  // Shared commit step of Compact/Merge: writes header + every entry to
+  // `tmp`, fsyncs, renames over the base, unlinks segments.
+  void RewriteLogLocked(const std::string& tmp, const char* fp_write,
                         const char* fp_rename);
 
   mutable std::mutex mu_;
@@ -259,13 +309,16 @@ class ResultStore {
   std::string append_path_;         // this writer's current segment
   uint64_t append_path_bytes_ = 0;  // its size (rotation threshold check)
   uint64_t next_segment_ = 0;       // sequence of this writer's next segment
-  std::vector<StoredCell> cells_;
-  std::unordered_map<std::string, size_t> index_;  // Canonical() -> cells_ idx
+  std::deque<std::string> names_;  // id -> name (stable addresses)
+  std::unordered_map<std::string, uint32_t, NameHash, std::equal_to<>>
+      name_ids_;
+  std::vector<Entry> entries_;  // first-seen order
+  std::unordered_map<PackedKey, uint32_t, PackedKeyHash> index_;
+  std::unordered_map<uint32_t, StoredOutcome> errors_;  // entries_ idx
   std::vector<StoredClaim> claims_;
   std::map<std::string, LogFile> files_;  // log path -> replay state
   size_t dropped_tail_bytes_ = 0;
   size_t log_records_ = 0;  // record lines in the log (incl. dupes)
-  size_t error_cells_ = 0;  // keys whose latest record is an error
   int sync_fd_ = -1;  // fsync descriptor for the log (ofstream hides its fd)
   FsyncPolicy fsync_policy_ = FsyncPolicy::kBatch;
   uint64_t appends_since_sync_ = 0;

@@ -1,5 +1,12 @@
 #include "src/util/crc32c.h"
 
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define SPARSIFY_CRC32C_HAS_SSE42 1
+#endif
+
 namespace sparsify {
 
 namespace {
@@ -22,14 +29,50 @@ struct Crc32cTable {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t len) {
+uint32_t Crc32cExtendTable(uint32_t crc, const void* data, size_t len) {
   static const Crc32cTable table;
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xffffffffu;
+  crc = ~crc;
   for (size_t i = 0; i < len; ++i) {
     crc = table.entries[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
   }
-  return crc ^ 0xffffffffu;
+  return ~crc;
+}
+
+#ifdef SPARSIFY_CRC32C_HAS_SSE42
+
+__attribute__((target("sse4.2"))) uint32_t Crc32cExtendHardware(
+    uint32_t crc, const void* data, size_t len) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t c = ~crc;
+  for (; len >= 8; p += 8, len -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));  // unaligned load
+    c = _mm_crc32_u64(c, word);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; len > 0; ++p, --len) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
+
+bool Crc32cHardwareAvailable() {
+  static const bool available = __builtin_cpu_supports("sse4.2");
+  return available;
+}
+
+#else
+
+uint32_t Crc32cExtendHardware(uint32_t crc, const void* data, size_t len) {
+  return Crc32cExtendTable(crc, data, len);
+}
+
+bool Crc32cHardwareAvailable() { return false; }
+
+#endif
+
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+  return Crc32cHardwareAvailable() ? Crc32cExtendHardware(crc, data, len)
+                                   : Crc32cExtendTable(crc, data, len);
 }
 
 }  // namespace sparsify

@@ -6,11 +6,19 @@
 
 #include <unistd.h>
 
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/store/record_codec.h"
+#include "src/util/crc32c.h"
 #include "src/util/errors.h"
 #include "src/util/lease.h"
 #include "tests/test_util.h"
@@ -529,6 +537,242 @@ TEST(CellKeyTest, CanonicalDistinguishesEveryField) {
   other = base;
   other.code_rev = "r2";
   EXPECT_NE(base.Canonical(), other.Canonical());
+}
+
+// The packed index must tell keys apart exactly when their Canonical()
+// strings differ: every field counts, -0 is not 0, and NaN rates of one
+// sign are one key (%.17g prints them alike).
+TEST(ResultStoreTest, IndexKeysMatchCanonicalIdentity) {
+  std::string dir = TestPath("index_identity_store");
+  const CellKey base = MakeKey("RN", 0.0, 0);
+  std::vector<CellKey> keys(9, base);
+  keys[1].dataset = "x";
+  keys[2].sparsifier = "LD";
+  keys[3].prune_rate = -0.0;
+  keys[4].run = 1;
+  keys[5].master_seed = 43;
+  keys[6].metric = "mcc";
+  keys[7].code_rev = "r2";
+  keys[8].prune_rate = std::numeric_limits<double>::quiet_NaN();
+  {
+    ResultStore store(dir);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      store.Append(keys[i], 0.5, static_cast<double>(i));
+    }
+  }
+  ResultStore replayed(dir, ReadOnly());
+  ASSERT_EQ(replayed.Size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(replayed.Lookup(keys[i])->value, static_cast<double>(i)) << i;
+  }
+  CellKey other_nan = base;
+  uint64_t payload_bits = 0x7ff0000000000123ull;  // a NaN with a payload
+  std::memcpy(&other_nan.prune_rate, &payload_bits, sizeof(double));
+  ASSERT_TRUE(std::isnan(other_nan.prune_rate));
+  EXPECT_EQ(other_nan.Canonical(), keys[8].Canonical());
+  EXPECT_EQ(replayed.Lookup(other_nan)->value, 8.0);
+  CellKey unknown = base;
+  unknown.metric = "never-stored";
+  EXPECT_FALSE(replayed.Contains(unknown));
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle for the fixed-schema decoder: over a corpus of every
+// record shape the store writes plus hand-made and damaged lines, the fast
+// path and the generic parser must agree on the kind, every field (doubles
+// bit for bit) and the verdict.
+// ---------------------------------------------------------------------------
+
+// Splices a checksum into a record body the way the writer does.
+std::string Checksummed(std::string body) {
+  char hex[9];
+  std::snprintf(hex, sizeof(hex), "%08" PRIx32, Crc32c(body));
+  body.pop_back();
+  return body + ",\"crc32c\":\"" + hex + "\"}";
+}
+
+std::string Line(const CellKey& key, const StoredOutcome& outcome) {
+  std::string line =
+      store_codec::SerializeRecord(store_codec::CellKeyView(key), outcome);
+  line.pop_back();  // the newline
+  return line;
+}
+
+StoredOutcome Result(double achieved, double value) {
+  StoredOutcome outcome;
+  outcome.achieved_prune_rate = achieved;
+  outcome.value = value;
+  return outcome;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// True when the decode's key views point into `line`: the fast path took it.
+bool DecodedInPlace(const store_codec::DecodedLine& d, std::string_view line) {
+  const char* p = d.key.dataset.data();
+  return d.kind == store_codec::LineKind::kCell &&
+         std::less_equal<const char*>()(line.data(), p) &&
+         std::less<const char*>()(p, line.data() + line.size());
+}
+
+void ExpectSameDecode(const std::string& line, size_t* fast_taken) {
+  store_codec::DecodedLine fast;
+  store_codec::DecodedLine generic;
+  store_codec::DecodeRecordLine(line, /*fast=*/true, &fast);
+  store_codec::DecodeRecordLine(line, /*fast=*/false, &generic);
+  if (DecodedInPlace(fast, line)) ++*fast_taken;
+  ASSERT_EQ(fast.kind, generic.kind) << line;
+  EXPECT_STREQ(fast.bad, generic.bad) << line;  // both null when valid
+  if (fast.kind == store_codec::LineKind::kClaim) {
+    EXPECT_EQ(fast.claim.writer, generic.claim.writer) << line;
+    EXPECT_EQ(fast.claim.scope, generic.claim.scope) << line;
+    EXPECT_EQ(fast.claim.chunk, generic.claim.chunk) << line;
+  }
+  if (fast.kind != store_codec::LineKind::kCell) return;
+  EXPECT_EQ(fast.key.dataset, generic.key.dataset) << line;
+  EXPECT_EQ(fast.key.sparsifier, generic.key.sparsifier) << line;
+  EXPECT_TRUE(SameBits(fast.key.prune_rate, generic.key.prune_rate)) << line;
+  EXPECT_EQ(fast.key.run, generic.key.run) << line;
+  EXPECT_EQ(fast.key.master_seed, generic.key.master_seed) << line;
+  EXPECT_EQ(fast.key.metric, generic.key.metric) << line;
+  EXPECT_EQ(fast.key.code_rev, generic.key.code_rev) << line;
+  const StoredOutcome& a = fast.outcome;
+  const StoredOutcome& b = generic.outcome;
+  EXPECT_TRUE(SameBits(a.achieved_prune_rate, b.achieved_prune_rate)) << line;
+  EXPECT_TRUE(SameBits(a.value, b.value)) << line;
+  EXPECT_EQ(a.is_error, b.is_error) << line;
+  EXPECT_EQ(a.error_class, b.error_class) << line;
+  EXPECT_EQ(a.error_message, b.error_message) << line;
+  EXPECT_EQ(a.attempts, b.attempts) << line;
+}
+
+TEST(RecordCodecTest, FastDecoderAgreesWithGenericParser) {
+  using limits = std::numeric_limits<double>;
+  const double values[] = {0.0,
+                           -0.0,
+                           1.0,
+                           0.1,
+                           1.0 / 3.0,
+                           0.123456789012345678,
+                           -3.5e-12,
+                           limits::max(),
+                           limits::min(),
+                           limits::denorm_min(),
+                           2.2250738585072009e-308,  // largest subnormal
+                           -limits::denorm_min(),
+                           limits::infinity(),
+                           -limits::infinity(),
+                           limits::quiet_NaN(),
+                           -limits::quiet_NaN()};
+  std::vector<std::string> written;  // lines exactly as the writer emits
+  for (double v : values) {
+    CellKey key = MakeKey("RN", v, 3);
+    written.push_back(Line(key, Result(v, v)));
+    key.run = -7;
+    key.master_seed = std::numeric_limits<uint64_t>::max();
+    written.push_back(Line(key, Result(0.5, v)));
+  }
+  CellKey extreme = MakeKey("ER-uw", 0.9, std::numeric_limits<int>::max());
+  written.push_back(Line(extreme, Result(0.9, 2.0)));
+  extreme.run = std::numeric_limits<int>::min();
+  written.push_back(Line(extreme, Result(0.9, 2.0)));
+  const size_t fast_expected = written.size();
+
+  CellKey escaped = MakeKey("RN", 0.5, 0);
+  escaped.dataset = "odd \"name\"\twith\\escapes\n\x01";
+  written.push_back(Line(escaped, Result(0.5, 1.0)));
+  StoredOutcome error;
+  error.is_error = true;
+  error.error_class = "transient";
+  error.error_message = "injected \"quote\"";
+  error.attempts = 3;
+  written.push_back(Line(MakeKey("RN", 0.2, 0), error));
+  std::string claim = store_codec::SerializeClaim({"w1x00aa", "0123abcd", 7});
+  claim.pop_back();
+  written.push_back(claim);
+
+  std::vector<std::string> corpus = written;
+  const std::string body =
+      "{\"dataset\":\"d\",\"sparsifier\":\"RN\",\"prune_rate\":PR,"
+      "\"run\":RUN,\"master_seed\":SEED,\"metric\":\"degree\","
+      "\"code_rev\":\"r5\",\"achieved_prune_rate\":0.5,\"value\":VAL}";
+  auto variant = [&](const char* pr, const char* run, const char* seed,
+                     const char* val) {
+    std::string b = body;
+    b.replace(b.find("PR"), 2, pr);
+    b.replace(b.find("RUN"), 3, run);
+    b.replace(b.find("SEED"), 4, seed);
+    b.replace(b.find("VAL"), 3, val);
+    return Checksummed(b);
+  };
+  // Spellings the writer never emits but strtod/strtol/strtoull read,
+  // each with a valid checksum, so only the number syntax is on trial.
+  for (const char* v :
+       {"+1", "0x1p-3", "1e999", "-1e999", "1e-400", "NaN", "nan(123)",
+        "INF", "Infinity", "-nan", ".5", "5.", "1e+5", "1E5", "007", "-",
+        "1e", "1.2.3", "--1", "1e5e"}) {
+    corpus.push_back(variant(v, "1", "2", "0.25"));
+    corpus.push_back(variant("0.5", "1", "2", v));
+  }
+  for (const char* run : {"+1", "-0", "4294967297", "2147483648", "1.5", "0x10",
+                          "-2147483649", "007"}) {
+    corpus.push_back(variant("0.5", run, "2", "0.25"));
+  }
+  for (const char* seed : {"-1", "+2", "18446744073709551616", "1e3", "0"}) {
+    corpus.push_back(variant("0.5", "1", seed, "0.25"));
+  }
+  // A pre-r4 record with its grid_index, spaces after separators, keys out
+  // of order, an uppercase checksum, a trailing space.
+  corpus.push_back(Checksummed(
+      "{\"dataset\":\"d\",\"sparsifier\":\"RN\",\"prune_rate\":0.5,"
+      "\"run\":1,\"master_seed\":2,\"grid_index\":3,\"metric\":\"degree\","
+      "\"code_rev\":\"r3\",\"achieved_prune_rate\":0.5,\"value\":0.25}"));
+  corpus.push_back(Checksummed(
+      "{\"dataset\": \"d\", \"sparsifier\":\"RN\",\"prune_rate\":0.5,"
+      "\"run\":1,\"master_seed\":2,\"metric\":\"degree\","
+      "\"code_rev\":\"r5\",\"achieved_prune_rate\":0.5,\"value\":0.25}"));
+  corpus.push_back(Checksummed(
+      "{\"sparsifier\":\"RN\",\"dataset\":\"d\",\"prune_rate\":0.5,"
+      "\"run\":1,\"master_seed\":2,\"metric\":\"degree\","
+      "\"code_rev\":\"r5\",\"achieved_prune_rate\":0.5,\"value\":0.25}"));
+  std::string upper = written[0];
+  for (size_t i = upper.size() - 10; i < upper.size() - 2; ++i) {
+    upper[i] = static_cast<char>(std::toupper(upper[i]));
+  }
+  corpus.push_back(upper);
+  corpus.push_back(written[0] + " ");
+  // Every single-byte substitution and every truncation of one record.
+  const std::string& victim = written[2];
+  for (size_t i = 0; i < victim.size(); ++i) {
+    for (int b = 0; b < 256; ++b) {
+      if (static_cast<char>(b) == victim[i]) continue;
+      std::string flipped = victim;
+      flipped[i] = static_cast<char>(b);
+      corpus.push_back(std::move(flipped));
+    }
+  }
+  for (size_t len = 0; len < victim.size(); ++len) {
+    corpus.push_back(victim.substr(0, len));
+  }
+
+  size_t fast_taken = 0;
+  for (const std::string& line : corpus) {
+    ExpectSameDecode(line, &fast_taken);
+    if (HasFatalFailure()) return;
+  }
+  // The writer's own result records all take the fast path; the escaped
+  // name, the error and the claim do not.
+  size_t written_fast = 0;
+  for (const std::string& line : written) {
+    store_codec::DecodedLine d;
+    store_codec::DecodeRecordLine(line, /*fast=*/true, &d);
+    EXPECT_EQ(d.bad, nullptr) << line;
+    if (DecodedInPlace(d, line)) ++written_fast;
+  }
+  EXPECT_EQ(written_fast, fast_expected);
+  EXPECT_GT(fast_taken, fast_expected);  // some damaged lines too
 }
 
 }  // namespace
