@@ -375,8 +375,8 @@ using SweepPrinter = std::function<void(size_t job, const SweepOutcome&)>;
 
 // The one driver behind `sweep`, `profile` and `figure`. It owns the
 // engine, the store, the run's cancel token (signals, --deadline), the
-// watchdog, the tolerant fault policy, tracing, progress and the exit
-// code ladder; the command only chooses the jobs and prints each one's
+// watchdog, the unit timeout, tracing, progress and the exit code
+// ladder; the command only chooses the jobs and prints each one's
 // outcome. `profile_mode` forces span tracing on and prints the
 // per-stage breakdown after the last job.
 int RunSweepJobs(const Args& args, const std::string& cmd_name,
@@ -459,11 +459,10 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
     // subgraph.
     ResumableSweep sweep(runner, store.get());
     sweep.set_reuse_cached(resume);
-    // Error-tolerant: a failing (cell, metric) unit is recorded as a typed
-    // error record (transient failures retry first) instead of sinking the
-    // whole run; the exit code reports the failure class and a later
-    // --resume resubmits exactly the failed units.
-    sweep.set_fault_tolerant(true);
+    // A failing (cell, metric) unit becomes a typed error record
+    // (transient failures retry first) and the rest of the run completes;
+    // the exit code reports the failure class and a later --resume
+    // resubmits exactly the failed units.
     sweep.set_cancel_token(&run_token);
     sweep.set_unit_timeout(unit_timeout);
     sweep.set_shard(shard);

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "src/sparsifiers/sparsifier.h"
-#include "src/util/stats.h"
 
 namespace sparsify::cli {
 
@@ -111,16 +110,8 @@ std::vector<StoreGroup> RebuildSeries(const ResultStore& store,
           achieved.push_back(ranked[i].cell->achieved_prune_rate);
           ++i;
         }
-        SweepPoint point;
-        point.requested_prune_rate = rate;
-        point.mean = Mean(values);
-        point.stddev = StdDev(values);
-        point.achieved_prune_rate = Mean(achieved);
-        point.runs = static_cast<int>(values.size());
-        if (fixed_output) {
-          point.requested_prune_rate = point.achieved_prune_rate;
-        }
-        series.points.push_back(point);
+        series.points.push_back(
+            FoldPoint(rate, values, achieved, fixed_output));
       }
       group.series.push_back(std::move(series));
     }

@@ -307,12 +307,11 @@ std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
   return tasks;
 }
 
-std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
+BatchRunStats BatchRunner::RunTasksMulti(
     const Graph& g, const std::string& dataset,
     const std::vector<BatchTask>& tasks, uint64_t master_seed,
     const std::vector<BatchMetric>& metrics,
-    const MetricResultCallback& on_result, BatchRunStats* stats,
-    const FaultPolicy& faults) const {
+    const MetricResultCallback& on_result, const FaultPolicy& faults) const {
   if (metrics.empty()) {
     throw std::invalid_argument("RunTasksMulti: metric list is empty");
   }
@@ -335,14 +334,12 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     input_of[i] = it->second;
   }
 
-  // Resolve each task's metric-id list (empty = every metric) and size the
-  // result slots so metric units can write them without synchronization.
+  // Resolve each task's metric-id list (empty = every metric).
   std::vector<uint32_t> all_ids(metrics.size());
   for (uint32_t m = 0; m < metrics.size(); ++m) all_ids[m] = m;
   std::vector<const std::vector<uint32_t>*> ids_of(tasks.size());
   BatchRunStats run;
   run.cells = tasks.size();
-  std::vector<BatchMultiResult> results(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     const std::vector<uint32_t>& ids =
         tasks[i].metrics.empty() ? all_ids : tasks[i].metrics;
@@ -354,13 +351,13 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     }
     ids_of[i] = &ids;
     run.metric_units += ids.size();
-    results[i].task = tasks[i];
-    results[i].values.resize(ids.size());
   }
 
   // Per-cell shared state for the metric fan-out: the materialized
-  // subgraph, freed by the cell's last metric unit.
+  // subgraph, freed by the cell's last metric unit, and its achieved rate,
+  // written once before the cell's units are submitted.
   std::vector<std::optional<Graph>> cell_graph(tasks.size());
+  std::vector<double> achieved(tasks.size());
   std::vector<std::atomic<size_t>> units_left(tasks.size());
   for (size_t i = 0; i < tasks.size(); ++i) {
     units_left[i].store(ids_of[i]->size(), std::memory_order_relaxed);
@@ -425,42 +422,22 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     }
   }
 
-  // The engine's own run token, parented to the caller's: queued stages
-  // check it before starting, running ones poll it through their
-  // CancelScope. Fail-fast trips it on the first failure and keeps that
-  // exception for the rethrow after Wait(), so both fault modes share one
-  // error path.
+  // The engine's own run token, parented to the caller's (which may be
+  // null): queued stages check it before starting, running ones poll it
+  // through their CancelScope.
   CancelToken run_token;
   run_token.set_parent(faults.cancel);
-  std::mutex error_mu;
-  std::exception_ptr first_error;
   auto classify = [&](std::exception_ptr error) {
-    Failure f = ClassifyFailure(error, run_token.Cancelled());
-    if (!f.run_cancelled && !faults.tolerate) {
-      {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = error;
-      }
-      run_token.Cancel();
-      f.run_cancelled = true;
-    }
-    return f;
+    return ClassifyFailure(error, run_token.Cancelled());
   };
   const Failure skipped{true, "cancelled", "run cancelled"};
 
   // Ends slots [begin, end) of cell i without a value. A run cancellation
   // is counted but never reported (resume resubmits the units); a failure
-  // is counted and handed to on_unit_failure. Only the worker owning the
-  // slots calls this, so they need no lock.
+  // is counted and handed to on_unit_failure.
   auto end_units = [&](size_t i, size_t begin, size_t end, const Failure& f,
                        int attempts) {
     for (size_t slot = begin; slot < end; ++slot) {
-      BatchMetricValue& v = results[i].values[slot];
-      v.metric = (*ids_of[i])[slot];
-      v.failed = true;
-      v.error_class = f.run_cancelled ? "cancelled" : f.error_class;
-      v.error_message = f.message;
-      v.attempts = attempts;
       if (f.run_cancelled) {
         AtomicAdd(run.cancelled_units, size_t{1});
         continue;
@@ -473,7 +450,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
         AtomicAdd(run.deadline_exceeded_units, size_t{1});
       }
       if (faults.on_unit_failure) {
-        faults.on_unit_failure(results[i].task, v.metric, f.error_class,
+        faults.on_unit_failure(tasks[i], (*ids_of[i])[slot], f.error_class,
                                f.message, attempts);
       }
     }
@@ -495,7 +472,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     if (ref != nullptr && ref->failure) {
       return end_units(i, slot, slot + 1, *ref->failure, 1);
     }
-    const BatchTask& task = results[i].task;
+    const BatchTask& task = tasks[i];
     const uint32_t m = (*ids_of[i])[slot];
     const BatchMetric& metric = metrics[m];
     // The unit's own token: parented under the run token so a run-level
@@ -525,15 +502,11 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
             ref != nullptr
                 ? ref->evaluate(*cell_graph[i], metric_rng)
                 : metric.fn(*input_of[i], *cell_graph[i], metric_rng);
-        results[i].values[slot].metric = m;
-        results[i].values[slot].value = value;
-        if (on_result) {
-          on_result(task, results[i].achieved_prune_rate, m, value);
-        }
+        if (on_result) on_result(task, achieved[i], m, value);
         return;
       } catch (...) {
         Failure f = classify(std::current_exception());
-        if (!f.run_cancelled && f.error_class == "transient" &&
+        if (f.error_class == "transient" &&
             attempts <= kMaxUnitRetries) {
           AtomicAdd(run.retried_units, size_t{1});
           std::this_thread::sleep_for(RetryBackoff(attempts));
@@ -605,7 +578,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
   // run the way a signal or --deadline does.
   auto build_subgraph = [&](Group& group, size_t i) {
     if (run_token.Cancelled()) return end_cell(i, skipped, 0);
-    const BatchTask& task = results[i].task;
+    const BatchTask& task = tasks[i];
     {
       StageScope stage(kSubgraph, task.sparsifier, &task, &run_token,
                        faults.cancel, run);
@@ -614,8 +587,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
         RateMask mask = group.instance->MaskForRate(*group.state,
                                                     task.prune_rate);
         Graph sparsified = Sparsifier::Apply(*group.input, mask);
-        results[i].achieved_prune_rate =
-            Sparsifier::AchievedPruneRate(*group.input, sparsified);
+        achieved[i] = Sparsifier::AchievedPruneRate(*group.input, sparsified);
         cell_graph[i].emplace(std::move(sparsified));
       } catch (...) {
         return end_cell(i, classify(std::current_exception()), 1);
@@ -684,9 +656,7 @@ std::vector<BatchMultiResult> BatchRunner::RunTasksMulti(
     });
   }
   impl_->pool.Wait();
-  if (first_error) std::rethrow_exception(first_error);
-  if (stats != nullptr) *stats = run;
-  return results;
+  return run;
 }
 
 }  // namespace sparsify

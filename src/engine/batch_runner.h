@@ -114,25 +114,6 @@ struct BatchResult {
   double value = 0.0;                // metric output; valid only with has_value
 };
 
-/// One metric's output on one cell of a multi-metric run. Under a
-/// tolerant FaultPolicy a unit that failed (after retries) reports
-/// `failed` with its classification instead of a value.
-struct BatchMetricValue {
-  uint32_t metric = 0;  // index into RunTasksMulti's metric list
-  double value = 0.0;
-  bool failed = false;
-  std::string error_class;    // see FaultPolicy (failed only)
-  std::string error_message;  // what() of the final attempt's failure
-  int attempts = 0;           // tries consumed (failed only)
-};
-
-/// All requested metric outputs of one task, in the same grid position.
-struct BatchMultiResult {
-  BatchTask task;
-  double achieved_prune_rate = 0.0;
-  std::vector<BatchMetricValue> values;  // in the task's metric-id order
-};
-
 /// Grid specification. Expansion mirrors the paper's sweep protocol:
 /// deterministic sparsifiers contribute one run per rate regardless of
 /// `runs`, and sparsifiers without prune-rate control (SF, SP-t) collapse
@@ -149,9 +130,10 @@ struct BatchSpec {
 /// rate-axis (scoring), reference and metric-axis (subgraph) sharing saved,
 /// and where the time went. score_groups, reference_stages and
 /// subgraph_builds count the stages that actually ran (one per
-/// score_group/reference/subgraph span and engine.* counter tick), so a cancelled or failed run reports only work it did. The
-/// timings are summed stage durations across workers (single-threaded
-/// they equal wall clock).
+/// score_group/reference/subgraph span and engine.* counter tick), so a
+/// cancelled or failed run reports only work it did. The timings are
+/// summed stage durations across workers (single-threaded they equal wall
+/// clock).
 struct BatchRunStats {
   size_t cells = 0;            // tasks submitted
   size_t metric_units = 0;     // (cell, metric) evaluations scheduled
@@ -159,7 +141,7 @@ struct BatchRunStats {
   size_t reference_stages = 0;  // two-phase metric references prepared
   size_t subgraph_builds = 0;  // sparsified subgraphs built (at most cells;
                                // the banner contrasts it with metric_units)
-  size_t failed_units = 0;     // units that ended in failure (tolerant mode)
+  size_t failed_units = 0;     // units that ended in failure
   size_t transient_failed_units = 0;  // failed_units whose final class was
                                       // "transient" (retries exhausted)
   size_t deadline_exceeded_units = 0;  // failed_units whose final class was
@@ -182,27 +164,23 @@ struct BatchRunStats {
 inline constexpr int kMaxUnitRetries = 2;
 
 /// How RunTasksMulti treats failures inside units of work. Every stage
-/// (score group, reference, subgraph, metric unit) classifies what it caught the same
-/// way: "transient" (TransientError), "deadline" (the unit's own deadline),
-/// "cancelled" (a CancelledError while the run is NOT cancelled) or
-/// "permanent" (anything else); a cancellation of the run itself is no
-/// failure at all. With `tolerate` set, a failing metric unit no longer
-/// sinks its siblings: transient failures are retried up to
+/// (score group, reference, subgraph, metric unit) classifies what it
+/// caught the same way: "transient" (TransientError), "deadline" (the
+/// unit's own deadline), "cancelled" (a CancelledError while the run is
+/// NOT cancelled) or "permanent" (anything else); a cancellation of the
+/// run itself is no failure at all. A failing unit never sinks its
+/// siblings: a metric unit's transient failures are retried up to
 /// kMaxUnitRetries extra attempts with capped exponential backoff (the
 /// unit's Rng is re-created from MetricSeed each attempt, so a retried
 /// success is bit-identical to a first-try success); anything else — and
 /// transient failures that exhaust their retries — is reported through
-/// `on_unit_failure` and in the result slot, and the rest of the batch
-/// runs to completion. A score-group or subgraph failure fails that
-/// cell's (or group's cells') units without retry, and a reference
-/// failure fails its metric's units on that input the same way, since re-running
-/// scoring wholesale is what a resumed sweep is for. Without `tolerate`
-/// (fail-fast) the first failure cancels the run: every other unit ends
-/// as cancelled, nothing is reported, and the failure's original
-/// exception propagates out of RunTasksMulti.
+/// `on_unit_failure`, and the rest of the batch runs to completion. A
+/// score-group or subgraph failure fails that cell's (or group's cells')
+/// units without retry, and a reference failure fails its metric's units
+/// on that input the same way, since re-running scoring wholesale is what
+/// a resumed sweep is for.
 struct FaultPolicy {
-  bool tolerate = false;
-  /// Invoked once per failed unit (tolerant mode), from the worker thread
+  /// Invoked once per failed unit, from the worker thread
   /// (concurrently across workers — must synchronize like the result
   /// callback), with one of the classes above.
   std::function<void(const BatchTask& task, uint32_t metric,
@@ -277,7 +255,8 @@ class BatchRunner {
 
   /// Invoked as each (cell, metric) unit finishes, from the worker thread
   /// that ran it (concurrently across workers — the callback must
-  /// synchronize its own state). `metric` indexes the metric list.
+  /// synchronize its own state). `task` is the unit's element of the
+  /// submitted `tasks`; `metric` indexes the metric list.
   using MetricResultCallback =
       std::function<void(const BatchTask& task, double achieved_prune_rate,
                          uint32_t metric, double value)>;
@@ -313,18 +292,21 @@ class BatchRunner {
   /// graph (paper sections 3.1, 4.5). Concurrent calls on one runner
   /// serialize (the pool's completion tracking is batch-global).
   ///
-  /// Results are returned in `tasks` order with one value per requested
-  /// metric id (task.metrics; empty = all) in that order. Throws
-  /// std::invalid_argument when `metrics` is empty or a task names an
-  /// out-of-range metric id. `faults` selects fail-fast (default) or
-  /// error-tolerant execution; see FaultPolicy.
-  std::vector<BatchMultiResult> RunTasksMulti(
-      const Graph& g, const std::string& dataset,
-      const std::vector<BatchTask>& tasks, uint64_t master_seed,
-      const std::vector<BatchMetric>& metrics,
-      const MetricResultCallback& on_result = nullptr,
-      BatchRunStats* stats = nullptr,
-      const FaultPolicy& faults = FaultPolicy()) const;
+  /// Every requested unit (task.metrics; empty = all) ends exactly once:
+  /// with a value through `on_result`, as a failure through
+  /// `faults.on_unit_failure`, or as cancelled when `faults.cancel` trips
+  /// (counted, never reported). Returns the run's counters. Throws
+  /// std::invalid_argument, before any work starts, when `metrics` is
+  /// empty or a task names an out-of-range metric id. An exception thrown
+  /// by `on_result` fails its unit like the metric's own; one that escapes
+  /// `on_unit_failure` (a failed store append) is rethrown once the pool
+  /// drains.
+  BatchRunStats RunTasksMulti(const Graph& g, const std::string& dataset,
+                              const std::vector<BatchTask>& tasks,
+                              uint64_t master_seed,
+                              const std::vector<BatchMetric>& metrics,
+                              const MetricResultCallback& on_result = nullptr,
+                              const FaultPolicy& faults = FaultPolicy()) const;
 
  private:
   struct Impl;

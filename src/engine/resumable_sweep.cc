@@ -83,11 +83,10 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
         }
         report();
       };
-  // In tolerant mode a failed unit lands in the store as a typed error
-  // record (same CellKey — the next resume sees it as missing and
-  // resubmits it) and counts as completed for progress purposes.
+  // A failed unit lands in the store as a typed error record (same
+  // CellKey — the next resume sees it as missing and resubmits it) and
+  // counts as completed for progress purposes.
   FaultPolicy faults;
-  faults.tolerate = fault_tolerant_;
   faults.cancel = cancel_;
   faults.unit_timeout_seconds = unit_timeout_seconds_;
   faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
@@ -100,10 +99,37 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
     }
     report();
   };
-  BatchRunStats run;
-  runner_.RunTasksMulti(grid.g, grid.dataset, missing, grid.spec.master_seed,
-                        grid.metrics, on_unit, &run, faults);
-  stats += run;
+  stats += runner_.RunTasksMulti(grid.g, grid.dataset, missing,
+                                 grid.spec.master_seed, grid.metrics, on_unit,
+                                 faults);
+}
+
+std::vector<BatchTask> ResumableSweep::MissingCells(Grid& grid, size_t begin,
+                                                    size_t end,
+                                                    bool errors_present,
+                                                    bool set_found) {
+  // A shard worker always consults the store: sharding is resume.
+  const bool consult =
+      store_ != nullptr && (reuse_cached_ || shard_.total > 1);
+  std::vector<BatchTask> missing;
+  for (size_t i = begin; i < end; ++i) {
+    std::vector<uint32_t> missing_ids;
+    for (uint32_t m = 0; m < grid.metrics.size(); ++m) {
+      std::optional<StoredOutcome> cached;
+      if (consult) cached = store_->Lookup(grid.Key(i, m));
+      if (!cached.has_value() || (cached->is_error && !errors_present)) {
+        missing_ids.push_back(m);
+      } else if (set_found && !cached->is_error) {
+        grid.Set(i, m, cached->achieved_prune_rate, cached->value);
+      }
+    }
+    if (!missing_ids.empty()) {
+      BatchTask task = grid.tasks[i];
+      task.metrics = std::move(missing_ids);
+      missing.push_back(std::move(task));
+    }
+  }
+  return missing;
 }
 
 std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
@@ -117,39 +143,23 @@ std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
   st.total_cells = grid.tasks.size() * metrics.size();
   if (shard_.total > 1) {
     RunShardedMulti(grid, st);
-    return grid.Fold();
+  } else {
+    // Partition the (cell × metric) product: units already in the store
+    // become results directly; each cell with at least one missing metric
+    // is submitted ONCE, carrying exactly its missing metric ids, so the
+    // engine materializes its subgraph once for all of them. An error
+    // record is a unit that FAILED, not one that completed: it reads back
+    // as missing so this resume resubmits it. Every RNG stream derives
+    // from grid-shape-independent identities, so the values match a cold
+    // run's.
+    std::vector<BatchTask> missing =
+        MissingCells(grid, 0, grid.tasks.size(), /*errors_present=*/false,
+                     /*set_found=*/true);
+    size_t missing_units = 0;
+    for (const BatchTask& task : missing) missing_units += task.metrics.size();
+    RunUnits(grid, missing, missing_units, st);
   }
-
-  // Partition the (cell × metric) product: units already in the store
-  // become results directly; each cell with at least one missing metric is
-  // submitted ONCE, carrying exactly its missing metric ids, so the engine
-  // materializes its subgraph once for all of them. Every RNG stream
-  // derives from grid-shape-independent identities, so the values match a
-  // cold run's.
-  std::vector<BatchTask> missing;
-  for (size_t i = 0; i < grid.tasks.size(); ++i) {
-    std::vector<uint32_t> missing_ids;
-    for (uint32_t m = 0; m < metrics.size(); ++m) {
-      std::optional<StoredOutcome> cached;
-      if (store_ != nullptr && reuse_cached_) {
-        cached = store_->Lookup(grid.Key(i, m));
-      }
-      // An error record is a unit that FAILED, not one that completed: it
-      // reads back as missing so this resume resubmits it.
-      if (cached.has_value() && !cached->is_error) {
-        grid.Set(i, m, cached->achieved_prune_rate, cached->value);
-        ++st.cached_cells;
-      } else {
-        missing_ids.push_back(m);
-      }
-    }
-    if (!missing_ids.empty()) {
-      BatchTask task = grid.tasks[i];
-      task.metrics = std::move(missing_ids);
-      missing.push_back(std::move(task));
-    }
-  }
-  RunUnits(grid, missing, st.total_cells - st.cached_cells, st);
+  st.cached_cells = st.total_cells - st.submitted_cells;
   return grid.Fold();
 }
 

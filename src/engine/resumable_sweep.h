@@ -40,8 +40,7 @@ struct MetricSweepSeries {
 struct ShardSpec {
   size_t index = 0;  // this worker's 0-based shard id
   size_t total = 1;  // worker count; <= 1 disables sharding
-  bool steal = true;           // take over dead workers' chunks
-  double poll_seconds = 0.25;  // peer-refresh cadence while waiting
+  bool steal = true;  // take over dead workers' chunks
 };
 
 /// Scheduling counters of one resumable run — the test/CI hook asserting
@@ -56,12 +55,11 @@ struct ResumableSweepStats : BatchRunStats {
   size_t cached_cells = 0;     // units served from the store
   size_t submitted_cells = 0;  // units scheduled on the BatchRunner
   // Sharded scheduling only (set_shard): chunks in the partition, chunks
-  // this worker claimed as preferred owner, chunks it stole from dead
-  // workers, and units whose results came from peer workers' records.
+  // this worker claimed as preferred owner, and chunks it stole from dead
+  // workers.
   size_t shard_chunks = 0;
   size_t shard_claimed = 0;
   size_t shard_stolen = 0;
-  size_t peer_units = 0;
 };
 
 /// Sweeps of one dataset graph against a store.
@@ -87,16 +85,6 @@ class ResumableSweep {
   /// state and stay cheap. Drives the CLI's --progress heartbeat.
   using ProgressFn = std::function<void(size_t completed, size_t submitted)>;
   void set_progress(ProgressFn progress) { progress_ = std::move(progress); }
-
-  /// Error-tolerant execution (default off = legacy fail-fast). When on,
-  /// a unit that throws no longer aborts the sweep: TransientError-classed
-  /// failures retry up to kMaxUnitRetries extra attempts (bit-identical
-  /// on success — the unit's RNG re-derives from MetricSeed), and a unit
-  /// that still fails is recorded in the store as a typed ERROR record
-  /// under its CellKey. Error records read back as missing, so the next
-  /// --resume resubmits exactly the failed units; a later success
-  /// overwrites the error (last write wins).
-  void set_fault_tolerant(bool on) { fault_tolerant_ = on; }
 
   /// Whole-run cooperative cancellation token (see FaultPolicy::cancel).
   /// When it trips — SIGINT/SIGTERM via the CLI's signal bridge, or a
@@ -126,8 +114,15 @@ class ResumableSweep {
   /// identify the graph (include the scale) and the metric functions.
   /// Fresh units are appended to the store as they complete; the returned
   /// per-metric series (in `metrics` order) fold the cached and fresh
-  /// units with FoldSweepResults. Under fail-fast (the default) the first
-  /// failing unit's exception propagates once the engine drains.
+  /// units with FoldSweepResults.
+  ///
+  /// A unit that throws never aborts the sweep: TransientError-classed
+  /// failures retry up to kMaxUnitRetries extra attempts (bit-identical
+  /// on success — the unit's RNG re-derives from MetricSeed), and a unit
+  /// that still fails is left out of its point and recorded in the store
+  /// as a typed ERROR record under its CellKey. Error records read back
+  /// as missing, so the next resume resubmits exactly the failed units; a
+  /// later success overwrites the error (last write wins).
   std::vector<MetricSweepSeries> RunMulti(
       const Graph& g, const std::string& dataset,
       const std::vector<BatchMetric>& metrics, const SweepConfig& config,
@@ -155,11 +150,20 @@ class ResumableSweep {
     std::atomic<size_t> completed{0};  // units reported to progress_
   };
 
+  // The one missing-unit scan: the cells of [begin, end) with a unit the
+  // store lacks, each carrying exactly those metric ids, in grid order.
+  // An error record counts as present when `errors_present`, else as
+  // missing; `set_found` sets each stored value into `grid`. Without a
+  // store to consult (none, or reuse off on an unsharded sweep) every
+  // unit is missing and nothing is looked up.
+  std::vector<BatchTask> MissingCells(Grid& grid, size_t begin, size_t end,
+                                      bool errors_present, bool set_found);
+
   // Runs `missing` (cells carrying their missing metric ids) on the
   // engine under this sweep's fault policy. Each finished unit lands in
-  // `grid` and the store; a failed one (tolerant mode) becomes an error
-  // record. Both report progress against `progress_total`. The engine's
-  // counters add into `stats`.
+  // `grid` and the store; a failed one becomes an error record. Both
+  // report progress against `progress_total`. The engine's counters add
+  // into `stats`.
   void RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
                 size_t progress_total, ResumableSweepStats& stats);
 
@@ -171,7 +175,6 @@ class ResumableSweep {
   ResultStore* store_;  // not owned; may be null
   std::string code_rev_;
   bool reuse_cached_ = true;
-  bool fault_tolerant_ = false;
   const CancelToken* cancel_ = nullptr;  // not owned; may be null
   double unit_timeout_seconds_ = 0;
   ProgressFn progress_;

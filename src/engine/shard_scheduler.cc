@@ -38,6 +38,10 @@ namespace sparsify {
 
 namespace {
 
+// Peer-refresh cadence while every incomplete chunk is owned by a live
+// worker.
+constexpr double kPollSeconds = 0.25;
+
 uint64_t Fnv1a(const std::string& s) {
   uint64_t h = 1469598103934665603ull;
   for (unsigned char c : s) {
@@ -59,7 +63,6 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
   static obs::Counter& claim_count = obs::GetCounter("engine.shard_claims");
   static obs::Counter& steal_count = obs::GetCounter("engine.shard_steals");
   const std::vector<BatchTask>& tasks = grid.tasks;
-  const std::vector<BatchMetric>& metrics = grid.metrics;
 
   // ~8 chunks per worker: coarse enough that claim records stay few,
   // fine enough that a dead worker's unfinished work spreads over the
@@ -91,7 +94,7 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
     scope_src.push_back(':');
     scope_src += std::to_string(task.run);
   }
-  for (const BatchMetric& m : metrics) {
+  for (const BatchMetric& m : grid.metrics) {
     scope_src.push_back('\x1f');
     scope_src += m.name;
   }
@@ -104,32 +107,15 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
 
   auto cancelled = [&] { return cancel_ != nullptr && cancel_->Cancelled(); };
 
-  // `errors_count` = an error record satisfies the unit. Phase A (a
+  // `errors_present` = an error record satisfies the unit. Phase A (a
   // worker's own chunks) says no — resume semantics, stale errors are
-  // retried; phase B completeness says yes, or two survivors would
-  // ping-pong a deterministically failing unit forever.
-  auto unit_present = [&](size_t i, size_t m, bool errors_count) {
-    std::optional<StoredOutcome> cached = store_->Lookup(grid.Key(i, m));
-    if (!cached.has_value()) return false;
-    return errors_count || !cached->is_error;
-  };
-
-  auto chunk_missing = [&](size_t c, bool errors_count) {
-    std::vector<BatchTask> missing;
+  // retried; phase B says yes, or two survivors would ping-pong a
+  // deterministically failing unit forever.
+  auto chunk_missing = [&](size_t c, bool errors_present) {
     const size_t begin = c * chunk_cells;
     const size_t end = std::min(tasks.size(), begin + chunk_cells);
-    for (size_t i = begin; i < end; ++i) {
-      std::vector<uint32_t> missing_ids;
-      for (uint32_t m = 0; m < metrics.size(); ++m) {
-        if (!unit_present(i, m, errors_count)) missing_ids.push_back(m);
-      }
-      if (!missing_ids.empty()) {
-        BatchTask task = tasks[i];
-        task.metrics = std::move(missing_ids);
-        missing.push_back(std::move(task));
-      }
-    }
-    return missing;
+    return MissingCells(grid, begin, end, errors_present,
+                        /*set_found=*/false);
   };
 
   // True when some OTHER live writer has claimed chunk `c` — its work is
@@ -153,9 +139,9 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
   for (size_t c = shard_.index % shard_.total; c < num_chunks;
        c += shard_.total) {
     if (cancelled()) break;
-    stats.peer_units += store_->RefreshPeers();
+    store_->RefreshPeers();
     std::vector<BatchTask> missing =
-        chunk_missing(c, /*errors_count=*/false);
+        chunk_missing(c, /*errors_present=*/false);
     if (missing.empty()) continue;  // chunk already complete
     if (claimed_by_live_other(c)) continue;  // a stealer beat us to it
     store_->AppendClaim(scope, c);
@@ -167,25 +153,18 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
   // --- Phase B: steal dead workers's incomplete chunks -----------------
   if (shard_.steal) {
     while (!cancelled()) {
-      stats.peer_units += store_->RefreshPeers();
+      store_->RefreshPeers();
       bool all_complete = true;
       size_t stealable = num_chunks;  // sentinel: none
+      std::vector<BatchTask> steal;   // stealable's missing units
       for (size_t c = 0; c < num_chunks; ++c) {
-        bool incomplete = false;
-        const size_t begin = c * chunk_cells;
-        const size_t end = std::min(tasks.size(), begin + chunk_cells);
-        for (size_t i = begin; i < end && !incomplete; ++i) {
-          for (size_t m = 0; m < metrics.size(); ++m) {
-            if (!unit_present(i, m, /*errors_count=*/true)) {
-              incomplete = true;
-              break;
-            }
-          }
-        }
-        if (!incomplete) continue;
+        std::vector<BatchTask> missing =
+            chunk_missing(c, /*errors_present=*/true);
+        if (missing.empty()) continue;
         all_complete = false;
         if (stealable == num_chunks && !claimed_by_live_other(c)) {
           stealable = c;
+          steal = std::move(missing);
         }
       }
       if (all_complete) break;
@@ -194,29 +173,22 @@ void ResumableSweep::RunShardedMulti(Grid& grid, ResumableSweepStats& stats) {
         store_->AppendClaim(scope, stealable);
         ++stats.shard_stolen;
         steal_count.Add();
-        run_units(chunk_missing(stealable, /*errors_count=*/true));
+        run_units(steal);
       } else {
         // Every incomplete chunk is owned by a live worker: wait for it
         // to finish or die.
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            std::max(0.01, shard_.poll_seconds)));
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(kPollSeconds));
       }
     }
   }
 
   // --- Reassembly: fold own + peer records into the output series -----
-  stats.peer_units += store_->RefreshPeers();
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    for (size_t m = 0; m < metrics.size(); ++m) {
-      std::optional<StoredOutcome> cell = store_->Lookup(grid.Key(i, m));
-      // Unresolved units (cancelled mid-run, or a failed unit's error
-      // record) keep the default slot, exactly like the unsharded
-      // fault-tolerant path.
-      if (!cell.has_value() || cell->is_error) continue;
-      grid.Set(i, m, cell->achieved_prune_rate, cell->value);
-    }
-  }
-  stats.cached_cells = stats.total_cells - stats.submitted_cells;
+  // Unresolved units (cancelled mid-run, or a failed unit's error record)
+  // keep the default slot, exactly like the unsharded path.
+  store_->RefreshPeers();
+  MissingCells(grid, 0, tasks.size(), /*errors_present=*/false,
+               /*set_found=*/true);
 }
 
 }  // namespace sparsify

@@ -19,6 +19,23 @@ BatchSpec ToBatchSpec(const SweepConfig& config) {
   return spec;
 }
 
+SweepPoint FoldPoint(double requested_rate, const std::vector<double>& values,
+                     const std::vector<double>& achieved, bool fixed_output) {
+  SweepPoint point;
+  point.requested_prune_rate = requested_rate;
+  point.runs = static_cast<int>(values.size());
+  if (values.empty()) {
+    point.mean = point.stddev = point.achieved_prune_rate =
+        std::numeric_limits<double>::quiet_NaN();
+    return point;
+  }
+  point.mean = Mean(values);
+  point.stddev = StdDev(values);
+  point.achieved_prune_rate = Mean(achieved);
+  if (fixed_output) point.requested_prune_rate = point.achieved_prune_rate;
+  return point;
+}
+
 std::vector<SweepSeries> FoldSweepResults(
     const SweepConfig& config, const std::vector<BatchResult>& results) {
   BatchSpec spec = ToBatchSpec(config);
@@ -43,8 +60,8 @@ std::vector<SweepSeries> FoldSweepResults(
       // run == 0 marks the start of each (name, rate) block in ExpandGrid's
       // ordering; grouping on it (rather than rate equality) keeps duplicate
       // or NaN rates as separate points.
-      // Only units with a value count; a point whose every unit failed
-      // keeps its requested rate, reports runs 0 and NaN statistics.
+      // Only units with a value count (see FoldPoint for a point whose
+      // every unit failed).
       double rate = results[i].task.prune_rate;
       std::vector<double> values;
       std::vector<double> achieved;
@@ -55,21 +72,7 @@ std::vector<SweepSeries> FoldSweepResults(
         }
         ++i;
       } while (i < end && results[i].task.run != 0);
-      SweepPoint point;
-      point.requested_prune_rate = rate;
-      point.runs = static_cast<int>(values.size());
-      if (values.empty()) {
-        point.mean = point.stddev = point.achieved_prune_rate =
-            std::numeric_limits<double>::quiet_NaN();
-      } else {
-        point.mean = Mean(values);
-        point.stddev = StdDev(values);
-        point.achieved_prune_rate = Mean(achieved);
-        if (fixed_output) {
-          point.requested_prune_rate = point.achieved_prune_rate;
-        }
-      }
-      series.points.push_back(point);
+      series.points.push_back(FoldPoint(rate, values, achieved, fixed_output));
     }
     all_series.push_back(std::move(series));
   }

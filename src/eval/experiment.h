@@ -48,6 +48,14 @@ struct SweepConfig {
 /// grid from this.
 BatchSpec ToBatchSpec(const SweepConfig& config);
 
+/// Folds one point's runs: mean and stddev of `values` and the mean of
+/// `achieved`, their achieved prune rates. A fixed-output sparsifier
+/// reports that achieved mean as its rate. With no values the point keeps
+/// `requested_rate`, reports runs 0 and NaN statistics. The sweep fold and
+/// the store export both build their points here.
+SweepPoint FoldPoint(double requested_rate, const std::vector<double>& values,
+                     const std::vector<double>& achieved, bool fixed_output);
+
 /// Folds full-grid engine results (grid order, one entry per ExpandGrid
 /// task) into per-sparsifier series: mean/stddev across runs per rate,
 /// requested rate replaced by the achieved mean for fixed-output

@@ -312,9 +312,7 @@ IngestResult IngestGraph(const std::string& input_path,
 }
 
 Graph LoadDatasetScaledCached(const std::string& name, double scale,
-                              const std::string& cache_dir,
-                              ThreadPool* pool) {
-  (void)pool;  // generation dominates; the recipe build is serial today
+                              const std::string& cache_dir) {
   if (cache_dir.empty()) return LoadDatasetScaled(name, scale).graph;
   std::filesystem::create_directories(cache_dir);
   char scale_buf[32];

@@ -76,8 +76,7 @@ Graph ReadGraphCache(const std::string& path);
 /// its cache on the generator sources' hash for exactly this reason).
 /// Loads are hash-verified like every cache read; a torn file is rebuilt.
 Graph LoadDatasetScaledCached(const std::string& name, double scale,
-                              const std::string& cache_dir,
-                              ThreadPool* pool = nullptr);
+                              const std::string& cache_dir);
 
 }  // namespace sparsify
 

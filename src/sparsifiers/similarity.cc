@@ -21,16 +21,6 @@ std::unique_ptr<ScoreState> RankByJaccard(const Graph& g,
 
 }  // namespace
 
-std::vector<double> CommonNeighborCounts(const Graph& g) {
-  std::vector<double> counts(g.NumEdges(), 0.0);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const Edge& ed = g.CanonicalEdge(e);
-    counts[e] = static_cast<double>(SortedIntersectionSize(
-        g.OutNeighborNodes(ed.u), g.OutNeighborNodes(ed.v)));
-  }
-  return counts;
-}
-
 std::vector<double> JaccardEdgeScores(const Graph& g) {
   std::vector<double> scores(g.NumEdges(), 0.0);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {

@@ -38,9 +38,6 @@ std::vector<double> JaccardEdgeScores(const Graph& g);
 /// SCAN structural similarity of every canonical edge.
 std::vector<double> ScanEdgeScores(const Graph& g);
 
-/// Number of common neighbors of every canonical edge's endpoints.
-std::vector<double> CommonNeighborCounts(const Graph& g);
-
 class GSparSparsifier : public Sparsifier {
  public:
   const SparsifierInfo& Info() const override;

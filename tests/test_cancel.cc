@@ -562,7 +562,6 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
   fail::ArmFromSpec("engine.metric_unit/m_bad=hang");
   auto store = std::make_unique<ResultStore>(dir);
   ResumableSweep sweep(runner_, store.get(), "test-rev");
-  sweep.set_fault_tolerant(true);
   sweep.set_unit_timeout(0.05);
   ResumableSweepStats stats;
   auto out = sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &stats);
@@ -586,7 +585,6 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
   // the healed sweep is bit-identical to the cold run.
   fail::DisarmAll();
   ResumableSweep resume(runner_, store.get(), "test-rev");
-  resume.set_fault_tolerant(true);
   resume.set_unit_timeout(0.05);
   ResumableSweepStats resume_stats;
   auto healed =
@@ -613,7 +611,6 @@ TEST_F(EngineCancelTest, RunCancellationLeavesStoreResumableBitIdentically) {
   auto store = std::make_unique<ResultStore>(dir);
   CancelToken run_token;
   ResumableSweep sweep(serial, store.get(), "test-rev");
-  sweep.set_fault_tolerant(true);
   sweep.set_cancel_token(&run_token);
   sweep.set_progress([&](size_t done, size_t) {
     if (done >= 2) run_token.Cancel();
@@ -631,7 +628,6 @@ TEST_F(EngineCancelTest, RunCancellationLeavesStoreResumableBitIdentically) {
   // Resume with a fresh (untripped) run: exactly the not-yet-done units
   // are submitted and the result matches the cold run bit-for-bit.
   ResumableSweep resume(runner_, store.get(), "test-rev");
-  resume.set_fault_tolerant(true);
   ResumableSweepStats resume_stats;
   auto healed =
       resume.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &resume_stats);
@@ -649,7 +645,6 @@ TEST_F(EngineCancelTest, StageCountsReportOnlyStagesThatRan) {
   BatchRunner serial(1);
   CancelToken run_token;
   ResumableSweep sweep(serial, nullptr, "test-rev");
-  sweep.set_fault_tolerant(true);
   sweep.set_cancel_token(&run_token);
   sweep.set_progress([&](size_t done, size_t) {
     if (done >= 2) run_token.Cancel();

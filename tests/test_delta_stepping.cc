@@ -16,6 +16,7 @@
 #include "src/graph/generators.h"
 #include "src/metrics/distance.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
@@ -180,11 +181,10 @@ TEST(DeltaSteppingTest, WeightedMetricsBitIdenticalAcrossThreadCounts) {
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   auto run_at = [&](int threads) {
     BatchRunner runner(threads);
-    std::vector<BatchMultiResult> results = runner.RunTasksMulti(
-        g, "delta_bitident", tasks, spec.master_seed, metrics);
     std::vector<double> values;
-    for (const BatchMultiResult& r : results) {
-      for (const BatchMetricValue& mv : r.values) values.push_back(mv.value);
+    for (const CellValues& r : CollectValues(runner, g, "delta_bitident", tasks,
+                                             spec.master_seed, metrics)) {
+      values.insert(values.end(), r.values.begin(), r.values.end());
     }
     return values;
   };

@@ -12,6 +12,7 @@
 
 #include "src/graph/generators.h"
 #include "src/util/thread_pool.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
@@ -111,14 +112,13 @@ TEST(BatchRunnerTest, MetricSeedsAreDistinctAcrossCellsAndSeeds) {
 // Determinism of the full engine.
 
 // Every cell of `spec`, one anonymous metric.
-std::vector<BatchMultiResult> RunSpec(BatchRunner& runner, const Graph& g,
-                                      const BatchSpec& spec,
-                                      BatchMetricFn metric) {
-  return runner.RunTasksMulti(g, "", BatchRunner::ExpandGrid(spec),
-                              spec.master_seed, {BatchMetric{"", metric}});
+std::vector<CellValues> RunSpec(BatchRunner& runner, const Graph& g,
+                                const BatchSpec& spec, BatchMetricFn metric) {
+  return CollectValues(runner, g, "", BatchRunner::ExpandGrid(spec),
+                       spec.master_seed, {BatchMetric{"", metric}});
 }
 
-std::vector<BatchMultiResult> RunGrid(int num_threads, uint64_t seed) {
+std::vector<CellValues> RunGrid(int num_threads, uint64_t seed) {
   Rng gen(71);
   Graph g = BarabasiAlbert(150, 3, gen);
   BatchSpec spec;
@@ -137,8 +137,8 @@ std::vector<BatchMultiResult> RunGrid(int num_threads, uint64_t seed) {
                  });
 }
 
-void ExpectIdentical(const std::vector<BatchMultiResult>& a,
-                     const std::vector<BatchMultiResult>& b) {
+void ExpectIdentical(const std::vector<CellValues>& a,
+                     const std::vector<CellValues>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].task.index, b[i].task.index);
@@ -148,7 +148,7 @@ void ExpectIdentical(const std::vector<BatchMultiResult>& a,
     // Bit-identical, not approximately equal (EXPECT_EQ on doubles is
     // exact; EXPECT_DOUBLE_EQ would tolerate 4 ULPs of drift).
     EXPECT_EQ(a[i].achieved_prune_rate, b[i].achieved_prune_rate);
-    EXPECT_EQ(a[i].values[0].value, b[i].values[0].value);
+    EXPECT_EQ(a[i].values[0], b[i].values[0]);
   }
 }
 
@@ -174,7 +174,7 @@ TEST(BatchRunnerTest, DifferentMasterSeedsDiffer) {
   // seed; at least one metric value must move.
   bool any_differ = false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].values[0].value != b[i].values[0].value) any_differ = true;
+    if (a[i].values[0] != b[i].values[0]) any_differ = true;
   }
   EXPECT_TRUE(any_differ);
 }
@@ -194,21 +194,7 @@ TEST(BatchRunnerTest, DirectedInputRoutedThroughSymmetrization) {
                static_cast<double>(orig.NumEdges());
       });
   ASSERT_EQ(results.size(), 3u);
-  for (const BatchMultiResult& r : results) EXPECT_GT(r.values[0].value, 0.0);
-}
-
-TEST(BatchRunnerTest, TaskExceptionPropagatesFromRun) {
-  Rng gen(73);
-  Graph g = RMat(7, 300, 0.57, 0.19, 0.19, true, gen);
-  BatchSpec spec;
-  spec.sparsifiers = {"RN"};
-  spec.prune_rates = {0.5};
-  BatchRunner runner(2);
-  EXPECT_THROW(RunSpec(runner, g, spec,
-                       [](const Graph&, const Graph&, Rng&) -> double {
-                         throw std::runtime_error("metric failed");
-                       }),
-               std::runtime_error);
+  for (const CellValues& r : results) EXPECT_GT(r.values[0], 0.0);
 }
 
 }  // namespace

@@ -10,14 +10,12 @@
 #include <ostream>
 #include <string>
 #include <thread>
-#include <typeinfo>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/engine/resumable_sweep.h"
 #include "src/graph/datasets.h"
 #include "src/metrics/basic.h"
-#include "src/util/errors.h"
 #include "src/util/failpoint.h"
 #include "tests/test_util.h"
 
@@ -85,14 +83,6 @@ TEST_F(FaultTolerantSweepTest, ResultCodeRevCurrent) {
   EXPECT_STREQ(kResultCodeRev, "r5");
 }
 
-TEST_F(FaultTolerantSweepTest, FailFastModeStillThrows) {
-  fail::ArmFromSpec("engine.metric_unit/m_bad=throw");
-  ResumableSweep sweep(runner_, nullptr, "test-rev");
-  EXPECT_THROW(
-      sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), TestConfig(), nullptr),
-      fail::InjectedFault);
-}
-
 TEST_F(FaultTolerantSweepTest, FailedMetricIsRecordedAndOthersComplete) {
   std::string dir = TestPath("ft_store");
   ResultStore store(dir);
@@ -105,7 +95,6 @@ TEST_F(FaultTolerantSweepTest, FailedMetricIsRecordedAndOthersComplete) {
 
   fail::ArmFromSpec("engine.metric_unit/m_bad=throw");
   ResumableSweep sweep(runner_, &store, "test-rev");
-  sweep.set_fault_tolerant(true);
   ResumableSweepStats stats;
   auto out = sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &stats);
 
@@ -129,7 +118,6 @@ TEST_F(FaultTolerantSweepTest, FailedMetricIsRecordedAndOthersComplete) {
   // cold reference.
   fail::DisarmAll();
   ResumableSweep resume(runner_, &store, "test-rev");
-  resume.set_fault_tolerant(true);
   ResumableSweepStats resume_stats;
   auto healed =
       resume.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &resume_stats);
@@ -152,7 +140,6 @@ TEST_F(FaultTolerantSweepTest, TransientFailureRetriesToBitIdenticalValue) {
   // re-derives from MetricSeed on every attempt).
   fail::ArmFromSpec("engine.metric_unit=throw-transient@1");
   ResumableSweep sweep(runner_, nullptr, "test-rev");
-  sweep.set_fault_tolerant(true);
   ResumableSweepStats stats;
   auto out = sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &stats);
   EXPECT_EQ(stats.failed_units, 0u);
@@ -166,7 +153,6 @@ TEST_F(FaultTolerantSweepTest, ExhaustedRetriesRecordTheTransientClass) {
   ResultStore store(dir);
   fail::ArmFromSpec("engine.metric_unit/m_bad=throw-transient");
   ResumableSweep sweep(runner_, &store, "test-rev");
-  sweep.set_fault_tolerant(true);
   ResumableSweepStats stats;
   sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), TestConfig(), &stats);
   const size_t cells = stats.total_cells / 2;
@@ -187,7 +173,6 @@ TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
   // are structural (not per-unit), so no retry — the cells just fail.
   fail::ArmFromSpec("engine.score_group/RN=throw");
   ResumableSweep sweep(runner_, &store, "test-rev");
-  sweep.set_fault_tolerant(true);
   ResumableSweepStats stats;
   auto out =
       sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), TestConfig(), &stats);
@@ -211,24 +196,24 @@ TEST_F(FaultTolerantSweepTest, SparsifierFailureFailsItsCellsWithoutRetry) {
 }
 
 // ---------------------------------------------------------------------------
-// Failure-classification matrix: every stage site x every failure kind,
-// tolerant and fail-fast. Every site feeds one classifier, so a fault
-// injected at score_group, reference, subgraph or metric_unit must end its
-// units the same way: the class, the attempts and the store records below.
+// Failure-classification matrix: every stage site x every failure kind.
+// Every site feeds one classifier, so a fault injected at score_group,
+// reference, subgraph or metric_unit must end its units the same way: the
+// class, the attempts and the store records below.
 
 struct FaultCase {
   const char* site;    // failpoint site/scope
   const char* action;  // throw | throw-transient | cancel | hang
-  bool tolerant;
 };
 
 void PrintTo(const FaultCase& c, std::ostream* os) {
-  *os << c.site << " " << c.action << (c.tolerant ? " tolerant" : " fail-fast");
+  *os << c.site << " " << c.action;
 }
 
+// Instance names end in "_tolerant": every engine run tolerates failures.
 std::string FaultCaseName(const ::testing::TestParamInfo<FaultCase>& info) {
-  std::string name = std::string(info.param.site) + "_" + info.param.action +
-                     (info.param.tolerant ? "_tolerant" : "_failfast");
+  std::string name =
+      std::string(info.param.site) + "_" + info.param.action + "_tolerant";
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -237,8 +222,8 @@ std::string FaultCaseName(const ::testing::TestParamInfo<FaultCase>& info) {
 
 class FailureMatrixTest : public ::testing::TestWithParam<FaultCase> {
  protected:
-  // One worker: under fail-fast nothing else runs once the first failure
-  // trips the run, so the site fires exactly once.
+  // One worker: a stage parked at a cancel site holds the only worker, so
+  // nothing else runs until the run token trips.
   FailureMatrixTest()
       : graph_(LoadDatasetScaled("ego-Facebook", 0.1).graph), runner_(1) {}
   void TearDown() override { fail::DisarmAll(); }
@@ -266,7 +251,6 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
   ResultStore store(TestPath("store"));
   CancelToken run_token;
   ResumableSweep sweep(runner_, &store, "test-rev");
-  sweep.set_fault_tolerant(c.tolerant);
   sweep.set_cancel_token(&run_token);
   std::thread canceller;
   if (action == "cancel") {
@@ -301,34 +285,14 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
   }
 
   if (action == "cancel") {
-    // A cancelled run is no failure in either mode: nothing thrown,
-    // nothing recorded, every unit either completed or was cancelled.
+    // A cancelled run is no failure: nothing thrown, nothing recorded,
+    // every unit either completed or was cancelled.
     EXPECT_FALSE(thrown);
     EXPECT_EQ(stats.failed_units, 0u);
     EXPECT_EQ(stats.retried_units, 0u);
     EXPECT_GE(stats.cancelled_units, 1u);
     EXPECT_EQ(store.ErrorCount(), 0u);
     EXPECT_EQ(results + stats.cancelled_units, units);
-    return;
-  }
-
-  if (!c.tolerant) {
-    // Fail-fast: the original typed exception propagates, the site fired
-    // once (no retry), and no error record is written.
-    ASSERT_TRUE(thrown);
-    try {
-      std::rethrow_exception(thrown);
-    } catch (const DeadlineExceededError&) {
-      EXPECT_EQ(action, "hang");
-    } catch (const TransientError&) {
-      EXPECT_EQ(action, "throw-transient");
-    } catch (const fail::InjectedFault&) {
-      EXPECT_EQ(action, "throw");
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "unexpected " << typeid(e).name() << ": " << e.what();
-    }
-    EXPECT_EQ(fail::FiredCount(site), 1u);
-    EXPECT_EQ(store.ErrorCount(), 0u);
     return;
   }
 
@@ -361,16 +325,14 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
 
 std::vector<FaultCase> FaultCases() {
   std::vector<FaultCase> cases;
-  for (bool tolerant : {true, false}) {
-    for (const char* site : {"engine.score_group/RN", "engine.subgraph/RN",
-                             "engine.metric_unit/m_bad",
-                             "engine.reference/m_bad"}) {
-      for (const char* action : {"throw", "throw-transient", "cancel"}) {
-        cases.push_back({site, action, tolerant});
-      }
+  for (const char* site : {"engine.score_group/RN", "engine.subgraph/RN",
+                           "engine.metric_unit/m_bad",
+                           "engine.reference/m_bad"}) {
+    for (const char* action : {"throw", "throw-transient", "cancel"}) {
+      cases.push_back({site, action});
     }
-    cases.push_back({"engine.metric_unit/m_bad", "hang", tolerant});
   }
+  cases.push_back({"engine.metric_unit/m_bad", "hang"});
   return cases;
 }
 

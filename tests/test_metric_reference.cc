@@ -77,16 +77,16 @@ BatchSpec MixedSpec(uint64_t seed) {
   return spec;
 }
 
-void ExpectSameValues(const std::vector<BatchMultiResult>& a,
-                      const std::vector<BatchMultiResult>& b,
+// CollectValues already fails the test on any failed unit.
+void ExpectSameValues(const std::vector<CellValues>& a,
+                      const std::vector<CellValues>& b,
                       const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].values.size(), b[i].values.size()) << what;
     for (size_t s = 0; s < a[i].values.size(); ++s) {
-      EXPECT_FALSE(a[i].values[s].failed) << what;
       // EXPECT_EQ on doubles is exact: the contract is bit-identical.
-      EXPECT_EQ(a[i].values[s].value, b[i].values[s].value)
+      EXPECT_EQ(a[i].values[s], b[i].values[s])
           << what << " cell " << i << " slot " << s;
     }
   }
@@ -140,11 +140,11 @@ TEST(MetricReferenceTest, DeterministicReferencesMatchPerCellFormBitForBit) {
           << what;
 
       BatchRunStats stats;
-      std::vector<BatchMultiResult> two_phase = runner.RunTasksMulti(
-          g, c.name, tasks, spec.master_seed, {metric}, nullptr, &stats);
-      std::vector<BatchMultiResult> one_call = runner.RunTasksMulti(
-          g, c.name, tasks, spec.master_seed,
-          {BatchMetric{name, per_cell, nullptr}});
+      std::vector<CellValues> two_phase = CollectValues(
+          runner, g, c.name, tasks, spec.master_seed, {metric}, &stats);
+      std::vector<CellValues> one_call =
+          CollectValues(runner, g, c.name, tasks, spec.master_seed,
+                        {BatchMetric{name, per_cell, nullptr}});
       ExpectSameValues(two_phase, one_call, what);
       EXPECT_EQ(stats.reference_stages, g.IsDirected() ? 2u : 1u) << what;
     }
@@ -160,30 +160,30 @@ TEST(MetricReferenceTest, SampledReferencesAreIndependentOfScheduling) {
   for (const char* name : {"betweenness", "f1"}) {
     const BatchMetric& metric = cli::FindMetric(name);
     BatchRunner one(1), four(4);
-    std::vector<BatchMultiResult> serial =
-        one.RunTasksMulti(g, "fb@0.1", tasks, spec.master_seed, {metric});
+    std::vector<CellValues> serial =
+        CollectValues(one, g, "fb@0.1", tasks, spec.master_seed, {metric});
     ExpectSameValues(serial,
-                     four.RunTasksMulti(g, "fb@0.1", tasks, spec.master_seed,
-                                        {metric}),
+                     CollectValues(four, g, "fb@0.1", tasks, spec.master_seed,
+                                   {metric}),
                      std::string(name) + " 1 vs 4 threads");
 
     // {metric, other}: the metric keeps id 0, so its values line up.
-    std::vector<BatchMultiResult> composed = four.RunTasksMulti(
-        g, "fb@0.1", tasks, spec.master_seed,
-        {metric, cli::FindMetric("closeness")});
-    for (BatchMultiResult& r : composed) r.values.resize(1);
+    std::vector<CellValues> composed =
+        CollectValues(four, g, "fb@0.1", tasks, spec.master_seed,
+                      {metric, cli::FindMetric("closeness")});
+    for (CellValues& r : composed) r.values.resize(1);
     ExpectSameValues(serial, composed, std::string(name) + " composition");
 
     // A subset: every other cell, alone.
     std::vector<BatchTask> subset;
-    std::vector<BatchMultiResult> expected;
+    std::vector<CellValues> expected;
     for (size_t i = 0; i < tasks.size(); i += 2) {
       subset.push_back(tasks[i]);
       expected.push_back(serial[i]);
     }
     ExpectSameValues(expected,
-                     four.RunTasksMulti(g, "fb@0.1", subset, spec.master_seed,
-                                        {metric}),
+                     CollectValues(four, g, "fb@0.1", subset, spec.master_seed,
+                                   {metric}),
                      std::string(name) + " subset");
   }
 }

@@ -8,7 +8,9 @@
 // NestedParallelFor (the within-metric BFS-batch fan-out primitive) and
 // the BatchMetric thread-safety audit regression.
 #include <atomic>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -112,7 +114,7 @@ TEST(MetricSeedTest, DependsOnEveryComponent) {
   EXPECT_NE(BatchRunner::MetricSeed(42, "ab", "c", 0.3, 1, ""),
             BatchRunner::MetricSeed(42, "a", "bc", 0.3, 1, ""));
   EXPECT_NE(BatchRunner::MetricSeed(42, "a\xff", "b", 0.3, 1, ""),
-            BatchRunner::MetricSeed(42, "a", "\xffb", 0.3, 1, ""));
+            BatchRunner::MetricSeed(42, "a", "\xff" "b", 0.3, 1, ""));
 }
 
 // ---------------------------------------------------------------------------
@@ -216,17 +218,16 @@ TEST_F(MultiMetricEngineTest, MultiRunEqualsUnionOfSingleMetricRuns) {
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   std::vector<BatchMetric> metrics = Metrics();
   BatchRunner runner(2);
-  std::vector<BatchMultiResult> multi = runner.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+  std::vector<CellValues> multi = CollectValues(
+      runner, graph_, "fb@0.1", tasks, spec.master_seed, metrics);
   ASSERT_EQ(multi.size(), tasks.size());
   for (uint32_t m = 0; m < metrics.size(); ++m) {
-    std::vector<BatchMultiResult> single = runner.RunTasksMulti(
-        graph_, "fb@0.1", tasks, spec.master_seed, {metrics[m]});
+    std::vector<CellValues> single = CollectValues(
+        runner, graph_, "fb@0.1", tasks, spec.master_seed, {metrics[m]});
     for (size_t i = 0; i < tasks.size(); ++i) {
       ASSERT_EQ(multi[i].values.size(), metrics.size());
-      EXPECT_EQ(multi[i].values[m].metric, m);
       // EXPECT_EQ on doubles is exact: the contract is bit-identical.
-      EXPECT_EQ(multi[i].values[m].value, single[i].values[0].value)
+      EXPECT_EQ(multi[i].values[m], single[i].values[0])
           << metrics[m].name << " cell " << i;
       EXPECT_EQ(multi[i].achieved_prune_rate, single[i].achieved_prune_rate);
     }
@@ -237,11 +238,11 @@ TEST_F(MultiMetricEngineTest, BitIdenticalAcrossThreadCounts) {
   BatchSpec spec = Spec();
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   std::vector<BatchMetric> metrics = Metrics();
-  std::vector<std::vector<BatchMultiResult>> runs;
+  std::vector<std::vector<CellValues>> runs;
   for (int threads : {1, 2, 8}) {
     BatchRunner runner(threads);
-    runs.push_back(runner.RunTasksMulti(graph_, "fb@0.1", tasks,
-                                        spec.master_seed, metrics));
+    runs.push_back(CollectValues(runner, graph_, "fb@0.1", tasks,
+                                 spec.master_seed, metrics));
   }
   for (size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[0].size(), runs[r].size());
@@ -249,7 +250,7 @@ TEST_F(MultiMetricEngineTest, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(runs[0][i].achieved_prune_rate, runs[r][i].achieved_prune_rate);
       ASSERT_EQ(runs[0][i].values.size(), runs[r][i].values.size());
       for (size_t s = 0; s < runs[0][i].values.size(); ++s) {
-        EXPECT_EQ(runs[0][i].values[s].value, runs[r][i].values[s].value);
+        EXPECT_EQ(runs[0][i].values[s], runs[r][i].values[s]);
       }
     }
   }
@@ -260,8 +261,8 @@ TEST_F(MultiMetricEngineTest, PerTaskMetricSubsetsAreHonored) {
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   std::vector<BatchMetric> metrics = Metrics();
   BatchRunner runner(2);
-  std::vector<BatchMultiResult> full = runner.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+  std::vector<CellValues> full = CollectValues(
+      runner, graph_, "fb@0.1", tasks, spec.master_seed, metrics);
 
   // Odd cells evaluate only metric 1, even cells metrics {0, 3} — the
   // shapes the resume scheduler produces. Values must match the full run.
@@ -273,8 +274,8 @@ TEST_F(MultiMetricEngineTest, PerTaskMetricSubsetsAreHonored) {
     expected_units += subset[i].metrics.size();
   }
   BatchRunStats stats;
-  std::vector<BatchMultiResult> partial = runner.RunTasksMulti(
-      graph_, "fb@0.1", subset, spec.master_seed, metrics, nullptr, &stats);
+  std::vector<CellValues> partial = CollectValues(
+      runner, graph_, "fb@0.1", subset, spec.master_seed, metrics, &stats);
   EXPECT_EQ(stats.cells, tasks.size());
   EXPECT_EQ(stats.metric_units, expected_units);
   EXPECT_EQ(stats.subgraph_builds, tasks.size());
@@ -282,8 +283,7 @@ TEST_F(MultiMetricEngineTest, PerTaskMetricSubsetsAreHonored) {
     ASSERT_EQ(partial[i].values.size(), subset[i].metrics.size());
     for (size_t s = 0; s < partial[i].values.size(); ++s) {
       uint32_t m = subset[i].metrics[s];
-      EXPECT_EQ(partial[i].values[s].metric, m);
-      EXPECT_EQ(partial[i].values[s].value, full[i].values[m].value);
+      EXPECT_EQ(partial[i].values[s], full[i].values[m]);
     }
   }
 }
@@ -295,9 +295,8 @@ TEST_F(MultiMetricEngineTest, StatsCountBothSharingAxes) {
   ASSERT_EQ(tasks.size(), 6u + 3u + 1u);
   std::vector<BatchMetric> metrics = Metrics();
   BatchRunner runner(2);
-  BatchRunStats stats;
-  runner.RunTasksMulti(graph_, "fb@0.1", tasks, spec.master_seed, metrics,
-                       nullptr, &stats);
+  BatchRunStats stats =
+      runner.RunTasksMulti(graph_, "fb@0.1", tasks, spec.master_seed, metrics);
   EXPECT_EQ(stats.cells, 10u);
   EXPECT_EQ(stats.metric_units, 40u);
   EXPECT_EQ(stats.subgraph_builds, 10u);   // one per cell, not per unit
@@ -316,6 +315,57 @@ TEST_F(MultiMetricEngineTest, InvalidMetricConfigurationsThrow) {
   EXPECT_THROW(runner.RunTasksMulti(graph_, "fb@0.1", bad, spec.master_seed,
                                     {cli::FindMetric("degree")}),
                std::invalid_argument);
+}
+
+TEST_F(MultiMetricEngineTest, ThrowingMetricFailsAloneUnderDefaultPolicy) {
+  // A direct engine call with a default FaultPolicy: each unit of the
+  // throwing metric ends once through on_unit_failure, as a permanent
+  // failure after one attempt, and the sibling metric delivers every
+  // value, equal to a run without the throwing metric.
+  BatchSpec spec = Spec();
+  std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
+  BatchMetric degree = cli::FindMetric("degree");
+  BatchMetric boom{"boom",
+                   [](const Graph&, const Graph&, Rng&) -> double {
+                     throw std::runtime_error("boom");
+                   },
+                   nullptr};
+  BatchRunner runner(2);
+  std::vector<CellValues> want = CollectValues(
+      runner, graph_, "fb@0.1", tasks, spec.master_seed, {degree});
+
+  std::mutex mu;
+  std::vector<int> failures(tasks.size(), 0);
+  std::vector<int> values(tasks.size(), 0);
+  std::vector<double> got(tasks.size(), 0.0);
+  FaultPolicy faults;
+  faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
+                               const std::string& error_class,
+                               const std::string& message, int attempts) {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(m, 1u);
+    EXPECT_EQ(error_class, "permanent");
+    EXPECT_EQ(message, "boom");
+    EXPECT_EQ(attempts, 1);
+    ++failures[&task - tasks.data()];
+  };
+  BatchRunStats stats = runner.RunTasksMulti(
+      graph_, "fb@0.1", tasks, spec.master_seed, {degree, boom},
+      [&](const BatchTask& task, double, uint32_t m, double value) {
+        std::lock_guard<std::mutex> lock(mu);
+        EXPECT_EQ(m, 0u);
+        ++values[&task - tasks.data()];
+        got[&task - tasks.data()] = value;
+      },
+      faults);
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(failures[i], 1) << "cell " << i;
+    EXPECT_EQ(values[i], 1) << "cell " << i;
+    EXPECT_EQ(got[i], want[i].values[0]) << "cell " << i;
+  }
+  EXPECT_EQ(stats.failed_units, tasks.size());
+  EXPECT_EQ(stats.retried_units, 0u);
+  EXPECT_EQ(stats.cancelled_units, 0u);
 }
 
 TEST_F(MultiMetricEngineTest, MetricThreadSafetyAuditRegression) {
@@ -338,14 +388,14 @@ TEST_F(MultiMetricEngineTest, MetricThreadSafetyAuditRegression) {
   };
   BatchRunner one(1);
   BatchRunner eight(8);
-  std::vector<BatchMultiResult> serial = one.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
-  std::vector<BatchMultiResult> parallel = eight.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+  std::vector<CellValues> serial = CollectValues(
+      one, graph_, "fb@0.1", tasks, spec.master_seed, metrics);
+  std::vector<CellValues> parallel = CollectValues(
+      eight, graph_, "fb@0.1", tasks, spec.master_seed, metrics);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     for (size_t s = 0; s < serial[i].values.size(); ++s) {
-      EXPECT_EQ(serial[i].values[s].value, parallel[i].values[s].value)
+      EXPECT_EQ(serial[i].values[s], parallel[i].values[s])
           << metrics[s].name << " cell " << i;
     }
   }

@@ -94,16 +94,16 @@ TEST_F(ResumableSweepTest, SubsetRunMatchesFullGridSeeds) {
   BatchSpec spec = ToBatchSpec(TestConfig());
   std::vector<BatchMetric> metric = {BatchMetric{"quad5", SampledMetric()}};
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
-  std::vector<BatchMultiResult> full = runner_.RunTasksMulti(
-      graph_, "fb@0.1", tasks, spec.master_seed, metric);
+  std::vector<CellValues> full = CollectValues(
+      runner_, graph_, "fb@0.1", tasks, spec.master_seed, metric);
   std::vector<BatchTask> odd;
   for (size_t i = 1; i < tasks.size(); i += 2) odd.push_back(tasks[i]);
-  std::vector<BatchMultiResult> subset = runner_.RunTasksMulti(
-      graph_, "fb@0.1", odd, spec.master_seed, metric);
+  std::vector<CellValues> subset = CollectValues(
+      runner_, graph_, "fb@0.1", odd, spec.master_seed, metric);
   ASSERT_EQ(subset.size(), odd.size());
   for (size_t j = 0; j < subset.size(); ++j) {
     EXPECT_EQ(subset[j].task.index, odd[j].index);
-    EXPECT_EQ(subset[j].values[0].value, full[odd[j].index].values[0].value);
+    EXPECT_EQ(subset[j].values[0], full[odd[j].index].values[0]);
     EXPECT_EQ(subset[j].achieved_prune_rate,
               full[odd[j].index].achieved_prune_rate);
   }
@@ -300,10 +300,11 @@ TEST_F(ResumableSweepTest, FailedUnitIsLeftOutOfItsPoint) {
   const std::vector<SweepSeries> clean = RunQuad5(clean_sweep, graph_, config);
   // The clean value and achieved rate of every (rate, run) unit.
   std::map<std::pair<double, int>, std::pair<double, double>> unit;
-  for (const BatchMultiResult& r : runner.RunTasksMulti(
-           graph_, "fb@0.1", BatchRunner::ExpandGrid(ToBatchSpec(config)),
-           config.seed, {BatchMetric{"quad5", SampledMetric()}})) {
-    unit[{r.task.prune_rate, r.task.run}] = {r.values[0].value,
+  for (const CellValues& r : CollectValues(
+           runner, graph_, "fb@0.1",
+           BatchRunner::ExpandGrid(ToBatchSpec(config)), config.seed,
+           {BatchMetric{"quad5", SampledMetric()}})) {
+    unit[{r.task.prune_rate, r.task.run}] = {r.values[0],
                                              r.achieved_prune_rate};
   }
   ASSERT_EQ(unit.size(), 4u);
@@ -313,7 +314,6 @@ TEST_F(ResumableSweepTest, FailedUnitIsLeftOutOfItsPoint) {
     SCOPED_TRACE("failing hit " + std::to_string(k));
     ResultStore store(TestPath("failed_unit_" + std::to_string(k)));
     ResumableSweep sweep(runner, &store, "test-rev");
-    sweep.set_fault_tolerant(true);
     fail::ArmFromSpec("engine.metric_unit/quad5=throw@" + std::to_string(k));
     std::vector<SweepSeries> series = RunQuad5(sweep, graph_, config);
     fail::DisarmAll();
@@ -350,7 +350,6 @@ TEST_F(ResumableSweepTest, FailedUnitIsLeftOutOfItsPoint) {
 
   // With every unit failed, each point keeps its rate and reports runs 0.
   ResumableSweep sweep(runner, nullptr, "test-rev");
-  sweep.set_fault_tolerant(true);
   fail::ArmFromSpec("engine.metric_unit/quad5=throw");
   std::vector<SweepSeries> none = RunQuad5(sweep, graph_, config);
   ASSERT_EQ(none[0].points.size(), clean[0].points.size());

@@ -89,7 +89,6 @@ TEST_F(ShardSchedulerTest, LoneWorkerStealsAbsentPeersChunksAndCompletes) {
   ShardSpec spec;
   spec.index = 0;
   spec.total = 3;
-  spec.poll_seconds = 0.01;
   sweep.set_shard(spec);
   ResumableSweepStats stats;
   std::vector<MetricSweepSeries> sharded =
@@ -130,7 +129,6 @@ TEST_F(ShardSchedulerTest, SequentialWorkersPartitionWithoutOverlap) {
   spec.index = 1;
   spec.total = 2;
   spec.steal = true;  // nothing left to steal; phase B just verifies
-  spec.poll_seconds = 0.01;
   sweep.set_shard(spec);
   ResumableSweepStats stats;
   std::vector<MetricSweepSeries> folded =
@@ -147,7 +145,6 @@ TEST_F(ShardSchedulerTest, RerunOverCompleteStoreSubmitsNothing) {
   ShardSpec spec;
   spec.index = 0;
   spec.total = 2;
-  spec.poll_seconds = 0.01;
   {
     ResultStore store(dir);
     ResumableSweep sweep(runner_, &store, "test-rev");

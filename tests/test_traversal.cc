@@ -20,6 +20,7 @@
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_graphs.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
@@ -438,11 +439,10 @@ TEST(TraversalKernelTest, DistanceMetricsBitIdenticalAcrossThreadCounts) {
   std::vector<BatchTask> tasks = BatchRunner::ExpandGrid(spec);
   auto run_at = [&](int threads) {
     BatchRunner runner(threads);
-    std::vector<BatchMultiResult> results =
-        runner.RunTasksMulti(g, "bitident", tasks, spec.master_seed, metrics);
     std::vector<double> values;
-    for (const BatchMultiResult& r : results) {
-      for (const BatchMetricValue& mv : r.values) values.push_back(mv.value);
+    for (const CellValues& r : CollectValues(runner, g, "bitident", tasks,
+                                             spec.master_seed, metrics)) {
+      values.insert(values.end(), r.values.begin(), r.values.end());
     }
     return values;
   };

@@ -18,6 +18,7 @@
 #include "src/graph/generators.h"
 #include "src/sparsifiers/sparsifier.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace sparsify {
 namespace {
@@ -182,17 +183,17 @@ double EdgeRatioPlusNoise(const Graph& orig, const Graph& sp, Rng& rng) {
 }
 
 // `tasks` of `spec` (default: the full grid), one anonymous metric.
-std::vector<BatchMultiResult> RunCells(BatchRunner& runner, const Graph& g,
-                                       const BatchSpec& spec,
-                                       const BatchMetricFn& metric,
-                                       std::vector<BatchTask> tasks = {},
-                                       BatchRunStats* stats = nullptr) {
+std::vector<CellValues> RunCells(BatchRunner& runner, const Graph& g,
+                                 const BatchSpec& spec,
+                                 const BatchMetricFn& metric,
+                                 std::vector<BatchTask> tasks = {},
+                                 BatchRunStats* stats = nullptr) {
   if (tasks.empty()) tasks = BatchRunner::ExpandGrid(spec);
-  return runner.RunTasksMulti(g, "", tasks, spec.master_seed,
-                              {BatchMetric{"", metric}}, nullptr, stats);
+  return CollectValues(runner, g, "", tasks, spec.master_seed,
+                       {BatchMetric{"", metric}}, stats);
 }
 
-std::vector<BatchMultiResult> RunGroupedGrid(int num_threads) {
+std::vector<CellValues> RunGroupedGrid(int num_threads) {
   Rng gen(88);
   Graph g = BarabasiAlbert(120, 3, gen);
   BatchSpec spec;
@@ -204,14 +205,14 @@ std::vector<BatchMultiResult> RunGroupedGrid(int num_threads) {
   return RunCells(runner, g, spec, EdgeRatioPlusNoise);
 }
 
-void ExpectIdentical(const std::vector<BatchMultiResult>& a,
-                     const std::vector<BatchMultiResult>& b) {
+void ExpectIdentical(const std::vector<CellValues>& a,
+                     const std::vector<CellValues>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].task.index, b[i].task.index);
     // EXPECT_EQ on doubles is exact: the contract is bit-identical.
     EXPECT_EQ(a[i].achieved_prune_rate, b[i].achieved_prune_rate);
-    EXPECT_EQ(a[i].values[0].value, b[i].values[0].value);
+    EXPECT_EQ(a[i].values[0], b[i].values[0]);
   }
 }
 
@@ -236,7 +237,7 @@ TEST(GroupedSchedulerTest, DeterministicSparsifiersUnchangedBySharing) {
   BatchRunner runner(2);
   auto shared = RunCells(runner, g, spec, EdgeRatioPlusNoise);
   ASSERT_FALSE(shared.empty());
-  for (const BatchMultiResult& r : shared) {
+  for (const CellValues& r : shared) {
     const BatchTask& task = r.task;
     Rng unused(1);
     Graph sparsified = CreateSparsifier(task.sparsifier)
@@ -247,7 +248,7 @@ TEST(GroupedSchedulerTest, DeterministicSparsifiersUnchangedBySharing) {
     EXPECT_EQ(r.achieved_prune_rate,
               Sparsifier::AchievedPruneRate(g, sparsified))
         << task.sparsifier << "@" << task.prune_rate;
-    EXPECT_EQ(r.values[0].value, EdgeRatioPlusNoise(g, sparsified, metric_rng))
+    EXPECT_EQ(r.values[0], EdgeRatioPlusNoise(g, sparsified, metric_rng))
         << task.sparsifier << "@" << task.prune_rate;
   }
 }
@@ -271,8 +272,8 @@ TEST(GroupedSchedulerTest, SubsetRunMatchesFullGrid) {
   auto partial = RunCells(runner, g, spec, EdgeRatioPlusNoise, subset);
   ASSERT_EQ(partial.size(), subset.size());
   for (size_t j = 0; j < partial.size(); ++j) {
-    EXPECT_EQ(partial[j].values[0].value,
-              full[subset[j].index].values[0].value);
+    EXPECT_EQ(partial[j].values[0],
+              full[subset[j].index].values[0]);
     EXPECT_EQ(partial[j].achieved_prune_rate,
               full[subset[j].index].achieved_prune_rate);
   }
