@@ -484,6 +484,7 @@ BatchRunStats BatchRunner::RunTasksMulti(
     unit_token.set_parent(&run_token);
     StageScope stage(kMetricUnit, stage_name(metric), &task, &unit_token,
                      &unit_token, run);
+    double value = 0.0;
     for (int attempts = 1;; ++attempts) {
       if (faults.unit_timeout_seconds > 0) {
         unit_token.SetDeadlineAfter(faults.unit_timeout_seconds);
@@ -498,12 +499,10 @@ BatchRunStats BatchRunner::RunTasksMulti(
                                   task.prune_rate, task.run, metric.name));
         // Expose the pool for the metric's own BFS-batch fan-out.
         SubtaskPoolScope subtasks(&impl_->pool);
-        double value =
-            ref != nullptr
-                ? ref->evaluate(*cell_graph[i], metric_rng)
-                : metric.fn(*input_of[i], *cell_graph[i], metric_rng);
-        if (on_result) on_result(task, achieved[i], m, value);
-        return;
+        value = ref != nullptr
+                    ? ref->evaluate(*cell_graph[i], metric_rng)
+                    : metric.fn(*input_of[i], *cell_graph[i], metric_rng);
+        break;
       } catch (...) {
         Failure f = classify(std::current_exception());
         if (f.error_class == "transient" &&
@@ -515,6 +514,9 @@ BatchRunStats BatchRunner::RunTasksMulti(
         return end_units(i, slot, slot + 1, f, attempts);
       }
     }
+    // Outside the classifier: the unit succeeded, so what the consumer
+    // throws (a failed store append) is not the metric's failure.
+    if (on_result) on_result(task, achieved[i], m, value);
   };
 
   // SubmitUrgent puts a unit ahead of every queued subgraph build and

@@ -297,10 +297,9 @@ class BatchRunner {
   /// `faults.on_unit_failure`, or as cancelled when `faults.cancel` trips
   /// (counted, never reported). Returns the run's counters. Throws
   /// std::invalid_argument, before any work starts, when `metrics` is
-  /// empty or a task names an out-of-range metric id. An exception thrown
-  /// by `on_result` fails its unit like the metric's own; one that escapes
-  /// `on_unit_failure` (a failed store append) is rethrown once the pool
-  /// drains.
+  /// empty or a task names an out-of-range metric id. An exception that
+  /// escapes `on_result` or `on_unit_failure` (a failed store append) is
+  /// not a unit failure: it is rethrown once the pool drains.
   BatchRunStats RunTasksMulti(const Graph& g, const std::string& dataset,
                               const std::vector<BatchTask>& tasks,
                               uint64_t master_seed,

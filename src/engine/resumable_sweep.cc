@@ -1,5 +1,7 @@
 #include "src/engine/resumable_sweep.h"
 
+#include <exception>
+#include <mutex>
 #include <utility>
 
 namespace sparsify {
@@ -70,6 +72,24 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
                 progress_total);
     }
   };
+  // A store write that throws is no unit's failure: the first one
+  // cancels the run (the remaining units end as cancelled, recording
+  // nothing) and is rethrown once the run drains, so the unit it lost is
+  // missing for the next resume.
+  CancelToken run_token;
+  run_token.set_parent(cancel_);
+  std::mutex write_mu;
+  std::exception_ptr write_error;
+  auto write = [&](auto&& append) {
+    if (store_ == nullptr) return;
+    try {
+      append();
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(write_mu);
+      if (!write_error) write_error = std::current_exception();
+      run_token.Cancel();
+    }
+  };
   // Append as each unit completes: the store flushes per record, so a
   // crash loses at most the in-flight line (see store/README.md). The
   // callbacks run on worker threads; Append serializes internally, and
@@ -78,30 +98,36 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
   BatchRunner::MetricResultCallback on_unit =
       [&](const BatchTask& task, double achieved, uint32_t m, double value) {
         grid.Set(task.index, m, achieved, value);
-        if (store_ != nullptr) {
+        write([&] {
           store_->Append(grid.Key(task.index, m), achieved, value);
-        }
+        });
         report();
       };
   // A failed unit lands in the store as a typed error record (same
   // CellKey — the next resume sees it as missing and resubmits it) and
   // counts as completed for progress purposes.
   FaultPolicy faults;
-  faults.cancel = cancel_;
+  faults.cancel = &run_token;
   faults.unit_timeout_seconds = unit_timeout_seconds_;
   faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
                                const std::string& error_class,
                                const std::string& error_message,
                                int attempts) {
-    if (store_ != nullptr) {
-      store_->AppendError(grid.Key(task.index, m), error_class, error_message,
-                          attempts);
-    }
+    write([&] {
+      store_->AppendError(grid.Key(task.index, m), error_class,
+                          error_message, attempts);
+    });
     report();
   };
   stats += runner_.RunTasksMulti(grid.g, grid.dataset, missing,
                                  grid.spec.master_seed, grid.metrics, on_unit,
                                  faults);
+  if (write_error) std::rethrow_exception(write_error);
+  // The watchdog escalates a stuck score group, subgraph or reference
+  // through this token; that stops the caller's whole run.
+  if (cancel_ != nullptr && run_token.reason() != CancelToken::Reason::kNone) {
+    cancel_->Cancel(run_token.reason());
+  }
 }
 
 std::vector<BatchTask> ResumableSweep::MissingCells(Grid& grid, size_t begin,

@@ -122,7 +122,9 @@ class ResumableSweep {
   /// that still fails is left out of its point and recorded in the store
   /// as a typed ERROR record under its CellKey. Error records read back
   /// as missing, so the next resume resubmits exactly the failed units; a
-  /// later success overwrites the error (last write wins).
+  /// later success overwrites the error (last write wins). A store write
+  /// that throws is not a unit failure: it stops the sweep and is
+  /// rethrown (an IoError for a filesystem failure).
   std::vector<MetricSweepSeries> RunMulti(
       const Graph& g, const std::string& dataset,
       const std::vector<BatchMetric>& metrics, const SweepConfig& config,
@@ -163,7 +165,8 @@ class ResumableSweep {
   // engine under this sweep's fault policy. Each finished unit lands in
   // `grid` and the store; a failed one becomes an error record. Both
   // report progress against `progress_total`. The engine's counters add
-  // into `stats`.
+  // into `stats`. The first store write that throws cancels the run and
+  // is rethrown once it drains; the unit it lost stays missing.
   void RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
                 size_t progress_total, ResumableSweepStats& stats);
 

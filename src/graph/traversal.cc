@@ -130,14 +130,22 @@ void TraversalScratch::Begin(NodeId n, bool weighted) {
   next_.clear();
 }
 
-void TraversalScratch::EnsureBrandes(NodeId n) {
-  if (sigma_.size() < static_cast<size_t>(n)) {
-    // New entries start zero; users restore the all-zero invariant for
-    // the entries they touch, so this refill happens only on growth.
-    sigma_.resize(n, 0.0);
-    delta_.resize(n, 0.0);
+void TraversalScratch::EnsureBrandes(const Graph& g) {
+  const size_t n = g.NumVertices();
+  if (brandes_.size() < n) {
+    // New entries start zeroed / unreached; users restore that state for
+    // the entries they touch, so this fill happens only on growth.
+    brandes_.resize(n);
+    brandes_level_.resize(n, kNoLevel);
   }
   order_.clear();
+  succ_.clear();
+  succ_end_.clear();
+  order_.reserve(n);
+  succ_end_.reserve(n);
+  // Levels rise by one along every DAG arc, so an undirected edge is an
+  // arc in at most one direction: the DAG never has more arcs than edges.
+  succ_.reserve(g.NumEdges());
 }
 
 TraversalSummary BfsLevels(const Graph& g, NodeId src,

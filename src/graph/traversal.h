@@ -9,10 +9,11 @@
 //
 //  * TraversalScratch owns every per-traversal array (epoch-stamped visit
 //    marks, uint32 level array, double distance array, flat frontier
-//    buffers, Dijkstra heap storage, Brandes sigma/delta/order arrays).
-//    Repeated traversals over same-sized graphs do zero allocation, and
-//    the epoch stamp makes "reset the visited set" an O(1) counter bump
-//    instead of an O(n) refill.
+//    buffers, Dijkstra heap storage, and the Brandes state: sigma/delta
+//    slots, a sentinel-filled level array, the pop order and the flat
+//    shortest-path DAG). Repeated traversals over same-sized graphs do
+//    zero allocation, and the epoch stamp makes "reset the visited set"
+//    an O(1) counter bump instead of an O(n) refill.
 //
 //  * BfsLevels is a level-synchronous direction-optimizing BFS (Beamer et
 //    al., the GAP-benchmark kernel): it starts in the push (top-down)
@@ -93,10 +94,12 @@ class TraversalScratch {
   /// epoch wraps, once per ~4 billion traversals).
   void Begin(NodeId n, bool weighted);
 
-  /// Sizes and zeroes the Brandes sigma/delta arrays. Callers must
-  /// restore the all-zero invariant before returning (zero the entries
-  /// they touched), so repeated calls cost O(1).
-  void EnsureBrandes(NodeId n);
+  /// Sizes the Brandes state for `g`: the slots (all zero) and levels
+  /// (all kNoLevel) to its vertex count, the order and DAG buffers to its
+  /// vertex and edge counts. Callers must restore the slots and levels of
+  /// the vertices they touched before returning, so a warm scratch
+  /// allocates nothing and repeated calls cost O(1).
+  void EnsureBrandes(const Graph& g);
 
   // Kernel-internal state, exposed for the traversal functions and the
   // Brandes accumulation in centrality.cc. Treat as read-only elsewhere.
@@ -105,7 +108,7 @@ class TraversalScratch {
   bool weighted_ = false;
   std::vector<uint32_t> level_;  // hop counts (unweighted traversals)
   std::vector<double> dist_;     // weighted distances (Dijkstra)
-  std::vector<NodeId> frontier_;  // flat frontier (also Brandes' FIFO)
+  std::vector<NodeId> frontier_;  // flat frontier
   std::vector<NodeId> next_;      // next-level frontier
   std::vector<std::pair<double, NodeId>> heap_;  // Dijkstra min-heap
   // Pull-direction visited bitmap, built lazily at the first pull switch
@@ -117,10 +120,19 @@ class TraversalScratch {
   // and the discovery-order list the end-of-run summary fold walks.
   std::vector<std::vector<NodeId>> buckets_;
   std::vector<NodeId> reached_order_;
-  // Brandes betweenness state (EnsureBrandes; all-zero between calls).
-  std::vector<double> sigma_;
-  std::vector<double> delta_;
-  std::vector<NodeId> order_;  // BFS/settle order of the last accumulation
+  // Brandes betweenness state (EnsureBrandes). Slots are all zero and
+  // levels all kNoLevel between calls; order_ doubles as the FIFO, and
+  // the successors of order_[i] in the shortest-path DAG are
+  // succ_[succ_end_[i - 1], succ_end_[i]) (from 0 for i == 0).
+  struct BrandesSlot {
+    double sigma = 0.0;  // shortest paths from the source
+    double delta = 0.0;  // dependency of the source on the vertex
+  };
+  std::vector<BrandesSlot> brandes_;
+  std::vector<uint32_t> brandes_level_;
+  std::vector<NodeId> order_;  // BFS pop order of the last accumulation
+  std::vector<NodeId> succ_;
+  std::vector<EdgeId> succ_end_;  // <= NumEdges(), see EnsureBrandes
   // MultiSourceBfs state: one bit per source per vertex (zeroed per call;
   // the vertex lists reuse frontier_/next_).
   std::vector<uint64_t> ms_seen_;

@@ -20,52 +20,60 @@ namespace {
 // One Brandes source accumulation (unweighted BFS DAG), adding the
 // dependency of `src` into `centrality` with multiplier `scale`.
 //
-// The BFS is deliberately push-only over a flat FIFO frontier (a vector
-// with a head cursor reproduces std::queue pop order exactly): sigma
-// accumulates DURING the traversal, in frontier pop order, so keeping the
-// legacy order keeps the floating-point association — and therefore the
-// result — bit-identical to the seed implementation. The scratch supplies
-// every array (stamps/levels for dist, sigma/delta, the order list), so
-// repeated sources allocate nothing; sigma/delta are zeroed only for the
-// vertices this source actually reached (the all-zero invariant is
-// restored at the end).
+// The forward pass is a push-only BFS over a flat FIFO (order_ with a head
+// cursor, which pops exactly as the legacy std::queue did): sigma
+// accumulates DURING the traversal, in pop order, and every arc v -> u
+// with level[u] == level[v] + 1 is recorded as a successor of v. That
+// test is final when it is made — a level is set once, and sigma[u] >=
+// sigma[v] >= 1 — so the backward pass walks only the recorded
+// shortest-path DAG, in reverse pop order and in each vertex's adjacency
+// order. The floating-point association of both passes is therefore the
+// legacy one, and the result bit-identical to the seed implementation.
+// The scratch supplies every array, so repeated sources allocate
+// nothing; only the vertices this source reached are reset at the end.
 void BrandesAccumulate(const Graph& g, NodeId src, double scale,
                        std::vector<double>* centrality,
                        TraversalScratch& s) {
-  const NodeId n = g.NumVertices();
-  s.Begin(n, /*weighted=*/false);
-  s.EnsureBrandes(n);
+  s.EnsureBrandes(g);
+  std::vector<TraversalScratch::BrandesSlot>& slot = s.brandes_;
+  std::vector<uint32_t>& level = s.brandes_level_;
+  std::vector<NodeId>& order = s.order_;
 
-  s.sigma_[src] = 1.0;
-  s.MarkReached(src);
-  s.level_[src] = 0;
-  s.frontier_.push_back(src);
-  for (size_t head = 0; head < s.frontier_.size(); ++head) {
-    NodeId v = s.frontier_[head];
-    s.order_.push_back(v);
+  slot[src].sigma = 1.0;
+  level[src] = 0;
+  order.push_back(src);
+  for (size_t head = 0; head < order.size(); ++head) {
+    const NodeId v = order[head];
+    const uint32_t next = level[v] + 1;
+    const double sigma_v = slot[v].sigma;
     for (NodeId u : g.OutNeighborNodes(v)) {
-      if (!s.Reached(u)) {
-        s.MarkReached(u);
-        s.level_[u] = s.level_[v] + 1;
-        s.frontier_.push_back(u);
+      if (level[u] == TraversalScratch::kNoLevel) {
+        level[u] = next;
+        order.push_back(u);
       }
-      if (s.level_[u] == s.level_[v] + 1) s.sigma_[u] += s.sigma_[v];
-    }
-  }
-  for (auto it = s.order_.rbegin(); it != s.order_.rend(); ++it) {
-    NodeId w = *it;
-    for (NodeId u : g.OutNeighborNodes(w)) {
-      if (s.Reached(u) && s.level_[u] == s.level_[w] + 1 &&
-          s.sigma_[u] > 0.0) {
-        s.delta_[w] += s.sigma_[w] / s.sigma_[u] * (1.0 + s.delta_[u]);
+      if (level[u] == next) {
+        slot[u].sigma += sigma_v;
+        s.succ_.push_back(u);
       }
     }
-    if (w != src) (*centrality)[w] += scale * s.delta_[w];
+    s.succ_end_.push_back(static_cast<EdgeId>(s.succ_.size()));
   }
-  // Restore the all-zero sigma/delta invariant (only touched vertices).
-  for (NodeId w : s.order_) {
-    s.sigma_[w] = 0.0;
-    s.delta_[w] = 0.0;
+  for (size_t i = order.size(); i-- > 0;) {
+    const NodeId w = order[i];
+    const double sigma_w = slot[w].sigma;
+    double delta = 0.0;
+    for (size_t k = i == 0 ? 0 : s.succ_end_[i - 1]; k < s.succ_end_[i];
+         ++k) {
+      const TraversalScratch::BrandesSlot& u = slot[s.succ_[k]];
+      delta += sigma_w / u.sigma * (1.0 + u.delta);
+    }
+    slot[w].delta = delta;
+    if (w != src) (*centrality)[w] += scale * delta;
+  }
+  // Restore the zeroed-slot / kNoLevel invariant (only touched vertices).
+  for (NodeId w : order) {
+    slot[w] = {};
+    level[w] = TraversalScratch::kNoLevel;
   }
 }
 

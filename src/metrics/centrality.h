@@ -2,7 +2,10 @@
 // precision evaluator used to compare sparsified-vs-original rankings.
 //
 //   Betweenness: Brandes' algorithm; exact over all sources or sampled over
-//     `num_samples` pivots (Geisberger-style scaled contributions).
+//     `num_samples` pivots (Geisberger-style scaled contributions). The
+//     backward pass walks only the shortest-path DAG the forward BFS
+//     recorded, in the legacy order, so scores are bit-identical to the
+//     full out-arc rescan it replaced.
 //   Closeness:   1 / sum of distances to reachable vertices, scaled by the
 //     reachable fraction (the standard Wasserman-Faust correction for
 //     disconnected graphs). Exact: unweighted graphs run one 64-source

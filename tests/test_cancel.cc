@@ -252,6 +252,38 @@ TEST_F(KernelCancelTest, ClosenessPollsLeaveResultsUnchanged) {
             0);
 }
 
+// Sampled betweenness polls once per Brandes pivot, not only once per
+// batch of 32: a deadline that expires inside the one batch stops it.
+// The 32 Brandes passes over 100k vertices take far longer than the
+// 20 ms budget, so the batch cannot finish before the deadline.
+TEST_F(KernelCancelTest, BetweennessObservesDeadline) {
+  Rng gen(11);
+  const Graph g = WattsStrogatz(100000, 4, 0.1, gen);
+  CancelToken token;
+  token.SetDeadlineAfter(0.02);
+  CancelScope scope(&token);
+  Rng rng(5);
+  EXPECT_THROW(ApproxBetweennessCentrality(g, 32, rng),
+               DeadlineExceededError);
+}
+
+// The pivot polls draw nothing from the pivot stream: scores under a
+// token that never fires equal the unpolled ones.
+TEST_F(KernelCancelTest, BetweennessPollsLeaveResultsUnchanged) {
+  Rng plain_rng(5);
+  const std::vector<double> want =
+      ApproxBetweennessCentrality(graph_, 64, plain_rng);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  Rng polled_rng(5);
+  const std::vector<double> got =
+      ApproxBetweennessCentrality(graph_, 64, polled_rng);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
 // Louvain polls once per local-moving sweep, so an expired deadline stops
 // it before the first sweep.
 TEST_F(KernelCancelTest, LouvainObservesDeadline) {

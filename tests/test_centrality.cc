@@ -1,11 +1,17 @@
 // Tests for centrality metrics against analytically known values on small
 // graphs, plus sampled-vs-exact cross-validation mirroring the paper's
-// section 3.3.3, and closeness against the per-source loop it replaced.
+// section 3.3.3, closeness against the per-source loop it replaced, and
+// betweenness against the Brandes loop it replaced and a brute-force
+// all-pairs path count.
 #include "src/metrics/centrality.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -121,9 +127,10 @@ void ExpectSameBits(const std::vector<double>& got,
 }
 
 // Every UndirectedCases() shape with and without weights (the weighted
-// one runs per-source Dijkstra), directed RMat and forest-fire graphs,
-// and n = 0 and n = 1.
-std::vector<std::pair<std::string, Graph>> ClosenessGraphs() {
+// one runs per-source Dijkstra; betweenness ignores weights), directed
+// RMat and forest-fire graphs, a sparse directed graph with many
+// components, and n = 0 and n = 1.
+std::vector<std::pair<std::string, Graph>> CentralityGraphs() {
   std::vector<std::pair<std::string, Graph>> graphs;
   for (const GraphCase& c : UndirectedCases()) {
     Graph g = c.make();
@@ -135,6 +142,7 @@ std::vector<std::pair<std::string, Graph>> ClosenessGraphs() {
                       RMat(8, 900, 0.57, 0.19, 0.19, true, rng));
   graphs.emplace_back("forest_fire_directed",
                       ForestFireModel(300, 0.35, true, rng));
+  graphs.emplace_back("er_sparse_directed", ErdosRenyi(120, 100, true, rng));
   graphs.emplace_back("n0", Graph::FromEdges(0, {}, false, false));
   graphs.emplace_back("n1", Graph::FromEdges(1, {}, false, false));
   return graphs;
@@ -142,7 +150,7 @@ std::vector<std::pair<std::string, Graph>> ClosenessGraphs() {
 
 TEST(ClosenessTest, BitIdenticalToPerSourceLoop) {
   ThreadPool pool(4);
-  for (const auto& [name, g] : ClosenessGraphs()) {
+  for (const auto& [name, g] : CentralityGraphs()) {
     const std::vector<double> want = PerSourceCloseness(g);
     ExpectSameBits(ClosenessCentrality(g), want, name);
     SubtaskPoolScope scope(&pool);
@@ -150,18 +158,199 @@ TEST(ClosenessTest, BitIdenticalToPerSourceLoop) {
   }
 }
 
-// The centrality workload's graph: ca-AstroPh@0.6 subgraphs that keep
-// 100%, 50% and 10% of the edges.
-TEST(ClosenessTest, BitIdenticalToPerSourceLoopOnAstroPhSubgraphs) {
+// The centrality workload's graph: ca-AstroPh@0.6 random (RN) subgraphs
+// that keep 100%, 50% and 10% of the edges, named by that share.
+std::vector<std::pair<std::string, Graph>> AstroPhSubgraphs() {
   const Graph g = LoadDatasetScaled("ca-AstroPh", 0.6).graph;
+  std::vector<std::pair<std::string, Graph>> graphs;
   for (double keep : {1.0, 0.5, 0.1}) {
     Rng rng(53);
     std::vector<uint8_t> mask(g.NumEdges());
     for (uint8_t& m : mask) m = rng.NextBernoulli(keep) ? 1 : 0;
-    const Graph h = g.Subgraph(mask);
+    graphs.emplace_back("keep=" + std::to_string(keep), g.Subgraph(mask));
+  }
+  return graphs;
+}
+
+TEST(ClosenessTest, BitIdenticalToPerSourceLoopOnAstroPhSubgraphs) {
+  for (const auto& [name, h] : AstroPhSubgraphs()) {
     ASSERT_FALSE(h.IsWeighted());
-    ExpectSameBits(ClosenessCentrality(h), PerSourceCloseness(h),
-                   "keep=" + std::to_string(keep));
+    ExpectSameBits(ClosenessCentrality(h), PerSourceCloseness(h), name);
+  }
+}
+
+// The Brandes accumulation before the backward pass walked a recorded
+// shortest-path DAG, kept as the reference: the backward pass rescans
+// every out-arc and re-tests reach, level and sigma. Verbatim but for
+// sigma/delta, which the scratch no longer holds.
+void LegacyBrandesAccumulate(const Graph& g, NodeId src, double scale,
+                             std::vector<double>* centrality,
+                             TraversalScratch& s, std::vector<double>& sigma,
+                             std::vector<double>& delta) {
+  const NodeId n = g.NumVertices();
+  s.Begin(n, /*weighted=*/false);
+  sigma.assign(n, 0.0);
+  delta.assign(n, 0.0);
+  std::vector<NodeId> order;
+
+  sigma[src] = 1.0;
+  s.MarkReached(src);
+  s.level_[src] = 0;
+  s.frontier_.push_back(src);
+  for (size_t head = 0; head < s.frontier_.size(); ++head) {
+    NodeId v = s.frontier_[head];
+    order.push_back(v);
+    for (NodeId u : g.OutNeighborNodes(v)) {
+      if (!s.Reached(u)) {
+        s.MarkReached(u);
+        s.level_[u] = s.level_[v] + 1;
+        s.frontier_.push_back(u);
+      }
+      if (s.level_[u] == s.level_[v] + 1) sigma[u] += sigma[v];
+    }
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    NodeId w = *it;
+    for (NodeId u : g.OutNeighborNodes(w)) {
+      if (s.Reached(u) && s.level_[u] == s.level_[w] + 1 && sigma[u] > 0.0) {
+        delta[w] += sigma[w] / sigma[u] * (1.0 + delta[u]);
+      }
+    }
+    if (w != src) (*centrality)[w] += scale * delta[w];
+  }
+}
+
+std::vector<double> LegacyBetweenness(const Graph& g) {
+  std::vector<double> centrality(g.NumVertices(), 0.0);
+  TraversalScratch scratch;
+  std::vector<double> sigma, delta;
+  for (NodeId s = 0; s < g.NumVertices(); ++s) {
+    LegacyBrandesAccumulate(g, s, 1.0, &centrality, scratch, sigma, delta);
+  }
+  if (!g.IsDirected()) {
+    for (double& c : centrality) c *= 0.5;
+  }
+  return centrality;
+}
+
+// The sampled driver's pivots, batches of 32 and batch-order fold, run
+// serially.
+std::vector<double> LegacyApproxBetweenness(const Graph& g, int num_samples,
+                                            Rng& rng) {
+  const NodeId n = g.NumVertices();
+  std::vector<double> centrality(n, 0.0);
+  if (n == 0) return centrality;
+  int samples = std::min<int>(num_samples, n);
+  double scale = static_cast<double>(n) / samples;
+  std::vector<uint64_t> pivots = rng.SampleWithoutReplacement(n, samples);
+  constexpr size_t kBatch = 32;
+  TraversalScratch scratch;
+  std::vector<double> sigma, delta;
+  for (size_t b = 0; b * kBatch < pivots.size(); ++b) {
+    std::vector<double> partial(n, 0.0);
+    size_t end = std::min(pivots.size(), (b + 1) * kBatch);
+    for (size_t s = b * kBatch; s < end; ++s) {
+      LegacyBrandesAccumulate(g, static_cast<NodeId>(pivots[s]), scale,
+                              &partial, scratch, sigma, delta);
+    }
+    for (NodeId v = 0; v < n; ++v) centrality[v] += partial[v];
+  }
+  if (!g.IsDirected()) {
+    for (double& c : centrality) c *= 0.5;
+  }
+  return centrality;
+}
+
+// Exact and 300-pivot sampled betweenness, serially and with a 4-thread
+// subtask pool (the sampled batches fan out), against the legacy loop.
+void ExpectBetweennessMatchesLegacy(const Graph& g, const std::string& name,
+                                    bool exact) {
+  ThreadPool pool(4);
+  const std::vector<double> want_exact =
+      exact ? LegacyBetweenness(g) : std::vector<double>();
+  Rng want_rng(57);
+  const std::vector<double> want_approx =
+      LegacyApproxBetweenness(g, 300, want_rng);
+  for (bool pooled : {false, true}) {
+    SubtaskPoolScope scope(pooled ? &pool : nullptr);
+    const std::string label = name + (pooled ? " (pool)" : "");
+    if (exact) ExpectSameBits(BetweennessCentrality(g), want_exact, label);
+    Rng rng(57);
+    ExpectSameBits(ApproxBetweennessCentrality(g, 300, rng), want_approx,
+                   label + " sampled");
+  }
+}
+
+TEST(BetweennessTest, BitIdenticalToLegacyBrandes) {
+  for (const auto& [name, g] : CentralityGraphs()) {
+    ExpectBetweennessMatchesLegacy(g, name, /*exact=*/true);
+  }
+}
+
+TEST(BetweennessTest, BitIdenticalToLegacyBrandesOnAstroPhSubgraphs) {
+  for (const auto& [name, h] : AstroPhSubgraphs()) {
+    ExpectBetweennessMatchesLegacy(h, name, /*exact=*/false);
+  }
+}
+
+// Brute force from the definition: sum over ordered pairs s != v != t of
+// sigma_sv * sigma_vt / sigma_st, over the t with
+// d(s, v) + d(v, t) == d(s, t), halved on undirected graphs. Path counts
+// come from one BFS per source and are exact integers.
+std::vector<double> BruteForceBetweenness(const Graph& g) {
+  const NodeId n = g.NumVertices();
+  constexpr uint32_t kUnreached = UINT32_MAX;
+  std::vector<std::vector<uint32_t>> dist(n,
+                                          std::vector<uint32_t>(n, kUnreached));
+  std::vector<std::vector<uint64_t>> paths(n, std::vector<uint64_t>(n, 0));
+  for (NodeId s = 0; s < n; ++s) {
+    std::vector<NodeId> queue = {s};
+    dist[s][s] = 0;
+    paths[s][s] = 1;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const NodeId v = queue[head];
+      for (NodeId u : g.OutNeighborNodes(v)) {
+        if (dist[s][u] == kUnreached) {
+          dist[s][u] = dist[s][v] + 1;
+          queue.push_back(u);
+        }
+        if (dist[s][u] == dist[s][v] + 1) paths[s][u] += paths[s][v];
+      }
+    }
+  }
+  std::vector<double> centrality(n, 0.0);
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId s = 0; s < n; ++s) {
+      if (s == v || dist[s][v] == kUnreached) continue;
+      for (NodeId t = 0; t < n; ++t) {
+        if (t == v || t == s || dist[v][t] == kUnreached) continue;
+        if (dist[s][v] + dist[v][t] != dist[s][t]) continue;
+        centrality[v] += static_cast<double>(paths[s][v] * paths[v][t]) /
+                         static_cast<double>(paths[s][t]);
+      }
+    }
+  }
+  if (!g.IsDirected()) {
+    for (double& c : centrality) c *= 0.5;
+  }
+  return centrality;
+}
+
+TEST(BetweennessTest, ExactMatchesBruteForcePathCounts) {
+  Rng rng(59);
+  for (bool directed : {false, true}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const NodeId n = 25 + 10 * trial;
+      const Graph g = ErdosRenyi(n, 2 * n, directed, rng);
+      const std::vector<double> want = BruteForceBetweenness(g);
+      const std::vector<double> got = BetweennessCentrality(g);
+      ASSERT_EQ(got.size(), want.size());
+      for (NodeId v = 0; v < n; ++v) {
+        EXPECT_NEAR(got[v], want[v], 1e-9 * std::max(1.0, want[v]))
+            << (directed ? "directed" : "undirected") << " n=" << n
+            << " v=" << v;
+      }
+    }
   }
 }
 

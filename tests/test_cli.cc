@@ -327,6 +327,42 @@ TEST_F(CliExitCodeTest, PermanentUnitFailuresExitWithUnitFailureCode) {
   EXPECT_NE(healed.find("cached=1"), std::string::npos);
 }
 
+// A store write that throws is the store's failure, not its unit's: no
+// error record for a metric that succeeded, no unit-failure exit, and a
+// resume recomputes exactly the units the store is missing.
+TEST_F(CliExitCodeTest, StoreWriteFailureIsNoUnitFailure) {
+  const std::string dir = TestPath("exit_store_write");
+  const std::vector<std::string> args = {
+      "sweep",          "--dataset=ego-Facebook", "--metrics=degree,kcore",
+      "--algos=RN,LD",  "--rates=0.3,0.6",        "--runs=1",
+      "--scale=0.2",    "--threads=1",            "--store=" + dir,
+      "--resume",       "--csv"};
+  ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS", "store.append=throw@3", 1), 0);
+  ::testing::internal::CaptureStdout();
+  const int rc = RunCli(args);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(rc, cli::kExitOk);
+  EXPECT_NE(rc, cli::kExitUnitFailures);
+  ::unsetenv("SPARSIFY_FAILPOINTS");
+  fail::DisarmAll();
+
+  size_t stored = 0;
+  {
+    ResultStoreOptions snapshot;
+    snapshot.read_only = true;
+    ResultStore store(dir, snapshot);
+    EXPECT_EQ(store.ErrorCount(), 0u);
+    stored = store.Size();
+  }
+  ASSERT_LT(stored, 8u);
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(RunCli(args), cli::kExitOk);
+  const std::string healed = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(healed.find("submitted=" + std::to_string(8 - stored)),
+            std::string::npos)
+      << healed;
+}
+
 TEST_F(CliExitCodeTest, AllTransientFailuresExitWithTransientCode) {
   std::string dir = TestPath("exit_trans_store");
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
