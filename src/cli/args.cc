@@ -12,8 +12,7 @@ namespace {
 // (`figure --resume 1a` would otherwise silently swallow the figure id).
 const std::set<std::string>& BooleanKeys() {
   static const std::set<std::string> keys = {
-      "csv",   "resume",   "directed", "weighted",
-      "paper", "progress", "no-steal"};
+      "csv", "resume", "directed", "weighted", "paper", "progress"};
   return keys;
 }
 

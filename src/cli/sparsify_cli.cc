@@ -97,7 +97,7 @@ int Usage() {
          "             [--seed=42] [--threads=0] [--csv] [--store=DIR]\n"
          "             [--resume] [--trace=FILE] [--progress]\n"
          "             [--deadline=SECS] [--unit-timeout=SECS]\n"
-         "             [--watchdog-stall=SECS] [--shard=i/N] [--no-steal]\n"
+         "             [--watchdog-stall=SECS] [--shard=i/N]\n"
          "  profile    (same flags as sweep) run a sweep and print the\n"
          "             per-stage/per-metric breakdown (p50/p95/max,\n"
          "             units/s, pool utilization)\n"
@@ -108,9 +108,9 @@ int Usage() {
          "  ls         --store=DIR\n"
          "  compact    --store=DIR  rewrite the log to one record per\n"
          "             live cell (drops superseded duplicates; atomic)\n"
-         "  merge      DIR [DIR ...] -o OUT  fold stores (e.g. from\n"
-         "             --no-steal shard workers on different machines)\n"
-         "             into OUT, last-write-wins per cell (atomic)\n"
+         "  merge      DIR [DIR ...] -o OUT  fold stores (e.g. the\n"
+         "             directories of --shard runs) into OUT,\n"
+         "             last-write-wins per cell (atomic)\n"
          "  figure     <id ...> [--scale=f] [--runs=3] [--threads=0]\n"
          "             [--seed=42] [--csv] [--store=DIR] [--resume]\n"
          "             a sweep preset per figure id: same engine, store,\n"
@@ -151,21 +151,16 @@ int Usage() {
          "drain, and --resume continues bit-identically; a second signal\n"
          "aborts immediately.\n"
          "\n"
-         "Multi-process sweeps: any number of workers may share one\n"
-         "--store directory (each appends to its own lease-guarded log\n"
-         "segment). --shard=i/N runs this process as worker i of N: the\n"
-         "grid is split into chunks, each worker claims and runs its own\n"
-         "share, then steals chunks whose claimants died (kill -9 a\n"
-         "worker and the survivors converge to the complete store,\n"
-         "bit-identical to a cold run). --no-steal exits after the own\n"
-         "share instead — use it for disjoint stores on separate\n"
-         "machines, then fold them with `merge`. SPARSIFY_LEASE_TTL\n"
-         "(seconds) tunes how fast a dead worker is declared stale\n"
-         "(default 30). Exit codes: 0 ok, 1 usage/unclassified error, 2\n"
-         "I/O failure, 3 store has other live writers (compact/merge\n"
-         "need exclusivity), 4 corrupt store, 5 permanent unit failures,\n"
-         "6 transient/deadline unit failures only, 7 interrupted by\n"
-         "signal, 8 --deadline expired.\n";
+         "A store directory has one writer at a time: sweep, compact and\n"
+         "merge lock it while they run, and export/ls read it without a\n"
+         "lock. --shard=i/N runs shard i of a static N-way split of the\n"
+         "grid (whole score groups, so no group is scored twice) into\n"
+         "its own --store directory; rerun a crashed shard with --resume,\n"
+         "then fold the N directories with `merge` (bit-identical to a\n"
+         "single-process run). Exit codes: 0 ok, 1 usage/unclassified\n"
+         "error, 2 I/O failure, 3 store held by another writer, 4 corrupt\n"
+         "store, 5 permanent unit failures, 6 transient/deadline unit\n"
+         "failures only, 7 interrupted by signal, 8 --deadline expired.\n";
   return 1;
 }
 
@@ -296,12 +291,10 @@ double SecondsFlag(const Args& args, const std::string& key) {
   return seconds;
 }
 
-// --shard=i/N: run as worker i of N cooperating processes sharing the
-// store directory (see ShardSpec). Without a store there is nothing to
-// coordinate through.
+// --shard=i/N: run shard i of a static N-way split of the grid into its
+// own store directory (see ShardSpec).
 ShardSpec ShardFlag(const Args& args) {
   ShardSpec shard;
-  shard.steal = !args.Has("no-steal");
   if (!args.Has("shard")) return shard;
   const std::string spec = args.Get("shard");
   const size_t slash = spec.find('/');
@@ -321,8 +314,8 @@ ShardSpec ShardFlag(const Args& args) {
         "--shard expects i/N with 0 <= i < N, got '" + spec + "'");
   }
   if (!args.Has("store")) {
-    throw std::invalid_argument("--shard requires --store (workers "
-                                "coordinate through the store directory)");
+    throw std::invalid_argument("--shard requires --store (each shard "
+                                "writes its own store directory)");
   }
   return shard;
 }
@@ -647,11 +640,7 @@ int CmdSweep(const Args& args, bool profile_mode) {
               << " score_groups=" << stats.score_groups
               << " reference_stages=" << stats.reference_stages;
     if (o.shard.total > 1) {
-      // Shard accounting: how much of the grid this worker claimed as
-      // its own share and how much it took over from dead workers.
-      std::cout << " shard=" << o.shard.index << "/" << o.shard.total
-                << " claimed=" << stats.shard_claimed
-                << " stolen=" << stats.shard_stolen;
+      std::cout << " shard=" << o.shard.index << "/" << o.shard.total;
     }
     if (stats.failed_units > 0 || stats.retried_units > 0 ||
         stats.cancelled_units > 0) {
@@ -693,7 +682,7 @@ int CmdExport(const Args& args) {
     std::cerr << "unknown --format '" << format << "' (csv or table)\n";
     return 1;
   }
-  // Read-only snapshot: no lease, nothing mutated — a live sweep's store
+  // Read-only snapshot: no lock, nothing mutated — a live sweep's store
   // can be exported mid-run.
   ResultStoreOptions snapshot;
   snapshot.read_only = true;
@@ -762,9 +751,8 @@ int CmdMerge(const Args& args) {
     }
   }
 
-  // The output opens WRITABLE first (a cooperative lease like any
-  // writer); the commit itself demands sole-writer exclusivity and
-  // throws StoreLockHeldError -> exit 3 while a sweep is running there.
+  // The output opens WRITABLE first: it throws StoreLockHeldError ->
+  // exit 3 while a sweep is running there.
   ResultStore out(out_dir);
 
   // Fold order: OUT's own cells first, then each input in argv order, so
@@ -866,13 +854,11 @@ const std::map<std::string, std::set<std::string>>& AllowedKeys() {
       {"sweep",
        {"dataset", "metric", "metrics", "paper", "algos", "rates", "runs",
         "scale", "seed", "threads", "csv", "store", "resume", "trace",
-        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard",
-        "no-steal"}},
+        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard"}},
       {"profile",
        {"dataset", "metric", "metrics", "paper", "algos", "rates", "runs",
         "scale", "seed", "threads", "csv", "store", "resume", "trace",
-        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard",
-        "no-steal"}},
+        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard"}},
       {"ingest", {"input", "directed", "weighted", "cache", "threads"}},
       {"export", {"store", "format", "dataset", "metric"}},
       {"ls", {"store"}},

@@ -24,7 +24,7 @@ namespace sparsify::cli {
 inline constexpr int kExitOk = 0;
 inline constexpr int kExitUsage = 1;        // bad usage / unclassified error
 inline constexpr int kExitIo = 2;           // filesystem failure (IoError)
-inline constexpr int kExitLockHeld = 3;     // store busy: other live writers
+inline constexpr int kExitLockHeld = 3;     // store held by another writer
 inline constexpr int kExitCorruptStore = 4; // store failed replay validation
 inline constexpr int kExitUnitFailures = 5; // sweep finished, but >=1 unit
                                             // failed permanently

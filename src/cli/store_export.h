@@ -28,7 +28,7 @@ struct StoreGroup {
 /// by sparsifier registry order (unknown names after, alphabetical), points
 /// by (prune_rate, run). Statistics therefore fold from the same values in
 /// the same order whether the store was filled cold, across resumed runs,
-/// or by a fleet of shard workers. Points fold through FoldPoint, like
+/// or by merged shard stores. Points fold through FoldPoint, like
 /// the sweep's own series. Since r4 a (sparsifier, rate, run) triple IS the
 /// cell's identity within a group, so the sort is a total order over
 /// distinct cells. Empty filters match all.

@@ -1,7 +1,10 @@
 #include "src/engine/resumable_sweep.h"
 
 #include <exception>
+#include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string_view>
 #include <utility>
 
 namespace sparsify {
@@ -130,61 +133,59 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
   }
 }
 
-std::vector<BatchTask> ResumableSweep::MissingCells(Grid& grid, size_t begin,
-                                                    size_t end,
-                                                    bool errors_present,
-                                                    bool set_found) {
-  // A shard worker always consults the store: sharding is resume.
-  const bool consult =
-      store_ != nullptr && (reuse_cached_ || shard_.total > 1);
-  std::vector<BatchTask> missing;
-  for (size_t i = begin; i < end; ++i) {
-    std::vector<uint32_t> missing_ids;
-    for (uint32_t m = 0; m < grid.metrics.size(); ++m) {
-      std::optional<StoredOutcome> cached;
-      if (consult) cached = store_->Lookup(grid.Key(i, m));
-      if (!cached.has_value() || (cached->is_error && !errors_present)) {
-        missing_ids.push_back(m);
-      } else if (set_found && !cached->is_error) {
-        grid.Set(i, m, cached->achieved_prune_rate, cached->value);
-      }
-    }
-    if (!missing_ids.empty()) {
-      BatchTask task = grid.tasks[i];
-      task.metrics = std::move(missing_ids);
-      missing.push_back(std::move(task));
-    }
-  }
-  return missing;
-}
-
 std::vector<MetricSweepSeries> ResumableSweep::RunMulti(
     const Graph& g, const std::string& dataset,
     const std::vector<BatchMetric>& metrics, const SweepConfig& config,
     ResumableSweepStats* stats) {
+  if (shard_.total > 1 && store_ == nullptr) {
+    throw std::invalid_argument(
+        "sharded sweep: --shard requires a result store (each shard "
+        "writes its own directory, and merge folds them)");
+  }
   Grid grid(g, dataset, metrics, config, code_rev_);
   ResumableSweepStats local;
   ResumableSweepStats& st = stats != nullptr ? *stats : local;
   st = ResumableSweepStats{};
-  st.total_cells = grid.tasks.size() * metrics.size();
-  if (shard_.total > 1) {
-    RunShardedMulti(grid, st);
-  } else {
-    // Partition the (cell × metric) product: units already in the store
-    // become results directly; each cell with at least one missing metric
-    // is submitted ONCE, carrying exactly its missing metric ids, so the
-    // engine materializes its subgraph once for all of them. An error
-    // record is a unit that FAILED, not one that completed: it reads back
-    // as missing so this resume resubmits it. Every RNG stream derives
-    // from grid-shape-independent identities, so the values match a cold
-    // run's.
-    std::vector<BatchTask> missing =
-        MissingCells(grid, 0, grid.tasks.size(), /*errors_present=*/false,
-                     /*set_found=*/true);
-    size_t missing_units = 0;
-    for (const BatchTask& task : missing) missing_units += task.metrics.size();
-    RunUnits(grid, missing, missing_units, st);
+  // A shard's cells: those of the score groups it owns, the k-th distinct
+  // (sparsifier, run) group in grid order going to shard k % total.
+  std::map<std::pair<std::string_view, int>, size_t> group_ids;
+  auto owned = [&](const BatchTask& task) {
+    if (shard_.total <= 1) return true;
+    const size_t k =
+        group_ids.try_emplace({task.sparsifier, task.run}, group_ids.size())
+            .first->second;
+    return k % shard_.total == shard_.index;
+  };
+  // Partition the share's (cell × metric) product: units already in the
+  // store become results directly; each cell with at least one missing
+  // metric is submitted ONCE, carrying exactly its missing metric ids, so
+  // the engine materializes its subgraph once for all of them. An error
+  // record is a unit that FAILED, not one that completed: it reads back
+  // as missing so this resume resubmits it. Every RNG stream derives from
+  // grid-shape-independent identities, so the values match a cold run's.
+  const bool consult = store_ != nullptr && reuse_cached_;
+  std::vector<BatchTask> missing;
+  size_t missing_units = 0;
+  for (const BatchTask& task : grid.tasks) {
+    if (!owned(task)) continue;
+    st.total_cells += metrics.size();
+    std::vector<uint32_t> missing_ids;
+    for (uint32_t m = 0; m < metrics.size(); ++m) {
+      std::optional<StoredOutcome> cached;
+      if (consult) cached = store_->Lookup(grid.Key(task.index, m));
+      if (!cached.has_value() || cached->is_error) {
+        missing_ids.push_back(m);
+      } else {
+        grid.Set(task.index, m, cached->achieved_prune_rate, cached->value);
+      }
+    }
+    if (!missing_ids.empty()) {
+      missing_units += missing_ids.size();
+      missing.push_back(task);
+      missing.back().metrics = std::move(missing_ids);
+    }
   }
+  RunUnits(grid, missing, missing_units, st);
   st.cached_cells = st.total_cells - st.submitted_cells;
   return grid.Fold();
 }

@@ -29,18 +29,17 @@ struct MetricSweepSeries {
   std::vector<SweepSeries> series;
 };
 
-/// Shard-worker configuration for multi-process sweeps (set_shard). The
-/// full grid is partitioned into contiguous chunks of cells in task
-/// order; chunk c's preferred owner is worker c % total. Each worker
-/// claims and runs its preferred chunks first, then (with `steal` on)
-/// takes over incomplete chunks whose claimants died — guaranteeing a
-/// `kill -9` of any worker loses at most its in-flight units. Because
-/// every unit's RNG stream derives from grid-shape-independent
-/// identities, any worker recomputes a stolen unit bit-identically.
+/// A static partition of the grid for multi-process sweeps (set_shard).
+/// Shard `index` of `total` owns the cells of every (sparsifier, run)
+/// score group whose position k among the grid's distinct groups, in
+/// ExpandGrid order, has k % total == index, so each group is scored by
+/// exactly one shard. Each shard writes its own store directory, and
+/// `merge` folds them; because every unit's RNG stream derives from
+/// grid-shape-independent identities, the merged store equals a
+/// single-process sweep's.
 struct ShardSpec {
-  size_t index = 0;  // this worker's 0-based shard id
-  size_t total = 1;  // worker count; <= 1 disables sharding
-  bool steal = true;  // take over dead workers' chunks
+  size_t index = 0;  // this shard's 0-based id
+  size_t total = 1;  // shard count; <= 1 disables sharding
 };
 
 /// Scheduling counters of one resumable run — the test/CI hook asserting
@@ -51,15 +50,10 @@ struct ShardSpec {
 /// when a store is attached; cancelled_units were skipped by a SIGINT/
 /// SIGTERM or --deadline and are resubmitted by the next --resume).
 struct ResumableSweepStats : BatchRunStats {
-  size_t total_cells = 0;      // full (cell × metric) product size
+  size_t total_cells = 0;      // (cell × metric) units of this sweep's
+                               // share: the whole product, or a shard's
   size_t cached_cells = 0;     // units served from the store
   size_t submitted_cells = 0;  // units scheduled on the BatchRunner
-  // Sharded scheduling only (set_shard): chunks in the partition, chunks
-  // this worker claimed as preferred owner, and chunks it stole from dead
-  // workers.
-  size_t shard_chunks = 0;
-  size_t shard_claimed = 0;
-  size_t shard_stolen = 0;
 };
 
 /// Sweeps of one dataset graph against a store.
@@ -98,12 +92,11 @@ class ResumableSweep {
   /// it fails alone with a "deadline" error record; see FaultPolicy.
   void set_unit_timeout(double seconds) { unit_timeout_seconds_ = seconds; }
 
-  /// Runs this sweep as shard `spec.index` of `spec.total` cooperating
-  /// worker processes sharing one store directory (implemented in
-  /// shard_scheduler.cc). Requires a store; the store is always consulted
-  /// (sharding IS resume semantics — each worker runs only units nobody
-  /// has completed). With spec.total <= 1 this is a no-op and RunMulti
-  /// behaves exactly as unsharded.
+  /// Runs only shard `spec.index` of `spec.total` (see ShardSpec): the
+  /// other shards' cells are neither computed nor looked up, and their
+  /// slots in the returned series stay empty. Requires a store, which
+  /// the shard consults exactly as an unsharded sweep does. With
+  /// spec.total <= 1 this is a no-op.
   void set_shard(const ShardSpec& spec) { shard_ = spec; }
 
   /// Runs every metric of `metrics` over the sweep grid of `config` on
@@ -152,15 +145,6 @@ class ResumableSweep {
     std::atomic<size_t> completed{0};  // units reported to progress_
   };
 
-  // The one missing-unit scan: the cells of [begin, end) with a unit the
-  // store lacks, each carrying exactly those metric ids, in grid order.
-  // An error record counts as present when `errors_present`, else as
-  // missing; `set_found` sets each stored value into `grid`. Without a
-  // store to consult (none, or reuse off on an unsharded sweep) every
-  // unit is missing and nothing is looked up.
-  std::vector<BatchTask> MissingCells(Grid& grid, size_t begin, size_t end,
-                                      bool errors_present, bool set_found);
-
   // Runs `missing` (cells carrying their missing metric ids) on the
   // engine under this sweep's fault policy. Each finished unit lands in
   // `grid` and the store; a failed one becomes an error record. Both
@@ -169,10 +153,6 @@ class ResumableSweep {
   // is rethrown once it drains; the unit it lost stays missing.
   void RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
                 size_t progress_total, ResumableSweepStats& stats);
-
-  // The multi-process claim/steal scheduler (shard_scheduler.cc); RunMulti
-  // delegates here when shard_.total > 1.
-  void RunShardedMulti(Grid& grid, ResumableSweepStats& stats);
 
   BatchRunner& runner_;
   ResultStore* store_;  // not owned; may be null

@@ -1,8 +1,6 @@
 #include "src/metrics/kcore.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
 
 #include "src/graph/traversal.h"
 #include "src/metrics/distance.h"
@@ -85,64 +83,6 @@ std::vector<double> HarmonicCentrality(const Graph& g) {
     harmonic[v] = h;
   }
   return harmonic;
-}
-
-std::vector<double> WeightedBetweennessCentrality(const Graph& g) {
-  const NodeId n = g.NumVertices();
-  std::vector<double> centrality(n, 0.0);
-  std::vector<double> sigma(n), delta(n), dist(n);
-  std::vector<NodeId> order;
-  std::vector<uint8_t> settled(n);
-  using Item = std::pair<double, NodeId>;
-  for (NodeId src = 0; src < n; ++src) {
-    std::fill(sigma.begin(), sigma.end(), 0.0);
-    std::fill(delta.begin(), delta.end(), 0.0);
-    std::fill(dist.begin(), dist.end(),
-              std::numeric_limits<double>::infinity());
-    std::fill(settled.begin(), settled.end(), 0);
-    order.clear();
-    sigma[src] = 1.0;
-    dist[src] = 0.0;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-    pq.emplace(0.0, src);
-    while (!pq.empty()) {
-      auto [d, v] = pq.top();
-      pq.pop();
-      if (settled[v]) continue;
-      settled[v] = 1;
-      order.push_back(v);
-      auto nodes = g.OutNeighborNodes(v);
-      auto edges = g.OutNeighborEdges(v);
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        NodeId u = nodes[i];
-        double nd = d + g.EdgeWeight(edges[i]);
-        if (nd < dist[u] - 1e-12) {
-          dist[u] = nd;
-          sigma[u] = sigma[v];
-          pq.emplace(nd, u);
-        } else if (std::abs(nd - dist[u]) <= 1e-12 && !settled[u]) {
-          sigma[u] += sigma[v];
-        }
-      }
-    }
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      NodeId w = *it;
-      auto nodes = g.OutNeighborNodes(w);
-      auto edges = g.OutNeighborEdges(w);
-      for (size_t i = 0; i < nodes.size(); ++i) {
-        NodeId u = nodes[i];
-        if (std::abs(dist[u] - dist[w] - g.EdgeWeight(edges[i])) <= 1e-12 &&
-            sigma[u] > 0.0) {
-          delta[w] += sigma[w] / sigma[u] * (1.0 + delta[u]);
-        }
-      }
-      if (w != src) centrality[w] += delta[w];
-    }
-  }
-  if (!g.IsDirected()) {
-    for (double& c : centrality) c *= 0.5;
-  }
-  return centrality;
 }
 
 }  // namespace sparsify

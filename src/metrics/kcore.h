@@ -22,10 +22,6 @@ NodeId Degeneracy(const Graph& g);
 /// well defined on disconnected graphs, unlike raw closeness.
 std::vector<double> HarmonicCentrality(const Graph& g);
 
-/// Brandes betweenness with Dijkstra shortest paths (weighted graphs).
-/// Matches the unweighted version on unit weights.
-std::vector<double> WeightedBetweennessCentrality(const Graph& g);
-
 }  // namespace sparsify
 
 #endif  // SPARSIFY_METRICS_KCORE_H_

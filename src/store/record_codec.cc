@@ -253,22 +253,25 @@ bool CrcOk(std::string_view line) {
          CoveredCrcIs(line, p, want);
 }
 
-// Parses a record line into either a cell or a claim. grid_index, an r3
-// key component dropped in r4, parses as an ignored extra field, so
+// Parses a record line into a cell, or recognizes a claim. grid_index,
+// an r3 key component dropped in r4, parses as an ignored extra field, so
 // pre-r4 logs still replay (their records simply never match r4 keys).
 LineKind ParseLine(std::string_view line, CellKey* key,
-                   StoredOutcome* outcome, StoredClaim* claim) {
+                   StoredOutcome* outcome) {
   FieldMap fields;
   if (!ParseFlatObject(line, &fields)) return LineKind::kBad;
   std::string kind;
   const bool has_kind = GetString(fields, "kind", &kind);
   if (has_kind && kind == "claim") {
-    if (!GetString(fields, "writer", &claim->writer) ||
-        !GetString(fields, "scope", &claim->scope) ||
-        !GetUint64(fields, "chunk", &claim->chunk)) {
-      return LineKind::kBad;
-    }
-    return LineKind::kClaim;
+    // Written by binaries that shared one directory between writers;
+    // judged whole as before, but nothing of it is kept.
+    std::string writer, scope;
+    uint64_t chunk = 0;
+    return GetString(fields, "writer", &writer) &&
+                   GetString(fields, "scope", &scope) &&
+                   GetUint64(fields, "chunk", &chunk)
+               ? LineKind::kClaim
+               : LineKind::kBad;
   }
   if (!GetString(fields, "dataset", &key->dataset) ||
       !GetString(fields, "sparsifier", &key->sparsifier) ||
@@ -455,16 +458,6 @@ std::string SerializeRecord(const CellKeyView& key,
   return WithCrc(std::move(line));
 }
 
-std::string SerializeClaim(const StoredClaim& claim) {
-  std::string line = "{\"kind\":\"claim\",\"writer\":";
-  AppendEscaped(&line, claim.writer);
-  line += ",\"scope\":";
-  AppendEscaped(&line, claim.scope);
-  line += ",\"chunk\":" + std::to_string(claim.chunk);
-  line += "}";
-  return WithCrc(std::move(line));
-}
-
 bool ParseHeader(std::string_view line) {
   FieldMap fields;
   if (!ParseFlatObject(line, &fields)) return false;
@@ -486,8 +479,7 @@ void DecodeRecordLine(std::string_view line, bool fast, DecodedLine* out) {
   if (fast && DecodeResultFast(line, out)) return;
   out->owned_key = CellKey{};
   out->outcome = StoredOutcome{};
-  out->claim = StoredClaim{};
-  out->kind = ParseLine(line, &out->owned_key, &out->outcome, &out->claim);
+  out->kind = ParseLine(line, &out->owned_key, &out->outcome);
   out->key = CellKeyView(out->owned_key);
   if (out->kind == LineKind::kBad) {
     out->bad = "corrupt record";

@@ -1,11 +1,12 @@
 // The result store's line format, shared by the store and its tests.
 //
 // Every log file is a version-2 header line followed by one flat JSON
-// object per line: a result record, an error record or a claim, each
-// ending in a CRC-32C field. Replay reads result records through a
-// fixed-schema decoder that knows the writer's own key order and parses
-// in place; any line it does not accept goes to the generic flat-JSON
-// parser, which judges it exactly as it always has. See README.md.
+// object per line: a result record or an error record (or, in stores
+// older binaries wrote, a claim), each ending in a CRC-32C field. Replay
+// reads result records through a fixed-schema decoder that knows the
+// writer's own key order and parses in place; any line it does not
+// accept goes to the generic flat-JSON parser, which judges it exactly as
+// it always has. See README.md.
 #ifndef SPARSIFY_STORE_RECORD_CODEC_H_
 #define SPARSIFY_STORE_RECORD_CODEC_H_
 
@@ -50,13 +51,11 @@ std::string SerializeHeader();
 std::string SerializeRecord(const CellKeyView& key,
                             const StoredOutcome& outcome);
 
-/// One checksummed claim line, newline included.
-std::string SerializeClaim(const StoredClaim& claim);
-
 /// True when `line` is this format's header. Throws StoreCorruptError
 /// when it is, but names an unsupported version.
 bool ParseHeader(std::string_view line);
 
+/// kClaim is a valid claim line: replay checks and skips it.
 enum class LineKind { kCell, kClaim, kBad };
 
 /// One decoded record line. Reused across lines: each decode overwrites
@@ -68,7 +67,6 @@ struct DecodedLine {
   const char* bad = nullptr;
   CellKeyView key;        // kCell: views into the line or into owned_key
   StoredOutcome outcome;  // kCell
-  StoredClaim claim;      // kClaim
   CellKey owned_key;      // the generic parser's unescaped key names
 };
 

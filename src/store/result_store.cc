@@ -7,9 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -23,7 +21,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
-#include <signal.h>
 #include <unistd.h>
 #define SPARSIFY_STORE_HAS_POSIX 1
 #endif
@@ -63,6 +60,9 @@ uint64_t SegmentBytesFromEnv(uint64_t fallback) {
 // The compaction/merge output inside a store directory.
 constexpr char kBaseName[] = "results.jsonl";
 
+// The file whose kernel lock a writable open holds.
+constexpr char kLockName[] = "writer.lock";
+
 // A writer rotates to its next segment once the current one reaches this
 // size; SPARSIFY_STORE_SEGMENT_BYTES overrides it.
 constexpr uint64_t kSegmentBytes = 64ull << 20;
@@ -80,15 +80,32 @@ long OwnPid() {
 #endif
 }
 
-// True when `pid` is provably dead on this host. Conservative: any
-// answer other than ESRCH (including EPERM) counts as alive.
-bool PidProvablyDead(long pid) {
-#ifdef SPARSIFY_STORE_HAS_POSIX
-  if (pid <= 0) return true;
-  return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+// The whole-file write lock request for F_OFD_SETLK / F_OFD_GETLK.
+#ifdef F_OFD_SETLK
+struct flock WholeFileWriteLock() {
+  struct flock lock = {};
+  lock.l_type = F_WRLCK;
+  lock.l_whence = SEEK_SET;
+  return lock;  // l_start = l_len = 0: the whole file
+}
+#endif
+
+// True when a writable open holds the lock of store directory `dir`.
+// F_OFD_GETLK only tests, so a reader never makes a starting writer fail,
+// and a missing lock file means no writer ever opened the directory.
+bool HeldByWriter(const std::string& dir) {
+#ifdef F_OFD_SETLK
+  const std::string path = (fs::path(dir) / kLockName).string();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct flock lock = WholeFileWriteLock();
+  const bool held = ::fcntl(fd, F_OFD_GETLK, &lock) == 0 &&
+                    lock.l_type != F_UNLCK;
+  ::close(fd);
+  return held;
 #else
-  (void)pid;
-  return true;  // no liveness oracle: treat orphans as dead
+  (void)dir;
+  return false;
 #endif
 }
 
@@ -123,11 +140,11 @@ bool ParseSegmentName(const std::string& name, Segment* seg) {
   return true;
 }
 
-// All segment files in `dir`, in acquisition order. A writer numbers its
-// chain from one past every segment present when it opened (read under
-// the lease-dir flock), so a later session's records replay after an
-// earlier one's. Equal numbers belong to concurrent writers, whose values
-// for equal keys are bit-identical; the writer id only fixes the order.
+// All segment files in `dir`, in session order. A writer numbers its
+// chain from one past every segment present when it opened, so a later
+// session's records replay after an earlier one's. Equal numbers come
+// only from the concurrent writers of stores older binaries wrote, whose
+// values for equal keys are bit-identical; the writer id fixes the order.
 std::vector<Segment> ListSegments(const std::string& dir) {
   std::vector<Segment> segs;
   std::error_code ec;
@@ -142,32 +159,16 @@ std::vector<Segment> ListSegments(const std::string& dir) {
   return segs;
 }
 
-// Trailing ".<pid>" of an orphan temp-file name; 0 when absent/garbled.
-long PidSuffixOf(const std::string& name) {
-  const size_t dot = name.rfind('.');
-  if (dot == std::string::npos || dot + 1 >= name.size()) return 0;
-  const std::string num = name.substr(dot + 1);
-  char* end = nullptr;
-  const long v = std::strtol(num.c_str(), &end, 10);
-  if (end != num.c_str() + num.size()) return 0;
-  return v;
-}
-
-// Reads `path` from byte `offset` to its end at the time of the call into
-// `out`. False when the file cannot be opened.
-bool ReadFileFrom(const std::string& path, uint64_t offset,
-                  std::string* out) {
+// Reads all of `path` into `out`. False when the file cannot be opened.
+bool ReadFile(const std::string& path, std::string* out) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
       std::fopen(path.c_str(), "rb"), &std::fclose);
   if (f == nullptr) return false;
   out->clear();
   if (std::fseek(f.get(), 0, SEEK_END) != 0) return true;
   const long size = std::ftell(f.get());
-  if (size < 0 || static_cast<uint64_t>(size) <= offset ||
-      std::fseek(f.get(), static_cast<long>(offset), SEEK_SET) != 0) {
-    return true;
-  }
-  out->resize(static_cast<size_t>(size) - offset);
+  if (size <= 0 || std::fseek(f.get(), 0, SEEK_SET) != 0) return true;
+  out->resize(static_cast<size_t>(size));
   out->resize(std::fread(out->data(), 1, out->size(), f.get()));
   return true;
 }
@@ -210,152 +211,80 @@ std::string CellKey::Canonical() const {
 ResultStore::ResultStore(std::string dir, ResultStoreOptions options)
     : dir_(std::move(dir)), options_(options) {
   fsync_policy_ = FsyncPolicyFromEnv(FsyncPolicy::kBatch);
-  lease_ttl_seconds_ = lease::TtlFromEnv(lease::kDefaultTtlSeconds);
   segment_bytes_ = SegmentBytesFromEnv(kSegmentBytes);
   SPARSIFY_FAILPOINT("store.lock");
   if (options_.read_only) {
-    Replay();
+    // A held store's unterminated tail may be an append in progress.
+    Replay(/*settle=*/!HeldByWriter(dir_));
     return;
   }
-  writer_id_ = lease::NewWriterId();
-  try {
-    // One critical section (the flock also creates the directory): no
-    // other opener can settle the same gone writer's tail concurrently.
-    lease::LeaseDirLock dir_lock(dir_);
-    AcquireLeaseLocked();
-    Replay();
-  } catch (...) {
-    // The destructor never runs when the constructor throws: drop the
-    // lease here or a failed open would leave a ghost writer for the
-    // lease TTL.
-    lease::RemoveLease(dir_, writer_id_);
-    throw;
+  LockWriter();
+  // Orphan temp files of a killed Compact()/Merge(): the rename never
+  // happened, so the log is intact and the temp is garbage. Only a
+  // writer makes them, and the lock says none is running.
+  const std::string prefix = std::string(kBaseName) + ".";
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0 && name.find(".tmp") != std::string::npos) {
+      std::error_code rec;
+      fs::remove(entry.path(), rec);
+    }
   }
-  StartHeartbeat();
+  // Every file's writer is gone: the lock holder is this open.
+  Replay(/*settle=*/true);
 }
 
 ResultStore::~ResultStore() {
-  StopHeartbeat();
   // Best-effort final flush/sync: the destructor must not throw, but a
   // clean close should leave nothing in the page cache under kBatch.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (out_.is_open()) out_.flush();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (out_.is_open()) out_.flush();
 #ifdef SPARSIFY_STORE_HAS_POSIX
-    if (sync_fd_ >= 0) {
-      if (fsync_policy_ != FsyncPolicy::kNone && appends_since_sync_ > 0) {
-        ::fsync(sync_fd_);
-      }
-      ::close(sync_fd_);
-      sync_fd_ = -1;
+  if (sync_fd_ >= 0) {
+    if (fsync_policy_ != FsyncPolicy::kNone && appends_since_sync_ > 0) {
+      ::fsync(sync_fd_);
     }
+    ::close(sync_fd_);
+    sync_fd_ = -1;
+  }
 #endif
-  }
-  if (!writer_id_.empty()) {
-    // Release the lease so peers see this writer as dead immediately
-    // (a leaked lease file is reaped as stale by the next acquirer).
-    lease::RemoveLease(dir_, writer_id_);
-  }
+}
+
+ResultStore::LockFd::~LockFd() {
+#ifdef SPARSIFY_STORE_HAS_POSIX
+  if (fd >= 0) ::close(fd);
+#endif
 }
 
 std::string ResultStore::BasePath() const {
   return (fs::path(dir_) / kBaseName).string();
 }
 
-void ResultStore::AcquireLeaseLocked() {
-  SPARSIFY_FAILPOINT("store.lease.acquire");
-  ReapStaleWritersLocked();
-  lease::LeaseInfo mine;
-  mine.writer = writer_id_;
-  mine.pid = OwnPid();
-  mine.heartbeat = 0;
-  mine.ttl_seconds = lease_ttl_seconds_;
-  lease::WriteLease(dir_, mine);
-}
-
-void ResultStore::ReapStaleWritersLocked() {
-  static obs::Counter& reaped = obs::GetCounter("store.reaped_leases");
-  // Dead writers lose their lease. Their segments stay: replay settles a
-  // gone writer's torn tail and removes its header-only leftovers.
-  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
-    if (info.writer == writer_id_ || !PidProvablyDead(info.pid)) continue;
-    lease::RemoveLease(dir_, info.writer);
-    reaped.Add();
-  }
-  // Orphan temp files from killed Compact()/merge commits: the rename
-  // never happened, the log itself is intact, the temp is garbage. Only
-  // provably-dead owners are swept — a live process may be mid-commit.
-  const std::string base = kBaseName;
+void ResultStore::LockWriter() {
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    const bool is_tmp = name.rfind(base + ".compact.tmp", 0) == 0 ||
-                        name.rfind(base + ".merge.tmp", 0) == 0;
-    if (!is_tmp) continue;
-    const long pid = PidSuffixOf(name);
-    if (pid == OwnPid()) continue;
-    if (pid == 0 || PidProvablyDead(pid)) {
-      std::error_code rec;
-      fs::remove(entry.path(), rec);
-    }
+  fs::create_directories(dir_, ec);
+#ifdef F_OFD_SETLK
+  // An open-file-description lock: it conflicts with every other open of
+  // the file, this process's included, and the kernel drops it when the
+  // holder's descriptor closes or its process dies.
+  const std::string path = (fs::path(dir_) / kLockName).string();
+  lock_.fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+  if (lock_.fd < 0) {
+    throw IoError("result store: cannot open lock file " + path);
   }
-}
-
-void ResultStore::RequireSoleWriter(const char* op) {
-  // Caller holds the lease-dir flock. Reap first so a crashed worker
-  // never blocks maintenance forever, then demand exclusivity.
-  ReapStaleWritersLocked();
-  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
-    if (info.writer == writer_id_) continue;
-    if (prober_.Alive(info)) {
-      throw StoreLockHeldError(std::string("result store: ") + dir_ +
-                               " has other live writers (" + op +
-                               " needs exclusive access)");
+  struct flock lock = WholeFileWriteLock();
+  if (::fcntl(lock_.fd, F_OFD_SETLK, &lock) != 0) {
+    if (errno == EAGAIN || errno == EACCES) {
+      throw StoreLockHeldError("result store: " + dir_ +
+                               " is held by another writer");
     }
+    throw IoError("result store: cannot lock " + path);
   }
+#endif
 }
 
-void ResultStore::StartHeartbeat() {
-  heartbeat_stop_ = false;
-  heartbeat_thread_ = std::thread([this] {
-    static obs::Counter& renew_failures =
-        obs::GetCounter("store.lease_renew_failures");
-    const auto interval = std::chrono::duration<double>(
-        std::max(0.05, lease_ttl_seconds_ / 4.0));
-    std::unique_lock<std::mutex> lk(heartbeat_mu_);
-    while (!heartbeat_stop_) {
-      if (heartbeat_cv_.wait_for(lk, interval,
-                                 [this] { return heartbeat_stop_; })) {
-        break;
-      }
-      lease::LeaseInfo info;
-      info.writer = writer_id_;
-      info.pid = OwnPid();
-      info.heartbeat = ++heartbeat_;
-      info.ttl_seconds = lease_ttl_seconds_;
-      try {
-        // Recreates the lease file if a peer reaped it while this
-        // process was wedged; worst case our claims were stolen and the
-        // thief recomputed bit-identical values.
-        lease::WriteLease(dir_, info);
-      } catch (...) {
-        renew_failures.Add();
-      }
-    }
-  });
-}
-
-void ResultStore::StopHeartbeat() {
-  {
-    std::lock_guard<std::mutex> lk(heartbeat_mu_);
-    if (!heartbeat_thread_.joinable()) return;
-    heartbeat_stop_ = true;
-  }
-  heartbeat_cv_.notify_all();
-  heartbeat_thread_.join();
-}
-
-void ResultStore::Replay() {
+void ResultStore::Replay(bool settle) {
   TRACE_SPAN(span, "store_replay");
   if (span.active()) span.Detail(dir_);
   SPARSIFY_FAILPOINT("store.replay");
@@ -369,59 +298,48 @@ void ResultStore::Replay() {
     }
   } replay_obs;
 
-  // A writer without a live lease never appends again: its files are
-  // final, so their tails are settled now.
-  std::set<std::string> live;
-  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
-    if (info.writer != writer_id_ && !PidProvablyDead(info.pid)) {
-      live.insert(info.writer);
-    }
-  }
   // The base (compaction output) holds the oldest records; segments
-  // follow in acquisition order.
-  ReplayFile(BasePath(), /*settle=*/true);
+  // follow in session order.
+  ReplayFile(BasePath(), settle);
   for (const Segment& seg : ListSegments(dir_)) {
     next_segment_ = std::max(next_segment_, seg.seq + 1);
-    ReplayFile(seg.path, /*settle=*/!live.contains(seg.writer));
+    ReplayFile(seg.path, settle);
   }
 }
 
 void ResultStore::ReplayFile(const std::string& file, bool settle) {
   std::string content;
-  if (!ReadFileFrom(file, 0, &content)) return;
-  LogFile& state = files_[file];
-  state.closed = settle;
-  AbsorbLines(file, state, content, /*strict=*/true, settle);
-  if (!settle || options_.read_only) return;
+  if (!ReadFile(file, &content)) return;
+  size_t lines = 0;
+  const size_t kept = AbsorbLines(file, content, settle, &lines);
+  if (options_.read_only) return;
   // Leave a gone writer's file in whole-line form, or remove it when no
   // record survives. Failures are harmless: the next open decides the
   // same way.
   std::error_code ec;
-  if (state.line_no <= 1) {
+  if (lines <= 1) {
     fs::remove(file, ec);
-  } else if (state.consumed < content.size()) {
-    fs::resize_file(file, state.consumed, ec);
+  } else if (kept < content.size()) {
+    fs::resize_file(file, kept, ec);
   } else if (content.back() != '\n') {
     std::ofstream(file, std::ios::binary | std::ios::app) << '\n';
   }
 }
 
-size_t ResultStore::AbsorbLines(const std::string& file, LogFile& state,
-                                std::string_view view, bool strict,
-                                bool settle) {
-  static obs::Counter& poisoned_files =
-      obs::GetCounter("store.poisoned_peer_files");
-  size_t absorbed = 0;
+size_t ResultStore::AbsorbLines(const std::string& file,
+                                std::string_view content, bool settle,
+                                size_t* lines) {
   store_codec::DecodedLine decoded;  // reused: the fast path allocates nothing
-  size_t pos = 0;  // offset into `view`, i.e. file offset - state.consumed
-  while (pos < view.size()) {
-    const size_t nl = view.find('\n', pos);
+  size_t line_no = 0;
+  size_t pos = 0;
+  while (pos < content.size()) {
+    const size_t nl = content.find('\n', pos);
     const bool terminated = nl != std::string_view::npos;
     if (!terminated && !settle) break;  // partial line: writer mid-append
-    const size_t end = terminated ? nl : view.size();
-    const std::string_view line = view.substr(pos, end - pos);
+    const size_t end = terminated ? nl : content.size();
+    const std::string_view line = content.substr(pos, end - pos);
     const char* bad = nullptr;  // what is wrong with the line, if anything
-    if (state.line_no == 0) {
+    if (line_no == 0) {
       if (!store_codec::ParseHeader(line)) {
         bad = "bad header (not a result-store log)";
       }
@@ -429,12 +347,11 @@ size_t ResultStore::AbsorbLines(const std::string& file, LogFile& state,
       store_codec::DecodeRecordLine(line, /*fast=*/true, &decoded);
       bad = decoded.bad;
       if (bad == nullptr) {
-        if (decoded.kind == store_codec::LineKind::kClaim) {
-          claims_.push_back(decoded.claim);
-        } else {
+        // A claim line, written by binaries that ran a shard scheduler,
+        // is checksummed like a record and carries nothing to fold.
+        if (decoded.kind == store_codec::LineKind::kCell) {
           InsertLocked(PackLocked(decoded.key), decoded.outcome,
                        /*from_file=*/true);
-          ++absorbed;
         }
         ++log_records_;
       }
@@ -446,61 +363,16 @@ size_t ResultStore::AbsorbLines(const std::string& file, LogFile& state,
         break;
       }
       // A writer never leaves a terminated-but-garbled line: this is bit
-      // rot. At open it is fatal — skipping it would fabricate results.
-      // Mid-run the sweep must survive a peer's bit rot: the file is
-      // poisoned, what it already gave stays, the rest is recomputed if
-      // the scheduler needs it.
-      if (strict) {
-        throw StoreCorruptError("result store: " + std::string(bad) +
-                                " at line " +
-                                std::to_string(state.line_no + 1) + " of " +
-                                file);
-      }
-      state.closed = true;
-      poisoned_files.Add();
-      return absorbed;
+      // rot, and skipping it would fabricate results.
+      throw StoreCorruptError("result store: " + std::string(bad) +
+                              " at line " + std::to_string(line_no + 1) +
+                              " of " + file);
     }
-    ++state.line_no;
-    state.consumed += end - pos + (terminated ? 1 : 0);
-    pos = end + 1;
+    ++line_no;
+    pos = terminated ? end + 1 : end;
   }
-  return absorbed;
-}
-
-size_t ResultStore::RefreshPeers() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RefreshPeersLocked();
-}
-
-size_t ResultStore::RefreshPeersLocked() {
-  static obs::Counter& refreshed =
-      obs::GetCounter("store.peer_refresh_records");
-  // The base never grows while this store is open: only a sole writer
-  // rewrites it.
-  size_t absorbed = 0;
-  for (const Segment& seg : ListSegments(dir_)) {
-    if (seg.writer == writer_id_) continue;
-    LogFile& state = files_[seg.path];
-    if (state.closed) continue;
-    std::string tail;
-    if (!ReadFileFrom(seg.path, state.consumed, &tail) || tail.empty()) {
-      continue;
-    }
-    absorbed += AbsorbLines(seg.path, state, tail, /*strict=*/false,
-                            /*settle=*/false);
-  }
-  refreshed.Add(absorbed);
-  return absorbed;
-}
-
-bool ResultStore::WriterAlive(const std::string& writer) const {
-  if (!writer_id_.empty() && writer == writer_id_) return true;
-  for (const lease::LeaseInfo& info : lease::ListLeases(dir_)) {
-    if (info.writer != writer) continue;
-    std::lock_guard<std::mutex> lock(mu_);
-    return prober_.Alive(info);
-  }
-  return false;  // no lease file: released on clean exit, or reaped
+  *lines = line_no;
+  return pos;
 }
 
 size_t ResultStore::Size() const {
@@ -541,11 +413,6 @@ std::vector<StoredCell> ResultStore::Cells() const {
     cell.key.code_rev = key.code_rev;
   }
   return cells;
-}
-
-std::vector<StoredClaim> ResultStore::Claims() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return claims_;
 }
 
 size_t ResultStore::PackedKeyHash::operator()(const PackedKey& k) const {
@@ -660,8 +527,8 @@ void ResultStore::OpenSegmentLocked() {
   char seq[24];
   std::snprintf(seq, sizeof(seq), "%06llu",
                 static_cast<unsigned long long>(next_segment_++));
-  append_path_ = (fs::path(dir_) /
-                  ("log." + writer_id_ + "." + seq + ".jsonl"))
+  append_path_ = (fs::path(dir_) / ("log.w" + std::to_string(OwnPid()) +
+                                    "." + seq + ".jsonl"))
                      .string();
   out_.open(append_path_, std::ios::binary | std::ios::trunc);
   if (!out_) {
@@ -776,27 +643,14 @@ void ResultStore::AppendError(const CellKey& key,
   errors.Add();
 }
 
-void ResultStore::AppendClaim(const std::string& scope, uint64_t chunk) {
-  static obs::Counter& claims = obs::GetCounter("store.claim_appends");
-  std::lock_guard<std::mutex> lock(mu_);
-  StoredClaim claim;
-  claim.writer = writer_id_;
-  claim.scope = scope;
-  claim.chunk = chunk;
-  AppendRecordLocked(store_codec::SerializeClaim(claim));
-  claims_.push_back(std::move(claim));
-  claims.Add();
-}
-
 void ResultStore::RewriteLogLocked(const std::string& tmp,
                                    const char* fp_write,
                                    const char* fp_rename) {
   // Write the replacement log beside the original, then rename over it.
   // A crash before the rename leaves the old log plus an orphan temp
-  // (cleaned on next open, under the lease-dir flock); a crash after
-  // the rename but before the segment unlinks replays to the same
-  // contents (the folded records shadow the segments). Either way the
-  // store opens clean.
+  // (swept by the next writable open); a crash after the rename but
+  // before the segment unlinks replays to the same contents (the folded
+  // records shadow the segments). Either way the store opens clean.
   SPARSIFY_FAILPOINT(fp_write);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -829,15 +683,12 @@ void ResultStore::RewriteLogLocked(const std::string& tmp,
 #endif
   SPARSIFY_FAILPOINT(fp_rename);
   fs::rename(tmp, BasePath());
-  // The folded segments are garbage now; every writer is dead (sole-
-  // writer precondition) except us, and ours were folded too.
+  // The folded segments are garbage now, this writer's own included.
   for (const Segment& seg : ListSegments(dir_)) {
     std::error_code ec;
     fs::remove(seg.path, ec);
   }
   log_records_ = entries_.size();
-  claims_.clear();
-  files_.clear();
   append_path_.clear();
   append_path_bytes_ = 0;
 }
@@ -849,15 +700,6 @@ CompactStats ResultStore::Compact() {
     throw IoError("result store: " + dir_ +
                   " was opened read-only (snapshot)");
   }
-  // The whole commit happens under the lease-dir flock: acquisition of a
-  // new writer serializes against the sole-writer check AND the rewrite,
-  // so a worker can neither slip in mid-rewrite nor replay a half-
-  // committed view.
-  lease::LeaseDirLock dir_lock(dir_);
-  RequireSoleWriter("compact");
-  // Every peer is gone: fold in what they appended since we last looked,
-  // or the rewrite would delete it with their segments.
-  RefreshPeersLocked();
   CompactStats stats;
   stats.records_before = log_records_;
   stats.records_after = entries_.size();
@@ -871,8 +713,8 @@ CompactStats ResultStore::Compact() {
     }
   }
   CloseWriterLocked();
-  RewriteLogLocked(BasePath() + ".compact.tmp." + std::to_string(OwnPid()),
-                   "store.compact.write", "store.compact.rename");
+  RewriteLogLocked(BasePath() + ".compact.tmp", "store.compact.write",
+                   "store.compact.rename");
   {
     std::error_code ec;
     const auto size = fs::file_size(BasePath(), ec);
@@ -891,8 +733,6 @@ void ResultStore::Merge(const std::vector<const ResultStore*>& inputs) {
     throw IoError("result store: " + dir_ +
                   " was opened read-only (snapshot)");
   }
-  lease::LeaseDirLock dir_lock(dir_);
-  RequireSoleWriter("merge");
   CloseWriterLocked();
 
   for (const ResultStore* in : inputs) {
@@ -911,8 +751,8 @@ void ResultStore::Merge(const std::vector<const ResultStore*>& inputs) {
       InsertLocked(key, in->OutcomeLocked(i), /*from_file=*/true);
     }
   }
-  RewriteLogLocked(BasePath() + ".merge.tmp." + std::to_string(OwnPid()),
-                   "store.merge.write", "store.merge.rename");
+  RewriteLogLocked(BasePath() + ".merge.tmp", "store.merge.write",
+                   "store.merge.rename");
 
   static obs::Counter& merges = obs::GetCounter("store.merge_commits");
   merges.Add();

@@ -1,44 +1,43 @@
-// Append-only persistent store of completed experiment cells, shared by
-// cooperating writer processes.
+// Append-only persistent store of completed experiment cells, with one
+// writer per directory.
 //
-// A store is a directory. Every writer, a lone one included, appends only
-// to its own segment chain (`log.<writer>.<n>.jsonl`); `results.jsonl`
-// exists only as the atomic output of Compact()/Merge(). Every
-// file is a self-describing version-2 header line followed by one flat
-// JSON object per record, each carrying a CRC-32C, and an error-record
-// kind lets a resumed sweep resubmit the units that failed.
+// A store is a directory. Its writer appends only to its own segment
+// chain (`log.<writer>.<n>.jsonl`); `results.jsonl` exists only as the
+// atomic output of Compact()/Merge(). Every file is a self-describing
+// version-2 header line followed by one flat JSON object per record, each
+// carrying a CRC-32C, and an error-record kind lets a resumed sweep
+// resubmit the units that failed.
 //
-// Records are appended and flushed one at a time, so a writer that dies
-// leaves a valid prefix plus at most one torn tail line. Replay is one
-// pass over every file: terminated lines are absorbed (a corrupt one is
-// fatal at open), and the unterminated tail of a writer that holds no
-// live lease is settled in the same pass — a whole record that lost only
-// its newline is re-terminated, anything else is cut and counted in
-// DroppedTailBytes(). Multi-writer coordination is lease-based (see
-// util/lease.h). Replay folds files in acquisition order, last write wins
-// by CellKey, except that a record read from a file never downgrades a
-// success to an error (equal keys carry bit-identical values, so any
-// surviving success is THE value). See README.md in this directory for
-// the layout, the lease state machine, and the crash-recovery contract.
+// A writable open holds an exclusive kernel lock on the directory's
+// `writer.lock` for its lifetime; a second writable open, in this process
+// or another, throws StoreLockHeldError. The kernel drops the lock when
+// its holder dies, so no liveness protocol is needed. Records are
+// appended and flushed one at a time, so a writer that dies leaves a
+// valid prefix plus at most one torn tail line. Replay is one pass over
+// every file: terminated lines are absorbed (a corrupt one is fatal at
+// open), and the unterminated tail of a file whose writer is gone is
+// settled in the same pass — a whole record that lost only its newline is
+// re-terminated, anything else is cut and counted in DroppedTailBytes().
+// Replay folds files in segment order, last write wins by CellKey, except
+// that a record read from a file never downgrades a success to an error
+// (equal keys carry bit-identical values, so any surviving success is THE
+// value). See README.md in this directory for the layout, the lock, and
+// the crash-recovery contract.
 #ifndef SPARSIFY_STORE_RESULT_STORE_H_
 #define SPARSIFY_STORE_RESULT_STORE_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/store/cell_key.h"
-#include "src/util/lease.h"
 
 namespace sparsify {
 
@@ -64,17 +63,6 @@ struct StoredCell : StoredOutcome {
   CellKey key;
 };
 
-/// One shard-scheduler claim record: `writer` announced it is computing
-/// chunk `chunk` of the work partition identified by `scope` (a hash of
-/// the grid, so claims from incompatible grids are ignored). Claims live
-/// in the claimant's own segment — no cross-process write contention —
-/// and are dropped by Compact(): they only matter while a sweep runs.
-struct StoredClaim {
-  std::string writer;
-  std::string scope;
-  uint64_t chunk = 0;
-};
-
 /// What Compact() did: how many log lines and bytes the rewrite removed.
 struct CompactStats {
   size_t records_before = 0;  // record lines in the log pre-compaction
@@ -92,49 +80,43 @@ enum class FsyncPolicy {
   kAlways,  // fsync every append (torture-harness mode)
 };
 
-/// Open-time knobs. The lease TTL is not one: a writer whose heartbeat
-/// has not advanced for longer than SPARSIFY_LEASE_TTL seconds (default
-/// 30; see lease.h), or whose pid is dead, is stale, and its claims become
-/// stealable. Renewals happen every ttl/4.
+/// Open-time knobs.
 struct ResultStoreOptions {
-  /// Snapshot open for `export` / `ls` / `merge` inputs: no lease is
-  /// taken, nothing in the directory is mutated, a live sweep's store can
-  /// be inspected mid-run. Append/Compact throw on a read-only store.
+  /// Snapshot open for `export` / `ls` / `merge` inputs: no lock is taken,
+  /// nothing in the directory is created or mutated, and a live sweep's
+  /// store can be inspected mid-run. Append/Compact throw on a read-only
+  /// store.
   bool read_only = false;
 };
 
 /// Durable map from CellKey to results, backed by append-only JSONL logs.
 ///
 /// Thread-safety: all methods are internally synchronized; Append is safe
-/// to call from engine worker threads. Cross-process coordination is
-/// COOPERATIVE: any number of writers may hold the same store directory
-/// open, each appending to its own segment under a heartbeat lease.
-/// Whole-store rewrites (Compact, Merge) still demand
-/// exclusivity and throw StoreLockHeldError while other writers are live.
+/// to call from engine worker threads. A writable instance is the only
+/// writer of its directory (the kernel lock enforces it across processes
+/// and within one), so nothing else can change the files under it.
 class ResultStore {
  public:
   /// The only format version read or written: CRC'd records + error kind.
   static constexpr int kFormatVersion = 2;
 
   /// Opens (and replays) the store in directory `dir`. A writable open
-  /// creates the directory; a missing directory is an empty store. Throws
+  /// creates the directory, takes the writer lock and settles every
+  /// file's tail; a missing directory is an empty store. Throws
+  /// StoreLockHeldError when another writable open holds the directory;
   /// StoreCorruptError when a log file is not a result-store log (bad
   /// header), has a corrupt or checksum-failing record before its final
   /// line, or has an unsupported version; IoError on filesystem failures.
   /// (All derive from std::runtime_error.)
   explicit ResultStore(std::string dir, ResultStoreOptions options = {});
 
-  /// Flushes (per the fsync policy, best-effort), stops the heartbeat,
-  /// and releases the lease.
+  /// Flushes (per the fsync policy, best-effort) and releases the lock.
   ~ResultStore();
 
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
   const std::string& Dir() const { return dir_; }
-
-  /// This instance's unique writer id (empty on a read-only open).
-  const std::string& WriterId() const { return writer_id_; }
 
   bool read_only() const { return options_.read_only; }
 
@@ -154,13 +136,9 @@ class ResultStore {
   /// position with the latest values (last write wins on replay too).
   std::vector<StoredCell> Cells() const;
 
-  /// All claim records seen so far (replayed + own + refreshed), in
-  /// observation order. Duplicates (re-claims, steals) are all kept: the
-  /// scheduler judges liveness per claimant.
-  std::vector<StoredClaim> Claims() const;
-
-  /// Bytes of torn tails of gone writers seen at open (0 for clean logs).
-  /// A writable open cuts them; a read-only open only counts them.
+  /// Bytes of torn tails seen at open (0 for clean logs). A writable open
+  /// cuts them; a read-only open only counts them, and counts none while
+  /// a writer holds the store (its tail may be an append in progress).
   size_t DroppedTailBytes() const { return dropped_tail_bytes_; }
 
   /// Durably appends one record to this writer's own segment: the line is
@@ -177,77 +155,50 @@ class ResultStore {
   void AppendError(const CellKey& key, const std::string& error_class,
                    const std::string& error_message, int attempts);
 
-  /// Appends a claim record (this writer claims `chunk` of `scope`) to
-  /// this writer's own segment, durably like Append.
-  void AppendClaim(const std::string& scope, uint64_t chunk);
-
-  /// Incrementally absorbs newly TERMINATED lines from peers' segments
-  /// (every segment but this writer's own). A partially flushed final
-  /// line stays pending — the peer may still be writing it. Corruption
-  /// inside a peer file poisons that file (its remaining lines are
-  /// ignored, a counter records it) instead of failing the live sweep.
-  /// Returns the number of cell records absorbed.
-  size_t RefreshPeers();
-
-  /// True when `writer` should be treated as alive: it is this writer, or
-  /// its lease file exists and its pid/heartbeat pass the staleness check
-  /// (see util/lease.h). A released or reaped lease reads as dead.
-  bool WriterAlive(const std::string& writer) const;
-
   /// Rewrites the store to one record per live key (dropping superseded
-  /// duplicates and all claim records; keys whose latest record is still
-  /// an error are kept as error records) in `results.jsonl`, folding every
-  /// segment into it. Peers' unabsorbed records are absorbed first.
-  /// Requires this to be the ONLY live writer — throws
-  /// StoreLockHeldError otherwise, so a running sweep can never have the
-  /// log rewritten under it. Atomic: writes a temp file beside the log,
-  /// fsyncs it, renames over the base, then unlinks the folded segments —
-  /// a crash at any point replays to the same contents. Returns what was
-  /// reclaimed.
+  /// duplicates and the claim lines older binaries wrote; keys whose
+  /// latest record is still an error are kept as error records) in
+  /// `results.jsonl`, folding every segment into it. Atomic: writes a
+  /// temp file beside the log, fsyncs it, renames over the base, then
+  /// unlinks the folded segments — a crash at any point replays to the
+  /// same contents. Returns what was reclaimed.
   CompactStats Compact();
 
   /// The `merge` subcommand's commit step: folds every record of
   /// `inputs` (other stores, typically read-only snapshots) into this one
   /// in order, by the replay rule — a later record wins, except that an
   /// error never replaces a success — then atomically rewrites the store
-  /// as one file. Same exclusivity, atomicity, and segment-folding rules
-  /// as Compact(); the temp file is `results.jsonl.merge.tmp.<pid>` so a
-  /// killed merge leaves a recognizable orphan for the open-time sweep.
+  /// as one file, like Compact(). A killed merge leaves its temp file
+  /// `results.jsonl.merge.tmp` for the next writable open to sweep.
   void Merge(const std::vector<const ResultStore*>& inputs);
 
   /// The fsync policy in force (from SPARSIFY_STORE_FSYNC at open).
   FsyncPolicy fsync_policy() const;
 
  private:
-  // Per log-file replay state: the file's bytes before `consumed` are
-  // absorbed. A closed file is never read again: its writer is gone (its
-  // tail was settled at open) or it is poisoned.
-  struct LogFile {
-    size_t consumed = 0;  // offset one past the last absorbed line
-    size_t line_no = 0;   // lines absorbed (0 = header not yet seen)
-    bool closed = false;
+  // The writer lock's descriptor; closing it releases the lock, so a
+  // constructor that throws after taking it leaves no holder behind.
+  struct LockFd {
+    int fd = -1;
+    LockFd() = default;
+    LockFd(const LockFd&) = delete;
+    LockFd& operator=(const LockFd&) = delete;
+    ~LockFd();
   };
 
-  void AcquireLeaseLocked();      // caller holds the lease-dir flock
-  void ReapStaleWritersLocked();  // caller holds the lease-dir flock
-  void RequireSoleWriter(const char* op);
-  void StartHeartbeat();
-  void StopHeartbeat();
+  void LockWriter();  // takes writer.lock; throws StoreLockHeldError
 
-  // Replays every log file in acquisition order. A writable open runs it
-  // under the lease-dir flock, so settling a gone writer's tail never
-  // races another opener.
-  void Replay();
+  // Replays every log file in segment order. `settle` is false only for a
+  // read-only open of a held store.
+  void Replay(bool settle);
   void ReplayFile(const std::string& file, bool settle);
-  // The one line absorber. `view` holds the file's bytes from
-  // state.consumed on. Terminated lines are absorbed; a corrupt one throws
-  // when `strict` (at open), else poisons the file (mid-run refresh).
-  // With `settle` (the writer is gone) the unterminated tail is final: a
-  // whole valid line is absorbed, anything else is counted as dropped.
-  // Returns cell records absorbed.
-  size_t AbsorbLines(const std::string& file, LogFile& state,
-                     std::string_view view, bool strict, bool settle);
-  size_t RefreshPeersLocked();
+  // The one line absorber. Terminated lines are absorbed, and a corrupt
+  // one throws StoreCorruptError. With `settle` (the file's writer is
+  // gone) the unterminated tail is final: a whole valid line is absorbed,
+  // anything else is counted as dropped. `*lines` receives the lines
+  // absorbed, header included. Returns the bytes they span.
+  size_t AbsorbLines(const std::string& file, std::string_view content,
+                     bool settle, size_t* lines);
 
   std::string BasePath() const;
   void OpenSegmentLocked();  // closes the current segment, opens the next
@@ -302,9 +253,8 @@ class ResultStore {
   mutable std::mutex mu_;
   std::string dir_;
   ResultStoreOptions options_;
-  double lease_ttl_seconds_ = 0;  // SPARSIFY_LEASE_TTL or the default
+  LockFd lock_;                 // held by a writable open
   uint64_t segment_bytes_ = 0;  // rotation threshold
-  std::string writer_id_;       // empty on read-only opens
   std::ofstream out_;
   std::string append_path_;         // this writer's current segment
   uint64_t append_path_bytes_ = 0;  // its size (rotation threshold check)
@@ -315,24 +265,11 @@ class ResultStore {
   std::vector<Entry> entries_;  // first-seen order
   std::unordered_map<PackedKey, uint32_t, PackedKeyHash> index_;
   std::unordered_map<uint32_t, StoredOutcome> errors_;  // entries_ idx
-  std::vector<StoredClaim> claims_;
-  std::map<std::string, LogFile> files_;  // log path -> replay state
   size_t dropped_tail_bytes_ = 0;
   size_t log_records_ = 0;  // record lines in the log (incl. dupes)
   int sync_fd_ = -1;  // fsync descriptor for the log (ofstream hides its fd)
   FsyncPolicy fsync_policy_ = FsyncPolicy::kBatch;
   uint64_t appends_since_sync_ = 0;
-
-  // Lease heartbeat machinery. The prober is mutable state shared by
-  // WriterAlive callers; renew failures are absorbed (the next renewal
-  // recreates the lease file — worst case a peer steals our claims and
-  // recomputes bit-identical values).
-  mutable lease::LivenessProber prober_;
-  uint64_t heartbeat_ = 0;
-  std::thread heartbeat_thread_;
-  std::mutex heartbeat_mu_;
-  std::condition_variable heartbeat_cv_;
-  bool heartbeat_stop_ = false;
 };
 
 }  // namespace sparsify

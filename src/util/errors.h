@@ -34,10 +34,9 @@ class IoError : public SparsifyError {
   explicit IoError(const std::string& what) : SparsifyError(what) {}
 };
 
-/// An exclusive store operation (Compact, merge commit) found other LIVE
-/// writers — processes holding unexpired leases on the store directory.
-/// Concurrent appending is cooperative and never raises this; only
-/// whole-store rewrites demand exclusivity.
+/// A writable store open found the directory's writer lock held by
+/// another writable open, in this process or another: a store has one
+/// writer at a time (CLI exit code 3).
 class StoreLockHeldError : public SparsifyError {
  public:
   explicit StoreLockHeldError(const std::string& what)

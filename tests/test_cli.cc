@@ -276,16 +276,75 @@ class CliExitCodeTest : public ::testing::Test {
 };
 
 TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
-  // Appending is cooperative since the lease protocol, so `ls` (and a
-  // second sweep) proceed alongside a live writer; only exclusive
-  // whole-store rewrites — compact — refuse with the busy exit code.
+  // A store has one writer at a time: while one holds the directory, a
+  // sweep, compact or merge into it exits with the busy code, and the
+  // lock-free readers `ls` and `export` still run.
   std::string dir = TestPath("exit_lock_store");
   ResultStore holder(dir);
   holder.Append(
       CellKey{"ego-Facebook@0.1", "RN", 0.5, 0, 1234567u, "degree", "x"},
       0.5, 1.0);
   EXPECT_EQ(RunCli({"ls", "--store=" + dir}), cli::kExitOk);
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(RunCli(SweepArgs(dir)), cli::kExitLockHeld);
   EXPECT_EQ(RunCli({"compact", "--store=" + dir}), cli::kExitLockHeld);
+  std::string other = TestPath("exit_lock_other");
+  { ResultStore empty(other); }
+  EXPECT_EQ(RunCli({"merge", other, "-o", dir}), cli::kExitLockHeld);
+  EXPECT_EQ(holder.Size(), 1u);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string CaptureExport(const std::string& dir) {
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
+  return ::testing::internal::GetCapturedStdout();
+}
+
+TEST_F(CliExitCodeTest, StoreFromSharedDirectoryBinariesStillReads) {
+  // Binaries that let writers share a directory left claim lines among
+  // the records, lease files and a flock sidecar. Such a store, with a
+  // torn tail besides, opens, exports what its records export, and
+  // compact drops the claim.
+  std::string clean = TestPath("shared_clean");
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(RunCli(SweepArgs(clean)), cli::kExitOk);
+  ::testing::internal::GetCapturedStdout();
+  const std::string want = CaptureExport(clean);
+
+  std::string dir = TestPath("shared_store");
+  fs::create_directories(dir);
+  const std::string writer = "w4242x00000000000000aa";
+  std::string log = ReadFile(OnlySegment(clean));
+  log.insert(log.find('\n') + 1,
+             "{\"kind\":\"claim\",\"writer\":\"w4242x00000000000000aa\","
+             "\"scope\":\"7c9a44f0e1b2a3d4\",\"chunk\":0,"
+             "\"crc32c\":\"1c1d9b14\"}\n");
+  log += "{\"dataset\":\"ego-Fa";
+  const std::string seg = dir + "/log." + writer + ".000000.jsonl";
+  std::ofstream(seg, std::ios::binary) << log;
+  std::ofstream(dir + "/lease." + writer + ".json", std::ios::binary)
+      << "{\"writer\":\"" << writer
+      << "\",\"pid\":4242,\"heartbeat\":3,\"ttl\":30}\n";
+  std::ofstream(dir + "/leases.lock", std::ios::binary);
+
+  EXPECT_EQ(CaptureExport(dir), want);
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(RunCli({"compact", "--store=" + dir}), cli::kExitOk);
+  const std::string compacted = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(compacted.find(": 3 -> 2 records"), std::string::npos)
+      << compacted;
+  EXPECT_TRUE(SegmentFiles(dir).empty());
+  EXPECT_EQ(ReadFile(dir + "/results.jsonl").find("claim"),
+            std::string::npos);
+  EXPECT_EQ(CaptureExport(dir), want);
 }
 
 TEST_F(CliExitCodeTest, CorruptStoreExitsWithCorruptCode) {
@@ -439,6 +498,39 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   ::testing::internal::CaptureStdout();
   ASSERT_EQ(RunCli({"export", "--store=" + out}), cli::kExitOk);
   EXPECT_EQ(::testing::internal::GetCapturedStdout(), want);
+
+  // Three static shards of a grid with five score groups, each into its
+  // own directory, fold to the cold export of the whole grid.
+  const std::vector<std::string> grid = {
+      "sweep",      "--dataset=ego-Facebook", "--metrics=degree",
+      "--algos=RN,LD,KN", "--rates=0.3,0.6", "--runs=2", "--scale=0.1"};
+  auto sweep_into = [&](const std::string& dir, const std::string& shard) {
+    std::vector<std::string> args = grid;
+    args.push_back("--store=" + dir);
+    if (!shard.empty()) args.push_back("--shard=" + shard);
+    ::testing::internal::CaptureStdout();
+    EXPECT_EQ(RunCli(args), cli::kExitOk) << shard;
+    return ::testing::internal::GetCapturedStdout();
+  };
+  std::string cold3 = TestPath("merge_cold3");
+  sweep_into(cold3, "");
+  std::vector<std::string> merge3 = {"merge"};
+  for (int i = 0; i < 3; ++i) {
+    std::string dir = TestPath("merge_shard" + std::to_string(i));
+    const std::string banner = sweep_into(dir, std::to_string(i) + "/3");
+    EXPECT_NE(banner.find(" shard=" + std::to_string(i) + "/3"),
+              std::string::npos)
+        << banner;
+    merge3.push_back(dir);
+  }
+  std::string out3 = TestPath("merge_out3");
+  merge3.insert(merge3.end(), {"-o", out3});
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(RunCli(merge3), cli::kExitOk);
+  EXPECT_NE(::testing::internal::GetCapturedStdout().find(
+                "merged 3 store(s)"),
+            std::string::npos);
+  EXPECT_EQ(CaptureExport(out3), CaptureExport(cold3));
 
   // Usage and IO errors: no inputs / missing output / absent input dir.
   EXPECT_EQ(RunCli({"merge", "-o", out}), cli::kExitUsage);

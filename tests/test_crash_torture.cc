@@ -2,7 +2,8 @@
 // resume against the survived store and require (a) the resume completes
 // cleanly and (b) the exported CSV is byte-identical to a cold run that
 // never crashed. This is the kill-anywhere invariant the store's
-// append/flush/fsync discipline exists to provide.
+// append/flush/fsync discipline exists to provide. Static shards run as
+// concurrent processes must merge to that same export.
 //
 // The child runs the real CLI entry point (RunSparsifyCli is the binary's
 // main) with SPARSIFY_FAILPOINTS armed, so the path under torture is the
@@ -12,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -52,6 +54,7 @@ class CrashTortureTest : public ::testing::Test {
   void TearDown() override {
     ::unsetenv("SPARSIFY_FAILPOINTS");
     ::unsetenv("SPARSIFY_STORE_FSYNC");
+    ::unsetenv("SPARSIFY_STORE_SEGMENT_BYTES");
     fail::DisarmAll();
   }
 
@@ -68,6 +71,11 @@ class CrashTortureTest : public ::testing::Test {
         // The batch policy syncs every 32 appends — more than this small
         // grid writes — so put a sync (and its kill point) on every append.
         ::setenv("SPARSIFY_STORE_FSYNC", "always", 1);
+      }
+      if (spec.find("store.rotate") != std::string::npos) {
+        // Segments of 512 bytes hold two records, so the third append
+        // rotates to the next segment (and reaches its kill point).
+        ::setenv("SPARSIFY_STORE_SEGMENT_BYTES", "512", 1);
       }
       int rc = 1;
       try {
@@ -98,13 +106,15 @@ TEST_F(CrashTortureTest, KillAnywhereThenResumeExportsIdentically) {
   ASSERT_FALSE(want.empty());
 
   // Kill points across the store's write path: early, mid, and late
-  // appends (8 units total), the fsync syscall itself, and the engine's
-  // metric unit (a worker thread dies mid-computation).
+  // appends (8 units total), the fsync syscall itself, a segment rotation
+  // (between two segment files), and the engine's metric unit (a worker
+  // thread dies mid-computation).
   const std::vector<std::string> kill_specs = {
       "store.append=kill@1",
       "store.append=kill@4",
       "store.append=kill@8",
       "store.fsync=kill@1",
+      "store.rotate=kill@1",
       "engine.metric_unit=kill@3",
   };
   for (const std::string& spec : kill_specs) {
@@ -214,6 +224,54 @@ TEST_F(CrashTortureTest, SigtermMidSweepDrainsAndResumesIdentically) {
   ASSERT_EQ(RunCli(SweepArgs(dir)), cli::kExitOk);
   ::testing::internal::GetCapturedStdout();
   EXPECT_EQ(CaptureExport(dir), want);
+}
+
+// Static shards run as concurrent processes, each into its own directory:
+// `merge` folds them into the export a single cold process writes.
+TEST(ShardTortureTest, ThreeCleanWorkersConvergeToColdExport) {
+  // Two runs give three score groups, RN/0, RN/1 and LD/0: one per shard.
+  auto args = [](const std::string& dir) {
+    std::vector<std::string> a = SweepArgs(dir);
+    *std::find(a.begin(), a.end(), "--runs=1") = "--runs=2";
+    return a;
+  };
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(RunCli(args(TestPath("shard_cold"))), cli::kExitOk);
+  ::testing::internal::GetCapturedStdout();
+  const std::string want = CaptureExport(TestPath("shard_cold"));
+
+  std::vector<std::string> merge = {"merge"};
+  std::vector<pid_t> pids;
+  for (int i = 0; i < 3; ++i) {
+    const std::string dir = TestPath("shard_" + std::to_string(i));
+    merge.push_back(dir);
+    std::vector<std::string> shard = args(dir);
+    shard.push_back("--shard=" + std::to_string(i) + "/3");
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      std::freopen("/dev/null", "w", stdout);
+      int rc = 99;
+      try {
+        rc = RunCli(shard);
+      } catch (...) {
+      }
+      std::_Exit(rc);
+    }
+    ASSERT_GT(pid, 0);
+    pids.push_back(pid);
+  }
+  for (pid_t pid : pids) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), cli::kExitOk);
+  }
+  const std::string out = TestPath("shard_merged");
+  merge.insert(merge.end(), {"-o", out});
+  ::testing::internal::CaptureStdout();
+  ASSERT_EQ(RunCli(merge), cli::kExitOk);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(CaptureExport(out), want);
 }
 
 TEST_F(CrashTortureTest, SecondSigtermAbortsImmediately) {

@@ -1,5 +1,5 @@
-// Tests for k-core decomposition, harmonic centrality, weighted
-// betweenness, the LFR generator, and binary graph serialization.
+// Tests for k-core decomposition, harmonic centrality, the LFR generator,
+// and binary graph serialization.
 #include <cstdio>
 #include <sstream>
 
@@ -7,7 +7,6 @@
 
 #include "src/graph/binary_io.h"
 #include "src/graph/generators.h"
-#include "src/metrics/centrality.h"
 #include "src/metrics/clustering.h"
 #include "src/metrics/kcore.h"
 #include "src/metrics/louvain.h"
@@ -66,27 +65,6 @@ TEST(HarmonicTest, HandlesDisconnected) {
   Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}}, false, false);
   std::vector<double> h = HarmonicCentrality(g);
   for (double hv : h) EXPECT_DOUBLE_EQ(hv, 1.0);
-}
-
-TEST(WeightedBetweennessTest, MatchesUnweightedOnUnitWeights) {
-  Rng rng(3);
-  Graph g = ErdosRenyi(60, 180, false, rng);
-  std::vector<double> unweighted = BetweennessCentrality(g);
-  std::vector<double> weighted = WeightedBetweennessCentrality(g);
-  for (NodeId v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_NEAR(weighted[v], unweighted[v], 1e-6) << v;
-  }
-}
-
-TEST(WeightedBetweennessTest, WeightsReroutePaths) {
-  // Square 0-1-2 / 0-3-2 with a heavy edge on the 0-1 side: all 0..2
-  // traffic goes via 3.
-  Graph g = Graph::FromEdges(
-      4, {{0, 1, 10.0}, {1, 2, 1.0}, {0, 3, 1.0}, {3, 2, 1.0}}, false,
-      true);
-  std::vector<double> b = WeightedBetweennessCentrality(g);
-  EXPECT_GT(b[3], b[1]);
-  EXPECT_DOUBLE_EQ(b[1], 0.0);
 }
 
 TEST(LfrTest, CommunitiesAndMixing) {

@@ -1,9 +1,11 @@
-// ResultStore: JSONL round-trip, replay semantics, and the crash-recovery
-// contract — a writer's segment truncated anywhere inside its last record
-// must replay to exactly the fully-written cells, never throw, and leave
-// the store appendable.
+// ResultStore: JSONL round-trip, replay semantics, the one-writer lock,
+// and the crash-recovery contract — a writer's segment truncated anywhere
+// inside its last record must replay to exactly the fully-written cells,
+// never throw, and leave the store appendable.
 #include "src/store/result_store.h"
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cinttypes>
@@ -20,7 +22,6 @@
 #include "src/store/record_codec.h"
 #include "src/util/crc32c.h"
 #include "src/util/errors.h"
-#include "src/util/lease.h"
 #include "tests/test_util.h"
 
 namespace sparsify {
@@ -52,8 +53,8 @@ CellKey MakeKey(const std::string& sparsifier, double rate, int run) {
   return key;
 }
 
-// A segment name for a writer that holds no lease in `dir`: its writer is
-// gone, so replay settles the file's tail.
+// A segment name of an earlier writer session in `dir`: no open holds the
+// store, so replay settles the file's tail.
 std::string GoneWriterSegment(const std::string& dir) {
   fs::create_directories(dir);
   return (fs::path(dir) / "log.w1x00000000000000aa.000000.jsonl").string();
@@ -176,7 +177,7 @@ TEST(ResultStoreTest, ReplayedErrorNeverShadowsASuccess) {
 
 TEST(ResultStoreTest, SiblingDirectoriesNeverSeeEachOther) {
   // A store is its directory: two stores under one parent share neither
-  // leases nor segments.
+  // locks nor segments.
   std::string a = TestPath("parent/a");
   std::string b = TestPath("parent/b");
   {
@@ -184,7 +185,6 @@ TEST(ResultStoreTest, SiblingDirectoriesNeverSeeEachOther) {
     ResultStore store_b(b);
     store_a.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
     store_b.Append(MakeKey("LD", 0.1, 0), 0.1, 2.0);
-    EXPECT_EQ(store_a.RefreshPeers(), 0u);
     EXPECT_EQ(store_a.Size(), 1u);
   }
   ResultStore reopened_a(a);
@@ -344,39 +344,29 @@ TEST(ResultStoreTest, ReadOnlyOpenCountsATornTailButNeverRepairs) {
   EXPECT_EQ(ReadFile(seg), whole.substr(0, kept));
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(ResultStoreTest, LiveWritersTailStaysPendingUntilTerminated) {
-  // A writer that holds a live lease may be mid-append: its unterminated
-  // tail is neither absorbed, nor counted, nor cut — only its peers'
-  // refresh picks the line up once the newline lands.
-  std::string source = TestPath("live_source");
-  {
-    ResultStore store(source);
-    store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
-    store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
-  }
-  const std::string whole = ReadFile(OnlySegment(source));
-  const std::string torn = whole.substr(0, whole.size() - 9);
-
+  // While a writer holds the store, its unterminated tail may be an
+  // append in progress: a read-only snapshot neither absorbs nor counts
+  // it, and leaves the bytes alone.
   std::string dir = TestPath("live_store");
-  fs::create_directories(dir);
-  lease::LeaseInfo live;
-  live.writer = "w1x00000000000000bb";
-  live.pid = static_cast<long>(::getpid());
-  lease::WriteLease(dir, live);
-  const std::string seg =
-      (fs::path(dir) / ("log." + live.writer + ".000000.jsonl")).string();
-  WriteFile(seg, torn);
-
-  ResultStore store(dir);
-  EXPECT_EQ(store.Size(), 1u);
-  EXPECT_EQ(store.DroppedTailBytes(), 0u);
+  ResultStore holder(dir);
+  holder.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
+  holder.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
+  const std::string seg = OnlySegment(dir);
+  const std::string whole = ReadFile(seg);
+  const std::string torn = whole.substr(0, whole.size() - 9);
+  WriteFile(seg, torn);  // the second record is half written
+  {
+    ResultStore snapshot(dir, ReadOnly());
+    EXPECT_EQ(snapshot.Size(), 1u);
+    EXPECT_FALSE(snapshot.Contains(MakeKey("RN", 0.2, 0)));
+    EXPECT_EQ(snapshot.DroppedTailBytes(), 0u);
+  }
   EXPECT_EQ(ReadFile(seg), torn);
-  WriteFile(seg, whole);  // the peer finishes its append
-  EXPECT_EQ(store.RefreshPeers(), 1u);
-  EXPECT_EQ(store.Lookup(MakeKey("RN", 0.2, 0))->value, 2.0);
+  WriteFile(seg, whole);  // the append lands
+  ResultStore snapshot(dir, ReadOnly());
+  EXPECT_EQ(snapshot.Lookup(MakeKey("RN", 0.2, 0))->value, 2.0);
 }
-#endif
 
 TEST(ResultStoreTest, ConstructorCreatesDirectory) {
   std::string dir = TestPath("store_dir/nested");
@@ -390,48 +380,84 @@ TEST(ResultStoreTest, ConstructorCreatesDirectory) {
   EXPECT_EQ(reopened.Dir(), dir);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-TEST(ResultStoreTest, SecondWriterCoexistsAndRecordsMerge) {
-  // Locking is cooperative: a second open takes its own lease and its
-  // own segment file instead of failing with "locked by another
-  // process". Each writer sees its peer's records (after RefreshPeers or
-  // a fresh replay), and neither disturbs the other.
-  std::string dir = TestPath("coop_store_dir");
-  ResultStore store(dir);
-  store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
-
+TEST(ResultStoreTest, SecondWriterOpenFailsWithLockHeld) {
+  // One writer per directory: a second writable open in the same process
+  // fails, snapshots still read, and the lock frees on close.
+  std::string dir = TestPath("held_store");
   {
-    ResultStore second(dir);
-    EXPECT_NE(second.WriterId(), store.WriterId());
-    // The first writer's record replayed into the second writer's view.
-    EXPECT_EQ(second.Size(), 1u);
-    second.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
-    EXPECT_EQ(second.Size(), 2u);
-
-    // The first writer's view is untouched until it polls its peers.
-    EXPECT_EQ(store.Size(), 1u);
-    store.RefreshPeers();
-    EXPECT_EQ(store.Size(), 2u);
-    EXPECT_EQ(store.Lookup(MakeKey("RN", 0.2, 0))->value, 2.0);
-
-    // Exclusive operations refuse while the other writer is live.
-    EXPECT_THROW(store.Compact(), StoreLockHeldError);
-    second.Append(MakeKey("RN", 0.3, 0), 0.3, 3.0);
+    ResultStore store(dir);
+    store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
+    EXPECT_THROW(ResultStore{dir}, StoreLockHeldError);
+    ResultStore snapshot(dir, ReadOnly());
+    EXPECT_EQ(snapshot.Size(), 1u);
+    // Closing the snapshot's probe descriptor leaves the lock in place.
+    EXPECT_THROW(ResultStore{dir}, StoreLockHeldError);
+    // Compact needs no other check: the holder is the only writer.
+    store.Append(MakeKey("RN", 0.2, 0), 0.2, 2.0);
+    EXPECT_EQ(store.Compact().records_after, 2u);
   }
-  // Second writer closed cleanly: exclusivity is available again, and the
-  // compaction output folds both writers' records together — including
-  // the one this writer never polled for.
-  CompactStats stats = store.Compact();
-  EXPECT_EQ(stats.records_after, 3u);
-  EXPECT_TRUE(SegmentFiles(dir).empty());
-  ResultStore replayed(dir);
-  EXPECT_EQ(replayed.Size(), 3u);
-  EXPECT_EQ(replayed.Lookup(MakeKey("RN", 0.1, 0))->value, 1.0);
-  EXPECT_EQ(replayed.Lookup(MakeKey("RN", 0.2, 0))->value, 2.0);
-  EXPECT_EQ(replayed.Lookup(MakeKey("RN", 0.3, 0))->value, 3.0);
+  ResultStore reopened(dir);
+  EXPECT_EQ(reopened.Size(), 2u);
 }
 
-TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
+#if defined(__unix__) || defined(__APPLE__)
+// Forks a child that opens `dir` writable and exits 0 on success, 3 on
+// StoreLockHeldError and 1 on anything else.
+int ChildOpenWritable(const std::string& dir) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    int rc = 1;
+    try {
+      ResultStore store(dir);
+      rc = 0;
+    } catch (const StoreLockHeldError&) {
+      rc = 3;
+    } catch (...) {
+    }
+    std::_Exit(rc);
+  }
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(ResultStoreTest, LockHoldsAcrossProcessesAndDiesWithItsHolder) {
+  std::string dir = TestPath("xproc_store");
+  {
+    ResultStore store(dir);
+    EXPECT_EQ(ChildOpenWritable(dir), 3);
+  }
+  EXPECT_EQ(ChildOpenWritable(dir), 0);
+
+  // A holder killed with SIGKILL mid-sweep releases the lock with its
+  // process; the next writer settles its torn tail.
+  int ready[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  const pid_t holder = ::fork();
+  if (holder == 0) {
+    ResultStore store(dir);
+    store.Append(MakeKey("RN", 0.1, 0), 0.1, 1.0);
+    const char byte = 1;
+    if (::write(ready[1], &byte, 1) != 1) std::_Exit(1);
+    for (;;) ::pause();
+  }
+  char byte = 0;
+  ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+  EXPECT_THROW(ResultStore{dir}, StoreLockHeldError);
+  const std::string torn = "{\"dataset\":";  // a crashed append
+  std::ofstream(OnlySegment(dir), std::ios::binary | std::ios::app) << torn;
+  ASSERT_EQ(::kill(holder, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(holder, &status, 0), holder);
+  ::close(ready[0]);
+  ::close(ready[1]);
+  ResultStore store(dir);
+  EXPECT_EQ(store.Size(), 1u);
+  EXPECT_EQ(store.DroppedTailBytes(), torn.size());
+}
+#endif
+
+TEST(ResultStoreTest, LockReleasesOnCloseAndOnFailedOpen) {
   std::string dir = TestPath("relock_store");
   {
     ResultStore store(dir);
@@ -441,7 +467,7 @@ TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
   { ResultStore reopened(dir); EXPECT_EQ(reopened.Size(), 1u); }
 
   // A constructor that throws during replay (corrupt mid-file) must also
-  // release its lease, or the store would see a ghost writer.
+  // release the lock, or the directory would stay held until exit.
   std::string bad = TestPath("relock_corrupt");
   fs::create_directories(bad);
   const std::string seg = OnlySegment(dir);
@@ -451,13 +477,11 @@ TEST(ResultStoreTest, LeaseReleasesOnCloseAndOnFailedOpen) {
   size_t header_end = content.find('\n') + 1;
   WriteFile(bad_seg, content.substr(0, header_end) + "not json\n" +
                          content.substr(header_end));
-  EXPECT_THROW(ResultStore{bad}, std::runtime_error);
-  EXPECT_TRUE(lease::ListLeases(bad).empty());
+  EXPECT_THROW(ResultStore{bad}, StoreCorruptError);
   WriteFile(bad_seg, content);  // repair the file
   ResultStore recovered(bad);
   EXPECT_EQ(recovered.Size(), 1u);
 }
-#endif
 
 TEST(ResultStoreTest, CodeRevBumpNeverReusesOldCells) {
   // PR 3 moved randomized sparsifiers to shared per-(sparsifier, run) seed
@@ -625,11 +649,6 @@ void ExpectSameDecode(const std::string& line, size_t* fast_taken) {
   if (DecodedInPlace(fast, line)) ++*fast_taken;
   ASSERT_EQ(fast.kind, generic.kind) << line;
   EXPECT_STREQ(fast.bad, generic.bad) << line;  // both null when valid
-  if (fast.kind == store_codec::LineKind::kClaim) {
-    EXPECT_EQ(fast.claim.writer, generic.claim.writer) << line;
-    EXPECT_EQ(fast.claim.scope, generic.claim.scope) << line;
-    EXPECT_EQ(fast.claim.chunk, generic.claim.chunk) << line;
-  }
   if (fast.kind != store_codec::LineKind::kCell) return;
   EXPECT_EQ(fast.key.dataset, generic.key.dataset) << line;
   EXPECT_EQ(fast.key.sparsifier, generic.key.sparsifier) << line;
@@ -689,9 +708,10 @@ TEST(RecordCodecTest, FastDecoderAgreesWithGenericParser) {
   error.error_message = "injected \"quote\"";
   error.attempts = 3;
   written.push_back(Line(MakeKey("RN", 0.2, 0), error));
-  std::string claim = store_codec::SerializeClaim({"w1x00aa", "0123abcd", 7});
-  claim.pop_back();
-  written.push_back(claim);
+  // A claim line as binaries with a shard scheduler wrote it.
+  written.push_back(
+      "{\"kind\":\"claim\",\"writer\":\"w1x00aa\",\"scope\":\"0123abcd\","
+      "\"chunk\":7,\"crc32c\":\"d5ef8a0c\"}");
 
   std::vector<std::string> corpus = written;
   const std::string body =

@@ -4,11 +4,14 @@
 #include "src/engine/resumable_sweep.h"
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "gtest/gtest.h"
 #include "src/cli/store_export.h"
@@ -57,14 +60,20 @@ void ExpectSeriesBitIdentical(const std::vector<SweepSeries>& a,
     EXPECT_EQ(a[s].sparsifier, b[s].sparsifier);
     ASSERT_EQ(a[s].points.size(), b[s].points.size());
     for (size_t p = 0; p < a[s].points.size(); ++p) {
-      // EXPECT_EQ, not NEAR: the contract is bit-identical doubles.
-      EXPECT_EQ(a[s].points[p].requested_prune_rate,
-                b[s].points[p].requested_prune_rate);
-      EXPECT_EQ(a[s].points[p].achieved_prune_rate,
-                b[s].points[p].achieved_prune_rate);
-      EXPECT_EQ(a[s].points[p].mean, b[s].points[p].mean);
-      EXPECT_EQ(a[s].points[p].stddev, b[s].points[p].stddev);
-      EXPECT_EQ(a[s].points[p].runs, b[s].points[p].runs);
+      // Bits, not NEAR: the contract is bit-identical doubles (a point
+      // without runs is NaN on both sides).
+      auto same = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof(double)) == 0;
+      };
+      const SweepPoint& x = a[s].points[p];
+      const SweepPoint& y = b[s].points[p];
+      EXPECT_EQ(x.requested_prune_rate, y.requested_prune_rate);
+      EXPECT_TRUE(same(x.achieved_prune_rate, y.achieved_prune_rate))
+          << x.achieved_prune_rate << " vs " << y.achieved_prune_rate;
+      EXPECT_TRUE(same(x.mean, y.mean)) << x.mean << " vs " << y.mean;
+      EXPECT_TRUE(same(x.stddev, y.stddev))
+          << x.stddev << " vs " << y.stddev;
+      EXPECT_EQ(x.runs, y.runs);
     }
   }
 }
@@ -207,8 +216,9 @@ TEST_F(ResumableSweepTest, DifferentGridShapeReusesCells) {
   // rate, run) under a different --algos list is the SAME cell. This is
   // safe because every RNG stream has been grid-shape independent
   // (GroupSeed + MetricSeed) since r3, and it is load-bearing for
-  // sharding — shard workers partition different task subsets but must
-  // agree on every unit's identity. This test pins the reuse contract.
+  // sharding — shards compute different task subsets, and merging their
+  // stores needs every unit's identity to agree. This test pins the
+  // reuse contract.
   std::string dir = TestPath("gridshape_store");
   ResultStore store(dir);
 
@@ -359,6 +369,75 @@ TEST_F(ResumableSweepTest, FailedUnitIsLeftOutOfItsPoint) {
     EXPECT_EQ(none[0].points[p].runs, 0);
     EXPECT_TRUE(std::isnan(none[0].points[p].mean));
   }
+}
+
+// Static shards (ShardSpec): each shard computes only the cells of its
+// own score groups, into its own store, and the stores fold to the
+// unsharded sweep.
+class ShardSchedulerTest : public ResumableSweepTest {
+ protected:
+  std::vector<SweepSeries> Run(ResultStore* store, size_t index,
+                               size_t total, ResumableSweepStats* stats) {
+    ResumableSweep sweep(runner_, store, "test-rev");
+    sweep.set_shard({index, total});
+    return RunQuad5(sweep, graph_, TestConfig(), stats);
+  }
+};
+
+TEST_F(ShardSchedulerTest, ShardRequiresStore) {
+  EXPECT_THROW(Run(nullptr, 0, 2, nullptr), std::invalid_argument);
+}
+
+TEST_F(ShardSchedulerTest, SequentialWorkersPartitionWithoutOverlap) {
+  ResumableSweepStats whole;
+  const std::vector<SweepSeries> cold = Run(nullptr, 0, 1, &whole);
+
+  // Each shard computes a strict share, no unit twice and no score group
+  // twice, into its own directory.
+  ResultStoreOptions snapshot;
+  snapshot.read_only = true;
+  std::vector<std::unique_ptr<ResultStore>> shards;
+  size_t units = 0, groups = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    const std::string dir = TestPath("shard_" + std::to_string(i));
+    {
+      ResultStore store(dir);
+      ResumableSweepStats stats;
+      Run(&store, i, 2, &stats);
+      EXPECT_GT(stats.submitted_cells, 0u);
+      EXPECT_LT(stats.submitted_cells, whole.total_cells);
+      EXPECT_EQ(stats.submitted_cells, stats.total_cells);
+      EXPECT_EQ(store.Size(), stats.submitted_cells);
+      units += stats.submitted_cells;
+      groups += stats.score_groups;
+    }
+    shards.push_back(std::make_unique<ResultStore>(dir, snapshot));
+  }
+  EXPECT_EQ(units, whole.total_cells);
+  EXPECT_EQ(groups, whole.score_groups);
+
+  // Merged, they hold the whole grid: an unsharded resume computes
+  // nothing and folds the cold series.
+  ResultStore merged(TestPath("shard_merged"));
+  merged.Merge({shards[0].get(), shards[1].get()});
+  EXPECT_EQ(merged.Size(), whole.total_cells);
+  ResumableSweep sweep(runner_, &merged, "test-rev");
+  ResumableSweepStats resumed;
+  ExpectSeriesBitIdentical(RunQuad5(sweep, graph_, TestConfig(), &resumed),
+                           cold);
+  EXPECT_EQ(resumed.submitted_cells, 0u);
+}
+
+TEST_F(ShardSchedulerTest, RerunOverCompleteStoreSubmitsNothing) {
+  ResultStore store(TestPath("shard_rerun"));
+  ResumableSweepStats first;
+  const std::vector<SweepSeries> want = Run(&store, 1, 2, &first);
+  ResumableSweepStats again;
+  ExpectSeriesBitIdentical(Run(&store, 1, 2, &again), want);
+  EXPECT_EQ(again.total_cells, first.total_cells);
+  EXPECT_EQ(again.cached_cells, again.total_cells);
+  EXPECT_EQ(again.submitted_cells, 0u);
+  EXPECT_EQ(again.score_groups, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Shared test helpers.
 //
-// A result store is a directory: leases, per-writer log segments, the
-// lock sidecar and the compaction output all live in it. Tests run as
+// A result store is a directory: the writer lock file, the per-session
+// log segments and the compaction output all live in it. Tests run as
 // concurrent processes under `ctest -j`, so every store a test opens must
 // sit in a directory no other test process can see.
 //
