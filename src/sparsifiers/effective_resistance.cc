@@ -1,6 +1,7 @@
 #include "src/sparsifiers/effective_resistance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -21,6 +22,13 @@ std::vector<double> ApproxEffectiveResistances(const Graph& g, Rng& rng,
                                 8.0 * std::log(std::max<size_t>(2, n)))));
   std::vector<double> resistance(m, 0.0);
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
+  // scale[e] = sqrt(w_e) / sqrt(k), as its bit pattern. A coin flips its
+  // sign bit: negation is exact, so (-q) * sqrt(w_e) == -(q * sqrt(w_e)).
+  std::vector<uint64_t> scale(m);
+  for (EdgeId e = 0; e < m; ++e) {
+    scale[e] = std::bit_cast<uint64_t>(
+        inv_sqrt_k * std::sqrt(g.CanonicalEdge(e).w));
+  }
   // The k solves run kCgBlockWidth columns at a time; the preconditioner
   // and the solver's scratch are set up once for all of them. b and z
   // share one allocation, like the solver's scratch (see cg.h).
@@ -38,11 +46,11 @@ std::vector<double> ApproxEffectiveResistances(const Graph& g, Rng& rng,
       // Column c of b is B^T W^{1/2} q_i (i = first + c) where q_i has
       // +-1/sqrt(k) entries: each edge e contributes q_i[e] * sqrt(w_e) *
       // (e_u - e_v). Each q_i[e] is used once, so it is drawn inline (q_i
-      // after q_{i-1}, in edge order) rather than stored.
+      // after q_{i-1}, in edge order) rather than stored; heads are +.
       for (EdgeId e = 0; e < m; ++e) {
-        const double q = rng.NextBernoulli(0.5) ? inv_sqrt_k : -inv_sqrt_k;
+        const uint64_t tails = rng.NextBernoulli(0.5) ? 0 : 1;
+        const double bc = std::bit_cast<double>(scale[e] ^ (tails << 63));
         const Edge& ed = g.CanonicalEdge(e);
-        double bc = q * std::sqrt(ed.w);
         b[size_t{ed.u} * cols + c] += bc;
         b[size_t{ed.v} * cols + c] -= bc;
       }
@@ -138,11 +146,14 @@ std::unique_ptr<ScoreState> EffectiveResistanceSparsifier::PrepareScores(
   // steps down while the bucket's threshold exceeds r (rounding can put it
   // too high), then scans forward while cum[i] < r. Every entry below
   // guide[j] has cum < threshold(j) <= r, so the scan lands exactly where
-  // std::lower_bound(cum, r) would, in O(1) expected steps. Thresholds are
-  // recomputed from the same expression rather than stored.
+  // std::lower_bound(cum, r) would, in O(1) expected steps. That holds for
+  // any nondecreasing thresholds with threshold(0) = 0, so they are j times
+  // a fixed width: a draw does no division and reads no stored threshold
+  // (a third random access per draw, which costs more than the multiply).
   const EdgeId buckets = m;
-  const auto threshold = [&](EdgeId j) {
-    return acc * static_cast<double>(j) / static_cast<double>(buckets);
+  const double width = acc / static_cast<double>(buckets);
+  const auto threshold = [width](EdgeId j) {
+    return static_cast<double>(j) * width;
   };
   std::vector<EdgeId> guide(buckets);
   for (EdgeId j = 0, i = 0; j < buckets; ++j) {

@@ -26,7 +26,10 @@
 // sampling marginal).
 //
 // Cost model (one PrepareScores, k = ~8 ln n JL rows):
-//   - JL: k Laplacian solves, run kCgBlockWidth = 4 at a time by the block
+//   - Right-hand sides: k coin flips per edge, each a sign flip of the
+//     edge's precomputed sqrt(w_e) / sqrt(k), plus the per-edge resistance
+//     sums over the k solutions.
+//   - CG: k Laplacian solves, run kCgBlockWidth = 4 at a time by the block
 //     CG of src/linalg/cg.h, so each CG iteration reads the edge list once
 //     for four rows: O(k/4 * iters * |E|) edge visits, with iters ~ 10 on
 //     ego-Facebook.
@@ -34,10 +37,13 @@
 //     is hit (capped at 400|E| + 10^6). Each draw finds its edge through a
 //     Chen-Asau guide table of |E| buckets over the cumulative p, in O(1)
 //     expected steps instead of a binary search over |E| entries.
-// Both are bit-identical to one scalar solve per row and a
-// std::lower_bound per draw: same resistances, same RNG stream, same hit
-// order. Single-threaded on ego-Facebook@5 (110k edges, a 4-core x86-64
-// host) the JL phase takes ~0.27 s and the race ~0.40 s.
+// All three are bit-identical to one scalar solve per row, a std::
+// lower_bound per draw and std::mt19937_64 draws: same resistances, same
+// RNG stream, same hit order. Single-threaded on a 4-core x86-64 host, one
+// PrepareScores on ego-Facebook@1 (22k edges, k = 61) spends ~11-15 ms on
+// the right-hand sides, ~20-26 ms in CG and ~31-37 ms in the race; on
+// ego-Facebook@5 (110k edges, k = 74) ~66, ~141 and ~327 ms. A coin flip
+// or a race draw costs one Rng draw (see src/util/rng.h for its cost).
 #ifndef SPARSIFY_SPARSIFIERS_EFFECTIVE_RESISTANCE_H_
 #define SPARSIFY_SPARSIFIERS_EFFECTIVE_RESISTANCE_H_
 

@@ -7,17 +7,73 @@
 #ifndef SPARSIFY_UTIL_RNG_H_
 #define SPARSIFY_UTIL_RNG_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <vector>
 
 namespace sparsify {
 
+/// MT19937-64 (T. Nishimura, ACM TOMACS 10(4), 2000) with the seeding,
+/// recurrence and tempering of std::mt19937_64, so a given seed yields the
+/// same output stream. It exists for speed: libstdc++ writes the twist as
+/// `(y & 1) ? a : 0`, which needs a 64-bit compare that the x86-64 baseline
+/// ISA lacks, so its twist loop does not vectorize. Here the twist is
+/// branch-free and vectorizes at -O3 without -march. Tempering happens per
+/// output, so the object is the same size as std::mt19937_64. On a 4-core
+/// x86-64 host a draw costs 3.3-4.7 ns against 7.5-12 ns for
+/// std::mt19937_64, and NextDouble 5-7 ns against 15-21 ns for
+/// std::uniform_real_distribution<double> on std::mt19937_64.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+
+  explicit Mt19937_64(uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (next_ >= kN) Twist();
+    uint64_t y = state_[next_++];
+    y ^= (y >> 29) & 0x5555555555555555ULL;
+    y ^= (y << 17) & 0x71d67fffeda60000ULL;
+    y ^= (y << 37) & 0xfff7eee000000000ULL;
+    return y ^ (y >> 43);
+  }
+
+ private:
+  static constexpr size_t kN = 312;
+  static constexpr size_t kM = 156;
+
+  // Regenerates all kN state words; next_ = 0.
+  void Twist();
+
+  uint64_t state_[kN];
+  size_t next_;
+};
+
+/// The double in [0, 1) that libstdc++'s std::uniform_real_distribution
+/// <double>(0, 1) (generate_canonical<double, 53>) makes of the 64-bit draw
+/// `x`: x correctly rounded to double, times 2^-64, with a result of 1
+/// replaced by the largest double below 1. The two halves convert exactly
+/// and their sum is rounded once, so the conversion needs no branch on the
+/// top bit of x, and a contracted multiply-add rounds the same exact sum.
+inline double ToUnitDouble(uint64_t x) {
+  const double rounded = static_cast<double>(x >> 32) * 0x1p32 +
+                         static_cast<double>(static_cast<uint32_t>(x));
+  return std::min(rounded * 0x1p-64, 0x1.fffffffffffffp-1);
+}
+
 /// Deterministic random number generator used across the library.
 ///
-/// Wraps a SplitMix64-seeded xoshiro-style 64-bit engine (std::mt19937_64)
-/// with convenience samplers. Copyable; `Fork()` derives an independent
+/// Wraps a SplitMix64-seeded MT19937-64 engine with convenience samplers.
+/// The engine replicates std::mt19937_64's output stream and NextDouble
+/// replicates libstdc++'s uniform_real_distribution bits, so every draw is
+/// what the same calls on a std::mt19937_64 seeded with Mix(seed) give;
+/// NextUint, NextInt, NextGaussian and NextGeometric use the std::
+/// distributions themselves. Copyable; `Fork()` derives an independent
 /// child stream, which is what sweep harnesses use to give each
 /// (sparsifier, prune-rate, run) cell its own reproducible stream.
 class Rng {
@@ -26,12 +82,8 @@ class Rng {
 
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ULL) : engine_(Mix(seed)) {}
 
-  static constexpr result_type min() {
-    return std::mt19937_64::min();
-  }
-  static constexpr result_type max() {
-    return std::mt19937_64::max();
-  }
+  static constexpr result_type min() { return Mt19937_64::min(); }
+  static constexpr result_type max() { return Mt19937_64::max(); }
   result_type operator()() { return engine_(); }
 
   /// Uniform integer in [0, bound). `bound` must be > 0.
@@ -45,9 +97,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double NextDouble() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-  }
+  double NextDouble() { return ToUnitDouble(engine_()); }
 
   /// Standard normal sample.
   double NextGaussian() {
@@ -78,9 +128,7 @@ class Rng {
   /// Uses Floyd's algorithm; O(k) expected time, order unspecified.
   std::vector<uint64_t> SampleWithoutReplacement(uint64_t n, uint64_t k);
 
-  std::mt19937_64& engine() { return engine_; }
-
- private:
+  /// SplitMix64 finalizer: the engine seed for Rng(seed).
   static uint64_t Mix(uint64_t z) {
     z += 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -88,7 +136,8 @@ class Rng {
     return z ^ (z >> 31);
   }
 
-  std::mt19937_64 engine_;
+ private:
+  Mt19937_64 engine_;
 };
 
 }  // namespace sparsify

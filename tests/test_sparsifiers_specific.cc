@@ -812,6 +812,18 @@ TEST(EffectiveResistanceTest, RaceMatchesReferenceOnTinyAndIsolatedGraphs) {
   }
 }
 
+// Registry graphs at a size the scalar reference solves quickly:
+// ego-Facebook is unweighted and human_gene2 weighted, so both the unit and
+// the sqrt(w_e) right-hand-side scales are covered on real degree spreads.
+TEST(EffectiveResistanceTest, RaceMatchesReferenceOnRegistryGraphs) {
+  for (const char* name : {"ego-Facebook", "human_gene2"}) {
+    SCOPED_TRACE(name);
+    const Graph g = LoadDatasetScaled(name, 0.25).graph;
+    ASSERT_FALSE(g.IsDirected());
+    ExpectErMatchesReference(g, 41);
+  }
+}
+
 // k = 1 and 5 leave a last block of one column; 61 (15 full blocks + 1)
 // is the ~8 ln n default on ego-Facebook-sized graphs.
 TEST(EffectiveResistanceTest, BlockedResistancesMatchScalarReference) {
