@@ -145,8 +145,10 @@ int Usage() {
          "(cell, metric) unit exceeding SECS (recorded as a 'deadline'\n"
          "error record, the rest of the sweep unaffected);\n"
          "--watchdog-stall dumps in-flight activities and counters to\n"
-         "stderr when a unit makes no progress for SECS (default 300)\n"
-         "and then cancels it. SIGINT/SIGTERM cancel the run\n"
+         "stderr when a unit or stage (scoring, subgraph, reference)\n"
+         "makes no progress for SECS (default 300) and then cancels just\n"
+         "it: its units fail as 'deadline' error records and the rest\n"
+         "of the sweep completes. SIGINT/SIGTERM cancel the run\n"
          "cooperatively: queued units are skipped, in-flight units\n"
          "drain, and --resume continues bit-identically; a second signal\n"
          "aborts immediately.\n"
@@ -400,8 +402,8 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
   if (run_deadline > 0) run_token.SetDeadlineAfter(run_deadline);
   InstallSignalCancel(&run_token);
   // The watchdog samples in-flight activities and dumps the obs counter/
-  // histogram state to stderr when one stalls, then cancels it (the unit
-  // fails alone as a "deadline" error record). Default threshold 5min;
+  // histogram state to stderr when one stalls, then cancels it (the unit,
+  // or the stalled stage's units, fail alone as "deadline" error records). Default threshold 5min;
   // with a --unit-timeout the engine usually fires first, so the watchdog
   // trails it as a backstop.
   WatchdogOptions wd;

@@ -103,24 +103,28 @@ const StageSite& Site(Stage stage) {
 
 // Everything one stage execution carries, acquired in this order and
 // released in reverse: the trace span with its detail and cell args, the
-// ambient cancel token its kernels poll, the watchdog activity (which may
-// cancel `watch` when the stage stalls), and the timer whose reading feeds
-// the stage's counter, histogram and run stats on exit. A reference stage
-// names no cell, so its span carries no cell args. Only stages that
-// actually start construct one, so every count equals the stage's spans.
-// Failpoint() fires the stage's scoped failpoint; call it inside the
-// stage's try so an injected fault takes the same path as a real one.
+// stage's own cancel token (chained under the run token), installed as
+// the ambient token its kernels poll and watched by the watchdog activity
+// (which cancels it when the stage stalls, so the stage fails alone as a
+// deadline), and the timer whose reading feeds the stage's counter,
+// histogram and run stats on exit. The token outlives the activity, so
+// the watchdog (which cancels under its slot lock) never sees a dead one.
+// A reference stage names no cell, so its span carries no cell args.
+// Only stages that actually start construct one, so every count equals
+// the stage's spans. Failpoint() fires the stage's scoped failpoint; call
+// it inside the stage's try so an injected fault takes the same path as a
+// real one.
 class StageScope {
  public:
   // `detail` must outlive the scope.
   StageScope(Stage stage, const std::string& detail, const BatchTask* task,
-             const CancelToken* cancel, const CancelToken* watch,
-             BatchRunStats& run)
+             const CancelToken& run_token, BatchRunStats& run)
       : site_(Site(stage)),
         detail_(detail),
         span_(site_.name),
-        cancel_(cancel),
-        activity_(site_.name, detail, watch),
+        token_(&run_token),
+        cancel_(&token_),
+        activity_(site_.name, detail, &token_),
         run_(run) {
     if (span_.active()) {
       span_.Detail(detail);
@@ -151,10 +155,14 @@ class StageScope {
     SPARSIFY_FAILPOINT_SCOPED(site_.failpoint, detail_.c_str());
   }
 
+  // The stage's token, e.g. to arm a metric unit's --unit-timeout.
+  CancelToken& token() { return token_; }
+
  private:
   const StageSite& site_;
   const std::string& detail_;
   obs::Span span_;
+  CancelToken token_;
   CancelScope cancel_;
   ActivityScope activity_;
   Timer timer_;
@@ -424,9 +432,8 @@ BatchRunStats BatchRunner::RunTasksMulti(
 
   // The engine's own run token, parented to the caller's (which may be
   // null): queued stages check it before starting, running ones poll it
-  // through their CancelScope.
-  CancelToken run_token;
-  run_token.set_parent(faults.cancel);
+  // through their stage token.
+  CancelToken run_token(faults.cancel);
   auto classify = [&](std::exception_ptr error) {
     return ClassifyFailure(error, run_token.Cancelled());
   };
@@ -475,19 +482,13 @@ BatchRunStats BatchRunner::RunTasksMulti(
     const BatchTask& task = tasks[i];
     const uint32_t m = (*ids_of[i])[slot];
     const BatchMetric& metric = metrics[m];
-    // The unit's own token: parented under the run token so a run-level
-    // cancel interrupts it, re-armed with a fresh --unit-timeout deadline
-    // every attempt. Declared before the stage scope so the watchdog
-    // (which cancels a stuck activity's token under its slot lock) can
-    // never observe a destroyed token.
-    CancelToken unit_token;
-    unit_token.set_parent(&run_token);
-    StageScope stage(kMetricUnit, stage_name(metric), &task, &unit_token,
-                     &unit_token, run);
+    // The stage token is re-armed with a fresh --unit-timeout deadline
+    // every attempt.
+    StageScope stage(kMetricUnit, stage_name(metric), &task, run_token, run);
     double value = 0.0;
     for (int attempts = 1;; ++attempts) {
       if (faults.unit_timeout_seconds > 0) {
-        unit_token.SetDeadlineAfter(faults.unit_timeout_seconds);
+        stage.token().SetDeadlineAfter(faults.unit_timeout_seconds);
       }
       try {
         stage.Failpoint();
@@ -555,8 +556,8 @@ BatchRunStats BatchRunner::RunTasksMulti(
     if (run_token.Cancelled()) {
       ref.failure = skipped;
     } else {
-      StageScope stage(kReference, stage_name(metric), nullptr, &run_token,
-                       faults.cancel, run);
+      StageScope stage(kReference, stage_name(metric), nullptr, run_token,
+                       run);
       try {
         stage.Failpoint();
         Rng ref_rng(ReferenceSeed(master_seed, dataset, metric.name));
@@ -575,15 +576,11 @@ BatchRunStats BatchRunner::RunTasksMulti(
     for (auto [i, slot] : parked) submit_metric_unit(i, slot);
   };
 
-  // Score and subgraph stages poll the run token; the watchdog escalates a
-  // stalled one by cancelling the caller's token, which stops the whole
-  // run the way a signal or --deadline does.
   auto build_subgraph = [&](Group& group, size_t i) {
     if (run_token.Cancelled()) return end_cell(i, skipped, 0);
     const BatchTask& task = tasks[i];
     {
-      StageScope stage(kSubgraph, task.sparsifier, &task, &run_token,
-                       faults.cancel, run);
+      StageScope stage(kSubgraph, task.sparsifier, &task, run_token, run);
       try {
         stage.Failpoint();
         RateMask mask = group.instance->MaskForRate(*group.state,
@@ -633,8 +630,8 @@ BatchRunStats BatchRunner::RunTasksMulti(
       }
       {
         const BatchTask& first = *group.first;
-        StageScope stage(kScoreGroup, first.sparsifier, &first, &run_token,
-                         faults.cancel, run);
+        StageScope stage(kScoreGroup, first.sparsifier, &first, run_token,
+                         run);
         try {
           stage.Failpoint();
           Rng group_rng(GroupSeed(master_seed, first.sparsifier, first.run));

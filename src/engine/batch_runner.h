@@ -166,7 +166,8 @@ inline constexpr int kMaxUnitRetries = 2;
 /// How RunTasksMulti treats failures inside units of work. Every stage
 /// (score group, reference, subgraph, metric unit) classifies what it
 /// caught the same way: "transient" (TransientError), "deadline" (the
-/// unit's own deadline), "cancelled" (a CancelledError while the run is
+/// stage's own deadline: the unit timeout, or the watchdog cancelling a
+/// stalled stage), "cancelled" (a CancelledError while the run is
 /// NOT cancelled) or "permanent" (anything else); a cancellation of the
 /// run itself is no failure at all. A failing unit never sinks its
 /// siblings: a metric unit's transient failures are retried up to

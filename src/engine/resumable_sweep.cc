@@ -79,8 +79,7 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
   // cancels the run (the remaining units end as cancelled, recording
   // nothing) and is rethrown once the run drains, so the unit it lost is
   // missing for the next resume.
-  CancelToken run_token;
-  run_token.set_parent(cancel_);
+  CancelToken run_token(cancel_);
   std::mutex write_mu;
   std::exception_ptr write_error;
   auto write = [&](auto&& append) {
@@ -126,11 +125,6 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
                                  grid.spec.master_seed, grid.metrics, on_unit,
                                  faults);
   if (write_error) std::rethrow_exception(write_error);
-  // The watchdog escalates a stuck score group, subgraph or reference
-  // through this token; that stops the caller's whole run.
-  if (cancel_ != nullptr && run_token.reason() != CancelToken::Reason::kNone) {
-    cancel_->Cancel(run_token.reason());
-  }
 }
 
 std::vector<MetricSweepSeries> ResumableSweep::RunMulti(

@@ -47,19 +47,12 @@ void MergeDuplicateEdges(std::vector<Edge>* edges, bool weighted) {
   es.resize(out);
 }
 
-// Canonicalizes, sorts, and merges parallel edges in place.
-void NormalizeEdges(std::vector<Edge>* edges, bool directed, bool weighted) {
-  CanonicalizeEdges(edges, directed);
-  std::sort(edges->begin(), edges->end(), EdgeEndpointLess);
-  MergeDuplicateEdges(edges, weighted);
-}
-
-// Stable parallel sort: contiguous chunks stable-sorted on the pool, then
-// an inplace_merge tree. Stability (equal-endpoint edges keep their input
-// order) makes the result independent of the chunk count, so serial and
-// parallel builds are bit-identical even when parallel edges with
-// different weights are later merged by summation.
-void StableSortEdgesParallel(std::vector<Edge>* edges, ThreadPool* pool) {
+// Stable sort by (u, v): edges with equal endpoints keep their input
+// order, so the merge after it sums parallel weights in input order. With
+// a pool, contiguous chunks are stable-sorted in parallel and then merged
+// pairwise by a tree of inplace_merges, which are stable too, so the
+// result does not depend on the chunk count.
+void StableSortEdges(std::vector<Edge>* edges, ThreadPool* pool) {
   std::vector<Edge>& es = *edges;
   constexpr size_t kMinParallelEdges = 1 << 15;
   const size_t threads =
@@ -74,13 +67,12 @@ void StableSortEdgesParallel(std::vector<Edge>* edges, ThreadPool* pool) {
   for (size_t c = 0; c <= chunks; ++c) {
     bounds[c] = es.size() * c / chunks;
   }
-  ParallelFor(*pool, chunks, [&](size_t c) {
+  NestedParallelFor(pool, chunks, [&](size_t c) {
     std::stable_sort(es.begin() + bounds[c], es.begin() + bounds[c + 1],
                      EdgeEndpointLess);
   });
   for (size_t width = 1; width < chunks; width *= 2) {
-    const size_t pairs = chunks / (2 * width);
-    ParallelFor(*pool, pairs, [&](size_t p) {
+    NestedParallelFor(pool, chunks / (2 * width), [&](size_t p) {
       const size_t lo = bounds[2 * width * p];
       const size_t mid = bounds[2 * width * p + width];
       const size_t hi = bounds[2 * width * (p + 1)];
@@ -93,45 +85,22 @@ void StableSortEdgesParallel(std::vector<Edge>* edges, ThreadPool* pool) {
 }  // namespace
 
 Graph Graph::FromEdges(NodeId num_vertices, std::vector<Edge> edges,
-                       bool directed, bool weighted) {
-  for (const Edge& e : edges) {
-    if (e.u >= num_vertices || e.v >= num_vertices) {
-      throw std::invalid_argument("edge endpoint out of range");
-    }
-  }
-  NormalizeEdges(&edges, directed, weighted);
-  Graph g;
-  g.num_vertices_ = num_vertices;
-  g.directed_ = directed;
-  g.weighted_ = weighted;
-  g.edges_ = std::move(edges);
-  g.BuildCsr();
-  return g;
-}
-
-Graph Graph::FromEdgesParallel(NodeId num_vertices, std::vector<Edge> edges,
-                               bool directed, bool weighted,
-                               ThreadPool* pool) {
+                       bool directed, bool weighted, ThreadPool* pool) {
   for (const Edge& e : edges) {
     if (e.u >= num_vertices || e.v >= num_vertices) {
       throw std::invalid_argument("edge endpoint out of range");
     }
   }
   CanonicalizeEdges(&edges, directed);
-  StableSortEdgesParallel(&edges, pool);
+  StableSortEdges(&edges, pool);
   MergeDuplicateEdges(&edges, weighted);
-  Graph g;
-  g.num_vertices_ = num_vertices;
-  g.directed_ = directed;
-  g.weighted_ = weighted;
-  g.edges_ = std::move(edges);
-  g.BuildCsr();
-  return g;
+  return FromCanonicalEdges(num_vertices, std::move(edges), directed,
+                            weighted);
 }
 
 void Graph::BuildCsr() {
   // The canonical edge array is sorted by (u, v), deduplicated, and
-  // loop-free (NormalizeEdges, or the FromCanonicalEdges contract), so a
+  // loop-free (FromEdges, or the FromCanonicalEdges contract), so a
   // single cursor fill in edge order already produces sorted adjacency
   // lists: vertex x first receives its v-side entries (neighbors < x, from
   // edges (u, x) with u ascending), then its u-side entries (neighbors
@@ -217,7 +186,7 @@ Graph Graph::Subgraph(const std::vector<uint8_t>& keep) const {
   assert(keep.size() == edges_.size());
   // This graph's canonical edge array is already normalized (sorted,
   // deduplicated, loop-free), and filtering preserves all of that, so the
-  // subgraph skips NormalizeEdges' re-sort — this is the per-cell hot path
+  // subgraph skips FromEdges' sort — this is the per-cell hot path
   // of every sweep.
   size_t count = 0;
   for (EdgeId e = 0; e < edges_.size(); ++e) count += keep[e] != 0;
@@ -248,18 +217,15 @@ Graph Graph::ReweightedSubgraph(const std::vector<uint8_t>& keep,
 Graph Graph::Symmetrized() const {
   if (!directed_) return *this;
   std::vector<Edge> es = edges_;
-  // NormalizeEdges would sum weights of u->v and v->u when merging; for
+  // FromEdges would sum weights of u->v and v->u when merging; for
   // symmetrization we want the undirected edge to exist once with the
   // max weight of the two arcs (1 for unweighted graphs), matching the
   // "add reverse edge if missing" preprocessing of the paper.
   for (Edge& e : es) {
     if (e.u > e.v) std::swap(e.u, e.v);
   }
-  std::sort(es.begin(), es.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : a.v < b.v;
-  });
-  std::vector<Edge> merged;
-  merged.reserve(es.size());
+  StableSortEdges(&es, nullptr);
+  size_t out = 0;
   for (size_t i = 0; i < es.size();) {
     Edge m = es[i];
     size_t j = i + 1;
@@ -267,11 +233,12 @@ Graph Graph::Symmetrized() const {
       m.w = std::max(m.w, es[j].w);
       ++j;
     }
-    merged.push_back(m);
+    es[out++] = m;
     i = j;
   }
-  return FromEdges(num_vertices_, std::move(merged), /*directed=*/false,
-                   weighted_);
+  es.resize(out);
+  return FromCanonicalEdges(num_vertices_, std::move(es), /*directed=*/false,
+                            weighted_);
 }
 
 Graph Graph::Unweighted() const {

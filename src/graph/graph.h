@@ -55,26 +55,23 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds a graph from an edge list.
+  /// Builds a graph from an edge list: the one CSR build.
   ///
   /// Self loops are dropped, and parallel edges are merged (weights summed
   /// for weighted graphs, deduplicated for unweighted). For undirected
   /// graphs, (u,v) and (v,u) are the same edge.
   ///
+  /// The build canonicalizes, stable-sorts by (u, v) and merges, so the
+  /// weights of parallel edges are summed in input order. With a `pool`,
+  /// the sort runs as stable chunk sorts plus a merge tree on it
+  /// (NestedParallelFor); stability makes the result bit-identical to the
+  /// serial build at any thread count.
+  ///
   /// `num_vertices` fixes the vertex set [0, num_vertices); edges must not
   /// reference ids outside it.
   static Graph FromEdges(NodeId num_vertices, std::vector<Edge> edges,
-                         bool directed, bool weighted);
-
-  /// FromEdges with the O(m log m) canonical sort fanned out over `pool`
-  /// (stable chunk sorts + an inplace_merge tree). The sort is stable, so
-  /// the result is deterministic and independent of the thread count —
-  /// the serial fallback (`pool` null or small inputs) is bit-identical
-  /// to the parallel path. Ingest builds every full-scale graph through
-  /// this entry point.
-  static Graph FromEdgesParallel(NodeId num_vertices, std::vector<Edge> edges,
-                                 bool directed, bool weighted,
-                                 ThreadPool* pool);
+                         bool directed, bool weighted,
+                         ThreadPool* pool = nullptr);
 
   NodeId NumVertices() const { return num_vertices_; }
   /// Number of canonical edges (undirected edges counted once).
@@ -172,7 +169,7 @@ class Graph {
   std::string Summary() const;
 
  private:
-  /// Builds without NormalizeEdges: `edges` must already be canonical
+  /// Builds without FromEdges' sort: `edges` must already be canonical
   /// (sorted by (u, v), deduplicated, loop-free, u <= v when undirected).
   /// Subgraph/ReweightedSubgraph use this — their inputs are filtered
   /// canonical arrays — to keep the per-sweep-cell hot path allocation-

@@ -4,7 +4,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -12,15 +11,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <random>
 #include <stdexcept>
 
 #include "src/graph/binary_io.h"
 #include "src/graph/datasets.h"
+#include "src/graph/io.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
-#include "src/util/thread_pool.h"
 
 namespace sparsify {
 
@@ -89,57 +87,6 @@ uint64_t FileBytesHash(const std::string& path) {
 bool HasSuffix(const std::string& s, const char* suffix) {
   const size_t len = std::strlen(suffix);
   return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
-}
-
-// SNAP text parse, semantics identical to ReadEdgeListStream ('#'/'%'
-// comment lines, "u v [w]" rows, n = max id + 1) but over one bulk read
-// with pointer scanning — the iostream-per-line parse is the bottleneck
-// at 10^6+ edges.
-void ParseEdgeListText(const std::string& path, bool weighted,
-                       std::vector<Edge>* edges, NodeId* num_vertices) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  edges->clear();
-  edges->reserve(std::count(text.begin(), text.end(), '\n') + 1);
-  NodeId max_id = 0;
-  bool any = false;
-  size_t lineno = 0;
-  const char* p = text.c_str();
-  const char* end = p + text.size();
-  while (p < end) {
-    ++lineno;
-    const char* line_end = static_cast<const char*>(
-        std::memchr(p, '\n', static_cast<size_t>(end - p)));
-    if (line_end == nullptr) line_end = end;
-    if (p == line_end || *p == '#' || *p == '%' || *p == '\r') {
-      p = line_end + 1;
-      continue;
-    }
-    char* cursor = nullptr;
-    const uint64_t u = std::strtoull(p, &cursor, 10);
-    if (cursor == p) {
-      throw std::runtime_error("bad edge at line " + std::to_string(lineno));
-    }
-    const char* after_u = cursor;
-    const uint64_t v = std::strtoull(after_u, &cursor, 10);
-    if (cursor == after_u) {
-      throw std::runtime_error("bad edge at line " + std::to_string(lineno));
-    }
-    double w = 1.0;
-    if (weighted) {
-      const char* after_v = cursor;
-      w = std::strtod(after_v, &cursor);
-      if (cursor == after_v || cursor > line_end) w = 1.0;
-    }
-    edges->push_back({static_cast<NodeId>(u), static_cast<NodeId>(v), w});
-    max_id = std::max({max_id, static_cast<NodeId>(u),
-                       static_cast<NodeId>(v)});
-    any = true;
-    p = line_end + 1;
-  }
-  *num_vertices = any ? max_id + 1 : 0;
 }
 
 // Removes `<path>.tmp.<pid>.<nonce>` leftovers whose writer is gone.
@@ -298,12 +245,8 @@ IngestResult IngestGraph(const std::string& input_path,
       }
     }
   }
-  std::vector<Edge> edges;
-  NodeId n = 0;
-  ParseEdgeListText(input_path, options.weighted, &edges, &n);
-  result.graph = Graph::FromEdgesParallel(n, std::move(edges),
-                                          options.directed, options.weighted,
-                                          options.pool);
+  result.graph = ReadEdgeList(input_path, options.directed, options.weighted,
+                              options.pool);
   result.content_hash = GraphContentHash(result.graph);
   if (!result.cache_file.empty()) {
     WriteGraphCacheAtomic(result.graph, result.cache_file);

@@ -2,15 +2,17 @@
 //
 // The paper evaluates sparsifiers on 10^4-10^6-node SNAP graphs; parsing
 // a text edge list of that size on every run is the wrong place to spend
-// wall time. Ingest parses once, builds the CSR with the canonical sort
-// fanned out over a ThreadPool, and writes a content-addressed binary
+// wall time. Ingest parses once through the library's one edge-list
+// parser (ReadEdgeList, src/graph/io.h), so it builds the same graph
+// `sparsify` and `evaluate` read from the same file, with the CSR sort
+// fanned out over a ThreadPool. It writes a content-addressed binary
 // cache next to the store ("SPGC" container: a binary_io payload plus the
 // graph's 64-bit content hash). Every later run re-keys the unchanged
 // text input to the same cache file and loads the binary in one bulk
-// read. Externally loaded graphs key into CellKey through the content
-// hash ("ingest-<hash>"), so two differently named files holding the same
-// graph share result-store cells, and a renamed file never collides with
-// a synthetic dataset name.
+// read. The content hash names the graph, not the file: its dataset key
+// ("ingest-<hash>") is equal for two files exactly when they hold the
+// same normalized graph, and never collides with a synthetic dataset
+// name.
 #ifndef SPARSIFY_GRAPH_INGEST_H_
 #define SPARSIFY_GRAPH_INGEST_H_
 
@@ -29,15 +31,16 @@ class ThreadPool;
 /// round-trips, because the hash runs over the normalized edge array.
 std::string GraphContentHash(const Graph& g);
 
-/// The result-store dataset key an ingested graph evaluates under:
-/// "ingest-<16-hex-hash>". Distinct from every synthetic dataset name.
+/// The dataset key of an ingested graph: "ingest-<16-hex-hash>".
+/// Distinct from every synthetic dataset name. `ingest` prints it; no
+/// command sweeps an ingested graph yet.
 std::string IngestDatasetKey(const Graph& g);
 
 struct IngestOptions {
   bool directed = false;
   bool weighted = false;
   std::string cache_dir;       // "" disables the on-disk cache
-  ThreadPool* pool = nullptr;  // parallel canonical sort when provided
+  ThreadPool* pool = nullptr;  // parallel CSR sort when provided
 };
 
 struct IngestResult {
@@ -53,9 +56,9 @@ struct IngestResult {
 /// throws on a torn or corrupted file). Anything else is treated as SNAP
 /// text: the raw file bytes plus the directed/weighted flags key a cache
 /// file under options.cache_dir — a valid hit skips parsing entirely; a
-/// miss (or a torn cache file, which is discarded and rebuilt) parses the
-/// text, builds the graph via Graph::FromEdgesParallel, and rewrites the
-/// cache atomically (temp file + rename). Throws std::runtime_error on
+/// miss (or a torn cache file, which is discarded and rebuilt) reads the
+/// text with ReadEdgeList on options.pool and rewrites the cache
+/// atomically (temp file + rename). Throws std::runtime_error on
 /// unreadable or malformed input.
 IngestResult IngestGraph(const std::string& input_path,
                          const IngestOptions& options);

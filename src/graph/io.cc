@@ -1,41 +1,82 @@
 #include "src/graph/io.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
+#include <vector>
 
 namespace sparsify {
 
-Graph ReadEdgeListStream(std::istream& in, bool directed, bool weighted) {
-  std::vector<Edge> edges;
-  NodeId max_id = 0;
-  bool any = false;
-  std::string line;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ls(line);
-    uint64_t u, v;
-    double w = 1.0;
-    if (!(ls >> u >> v)) {
-      throw std::runtime_error("bad edge at line " + std::to_string(lineno));
-    }
-    if (weighted && !(ls >> w)) w = 1.0;
-    edges.push_back({static_cast<NodeId>(u), static_cast<NodeId>(v), w});
-    max_id = std::max({max_id, static_cast<NodeId>(u),
-                       static_cast<NodeId>(v)});
-    any = true;
-  }
-  NodeId n = any ? max_id + 1 : 0;
-  return Graph::FromEdges(n, std::move(edges), directed, weighted);
+namespace {
+
+// Whitespace within a line (io.h): ' ', '\t' and '\r'.
+const char* SkipBlanks(const char* p, const char* end) {
+  while (p < end && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
+  return p;
 }
 
-Graph ReadEdgeList(const std::string& path, bool directed, bool weighted) {
-  std::ifstream in(path);
+// Parses one vertex id at p (no sign, no leading whitespace). Returns the
+// position after it, or nullptr when there is no id or it is too large.
+const char* ParseId(const char* p, const char* end, NodeId* id) {
+  uint64_t value = 0;
+  const auto [next, ec] = std::from_chars(p, end, value);
+  if (ec != std::errc() || value >= kInvalidNode) return nullptr;
+  *id = static_cast<NodeId>(value);
+  return next;
+}
+
+}  // namespace
+
+Graph ParseEdgeList(std::string_view text, bool directed, bool weighted,
+                    ThreadPool* pool) {
+  std::vector<Edge> edges;
+  edges.reserve(std::count(text.begin(), text.end(), '\n') + 1);
+  NodeId max_id = 0;
+  size_t lineno = 0;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p < end) {
+    ++lineno;
+    const char* line_end = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<size_t>(end - p)));
+    if (line_end == nullptr) line_end = end;
+    const char* cursor = SkipBlanks(p, line_end);
+    if (cursor == line_end || *p == '#' || *p == '%') {
+      p = line_end + (line_end < end);
+      continue;
+    }
+    Edge e;
+    cursor = ParseId(cursor, line_end, &e.u);
+    if (cursor != nullptr) {
+      cursor = ParseId(SkipBlanks(cursor, line_end), line_end, &e.v);
+    }
+    if (cursor == nullptr) {
+      throw std::runtime_error("bad edge at line " + std::to_string(lineno));
+    }
+    if (weighted) {
+      cursor = SkipBlanks(cursor, line_end);
+      if (cursor < line_end && *cursor == '+') ++cursor;
+      double w = 1.0;
+      if (std::from_chars(cursor, line_end, w).ec == std::errc()) e.w = w;
+    }
+    edges.push_back(e);
+    max_id = std::max({max_id, e.u, e.v});
+    p = line_end + (line_end < end);
+  }
+  const NodeId n = edges.empty() ? 0 : max_id + 1;
+  return Graph::FromEdges(n, std::move(edges), directed, weighted, pool);
+}
+
+Graph ReadEdgeList(const std::string& path, bool directed, bool weighted,
+                   ThreadPool* pool) {
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open " + path);
-  return ReadEdgeListStream(in, directed, weighted);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  return ParseEdgeList(text, directed, weighted, pool);
 }
 
 void WriteEdgeListStream(const Graph& g, std::ostream& out) {

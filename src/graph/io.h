@@ -5,18 +5,39 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "src/graph/graph.h"
 
 namespace sparsify {
 
-/// Parses an edge list from a stream. Lines starting with '#' or '%' are
-/// comments. Each data line is "u v" or "u v w". Vertex ids may be sparse;
-/// `num_vertices` is max id + 1. Throws std::runtime_error on parse errors.
-Graph ReadEdgeListStream(std::istream& in, bool directed, bool weighted);
+class ThreadPool;
 
-/// Reads an edge-list file (see ReadEdgeListStream). Throws on I/O error.
-Graph ReadEdgeList(const std::string& path, bool directed, bool weighted);
+/// Parses a SNAP edge list: the library's one text parser. `ingest`,
+/// `sparsify` and `evaluate` all read their input through it.
+///
+/// Contract:
+///  - Lines end at '\n'. Whitespace is ' ', '\t' and '\r', so a CRLF line
+///    end or a lone '\r' is whitespace.
+///  - A blank line (only whitespace, or empty) is skipped.
+///  - A line whose first character is '#' or '%' is a comment.
+///  - Every other line is "u v" or "u v w", fields separated by spaces or
+///    tabs, leading whitespace allowed. u and v are decimal ids below
+///    kInvalidNode (so max id + 1 fits NodeId); both must be on the line.
+///    When `weighted`, a third field that parses as a double (an
+///    optional '+', then std::from_chars syntax) is the weight; the weight
+///    is 1.0 otherwise. The rest of the line is ignored.
+///  - Vertex ids may be sparse: the graph has max id + 1 vertices.
+/// A line that breaks the contract throws std::runtime_error
+/// "bad edge at line N" (1-based). The graph is built by Graph::FromEdges
+/// on `pool` (may be null), so it is the same at any thread count.
+Graph ParseEdgeList(std::string_view text, bool directed, bool weighted,
+                    ThreadPool* pool = nullptr);
+
+/// Reads an edge-list file in one bulk read and parses it with
+/// ParseEdgeList. Throws std::runtime_error on I/O or parse errors.
+Graph ReadEdgeList(const std::string& path, bool directed, bool weighted,
+                   ThreadPool* pool = nullptr);
 
 /// Writes the canonical edges as "u v w" (weighted) or "u v" lines with a
 /// header comment describing the graph.

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "src/graph/traversal.h"
-#include "src/metrics/distance.h"
-
 namespace sparsify {
 
 std::vector<NodeId> CoreNumbers(const Graph& g) {
@@ -65,24 +62,6 @@ NodeId Degeneracy(const Graph& g) {
   NodeId best = 0;
   for (NodeId c : CoreNumbers(g)) best = std::max(best, c);
   return best;
-}
-
-std::vector<double> HarmonicCentrality(const Graph& g) {
-  const NodeId n = g.NumVertices();
-  std::vector<double> harmonic(n, 0.0);
-  TraversalScratch& scratch = LocalTraversalScratch();
-  for (NodeId v = 0; v < n; ++v) {
-    Traverse(g, v, scratch);
-    double h = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      double d = scratch.DistanceOf(u);
-      if (u != v && d != kInfDistance && d > 0.0) {
-        h += 1.0 / d;
-      }
-    }
-    harmonic[v] = h;
-  }
-  return harmonic;
 }
 
 }  // namespace sparsify

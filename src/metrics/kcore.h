@@ -1,6 +1,5 @@
-// k-core decomposition and harmonic centrality — extension metrics for the
-// framework's metric registry (structural robustness and a closeness
-// variant that handles disconnected graphs natively).
+// k-core decomposition — an extension metric for the framework's metric
+// registry (structural robustness).
 #ifndef SPARSIFY_METRICS_KCORE_H_
 #define SPARSIFY_METRICS_KCORE_H_
 
@@ -17,10 +16,6 @@ std::vector<NodeId> CoreNumbers(const Graph& g);
 
 /// Largest core number in the graph (the degeneracy).
 NodeId Degeneracy(const Graph& g);
-
-/// Harmonic centrality: sum over u != v of 1 / d(v, u), with 1/inf = 0 —
-/// well defined on disconnected graphs, unlike raw closeness.
-std::vector<double> HarmonicCentrality(const Graph& g);
 
 }  // namespace sparsify
 

@@ -42,6 +42,8 @@ class CancelToken {
   enum class Reason : uint8_t { kNone = 0, kCancelled = 1, kDeadline = 2 };
 
   CancelToken() = default;
+  /// A token chained under `parent` (see set_parent).
+  explicit CancelToken(const CancelToken* parent) : parent_(parent) {}
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 

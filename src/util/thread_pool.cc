@@ -248,35 +248,4 @@ SubtaskPoolScope::SubtaskPoolScope(ThreadPool* pool)
 
 SubtaskPoolScope::~SubtaskPoolScope() { g_subtask_pool = previous_; }
 
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  auto cursor = std::make_shared<std::atomic<size_t>>(0);
-  // Early abort: once any index throws, the other chompers stop pulling
-  // new indices (at most one in-flight call each finishes), so the error
-  // surfaces without draining the whole range first.
-  auto failed = std::make_shared<std::atomic<bool>>(false);
-  const CancelToken* cancel_token = CurrentCancelToken();
-  size_t num_workers =
-      std::min(n, static_cast<size_t>(pool.NumThreads()));
-  for (size_t w = 0; w < num_workers; ++w) {
-    pool.Submit([cursor, failed, n, &fn, cancel_token] {
-      CancelScope cancel_scope(cancel_token);
-      for (;;) {
-        if (failed->load(std::memory_order_relaxed)) return;
-        size_t i = cursor->fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        try {
-          SPARSIFY_CHECK_CANCELLED();
-          fn(i);
-        } catch (...) {
-          failed->store(true, std::memory_order_relaxed);
-          throw;  // recorded as the pool's first error, rethrown by Wait
-        }
-      }
-    });
-  }
-  pool.Wait();
-}
-
 }  // namespace sparsify

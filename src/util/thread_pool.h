@@ -1,11 +1,13 @@
-// Fixed-size worker-thread pool with a ParallelFor helper.
+// Fixed-size worker-thread pool with one parallel-for, NestedParallelFor.
 //
 // The pool is the only threading primitive in the library: everything
-// parallel (the batch sparsification engine, future metric parallelism)
-// funnels through it so thread counts are controlled in one place.
-// Determinism is the caller's job — work items must not depend on
-// execution order (the batch engine derives every RNG stream from the
-// task index, never from the worker).
+// parallel funnels through it so thread counts are controlled in one
+// place. The batch engine schedules its stages with Submit/SubmitUrgent;
+// metrics and the CSR build (Graph::FromEdges) fan independent indices
+// out with NestedParallelFor, which works from inside a pool task and
+// from any other thread. Determinism is the caller's job — work items
+// must not depend on execution order (the batch engine derives every RNG
+// stream from the task index, never from the worker).
 #ifndef SPARSIFY_UTIL_THREAD_POOL_H_
 #define SPARSIFY_UTIL_THREAD_POOL_H_
 
@@ -121,21 +123,11 @@ class ThreadPool {
   bool stopped_ = false;  // Stop() ran to completion (workers joined)
 };
 
-/// Runs fn(i) for every i in [0, n) on `pool`, blocking until all complete.
-/// Work is distributed dynamically (one shared atomic cursor), so uneven
-/// per-index cost balances automatically. Exceptions from fn propagate,
-/// and abort the loop early: once an index throws, workers stop pulling
-/// new indices (remaining indices are skipped).
-/// Concurrent ParallelFor calls on the same pool are not supported (Wait
-/// tracks completion pool-globally); callers must serialize — see
-/// BatchRunner::RunTasksMulti.
-void ParallelFor(ThreadPool& pool, size_t n,
-                 const std::function<void(size_t)>& fn);
-
-/// Parallel-for that is safe to call from INSIDE a pool task (which must
-/// never call Wait — that deadlocks the worker). The calling thread claims
-/// indices from a shared cursor alongside up to NumThreads()-1 helper
-/// tasks pushed to the front of the queue; because indices are only ever
+/// The library's parallel-for, safe to call from INSIDE a pool task (which
+/// must never call Wait — that deadlocks the worker) and from outside the
+/// pool alike. The calling thread claims indices from a shared cursor
+/// alongside up to NumThreads()-1 helper tasks pushed to the front of the
+/// queue; because indices are only ever
 /// claimed by running threads, by the time the caller's own claim loop
 /// drains the cursor every remaining index is already executing on some
 /// other worker, so the final wait never depends on a queued task and

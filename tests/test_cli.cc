@@ -257,6 +257,47 @@ TEST(CliTest, SweepResumeExportLsEndToEnd) {
             0);
 }
 
+// `ingest` and `sparsify --input` read a file through the one edge-list
+// parser: the same graph from a messy file, and exit 1 on a malformed one.
+TEST(CliTest, IngestAndSparsifyReadTheSameGraph) {
+  const std::string dir = TestPath("edge_lists");
+  fs::create_directories(dir);
+  const std::string messy = dir + "/messy.txt";
+  std::ofstream(messy, std::ios::binary)
+      << "# header\n% comment\n\n \t\r\n0 1\n1 2\r\n2 0\n2 0\n9 3\n3 3\n";
+  const std::string bad = dir + "/bad.txt";
+  std::ofstream(bad, std::ios::binary) << "0 1\n1\n2 3\n";
+  auto sizes = [](const std::string& out) {
+    const size_t at = out.find("|V|=");
+    return at == std::string::npos
+               ? std::string()
+               : out.substr(at, out.find(" isolated", at) - at);
+  };
+
+  ::testing::internal::CaptureStdout();
+  const int ingest_rc =
+      RunCli({"ingest", "--input=" + messy, "--threads=2"});
+  const std::string ingested = sizes(::testing::internal::GetCapturedStdout());
+  ::testing::internal::CaptureStdout();
+  const int sparsify_rc =
+      RunCli({"sparsify", "--algo=RN", "--rate=0", "--input=" + messy,
+              "--output=" + dir + "/out.txt"});
+  const std::string sparsified =
+      sizes(::testing::internal::GetCapturedStdout());
+  EXPECT_EQ(ingest_rc, cli::kExitOk);
+  EXPECT_EQ(sparsify_rc, cli::kExitOk);
+  EXPECT_EQ(ingested, "|V|=10 |E|=4");
+  EXPECT_EQ(sparsified, ingested);
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(RunCli({"ingest", "--input=" + bad}), cli::kExitUsage);
+  EXPECT_EQ(RunCli({"sparsify", "--algo=RN", "--rate=0", "--input=" + bad,
+                    "--output=" + dir + "/bad_out.txt"}),
+            cli::kExitUsage);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("bad edge at line 2"), std::string::npos) << err;
+}
+
 // Exit codes are the torture harness's (and CI's) contract: each failure
 // class maps to a distinct documented code.
 class CliExitCodeTest : public ::testing::Test {
@@ -536,6 +577,62 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   EXPECT_EQ(RunCli({"merge", "-o", out}), cli::kExitUsage);
   EXPECT_EQ(RunCli({"merge", a}), cli::kExitUsage);
   EXPECT_EQ(RunCli({"merge", a + "_no_such_dir", "-o", out}), cli::kExitIo);
+}
+
+// The watchdog cancels the stage that stalled, not the run: with no
+// --deadline, a score group that hangs ends its cells as 'deadline'
+// error records, the other group completes, and the sweep exits with the
+// transient/deadline code. A fault-free resume heals the store to the
+// export of a cold run.
+TEST_F(CliExitCodeTest, WatchdogFailsAStalledScoreGroupAlone) {
+  auto args = [](const std::string& dir) {
+    return std::vector<std::string>{
+        "sweep",       "--dataset=ego-Facebook", "--scale=0.2",
+        "--metrics=degree", "--algos=RN,LD",     "--rates=0.5",
+        "--runs=1",    "--resume",               "--store=" + dir};
+  };
+  const std::string cold = TestPath("watchdog_cold");
+  ::testing::internal::CaptureStdout();
+  const int cold_rc = RunCli(args(cold));
+  ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(cold_rc, cli::kExitOk);
+  const std::string want = CaptureExport(cold);
+
+  const std::string dir = TestPath("watchdog_store");
+  // The scoped site picks LD's group at any thread count.
+  ASSERT_EQ(
+      ::setenv("SPARSIFY_FAILPOINTS", "engine.score_group/LD=hang@1", 1), 0);
+  std::vector<std::string> stalled = args(dir);
+  stalled.push_back("--watchdog-stall=1");
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int rc = RunCli(stalled);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::testing::internal::GetCapturedStdout();
+  ::unsetenv("SPARSIFY_FAILPOINTS");
+  fail::DisarmAll();
+  EXPECT_EQ(rc, cli::kExitTransientFailures) << err;
+  EXPECT_NE(err.find("sparsify watchdog: no progress"), std::string::npos)
+      << err;
+  EXPECT_EQ(err.find("--deadline"), std::string::npos) << err;
+  {
+    ResultStoreOptions snapshot;
+    snapshot.read_only = true;
+    ResultStore store(dir, snapshot);
+    EXPECT_EQ(store.ErrorCount(), 1u);
+    EXPECT_EQ(store.Size(), 2u);
+    for (const StoredCell& cell : store.Cells()) {
+      EXPECT_EQ(cell.is_error, cell.key.sparsifier == "LD")
+          << cell.key.Canonical();
+      if (cell.is_error) EXPECT_EQ(cell.error_class, "deadline");
+    }
+  }
+  ::testing::internal::CaptureStdout();
+  const int resume_rc = RunCli(args(dir));
+  const std::string healed = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(resume_rc, cli::kExitOk);
+  EXPECT_NE(healed.find("submitted=1"), std::string::npos) << healed;
+  EXPECT_EQ(CaptureExport(dir), want);
 }
 
 TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {

@@ -18,13 +18,14 @@ namespace sparsify {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor.
+// ThreadPool and its parallel-for, NestedParallelFor. (Nesting inside pool
+// tasks is covered in tests/test_multi_metric.cc.)
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
   constexpr size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  ParallelFor(pool, kN, [&](size_t i) { hits[i].fetch_add(1); });
+  NestedParallelFor(&pool, kN, [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -32,41 +33,52 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndicesExactlyOnce) {
 
 TEST(ThreadPoolTest, ParallelForEmptyRange) {
   ThreadPool pool(2);
-  ParallelFor(pool, 0, [](size_t) { FAIL() << "must not be called"; });
+  auto never = [](size_t) { FAIL() << "must not be called"; };
+  NestedParallelFor(&pool, 0, never);
+  NestedParallelFor(nullptr, 0, never);
 }
 
 TEST(ThreadPoolTest, MoreTasksThanThreads) {
   ThreadPool pool(1);
   std::atomic<int> count{0};
-  ParallelFor(pool, 100, [&](size_t) { count.fetch_add(1); });
+  for (int t = 0; t < 100; ++t) pool.Submit([&] { count.fetch_add(1); });
+  pool.Wait();
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagates) {
   ThreadPool pool(4);
-  EXPECT_THROW(ParallelFor(pool, 50,
-                           [&](size_t i) {
-                             if (i == 17) throw std::runtime_error("boom");
-                           }),
-               std::runtime_error);
-  // The pool must remain usable after a failed batch.
+  for (int t = 0; t < 50; ++t) {
+    pool.Submit([t] {
+      if (t == 17) throw std::runtime_error("boom");
+    });
+  }
+  EXPECT_THROW(pool.Wait(), std::runtime_error);
+  // The pool must remain usable after a failed batch, and the next Wait
+  // must not rethrow the old error.
   std::atomic<int> count{0};
-  ParallelFor(pool, 10, [&](size_t) { count.fetch_add(1); });
+  for (int t = 0; t < 10; ++t) pool.Submit([&] { count.fetch_add(1); });
+  pool.Wait();
   EXPECT_EQ(count.load(), 10);
 }
 
 TEST(ThreadPoolTest, ParallelForAbortsEarlyOnException) {
-  // Single worker makes the abort point deterministic: indices 0..3 run,
-  // then the failure flag stops the chomper from pulling index 4.
-  ThreadPool pool(1);
-  std::atomic<int> count{0};
-  EXPECT_THROW(ParallelFor(pool, 10000,
-                           [&](size_t i) {
-                             count.fetch_add(1);
-                             if (i == 3) throw std::runtime_error("boom");
-                           }),
-               std::runtime_error);
-  EXPECT_EQ(count.load(), 4);
+  // One thread (or none) makes the abort point deterministic: the loop runs
+  // in index order, indices 0..3 run, and the failure stops index 4 being
+  // claimed.
+  ThreadPool single(1);
+  for (ThreadPool* pool : {&single, static_cast<ThreadPool*>(nullptr)}) {
+    std::atomic<int> count{0};
+    EXPECT_THROW(NestedParallelFor(pool, 10000,
+                                   [&](size_t i) {
+                                     count.fetch_add(1);
+                                     if (i == 3) {
+                                       throw std::runtime_error("boom");
+                                     }
+                                   }),
+                 std::runtime_error);
+    EXPECT_EQ(count.load(), 4);
+  }
 }
 
 TEST(ThreadPoolTest, DefaultSizeIsHardwareConcurrency) {

@@ -2,12 +2,24 @@
 // adjacency queries, subgraphs, symmetrization, preprocessing, and I/O.
 #include "src/graph/graph.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/graph/io.h"
 #include "src/graph/union_find.h"
+#include "src/util/thread_pool.h"
 
 namespace sparsify {
 namespace {
@@ -49,6 +61,68 @@ TEST(GraphTest, ParallelEdgesSummedWeighted) {
   Graph g = Graph::FromEdges(2, {{0, 1, 2.0}, {1, 0, 3.0}}, false, true);
   EXPECT_EQ(g.NumEdges(), 1u);
   EXPECT_DOUBLE_EQ(g.EdgeWeight(0), 5.0);
+}
+
+// Every canonical edge with its weight's bits: equal vectors mean the
+// same graph, bit for bit.
+std::vector<std::tuple<NodeId, NodeId, uint64_t>> EdgeBits(const Graph& g) {
+  std::vector<std::tuple<NodeId, NodeId, uint64_t>> out;
+  for (const Edge& e : g.Edges()) {
+    out.emplace_back(e.u, e.v, std::bit_cast<uint64_t>(e.w));
+  }
+  return out;
+}
+
+// FromEdges' contract: parallel edges sum their weights in input order,
+// at any thread count. Each key gets four copies whose weights span many
+// magnitudes, so their sum depends on the order (two copies would
+// commute), and the input is large enough for the pooled sort to split.
+TEST(GraphTest, FromEdgesSumsParallelWeightsInInputOrderAtAnyThreadCount) {
+  constexpr NodeId kN = 4000;
+  constexpr size_t kKeys = 12000;
+  constexpr int kCopies = 4;  // 48,000 edges
+  std::mt19937_64 gen(21);
+  std::uniform_int_distribution<NodeId> vertex(0, kN - 1);
+  std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+  std::uniform_int_distribution<int> exponent(-20, 20);
+  std::vector<Edge> edges;
+  for (size_t k = 0; k < kKeys; ++k) {
+    const NodeId u = vertex(gen);
+    const NodeId v = vertex(gen);
+    for (int c = 0; c < kCopies; ++c) {
+      const double w = std::ldexp(mantissa(gen), exponent(gen));
+      edges.push_back(c % 2 == 0 ? Edge{u, v, w} : Edge{v, u, w});
+    }
+  }
+  std::shuffle(edges.begin(), edges.end(), gen);
+  ASSERT_GE(edges.size(), size_t{1} << 15);
+
+  for (bool directed : {false, true}) {
+    // The oracle: sums accumulated in input order.
+    std::map<std::pair<NodeId, NodeId>, double> want;
+    for (const Edge& e : edges) {
+      if (e.u == e.v) continue;
+      std::pair<NodeId, NodeId> key(e.u, e.v);
+      if (!directed && key.first > key.second) std::swap(key.first, key.second);
+      auto [it, inserted] = want.try_emplace(key, e.w);
+      if (!inserted) it->second += e.w;
+    }
+    Graph serial = Graph::FromEdges(kN, edges, directed, true);
+    ASSERT_EQ(serial.NumEdges(), want.size());
+    size_t i = 0;
+    for (const auto& [key, w] : want) {
+      const Edge& e = serial.CanonicalEdge(static_cast<EdgeId>(i++));
+      ASSERT_EQ(std::make_pair(e.u, e.v), key);
+      ASSERT_EQ(std::bit_cast<uint64_t>(e.w), std::bit_cast<uint64_t>(w))
+          << "edge " << e.u << "-" << e.v << " directed=" << directed;
+    }
+    for (int threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      Graph pooled = Graph::FromEdges(kN, edges, directed, true, &pool);
+      EXPECT_EQ(EdgeBits(pooled), EdgeBits(serial))
+          << "directed=" << directed << " threads=" << threads;
+    }
+  }
 }
 
 TEST(GraphTest, DirectedKeepsBothArcs) {
@@ -185,7 +259,7 @@ TEST(IoTest, RoundTripUnweighted) {
   Graph g = TriangleWithTail();
   std::stringstream ss;
   WriteEdgeListStream(g, ss);
-  Graph h = ReadEdgeListStream(ss, false, false);
+  Graph h = ParseEdgeList(ss.str(), false, false);
   EXPECT_EQ(h.NumVertices(), g.NumVertices());
   EXPECT_EQ(h.NumEdges(), g.NumEdges());
   for (const Edge& e : g.Edges()) EXPECT_TRUE(h.HasEdge(e.u, e.v));
@@ -195,20 +269,56 @@ TEST(IoTest, RoundTripWeighted) {
   Graph g = Graph::FromEdges(3, {{0, 1, 2.5}, {1, 2, 0.5}}, true, true);
   std::stringstream ss;
   WriteEdgeListStream(g, ss);
-  Graph h = ReadEdgeListStream(ss, true, true);
+  Graph h = ParseEdgeList(ss.str(), true, true);
   EXPECT_EQ(h.NumEdges(), 2u);
   EXPECT_DOUBLE_EQ(h.EdgeWeight(h.FindEdge(0, 1)), 2.5);
 }
 
+// Parser contract (io.h): blank lines hold only ' ', '\t' or '\r' and are
+// skipped like comments.
 TEST(IoTest, CommentsSkipped) {
-  std::stringstream ss("# header\n% other comment\n0 1\n1 2\n");
-  Graph g = ReadEdgeListStream(ss, false, false);
-  EXPECT_EQ(g.NumEdges(), 2u);
+  for (const char* text :
+       {"# header\n% other comment\n0 1\n1 2\n",
+        "\r\n \t\r\n0 1\r\n\t\n \t1\t2 \r\n\r",
+        "# header\n\n0 1\n\n1 2"}) {
+    Graph g = ParseEdgeList(text, false, false);
+    EXPECT_EQ(g.NumVertices(), 3u) << text;
+    EXPECT_EQ(g.NumEdges(), 2u) << text;
+  }
+  EXPECT_EQ(ParseEdgeList("", false, false).NumVertices(), 0u);
 }
 
+// Both ids must be on their line and below kInvalidNode (no wrapping).
 TEST(IoTest, MalformedLineThrows) {
-  std::stringstream ss("0 1\nbogus\n");
-  EXPECT_THROW(ReadEdgeListStream(ss, false, false), std::runtime_error);
+  const std::pair<const char*, const char*> bad[] = {
+      {"0 1\nbogus\n", "bad edge at line 2"},
+      {"0 1\n1\n2 3\n", "bad edge at line 2"},  // v on the next line
+      {"0 1\n\n2\r\n3 4\n", "bad edge at line 3"},
+      {"4294967297 2\n", "bad edge at line 1"},  // 2^32 + 1
+      {"0 4294967295\n", "bad edge at line 1"},  // kInvalidNode
+      {"0 18446744073709551616\n", "bad edge at line 1"},
+      {"-1 2\n", "bad edge at line 1"},
+      {"0,1\n", "bad edge at line 1"},
+      {" # indented comment\n", "bad edge at line 1"},
+  };
+  for (const auto& [text, what] : bad) {
+    try {
+      ParseEdgeList(text, false, false);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), what) << text;
+    }
+  }
+}
+
+TEST(IoTest, MissingOrNonNumericWeightIsOne) {
+  Graph w = ParseEdgeList("0 1 2.5\n1 2\n2 3 x\n3 4 +0.25\n4 5\t1e-3 junk",
+                          true, true);
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(0, 1)), 2.5);
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(1, 2)), 1.0);
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(2, 3)), 1.0);
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(3, 4)), 0.25);
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(4, 5)), 1e-3);
 }
 
 TEST(UnionFindTest, BasicMerge) {

@@ -2,8 +2,8 @@
 // round trips must be byte-identical, a second ingest must hit the cache,
 // torn cache files must be rejected by ReadGraphCache and self-healed by
 // IngestGraph, the content hash must be stable under input edge order,
-// and Graph::FromEdgesParallel must match the serial FromEdges bitwise at
-// every thread count.
+// and ingest must build the graph ReadEdgeList (what `sparsify` and
+// `evaluate` read) builds from the same file, bit for bit.
 #include "src/graph/ingest.h"
 
 #include <gtest/gtest.h>
@@ -78,29 +78,63 @@ TEST(IngestTest, TextRoundTripIsByteIdenticalAndSecondLoadHitsCache) {
 }
 
 TEST(IngestTest, ParseMatchesReadEdgeListOnMessyInput) {
-  // Comments, blank lines, CR line ends, duplicate and self edges: the
-  // bulk parser must agree with the iostream reference reader bitwise.
+  // Comments, blank and whitespace-only lines, CR line ends, duplicate
+  // and self edges: ingest (on a pool) must build what ReadEdgeList
+  // builds, bitwise, and both must reject the same malformed files with
+  // the same message.
+  struct Case {
+    const char* text;
+    const char* error;  // nullptr: the file parses
+  };
+  const Case cases[] = {
+      {"# snap-style header\n"
+       "% matrix-market-style comment\n"
+       "\n"
+       "0 1 2.5\n"
+       "1 2\r\n"
+       "2 0 0.75\n"
+       "2 0 0.75\n"
+       "7 3 1.25\n"
+       "4 4 3\n",
+       nullptr},
+      // A whitespace-only line (a lone '\r' included) is blank.
+      {"0 1 2\n \t \n\r\n1 2 3\n", nullptr},
+      // The second id of line 2 is not on line 2.
+      {"0 1\n1\n2 3\n", "bad edge at line 2"},
+      // 2^32 + 1 does not fit NodeId.
+      {"0 1\n4294967297 2\n", "bad edge at line 2"},
+  };
+  ThreadPool pool(4);
   std::string dir = TestDir();
   std::string text = (fs::path(dir) / "messy.txt").string();
-  {
-    std::ofstream out(text);
-    out << "# snap-style header\n"
-        << "% matrix-market-style comment\n"
-        << "\n"
-        << "0 1 2.5\n"
-        << "1 2\r\n"
-        << "2 0 0.75\n"
-        << "2 0 0.75\n"
-        << "7 3 1.25\n";
-  }
-  for (bool weighted : {false, true}) {
-    Graph reference = ReadEdgeList(text, /*directed=*/false, weighted);
-    IngestOptions opt;
-    opt.weighted = weighted;
-    IngestResult got = IngestGraph(text, opt);  // no cache dir: pure parse
-    EXPECT_EQ(Serialize(got.graph), Serialize(reference))
-        << "weighted=" << weighted;
-    EXPECT_TRUE(got.cache_file.empty());
+  for (const Case& c : cases) {
+    std::ofstream(text, std::ios::binary | std::ios::trunc) << c.text;
+    for (bool weighted : {false, true}) {
+      IngestOptions opt;
+      opt.weighted = weighted;
+      opt.pool = &pool;
+      if (c.error != nullptr) {
+        for (int reader = 0; reader < 2; ++reader) {
+          try {
+            if (reader == 0) {
+              IngestGraph(text, opt);
+            } else {
+              ReadEdgeList(text, /*directed=*/false, weighted);
+            }
+            ADD_FAILURE() << (reader == 0 ? "ingest" : "ReadEdgeList")
+                          << " accepted: " << c.text;
+          } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), c.error) << c.text;
+          }
+        }
+        continue;
+      }
+      Graph reference = ReadEdgeList(text, /*directed=*/false, weighted);
+      IngestResult got = IngestGraph(text, opt);  // no cache dir: pure parse
+      EXPECT_EQ(Serialize(got.graph), Serialize(reference))
+          << "weighted=" << weighted << " input: " << c.text;
+      EXPECT_TRUE(got.cache_file.empty());
+    }
   }
 }
 
@@ -204,40 +238,6 @@ TEST(IngestTest, EditedInputFileKeysADifferentCacheEntry) {
   EXPECT_FALSE(second.from_cache);  // edited bytes -> new key, no stale hit
   EXPECT_NE(second.cache_file, first.cache_file);
   EXPECT_EQ(second.graph.NumEdges(), 3u);
-}
-
-TEST(IngestTest, FromEdgesParallelMatchesSerialAtEveryThreadCount) {
-  Rng rng(21);
-  // Messy input: shuffled order, reversed endpoints, parallel edges with
-  // distinct weights (merged by summation — floating-point order matters,
-  // which is exactly what the stable parallel sort must preserve).
-  Graph base = WithRandomWeights(ErdosRenyi(400, 3000, false, rng), 9.0,
-                                 rng);
-  std::vector<Edge> edges = base.Edges();
-  for (size_t i = 0; i < 200; ++i) {
-    Edge dup = edges[i * 7 % edges.size()];
-    std::swap(dup.u, dup.v);
-    dup.w = dup.w + 1.0;
-    edges.push_back(dup);
-  }
-  std::mt19937 shuffle_rng(77);
-  std::shuffle(edges.begin(), edges.end(), shuffle_rng);
-
-  for (bool directed : {false, true}) {
-    Graph serial = Graph::FromEdges(base.NumVertices(), edges, directed,
-                                    true);
-    Graph null_pool = Graph::FromEdgesParallel(base.NumVertices(), edges,
-                                               directed, true, nullptr);
-    EXPECT_EQ(Serialize(null_pool), Serialize(serial))
-        << "directed=" << directed;
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      Graph parallel = Graph::FromEdgesParallel(base.NumVertices(), edges,
-                                                directed, true, &pool);
-      EXPECT_EQ(Serialize(parallel), Serialize(serial))
-          << "directed=" << directed << " threads=" << threads;
-    }
-  }
 }
 
 TEST(IngestTest, LoadDatasetScaledCachedMatchesUncachedAndSelfHeals) {

@@ -1,5 +1,5 @@
-// Tests for k-core decomposition, harmonic centrality, the LFR generator,
-// and binary graph serialization.
+// Tests for k-core decomposition, the LFR generator, and binary graph
+// serialization.
 #include <cstdio>
 #include <sstream>
 
@@ -50,21 +50,6 @@ TEST(KCoreTest, CoreBoundedByDegree) {
   for (NodeId v = 0; v < g.NumVertices(); ++v) {
     EXPECT_LE(core[v], g.OutDegree(v));
   }
-}
-
-TEST(HarmonicTest, StarCenterHighest) {
-  std::vector<Edge> edges;
-  for (NodeId v = 1; v <= 8; ++v) edges.push_back({0, v});
-  Graph g = Graph::FromEdges(9, edges, false, false);
-  std::vector<double> h = HarmonicCentrality(g);
-  EXPECT_DOUBLE_EQ(h[0], 8.0);                   // 8 at distance 1
-  EXPECT_DOUBLE_EQ(h[1], 1.0 + 7.0 / 2.0);       // 1 hub + 7 leaves at 2
-}
-
-TEST(HarmonicTest, HandlesDisconnected) {
-  Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}}, false, false);
-  std::vector<double> h = HarmonicCentrality(g);
-  for (double hv : h) EXPECT_DOUBLE_EQ(hv, 1.0);
 }
 
 TEST(LfrTest, CommunitiesAndMixing) {

@@ -32,12 +32,13 @@ namespace {
 
 TEST(NestedParallelForTest, CoversAllIndicesExactlyOnce) {
   ThreadPool pool(4);
-  constexpr size_t kN = 500;
-  std::vector<std::atomic<int>> hits(kN);
-  NestedParallelFor(&pool, kN, [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  for (size_t n : {size_t{1}, size_t{500}}) {
+    std::vector<std::atomic<int>> hits(n);
+    NestedParallelFor(&pool, n, [&](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  }
 }
 
 TEST(NestedParallelForTest, NullPoolRunsSerially) {
@@ -53,10 +54,14 @@ TEST(NestedParallelForTest, PropagatesException) {
   };
   EXPECT_THROW(NestedParallelFor(&pool, 100, boom), std::runtime_error);
   EXPECT_THROW(NestedParallelFor(nullptr, 100, boom), std::runtime_error);
-  // The pool survives for further use.
+  // The pool survives for further use: by NestedParallelFor, and by
+  // Submit/Wait, which must not see the loop's error.
   std::atomic<int> count{0};
   NestedParallelFor(&pool, 10, [&](size_t) { count++; });
   EXPECT_EQ(count.load(), 10);
+  pool.Submit([&] { count++; });
+  EXPECT_NO_THROW(pool.Wait());
+  EXPECT_EQ(count.load(), 11);
 }
 
 TEST(NestedParallelForTest, SafeFromInsidePoolTasks) {
