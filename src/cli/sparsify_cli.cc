@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -96,8 +97,8 @@ int Usage() {
          "             [--runs=3] [--scale=0.5[,web-Google=0.2,..]]\n"
          "             [--seed=42] [--threads=0] [--csv] [--store=DIR]\n"
          "             [--resume] [--trace=FILE] [--progress]\n"
-         "             [--deadline=SECS] [--unit-timeout=SECS]\n"
-         "             [--watchdog-stall=SECS] [--shard=i/N]\n"
+         "             [--deadline=SECS] [--stage-timeout=SECS]\n"
+         "             [--shard=i/N]\n"
          "  profile    (same flags as sweep) run a sweep and print the\n"
          "             per-stage/per-metric breakdown (p50/p95/max,\n"
          "             units/s, pool utilization)\n"
@@ -141,17 +142,14 @@ int Usage() {
          "sweep completes, and --resume resubmits exactly the failed\n"
          "units (`figure` runs the same way). --deadline cancels the\n"
          "whole run after SECS (like a signal: in-flight units drain,\n"
-         "completed units persist); --unit-timeout fails any single\n"
-         "(cell, metric) unit exceeding SECS (recorded as a 'deadline'\n"
-         "error record, the rest of the sweep unaffected);\n"
-         "--watchdog-stall dumps in-flight activities and counters to\n"
-         "stderr when a unit or stage (scoring, subgraph, reference)\n"
-         "makes no progress for SECS (default 300) and then cancels just\n"
-         "it: its units fail as 'deadline' error records and the rest\n"
-         "of the sweep completes. SIGINT/SIGTERM cancel the run\n"
-         "cooperatively: queued units are skipped, in-flight units\n"
-         "drain, and --resume continues bit-identically; a second signal\n"
-         "aborts immediately.\n"
+         "completed units persist); --stage-timeout (default 300) fails\n"
+         "any single stage (reference, scoring, subgraph or a metric\n"
+         "unit's attempt) that runs longer than SECS: its units become\n"
+         "'deadline' error records naming the stage, and the rest of the\n"
+         "sweep completes (`figure` uses the default). SIGINT/SIGTERM\n"
+         "cancel the run cooperatively: queued units are skipped,\n"
+         "in-flight units drain, and --resume continues bit-identically;\n"
+         "a second signal aborts immediately.\n"
          "\n"
          "A store directory has one writer at a time: sweep, compact and\n"
          "merge lock it while they run, and export/ls read it without a\n"
@@ -283,12 +281,14 @@ SweepConfig GridFlags(const Args& args, int default_runs) {
   return config;
 }
 
-// A robustness knob in seconds, 0 when absent. Strictly positive: zero or
-// negative is a config mistake, not "off" (omit the flag for off).
+// A robustness knob in seconds, 0 when absent. Finite and strictly
+// positive: zero or negative is a config mistake, not "off" (omit the
+// flag for off).
 double SecondsFlag(const Args& args, const std::string& key) {
   double seconds = args.GetDouble(key, 0);
-  if (args.Has(key) && seconds <= 0) {
-    throw std::invalid_argument("--" + key + " must be > 0 seconds");
+  if (args.Has(key) && !(std::isfinite(seconds) && seconds > 0)) {
+    throw std::invalid_argument("--" + key + " must be a finite number of "
+                                "seconds > 0");
   }
   return seconds;
 }
@@ -370,10 +370,10 @@ using SweepPrinter = std::function<void(size_t job, const SweepOutcome&)>;
 
 // The one driver behind `sweep`, `profile` and `figure`. It owns the
 // engine, the store, the run's cancel token (signals, --deadline), the
-// watchdog, the unit timeout, tracing, progress and the exit code
-// ladder; the command only chooses the jobs and prints each one's
-// outcome. `profile_mode` forces span tracing on and prints the
-// per-stage breakdown after the last job.
+// stage timeout, tracing, progress and the exit code ladder; the command
+// only chooses the jobs and prints each one's outcome. `profile_mode`
+// forces span tracing on and prints the per-stage breakdown after the
+// last job.
 int RunSweepJobs(const Args& args, const std::string& cmd_name,
                  bool profile_mode, const std::vector<SweepJob>& jobs,
                  const SweepPrinter& print) {
@@ -383,8 +383,10 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
   // file was requested; otherwise the span sites stay one relaxed load.
   const bool tracing = profile_mode || !trace_path.empty();
   const double run_deadline = SecondsFlag(args, "deadline");
-  const double unit_timeout = SecondsFlag(args, "unit-timeout");
-  const double watchdog_stall = SecondsFlag(args, "watchdog-stall");
+  // Every stage's budget; `figure` takes no flag and keeps the default.
+  const double stage_timeout = args.Has("stage-timeout")
+                                   ? SecondsFlag(args, "stage-timeout")
+                                   : 300.0;
   const ShardSpec shard = ShardFlag(args);
 
   BatchRunner runner(args.GetInt("threads", 0));
@@ -395,28 +397,14 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
     runner.ResetPoolStats();
   }
   // Whole-run cancellation: one token shared by the signal bridge, the
-  // --deadline, and (as parent) every submitted unit's own token.
+  // --deadline, and (as parent) every stage's own token.
   // Installed before the store opens so a signal during a long replay
   // still drains cleanly; a second signal aborts immediately.
   CancelToken run_token;
   if (run_deadline > 0) run_token.SetDeadlineAfter(run_deadline);
   InstallSignalCancel(&run_token);
-  // The watchdog samples in-flight activities and dumps the obs counter/
-  // histogram state to stderr when one stalls, then cancels it (the unit,
-  // or the stalled stage's units, fail alone as "deadline" error records). Default threshold 5min;
-  // with a --unit-timeout the engine usually fires first, so the watchdog
-  // trails it as a backstop.
-  WatchdogOptions wd;
-  wd.stall_seconds =
-      watchdog_stall > 0
-          ? watchdog_stall
-          : (unit_timeout > 0 ? std::max(30.0, 4.0 * unit_timeout) : 300.0);
-  StartWatchdog(wd);
   struct CancelGuard {
-    ~CancelGuard() {
-      StopWatchdog();
-      ClearSignalCancel();
-    }
+    ~CancelGuard() { ClearSignalCancel(); }
   } cancel_guard;
   // Start before the store opens so its replay span is captured too.
   if (tracing) obs::StartTracing();
@@ -459,7 +447,7 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
     // the exit code reports the failure class and a later --resume
     // resubmits exactly the failed units.
     sweep.set_cancel_token(&run_token);
-    sweep.set_unit_timeout(unit_timeout);
+    sweep.set_stage_timeout(stage_timeout);
     sweep.set_shard(shard);
     if (args.Has("progress")) sweep.set_progress(Heartbeat(dataset_key));
     ResumableSweepStats stats;
@@ -529,7 +517,7 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
               << " -- re-run with --store/--resume to retry just those\n";
     // Permanent failures dominate the exit code: they will not clear on
     // their own, while a transient or deadline-exceeded unit may succeed
-    // if simply re-run (the latter with a larger --unit-timeout).
+    // if simply re-run (the latter with a larger --stage-timeout).
     return totals.failed_units > totals.transient_failed_units +
                                      totals.deadline_exceeded_units
                ? kExitUnitFailures
@@ -856,11 +844,11 @@ const std::map<std::string, std::set<std::string>>& AllowedKeys() {
       {"sweep",
        {"dataset", "metric", "metrics", "paper", "algos", "rates", "runs",
         "scale", "seed", "threads", "csv", "store", "resume", "trace",
-        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard"}},
+        "progress", "deadline", "stage-timeout", "shard"}},
       {"profile",
        {"dataset", "metric", "metrics", "paper", "algos", "rates", "runs",
         "scale", "seed", "threads", "csv", "store", "resume", "trace",
-        "progress", "deadline", "unit-timeout", "watchdog-stall", "shard"}},
+        "progress", "deadline", "stage-timeout", "shard"}},
       {"ingest", {"input", "directed", "weighted", "cache", "threads"}},
       {"export", {"store", "format", "dataset", "metric"}},
       {"ls", {"store"}},

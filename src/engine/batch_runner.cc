@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -101,14 +102,22 @@ const StageSite& Site(Stage stage) {
   return sites[stage];
 }
 
+// How a caught failure ends its units. `run_cancelled` marks a
+// cancellation of the run itself: not a failure, nothing is recorded, and
+// a resumed sweep resubmits the units.
+struct Failure {
+  bool run_cancelled = false;
+  std::string error_class;  // see FaultPolicy
+  std::string message;
+};
+
 // Everything one stage execution carries, acquired in this order and
 // released in reverse: the trace span with its detail and cell args, the
-// stage's own cancel token (chained under the run token), installed as
-// the ambient token its kernels poll and watched by the watchdog activity
-// (which cancels it when the stage stalls, so the stage fails alone as a
-// deadline), and the timer whose reading feeds the stage's counter,
-// histogram and run stats on exit. The token outlives the activity, so
-// the watchdog (which cancels under its slot lock) never sees a dead one.
+// stage's own cancel token (chained under the run token, with a deadline
+// `timeout_seconds` from now unless that is 0), installed as the ambient
+// token its kernels poll, and the timer whose reading feeds the stage's
+// counter, histogram and run stats on exit. A stage that runs past its
+// timeout stops at its next poll and fails alone as a deadline.
 // A reference stage names no cell, so its span carries no cell args.
 // Only stages that actually start construct one, so every count equals
 // the stage's spans. Failpoint() fires the stage's scoped failpoint; call
@@ -118,14 +127,16 @@ class StageScope {
  public:
   // `detail` must outlive the scope.
   StageScope(Stage stage, const std::string& detail, const BatchTask* task,
-             const CancelToken& run_token, BatchRunStats& run)
+             const CancelToken& run_token, double timeout_seconds,
+             BatchRunStats& run)
       : site_(Site(stage)),
         detail_(detail),
+        timeout_seconds_(timeout_seconds),
         span_(site_.name),
         token_(&run_token),
         cancel_(&token_),
-        activity_(site_.name, detail, &token_),
         run_(run) {
+    ArmTimeout();
     if (span_.active()) {
       span_.Detail(detail);
       if (task != nullptr) {
@@ -155,27 +166,35 @@ class StageScope {
     SPARSIFY_FAILPOINT_SCOPED(site_.failpoint, detail_.c_str());
   }
 
-  // The stage's token, e.g. to arm a metric unit's --unit-timeout.
-  CancelToken& token() { return token_; }
+  // Gives the stage a fresh timeout; a metric unit re-arms it for each
+  // attempt.
+  void ArmTimeout() {
+    if (timeout_seconds_ > 0) token_.SetDeadlineAfter(timeout_seconds_);
+  }
+
+  // The failure `f` this stage caught, as recorded: when the stage's own
+  // timeout fired, the message names the stage, its detail and the
+  // budget, e.g. "score_group LD: stage timeout 1s".
+  Failure Named(Failure f) const {
+    if (f.error_class == "deadline" &&
+        token_.reason() == CancelToken::Reason::kDeadline) {
+      std::ostringstream message;
+      message << site_.name << ' ' << detail_ << ": stage timeout "
+              << timeout_seconds_ << 's';
+      f.message = message.str();
+    }
+    return f;
+  }
 
  private:
   const StageSite& site_;
   const std::string& detail_;
+  const double timeout_seconds_;
   obs::Span span_;
   CancelToken token_;
   CancelScope cancel_;
-  ActivityScope activity_;
   Timer timer_;
   BatchRunStats& run_;
-};
-
-// How a caught failure ends its units. `run_cancelled` marks a
-// cancellation of the run itself: not a failure, nothing is recorded, and
-// a resumed sweep resubmits the units.
-struct Failure {
-  bool run_cancelled = false;
-  std::string error_class;  // see FaultPolicy
-  std::string message;
 };
 
 // The engine's one failure classifier, shared by every stage.
@@ -434,9 +453,10 @@ BatchRunStats BatchRunner::RunTasksMulti(
   // null): queued stages check it before starting, running ones poll it
   // through their stage token.
   CancelToken run_token(faults.cancel);
-  auto classify = [&](std::exception_ptr error) {
-    return ClassifyFailure(error, run_token.Cancelled());
+  auto classify = [&](const StageScope& stage, std::exception_ptr error) {
+    return stage.Named(ClassifyFailure(error, run_token.Cancelled()));
   };
+  const double timeout = faults.stage_timeout_seconds;
   const Failure skipped{true, "cancelled", "run cancelled"};
 
   // Ends slots [begin, end) of cell i without a value. A run cancellation
@@ -482,14 +502,10 @@ BatchRunStats BatchRunner::RunTasksMulti(
     const BatchTask& task = tasks[i];
     const uint32_t m = (*ids_of[i])[slot];
     const BatchMetric& metric = metrics[m];
-    // The stage token is re-armed with a fresh --unit-timeout deadline
-    // every attempt.
-    StageScope stage(kMetricUnit, stage_name(metric), &task, run_token, run);
+    StageScope stage(kMetricUnit, stage_name(metric), &task, run_token,
+                     timeout, run);
     double value = 0.0;
     for (int attempts = 1;; ++attempts) {
-      if (faults.unit_timeout_seconds > 0) {
-        stage.token().SetDeadlineAfter(faults.unit_timeout_seconds);
-      }
       try {
         stage.Failpoint();
         // Re-created from MetricSeed on every attempt, so a retried
@@ -505,11 +521,12 @@ BatchRunStats BatchRunner::RunTasksMulti(
                     : metric.fn(*input_of[i], *cell_graph[i], metric_rng);
         break;
       } catch (...) {
-        Failure f = classify(std::current_exception());
+        Failure f = classify(stage, std::current_exception());
         if (f.error_class == "transient" &&
             attempts <= kMaxUnitRetries) {
           AtomicAdd(run.retried_units, size_t{1});
           std::this_thread::sleep_for(RetryBackoff(attempts));
+          stage.ArmTimeout();  // each attempt gets a fresh timeout
           continue;
         }
         return end_units(i, slot, slot + 1, f, attempts);
@@ -557,14 +574,14 @@ BatchRunStats BatchRunner::RunTasksMulti(
       ref.failure = skipped;
     } else {
       StageScope stage(kReference, stage_name(metric), nullptr, run_token,
-                       run);
+                       timeout, run);
       try {
         stage.Failpoint();
         Rng ref_rng(ReferenceSeed(master_seed, dataset, metric.name));
         SubtaskPoolScope subtasks(&impl_->pool);
         ref.evaluate = metric.prepare(*ref.input, ref_rng);
       } catch (...) {
-        ref.failure = classify(std::current_exception());
+        ref.failure = classify(stage, std::current_exception());
       }
     }
     std::vector<std::pair<size_t, size_t>> parked;
@@ -580,7 +597,8 @@ BatchRunStats BatchRunner::RunTasksMulti(
     if (run_token.Cancelled()) return end_cell(i, skipped, 0);
     const BatchTask& task = tasks[i];
     {
-      StageScope stage(kSubgraph, task.sparsifier, &task, run_token, run);
+      StageScope stage(kSubgraph, task.sparsifier, &task, run_token,
+                       timeout, run);
       try {
         stage.Failpoint();
         RateMask mask = group.instance->MaskForRate(*group.state,
@@ -589,7 +607,7 @@ BatchRunStats BatchRunner::RunTasksMulti(
         achieved[i] = Sparsifier::AchievedPruneRate(*group.input, sparsified);
         cell_graph[i].emplace(std::move(sparsified));
       } catch (...) {
-        return end_cell(i, classify(std::current_exception()), 1);
+        return end_cell(i, classify(stage, std::current_exception()), 1);
       }
     }
     submit_metric_units(i);
@@ -631,13 +649,13 @@ BatchRunStats BatchRunner::RunTasksMulti(
       {
         const BatchTask& first = *group.first;
         StageScope stage(kScoreGroup, first.sparsifier, &first, run_token,
-                         run);
+                         timeout, run);
         try {
           stage.Failpoint();
           Rng group_rng(GroupSeed(master_seed, first.sparsifier, first.run));
           group.state = group.instance->PrepareScores(*group.input, group_rng);
         } catch (...) {
-          Failure f = classify(std::current_exception());
+          Failure f = classify(stage, std::current_exception());
           for (size_t i : group.cells) end_cell(i, f, 1);
           return;
         }

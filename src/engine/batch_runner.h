@@ -145,8 +145,7 @@ struct BatchRunStats {
   size_t transient_failed_units = 0;  // failed_units whose final class was
                                       // "transient" (retries exhausted)
   size_t deadline_exceeded_units = 0;  // failed_units whose final class was
-                                       // "deadline" (--unit-timeout or
-                                       // watchdog escalation)
+                                       // "deadline" (a stage timeout)
   size_t cancelled_units = 0;  // units skipped or interrupted by run-level
                                // cancellation: NOT failures, nothing is
                                // recorded, a resume resubmits them
@@ -166,20 +165,19 @@ inline constexpr int kMaxUnitRetries = 2;
 /// How RunTasksMulti treats failures inside units of work. Every stage
 /// (score group, reference, subgraph, metric unit) classifies what it
 /// caught the same way: "transient" (TransientError), "deadline" (the
-/// stage's own deadline: the unit timeout, or the watchdog cancelling a
-/// stalled stage), "cancelled" (a CancelledError while the run is
-/// NOT cancelled) or "permanent" (anything else); a cancellation of the
-/// run itself is no failure at all. A failing unit never sinks its
-/// siblings: a metric unit's transient failures are retried up to
-/// kMaxUnitRetries extra attempts with capped exponential backoff (the
-/// unit's Rng is re-created from MetricSeed each attempt, so a retried
-/// success is bit-identical to a first-try success); anything else — and
-/// transient failures that exhaust their retries — is reported through
-/// `on_unit_failure`, and the rest of the batch runs to completion. A
-/// score-group or subgraph failure fails that cell's (or group's cells')
-/// units without retry, and a reference failure fails its metric's units
-/// on that input the same way, since re-running scoring wholesale is what
-/// a resumed sweep is for.
+/// stage ran past stage_timeout_seconds), "cancelled" (a CancelledError
+/// while the run is NOT cancelled) or "permanent" (anything else); a
+/// cancellation of the run itself is no failure at all. A failing unit
+/// never sinks its siblings: a metric unit's transient failures are
+/// retried up to kMaxUnitRetries extra attempts with capped exponential
+/// backoff (the unit's Rng is re-created from MetricSeed each attempt, so
+/// a retried success is bit-identical to a first-try success); anything
+/// else — and transient failures that exhaust their retries — is reported
+/// through `on_unit_failure`, and the rest of the batch runs to
+/// completion. A score-group or subgraph failure fails that cell's (or
+/// group's cells') units without retry, and a reference failure fails its
+/// metric's units on that input the same way, since re-running scoring
+/// wholesale is what a resumed sweep is for.
 struct FaultPolicy {
   /// Invoked once per failed unit, from the worker thread
   /// (concurrently across workers — must synchronize like the result
@@ -194,11 +192,14 @@ struct FaultPolicy {
   /// and nothing is recorded for them (a resumed sweep resubmits them).
   /// Must outlive the run. Null = no run-level cancellation.
   const CancelToken* cancel = nullptr;
-  /// Per-(cell, metric) unit deadline in seconds (0 = none). Each
-  /// attempt gets a fresh deadline; a unit that exceeds it fails alone
-  /// with error_class "deadline" (no retry — the same computation would
-  /// time out again) and the rest of the batch completes.
-  double unit_timeout_seconds = 0;
+  /// Deadline of every stage in seconds (0 = none): each reference,
+  /// score group, subgraph build and metric unit attempt gets a fresh
+  /// one on its own token. A stage that exceeds it fails alone with
+  /// error_class "deadline" (no retry — the same computation would time
+  /// out again), its message names the stage, its detail and the budget
+  /// ("score_group LD: stage timeout 1s"), and the rest of the batch
+  /// completes.
+  double stage_timeout_seconds = 0;
 };
 
 /// Evaluates batch grids on a fixed-size thread pool.

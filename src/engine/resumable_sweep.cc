@@ -110,7 +110,7 @@ void ResumableSweep::RunUnits(Grid& grid, const std::vector<BatchTask>& missing,
   // counts as completed for progress purposes.
   FaultPolicy faults;
   faults.cancel = &run_token;
-  faults.unit_timeout_seconds = unit_timeout_seconds_;
+  faults.stage_timeout_seconds = stage_timeout_seconds_;
   faults.on_unit_failure = [&](const BatchTask& task, uint32_t m,
                                const std::string& error_class,
                                const std::string& error_message,

@@ -88,9 +88,11 @@ class ResumableSweep {
   /// the cancelled run stopped, bit-identically. Must outlive RunMulti.
   void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
-  /// Per-(cell, metric) deadline in seconds (0 = off). A unit exceeding
-  /// it fails alone with a "deadline" error record; see FaultPolicy.
-  void set_unit_timeout(double seconds) { unit_timeout_seconds_ = seconds; }
+  /// Deadline of every engine stage in seconds (0 = off): reference,
+  /// score group, subgraph and each metric-unit attempt. A stage
+  /// exceeding it fails alone, its units as "deadline" error records;
+  /// see FaultPolicy::stage_timeout_seconds.
+  void set_stage_timeout(double seconds) { stage_timeout_seconds_ = seconds; }
 
   /// Runs only shard `spec.index` of `spec.total` (see ShardSpec): the
   /// other shards' cells are neither computed nor looked up, and their
@@ -159,7 +161,7 @@ class ResumableSweep {
   std::string code_rev_;
   bool reuse_cached_ = true;
   const CancelToken* cancel_ = nullptr;  // not owned; may be null
-  double unit_timeout_seconds_ = 0;
+  double stage_timeout_seconds_ = 0;
   ProgressFn progress_;
   ShardSpec shard_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -26,6 +27,28 @@ const char* ParseId(const char* p, const char* end, NodeId* id) {
   if (ec != std::errc() || value >= kInvalidNode) return nullptr;
   *id = static_cast<NodeId>(value);
   return next;
+}
+
+// Parses the weight field at p (io.h): the whole field, up to the next
+// blank or the line end, must be a finite double with an optional leading
+// '+'. Returns false when it is not.
+bool ParseWeight(const char* p, const char* end, double* w) {
+  const char* field_end = p;
+  while (field_end < end && *field_end != ' ' && *field_end != '\t' &&
+         *field_end != '\r') {
+    ++field_end;
+  }
+  if (p < field_end && *p == '+') {
+    ++p;
+    if (p < field_end && *p == '-') return false;  // "+-1" is no number
+  }
+  double value = 0;
+  const auto [next, ec] = std::from_chars(p, field_end, value);
+  if (ec != std::errc() || next != field_end || !std::isfinite(value)) {
+    return false;
+  }
+  *w = value;
+  return true;
 }
 
 }  // namespace
@@ -58,9 +81,10 @@ Graph ParseEdgeList(std::string_view text, bool directed, bool weighted,
     }
     if (weighted) {
       cursor = SkipBlanks(cursor, line_end);
-      if (cursor < line_end && *cursor == '+') ++cursor;
-      double w = 1.0;
-      if (std::from_chars(cursor, line_end, w).ec == std::errc()) e.w = w;
+      if (cursor < line_end && !ParseWeight(cursor, line_end, &e.w)) {
+        throw std::runtime_error("bad weight at line " +
+                                 std::to_string(lineno));
+      }
     }
     edges.push_back(e);
     max_id = std::max({max_id, e.u, e.v});

@@ -24,12 +24,16 @@ class ThreadPool;
 ///  - Every other line is "u v" or "u v w", fields separated by spaces or
 ///    tabs, leading whitespace allowed. u and v are decimal ids below
 ///    kInvalidNode (so max id + 1 fits NodeId); both must be on the line.
-///    When `weighted`, a third field that parses as a double (an
-///    optional '+', then std::from_chars syntax) is the weight; the weight
-///    is 1.0 otherwise. The rest of the line is ignored.
+///    When `weighted`, a third field is the weight: the whole field (up
+///    to the next blank or the line end) must be a finite double, an
+///    optional '+' followed by std::from_chars syntax. A line without a
+///    third field has weight 1.0. Fields after the weight are ignored,
+///    and so is everything after v when not `weighted`.
 ///  - Vertex ids may be sparse: the graph has max id + 1 vertices.
 /// A line that breaks the contract throws std::runtime_error
-/// "bad edge at line N" (1-based). The graph is built by Graph::FromEdges
+/// "bad edge at line N" (1-based), or "bad weight at line N" when only
+/// its weight field is malformed (`0 1 abc`, `0 1 2.5abc`, `0 1 1e400`,
+/// `0 1 nan`). The graph is built by Graph::FromEdges
 /// on `pool` (may be null), so it is the same at any thread count.
 Graph ParseEdgeList(std::string_view text, bool directed, bool weighted,
                     ThreadPool* pool = nullptr);

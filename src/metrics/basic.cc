@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/linalg/laplacian.h"
+#include "src/util/cancel.h"
 #include "src/util/stats.h"
 
 namespace sparsify {
@@ -13,6 +14,7 @@ std::vector<double> DegreeHistogram(const Graph& g, int bins,
   double width =
       std::max<double>(1.0, static_cast<double>(max_degree + 1)) / bins;
   for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    if ((v & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
     int b = static_cast<int>(static_cast<double>(g.OutDegree(v)) / width);
     b = std::clamp(b, 0, bins - 1);
     hist[b] += 1.0;
@@ -51,6 +53,7 @@ double QuadraticFormSimilarity(const Graph& original, const Graph& sparsified,
   std::vector<double> ratios;
   Vec x(go->NumVertices());
   for (int i = 0; i < num_vectors; ++i) {
+    SPARSIFY_CHECK_CANCELLED();  // once per probe vector; draws nothing
     for (double& xi : x) xi = rng.NextGaussian();
     double qo = QuadraticForm(*go, x);
     double qs = QuadraticForm(*gs, x);

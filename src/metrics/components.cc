@@ -2,16 +2,22 @@
 
 #include "src/graph/traversal.h"
 #include "src/graph/union_find.h"
+#include "src/util/cancel.h"
 
 namespace sparsify {
 
 ComponentResult ConnectedComponents(const Graph& g) {
   UnionFind uf(g.NumVertices());
-  for (const Edge& e : g.Edges()) uf.Union(e.u, e.v);
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if ((e & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
+    const Edge& edge = g.CanonicalEdge(e);
+    uf.Union(edge.u, edge.v);
+  }
   ComponentResult result;
   result.label.assign(g.NumVertices(), kInvalidNode);
   std::vector<NodeId> root_to_label(g.NumVertices(), kInvalidNode);
   for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    if ((v & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
     NodeId root = static_cast<NodeId>(uf.Find(v));
     if (root_to_label[root] == kInvalidNode) {
       root_to_label[root] = result.num_components++;
@@ -34,6 +40,8 @@ double UnreachableRatio(const Graph& g) {
   return 1.0 - reachable / (n * (n - 1.0));
 }
 
+// No cancellation poll: one O(n) pass over the degree offsets, no more
+// work than building the subgraph it reads.
 double IsolatedRatio(const Graph& g) {
   if (g.NumVertices() == 0) return 0.0;
   return static_cast<double>(g.CountIsolated()) /

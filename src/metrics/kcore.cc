@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 std::vector<NodeId> CoreNumbers(const Graph& g) {
@@ -9,6 +11,7 @@ std::vector<NodeId> CoreNumbers(const Graph& g) {
   std::vector<NodeId> degree(n);
   NodeId max_degree = 0;
   for (NodeId v = 0; v < n; ++v) {
+    if ((v & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
     degree[v] = g.OutDegree(v);
     if (g.IsDirected()) degree[v] += g.InDegree(v);
     max_degree = std::max(max_degree, degree[v]);
@@ -49,6 +52,7 @@ std::vector<NodeId> CoreNumbers(const Graph& g) {
     }
   };
   for (NodeId i = 0; i < n; ++i) {
+    if ((i & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
     NodeId v = vert[i];
     for (NodeId u : g.OutNeighborNodes(v)) peel_neighbor(v, u);
     if (g.IsDirected()) {

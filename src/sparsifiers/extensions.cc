@@ -5,11 +5,14 @@
 #include <memory>
 #include <unordered_map>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 std::vector<double> TriangleEdgeScores(const Graph& g) {
   std::vector<double> scores(g.NumEdges(), 0.0);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if ((e & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
     const Edge& ed = g.CanonicalEdge(e);
     scores[e] = static_cast<double>(SortedIntersectionSize(
         g.OutNeighborNodes(ed.u), g.OutNeighborNodes(ed.v)));
@@ -82,6 +85,7 @@ std::unique_ptr<ScoreState> SimmelianSparsifier::PrepareScores(
   std::vector<std::vector<NodeId>> top(g.NumVertices());
   std::vector<std::pair<double, NodeId>> ranked;
   for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    if ((v & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
     auto nodes = g.OutNeighborNodes(v);
     auto edges = g.OutNeighborEdges(v);
     ranked.clear();
@@ -99,6 +103,7 @@ std::unique_ptr<ScoreState> SimmelianSparsifier::PrepareScores(
   }
   std::vector<double> score(g.NumEdges(), 0.0);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if ((e & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
     const Edge& ed = g.CanonicalEdge(e);
     const std::vector<NodeId>& a = top[ed.u];
     const std::vector<NodeId>& b = top[ed.v];
@@ -138,6 +143,7 @@ std::vector<double> AlgebraicDistances(const Graph& g, int num_vectors,
   for (int t = 0; t < num_vectors; ++t) {
     for (double& xi : x) xi = rng.NextDouble() - 0.5;
     for (int s = 0; s < sweeps; ++s) {
+      SPARSIFY_CHECK_CANCELLED();  // once per O(|E|) sweep; draws nothing
       for (NodeId v = 0; v < n; ++v) {
         auto nodes = g.OutNeighborNodes(v);
         auto edges = g.OutNeighborEdges(v);

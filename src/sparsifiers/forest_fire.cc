@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 const SparsifierInfo& ForestFireSparsifier::Info() const {
@@ -41,6 +43,8 @@ std::unique_ptr<ScoreState> ForestFireSparsifier::PrepareScores(
       50 * (static_cast<uint64_t>(g.NumVertices()) + total_burn_target);
   uint64_t fires = 0;
   while (total_burns < total_burn_target && fires++ < max_fires) {
+    // One poll per 256 fires, the first included; it draws nothing.
+    if (fires % 256 == 1) SPARSIFY_CHECK_CANCELLED();
     NodeId start = static_cast<NodeId>(rng.NextUint(g.NumVertices()));
     frontier.clear();
     frontier.push_back(start);

@@ -5,6 +5,8 @@
 #include <limits>
 #include <memory>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 const SparsifierInfo& KNeighborSparsifier::Info() const {
@@ -32,6 +34,7 @@ std::unique_ptr<ScoreState> KNeighborSparsifier::PrepareScores(
   // once; the per-vertex key-descending order then serves every k.
   std::vector<std::pair<double, EdgeId>> keys;
   for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    if ((v & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();  // draws nothing
     auto nbrs = g.OutNeighborEdges(v);
     if (nbrs.empty()) continue;
     keys.clear();

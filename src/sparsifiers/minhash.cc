@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 namespace {
@@ -26,6 +28,7 @@ MinHashSignatures::MinHashSignatures(const Graph& g, int num_hashes,
   for (int h = 0; h < num_hashes; ++h) {
     uint64_t* row = sig_.data() + static_cast<size_t>(h) * num_vertices_;
     for (NodeId v = 0; v < num_vertices_; ++v) {
+      if ((v & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
       for (NodeId u : g.OutNeighborNodes(v)) {
         uint64_t hv = HashWithSalt(u, salts[h]);
         if (hv < row[v]) row[v] = hv;
@@ -53,6 +56,7 @@ std::vector<double> MinHashJaccardEdgeScores(const Graph& g, int num_hashes,
   MinHashSignatures sig(g, num_hashes, rng);
   std::vector<double> scores(g.NumEdges(), 0.0);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if ((e & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
     const Edge& ed = g.CanonicalEdge(e);
     scores[e] = sig.EstimateJaccard(ed.u, ed.v);
   }

@@ -2,6 +2,8 @@
 
 #include <memory>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 const SparsifierInfo& RandomSparsifier::Info() const {
@@ -22,7 +24,10 @@ const SparsifierInfo& RandomSparsifier::Info() const {
 std::unique_ptr<ScoreState> RandomSparsifier::PrepareScores(const Graph& g,
                                                             Rng& rng) const {
   std::vector<double> priority(g.NumEdges());
-  for (double& p : priority) p = rng.NextDouble();
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if ((e & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();  // draws nothing
+    priority[e] = rng.NextDouble();
+  }
   return std::make_unique<EdgeScoreState>(std::move(priority));
 }
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <memory>
 
+#include "src/util/cancel.h"
+
 namespace sparsify {
 
 const SparsifierInfo& RankDegreeSparsifier::Info() const {
@@ -47,12 +49,14 @@ std::unique_ptr<ScoreState> RankDegreeSparsifier::PrepareScores(
   std::vector<uint8_t> in_frontier(n, 0);
   for (NodeId s : seeds) in_frontier[s] = 1;
   std::vector<std::pair<NodeId, NodeId>> ranked;  // (degree, neighbor)
+  uint64_t expanded = 0;  // seeds expanded so far, for the cancel poll
 
   while (kept < target) {
     std::vector<NodeId> next;
     bool progressed = false;
     for (NodeId s : seeds) {
       if (kept >= target) break;
+      if ((expanded++ & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
       auto nbrs = g.OutNeighborNodes(s);
       if (nbrs.empty()) continue;
       ranked.clear();
@@ -90,6 +94,7 @@ std::unique_ptr<ScoreState> RankDegreeSparsifier::PrepareScores(
       }
       if (!progressed) {
         for (EdgeId e = 0; e < m && kept < target; ++e) {
+          if ((e & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
           if (!keep[e]) {
             keep[e] = 1;
             order.push_back(e);

@@ -6,6 +6,7 @@
 
 #include "src/sparsifiers/minhash.h"
 #include "src/sparsifiers/vertex_ranked.h"
+#include "src/util/cancel.h"
 
 namespace sparsify {
 
@@ -24,6 +25,7 @@ std::unique_ptr<ScoreState> RankByJaccard(const Graph& g,
 std::vector<double> JaccardEdgeScores(const Graph& g) {
   std::vector<double> scores(g.NumEdges(), 0.0);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if ((e & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
     const Edge& ed = g.CanonicalEdge(e);
     auto nu = g.OutNeighborNodes(ed.u);
     auto nv = g.OutNeighborNodes(ed.v);
@@ -37,6 +39,7 @@ std::vector<double> JaccardEdgeScores(const Graph& g) {
 std::vector<double> ScanEdgeScores(const Graph& g) {
   std::vector<double> scores(g.NumEdges(), 0.0);
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    if ((e & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
     const Edge& ed = g.CanonicalEdge(e);
     auto nu = g.OutNeighborNodes(ed.u);
     auto nv = g.OutNeighborNodes(ed.v);
@@ -205,6 +208,7 @@ std::unique_ptr<ScoreState> LocalSimilaritySparsifier::PrepareScores(
   std::vector<double> score(g.NumEdges(), 0.0);
   std::vector<std::pair<double, EdgeId>> ranked;
   for (NodeId v = 0; v < g.NumVertices(); ++v) {
+    if ((v & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
     auto nbrs = g.OutNeighborEdges(v);
     if (nbrs.empty()) continue;
     ranked.clear();

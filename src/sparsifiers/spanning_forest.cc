@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/graph/union_find.h"
+#include "src/util/cancel.h"
 
 namespace sparsify {
 
@@ -40,7 +41,9 @@ std::unique_ptr<ScoreState> SpanningForestSparsifier::PrepareScores(
   });
   UnionFind uf(g.NumVertices());
   std::vector<uint8_t> keep(g.NumEdges(), 0);
-  for (EdgeId e : order) {
+  for (EdgeId i = 0; i < g.NumEdges(); ++i) {
+    if ((i & 4095u) == 0) SPARSIFY_CHECK_CANCELLED();
+    const EdgeId e = order[i];
     const Edge& ed = g.CanonicalEdge(e);
     if (uf.Union(ed.u, ed.v)) keep[e] = 1;
   }

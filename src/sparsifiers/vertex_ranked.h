@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/sparsifiers/sparsifier.h"
+#include "src/util/cancel.h"
 
 namespace sparsify {
 
@@ -38,6 +39,7 @@ class VertexRankedState : public ScoreState {
     std::vector<double> threshold(m, 2.0);  // 2.0 = not reached yet
     std::vector<std::pair<double, EdgeId>> scratch;
     for (NodeId v = 0; v < g.NumVertices(); ++v) {
+      if ((v & 1023u) == 0) SPARSIFY_CHECK_CANCELLED();
       auto nodes = g.OutNeighborNodes(v);
       auto edges = g.OutNeighborEdges(v);
       if (nodes.empty()) continue;

@@ -69,10 +69,10 @@ class CancelledError : public SparsifyError {
   explicit CancelledError(const std::string& what) : SparsifyError(what) {}
 };
 
-/// A deadline expired (--unit-timeout, watchdog escalation, or a
-/// run-level --deadline). Derives from CancelledError so generic
-/// cancellation handlers see both; the engine records unit deadlines as
-/// "deadline" error records, which resume treats as missing.
+/// A deadline expired (a stage's --stage-timeout, or a run-level
+/// --deadline). Derives from CancelledError so generic cancellation
+/// handlers see both; the engine records stage deadlines as "deadline"
+/// error records, which resume treats as missing.
 class DeadlineExceededError : public CancelledError {
  public:
   explicit DeadlineExceededError(const std::string& what)

@@ -103,7 +103,7 @@ void Act(const Decision& d) {
     case Action::kHang:
       // Block until the ambient cancel token trips (the cancellation
       // then propagates as its typed exception — exactly what a wedged
-      // unit looks like to the deadline/watchdog machinery) or every
+      // stage looks like when its stage timeout fires) or every
       // failpoint is disarmed (then continue as if nothing happened).
       while (internal::AnyArmed()) {
         const CancelToken* token = CurrentCancelToken();

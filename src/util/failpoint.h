@@ -26,9 +26,9 @@
 //                             (src/util/cancel.h) trips — then the
 //                             cancellation propagates as its typed
 //                             exception — or until every failpoint is
-//                             disarmed (then continue). Makes deadline
-//                             and watchdog paths testable without
-//                             timing-flaky sleeps.
+//                             disarmed (then continue). Makes the
+//                             stage-timeout and run-deadline paths
+//                             testable without timing-flaky sleeps.
 //   trigger  (none)           fire on every hit
 //            @N               fire on exactly the Nth hit (1-based), once
 //            @pP              fire per-hit with probability P in [0,1]

@@ -1,26 +1,29 @@
-// Cancellation, deadlines, watchdog, and graceful-shutdown plumbing:
-// token semantics (flag, deadline latch, parent chain), the one-load-
-// when-unarmed check macro, cooperative checks inside the traversal /
-// CG / ER / t-spanner / clustering kernels, ThreadPool
-// Stop(drain|abandon), the hang failpoint, the watchdog's
-// dump-then-cancel escalation, the signal bridge, and the engine-level
-// contracts: a timed-out unit fails ALONE as a typed "deadline" error
-// record, and a run-level cancellation leaves the store consistent so
-// --resume reproduces the cold run bit-identically.
+// Cancellation, deadlines, and graceful-shutdown plumbing: token
+// semantics (flag, deadline latch, parent chain), the one-load-when-
+// unarmed check macro, cooperative checks inside the traversal / CG /
+// ER / t-spanner / clustering kernels, the conformance of every registry
+// sparsifier and metric, ThreadPool Stop(drain|abandon), the hang
+// failpoint, the signal bridge, and the engine-level contracts: a
+// timed-out stage fails ALONE as a typed "deadline" error record, and a
+// run-level cancellation leaves the store consistent so --resume
+// reproduces the cold run bit-identically.
 #include "src/util/cancel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/cli/metrics.h"
 #include "src/engine/resumable_sweep.h"
 #include "src/gnn/data.h"
 #include "src/gnn/models.h"
@@ -35,6 +38,7 @@
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/sparsifiers/effective_resistance.h"
+#include "src/sparsifiers/sparsifier.h"
 #include "src/sparsifiers/t_spanner.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
@@ -82,15 +86,20 @@ TEST(CancelTokenTest, ExpiredDeadlineLatchesAndThrowsTyped) {
 }
 
 TEST(CancelTokenTest, FutureDeadlineDoesNotTripEarly) {
-  CancelToken token;
-  token.SetDeadlineAfter(3600.0);
-  EXPECT_FALSE(token.Cancelled());
-  EXPECT_NO_THROW(token.ThrowIfCancelled());
+  // A budget past the clock's range saturates instead of wrapping into
+  // the past.
+  for (double seconds : {3600.0, 1e10, 1e300,
+                         std::numeric_limits<double>::infinity()}) {
+    CancelToken token;
+    token.SetDeadlineAfter(seconds);
+    EXPECT_FALSE(token.Cancelled()) << seconds;
+    EXPECT_NO_THROW(token.ThrowIfCancelled()) << seconds;
+  }
 }
 
 TEST(CancelTokenTest, ParentCancellationPropagatesToChild) {
-  CancelToken parent, child;
-  child.set_parent(&parent);
+  CancelToken parent;
+  CancelToken child(&parent);
   EXPECT_FALSE(child.Cancelled());
   parent.Cancel();
   EXPECT_TRUE(child.Cancelled());
@@ -101,8 +110,8 @@ TEST(CancelTokenTest, ParentCancellationPropagatesToChild) {
 }
 
 TEST(CancelTokenTest, ChildDeadlineDoesNotTripParent) {
-  CancelToken parent, child;
-  child.set_parent(&parent);
+  CancelToken parent;
+  CancelToken child(&parent);
   child.SetDeadlineAfter(-1.0);
   EXPECT_TRUE(child.Cancelled());
   EXPECT_FALSE(parent.Cancelled());
@@ -406,6 +415,114 @@ TEST_F(KernelCancelTest, NestedParallelForPropagatesTheCallerToken) {
 }
 
 // ---------------------------------------------------------------------------
+// Conformance: every registry sparsifier's PrepareScores and every registry
+// metric observes an expired stage token, and its polls change no result.
+// ---------------------------------------------------------------------------
+
+// A registry graph and an RN subgraph of it. Tests fetch them before
+// installing a token: building them polls too.
+struct ConformanceGraphs {
+  Graph g;
+  Graph h;
+};
+
+const ConformanceGraphs& RegistryGraphs() {
+  static const ConformanceGraphs* graphs = [] {
+    Graph g = LoadDatasetScaled("ego-Facebook", 0.1).graph;
+    Rng rng(7);
+    Graph h = CreateSparsifier("RN")->Sparsify(g, 0.5, rng);
+    return new ConformanceGraphs{std::move(g), std::move(h)};
+  }();
+  return *graphs;
+}
+
+std::string RegistryName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return name;
+}
+
+// Prepares `name`'s scores on g and masks them at prune rate 0.5 (or 0
+// for a sparsifier without rate control).
+RateMask PrepareAndMask(const std::string& name, const Graph& g) {
+  std::unique_ptr<Sparsifier> sparsifier = CreateSparsifier(name);
+  Rng rng(11);
+  std::unique_ptr<ScoreState> state = sparsifier->PrepareScores(g, rng);
+  const bool fixed =
+      sparsifier->Info().prune_rate_control == PruneRateControl::kNone;
+  return sparsifier->MaskForRate(*state, fixed ? 0.0 : 0.5);
+}
+
+class SparsifierConformanceTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SparsifierConformanceTest, PrepareScoresObservesAnExpiredToken) {
+  const Graph& g = RegistryGraphs().g;
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  EXPECT_THROW(PrepareAndMask(GetParam(), g), DeadlineExceededError);
+}
+
+TEST_P(SparsifierConformanceTest, PollsLeaveScoresUnchanged) {
+  const Graph& g = RegistryGraphs().g;
+  const RateMask plain = PrepareAndMask(GetParam(), g);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  const RateMask polled = PrepareAndMask(GetParam(), g);
+  EXPECT_EQ(polled.keep, plain.keep);
+  EXPECT_EQ(polled.new_weights, plain.new_weights);
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, SparsifierConformanceTest,
+                         ::testing::ValuesIn(SparsifierNames()),
+                         RegistryName);
+
+// `isolated` has no poll: it is one O(n) pass over the degree offsets
+// (Graph::CountIsolated), no more work than building the subgraph it
+// reads, so it ends before any poll could matter.
+bool PollExempt(const std::string& metric) { return metric == "isolated"; }
+
+double EvaluateRegistryMetric(const std::string& name,
+                              const ConformanceGraphs& graphs) {
+  Rng rng(13);
+  return EvaluateMetric(cli::FindMetric(name), graphs.g, graphs.h, rng);
+}
+
+class MetricConformanceTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(MetricConformanceTest, EvaluateMetricObservesAnExpiredToken) {
+  const ConformanceGraphs& graphs = RegistryGraphs();
+  CancelToken token;
+  token.SetDeadlineAfter(-1.0);
+  CancelScope scope(&token);
+  if (PollExempt(GetParam())) {
+    EXPECT_NO_THROW(EvaluateRegistryMetric(GetParam(), graphs));
+  } else {
+    EXPECT_THROW(EvaluateRegistryMetric(GetParam(), graphs),
+                 DeadlineExceededError);
+  }
+}
+
+TEST_P(MetricConformanceTest, PollsLeaveValuesUnchanged) {
+  const ConformanceGraphs& graphs = RegistryGraphs();
+  const double plain = EvaluateRegistryMetric(GetParam(), graphs);
+  CancelToken token;
+  token.SetDeadlineAfter(3600.0);
+  CancelScope scope(&token);
+  const double polled = EvaluateRegistryMetric(GetParam(), graphs);
+  EXPECT_EQ(std::memcmp(&polled, &plain, sizeof(double)), 0)
+      << polled << " vs " << plain;
+}
+
+INSTANTIATE_TEST_SUITE_P(Registry, MetricConformanceTest,
+                         ::testing::ValuesIn(cli::MetricNames()),
+                         RegistryName);
+
+// ---------------------------------------------------------------------------
 // ThreadPool Stop(drain | abandon)
 // ---------------------------------------------------------------------------
 
@@ -480,45 +597,6 @@ TEST_F(HangFailpointTest, HangReleasesWhenTheAmbientTokenTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Watchdog
-// ---------------------------------------------------------------------------
-
-TEST(WatchdogTest, DumpsAndCancelsAStuckActivity) {
-  WatchdogOptions options;
-  options.stall_seconds = 0.1;
-  options.poll_seconds = 0.05;
-  options.cancel_stuck = true;
-  const int64_t dumps_before = WatchdogDumpCount();
-  CancelToken token;
-  ::testing::internal::CaptureStderr();
-  StartWatchdog(options);
-  {
-    ActivityScope activity("test_stage", "stuck-unit", &token);
-    // Wait (bounded) for the watchdog to notice the stalled activity.
-    for (int i = 0; i < 100 && !token.Cancelled(); ++i) SleepMs(20);
-  }
-  StopWatchdog();
-  std::string dump = ::testing::internal::GetCapturedStderr();
-  EXPECT_TRUE(token.Cancelled());
-  EXPECT_EQ(token.reason(), CancelToken::Reason::kDeadline);
-  EXPECT_GT(WatchdogDumpCount(), dumps_before);
-  EXPECT_NE(dump.find("sparsify watchdog: no progress"), std::string::npos);
-  EXPECT_NE(dump.find("test_stage/stuck-unit"), std::string::npos);
-  EXPECT_NE(dump.find("in-flight activities"), std::string::npos);
-}
-
-TEST(WatchdogTest, IdleRegistryNeverDumps) {
-  WatchdogOptions options;
-  options.stall_seconds = 0.05;
-  options.poll_seconds = 0.02;
-  const int64_t dumps_before = WatchdogDumpCount();
-  StartWatchdog(options);
-  SleepMs(150);  // several polls with no activity in flight
-  StopWatchdog();
-  EXPECT_EQ(WatchdogDumpCount(), dumps_before);
-}
-
-// ---------------------------------------------------------------------------
 // Signal bridge
 // ---------------------------------------------------------------------------
 
@@ -534,7 +612,7 @@ TEST(SignalCancelTest, FirstSignalCancelsTheToken) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine contracts: unit deadlines and run-level cancellation
+// Engine contracts: stage timeouts and run-level cancellation
 // ---------------------------------------------------------------------------
 
 BatchMetricFn SampledMetric() {
@@ -580,7 +658,7 @@ class EngineCancelTest : public ::testing::Test {
   BatchRunner runner_;
 };
 
-TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
+TEST_F(EngineCancelTest, StageTimeoutFailsAUnitAloneAsDeadlineErrorRecord) {
   std::string dir = TestPath("deadline_store");
   SweepConfig config = TestConfig();
 
@@ -594,7 +672,7 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
   fail::ArmFromSpec("engine.metric_unit/m_bad=hang");
   auto store = std::make_unique<ResultStore>(dir);
   ResumableSweep sweep(runner_, store.get(), "test-rev");
-  sweep.set_unit_timeout(0.05);
+  sweep.set_stage_timeout(0.05);
   ResumableSweepStats stats;
   auto out = sweep.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &stats);
 
@@ -608,6 +686,7 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
     if (!cell.is_error) continue;
     EXPECT_EQ(cell.key.metric, "m_bad");
     EXPECT_EQ(cell.error_class, "deadline");
+    EXPECT_EQ(cell.error_message, "metric_unit m_bad: stage timeout 0.05s");
     EXPECT_EQ(cell.attempts, 1);  // a deadline unit never retries
   }
   ASSERT_EQ(out.size(), 2u);
@@ -617,7 +696,7 @@ TEST_F(EngineCancelTest, UnitTimeoutFailsAloneAsDeadlineErrorRecord) {
   // the healed sweep is bit-identical to the cold run.
   fail::DisarmAll();
   ResumableSweep resume(runner_, store.get(), "test-rev");
-  resume.set_unit_timeout(0.05);
+  resume.set_stage_timeout(0.05);
   ResumableSweepStats resume_stats;
   auto healed =
       resume.RunMulti(graph_, "fb@0.1", TwoMetrics(), config, &resume_stats);

@@ -28,6 +28,21 @@ int RunCli(std::vector<std::string> args) {
   return cli::RunSparsifyCli(static_cast<int>(argv.size()), argv.data());
 }
 
+// One CLI run with its stdout captured: the exit code and what it printed.
+struct CliRun {
+  int rc;
+  std::string out;
+};
+
+// Runs the CLI under a stdout capture that is closed before the result is
+// returned, so an assertion on it never leaves the capture open (an open
+// capture aborts the next test in the binary that captures).
+CliRun RunCliCaptured(std::vector<std::string> args) {
+  ::testing::internal::CaptureStdout();
+  const int rc = RunCli(std::move(args));
+  return {rc, ::testing::internal::GetCapturedStdout()};
+}
+
 std::string StoreDir() { return TestPath("cli_store"); }
 
 TEST(CliTest, UnknownFlagIsAnErrorNotANoop) {
@@ -72,12 +87,17 @@ TEST(CliTest, ScaleAndRunsThatCannotBeRightAreErrors) {
             cli::kExitUsage);
   EXPECT_EQ(RunCli({"figure", "2", "--scale=0", "--runs=1"}),
             cli::kExitUsage);
-  // --runs below 1 is not quietly one run.
+  // --runs below 1 is not quietly one run, and a stage timeout or a
+  // deadline is a finite, positive number of seconds.
   for (const char* cmd : {"sweep", "profile"}) {
-    EXPECT_EQ(RunCli({cmd, "--dataset=ego-Facebook", "--metric=degree",
-                      "--scale=0.1", "--runs=0"}),
-              cli::kExitUsage)
-        << cmd;
+    for (const char* flag :
+         {"--runs=0", "--stage-timeout=0", "--stage-timeout=-1",
+          "--stage-timeout=nan", "--stage-timeout=inf", "--deadline=nan"}) {
+      EXPECT_EQ(RunCli({cmd, "--dataset=ego-Facebook", "--metric=degree",
+                        "--scale=0.1", flag}),
+                cli::kExitUsage)
+          << cmd << " " << flag;
+    }
   }
   EXPECT_EQ(RunCli({"figure", "2", "--scale=0.1", "--runs=0"}),
             cli::kExitUsage);
@@ -95,21 +115,18 @@ TEST(CliTest, ValueFlagWithoutValueIsAnError) {
 }
 
 TEST(CliTest, ListSucceeds) {
-  ::testing::internal::CaptureStdout();
-  int rc = RunCli({"list"});
-  std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("Sparsifiers"), std::string::npos);
-  EXPECT_NE(out.find("Figures"), std::string::npos);
+  const CliRun list = RunCliCaptured({"list"});
+  EXPECT_EQ(list.rc, 0);
+  EXPECT_NE(list.out.find("Sparsifiers"), std::string::npos);
+  EXPECT_NE(list.out.find("Figures"), std::string::npos);
 }
 
 TEST(CliTest, BooleanFlagDoesNotSwallowPositionalArg) {
   // `figure --csv 2` must run figure 2, not consume "2" as --csv's value.
-  ::testing::internal::CaptureStdout();
-  int rc = RunCli({"figure", "--csv", "2", "--runs=1", "--scale=0.1"});
-  std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("Figure 2"), std::string::npos);
+  const CliRun figure =
+      RunCliCaptured({"figure", "--csv", "2", "--runs=1", "--scale=0.1"});
+  EXPECT_EQ(figure.rc, 0);
+  EXPECT_NE(figure.out.find("Figure 2"), std::string::npos);
 }
 
 TEST(CliTest, SeedAboveIntMaxIsPreserved) {
@@ -118,10 +135,9 @@ TEST(CliTest, SeedAboveIntMaxIsPreserved) {
                     "--algos=SF", "--runs=1", "--scale=0.1",
                     "--seed=5000000000", "--store=" + dir}),
             0);
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"ls", "--store=" + dir}), 0);
-  std::string ls = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(ls.find("seed=5000000000"), std::string::npos);
+  const CliRun ls = RunCliCaptured({"ls", "--store=" + dir});
+  ASSERT_EQ(ls.rc, 0);
+  EXPECT_NE(ls.out.find("seed=5000000000"), std::string::npos);
 }
 
 TEST(CliTest, UnknownMetricAndDatasetReportErrors) {
@@ -134,26 +150,23 @@ TEST(CliTest, UnknownMetricAndDatasetReportErrors) {
 }
 
 TEST(CliTest, MetricsSubcommandListsRegistry) {
-  ::testing::internal::CaptureStdout();
-  int rc = RunCli({"metrics"});
-  std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("spsp"), std::string::npos);
-  EXPECT_NE(out.find("sampled"), std::string::npos);
-  EXPECT_NE(out.find("deterministic"), std::string::npos);
-  EXPECT_NE(out.find("kcore"), std::string::npos);
+  const CliRun metrics = RunCliCaptured({"metrics"});
+  EXPECT_EQ(metrics.rc, 0);
+  EXPECT_NE(metrics.out.find("spsp"), std::string::npos);
+  EXPECT_NE(metrics.out.find("sampled"), std::string::npos);
+  EXPECT_NE(metrics.out.find("deterministic"), std::string::npos);
+  EXPECT_NE(metrics.out.find("kcore"), std::string::npos);
 }
 
 TEST(CliTest, MultiMetricSweepSharesSubgraphs) {
   // --metrics=a,b over one grid: units = 2 x cells, but each cell's
   // subgraph is built once (RN 3x2 + LD 3x1 = 9 cells on a 3-rate grid).
-  ::testing::internal::CaptureStdout();
-  int rc = RunCli({"sweep", "--dataset=ego-Facebook",
-                   "--metrics=degree,kcore", "--algos=RN,LD",
-                   "--rates=0.2,0.5,0.8", "--runs=2", "--scale=0.1",
-                   "--csv"});
-  std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0);
+  const CliRun sweep = RunCliCaptured(
+      {"sweep", "--dataset=ego-Facebook", "--metrics=degree,kcore",
+       "--algos=RN,LD", "--rates=0.2,0.5,0.8", "--runs=2", "--scale=0.1",
+       "--csv"});
+  const std::string& out = sweep.out;
+  EXPECT_EQ(sweep.rc, 0);
   EXPECT_NE(out.find("total=18"), std::string::npos);
   EXPECT_NE(out.find("submitted=18"), std::string::npos);
   EXPECT_NE(out.find("subgraph_builds=9"), std::string::npos);
@@ -174,21 +187,20 @@ TEST(CliTest, ReferenceStageShowsInBannerProfileAndTrace) {
       "--rates=0.5", "--runs=1", "--scale=0.1"};
   std::vector<std::string> profile = {"profile"};
   profile.insert(profile.end(), grid.begin(), grid.end());
-  ::testing::internal::CaptureStdout();
-  int rc = RunCli(profile);
-  std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("reference_stages=1"), std::string::npos) << out;
-  EXPECT_NE(out.find("\nreference    closeness "), std::string::npos) << out;
+  const CliRun profiled = RunCliCaptured(profile);
+  EXPECT_EQ(profiled.rc, 0);
+  EXPECT_NE(profiled.out.find("reference_stages=1"), std::string::npos)
+      << profiled.out;
+  EXPECT_NE(profiled.out.find("\nreference    closeness "), std::string::npos)
+      << profiled.out;
 
   std::string trace = TestPath("trace.json");
   std::vector<std::string> sweep = {"sweep", "--trace=" + trace};
   sweep.insert(sweep.end(), grid.begin(), grid.end());
-  ::testing::internal::CaptureStdout();
-  rc = RunCli(sweep);
-  out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("reference_stages=1"), std::string::npos) << out;
+  const CliRun swept = RunCliCaptured(sweep);
+  EXPECT_EQ(swept.rc, 0);
+  EXPECT_NE(swept.out.find("reference_stages=1"), std::string::npos)
+      << swept.out;
   std::ifstream in(trace);
   std::string json((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
@@ -199,14 +211,13 @@ TEST(CliTest, PaperPresetPinsRunsAndPerDatasetScaleOverrides) {
   // --paper defaults runs to 10 (RN alone: 9 rates x 10 runs = 90 cells);
   // the dataset/metric lists stay overridable, and --scale accepts
   // per-dataset overrides whose value lands in the dataset key.
-  ::testing::internal::CaptureStdout();
-  int rc = RunCli({"sweep", "--paper", "--dataset=ego-Facebook",
-                   "--metrics=kcore", "--algos=RN", "--rates=0.2,0.5",
-                   "--scale=0.2,ego-Facebook=0.1", "--csv"});
-  std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, 0);
-  EXPECT_NE(out.find("ego-Facebook@0.1"), std::string::npos);  // override
-  EXPECT_NE(out.find("total=20"), std::string::npos);  // 2 rates x 10 runs
+  const CliRun paper = RunCliCaptured(
+      {"sweep", "--paper", "--dataset=ego-Facebook", "--metrics=kcore",
+       "--algos=RN", "--rates=0.2,0.5", "--scale=0.2,ego-Facebook=0.1",
+       "--csv"});
+  EXPECT_EQ(paper.rc, 0);
+  EXPECT_NE(paper.out.find("ego-Facebook@0.1"), std::string::npos);
+  EXPECT_NE(paper.out.find("total=20"), std::string::npos);  // 2 rates x 10
   // An override naming a dataset outside the sweep is a hard error.
   EXPECT_NE(RunCli({"sweep", "--dataset=ego-Facebook", "--metrics=kcore",
                     "--scale=0.1,web-Google=0.2"}),
@@ -224,41 +235,39 @@ TEST(CliTest, SweepResumeExportLsEndToEnd) {
       "--store=" + StoreDir(),                 "--resume",
       "--csv"};
 
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli(sweep_args), 0);
-  std::string first = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(first.find("cached=0"), std::string::npos);
-  EXPECT_NE(first.find("submitted=18"), std::string::npos);
+  const CliRun first = RunCliCaptured(sweep_args);
+  ASSERT_EQ(first.rc, 0);
+  EXPECT_NE(first.out.find("cached=0"), std::string::npos);
+  EXPECT_NE(first.out.find("submitted=18"), std::string::npos);
 
   // Second run against the same store: everything cached, nothing
   // scheduled, identical CSV below the scheduling banner.
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli(sweep_args), 0);
-  std::string second = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(second.find("cached=18"), std::string::npos);
-  EXPECT_NE(second.find("submitted=0"), std::string::npos);
-  EXPECT_EQ(first.substr(first.find('\n')), second.substr(second.find('\n')));
+  const CliRun second = RunCliCaptured(sweep_args);
+  ASSERT_EQ(second.rc, 0);
+  EXPECT_NE(second.out.find("cached=18"), std::string::npos);
+  EXPECT_NE(second.out.find("submitted=0"), std::string::npos);
+  EXPECT_EQ(first.out.substr(first.out.find('\n')),
+            second.out.substr(second.out.find('\n')));
 
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"ls", "--store=" + StoreDir()}), 0);
-  std::string ls = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(ls.find("cells: 18"), std::string::npos);
-  EXPECT_NE(ls.find("ego-Facebook@0.1 degree"), std::string::npos);
+  const CliRun ls = RunCliCaptured({"ls", "--store=" + StoreDir()});
+  ASSERT_EQ(ls.rc, 0);
+  EXPECT_NE(ls.out.find("cells: 18"), std::string::npos);
+  EXPECT_NE(ls.out.find("ego-Facebook@0.1 degree"), std::string::npos);
 
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"export", "--store=" + StoreDir()}), 0);
-  std::string exported = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(exported.find("sparsifier,prune_rate,achieved_prune_rate,value,"
-                          "stddev,runs"),
+  const CliRun exported = RunCliCaptured({"export", "--store=" + StoreDir()});
+  ASSERT_EQ(exported.rc, 0);
+  EXPECT_NE(exported.out.find("sparsifier,prune_rate,achieved_prune_rate,"
+                              "value,stddev,runs"),
             std::string::npos);
-  EXPECT_NE(exported.find("RN,"), std::string::npos);
+  EXPECT_NE(exported.out.find("RN,"), std::string::npos);
 
   EXPECT_NE(RunCli({"export", "--store=" + StoreDir(), "--format=bogus"}),
             0);
 }
 
 // `ingest` and `sparsify --input` read a file through the one edge-list
-// parser: the same graph from a messy file, and exit 1 on a malformed one.
+// parser: the same graph from a messy file, and exit 1 on a malformed one,
+// whether its edge or (with --weighted) its weight is malformed.
 TEST(CliTest, IngestAndSparsifyReadTheSameGraph) {
   const std::string dir = TestPath("edge_lists");
   fs::create_directories(dir);
@@ -267,6 +276,8 @@ TEST(CliTest, IngestAndSparsifyReadTheSameGraph) {
       << "# header\n% comment\n\n \t\r\n0 1\n1 2\r\n2 0\n2 0\n9 3\n3 3\n";
   const std::string bad = dir + "/bad.txt";
   std::ofstream(bad, std::ios::binary) << "0 1\n1\n2 3\n";
+  const std::string bad_weight = dir + "/bad_weight.txt";
+  std::ofstream(bad_weight, std::ios::binary) << "0 1 2\n1 2 2.5abc\n2 3\n";
   auto sizes = [](const std::string& out) {
     const size_t at = out.find("|V|=");
     return at == std::string::npos
@@ -274,28 +285,38 @@ TEST(CliTest, IngestAndSparsifyReadTheSameGraph) {
                : out.substr(at, out.find(" isolated", at) - at);
   };
 
-  ::testing::internal::CaptureStdout();
-  const int ingest_rc =
-      RunCli({"ingest", "--input=" + messy, "--threads=2"});
-  const std::string ingested = sizes(::testing::internal::GetCapturedStdout());
-  ::testing::internal::CaptureStdout();
-  const int sparsify_rc =
-      RunCli({"sparsify", "--algo=RN", "--rate=0", "--input=" + messy,
-              "--output=" + dir + "/out.txt"});
-  const std::string sparsified =
-      sizes(::testing::internal::GetCapturedStdout());
-  EXPECT_EQ(ingest_rc, cli::kExitOk);
-  EXPECT_EQ(sparsify_rc, cli::kExitOk);
-  EXPECT_EQ(ingested, "|V|=10 |E|=4");
-  EXPECT_EQ(sparsified, ingested);
+  const CliRun ingested =
+      RunCliCaptured({"ingest", "--input=" + messy, "--threads=2"});
+  const CliRun sparsified =
+      RunCliCaptured({"sparsify", "--algo=RN", "--rate=0", "--input=" + messy,
+                      "--output=" + dir + "/out.txt"});
+  EXPECT_EQ(ingested.rc, cli::kExitOk);
+  EXPECT_EQ(sparsified.rc, cli::kExitOk);
+  EXPECT_EQ(sizes(ingested.out), "|V|=10 |E|=4");
+  EXPECT_EQ(sizes(sparsified.out), sizes(ingested.out));
 
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(RunCli({"ingest", "--input=" + bad}), cli::kExitUsage);
-  EXPECT_EQ(RunCli({"sparsify", "--algo=RN", "--rate=0", "--input=" + bad,
-                    "--output=" + dir + "/bad_out.txt"}),
-            cli::kExitUsage);
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("bad edge at line 2"), std::string::npos) << err;
+  // Both commands reject a malformed file with the parser's message.
+  auto expect_rejected = [&](const std::string& input, bool weighted,
+                             const std::string& message) {
+    std::vector<std::string> ingest = {"ingest", "--input=" + input};
+    std::vector<std::string> sparsify = {"sparsify", "--algo=RN", "--rate=0",
+                                         "--input=" + input,
+                                         "--output=" + dir + "/bad_out.txt"};
+    if (weighted) {
+      ingest.push_back("--weighted");
+      sparsify.push_back("--weighted");
+    }
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(RunCli(ingest), cli::kExitUsage);
+    EXPECT_EQ(RunCli(sparsify), cli::kExitUsage);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(message), std::string::npos) << err;
+  };
+  expect_rejected(bad, false, "bad edge at line 2");
+  expect_rejected(bad_weight, true, "bad weight at line 2");
+  // Without --weighted the weight field is never read.
+  EXPECT_EQ(RunCliCaptured({"ingest", "--input=" + bad_weight}).rc,
+            cli::kExitOk);
 }
 
 // Exit codes are the torture harness's (and CI's) contract: each failure
@@ -326,9 +347,7 @@ TEST_F(CliExitCodeTest, BusyStoreExitsWithLockHeldCode) {
       CellKey{"ego-Facebook@0.1", "RN", 0.5, 0, 1234567u, "degree", "x"},
       0.5, 1.0);
   EXPECT_EQ(RunCli({"ls", "--store=" + dir}), cli::kExitOk);
-  ::testing::internal::CaptureStdout();
-  EXPECT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
-  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(RunCliCaptured({"export", "--store=" + dir}).rc, cli::kExitOk);
   EXPECT_EQ(RunCli(SweepArgs(dir)), cli::kExitLockHeld);
   EXPECT_EQ(RunCli({"compact", "--store=" + dir}), cli::kExitLockHeld);
   std::string other = TestPath("exit_lock_other");
@@ -344,9 +363,9 @@ std::string ReadFile(const std::string& path) {
 }
 
 std::string CaptureExport(const std::string& dir) {
-  ::testing::internal::CaptureStdout();
-  EXPECT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
-  return ::testing::internal::GetCapturedStdout();
+  const CliRun exported = RunCliCaptured({"export", "--store=" + dir});
+  EXPECT_EQ(exported.rc, cli::kExitOk);
+  return exported.out;
 }
 
 TEST_F(CliExitCodeTest, StoreFromSharedDirectoryBinariesStillReads) {
@@ -355,9 +374,7 @@ TEST_F(CliExitCodeTest, StoreFromSharedDirectoryBinariesStillReads) {
   // torn tail besides, opens, exports what its records export, and
   // compact drops the claim.
   std::string clean = TestPath("shared_clean");
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli(SweepArgs(clean)), cli::kExitOk);
-  ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(RunCliCaptured(SweepArgs(clean)).rc, cli::kExitOk);
   const std::string want = CaptureExport(clean);
 
   std::string dir = TestPath("shared_store");
@@ -377,11 +394,10 @@ TEST_F(CliExitCodeTest, StoreFromSharedDirectoryBinariesStillReads) {
   std::ofstream(dir + "/leases.lock", std::ios::binary);
 
   EXPECT_EQ(CaptureExport(dir), want);
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"compact", "--store=" + dir}), cli::kExitOk);
-  const std::string compacted = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(compacted.find(": 3 -> 2 records"), std::string::npos)
-      << compacted;
+  const CliRun compacted = RunCliCaptured({"compact", "--store=" + dir});
+  ASSERT_EQ(compacted.rc, cli::kExitOk);
+  EXPECT_NE(compacted.out.find(": 3 -> 2 records"), std::string::npos)
+      << compacted.out;
   EXPECT_TRUE(SegmentFiles(dir).empty());
   EXPECT_EQ(ReadFile(dir + "/results.jsonl").find("claim"),
             std::string::npos);
@@ -410,21 +426,18 @@ TEST_F(CliExitCodeTest, PermanentUnitFailuresExitWithUnitFailureCode) {
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit/degree=throw", 1),
             0);
-  ::testing::internal::CaptureStdout();
-  int rc = RunCli(SweepArgs(dir));
-  std::string out = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(rc, cli::kExitUnitFailures);
-  EXPECT_NE(out.find("failed=1"), std::string::npos);
+  const CliRun failed = RunCliCaptured(SweepArgs(dir));
+  EXPECT_EQ(failed.rc, cli::kExitUnitFailures);
+  EXPECT_NE(failed.out.find("failed=1"), std::string::npos);
 
   // The failure-free metric completed and is in the store; the resume
   // (faults disarmed) submits only the failed unit and exits clean.
   ::unsetenv("SPARSIFY_FAILPOINTS");
   fail::DisarmAll();
-  ::testing::internal::CaptureStdout();
-  EXPECT_EQ(RunCli(SweepArgs(dir)), cli::kExitOk);
-  std::string healed = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(healed.find("submitted=1"), std::string::npos);
-  EXPECT_NE(healed.find("cached=1"), std::string::npos);
+  const CliRun healed = RunCliCaptured(SweepArgs(dir));
+  EXPECT_EQ(healed.rc, cli::kExitOk);
+  EXPECT_NE(healed.out.find("submitted=1"), std::string::npos);
+  EXPECT_NE(healed.out.find("cached=1"), std::string::npos);
 }
 
 // A store write that throws is the store's failure, not its unit's: no
@@ -438,9 +451,7 @@ TEST_F(CliExitCodeTest, StoreWriteFailureIsNoUnitFailure) {
       "--scale=0.2",    "--threads=1",            "--store=" + dir,
       "--resume",       "--csv"};
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS", "store.append=throw@3", 1), 0);
-  ::testing::internal::CaptureStdout();
-  const int rc = RunCli(args);
-  ::testing::internal::GetCapturedStdout();
+  const int rc = RunCliCaptured(args).rc;
   EXPECT_NE(rc, cli::kExitOk);
   EXPECT_NE(rc, cli::kExitUnitFailures);
   ::unsetenv("SPARSIFY_FAILPOINTS");
@@ -455,12 +466,11 @@ TEST_F(CliExitCodeTest, StoreWriteFailureIsNoUnitFailure) {
     stored = store.Size();
   }
   ASSERT_LT(stored, 8u);
-  ::testing::internal::CaptureStdout();
-  EXPECT_EQ(RunCli(args), cli::kExitOk);
-  const std::string healed = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(healed.find("submitted=" + std::to_string(8 - stored)),
+  const CliRun healed = RunCliCaptured(args);
+  EXPECT_EQ(healed.rc, cli::kExitOk);
+  EXPECT_NE(healed.out.find("submitted=" + std::to_string(8 - stored)),
             std::string::npos)
-      << healed;
+      << healed.out;
 }
 
 TEST_F(CliExitCodeTest, AllTransientFailuresExitWithTransientCode) {
@@ -480,20 +490,18 @@ TEST_F(CliExitCodeTest, CompactSubcommandShrinksAndKeepsExport) {
   ASSERT_EQ(RunCli(args), cli::kExitOk);
   ASSERT_EQ(RunCli(args), cli::kExitOk);
 
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
-  std::string before = ::testing::internal::GetCapturedStdout();
+  const CliRun before = RunCliCaptured({"export", "--store=" + dir});
+  ASSERT_EQ(before.rc, cli::kExitOk);
 
   const auto bytes_before = StoreBytes(dir);
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"compact", "--store=" + dir}), cli::kExitOk);
-  std::string compact_out = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(compact_out.find("compacted"), std::string::npos);
+  const CliRun compacted = RunCliCaptured({"compact", "--store=" + dir});
+  ASSERT_EQ(compacted.rc, cli::kExitOk);
+  EXPECT_NE(compacted.out.find("compacted"), std::string::npos);
   EXPECT_LT(StoreBytes(dir), bytes_before);
 
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"export", "--store=" + dir}), cli::kExitOk);
-  EXPECT_EQ(::testing::internal::GetCapturedStdout(), before);
+  const CliRun after = RunCliCaptured({"export", "--store=" + dir});
+  ASSERT_EQ(after.rc, cli::kExitOk);
+  EXPECT_EQ(after.out, before.out);
 
   EXPECT_EQ(RunCli({"compact"}), cli::kExitUsage);  // --store required
 }
@@ -506,9 +514,9 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
                     "--algos=RN", "--rates=0.3,0.6", "--runs=1",
                     "--scale=0.1", "--store=" + full}),
             cli::kExitOk);
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"export", "--store=" + full}), cli::kExitOk);
-  const std::string want = ::testing::internal::GetCapturedStdout();
+  const CliRun full_export = RunCliCaptured({"export", "--store=" + full});
+  ASSERT_EQ(full_export.rc, cli::kExitOk);
+  const std::string& want = full_export.out;
 
   std::string a = TestPath("merge_a");
   std::string b = TestPath("merge_b");
@@ -522,23 +530,16 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
             cli::kExitOk);
 
   std::string out = TestPath("merge_out");
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"merge", a, b, "-o", out}), cli::kExitOk);
-  std::string merge_out = ::testing::internal::GetCapturedStdout();
-  EXPECT_NE(merge_out.find("merged 2 store(s)"), std::string::npos);
-
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"export", "--store=" + out}), cli::kExitOk);
-  EXPECT_EQ(::testing::internal::GetCapturedStdout(), want);
+  const CliRun merged = RunCliCaptured({"merge", a, b, "-o", out});
+  ASSERT_EQ(merged.rc, cli::kExitOk);
+  EXPECT_NE(merged.out.find("merged 2 store(s)"), std::string::npos);
+  EXPECT_EQ(CaptureExport(out), want);
 
   // Merging is idempotent: folding the same inputs again (--out flag
   // spelling) changes nothing.
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"merge", a, b, "--out=" + out}), cli::kExitOk);
-  ::testing::internal::GetCapturedStdout();
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli({"export", "--store=" + out}), cli::kExitOk);
-  EXPECT_EQ(::testing::internal::GetCapturedStdout(), want);
+  ASSERT_EQ(RunCliCaptured({"merge", a, b, "--out=" + out}).rc,
+            cli::kExitOk);
+  EXPECT_EQ(CaptureExport(out), want);
 
   // Three static shards of a grid with five score groups, each into its
   // own directory, fold to the cold export of the whole grid.
@@ -549,9 +550,9 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
     std::vector<std::string> args = grid;
     args.push_back("--store=" + dir);
     if (!shard.empty()) args.push_back("--shard=" + shard);
-    ::testing::internal::CaptureStdout();
-    EXPECT_EQ(RunCli(args), cli::kExitOk) << shard;
-    return ::testing::internal::GetCapturedStdout();
+    const CliRun swept = RunCliCaptured(args);
+    EXPECT_EQ(swept.rc, cli::kExitOk) << shard;
+    return swept.out;
   };
   std::string cold3 = TestPath("merge_cold3");
   sweep_into(cold3, "");
@@ -566,11 +567,9 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   }
   std::string out3 = TestPath("merge_out3");
   merge3.insert(merge3.end(), {"-o", out3});
-  ::testing::internal::CaptureStdout();
-  ASSERT_EQ(RunCli(merge3), cli::kExitOk);
-  EXPECT_NE(::testing::internal::GetCapturedStdout().find(
-                "merged 3 store(s)"),
-            std::string::npos);
+  const CliRun merged3 = RunCliCaptured(merge3);
+  ASSERT_EQ(merged3.rc, cli::kExitOk);
+  EXPECT_NE(merged3.out.find("merged 3 store(s)"), std::string::npos);
   EXPECT_EQ(CaptureExport(out3), CaptureExport(cold3));
 
   // Usage and IO errors: no inputs / missing output / absent input dir.
@@ -579,41 +578,35 @@ TEST_F(CliExitCodeTest, MergeFoldsShardStoresIntoColdEquivalent) {
   EXPECT_EQ(RunCli({"merge", a + "_no_such_dir", "-o", out}), cli::kExitIo);
 }
 
-// The watchdog cancels the stage that stalled, not the run: with no
-// --deadline, a score group that hangs ends its cells as 'deadline'
-// error records, the other group completes, and the sweep exits with the
-// transient/deadline code. A fault-free resume heals the store to the
-// export of a cold run.
-TEST_F(CliExitCodeTest, WatchdogFailsAStalledScoreGroupAlone) {
+// A stage timeout fails the stage that stalled, not the run: with no
+// --deadline, a score group that hangs past --stage-timeout ends its cells
+// as 'deadline' error records naming the stage, the other group completes,
+// and the sweep exits with the transient/deadline code. A fault-free
+// resume heals the store to the export of a cold run.
+TEST_F(CliExitCodeTest, StageTimeoutFailsAStalledScoreGroupAlone) {
   auto args = [](const std::string& dir) {
     return std::vector<std::string>{
         "sweep",       "--dataset=ego-Facebook", "--scale=0.2",
         "--metrics=degree", "--algos=RN,LD",     "--rates=0.5",
         "--runs=1",    "--resume",               "--store=" + dir};
   };
-  const std::string cold = TestPath("watchdog_cold");
-  ::testing::internal::CaptureStdout();
-  const int cold_rc = RunCli(args(cold));
-  ::testing::internal::GetCapturedStdout();
-  ASSERT_EQ(cold_rc, cli::kExitOk);
+  const std::string cold = TestPath("stage_timeout_cold");
+  ASSERT_EQ(RunCliCaptured(args(cold)).rc, cli::kExitOk);
   const std::string want = CaptureExport(cold);
 
-  const std::string dir = TestPath("watchdog_store");
+  const std::string dir = TestPath("stage_timeout_store");
   // The scoped site picks LD's group at any thread count.
   ASSERT_EQ(
       ::setenv("SPARSIFY_FAILPOINTS", "engine.score_group/LD=hang@1", 1), 0);
   std::vector<std::string> stalled = args(dir);
-  stalled.push_back("--watchdog-stall=1");
-  ::testing::internal::CaptureStdout();
+  stalled.push_back("--stage-timeout=1");
   ::testing::internal::CaptureStderr();
-  const int rc = RunCli(stalled);
+  const int rc = RunCliCaptured(stalled).rc;
   const std::string err = ::testing::internal::GetCapturedStderr();
-  ::testing::internal::GetCapturedStdout();
   ::unsetenv("SPARSIFY_FAILPOINTS");
   fail::DisarmAll();
   EXPECT_EQ(rc, cli::kExitTransientFailures) << err;
-  EXPECT_NE(err.find("sparsify watchdog: no progress"), std::string::npos)
-      << err;
+  EXPECT_NE(err.find("1 deadline"), std::string::npos) << err;
   EXPECT_EQ(err.find("--deadline"), std::string::npos) << err;
   {
     ResultStoreOptions snapshot;
@@ -624,14 +617,14 @@ TEST_F(CliExitCodeTest, WatchdogFailsAStalledScoreGroupAlone) {
     for (const StoredCell& cell : store.Cells()) {
       EXPECT_EQ(cell.is_error, cell.key.sparsifier == "LD")
           << cell.key.Canonical();
-      if (cell.is_error) EXPECT_EQ(cell.error_class, "deadline");
+      if (!cell.is_error) continue;
+      EXPECT_EQ(cell.error_class, "deadline");
+      EXPECT_EQ(cell.error_message, "score_group LD: stage timeout 1s");
     }
   }
-  ::testing::internal::CaptureStdout();
-  const int resume_rc = RunCli(args(dir));
-  const std::string healed = ::testing::internal::GetCapturedStdout();
-  EXPECT_EQ(resume_rc, cli::kExitOk);
-  EXPECT_NE(healed.find("submitted=1"), std::string::npos) << healed;
+  const CliRun healed = RunCliCaptured(args(dir));
+  EXPECT_EQ(healed.rc, cli::kExitOk);
+  EXPECT_NE(healed.out.find("submitted=1"), std::string::npos) << healed.out;
   EXPECT_EQ(CaptureExport(dir), want);
 }
 
@@ -642,9 +635,7 @@ TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {
   ASSERT_EQ(::setenv("SPARSIFY_FAILPOINTS",
                      "engine.metric_unit/degree=throw", 1),
             0);
-  ::testing::internal::CaptureStdout();
-  EXPECT_EQ(RunCli(SweepArgs(a)), cli::kExitUnitFailures);
-  ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(RunCliCaptured(SweepArgs(a)).rc, cli::kExitUnitFailures);
   ::unsetenv("SPARSIFY_FAILPOINTS");
   fail::DisarmAll();
 
@@ -654,12 +645,11 @@ TEST_F(CliExitCodeTest, MergePrefersSuccessOverErrorRecords) {
   for (const std::vector<std::string>& order :
        {std::vector<std::string>{a, b}, std::vector<std::string>{b, a}}) {
     std::string out = TestPath("merge_err_out");
-    ::testing::internal::CaptureStdout();
-    ASSERT_EQ(RunCli({"merge", order[0], order[1], "-o", out}),
-              cli::kExitOk);
-    std::string merge_out = ::testing::internal::GetCapturedStdout();
-    EXPECT_EQ(merge_out.find("unresolved error"), std::string::npos)
-        << merge_out;
+    const CliRun merge = RunCliCaptured({"merge", order[0], order[1], "-o",
+                                         out});
+    ASSERT_EQ(merge.rc, cli::kExitOk);
+    EXPECT_EQ(merge.out.find("unresolved error"), std::string::npos)
+        << merge.out;
     ResultStoreOptions snapshot;
     snapshot.read_only = true;
     ResultStore merged(out, snapshot);

@@ -264,8 +264,9 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
       run_token.Cancel();
     });
   } else if (action == "hang") {
+    // The stage parks until its own timeout fires.
     fail::ArmFromSpec(site + "=hang");
-    sweep.set_unit_timeout(0.05);
+    sweep.set_stage_timeout(0.05);
   } else {
     fail::ArmFromSpec(site + "=" + action);
   }
@@ -303,7 +304,15 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
     want_class = "transient";
     if (unit_site) want_attempts = 3;  // stage faults never retry
   }
-  if (action == "hang") want_class = "deadline";
+  // A stage timeout's record names the stage, its detail and the budget:
+  // "engine.score_group/RN" records "score_group RN: stage timeout 0.05s".
+  std::string want_message;
+  if (action == "hang") {
+    want_class = "deadline";
+    want_message = site.substr(site.find('.') + 1);
+    want_message[want_message.find('/')] = ' ';
+    want_message += ": stage timeout 0.05s";
+  }
   EXPECT_EQ(stats.failed_units, hit_units);
   EXPECT_EQ(stats.cancelled_units, 0u);
   EXPECT_EQ(stats.transient_failed_units,
@@ -320,6 +329,7 @@ TEST_P(FailureMatrixTest, OneClassifierAtEverySite) {
     if (!cell.is_error) continue;
     EXPECT_EQ(cell.error_class, want_class);
     EXPECT_EQ(cell.attempts, want_attempts);
+    if (!want_message.empty()) EXPECT_EQ(cell.error_message, want_message);
   }
 }
 
@@ -328,11 +338,10 @@ std::vector<FaultCase> FaultCases() {
   for (const char* site : {"engine.score_group/RN", "engine.subgraph/RN",
                            "engine.metric_unit/m_bad",
                            "engine.reference/m_bad"}) {
-    for (const char* action : {"throw", "throw-transient", "cancel"}) {
+    for (const char* action : {"throw", "throw-transient", "cancel", "hang"}) {
       cases.push_back({site, action});
     }
   }
-  cases.push_back({"engine.metric_unit/m_bad", "hang"});
   return cases;
 }
 

@@ -311,14 +311,33 @@ TEST(IoTest, MalformedLineThrows) {
   }
 }
 
-TEST(IoTest, MissingOrNonNumericWeightIsOne) {
-  Graph w = ParseEdgeList("0 1 2.5\n1 2\n2 3 x\n3 4 +0.25\n4 5\t1e-3 junk",
-                          true, true);
+TEST(IoTest, MissingWeightIsOne) {
+  Graph w = ParseEdgeList(
+      "0 1 2.5\n1 2\n2 3 \t\r\n3 4 +0.25\n4 5\t1e-3 junk\n5 6 -2\n",
+      true, true);
   EXPECT_EQ(w.EdgeWeight(w.FindEdge(0, 1)), 2.5);
   EXPECT_EQ(w.EdgeWeight(w.FindEdge(1, 2)), 1.0);
-  EXPECT_EQ(w.EdgeWeight(w.FindEdge(2, 3)), 1.0);
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(2, 3)), 1.0);  // only blanks after v
   EXPECT_EQ(w.EdgeWeight(w.FindEdge(3, 4)), 0.25);
-  EXPECT_EQ(w.EdgeWeight(w.FindEdge(4, 5)), 1e-3);
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(4, 5)), 1e-3);  // later fields ignored
+  EXPECT_EQ(w.EdgeWeight(w.FindEdge(5, 6)), -2.0);
+  // Unweighted parsing never reads a third field.
+  Graph u = ParseEdgeList("0 1 abc\n", true, false);
+  EXPECT_EQ(u.NumEdges(), 1u);
+}
+
+TEST(IoTest, MalformedWeightThrows) {
+  for (const char* weight :
+       {"abc", "2.5abc", "1e400", "-1e400", "nan", "inf", "+", "+-1", "++1",
+        "0x1p3", "1,5"}) {
+    const std::string text = "0 1 2\n1 2 " + std::string(weight) + " x\n";
+    try {
+      ParseEdgeList(text, false, true);
+      ADD_FAILURE() << "weight '" << weight << "' parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "bad weight at line 2") << weight;
+    }
+  }
 }
 
 TEST(UnionFindTest, BasicMerge) {
