@@ -218,9 +218,9 @@ int TraversalBenchMain(const cli::Args& args) {
   for (size_t gi = 0; gi < opt.datasets.size(); ++gi) {
     const std::string& spec = opt.datasets[gi];
     const auto& [name, scale] = graphs[gi];
-    // One span per dataset: the kernel itself records counters, not
-    // spans (its hot loops are the thing being measured), so the trace's
-    // granularity here is the per-graph measurement section.
+    // One span per dataset: the kernel itself records no spans (its hot
+    // loops are the thing being measured), so the trace's granularity
+    // here is the per-graph measurement section.
     TRACE_SPAN(graph_span, "bench_graph");
     if (graph_span.active()) graph_span.Detail(spec);
     Graph loaded = LoadDatasetScaledCached(name, scale, opt.cache_dir);

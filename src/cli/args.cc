@@ -1,7 +1,9 @@
 #include "src/cli/args.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,14 +30,17 @@ double ParseDoubleValue(const std::string& key, const std::string& value) {
   return v;
 }
 
-long ParseIntValue(const std::string& key, const std::string& value) {
+int ParseIntValue(const std::string& key, const std::string& value) {
   char* end = nullptr;
+  errno = 0;
   long v = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
     throw std::invalid_argument("invalid integer for --" + key + ": '" +
                                 value + "'");
   }
-  return v;
+  return static_cast<int>(v);
 }
 
 uint64_t ParseUint64Value(const std::string& key, const std::string& value) {
@@ -44,8 +49,9 @@ uint64_t ParseUint64Value(const std::string& key, const std::string& value) {
     throw std::invalid_argument("invalid seed for --" + key + ": '" + value +
                                 "'");
   }
+  errno = 0;
   uint64_t v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
+  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument("invalid integer for --" + key + ": '" +
                                 value + "'");
   }

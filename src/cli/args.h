@@ -16,10 +16,11 @@
 namespace sparsify::cli {
 
 // Strict numeric parsing: a malformed value must abort the run, not
-// silently become 0 (the same discipline as unknown flag names). Each
-// throws std::invalid_argument naming --key.
+// silently become 0 (the same discipline as unknown flag names), and an
+// integer out of its type's range must not wrap or saturate. Each throws
+// std::invalid_argument naming --key.
 double ParseDoubleValue(const std::string& key, const std::string& value);
-long ParseIntValue(const std::string& key, const std::string& value);
+int ParseIntValue(const std::string& key, const std::string& value);
 uint64_t ParseUint64Value(const std::string& key, const std::string& value);
 
 struct Args {
@@ -38,9 +39,7 @@ struct Args {
   }
   int GetInt(const std::string& key, int fallback) const {
     auto it = named.find(key);
-    return it == named.end()
-               ? fallback
-               : static_cast<int>(ParseIntValue(key, it->second));
+    return it == named.end() ? fallback : ParseIntValue(key, it->second);
   }
   uint64_t GetUint64(const std::string& key, uint64_t fallback) const {
     auto it = named.find(key);

@@ -24,7 +24,6 @@
 #include "src/graph/datasets.h"
 #include "src/graph/ingest.h"
 #include "src/graph/io.h"
-#include "src/obs/counters.h"
 #include "src/obs/profile.h"
 #include "src/obs/trace.h"
 #include "src/util/cancel.h"
@@ -390,12 +389,9 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
   const ShardSpec shard = ShardFlag(args);
 
   BatchRunner runner(args.GetInt("threads", 0));
-  if (profile_mode) {
-    // Scope the registry and pool counters to this run so the breakdown
-    // reports this sweep, not process history.
-    obs::ResetAllStats();
-    runner.ResetPoolStats();
-  }
+  // Scope the pool's busy time to this run, so pool_util reports this
+  // sweep, not process history.
+  if (profile_mode) runner.ResetPoolBusySeconds();
   // Whole-run cancellation: one token shared by the signal bridge, the
   // --deadline, and (as parent) every stage's own token.
   // Installed before the store opens so a signal during a long replay
@@ -478,7 +474,7 @@ int RunSweepJobs(const Args& args, const std::string& cmd_name,
       obs::ProfileSummary summary;
       summary.wall_seconds = run_seconds;
       summary.threads = static_cast<size_t>(runner.NumThreads());
-      summary.pool_busy_seconds = runner.PoolStats().busy_seconds;
+      summary.pool_busy_seconds = runner.PoolBusySeconds();
       PrintProfile(obs::BuildProfile(events), summary, std::cout);
       // Cross-check against the scheduler: one metric_unit span per
       // submitted (cell x metric) unit, across every dataset swept.

@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
@@ -69,38 +68,25 @@ void AtomicAdd(T& field, T delta) {
 // two-phase metrics, their reference.
 enum Stage { kReference, kScoreGroup, kSubgraph, kMetricUnit, kNumStages };
 
-// What a stage reports to: its span/activity name, its failpoint site, its
-// engine.* counter and latency histogram, and the BatchRunStats fields it
-// sums into (metric units have no run count: metric_units is the number
-// scheduled).
+// What a stage reports to: its span name, its failpoint site, and the
+// BatchRunStats fields it sums into (metric units have no run count:
+// metric_units is the number scheduled).
 struct StageSite {
   const char* name;
   const char* failpoint;
-  obs::Counter& count;
-  obs::Histogram& ns;
   size_t BatchRunStats::*run_count;
   double BatchRunStats::*run_seconds;
 };
 
-// Interned once per process, so the registry mutex is off the hot path.
-const StageSite& Site(Stage stage) {
-  static const StageSite* sites = new StageSite[kNumStages]{
-      {"reference", "engine.reference", obs::GetCounter("engine.references"),
-       obs::GetHistogram("engine.reference_ns"),
-       &BatchRunStats::reference_stages, &BatchRunStats::reference_seconds},
-      {"score_group", "engine.score_group",
-       obs::GetCounter("engine.score_groups"),
-       obs::GetHistogram("engine.score_ns"), &BatchRunStats::score_groups,
-       &BatchRunStats::score_seconds},
-      {"subgraph", "engine.subgraph", obs::GetCounter("engine.subgraph_builds"),
-       obs::GetHistogram("engine.subgraph_ns"),
-       &BatchRunStats::subgraph_builds, &BatchRunStats::subgraph_seconds},
-      {"metric_unit", "engine.metric_unit",
-       obs::GetCounter("engine.metric_units"),
-       obs::GetHistogram("engine.metric_unit_ns"), nullptr,
-       &BatchRunStats::metric_seconds}};
-  return sites[stage];
-}
+constexpr StageSite kSites[kNumStages] = {
+    {"reference", "engine.reference", &BatchRunStats::reference_stages,
+     &BatchRunStats::reference_seconds},
+    {"score_group", "engine.score_group", &BatchRunStats::score_groups,
+     &BatchRunStats::score_seconds},
+    {"subgraph", "engine.subgraph", &BatchRunStats::subgraph_builds,
+     &BatchRunStats::subgraph_seconds},
+    {"metric_unit", "engine.metric_unit", nullptr,
+     &BatchRunStats::metric_seconds}};
 
 // How a caught failure ends its units. `run_cancelled` marks a
 // cancellation of the run itself: not a failure, nothing is recorded, and
@@ -116,8 +102,8 @@ struct Failure {
 // stage's own cancel token (chained under the run token, with a deadline
 // `timeout_seconds` from now unless that is 0), installed as the ambient
 // token its kernels poll, and the timer whose reading feeds the stage's
-// counter, histogram and run stats on exit. A stage that runs past its
-// timeout stops at its next poll and fails alone as a deadline.
+// run stats on exit. A stage that runs past its timeout stops at its
+// next poll and fails alone as a deadline.
 // A reference stage names no cell, so its span carries no cell args.
 // Only stages that actually start construct one, so every count equals
 // the stage's spans. Failpoint() fires the stage's scoped failpoint; call
@@ -129,7 +115,7 @@ class StageScope {
   StageScope(Stage stage, const std::string& detail, const BatchTask* task,
              const CancelToken& run_token, double timeout_seconds,
              BatchRunStats& run)
-      : site_(Site(stage)),
+      : site_(kSites[stage]),
         detail_(detail),
         timeout_seconds_(timeout_seconds),
         span_(site_.name),
@@ -150,13 +136,10 @@ class StageScope {
   }
 
   ~StageScope() {
-    double seconds = timer_.Seconds();
-    site_.count.Add();
-    site_.ns.Record(static_cast<uint64_t>(seconds * 1e9));
     if (site_.run_count != nullptr) {
       AtomicAdd(run_.*site_.run_count, size_t{1});
     }
-    AtomicAdd(run_.*site_.run_seconds, seconds);
+    AtomicAdd(run_.*site_.run_seconds, timer_.Seconds());
   }
 
   StageScope(const StageScope&) = delete;
@@ -190,7 +173,7 @@ class StageScope {
   const StageSite& site_;
   const std::string& detail_;
   const double timeout_seconds_;
-  obs::Span span_;
+  obs::ScopedSpan span_;
   CancelToken token_;
   CancelScope cancel_;
   Timer timer_;
@@ -231,9 +214,11 @@ BatchRunner::~BatchRunner() = default;
 
 int BatchRunner::NumThreads() const { return impl_->pool.NumThreads(); }
 
-ThreadPoolStats BatchRunner::PoolStats() const { return impl_->pool.Stats(); }
+double BatchRunner::PoolBusySeconds() const {
+  return impl_->pool.BusySeconds();
+}
 
-void BatchRunner::ResetPoolStats() { impl_->pool.ResetStats(); }
+void BatchRunner::ResetPoolBusySeconds() { impl_->pool.ResetBusySeconds(); }
 
 uint64_t BatchRunner::GroupSeed(uint64_t master_seed,
                                 const std::string& sparsifier, int run) {
@@ -311,6 +296,9 @@ BatchRunStats& BatchRunStats::operator+=(const BatchRunStats& other) {
 }
 
 std::vector<BatchTask> BatchRunner::ExpandGrid(const BatchSpec& spec) {
+  // Every rate, even one only rate-free sparsifiers would skip: a bad
+  // rate fails the grid before any work starts or any record is stored.
+  for (double rate : spec.prune_rates) CheckPruneRate(rate);
   std::vector<std::string> names =
       spec.sparsifiers.empty() ? SparsifierNames() : spec.sparsifiers;
   std::vector<BatchTask> tasks;

@@ -130,8 +130,8 @@ struct BatchSpec {
 /// rate-axis (scoring), reference and metric-axis (subgraph) sharing saved,
 /// and where the time went. score_groups, reference_stages and
 /// subgraph_builds count the stages that actually ran (one per
-/// score_group/reference/subgraph span and engine.* counter tick), so a
-/// cancelled or failed run reports only work it did. The timings are
+/// score_group/reference/subgraph span), so a cancelled or failed run
+/// reports only work it did. The timings are
 /// summed stage durations across workers (single-threaded they equal wall
 /// clock).
 struct BatchRunStats {
@@ -219,16 +219,16 @@ class BatchRunner {
 
   int NumThreads() const;
 
-  /// Always-on accounting of the underlying pool (per-worker busy time,
-  /// tasks executed, queue high-water). `sparsify_cli profile` derives
-  /// utilization as busy_seconds / (wall x NumThreads()).
-  ThreadPoolStats PoolStats() const;
+  /// The pool's busy time (ThreadPool::BusySeconds). `sparsify_cli
+  /// profile` derives utilization as busy / (wall x NumThreads()).
+  double PoolBusySeconds() const;
 
-  /// Zeroes the pool counters so a profile run measures only itself.
-  void ResetPoolStats();
+  /// Zeroes the pool's busy time so a profile run measures only itself.
+  void ResetPoolBusySeconds();
 
   /// Expands `spec` into the task grid. Deterministic and thread-free;
-  /// exposed so callers can inspect or shard the grid.
+  /// exposed so callers can inspect or shard the grid. Throws
+  /// std::invalid_argument if any prune rate is outside [0, 1) or NaN.
   static std::vector<BatchTask> ExpandGrid(const BatchSpec& spec);
 
   /// Seed of the shared scoring stream of group (sparsifier, run) under

@@ -6,38 +6,11 @@
 #include <functional>
 #include <stdexcept>
 
-#include "src/obs/counters.h"
 #include "src/util/cancel.h"
 
 namespace sparsify {
 
 namespace {
-
-// Kernel counters, bumped ONCE at the end of each call (never inside the
-// round loops — the hot path stays untouched). Function-local statics
-// would also work, but a single struct keeps the registry lookups (which
-// allocate on first use) off the per-call path entirely, preserving the
-// zero-alloc gate on warm calls.
-struct TraversalObs {
-  obs::Counter& bfs_calls = obs::GetCounter("traversal.bfs_calls");
-  obs::Counter& push_rounds = obs::GetCounter("traversal.push_rounds");
-  obs::Counter& pull_rounds = obs::GetCounter("traversal.pull_rounds");
-  obs::Histogram& frontier_peak =
-      obs::GetHistogram("traversal.frontier_peak");
-  obs::Counter& sssp_heap_calls = obs::GetCounter("traversal.sssp_heap_calls");
-  obs::Counter& sssp_delta_calls =
-      obs::GetCounter("traversal.sssp_delta_calls");
-  obs::Counter& sssp_bucket_advances =
-      obs::GetCounter("traversal.sssp_bucket_advances");
-  obs::Counter& msbfs_calls = obs::GetCounter("traversal.msbfs_calls");
-  obs::Counter& msbfs_pull_rounds =
-      obs::GetCounter("traversal.msbfs_pull_rounds");
-};
-
-TraversalObs& GetTraversalObs() {
-  static TraversalObs* t = new TraversalObs();
-  return *t;
-}
 
 // GAP direction-switch parameters (Beamer et al.). Push switches to pull
 // when the frontier's out-edge count exceeds 1/kAlpha of the PULL-side
@@ -176,8 +149,6 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
   uint32_t max_depth = 0;
   NodeId min_at_max = src;
   size_t frontier_count = 1;
-  size_t peak_frontier = 1;
-  uint64_t push_rounds = 0;
   const size_t words = (static_cast<size_t>(n) + 63) / 64;
 
   while (frontier_count > 0) {
@@ -255,7 +226,6 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
           sum.reached += awake;
           max_depth = depth;
           min_at_max = min_new;
-          peak_frontier = std::max(peak_frontier, static_cast<size_t>(awake));
         }
       } while (awake > 0 && static_cast<uint64_t>(awake) * kBeta >
                                 static_cast<uint64_t>(n));
@@ -264,11 +234,9 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
       // last pull level, so resuming push is a swap, not an O(n) rescan.
       std::swap(s.frontier_, s.next_);
       frontier_count = s.frontier_.size();
-      peak_frontier = std::max(peak_frontier, frontier_count);
       scout = awake_scout;
     } else {
       // Push (top-down) round.
-      ++push_rounds;
       s.next_.clear();
       uint64_t next_scout = 0;
       uint64_t next_in = 0;
@@ -291,7 +259,6 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
       }
       std::swap(s.frontier_, s.next_);
       frontier_count = s.frontier_.size();
-      peak_frontier = std::max(peak_frontier, frontier_count);
       scout = next_scout;
       pull_arcs -= std::min(pull_arcs, next_in);
       if (frontier_count > 0) {
@@ -304,22 +271,17 @@ TraversalSummary BfsLevels(const Graph& g, NodeId src,
   }
   sum.max_dist = static_cast<double>(max_depth);
   sum.farthest = max_depth > 0 ? min_at_max : src;
-  TraversalObs& tobs = GetTraversalObs();
-  tobs.bfs_calls.Add();
-  tobs.push_rounds.Add(push_rounds);
-  tobs.pull_rounds.Add(sum.pull_rounds);
-  tobs.frontier_peak.Record(peak_frontier);
   return sum;
 }
 
-void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
-                    TraversalScratch& s, std::span<MultiBfsStats> out) {
+int MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
+                   TraversalScratch& s, std::span<MultiBfsStats> out) {
   const size_t k = sources.size();
   if (k > kMaxMultiBfsSources || out.size() != k) {
     throw std::invalid_argument(
         "MultiSourceBfs: at most 64 sources, one output slot each");
   }
-  if (k == 0) return;
+  if (k == 0) return 0;
   const NodeId n = g.NumVertices();
   if (s.ms_seen_.size() < static_cast<size_t>(n)) {
     s.ms_seen_.resize(n);
@@ -358,7 +320,7 @@ void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
   }
   LaneCounter discovered;
   uint32_t depth = 0;
-  uint64_t pull_rounds = 0;
+  int pull_rounds = 0;
   while (!list.empty()) {
     SPARSIFY_CHECK_CANCELLED();
     if (scout * kMsAlpha > n + pull_arcs) {
@@ -415,9 +377,7 @@ void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
     }
     discovered.Clear();
   }
-  TraversalObs& tobs = GetTraversalObs();
-  tobs.msbfs_calls.Add();
-  tobs.msbfs_pull_rounds.Add(pull_rounds);
+  return pull_rounds;
 }
 
 namespace {
@@ -471,8 +431,6 @@ TraversalSummary DijkstraBinaryHeap(const Graph& g, NodeId src,
   }
   sum.max_dist = max_dist;
   sum.farthest = farthest;
-  TraversalObs& tobs = GetTraversalObs();
-  tobs.sssp_heap_calls.Add();
   return sum;
 }
 
@@ -504,7 +462,6 @@ TraversalSummary DijkstraDeltaStepping(const Graph& g, NodeId src,
   s.buckets_[0].push_back(src);
   size_t pending = 1;
   uint64_t k = 0;  // absolute index of the bucket being drained
-  uint64_t bucket_advances = 0;
   uint32_t pops = 0;  // cancellation poll cadence: every 4096 pops
   while (pending > 0) {
     SPARSIFY_CHECK_CANCELLED();  // once per bucket advance
@@ -537,7 +494,6 @@ TraversalSummary DijkstraDeltaStepping(const Graph& g, NodeId src,
     // All pending entries live within one cyclic span of the array, so
     // the next non-empty bucket is at most num_buckets advances away.
     ++k;
-    ++bucket_advances;
   }
   // Summary fold over the discovery-order list. Every member of
   // reached_order_ holds its final distance here, so the (max,
@@ -557,9 +513,6 @@ TraversalSummary DijkstraDeltaStepping(const Graph& g, NodeId src,
   }
   sum.max_dist = max_dist;
   sum.farthest = farthest;
-  TraversalObs& tobs = GetTraversalObs();
-  tobs.sssp_delta_calls.Add();
-  tobs.sssp_bucket_advances.Add(bucket_advances);
   return sum;
 }
 

@@ -203,9 +203,11 @@ constexpr size_t kMaxMultiBfsSources = 64;
 /// kMaxMultiBfsSources; repeats allowed) at once, along out-edges and
 /// ignoring weights. out[i] receives the stats of sources[i]. Throws
 /// std::invalid_argument on more sources or a differently sized `out`.
-/// Polls cancellation once per level; a warm scratch allocates nothing.
-void MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
-                    TraversalScratch& scratch, std::span<MultiBfsStats> out);
+/// Returns the rounds run in the pull direction, as
+/// TraversalSummary::pull_rounds does for BfsLevels. Polls cancellation
+/// once per level; a warm scratch allocates nothing.
+int MultiSourceBfs(const Graph& g, std::span<const NodeId> sources,
+                   TraversalScratch& scratch, std::span<MultiBfsStats> out);
 
 /// Drop-in scratch-reusing replacement for the legacy per-call API:
 /// returns the exact std::vector<double> the seed implementation produced

@@ -1,6 +1,6 @@
 // Span aggregation for `sparsify_cli profile`: folds a drained trace
 // into a per-(stage, detail) breakdown table with exact percentiles
-// (computed from the individual span durations, not histogram buckets).
+// (computed from the individual span durations).
 #ifndef SPARSIFY_OBS_PROFILE_H_
 #define SPARSIFY_OBS_PROFILE_H_
 

@@ -2,12 +2,10 @@
 // drained into Chrome trace_event JSON (loadable in chrome://tracing or
 // https://ui.perfetto.dev).
 //
-// Cost model, from cheapest to dearest:
-//   - compiled out (SPARSIFY_DISABLE_TRACING): TRACE_SPAN expands to an
-//     inert empty struct; literally zero code on the hot path.
-//   - compiled in, tracing off (the default): one relaxed atomic load
-//     per span site. No clock reads, no allocation — this is the mode
-//     the zero-alloc bench gate runs in.
+// Cost model:
+//   - tracing off (the default): one relaxed atomic load per span site.
+//     No clock reads, no allocation — this is the mode the zero-alloc
+//     bench gate runs in.
 //   - tracing on (StartTracing / --trace=FILE): two steady_clock reads
 //     per span plus an append to a thread-local buffer; detail/arg
 //     strings are copied. Buffers grow unbounded until drained — spans
@@ -121,22 +119,7 @@ class ScopedSpan {
   TraceEvent event_;
 };
 
-/// Compile-time no-op stand-in: same surface, no members, no code.
-struct NullSpan {
-  explicit NullSpan(const char*) {}
-  static constexpr bool active() { return false; }
-  void Detail(const std::string&) {}
-  void Arg(const std::string&, const std::string&) {}
-};
-
-/// The span type TRACE_SPAN declares, for spans held as class members.
-#ifdef SPARSIFY_DISABLE_TRACING
-using Span = NullSpan;
-#else
-using Span = ScopedSpan;
-#endif
-
-#define TRACE_SPAN(var, name) ::sparsify::obs::Span var(name)
+#define TRACE_SPAN(var, name) ::sparsify::obs::ScopedSpan var(name)
 
 /// Writes events as Chrome trace_event JSON ({"traceEvents": [...]}).
 /// Each span becomes a balanced B/E pair; `name` is the span name

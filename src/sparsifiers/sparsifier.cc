@@ -1,6 +1,7 @@
 #include "src/sparsifiers/sparsifier.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
@@ -30,7 +31,7 @@ Graph Sparsifier::Sparsify(const Graph& g, double prune_rate,
   // Validate the rate before paying for the scoring phase (rate-free
   // algorithms ignore it entirely, matching their historical behavior).
   if (Info().prune_rate_control != PruneRateControl::kNone) {
-    (void)TargetKeepCount(g.NumEdges(), prune_rate);
+    CheckPruneRate(prune_rate);
   }
   std::unique_ptr<ScoreState> state = PrepareScores(g, rng);
   return Apply(g, MaskForRate(*state, prune_rate));
@@ -50,10 +51,18 @@ RateMask MaskFromScores(const EdgeScoreState& state, double prune_rate) {
   return {KeepTopScoring(scores, target), {}};
 }
 
-EdgeId TargetKeepCount(EdgeId num_edges, double prune_rate) {
-  if (prune_rate < 0.0 || prune_rate >= 1.0) {
-    throw std::invalid_argument("prune rate must be in [0, 1)");
+void CheckPruneRate(double prune_rate) {
+  // Written so NaN fails too: every comparison with NaN is false.
+  if (!(prune_rate >= 0.0 && prune_rate < 1.0)) {
+    char got[32];
+    std::snprintf(got, sizeof(got), "%g", prune_rate);
+    throw std::invalid_argument(
+        std::string("prune rate must be in [0, 1), got ") + got);
   }
+}
+
+EdgeId TargetKeepCount(EdgeId num_edges, double prune_rate) {
+  CheckPruneRate(prune_rate);
   double kept = (1.0 - prune_rate) * static_cast<double>(num_edges);
   auto rounded = static_cast<EdgeId>(kept + 0.5);
   return std::min(rounded, num_edges);

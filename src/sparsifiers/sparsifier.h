@@ -179,8 +179,12 @@ std::vector<uint8_t> KeepTopScoring(const std::vector<double>& scores,
 /// edges by score.
 RateMask MaskFromScores(const EdgeScoreState& state, double prune_rate);
 
+/// Throws std::invalid_argument unless 0 <= prune_rate < 1 (so NaN
+/// throws too).
+void CheckPruneRate(double prune_rate);
+
 /// Number of edges to keep for a prune rate: round((1-rho)|E|), clamped to
-/// [0, |E|].
+/// [0, |E|]. Checks the rate with CheckPruneRate.
 EdgeId TargetKeepCount(EdgeId num_edges, double prune_rate);
 
 }  // namespace sparsify

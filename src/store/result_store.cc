@@ -12,12 +12,10 @@
 #include <tuple>
 #include <utility>
 
-#include "src/obs/counters.h"
 #include "src/obs/trace.h"
 #include "src/store/record_codec.h"
 #include "src/util/errors.h"
 #include "src/util/failpoint.h"
-#include "src/util/timer.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -288,16 +286,6 @@ void ResultStore::Replay(bool settle) {
   TRACE_SPAN(span, "store_replay");
   if (span.active()) span.Detail(dir_);
   SPARSIFY_FAILPOINT("store.replay");
-  // Records on every exit path (multiple returns, throws on corruption).
-  struct ReplayObs {
-    Timer timer;
-    ~ReplayObs() {
-      static obs::Histogram& replay_ns =
-          obs::GetHistogram("store.replay_ns");
-      replay_ns.Record(static_cast<uint64_t>(timer.Seconds() * 1e9));
-    }
-  } replay_obs;
-
   // The base (compaction output) holds the oldest records; segments
   // follow in session order.
   ReplayFile(BasePath(), settle);
@@ -517,12 +505,9 @@ void ResultStore::InsertLocked(const PackedKey& key,
 }
 
 void ResultStore::OpenSegmentLocked() {
-  static obs::Counter& rotations =
-      obs::GetCounter("store.segment_rotations");
   if (out_.is_open()) {
     SPARSIFY_FAILPOINT("store.rotate");
     CloseWriterLocked();
-    rotations.Add();
   }
   char seq[24];
   std::snprintf(seq, sizeof(seq), "%06llu",
@@ -606,11 +591,6 @@ void ResultStore::AppendRecordLocked(const std::string& line) {
 
 void ResultStore::Append(const CellKey& key, double achieved_prune_rate,
                          double value) {
-  // Append latency includes the lock wait: contention from many workers
-  // appending at once shows up here, which is what the histogram is for.
-  static obs::Counter& appends = obs::GetCounter("store.appends");
-  static obs::Histogram& append_ns = obs::GetHistogram("store.append_ns");
-  Timer append_timer;
   // The line and its checksum are built before the lock: workers wait
   // only for each other's writes, not for each other's formatting.
   const CellKeyView view(key);
@@ -621,15 +601,12 @@ void ResultStore::Append(const CellKey& key, double achieved_prune_rate,
   std::lock_guard<std::mutex> lock(mu_);
   AppendRecordLocked(line);
   InsertLocked(PackLocked(view), outcome, /*from_file=*/false);
-  appends.Add();
-  append_ns.Record(static_cast<uint64_t>(append_timer.Seconds() * 1e9));
 }
 
 void ResultStore::AppendError(const CellKey& key,
                               const std::string& error_class,
                               const std::string& error_message,
                               int attempts) {
-  static obs::Counter& errors = obs::GetCounter("store.error_appends");
   const CellKeyView view(key);
   StoredOutcome outcome;
   outcome.is_error = true;
@@ -640,7 +617,6 @@ void ResultStore::AppendError(const CellKey& key,
   std::lock_guard<std::mutex> lock(mu_);
   AppendRecordLocked(line);
   InsertLocked(PackLocked(view), outcome, /*from_file=*/false);
-  errors.Add();
 }
 
 void ResultStore::RewriteLogLocked(const std::string& tmp,
@@ -720,9 +696,6 @@ CompactStats ResultStore::Compact() {
     const auto size = fs::file_size(BasePath(), ec);
     if (!ec) stats.bytes_after = size;
   }
-
-  static obs::Counter& compactions = obs::GetCounter("store.compactions");
-  compactions.Add();
   return stats;
 }
 
@@ -753,9 +726,6 @@ void ResultStore::Merge(const std::vector<const ResultStore*>& inputs) {
   }
   RewriteLogLocked(BasePath() + ".merge.tmp", "store.merge.write",
                    "store.merge.rename");
-
-  static obs::Counter& merges = obs::GetCounter("store.merge_commits");
-  merges.Add();
 }
 
 FsyncPolicy ResultStore::fsync_policy() const {

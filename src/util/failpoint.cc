@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "src/obs/counters.h"
 #include "src/util/cancel.h"
 
 namespace sparsify::fail {
@@ -81,8 +80,6 @@ Decision DecideLocked(const std::string& name, SiteState& state) {
 }
 
 void Act(const Decision& d) {
-  static obs::Counter& fired = obs::GetCounter("fail.fired");
-  fired.Add();
   switch (d.action) {
     case Action::kThrow:
       ThrowInjected(d, /*transient=*/false);

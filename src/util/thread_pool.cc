@@ -2,29 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <stdexcept>
 
-#include "src/obs/counters.h"
 #include "src/util/cancel.h"
 #include "src/util/failpoint.h"
+#include "src/util/timer.h"
 
 namespace sparsify {
-namespace {
-
-// Queue-wait latency (enqueue -> dequeue) across every pool in the
-// process. A growing tail here means submission outruns the workers.
-obs::Histogram& QueueWaitHistogram() {
-  static obs::Histogram& h = obs::GetHistogram("pool.queue_wait_ns");
-  return h;
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  worker_stats_ = std::make_unique<WorkerStat[]>(num_threads);
+  worker_busy_ = std::make_unique<WorkerBusy[]>(num_threads);
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back(
@@ -32,39 +21,19 @@ ThreadPool::ThreadPool(int num_threads) {
   }
 }
 
-ThreadPool::~ThreadPool() { Stop(StopMode::kDrain); }
-
-void ThreadPool::Stop(StopMode mode) {
+ThreadPool::~ThreadPool() {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (stopped_) return;
     shutdown_ = true;
-    if (mode == StopMode::kAbandon) {
-      // Abandoned tasks count as "done" for Wait()'s bookkeeping: they
-      // will never run, so nothing should block on them. abandon_ also
-      // makes submissions from still-running tasks drop silently.
-      abandon_ = true;
-      const size_t dropped = queue_.size();
-      queue_.clear();
-      in_flight_ -= dropped;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
   }
   work_available_.notify_all();
   for (std::thread& w : workers_) w.join();
-  std::unique_lock<std::mutex> lock(mu_);
-  stopped_ = true;
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (stopped_) {
-      throw std::logic_error("ThreadPool::Submit after Stop");
-    }
-    if (abandon_) return;  // dropped, like the rest of the queue
-    queue_.push_back({std::move(task), Timer::Now()});
-    queue_high_water_ = std::max(queue_high_water_, queue_.size());
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   work_available_.notify_one();
@@ -73,12 +42,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::SubmitUrgent(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (stopped_) {
-      throw std::logic_error("ThreadPool::SubmitUrgent after Stop");
-    }
-    if (abandon_) return;  // dropped, like the rest of the queue
-    queue_.push_front({std::move(task), Timer::Now()});
-    queue_high_water_ = std::max(queue_high_water_, queue_.size());
+    queue_.push_front(std::move(task));
     ++in_flight_;
   }
   work_available_.notify_one();
@@ -95,9 +59,9 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
-  WorkerStat& stat = worker_stats_[worker_index];
+  std::atomic<uint64_t>& busy_ns = worker_busy_[worker_index].ns;
   for (;;) {
-    QueuedTask task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_available_.wait(lock,
@@ -106,24 +70,16 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    Timer::TimePoint start = Timer::Now();
-    QueueWaitHistogram().Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(start -
-                                                             task.enqueued)
-            .count()));
+    const int64_t start = Timer::NowNanos();
     try {
       SPARSIFY_FAILPOINT("pool.task");
-      task.fn();
+      task();
     } catch (...) {
       std::unique_lock<std::mutex> lock(mu_);
       if (!first_error_) first_error_ = std::current_exception();
     }
-    uint64_t busy_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Timer::Now() -
-                                                             start)
-            .count());
-    stat.tasks.fetch_add(1, std::memory_order_relaxed);
-    stat.busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
+    busy_ns.fetch_add(static_cast<uint64_t>(Timer::NowNanos() - start),
+                      std::memory_order_relaxed);
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (--in_flight_ == 0) all_done_.notify_all();
@@ -131,34 +87,20 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   }
 }
 
-ThreadPoolStats ThreadPool::Stats() const {
-  ThreadPoolStats out;
-  size_t n = workers_.size();
-  out.worker_tasks.reserve(n);
-  out.worker_busy_seconds.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t tasks = worker_stats_[i].tasks.load(std::memory_order_relaxed);
-    uint64_t busy_ns =
-        worker_stats_[i].busy_ns.load(std::memory_order_relaxed);
-    out.tasks_executed += tasks;
-    out.busy_seconds += static_cast<double>(busy_ns) * 1e-9;
-    out.worker_tasks.push_back(tasks);
-    out.worker_busy_seconds.push_back(static_cast<double>(busy_ns) * 1e-9);
+double ThreadPool::BusySeconds() const {
+  double seconds = 0;
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    seconds += static_cast<double>(
+                   worker_busy_[i].ns.load(std::memory_order_relaxed)) *
+               1e-9;
   }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    out.queue_high_water = queue_high_water_;
-  }
-  return out;
+  return seconds;
 }
 
-void ThreadPool::ResetStats() {
+void ThreadPool::ResetBusySeconds() {
   for (size_t i = 0; i < workers_.size(); ++i) {
-    worker_stats_[i].tasks.store(0, std::memory_order_relaxed);
-    worker_stats_[i].busy_ns.store(0, std::memory_order_relaxed);
+    worker_busy_[i].ns.store(0, std::memory_order_relaxed);
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  queue_high_water_ = 0;
 }
 
 void NestedParallelFor(ThreadPool* pool, size_t n,

@@ -23,21 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/util/timer.h"
-
 namespace sparsify {
-
-/// Always-on pool accounting (two clock reads per task — cheap against
-/// any task worth submitting to a pool). busy_seconds is summed across
-/// workers, so utilization over an interval is
-/// busy_seconds / (wall x NumThreads()); idle is the complement.
-struct ThreadPoolStats {
-  uint64_t tasks_executed = 0;
-  double busy_seconds = 0;
-  size_t queue_high_water = 0;  // deepest the queue has been
-  std::vector<uint64_t> worker_tasks;
-  std::vector<double> worker_busy_seconds;
-};
 
 /// A fixed-size pool of worker threads consuming a FIFO task queue.
 class ThreadPool {
@@ -46,26 +32,12 @@ class ThreadPool {
   /// (minimum 1).
   explicit ThreadPool(int num_threads = 0);
 
-  /// Equivalent to Stop(StopMode::kDrain) if not already stopped.
+  /// Runs everything already queued, then joins every worker. Must not
+  /// run on a pool task.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// How Stop treats tasks still sitting in the queue.
-  enum class StopMode {
-    kDrain,    // run everything already queued, then join
-    kAbandon,  // drop queued tasks unrun; join after in-progress finish
-  };
-
-  /// Shuts the pool down and joins every worker. With kAbandon, tasks
-  /// still queued are dropped (they never run — a cancelled sweep must
-  /// not execute a backlog it no longer wants) and any Wait()er is
-  /// released as if they had completed. In both modes, once Stop
-  /// returns no task is running or will ever run; Submit afterwards
-  /// throws std::logic_error. Idempotent; must not be called from a
-  /// pool task.
-  void Stop(StopMode mode);
 
   int NumThreads() const { return static_cast<int>(workers_.size()); }
 
@@ -85,42 +57,34 @@ class ThreadPool {
   /// rethrows the first exception (the rest are dropped).
   void Wait();
 
-  /// Merged view of the per-worker counters plus the queue high-water
-  /// mark. Safe to call concurrently with running tasks (values are a
-  /// consistent-enough snapshot: relaxed per-worker atomics).
-  ThreadPoolStats Stats() const;
+  /// Seconds the workers spent running tasks since construction or the
+  /// last ResetBusySeconds, summed across workers (two clock reads per
+  /// task), so utilization over an interval is
+  /// BusySeconds() / (wall x NumThreads()). Safe to call while tasks run.
+  double BusySeconds() const;
 
-  /// Zeroes the per-worker counters and the queue high-water mark, so a
-  /// profile run measures only its own interval.
-  void ResetStats();
+  /// Zeroes the busy time, so a profile run measures only its own
+  /// interval.
+  void ResetBusySeconds();
 
  private:
-  // Per-worker accounting lives on its own cache line so the hot path
-  // (two relaxed stores per task) never bounces lines between workers.
-  struct alignas(64) WorkerStat {
-    std::atomic<uint64_t> tasks{0};
-    std::atomic<uint64_t> busy_ns{0};
-  };
-
-  struct QueuedTask {
-    std::function<void()> fn;
-    Timer::TimePoint enqueued;  // for the pool.queue_wait_ns histogram
+  // Each worker's busy time lives on its own cache line so the hot path
+  // (one relaxed add per task) never bounces lines between workers.
+  struct alignas(64) WorkerBusy {
+    std::atomic<uint64_t> ns{0};
   };
 
   void WorkerLoop(size_t worker_index);
 
   std::vector<std::thread> workers_;
-  std::unique_ptr<WorkerStat[]> worker_stats_;
-  mutable std::mutex mu_;
+  std::unique_ptr<WorkerBusy[]> worker_busy_;
+  std::mutex mu_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;
-  std::deque<QueuedTask> queue_;
-  size_t in_flight_ = 0;          // queued + currently executing
-  size_t queue_high_water_ = 0;   // under mu_
+  std::deque<std::function<void()>> queue_;
+  size_t in_flight_ = 0;  // queued + currently executing
   std::exception_ptr first_error_;
   bool shutdown_ = false;
-  bool abandon_ = false;  // Stop(kAbandon): drop queued + new submissions
-  bool stopped_ = false;  // Stop() ran to completion (workers joined)
 };
 
 /// The library's parallel-for, safe to call from INSIDE a pool task (which

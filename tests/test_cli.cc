@@ -103,6 +103,33 @@ TEST(CliTest, ScaleAndRunsThatCannotBeRightAreErrors) {
             cli::kExitUsage);
   EXPECT_EQ(RunCli({"figure", "2", "--scale=0.1", "--runs=-3"}),
             cli::kExitUsage);
+  // A prune rate outside [0, 1) (NaN included) fails the grid before any
+  // unit runs, and an integer flag past its type's range neither wraps
+  // (4294967297 runs is not 1 run) nor saturates (the seed is not
+  // 2^64-1): nothing is stored, not even an error record.
+  const std::string rate_dir = TestPath("bad_rate_store");
+  for (const char* flag :
+       {"--rates=nan", "--rates=1", "--rates=1.5", "--rates=-0.1",
+        "--rates=-0.2", "--rates=0.5,nan", "--runs=4294967297",
+        "--seed=99999999999999999999"}) {
+    EXPECT_EQ(RunCli({"sweep", "--dataset=ego-Facebook", "--metric=degree",
+                      "--algos=RN,LD,SF", "--scale=0.1", flag,
+                      "--store=" + rate_dir}),
+              cli::kExitUsage)
+        << flag;
+  }
+  {
+    ResultStore store(rate_dir);
+    EXPECT_EQ(store.Size(), 0u);
+  }
+  const std::string edges = TestPath("bad_rate_edges.txt");
+  std::ofstream(edges, std::ios::binary) << "0 1\n1 2\n2 0\n";
+  for (const char* rate : {"--rate=nan", "--rate=1", "--rate=-0.2"}) {
+    EXPECT_EQ(RunCli({"sparsify", "--algo=RN", rate, "--input=" + edges,
+                      "--output=" + TestPath("bad_rate_out.txt")}),
+              cli::kExitUsage)
+        << rate;
+  }
 }
 
 TEST(CliTest, ValueFlagWithoutValueIsAnError) {

@@ -5,6 +5,7 @@
 // state: fine-control algorithms keep exactly TargetKeepCount edges, and
 // kept sets are nested across rates.
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <set>
 #include <tuple>
@@ -216,6 +217,8 @@ TEST_P(SparsifierTest, RejectsInvalidPruneRate) {
   Rng rng(18);
   EXPECT_THROW(sparsifier->Sparsify(g, 1.5, rng), std::invalid_argument);
   EXPECT_THROW(sparsifier->Sparsify(g, -0.1, rng), std::invalid_argument);
+  EXPECT_THROW(sparsifier->Sparsify(g, std::nan(""), rng),
+               std::invalid_argument);
 }
 
 TEST_P(SparsifierTest, InfoIsConsistent) {
